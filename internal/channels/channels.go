@@ -313,10 +313,15 @@ type Channel struct {
 	name string
 	peer topo.EndpointID
 
+	// readReason and writeReason are the park reasons of a subprocess
+	// blocked on this end, built once when the end is created.
+	readReason, writeReason string
+
 	// reader side
 	ready      []Msg       // side-buffered complete messages
 	assembling map[int]int // bytes received per in-flight message seq
 	reader     *blockedReader
+	readerRec  blockedReader // reader's storage: one Read blocks at a time
 	mux        *Mux
 
 	// writer side. window is the number of un-acknowledged writes
@@ -425,6 +430,7 @@ func (ch *Channel) Window() int { return ch.window }
 func (s *Service) Open(sp *kern.Subprocess, name string, mode objmgr.Mode) *Channel {
 	p := s.mgr.Open(sp, s.f, name, mode)
 	ch := &Channel{svc: s, id: p.Chan, name: name, peer: p.Peer, window: s.defaultWindow()}
+	ch.setReasons()
 	s.chans[p.Chan] = ch
 	if frags := s.preopen[p.Chan]; len(frags) > 0 {
 		delete(s.preopen, p.Chan)
@@ -433,6 +439,12 @@ func (s *Service) Open(sp *kern.Subprocess, name string, mode objmgr.Mode) *Chan
 		}
 	}
 	return ch
+}
+
+// setReasons builds the end's park reasons from its name.
+func (ch *Channel) setReasons() {
+	ch.readReason = "chan-read " + ch.name
+	ch.writeReason = "chan-write " + ch.name
 }
 
 // Name returns the channel's rendezvous name.
@@ -501,7 +513,7 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 	}
 	ch.svc.armTimer(ch, om)
 	for len(ch.pending) >= ch.window && !ch.closedRemote {
-		ch.writerWake = sp.Block(kern.WaitOutput, fmt.Sprintf("chan-write %s", ch.name))
+		ch.writerWake = sp.Block(kern.WaitOutput, ch.writeReason)
 		sp.BlockNow()
 		sp.System(costs.SchedulerWake)
 	}
@@ -737,6 +749,7 @@ func (s *Service) FailEnd(id uint64) bool {
 func (s *Service) Reincarnate(id uint64, name string, peer topo.EndpointID, sendSeq, recvSeq int) *Channel {
 	ch := &Channel{svc: s, id: id, name: name, peer: peer, window: s.defaultWindow(),
 		sendSeq: sendSeq, recvSeq: recvSeq, managed: true}
+	ch.setReasons()
 	s.chans[id] = ch
 	if v := s.verifier; v != nil {
 		v.ChanReincarnate(id, s.f.Endpoint(), peer, sendSeq, recvSeq)
@@ -799,15 +812,18 @@ func (ch *Channel) Read(sp *kern.Subprocess) (Msg, bool) {
 		// Side-buffered data costs an extra kernel-to-user copy.
 		sp.System(costs.KernelCopyTime(m.Size))
 		ch.received++
-		ch.svc.tracer().Emit(trace.KRead, 0, ch.svc.f.Node().Name(), ch.lane(),
-			fmt.Sprintf("%dB buffered", m.Size))
+		if tr := ch.svc.tracer(); tr.Enabled() {
+			tr.Emit(trace.KRead, 0, ch.svc.f.Node().Name(), ch.lane(),
+				fmt.Sprintf("%dB buffered", m.Size))
+		}
 		return m, true
 	}
 	if ch.closedRemote || ch.closedLocal {
 		return Msg{}, false
 	}
-	br := &blockedReader{}
-	br.wake = sp.Block(kern.WaitInput, fmt.Sprintf("chan-read %s", ch.name))
+	br := &ch.readerRec
+	*br = blockedReader{}
+	br.wake = sp.Block(kern.WaitInput, ch.readReason)
 	ch.reader = br
 	ch.svc.resumeIfStarved(ch)
 	sp.BlockNow()
@@ -816,8 +832,10 @@ func (ch *Channel) Read(sp *kern.Subprocess) (Msg, bool) {
 		return Msg{}, false
 	}
 	ch.received++
-	ch.svc.tracer().Emit(trace.KRead, 0, ch.svc.f.Node().Name(), ch.lane(),
-		fmt.Sprintf("%dB", br.msg.Size))
+	if tr := ch.svc.tracer(); tr.Enabled() {
+		tr.Emit(trace.KRead, 0, ch.svc.f.Node().Name(), ch.lane(),
+			fmt.Sprintf("%dB", br.msg.Size))
+	}
 	return br.msg, true
 }
 
@@ -843,8 +861,10 @@ func (s *Service) releaseSideBuf() {
 // sendResume asks a starved sender to retransmit its busy-discarded
 // message.
 func (s *Service) sendResume(r starveRec) {
-	s.tracer().Emit(trace.KResume, r.tid, s.f.Node().Name(), r.ch.lane(),
-		fmt.Sprintf("seq=%d ->ep%d", r.seq, r.ch.peer))
+	if tr := s.tracer(); tr.Enabled() {
+		tr.Emit(trace.KResume, r.tid, s.f.Node().Name(), r.ch.lane(),
+			fmt.Sprintf("seq=%d ->ep%d", r.seq, r.ch.peer))
+	}
 	s.f.SendAsyncCtx(r.tid, r.ch.peer, "chan.resume", AckBytes, resumeMsg{ch: r.ch.id, seq: r.seq}, nil)
 }
 
@@ -1011,10 +1031,10 @@ func (s *Service) handleAck(m *hpc.Message) {
 			if v := s.verifier; v != nil {
 				v.ChanAck(ch.id, s.f.Endpoint(), a.seq)
 			}
-			s.tracer().Emit(trace.KAck, om.tid, s.f.Node().Name(), ch.lane(),
-				fmt.Sprintf("seq=%d", a.seq))
-			if ch.window > 1 {
-				if tr := s.tracer(); tr.Enabled() {
+			if tr := s.tracer(); tr.Enabled() {
+				tr.Emit(trace.KAck, om.tid, s.f.Node().Name(), ch.lane(),
+					fmt.Sprintf("seq=%d", a.seq))
+				if ch.window > 1 {
 					tr.Emit(trace.KWindow, om.tid, s.f.Node().Name(), ch.lane(),
 						fmt.Sprintf("advance seq=%d inflight=%d/%d", a.seq, len(ch.pending), ch.window))
 					tr.GaugeSet(WindowInflightGauge, float64(len(ch.pending)))
@@ -1089,7 +1109,9 @@ func (ch *Channel) Close(sp *kern.Subprocess) {
 	costs := ch.svc.f.Node().Costs()
 	sp.Syscall(costs.ChanAckProto)
 	ch.closedLocal = true
-	ch.svc.tracer().Emit(trace.KClose, 0, ch.svc.f.Node().Name(), ch.lane(), "")
+	if tr := ch.svc.tracer(); tr.Enabled() {
+		tr.Emit(trace.KClose, 0, ch.svc.f.Node().Name(), ch.lane(), "")
+	}
 	ch.svc.f.SendAsync(ch.peer, "chan.close", AckBytes, closeMsg{ch: ch.id}, nil)
 }
 

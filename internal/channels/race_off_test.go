@@ -1,0 +1,5 @@
+//go:build !race
+
+package channels_test
+
+const raceEnabled = false

@@ -125,6 +125,10 @@ type Interconnect struct {
 	deliver []DeliverFunc
 	onRoom  [][]func() // room-available interrupt handlers per endpoint
 
+	// outWait[e] is the park reason of a sender blocked on endpoint e's
+	// full output section, built on first use (see outputWaitReason).
+	outWait []string
+
 	// downCubes counts directed cube links currently marked down. When
 	// it is zero every route uses the canonical dimension-order rule,
 	// so an idle fault engine leaves behaviour bit-identical.
@@ -452,10 +456,22 @@ func (ic *Interconnect) Send(p *sim.Proc, msg *Message, onDelivered func(*Messag
 		if ok {
 			return nil
 		}
-		wake := p.Park("hpc-output " + fmt.Sprint(msg.Src))
+		wake := p.Park(ic.outputWaitReason(msg.Src))
 		ic.NotifyRoom(msg.Src, wake)
 		p.Block()
 	}
+}
+
+// outputWaitReason is the park reason of a sender waiting for room in
+// endpoint e's output section, built once per endpoint.
+func (ic *Interconnect) outputWaitReason(e topo.EndpointID) string {
+	if ic.outWait == nil {
+		ic.outWait = make([]string, len(ic.outSec))
+	}
+	if ic.outWait[e] == "" {
+		ic.outWait[e] = "hpc-output " + fmt.Sprint(e)
+	}
+	return ic.outWait[e]
 }
 
 // SendMulticast transmits one message to several destinations. The

@@ -92,15 +92,19 @@ func (f *shardedFabric) run(tt *testing.T) {
 // crossTraffic schedules a deterministic burst: every endpoint sends a
 // distinct-size message to the endpoint diametrically across the
 // topology, at staggered tie-free starts, with some same-cluster pairs
-// mixed in. Sends are scheduled on the sender's own shard.
-func crossTraffic(f *shardedFabric, done *int) {
+// mixed in. Sends are scheduled on the sender's own shard, and each
+// shard counts the sends its output sections accepted in its own slot
+// of the returned slice, so the counts are race-free to sum after Run.
+func crossTraffic(f *shardedFabric) (accepted []int) {
 	n := f.t.Endpoints()
+	accepted = make([]int, len(f.ics))
 	for e := 0; e < n; e++ {
 		src := topo.EndpointID(e)
 		dst := topo.EndpointID((e + n/2) % n)
 		size := 64 + 16*e
 		tag := fmt.Sprintf("x%d", e)
 		ic := f.icOf(src)
+		shard := f.part.OfEndpoint(f.t, src)
 		start := sim.Time(1 + 13*e)
 		ic.k.At(start, func() {
 			msg := ic.AllocMessage()
@@ -110,10 +114,19 @@ func crossTraffic(f *shardedFabric, done *int) {
 				panic(err)
 			}
 			if ok {
-				*done++
+				accepted[shard]++
 			}
 		})
 	}
+	return accepted
+}
+
+func sum(xs []int) int {
+	total := 0
+	for _, x := range xs {
+		total += x
+	}
+	return total
 }
 
 func flattenSorted(logs [][]delivRec) []delivRec {
@@ -141,8 +154,7 @@ func TestShardedFabricMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := newShardedFabric(top, 1)
-	var sd int
-	crossTraffic(serial, &sd)
+	serialAccepted := crossTraffic(serial)
 	serial.run(t)
 	want := flattenSorted(serial.logs)
 	if len(want) == 0 {
@@ -151,9 +163,11 @@ func TestShardedFabricMatchesSerial(t *testing.T) {
 
 	for _, shards := range []int{2, 3, 6} {
 		f := newShardedFabric(top, shards)
-		var fd int
-		crossTraffic(f, &fd)
+		accepted := crossTraffic(f)
 		f.run(t)
+		if got, want := sum(accepted), sum(serialAccepted); got != want {
+			t.Fatalf("shards=%d: %d sends accepted at once, serial %d", shards, got, want)
+		}
 		got := flattenSorted(f.logs)
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d: %d deliveries, serial %d", shards, len(got), len(want))

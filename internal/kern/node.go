@@ -103,19 +103,26 @@ type Node struct {
 	curStart  sim.Time
 	suspended *task // preempted by interrupt, resumes without a switch
 	intrQ     []intrWork
-	inIntr    bool
+	intrHead  int         // intrQ[intrHead:] is still queued
 	lastSP    *Subprocess // last subprocess that held the CPU
 	seq       uint64
 
+	// Records the CPU path reuses instead of allocating, each made on
+	// first use: the segment-completion callback (n.segmentDone, bound
+	// once) and a free list of interrupt completions.
+	segDone  func()
+	intrFree *intrDone
+
 	subs []*Subprocess
 
+	inIntr      bool
 	crashed     bool
+	acctBusy    bool // accounting an active (non-idle) span
 	incarnation uint32
 	onCrash     []func()
 
 	acctCat   Category
 	acctSince sim.Time
-	acctBusy  bool // accounting an active (non-idle) span
 	totals    [numCategories]sim.Duration
 	sink      TraceSink
 	tracer    *trace.Tracer
@@ -129,6 +136,48 @@ type Node struct {
 type intrWork struct {
 	d  sim.Duration
 	fn func()
+}
+
+// intrDone is the completion of one armed interrupt: the work item its
+// event runs once the service time has elapsed. Each armed event owns
+// its record until it fires. Crash does not cancel that event, so a
+// node restarted in the meantime still runs the work item it was armed
+// with, exactly as a per-interrupt closure would.
+type intrDone struct {
+	n    *Node
+	fn   func()
+	fire func()    // r.run, bound once
+	next *intrDone // free-list link
+}
+
+// newIntrDone takes a completion record from the node's free list, or
+// makes one.
+func (n *Node) newIntrDone(fn func()) *intrDone {
+	r := n.intrFree
+	if r != nil {
+		n.intrFree, r.next = r.next, nil
+	} else {
+		r = &intrDone{n: n}
+		r.fire = r.run
+	}
+	r.fn = fn
+	return r
+}
+
+// run finishes the interrupt and moves on to the next queued one. The
+// record is back on the free list before fn runs, which may raise
+// further interrupts.
+func (r *intrDone) run() {
+	n, fn := r.n, r.fn
+	r.fn = nil
+	r.next, n.intrFree = n.intrFree, r
+	if n.crashed {
+		return
+	}
+	if fn != nil {
+		fn()
+	}
+	n.runInterrupts()
 }
 
 // NewNode creates a node with its own CPU.
@@ -227,7 +276,9 @@ func (n *Node) Crash() {
 	n.current = nil
 	n.suspended = nil
 	n.ready = nil
-	n.intrQ = nil
+	clear(n.intrQ)
+	n.intrQ = n.intrQ[:0]
+	n.intrHead = 0
 	n.inIntr = false
 	for _, sp := range n.subs {
 		sp.proc.SetDaemon(true)
@@ -304,11 +355,22 @@ func (n *Node) Beacon(d sim.Duration, fn func()) (stop func()) {
 func (n *Node) OnCrash(fn func()) { n.onCrash = append(n.onCrash, fn) }
 
 // task is one CPU request: a sequence of (category, duration) segments
-// consumed under preemption.
+// consumed under preemption. A subprocess has at most one request
+// outstanding (it blocks until the CPU delivers it), so each
+// subprocess reuses one task record, made on its first request, which
+// also keeps the CPU time the subprocess has consumed.
 type task struct {
-	sp   *Subprocess
+	sp     *Subprocess
+	reason string // park reason while waiting for the CPU
+	user   sim.Duration
+	system sim.Duration // includes context switches on its behalf
+	// segs holds the remaining segments in reverse order, head last,
+	// so consuming the head and prepending a context switch are both
+	// O(1) at the tail. It lives in buf until more segments pile up
+	// than buf holds (repeated preemption mid-switch), then spills.
 	segs []seg
-	wake func()
+	buf  [4]seg
+	tok  sim.ParkToken // wakes the subprocess when the last segment ends
 	prio int
 	seq  uint64
 	idx  int // heap index
@@ -318,6 +380,24 @@ type seg struct {
 	cat Category
 	rem sim.Duration
 }
+
+// charge attributes consumed CPU to the task's subprocess.
+func (t *task) charge(cat Category, d sim.Duration) {
+	if cat == CatUser {
+		t.user += d
+	} else {
+		t.system += d
+	}
+}
+
+// head is the segment the CPU consumes next.
+func (t *task) head() *seg { return &t.segs[len(t.segs)-1] }
+
+// pop drops the head segment.
+func (t *task) pop() { t.segs = t.segs[:len(t.segs)-1] }
+
+// prepend makes s the new head segment.
+func (t *task) prepend(s seg) { t.segs = append(t.segs, s) }
 
 type taskHeap []*task
 
@@ -346,19 +426,27 @@ func (h *taskHeap) Pop() any {
 	return t
 }
 
-// exec runs the calling subprocess's CPU request to completion,
-// blocking the subprocess until the CPU has delivered every segment.
-func (n *Node) exec(sp *Subprocess, segs []seg) {
+// exec runs the calling subprocess's CPU request — d of category cat —
+// to completion, blocking the subprocess until the CPU has delivered
+// every segment.
+func (n *Node) exec(sp *Subprocess, cat Category, d sim.Duration) {
 	if n.crashed {
 		// The CPU is dead: the subprocess is stranded forever.
 		sp.proc.SetDaemon(true)
-		sp.proc.Park("crashed " + n.name)
+		sp.proc.Arm("crashed " + n.name)
 		sp.proc.Block()
 		return
 	}
-	t := &task{sp: sp, segs: segs, prio: sp.prio, seq: n.seq}
+	t := sp.task
+	if t == nil {
+		t = &task{sp: sp, reason: "cpu " + n.name}
+		t.segs = t.buf[:0]
+		sp.task = t
+	}
+	t.segs = append(t.segs[:0], seg{cat, d})
+	t.prio, t.seq = sp.prio, n.seq
 	n.seq++
-	t.wake = sp.proc.Park("cpu " + n.name)
+	t.tok = sp.proc.Arm(t.reason)
 	heap.Push(&n.ready, t)
 	n.preemptIfNeeded(t)
 	n.schedule()
@@ -388,10 +476,11 @@ func (n *Node) stopCurrent() *task {
 	cur := n.current
 	n.curTimer.Stop()
 	elapsed := n.k.Now().Sub(n.curStart)
-	cur.sp.chargeCPU(cur.segs[0].cat, elapsed)
-	cur.segs[0].rem -= elapsed
-	if cur.segs[0].rem <= 0 {
-		cur.segs = cur.segs[1:]
+	h := cur.head()
+	cur.charge(h.cat, elapsed)
+	h.rem -= elapsed
+	if h.rem <= 0 {
+		cur.pop()
 	}
 	n.current = nil
 	n.account(n.idleCategory())
@@ -409,7 +498,7 @@ func (n *Node) schedule() {
 	t := heap.Pop(&n.ready).(*task)
 	if t.sp != n.lastSP {
 		// Full context switch: save/restore all registers (80 µs).
-		t.segs = append([]seg{{CatSystem, n.costs.ContextSwitch}}, t.segs...)
+		t.prepend(seg{CatSystem, n.costs.ContextSwitch})
 		n.CtxSwitches++
 	}
 	n.lastSP = t.sp
@@ -420,29 +509,39 @@ func (n *Node) schedule() {
 // runSegment starts (or resumes) the head segment of the current task.
 func (n *Node) runSegment() {
 	t := n.current
-	for len(t.segs) > 0 && t.segs[0].rem <= 0 {
-		t.segs = t.segs[1:]
+	for len(t.segs) > 0 && t.head().rem <= 0 {
+		t.pop()
 	}
 	if len(t.segs) == 0 {
 		n.finish(t)
 		return
 	}
-	n.account(t.segs[0].cat)
+	h := t.head()
+	n.account(h.cat)
 	n.curStart = n.k.Now()
-	seg0 := t.segs[0]
-	n.curTimer = n.k.After(seg0.rem, func() {
-		if n.crashed {
-			return
-		}
-		t.sp.chargeCPU(seg0.cat, seg0.rem)
-		t.segs[0].rem = 0
-		t.segs = t.segs[1:]
-		if len(t.segs) > 0 {
-			n.runSegment()
-			return
-		}
-		n.finish(t)
-	})
+	if n.segDone == nil {
+		n.segDone = n.segmentDone
+	}
+	n.curTimer = n.k.After(h.rem, n.segDone)
+}
+
+// segmentDone ends the current task's head segment when its timer
+// fires. n.current is still the task, with the head segment, that the
+// timer was armed for: the only paths that replace the task or change
+// its head while it runs, stopCurrent and Crash, stop curTimer first.
+func (n *Node) segmentDone() {
+	if n.crashed {
+		return
+	}
+	t := n.current
+	h := t.head()
+	t.charge(h.cat, h.rem)
+	t.pop()
+	if len(t.segs) > 0 {
+		n.runSegment()
+		return
+	}
+	n.finish(t)
 }
 
 // finish completes the current task: wake its subprocess and run the
@@ -450,7 +549,7 @@ func (n *Node) runSegment() {
 func (n *Node) finish(t *task) {
 	n.current = nil
 	n.account(n.idleCategory())
-	t.wake()
+	t.sp.proc.Wake(t.tok)
 	n.schedule()
 }
 
@@ -483,7 +582,7 @@ func (n *Node) runInterrupts() {
 	if n.crashed {
 		return
 	}
-	if len(n.intrQ) == 0 {
+	if n.intrHead == len(n.intrQ) {
 		n.inIntr = false
 		n.account(n.idleCategory())
 		if n.suspended != nil {
@@ -500,15 +599,13 @@ func (n *Node) runInterrupts() {
 		n.schedule()
 		return
 	}
-	w := n.intrQ[0]
-	n.intrQ = n.intrQ[1:]
-	n.k.After(w.d, func() {
-		if n.crashed {
-			return
-		}
-		if w.fn != nil {
-			w.fn()
-		}
-		n.runInterrupts()
-	})
+	w := n.intrQ[n.intrHead]
+	n.intrQ[n.intrHead] = intrWork{}
+	n.intrHead++
+	if n.intrHead == len(n.intrQ) {
+		// Drained: rewind so the next interrupt reuses the capacity.
+		n.intrQ = n.intrQ[:0]
+		n.intrHead = 0
+	}
+	n.k.After(w.d, n.newIntrDone(w.fn).fire)
 }

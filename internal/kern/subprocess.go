@@ -16,23 +16,16 @@ type Subprocess struct {
 	name     string
 	prio     int
 	waitKind WaitKind
-
-	cpuUser, cpuSystem sim.Duration
-}
-
-// chargeCPU attributes consumed CPU to the subprocess.
-func (sp *Subprocess) chargeCPU(cat Category, d sim.Duration) {
-	if cat == CatUser {
-		sp.cpuUser += d
-	} else {
-		sp.cpuSystem += d
-	}
+	task     *task // CPU request record and CPU time, from the first exec
 }
 
 // CPUTime returns the user and system CPU the subprocess has consumed
 // (system time includes context switches performed on its behalf).
 func (sp *Subprocess) CPUTime() (user, system sim.Duration) {
-	return sp.cpuUser, sp.cpuSystem
+	if sp.task == nil {
+		return 0, 0
+	}
+	return sp.task.user, sp.task.system
 }
 
 // SpawnSubprocess starts a subprocess on the node at the given
@@ -67,7 +60,7 @@ func (sp *Subprocess) Compute(d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	sp.node.exec(sp, []seg{{CatUser, d}})
+	sp.node.exec(sp, CatUser, d)
 }
 
 // System consumes d of CPU as system time (kernel work done on the
@@ -76,12 +69,12 @@ func (sp *Subprocess) System(d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	sp.node.exec(sp, []seg{{CatSystem, d}})
+	sp.node.exec(sp, CatSystem, d)
 }
 
 // Syscall charges the supervisor-call overhead plus d of kernel work.
 func (sp *Subprocess) Syscall(d sim.Duration) {
-	sp.node.exec(sp, []seg{{CatSystem, sp.node.costs.Syscall + d}})
+	sp.node.exec(sp, CatSystem, sp.node.costs.Syscall+d)
 }
 
 // Block suspends the subprocess until the returned wake function is
@@ -90,11 +83,11 @@ func (sp *Subprocess) Syscall(d sim.Duration) {
 func (sp *Subprocess) Block(kind WaitKind, reason string) (wake func()) {
 	sp.waitKind = kind
 	sp.node.refreshIdle()
-	w := sp.proc.Park(reason)
+	tok := sp.proc.Arm(reason)
 	return func() {
 		sp.waitKind = WaitNone
 		sp.node.refreshIdle()
-		w()
+		sp.proc.Wake(tok)
 	}
 }
 

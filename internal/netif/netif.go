@@ -106,13 +106,11 @@ type IF struct {
 	// Receive-interrupt coalescing (the pipelined profile): deliveries
 	// landing at the same virtual instant — or within coalesceHorizon of
 	// the first — are drained by one interrupt, charged a single
-	// interrupt-entry cost plus every message's per-copy cost.
+	// interrupt-entry cost plus every message's per-copy cost. The
+	// batch state is made by the first coalesced delivery.
 	coalesce        bool
 	coalesceHorizon sim.Duration
-	batch           []batchEntry
-	batchArmed      bool
-	batchPending    bool
-	batchTimer      sim.Timer
+	co              *coalescer
 
 	// CoalescedIntr counts deliveries that rode an already-armed batch
 	// interrupt instead of raising their own.
@@ -150,6 +148,91 @@ type IF struct {
 	GrayDropped int
 
 	verifier Verifier
+
+	// isrFree is a free list of receive-interrupt records (see isr);
+	// the first delivery makes the first one.
+	isrFree *isr
+}
+
+// isr is one raised receive interrupt: the delivery it reads out and
+// the handler of the service it belongs to. Records are recycled per
+// interface and fire is bound once, so raising the interrupt allocates
+// nothing.
+type isr struct {
+	f      *IF
+	d      *hpc.Delivery
+	msg    *hpc.Message
+	handle func(*hpc.Message)
+	fire   func() // r.run, bound once
+	next   *isr   // free-list link
+}
+
+// newISR takes an interrupt record from the free list, or makes one.
+func (f *IF) newISR(d *hpc.Delivery, handle func(*hpc.Message)) *isr {
+	r := f.isrFree
+	if r != nil {
+		f.isrFree, r.next = r.next, nil
+	} else {
+		r = &isr{f: f}
+		r.fire = r.run
+	}
+	r.d, r.msg, r.handle = d, d.Msg, handle
+	return r
+}
+
+// run is the interrupt body once its service cost has elapsed. The
+// record goes back on the free list before the handler runs.
+func (r *isr) run() {
+	f, d, msg, handle := r.f, r.d, r.msg, r.handle
+	r.d, r.msg, r.handle = nil, nil, nil
+	r.next, f.isrFree = f.isrFree, r
+	f.unpend(d)
+	d.Release() // message has been read out of the input section
+	handle(msg)
+	// Handlers copy what they need out of the message before
+	// returning (they model the ISR's read-out), so an arena-born
+	// shell can go back for reuse here.
+	f.ic.FreeMessage(msg)
+}
+
+// coalescer is an interface's receive-interrupt batch state.
+type coalescer struct {
+	batch   []batchEntry // read out, awaiting the next drain
+	armed   bool         // the horizon timer will fire the batch
+	pending bool         // a drain interrupt is queued or running
+	timer   sim.Timer
+	fire    func()      // f.fireBatch, bound once
+	free    *batchDrain // free list of drain records
+}
+
+// batchDrain is one raised batch interrupt and the entries it drains.
+// Like isr records, drains are recycled per interface with fire bound
+// once, and each queued interrupt owns its record until it runs; a
+// record keeps its entries' storage for the batch after next.
+type batchDrain struct {
+	f       *IF
+	entries []batchEntry
+	fire    func() // r.run, bound once
+	next    *batchDrain
+}
+
+// run handles the drained messages in arrival order.
+func (r *batchDrain) run() {
+	f, co, entries := r.f, r.f.co, r.entries
+	for _, e := range entries {
+		e.svc.Handle(e.msg)
+		f.ic.FreeMessage(e.msg)
+	}
+	clear(entries)
+	r.entries = entries[:0]
+	r.next, co.free = co.free, r
+	co.pending = false
+	// Arrivals that landed while this drain was queued or running
+	// chain straight into the next one, like an ISR re-scanning the
+	// ring before returning.
+	if len(co.batch) > 0 {
+		f.fireBatch()
+	}
 }
 
 // Attach wires node to endpoint ep of ic and returns the interface.
@@ -167,14 +250,17 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 		f.pending = nil
 		// Batched messages were already read out of the hardware; the
 		// crash discards them before their drain interrupt ran.
-		for _, e := range f.batch {
-			f.DroppedDead++
-			ic.FreeMessage(e.msg)
+		if co := f.co; co != nil {
+			for _, e := range co.batch {
+				f.DroppedDead++
+				ic.FreeMessage(e.msg)
+			}
+			clear(co.batch)
+			co.batch = co.batch[:0]
+			co.armed = false
+			co.pending = false
+			co.timer.Stop()
 		}
-		f.batch = nil
-		f.batchArmed = false
-		f.batchPending = false
-		f.batchTimer.Stop()
 	})
 	f.services[fenceService] = Service{
 		Cost:   func(*hpc.Message) sim.Duration { return fenceISR },
@@ -224,8 +310,10 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 		if v := f.verifier; v != nil {
 			v.FrameAccepted(f.ep, d.Msg.Src, d.Msg.Inc, env.Service)
 		}
-		node.Tracer().Emit(trace.KService, d.Msg.Trace, node.Name(), "svc/"+env.Service,
-			fmt.Sprintf("%dB from %d", d.Msg.Size, d.Msg.Src))
+		if tr := node.Tracer(); tr.Enabled() {
+			tr.Emit(trace.KService, d.Msg.Trace, node.Name(), "svc/"+env.Service,
+				fmt.Sprintf("%dB from %d", d.Msg.Size, d.Msg.Src))
+		}
 		if svc.NoInterrupt {
 			// Raw deliveries hand the Delivery to the service, which
 			// owns releasing it; they are not crash-tracked.
@@ -241,13 +329,18 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 			// simply joins the accumulating batch — the drain chains
 			// into it when it finishes, with no horizon wait.
 			d.Release()
-			f.batch = append(f.batch, batchEntry{msg: msg, svc: svc})
-			if tr := node.Tracer(); tr.Enabled() {
-				tr.GaugeSet("netif.batch."+node.Name(), float64(len(f.batch)))
+			co := f.co
+			if co == nil {
+				co = &coalescer{fire: f.fireBatch}
+				f.co = co
 			}
-			if !f.batchArmed && !f.batchPending {
-				f.batchArmed = true
-				f.batchTimer = node.Kernel().After(f.coalesceHorizon, f.fireBatch)
+			co.batch = append(co.batch, batchEntry{msg: msg, svc: svc})
+			if tr := node.Tracer(); tr.Enabled() {
+				tr.GaugeSet("netif.batch."+node.Name(), float64(len(co.batch)))
+			}
+			if !co.armed && !co.pending {
+				co.armed = true
+				co.timer = node.Kernel().After(f.coalesceHorizon, co.fire)
 			}
 			return
 		}
@@ -255,15 +348,7 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 		if tr := node.Tracer(); tr.Enabled() {
 			tr.GaugeSet("netif.pending."+node.Name(), float64(len(f.pending)))
 		}
-		node.Interrupt(f.isrCost(svc.Cost(msg)), func() {
-			f.unpend(d)
-			d.Release() // message has been read out of the input section
-			svc.Handle(msg)
-			// Handlers copy what they need out of the message before
-			// returning (they model the ISR's read-out), so an
-			// arena-born shell can go back for reuse here.
-			ic.FreeMessage(msg)
-		})
+		node.Interrupt(f.isrCost(svc.Cost(msg)), f.newISR(d, svc.Handle).fire)
 	})
 	return f
 }
@@ -288,13 +373,15 @@ func (f *IF) SetCoalesce(horizon sim.Duration) {
 
 // fireBatch raises the single interrupt that drains the armed batch.
 func (f *IF) fireBatch() {
-	f.batchArmed = false
-	entries := f.batch
-	f.batch = nil
+	co := f.co
+	co.armed = false
+	entries := co.batch
 	if tr := f.node.Tracer(); tr.Enabled() && len(entries) > 0 {
 		tr.GaugeSet("netif.batch."+f.node.Name(), 0)
 	}
 	if len(entries) == 0 || f.node.Crashed() {
+		clear(entries)
+		co.batch = entries[:0]
 		return
 	}
 	if n := len(entries) - 1; n > 0 {
@@ -311,20 +398,18 @@ func (f *IF) fireBatch() {
 			cost += e.svc.Cost(e.msg)
 		}
 	}
-	f.batchPending = true
-	f.node.Interrupt(f.isrCost(cost), func() {
-		for _, e := range entries {
-			e.svc.Handle(e.msg)
-			f.ic.FreeMessage(e.msg)
-		}
-		f.batchPending = false
-		// Arrivals that landed while this drain was queued or running
-		// chain straight into the next one, like an ISR re-scanning the
-		// ring before returning.
-		if len(f.batch) > 0 {
-			f.fireBatch()
-		}
-	})
+	r := co.free
+	if r != nil {
+		co.free, r.next = r.next, nil
+	} else {
+		r = &batchDrain{f: f}
+		r.fire = r.run
+	}
+	// The drain takes the batch; the next batch reuses the storage the
+	// record's previous drain left behind.
+	r.entries, co.batch = entries, r.entries[:0]
+	co.pending = true
+	f.node.Interrupt(f.isrCost(cost), r.fire)
 }
 
 // isrCost scales an ISR cost by the gray slow-down factor (identity
@@ -385,8 +470,10 @@ func (f *IF) refuse(d *hpc.Delivery, min uint32) {
 	if env, ok := msg.Payload.(Envelope); ok {
 		svcName = env.Service
 	}
-	f.node.Tracer().Emit(trace.KFence, msg.Trace, f.node.Name(), "svc/"+fenceService,
-		fmt.Sprintf("refused %s inc %d < %d from %d", svcName, msg.Inc, min, msg.Src))
+	if tr := f.node.Tracer(); tr.Enabled() {
+		tr.Emit(trace.KFence, msg.Trace, f.node.Name(), "svc/"+fenceService,
+			fmt.Sprintf("refused %s inc %d < %d from %d", svcName, msg.Inc, min, msg.Src))
+	}
 	if v := f.verifier; v != nil {
 		v.FrameRefused(f.ep, msg.Src, msg.Inc, min, svcName)
 	}
@@ -416,8 +503,10 @@ func (f *IF) handleFenceNote(m *hpc.Message) {
 		return // already rebooted past the floor
 	}
 	f.SelfFences++
-	f.node.Tracer().Emit(trace.KFence, 0, f.node.Name(), "cpu",
-		fmt.Sprintf("self-fence: reboot to inc >= %d", note.Min))
+	if tr := f.node.Tracer(); tr.Enabled() {
+		tr.Emit(trace.KFence, 0, f.node.Name(), "cpu",
+			fmt.Sprintf("self-fence: reboot to inc >= %d", note.Min))
+	}
 	min := note.Min
 	f.node.Crash()
 	f.node.Kernel().After(selfFenceReboot, func() { f.node.RestartAt(min) })
@@ -499,20 +588,32 @@ func (f *IF) SendAsyncCtx(tid uint64, dst topo.EndpointID, service string, size 
 	if onDelivered != nil {
 		cb = func(*hpc.Message) { onDelivered() }
 	}
-	var try func()
-	try = func() {
-		ok, err := f.ic.TrySend(msg, cb)
-		if err != nil {
-			// Unreachable (partitioned) or oversize: drop. End-to-end
-			// recovery — channel timeouts, peer-death — is the caller's
-			// protocol layer's job.
-			f.AsyncDropped++
-			f.ic.FreeMessage(msg)
-			return
-		}
-		if !ok {
-			f.ic.NotifyRoom(f.ep, try)
+	if f.trySend(msg, cb) {
+		return
+	}
+	// The output section is full: retry on each room-available
+	// interrupt. Only a refused send pays for the retry closure.
+	var retry func()
+	retry = func() {
+		if !f.trySend(msg, cb) {
+			f.ic.NotifyRoom(f.ep, retry)
 		}
 	}
-	try()
+	f.ic.NotifyRoom(f.ep, retry)
+}
+
+// trySend offers msg to the output section once. It reports false only
+// when the section is full; a message that can never be sent counts as
+// done.
+func (f *IF) trySend(msg *hpc.Message, cb func(*hpc.Message)) bool {
+	ok, err := f.ic.TrySend(msg, cb)
+	if err != nil {
+		// Unreachable (partitioned) or oversize: drop. End-to-end
+		// recovery — channel timeouts, peer-death — is the caller's
+		// protocol layer's job.
+		f.AsyncDropped++
+		f.ic.FreeMessage(msg)
+		return true
+	}
+	return ok
 }

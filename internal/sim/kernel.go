@@ -43,6 +43,10 @@ type Kernel struct {
 	stopped bool
 	probe   Probe
 
+	// oldUnwoken lists armed parks that outlived their proc's 64-park
+	// window without being woken (see Proc.Arm); in practice empty.
+	oldUnwoken []parkRef
+
 	// compactions counts lazy-cancel sweeps over the kernel's lifetime
 	// (see event.go); exposed so the trace registry can verify the
 	// compaction policy under cancel-heavy loads.

@@ -360,6 +360,66 @@ func TestDoubleWakeIsNoop(t *testing.T) {
 	}
 }
 
+// TestNestedParksEachWakeOnce: a proc arms an outer park, then blocks
+// on an inner one before blocking on the outer; each waker counts for
+// exactly one resume, whichever Block it ends.
+func TestNestedParksEachWakeOnce(t *testing.T) {
+	k := NewKernel(1)
+	var resumed []Time
+	k.Spawn("nested", func(p *Proc) {
+		outer := p.Park("outer")
+		inner := p.Arm("inner")
+		k.After(2*Microsecond, func() { p.Wake(inner) })
+		k.After(5*Microsecond, outer)
+		p.Block()
+		resumed = append(resumed, p.Now())
+		p.Block()
+		resumed = append(resumed, p.Now())
+		outer() // already spent: must not resume anything
+		p.Sleep(Microsecond)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(resumed) != fmt.Sprint([]Time{Time(2 * Microsecond), Time(5 * Microsecond)}) {
+		t.Fatalf("resumed at %v", resumed)
+	}
+}
+
+// TestArmTokenOutlivesWindow: a token armed and left unwoken across
+// more than 64 later parks still resumes the proc once, then goes
+// stale like any other.
+func TestArmTokenOutlivesWindow(t *testing.T) {
+	k := NewKernel(1)
+	var woke Time
+	k.Spawn("long", func(p *Proc) {
+		old := p.Arm("left-armed")
+		for i := 0; i < 100; i++ {
+			tok := p.Arm("cycle")
+			k.After(Microsecond, func() { p.Wake(tok); p.Wake(tok) })
+			p.Block()
+		}
+		p.Arm("wait-old")
+		k.After(Microsecond, func() { p.Wake(old) })
+		p.Block()
+		start := p.Now()
+		tok := p.Arm("wait-new")
+		k.After(5*Microsecond, func() { p.Wake(old) })
+		k.After(10*Microsecond, func() { p.Wake(tok) })
+		p.Block()
+		woke = p.Now() - start
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke != Time(10*Microsecond) {
+		t.Fatalf("re-woken %v after the last park, want 10µs", woke)
+	}
+	if len(k.oldUnwoken) != 0 {
+		t.Fatalf("%d parks left on the overflow list after their wake", len(k.oldUnwoken))
+	}
+}
+
 func TestProcPanicPropagates(t *testing.T) {
 	k := NewKernel(1)
 	k.Spawn("bomb", func(p *Proc) { panic("boom") })

@@ -6,7 +6,7 @@ import "errors"
 // goroutine unwinds and exits.
 var errKilled = errors.New("sim: proc killed")
 
-type procState int
+type procState uint8
 
 const (
 	procNew procState = iota
@@ -24,14 +24,21 @@ type Proc struct {
 	id         int
 	name       string
 	resume     chan struct{}
-	state      procState
 	waitReason string
-	killed     bool
 	panicked   any
+	state      procState
+	killed     bool
 	daemon     bool
 
 	// parkPending holds the reason for an armed Park awaiting Block.
 	parkPending string
+	// Armed parks (see Arm). parkGen is the latest token; bit i of
+	// unwoken is set while the park armed with token parkGen-i has not
+	// been woken. Unwoken tokens older than the 64-bit window move to
+	// the kernel's oldUnwoken list, so every park's waker stays good
+	// for exactly one wake however many parks follow it.
+	parkGen ParkToken
+	unwoken uint64
 
 	// resumeFn is the proc's switch-in thunk, bound once at spawn so
 	// the hot wake paths (unpark, Sleep, Yield) schedule it without
@@ -110,27 +117,70 @@ func (p *Proc) Yield() {
 	p.park("yield")
 }
 
+// ParkToken identifies one armed park of a proc (see Arm).
+type ParkToken uint64
+
+// parkRef names one armed park of one proc.
+type parkRef struct {
+	p   *Proc
+	tok ParkToken
+}
+
+// Arm prepares the proc to park for reason and returns the token that
+// wakes it: hand the token to the waker, then call Block. It is the
+// allocation-free form of Park, for a proc whose waker can hold a token
+// instead of a closure, with the same semantics: each armed park's
+// token resumes the proc on its first Wake and is a no-op after that.
+// Parks may nest (arm, then block on something else first); every
+// armed token still counts for one resume.
+func (p *Proc) Arm(reason string) ParkToken {
+	if p.unwoken>>63 != 0 {
+		p.k.oldUnwoken = append(p.k.oldUnwoken, parkRef{p, p.parkGen - 63})
+	}
+	p.parkGen++
+	p.unwoken = p.unwoken<<1 | 1
+	// The caller hands the token out *before* blocking, so return
+	// first and let the caller invoke Block.
+	p.parkPending = reason
+	return p.parkGen
+}
+
+// Wake resumes the proc for the park armed with tok, at the current
+// virtual time after events already queued at this instant, unless
+// that park has already been woken. It may be called from any
+// simulation context.
+func (p *Proc) Wake(tok ParkToken) {
+	if d := p.parkGen - tok; d < 64 {
+		if p.unwoken&(1<<d) == 0 {
+			return
+		}
+		p.unwoken &^= 1 << d
+	} else {
+		old := p.k.oldUnwoken
+		i := 0
+		for i < len(old) && old[i] != (parkRef{p, tok}) {
+			i++
+		}
+		if i == len(old) {
+			return
+		}
+		p.k.oldUnwoken = append(old[:i], old[i+1:]...)
+	}
+	p.unpark()
+}
+
 // Park blocks the proc until another process or event calls the
 // returned wake function. Calling wake more than once is a no-op; the
-// wake function may be called from any simulation context.
+// wake function may be called from any simulation context. It is Arm
+// with the token bound into a closure.
 //
 // Park is the escape hatch used to build higher-level primitives.
 func (p *Proc) Park(reason string) (wake func()) {
-	woken := false
-	wake = func() {
-		if woken {
-			return
-		}
-		woken = true
-		p.unpark()
-	}
-	// The caller arms wake *before* blocking, so return first and let
-	// the caller invoke Block.
-	p.parkPending = reason
-	return wake
+	tok := p.Arm(reason)
+	return func() { p.Wake(tok) }
 }
 
-// Block parks the proc; it must follow a Park call that armed a waker.
+// Block parks the proc; it must follow an Arm or Park call.
 func (p *Proc) Block() {
 	reason := p.parkPending
 	p.parkPending = ""

@@ -74,6 +74,12 @@ type Group struct {
 	// (its heap/now-queue front or staged cross), MaxInt64 when none.
 	// Together with the mailboxes' minPending these define G.
 	localMin []atomic.Int64
+	// movesBegun and movesDone count drains that move mail into a
+	// staging heap, bumped before the first move and after the last.
+	// globalMin uses them as a sequence lock: a scan no move overlapped
+	// is a consistent snapshot of G.
+	movesBegun atomic.Uint64
+	movesDone  atomic.Uint64
 	// horizon[s*n+d] is H(s→d): shard s's promise that no future post
 	// to d arrives before it.
 	horizon []atomic.Int64
@@ -475,8 +481,9 @@ func (g *Group) notifyIdle(src, dst int) {
 }
 
 // drain moves every queued inbound cross into shard i's staging heap.
-// The lowered localMin is published before minPending is cleared so
-// the event is never invisible to a concurrent G computation.
+// The lowered localMin is published before minPending is cleared, and
+// the move is bracketed by movesBegun/movesDone so globalMin can tell
+// when its scan raced it.
 func (g *Group) drain(i int) bool {
 	moved := false
 	for s := 0; s < g.n; s++ {
@@ -486,6 +493,9 @@ func (g *Group) drain(i int) bool {
 		}
 		mb.mu.Lock()
 		if len(mb.q) > 0 {
+			if !moved {
+				g.movesBegun.Add(1)
+			}
 			moved = true
 			entryMin := noEvent
 			for idx, ev := range mb.q {
@@ -502,6 +512,9 @@ func (g *Group) drain(i int) bool {
 			mb.minPending.Store(noEvent)
 		}
 		mb.mu.Unlock()
+	}
+	if moved {
+		g.movesDone.Add(1)
 	}
 	return moved
 }
@@ -550,10 +563,30 @@ func (g *Group) publishLocalMin(i int) {
 }
 
 // globalMin computes G: the earliest undispatched event anywhere.
-// Every read is individually conservative (events move from mailbox
-// coverage to localMin coverage with the new cover stored first), so
-// staleness can only lower the result.
+//
+// Each read is a valid lower bound at its own instant, but the scan is
+// not one instant: a drain moves an event from mail[s][d] (read in row
+// s) to localMin[d] (read in row d). A scan that reads localMin[d]
+// before the move and the mailbox after it misses the event and
+// returns a floor above it, which lets a shard dispatch past a cross
+// that event will post. So the scan retries until no drain overlapped
+// it. With drains excluded, the row order is sound: a dispatch creates
+// local events at or after its own time (covered by the localMin that
+// preceded it) and posts crosses before publishLocalMin raises its
+// localMin, and each row reads localMin before that shard's outbound
+// mailboxes.
 func (g *Group) globalMin() int64 {
+	for {
+		done := g.movesDone.Load()
+		min := g.scanMin()
+		if g.movesBegun.Load() == done {
+			return min
+		}
+	}
+}
+
+// scanMin is one unsynchronized pass of globalMin.
+func (g *Group) scanMin() int64 {
 	min := noEvent
 	for i := 0; i < g.n; i++ {
 		if v := g.localMin[i].Load(); v < min {

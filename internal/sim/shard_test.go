@@ -277,6 +277,48 @@ func TestGroupProcsAcrossShards(t *testing.T) {
 	}
 }
 
+// TestGroupFloorScanRacingDrain: the last shard ticks densely and, on
+// every tick, posts a probe to shard 0, which answers at exactly the
+// lookahead — the earliest instant the protocol allows. If the global
+// floor were computed from a scan torn by shard 0's concurrent drain
+// (the probe read neither in its mailbox nor in shard 0's localMin),
+// the last shard would dispatch past the answer and receive it in its
+// past. The wide 8-shard scan makes the tear likely, so it runs twice;
+// it needs two host threads to happen at all (go test -cpu 2).
+func TestGroupFloorScanRacingDrain(t *testing.T) {
+	const L = Duration(1000)
+	for _, shards := range []int{8, 8, 4, 2} {
+		const probes = 100000
+		g := newTestGroup(shards)
+		far := shards - 1
+		k0, kf := g.Kernel(0), g.Kernel(far)
+		answered, late := 0, 0
+		var tick func(n int)
+		tick = func(n int) {
+			if n == 0 {
+				return
+			}
+			sent := kf.Now()
+			kf.Post(0, sent.Add(L), func() {
+				k0.Post(far, k0.Now().Add(L), func() {
+					answered++
+					if kf.Now() != sent.Add(2*L) {
+						late++
+					}
+				})
+			})
+			kf.At(sent.Add(251), func() { tick(n - 1) })
+		}
+		kf.At(1, func() { tick(probes) })
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if answered != probes || late != 0 {
+			t.Fatalf("shards=%d: %d/%d probes answered, %d off schedule", shards, answered, probes, late)
+		}
+	}
+}
+
 type countingProbe struct{ compactions, swept int }
 
 func (c *countingProbe) ProcEvent(Time, string, string) {}
