@@ -274,7 +274,7 @@ func cmdBench(args []string) {
 			r.ShardParallelMs = row.WallMs
 			r.ShardSpeedup = row.Speedup
 		}
-		fmt.Printf("sharded:     %d shards %v  (%.2fx vs serial %v, %d cross posts, %d horizon pubs, %d null msgs, %d wakeups, %.1f ev/drain, byte-identical: %v)\n",
+		fmt.Printf("sharded:     %d shards %v  (%.2fx vs serial %v, %d cross posts, %d front pubs, %d null pubs, %d wakeups, %.1f ev/drain, byte-identical: %v)\n",
 			n, run.Wall.Round(time.Millisecond), row.Speedup, serial.Wall.Round(time.Millisecond),
 			row.CrossPosts, row.HorizonPublishes, row.NullMessages, row.Wakeups, row.AvgDrainRun, row.ByteIdentical)
 	}

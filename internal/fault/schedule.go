@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,7 +106,13 @@ func parseDur(s string) (sim.Duration, error) {
 	if err != nil || f < 0 {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
-	return sim.Duration(f * float64(unit)), nil
+	// Converting a float outside int64 (or NaN) yields an arbitrary
+	// value, so reject before converting; !(ns < 2^63) also catches NaN.
+	ns := f * float64(unit)
+	if !(ns < math.MaxInt64) {
+		return 0, fmt.Errorf("duration %q out of range", s)
+	}
+	return sim.Duration(ns), nil
 }
 
 // parseMachine parses a "node3"/"host0" target.

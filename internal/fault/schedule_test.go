@@ -321,3 +321,59 @@ func TestGrayDeterminism(t *testing.T) {
 		t.Fatal("different gray seeds produced identical runs")
 	}
 }
+
+// TestParseDurationRejectsOverflow: values that do not fit an int64 of
+// nanoseconds, and non-finite ones, are errors naming the input — not
+// a wrapped negative duration with a nil error.
+func TestParseDurationRejectsOverflow(t *testing.T) {
+	for _, in := range []string{"infs", "NaNms", "1e300s", "9999999999s", "+Infus"} {
+		d, err := fault.ParseDuration(in)
+		if err == nil || !strings.Contains(err.Error(), in) {
+			t.Errorf("ParseDuration(%q) = %v, %v; want an error naming the input", in, d, err)
+		}
+	}
+	if d, err := fault.ParseDuration("9223372036s"); err != nil || d != 9223372036*sim.Second {
+		t.Errorf("ParseDuration(9223372036s) = %v, %v", d, err)
+	}
+}
+
+// scheduleDocExample is ParseSchedule's documented example.
+const scheduleDocExample = `500us link-down 0 1        # fail cube link between clusters 0 and 1
+2ms   link-up 0 1
+1ms   degrade 0 2 4.0      # 4x slower wire on cube link 0-2
+2ms   crash node3
+5ms   restart node3
+2ms   crash host0
+3ms   dfs-down 1           # DFS server outage (host machine alive)
+4ms   dfs-up 1
+2ms   partition 0,1|2,3    # cut topology into reachability groups
+6ms   heal                 # merge the partition back
+1ms   gray node5 4.0 0.25  # slow ISR 4x, drop 25% of arrivals
+7ms   ungray node5
+3ms   rebalance t4 node9   # move vchannel t4 to a lane on node9
+`
+
+// FuzzParseSchedule: no input panics, every op a schedule accepts
+// happens at a positive time, and ParseDuration, tried on every field
+// of the input, either fails or returns a non-negative duration.
+func FuzzParseSchedule(f *testing.F) {
+	f.Add(scheduleDocExample)
+	for _, line := range strings.Split(scheduleDocExample, "\n") {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, schedule string) {
+		ops, err := fault.ParseSchedule(strings.NewReader(schedule))
+		if err == nil {
+			for _, op := range ops {
+				if op.At <= 0 {
+					t.Fatalf("accepted op %+v at a non-positive time", op)
+				}
+			}
+		}
+		for _, field := range strings.Fields(schedule) {
+			if d, err := fault.ParseDuration(field); err == nil && d < 0 {
+				t.Fatalf("ParseDuration(%q) = %v with no error", field, d)
+			}
+		}
+	})
+}

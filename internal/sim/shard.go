@@ -23,46 +23,45 @@ import (
 // neighbor's near future. That bound is what lets a shard dispatch
 // ahead without ever having to roll back.
 //
-// Safety ("no event from the future"): shard d only dispatches an
-// event at time t when t < safe(d), where safe(d) is the maximum of
-// two independent lower bounds on every future cross-shard arrival:
+// Safety ("no event from the future"): shard i only dispatches an
+// event at time t when t < safe(i), a lower bound on every future
+// cross-shard arrival at i. Every such arrival descends from an event
+// that exists now: an undispatched event on some shard s (at or after
+// s's published front) or a cross in flight to some shard d (at or
+// after that mailbox's earliest entry). Each cross edge of the causal
+// chain adds at least its lookahead and a local step adds nothing
+// negative, so the arrival lands no sooner than reach(s,i) after its
+// ancestor, where reach is the shortest path through the lookahead
+// matrix and reach(i,i) the shortest round trip. safe(i) is the
+// minimum, over one scan of the shared state, of
 //
-//   - per-pair horizons: each shard s announces
-//     H(s→d) = min(next dispatch time of s) + look(s,d), the classic
-//     null-message promise. Announcements are batched: a shard
-//     publishes only when its dispatch floor has advanced at least one
-//     minimum-lookahead quantum since the last announcement (and
-//     always on the edge of going idle), and a raise wakes the peer
-//     only when it can actually unblock it — the peer is parked and
-//     its published front lies below the new promise.
-//   - the global floor: G + look_in(d), where G is the minimum
-//     timestamp of any undispatched event anywhere (local heaps,
-//     staged crosses, and in-flight mailbox entries) and look_in(d)
-//     is the smallest lookahead of any pair arriving at d. Anything
-//     posted in the future originates from a dispatch at ≥ G, so it
-//     lands at ≥ G + look_in(d) — the last edge of any causal chain
-//     alone funds the bound. The floor is what makes progress
-//     unconditional: the shard holding the globally-earliest event
-//     always finds G + look_in > G and can dispatch it, so the horizon
-//     exchange can never deadlock or creep in lookahead-sized steps.
+//   - front(s) + reach(s,i) for every shard s,
+//   - pending(s→d) + reach(d,i) for every mailbox into a shard d ≠ i,
+//   - pending(s→i) for every mailbox into i (already posted, no slack).
+//
+// That is the earliest arrival the matrix allows from the current
+// fronts, so no per-pair promise could be sound and exceed it. It also
+// makes progress unconditional: the shard holding the globally
+// earliest event finds every term above it once its inbound mail is
+// drained, and dispatches.
 //
 // Determinism: cross-shard events are merged not in wall-clock arrival
 // order but by the total key (at, source shard, per-pair sequence),
 // and at equal timestamps staged crosses dispatch before local events.
 // Every run of the same program therefore dispatches the same events
 // in the same order on every shard, regardless of GOMAXPROCS or
-// scheduling jitter. The lookahead matrix and the batched horizon
-// protocol change only when synchronization happens, never what order
-// events dispatch in.
+// scheduling jitter. The lookahead matrix and the safe bound change
+// only when a shard dispatches, never what order events dispatch in.
 type Group struct {
 	kernels []*Kernel
 	n       int
-	// look[s][d] is the pairwise promise; minLook the smallest
-	// off-diagonal entry (the announcement quantum); lookTo[d] the
-	// column minimum funding d's global-floor bound.
+	// look[s][d] is the pairwise lookahead Post enforces; minLook its
+	// smallest off-diagonal entry. reach[s][d] is the shortest path
+	// through look from s to d (see shortestReach), the weight of s's
+	// terms in d's safe bound.
 	look    [][]Duration
 	minLook Duration
-	lookTo  []Duration
+	reach   [][]Duration
 
 	// mail[s][d] is the bounded SPSC mailbox from shard s to shard d
 	// (nil on the diagonal). staging[d] is the receive-side merge heap,
@@ -72,28 +71,26 @@ type Group struct {
 
 	// localMin[i] is shard i's published earliest undispatched event
 	// (its heap/now-queue front or staged cross), MaxInt64 when none.
-	// Together with the mailboxes' minPending these define G.
+	// Together with the mailboxes' minPending these are what safeTime
+	// scans.
 	localMin []atomic.Int64
 	// movesBegun and movesDone count drains that move mail into a
 	// staging heap, bumped before the first move and after the last.
-	// globalMin uses them as a sequence lock: a scan no move overlapped
-	// is a consistent snapshot of G.
+	// safeTime uses them as a sequence lock: a scan no move overlapped
+	// is a consistent snapshot.
 	movesBegun atomic.Uint64
 	movesDone  atomic.Uint64
-	// horizon[s*n+d] is H(s→d): shard s's promise that no future post
-	// to d arrives before it.
-	horizon []atomic.Int64
 
 	wake []chan struct{}
 
 	stopFlag atomic.Bool
 
 	// Idle flags are atomics read lock-free by notifiers: a shard that
-	// publishes new state (horizon raise, localMin raise, post) only
-	// wakes peers currently parked in select. The handshake is sound
-	// because enterIdle sets the flag and then re-checks for work under
-	// detMu: either the re-check sees the notifier's store, or the
-	// store came later and the notifier sees the flag.
+	// publishes new state (localMin raise, post) only wakes peers
+	// currently parked in select. The handshake is sound because
+	// enterIdle sets the flag and then re-checks for work under detMu:
+	// either the re-check sees the notifier's store, or the store came
+	// later and the notifier sees the flag.
 	detMu    sync.Mutex
 	idle     []atomic.Bool
 	nIdle    int
@@ -106,20 +103,19 @@ type Group struct {
 	dispatched []uint64
 
 	// Synchronization-layer accounting (the sim.sync.* counters), one
-	// struct per shard, owned by that shard's loop; annFloor is the
-	// dispatch floor the shard last announced horizons from.
-	sync     []syncCounters
-	annFloor []int64
+	// struct per shard, owned by that shard's loop.
+	sync []syncCounters
 }
 
 // syncCounters tallies what one shard spends on conservative
-// synchronization: every horizon slot actually stored, how many of
-// those were pure promises (null messages — no queued traffic to cap
-// them), every park/wake signal delivered, and how the dispatched
-// events group into grant batches (one safe-bound computation each).
+// synchronization: every raise of its published front, how many of
+// those followed a grant run that posted no cross (null messages —
+// pure time advance, no traffic), every park/wake signal delivered,
+// and how the dispatched events group into grant batches (one
+// safe-bound computation each).
 type syncCounters struct {
-	horizonPubs uint64
-	nullMsgs    uint64
+	frontPubs   uint64
+	nullPubs    uint64
 	wakeups     uint64
 	drainRuns   uint64
 	drainEvents uint64
@@ -128,8 +124,8 @@ type syncCounters struct {
 // SyncStats aggregates the sim.sync.* counters over all shards. Read
 // only while no run is in progress; counts accumulate across runs.
 type SyncStats struct {
-	HorizonPublishes uint64 // per-pair horizon raises stored (sim.sync.horizon_publishes)
-	NullMessages     uint64 // raises with no queued traffic to the peer (sim.sync.null_messages)
+	HorizonPublishes uint64 // front raises published to the peers (sim.sync.horizon_publishes)
+	NullMessages     uint64 // front raises after a grant run that posted no cross (sim.sync.null_messages)
 	Wakeups          uint64 // park/wake signals delivered (sim.sync.wakeups)
 	DrainRuns        uint64 // grant batches dispatching >= 1 event (sim.sync.drain_runs)
 	DrainedEvents    uint64 // events dispatched inside grant batches (sim.sync.drained_events)
@@ -148,8 +144,8 @@ func (s SyncStats) AvgDrainRun() float64 {
 func (g *Group) SyncStats() SyncStats {
 	var t SyncStats
 	for i := range g.sync {
-		t.HorizonPublishes += g.sync[i].horizonPubs
-		t.NullMessages += g.sync[i].nullMsgs
+		t.HorizonPublishes += g.sync[i].frontPubs
+		t.NullMessages += g.sync[i].nullPubs
 		t.Wakeups += g.sync[i].wakeups
 		t.DrainRuns += g.sync[i].drainRuns
 		t.DrainedEvents += g.sync[i].drainEvents
@@ -163,7 +159,7 @@ const (
 	maxDeadline = Time(math.MaxInt64)
 
 	// spinPasses bounds the pre-park polling phase. A dry shard that has
-	// already announced its horizons yields the processor a few times and
+	// already published its front yields the processor a few times and
 	// re-checks for arriving mail or a raised safe bound before paying
 	// for the park/wake handshake (detMu, channel send, scheduler
 	// round trip). In a cross-shard dependency ping-pong each yield runs
@@ -286,10 +282,6 @@ func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
 		panic("sim: lookahead matrix must be shards x shards")
 	}
 	minLook := Duration(math.MaxInt64)
-	lookTo := make([]Duration, n)
-	for d := range lookTo {
-		lookTo[d] = Duration(math.MaxInt64)
-	}
 	for s := range lookahead {
 		if len(lookahead[s]) != n {
 			panic("sim: lookahead matrix must be shards x shards")
@@ -304,9 +296,6 @@ func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
 			if v < minLook {
 				minLook = v
 			}
-			if v < lookTo[d] {
-				lookTo[d] = v
-			}
 		}
 	}
 	g := &Group{
@@ -314,17 +303,15 @@ func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
 		n:          n,
 		look:       lookahead,
 		minLook:    minLook,
-		lookTo:     lookTo,
+		reach:      shortestReach(lookahead),
 		mail:       make([][]*mailbox, n),
 		staging:    make([]crossHeap, n),
 		localMin:   make([]atomic.Int64, n),
-		horizon:    make([]atomic.Int64, n*n),
 		wake:       make([]chan struct{}, n),
 		idle:       make([]atomic.Bool, n),
 		posted:     make([]uint64, n),
 		dispatched: make([]uint64, n),
 		sync:       make([]syncCounters, n),
-		annFloor:   make([]int64, n),
 	}
 	for i, k := range kernels {
 		if k.group != nil {
@@ -342,6 +329,32 @@ func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
 		}
 	}
 	return g
+}
+
+// shortestReach closes the lookahead matrix under path composition
+// (Floyd–Warshall with saturating adds): reach[s][d] is the cheapest
+// chain of cross posts from shard s to shard d, and reach[s][s] the
+// cheapest round trip through s — MaxInt64 when there is none, as in a
+// one-shard group. An entry can undercut look[s][d], because nothing
+// makes the matrix obey the triangle inequality (core's cube-distance
+// matrix need not).
+func shortestReach(look [][]Duration) [][]Duration {
+	n := len(look)
+	reach := make([][]Duration, n)
+	for s := range reach {
+		reach[s] = append([]Duration(nil), look[s]...)
+		reach[s][s] = Duration(math.MaxInt64)
+	}
+	for k := 0; k < n; k++ {
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				if via := Duration(satAdd(Time(reach[s][k]), reach[k][d])); via < reach[s][d] {
+					reach[s][d] = via
+				}
+			}
+		}
+	}
+	return reach
 }
 
 // Size returns the number of shards.
@@ -482,7 +495,7 @@ func (g *Group) notifyIdle(src, dst int) {
 
 // drain moves every queued inbound cross into shard i's staging heap.
 // The lowered localMin is published before minPending is cleared, and
-// the move is bracketed by movesBegun/movesDone so globalMin can tell
+// the move is bracketed by movesBegun/movesDone so safeTime can tell
 // when its scan raced it.
 func (g *Group) drain(i int) bool {
 	moved := false
@@ -532,162 +545,91 @@ func (g *Group) curMin(i int) int64 {
 	return min
 }
 
-// publishLocalMin refreshes shard i's published minimum. A raise lifts
-// the global floor, but it only wakes the peers whose safe bound can
-// actually move: a parked shard j is unblockable by this raise only if
-// its own published front lies below the lifted floor's reach,
-// lm + look_in(j) (the floor after the raise is at most G' + look_in(j)
-// with G' <= lm, and neither the horizon bound nor the inbound-mail cap
-// is touched by a localMin store). Peers the filter skips are exactly
-// the ones a wakeup would bounce off; any wake this leaves for later is
+// publishLocalMin refreshes shard i's published front after a grant
+// run; posted reports whether the run posted a cross. A raise lifts
+// each peer j's bound term front(i) + reach(i,j), so it is the
+// protocol's one announcement: counted as a front publish, and as a
+// null message when no cross traffic came with it. It wakes only the
+// parked peers it can unblock: after the raise, j's bound is at most
+// lm + reach(i,j), so a peer whose own front lies at or beyond that
+// stays blocked whatever else moved. Any wake this leaves for later is
 // re-evaluated on every subsequent raise and, once all shards park, by
 // enterIdle's exact completion sweep.
-func (g *Group) publishLocalMin(i int) {
+func (g *Group) publishLocalMin(i int, posted bool) {
 	lm := g.curMin(i)
 	prev := g.localMin[i].Load()
 	if lm == prev {
 		return
 	}
 	g.localMin[i].Store(lm)
-	if lm > prev {
-		for j := 0; j < g.n; j++ {
-			if j == i || !g.idle[j].Load() {
-				continue
-			}
-			fj := g.localMin[j].Load()
-			if fj != noEvent && Time(fj) < satAdd(Time(lm), g.lookTo[j]) {
-				g.notifyIdle(i, j)
-			}
+	if lm < prev || g.n == 1 {
+		return
+	}
+	g.sync[i].frontPubs++
+	if !posted {
+		g.sync[i].nullPubs++
+	}
+	for j := 0; j < g.n; j++ {
+		if j == i || !g.idle[j].Load() {
+			continue
+		}
+		fj := g.localMin[j].Load()
+		if fj != noEvent && Time(fj) < satAdd(Time(lm), g.reach[i][j]) {
+			g.notifyIdle(i, j)
 		}
 	}
-}
-
-// globalMin computes G: the earliest undispatched event anywhere.
-//
-// Each read is a valid lower bound at its own instant, but the scan is
-// not one instant: a drain moves an event from mail[s][d] (read in row
-// s) to localMin[d] (read in row d). A scan that reads localMin[d]
-// before the move and the mailbox after it misses the event and
-// returns a floor above it, which lets a shard dispatch past a cross
-// that event will post. So the scan retries until no drain overlapped
-// it. With drains excluded, the row order is sound: a dispatch creates
-// local events at or after its own time (covered by the localMin that
-// preceded it) and posts crosses before publishLocalMin raises its
-// localMin, and each row reads localMin before that shard's outbound
-// mailboxes.
-func (g *Group) globalMin() int64 {
-	for {
-		done := g.movesDone.Load()
-		min := g.scanMin()
-		if g.movesBegun.Load() == done {
-			return min
-		}
-	}
-}
-
-// scanMin is one unsynchronized pass of globalMin.
-func (g *Group) scanMin() int64 {
-	min := noEvent
-	for i := 0; i < g.n; i++ {
-		if v := g.localMin[i].Load(); v < min {
-			min = v
-		}
-		for j := 0; j < g.n; j++ {
-			if mb := g.mail[i][j]; mb != nil {
-				if v := mb.minPending.Load(); v < min {
-					min = v
-				}
-			}
-		}
-	}
-	return min
 }
 
 // safeTime is the bound below which shard i may freely dispatch: no
-// future cross-shard arrival can carry a smaller timestamp. Two
-// independent bounds are combined; each must itself account for
-// crosses already posted to i but not yet drained (a post made before
-// this computation is only >= G, not >= G+lookahead, so the global
-// floor is capped by the inbound mailboxes — which must be read after
-// drain, as the shard loop does). The horizon bound needs no extra
-// cap: announceHorizons never raises a promise past the poster's own
-// undrained mail.
+// future cross-shard arrival can carry a smaller timestamp (see Group).
+// Inbound mail must be drained first, as the shard loop does: an
+// undrained cross caps the bound at its own timestamp.
+//
+// Each read is a valid bound at its own instant, but the scan is not
+// one instant: a drain moves an event from mail[s][d] (read in row s)
+// to localMin[d] (read in row d). A scan that reads localMin[d] before
+// the move and the mailbox after it misses the event and returns a
+// bound above it, which lets a shard dispatch past a cross that event
+// will post. So the scan retries until no drain overlapped it. (Both
+// places weight the event by reach(d,i). The one drain whose weights
+// differ, into i, runs only on i's own goroutine, which is either the
+// one scanning or parked for enterIdle's completion sweep.) With
+// drains excluded, the row order is sound: a dispatch creates local
+// events at or after its own time (covered by the localMin that
+// preceded it) and posts crosses before publishLocalMin raises its
+// localMin, and each row reads localMin before that shard's outbound
+// mailboxes.
 func (g *Group) safeTime(i int) Time {
-	floor := satAdd(Time(g.globalMin()), g.lookTo[i])
-	minH := noEvent
-	for s := 0; s < g.n; s++ {
-		if s == i {
-			continue
-		}
-		if mp := Time(g.mail[s][i].minPending.Load()); mp < floor {
-			floor = mp
-		}
-		if h := g.horizon[s*g.n+i].Load(); h < minH {
-			minH = h
+	for {
+		done := g.movesDone.Load()
+		safe := g.scanSafe(i)
+		if g.movesBegun.Load() == done {
+			return safe
 		}
 	}
-	safe := floor
-	if g.n > 1 && Time(minH) > safe {
-		safe = Time(minH)
-	}
-	return safe
 }
 
-// announceHorizons raises shard i's promise to every peer: no
-// not-yet-drained cross from i arrives before H(i→d). Future posts are
-// bounded below by (earliest possible next dispatch of i) + look(i,d)
-// — next dispatch being no earlier than min(curMin, safe), since every
-// event i will ever receive arrives at or after its safe time. Crosses
-// already sitting in the d-bound mailbox cap the promise at their own
-// timestamps: they arrive whenever d next drains, with no lookahead
-// slack left.
-//
-// Publication is batched. While a shard is actively dispatching
-// (force=false) it re-announces only when its floor has advanced at
-// least one minimum-lookahead quantum past the last announcement —
-// sub-quantum raises cannot cross any peer's next-event threshold that
-// a following announcement wouldn't also cross, and the floor bound
-// keeps global progress alive between announcements. The force=true
-// pass on the edge of going idle always recomputes every pair, which
-// also repairs promises that were capped by since-drained outbound
-// mail. A raise wakes the beneficiary only when it can unblock it (the
-// peer is parked below the new promise); a raise published with no
-// queued traffic to cap it is the protocol's explicit null message.
-func (g *Group) announceHorizons(i int, safe Time, force bool) {
-	floor := g.curMin(i)
-	if int64(safe) < floor {
-		floor = int64(safe)
-	}
-	if !force {
-		if floor == g.annFloor[i] {
-			return
+// scanSafe is one unsynchronized pass of safeTime.
+func (g *Group) scanSafe(i int) Time {
+	safe := maxDeadline
+	for s := 0; s < g.n; s++ {
+		if t := satAdd(Time(g.localMin[s].Load()), g.reach[s][i]); t < safe {
+			safe = t
 		}
-		if Time(floor) < satAdd(Time(g.annFloor[i]), g.minLook) {
-			return
-		}
-	}
-	g.annFloor[i] = floor
-	for d := 0; d < g.n; d++ {
-		if d == i {
-			continue
-		}
-		hd := int64(satAdd(Time(floor), g.look[i][d]))
-		mp := g.mail[i][d].minPending.Load()
-		if mp < hd {
-			hd = mp
-		}
-		slot := &g.horizon[i*g.n+d]
-		if hd > slot.Load() {
-			slot.Store(hd)
-			g.sync[i].horizonPubs++
-			if mp == noEvent {
-				g.sync[i].nullMsgs++
+		for d, mb := range g.mail[s] {
+			if mb == nil {
+				continue
 			}
-			if g.idle[d].Load() && hd > g.localMin[d].Load() {
-				g.notifyIdle(i, d)
+			t := Time(mb.minPending.Load())
+			if d != i {
+				t = satAdd(t, g.reach[d][i])
+			}
+			if t < safe {
+				safe = t
 			}
 		}
 	}
+	return safe
 }
 
 // dispatchOne runs shard i's earliest dispatchable work item — a
@@ -776,8 +718,8 @@ func (g *Group) allQuiescent(deadline Time) bool {
 // before is seen by the re-check). The last shard in either detects
 // completion (closing done) or, when events remain but everyone
 // stalled on stale bounds, wakes exactly the shards that now have
-// dispatchable work — the global floor guarantees the shard holding
-// the earliest event is among them.
+// dispatchable work — the safe bound guarantees the shard holding the
+// earliest event is among them.
 func (g *Group) enterIdle(i int, deadline Time) (finished, retry bool) {
 	g.detMu.Lock()
 	defer g.detMu.Unlock()
@@ -808,8 +750,8 @@ func (g *Group) enterIdle(i int, deadline Time) (finished, retry bool) {
 	return false, false
 }
 
-// spinForWork is the cheap half of the idle handshake: after the
-// force-published horizons are out, yield and poll a few times for
+// spinForWork is the cheap half of the idle handshake: with its front
+// already published, yield and poll a few times for
 // newly-arrived mail or a raised safe bound before parking. Returns
 // true when the shard should re-enter its dispatch loop. Purely a
 // wall-clock optimization: the spin delays parking, it never changes
@@ -844,11 +786,10 @@ func (g *Group) exitIdle(i int) {
 
 // shardLoop is one shard's dispatch loop for a single run: compute the
 // safe-advance bound once, drain every dispatchable event below it in
-// one grant run, publish the raised floor, and only then decide
-// whether to re-arm or park. Horizon announcements ride the quantized
-// fast path while the shard is making progress and the exhaustive
-// force path just before it parks; between the two sits the bounded
-// yield-and-poll spin that resolves most handoffs without parking.
+// one grant run, publish the raised front, and only then decide
+// whether to re-arm or park. Between a dry pass and parking sits the
+// bounded yield-and-poll spin that resolves most handoffs without
+// parking.
 func (g *Group) shardLoop(i int, deadline Time) {
 	k := g.kernels[i]
 	for {
@@ -858,7 +799,7 @@ func (g *Group) shardLoop(i int, deadline Time) {
 		}
 		g.drain(i)
 		safe := g.safeTime(i)
-		ran := uint64(0)
+		ran, posted := uint64(0), g.posted[i]
 		for g.dispatchOne(i, safe, deadline) {
 			ran++
 			if g.stopFlag.Load() || k.stopped {
@@ -866,17 +807,15 @@ func (g *Group) shardLoop(i int, deadline Time) {
 				return
 			}
 		}
-		g.publishLocalMin(i)
+		g.publishLocalMin(i, g.posted[i] != posted)
 		if ran > 0 {
 			g.sync[i].drainRuns++
 			g.sync[i].drainEvents += ran
-			g.announceHorizons(i, safe, false)
 			continue
 		}
 		if g.drain(i) {
 			continue
 		}
-		g.announceHorizons(i, safe, true)
 		if g.spinForWork(i, deadline) {
 			continue
 		}
@@ -909,12 +848,6 @@ func (g *Group) run(deadline Time) {
 	for i, k := range g.kernels {
 		k.stopped = false
 		g.localMin[i].Store(g.curMin(i))
-		g.annFloor[i] = math.MinInt64
-		for d := 0; d < g.n; d++ {
-			if d != i {
-				g.horizon[i*g.n+d].Store(int64(satAdd(k.now, g.look[i][d])))
-			}
-		}
 		// Drain any stale wakeup from a prior run.
 		select {
 		case <-g.wake[i]:

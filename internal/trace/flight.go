@@ -94,7 +94,12 @@ func ReadFlight(r io.Reader) ([]Event, error) {
 	if version != 1 {
 		return nil, fmt.Errorf("trace: unsupported flight version %d", version)
 	}
-	events := make([]Event, 0, count)
+	if count < 0 {
+		return nil, fmt.Errorf("trace: negative event count %d in flight header", count)
+	}
+	// The header is unchecked input: the count is only compared, never
+	// used to size an allocation.
+	var events []Event
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {

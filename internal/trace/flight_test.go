@@ -7,6 +7,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -76,4 +77,39 @@ func TestFlightTruncatedFileFails(t *testing.T) {
 func assumeTailLen(lines []string) int {
 	last := lines[len(lines)-1]
 	return len(last)/2 + 1
+}
+
+// FuzzReadFlight: no input panics ReadFlight, and every event it
+// accepts survives FormatEventLine → ParseEventLine unchanged. The
+// seeds are one line of each event kind in the heal flight golden
+// (testdata/pr4 at the repository root), alone and together.
+func FuzzReadFlight(f *testing.F) {
+	golden, err := os.ReadFile("../../testdata/pr4/trace_heal_flight.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var sample []string
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n")[1:] {
+		kind := strings.SplitN(line, " ", 5)[3]
+		if !seen[kind] {
+			seen[kind] = true
+			sample = append(sample, line)
+			f.Add("vorx-trace 1 1\n" + line + "\n")
+		}
+	}
+	f.Add(fmt.Sprintf("vorx-trace 1 %d\n%s\n", len(sample), strings.Join(sample, "\n")))
+	f.Fuzz(func(t *testing.T, dump string) {
+		evs, err := ReadFlight(strings.NewReader(dump))
+		if err != nil {
+			return
+		}
+		for _, e := range evs {
+			line := FormatEventLine(e)
+			back, err := ParseEventLine(line)
+			if err != nil || back != e {
+				t.Fatalf("event %+v formats as %q and parses back as %+v (%v)", e, line, back, err)
+			}
+		}
+	})
 }

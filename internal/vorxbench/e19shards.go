@@ -149,8 +149,8 @@ func E19ShardScaling() *Table {
 	t.Note("identical = per-pair delivery digest byte-equal to shards=1; the CI shard sweep " +
 		"(vorx chaos -shardsweep) enforces the same identity under crash/gray fault schedules")
 	t.Note("route-aware lookahead: the promise between two shards is HopFixed (1us) times the " +
-		"minimum cube distance between their clusters; a shard advances to " +
-		"min(neighbor horizons, global floor + column lookahead), both capped by in-flight mail")
+		"minimum cube distance between their clusters; a shard advances to the earliest time " +
+		"any shard's front or in-flight mail could reach it along the shortest lookahead path")
 	var parts []string
 	for _, r := range runs {
 		evps := float64(r.Events) / r.Wall.Seconds()

@@ -96,8 +96,9 @@ func e20Run(shards int) ShardMeasure {
 // pool. The table rows are deterministic (virtual-time event counts,
 // digests); the sim.sync.* counters depend on how the host scheduler
 // interleaved the shards (a shard that happens to park draws extra
-// wakeups and promise repairs), so they ride in the host-dependent
-// notes next to the wall clock, outside CI's double-run diff.
+// wakeups, and grant runs split differently), so they ride in the
+// host-dependent notes next to the wall clock, outside CI's double-run
+// diff.
 func E20MultiCoreScaling() *Table {
 	t := &Table{
 		ID:    "E20",
@@ -135,9 +136,9 @@ func E20MultiCoreScaling() *Table {
 			r.Shards, r.Sync.HorizonPublishes, r.Sync.NullMessages,
 			r.Sync.Wakeups, r.Sync.AvgDrainRun()))
 	}
-	t.Note("sync counters (host-dependent, this run): %s — pubs = per-pair promise raises "+
-		"stored, null = raises with no queued traffic to cap them, wakes = park/wake signals, "+
-		"drain = events dispatched per safe-bound computation (grant batching, higher is cheaper)",
+	t.Note("sync counters (host-dependent, this run): %s — pubs = front raises published "+
+		"(one store each), null = raises after a grant run that posted no cross, wakes = park/wake "+
+		"signals, drain = events dispatched per safe-bound computation (grant batching, higher is cheaper)",
 		strings.Join(sync, "; "))
 	var parts []string
 	for _, r := range runs {
