@@ -41,7 +41,7 @@ func main() {
 		defer f.Close()
 		sc, err := oscope.Load(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "oscope:", err)
+			fmt.Fprintln(os.Stderr, err) // Load's errors carry the "oscope:" prefix
 			os.Exit(1)
 		}
 		// "later the software oscilloscope is used to display the

@@ -35,9 +35,7 @@ func cmdAnalyze(args []string) {
 	top := fs.Int("top", 5, "show the N slowest writes with their component breakdowns")
 	flight := fs.String("flight", "", "also write the run's flight-recorder dump here (live mode)")
 	ring := fs.Int("ring", 0, "bounded trace memory: keep only the newest N events (live mode)")
-	serialOnly := shardsFlag(fs, "the latency observatory rides the tracer, which sharded builds disable")
 	fs.Parse(args)
-	serialOnly()
 
 	if (*in == "") == (*demo == "") {
 		fmt.Fprintln(os.Stderr, "vorx analyze: need exactly one of -in <flight file> or -demo <name>")

@@ -61,9 +61,9 @@ commands:
             mid-stream (-auto enables load-driven rebalancing)
   bench     measure simulator performance; -json writes BENCH_<rev>.json
 
-every command takes -shards N; only bench and chaos -shardsweep run a
-simulation split over parallel shards (conservative lookahead), the
-demos clamp to the serial kernel with a note
+bench and chaos -shardsweep run a simulation split over parallel
+shards (-shards N, conservative lookahead); topo -shards N prints the
+partition; the other commands run the serial kernel
 `)
 	os.Exit(2)
 }
@@ -117,24 +117,6 @@ func commFlag(fs *flag.FlagSet) func() core.CommProfile {
 			fmt.Fprintf(os.Stderr, "vorx: unknown -comm profile %q (want classic or pipelined)\n", *name)
 			os.Exit(2)
 			panic("unreachable")
-		}
-	}
-}
-
-// shardsFlag registers -shards on fs for a command whose demo runs on
-// the serial kernel only: tracing, link faults, partitions, and the
-// supervision oracle all need features the sharded build rejects
-// (sharded systems keep tracers disabled and panic on link faults).
-// Call the returned resolver after parsing: it warns when a split was
-// asked for and the command falls back to one shard — the same honest
-// clamp `vorx bench` applies to its Workers pool on small hosts.
-// Commands that genuinely shard (`vorx bench`, `vorx chaos
-// -shardsweep`) register their own -shards instead.
-func shardsFlag(fs *flag.FlagSet, why string) func() {
-	n := fs.Int("shards", 1, "parallel simulation shards (this command clamps to 1)")
-	return func() {
-		if *n > 1 {
-			fmt.Fprintf(os.Stderr, "vorx: -shards %d: %s; running the serial kernel\n", *n, why)
 		}
 	}
 }
@@ -300,9 +282,7 @@ func cmdTrace(args []string) {
 
 func cmdAlloc(args []string) {
 	fs := flag.NewFlagSet("alloc", flag.ExitOnError)
-	serialOnly := shardsFlag(fs, "the allocation walkthrough replays experiment E9 serially")
 	fs.Parse(args)
-	serialOnly()
 	vorxbench.E9Allocation().Format(os.Stdout)
 }
 
@@ -312,16 +292,7 @@ func cmdTopo(args []string) {
 	nodes := fs.Int("nodes", 70, "processing nodes")
 	shards := fs.Int("shards", 0, "also print the cluster-to-shard partition for this shard count (0 = skip)")
 	fs.Parse(args)
-	total := *hosts + *nodes
-	var (
-		tp  *topo.Topology
-		err error
-	)
-	if total <= topo.PortsPerCluster {
-		tp, err = topo.SingleCluster(total)
-	} else {
-		tp, err = topo.IncompleteHypercube((total+3)/4, 4)
-	}
+	tp, err := core.Config{Hosts: *hosts, Nodes: *nodes}.Topology()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)
 		os.Exit(1)
@@ -366,9 +337,7 @@ func runPing(args []string, tc *traceCtx) {
 	size := fs.Int("size", 4, "message size in bytes")
 	rounds := fs.Int("rounds", 1000, "messages to send")
 	comm := commFlag(fs)
-	serialOnly := shardsFlag(fs, "the two-node latency demo is a single cluster with nothing to shard")
 	fs.Parse(args)
-	serialOnly()
 	sys, err := core.Build(core.Config{Nodes: 2, Seed: 1, Comm: comm()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)
@@ -386,9 +355,7 @@ func runLinks(args []string, tc *traceCtx) {
 	nodes := fs.Int("nodes", 20, "processing nodes")
 	msgs := fs.Int("msgs", 10, "messages per sender")
 	comm := commFlag(fs)
-	serialOnly := shardsFlag(fs, "per-link statistics come from the serial fabric")
 	fs.Parse(args)
-	serialOnly()
 	sys, err := core.Build(core.Config{Nodes: *nodes, Seed: 1, Comm: comm()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)
@@ -416,9 +383,7 @@ func runMix(args []string, tc *traceCtx) {
 	fs := flag.NewFlagSet("mix", flag.ExitOnError)
 	nodes := fs.Int("nodes", 6, "processing nodes")
 	comm := commFlag(fs)
-	serialOnly := shardsFlag(fs, "the message-trace summary needs the serial kernel")
 	fs.Parse(args)
-	serialOnly()
 	sys, err := core.Build(core.Config{Hosts: 1, Nodes: *nodes, Seed: 1, Comm: comm()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)
@@ -647,9 +612,7 @@ func runHeal(args []string, tc *traceCtx) {
 	horizon := fs.String("horizon", "80ms", "supervision horizon (beacons stop here)")
 	fence := fs.Bool("fence", false, "partition-tolerant supervision: quorum-gated confirms plus incarnation fencing")
 	comm := commFlag(fs)
-	serialOnly := shardsFlag(fs, "the supervision demo drives the serial System")
 	fs.Parse(args)
-	serialOnly()
 	if *pairs < 1 || *nodes < 2*(*pairs)+1 {
 		fmt.Fprintf(os.Stderr, "vorx: need at least %d nodes for %d pairs plus a spare\n", 2*(*pairs)+1, *pairs)
 		os.Exit(1)
@@ -778,9 +741,7 @@ func cmdDownload(args []string) {
 	fs := flag.NewFlagSet("download", flag.ExitOnError)
 	nodes := fs.Int("nodes", 70, "processes to start")
 	tree := fs.Bool("tree", false, "use the shared-stub tree download")
-	serialOnly := shardsFlag(fs, "the download demo drives the serial System")
 	fs.Parse(args)
-	serialOnly()
 	sys, err := core.Build(core.Config{Hosts: 1, Nodes: *nodes, Seed: 1})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)

@@ -35,9 +35,7 @@ func runVChan(args []string, tc *traceCtx) {
 	dump := fs.Bool("dump", false, "dump per-machine writer/reader/lane state at the end")
 	seed := fs.Int64("seed", 1, "build seed")
 	comm := commFlag(fs)
-	serialOnly := shardsFlag(fs, "the vchannel broker demo drives the serial System")
 	fs.Parse(args)
-	serialOnly()
 
 	durs := map[string]sim.Duration{}
 	for name, s := range map[string]*string{"moveat": moveAt, "horizon": horizon} {

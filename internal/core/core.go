@@ -45,7 +45,7 @@ type Config struct {
 	// Shards is the number of parallel simulation shards for
 	// BuildSharded: 0 means one shard per topology cluster, 1 a single
 	// serial-equivalent shard; the count is clamped to the cluster
-	// count. Build ignores it.
+	// count. Build ignores it: it is always the one-shard case.
 	Shards int
 	// Costs overrides the calibrated cost model (nil = defaults).
 	Costs *m68k.Costs
@@ -109,7 +109,49 @@ type Machine struct {
 // Name returns the machine's name ("host3" or "node17").
 func (m *Machine) Name() string { return m.Kern.Name() }
 
-// System is a running HPC/VORX installation.
+// fleet is a list of machines, hosts first, each class in index
+// order. System and Sharded embed one each: a System's covers its own
+// kernel's machines, a Sharded's every machine of the installation.
+type fleet struct {
+	hosts []*Machine
+	nodes []*Machine
+}
+
+func (f *fleet) add(m *Machine) {
+	if m.Host {
+		f.hosts = append(f.hosts, m)
+	} else {
+		f.nodes = append(f.nodes, m)
+	}
+}
+
+// Hosts returns the host workstations.
+func (f *fleet) Hosts() []*Machine { return f.hosts }
+
+// Nodes returns the processing nodes.
+func (f *fleet) Nodes() []*Machine { return f.nodes }
+
+// Host returns host i.
+func (f *fleet) Host(i int) *Machine { return f.hosts[i] }
+
+// Node returns processing node i.
+func (f *fleet) Node(i int) *Machine { return f.nodes[i] }
+
+// Machines returns every machine, hosts first.
+func (f *fleet) Machines() []*Machine {
+	out := make([]*Machine, 0, len(f.hosts)+len(f.nodes))
+	out = append(out, f.hosts...)
+	out = append(out, f.nodes...)
+	return out
+}
+
+// Spawn starts a subprocess on machine m, on m's own kernel, at
+// priority prio.
+func (f *fleet) Spawn(m *Machine, name string, prio int, body func(sp *kern.Subprocess)) *kern.Subprocess {
+	return m.Kern.SpawnSubprocess(name, prio, body)
+}
+
+// System is a running HPC/VORX installation on one simulation kernel.
 type System struct {
 	K     *sim.Kernel
 	Costs *m68k.Costs
@@ -121,10 +163,9 @@ type System struct {
 	// nothing and perturbs nothing.
 	Trace *trace.Tracer
 
-	hosts []*Machine
-	nodes []*Machine
-	byEP  map[topo.EndpointID]*Machine
-	uids  map[string]int
+	fleet
+	byEP map[topo.EndpointID]*Machine
+	uids map[string]int
 }
 
 // NextUID hands out the next per-system sequence number for kind
@@ -144,8 +185,37 @@ func (s *System) NextUID(kind string) int {
 	return n
 }
 
-// Build constructs the system.
+// Build constructs the system on one serial kernel: the one-shard case
+// of the assembly BuildSharded splits. It ignores cfg.Shards.
 func Build(cfg Config) (*System, error) {
+	sh, err := assemble(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return sh.Sys[0], nil
+}
+
+// Topology sizes the interconnect for the configured machine: one
+// cluster when every endpoint fits its ports, otherwise an incomplete
+// hypercube of NodesPerCluster endpoints per cluster.
+func (cfg Config) Topology() (*topo.Topology, error) {
+	total := cfg.Hosts + cfg.Nodes
+	if total <= topo.PortsPerCluster {
+		return topo.SingleCluster(total)
+	}
+	per := cfg.NodesPerCluster
+	if per == 0 {
+		per = 4
+	}
+	return topo.IncompleteHypercube((total+per-1)/per, per)
+}
+
+// assemble builds the machine over shards simulation kernels (0 = one
+// per topology cluster, clamped to the cluster count), each machine on
+// the kernel of the shard that owns its cluster. It couples nothing:
+// Build takes the one-shard result as is, and BuildSharded joins the
+// kernels into a sim.Group.
+func assemble(cfg Config, shards int) (*Sharded, error) {
 	if cfg.Nodes < 0 || cfg.Hosts < 0 || cfg.Nodes+cfg.Hosts == 0 {
 		return nil, fmt.Errorf("core: need at least one machine (hosts=%d nodes=%d)", cfg.Hosts, cfg.Nodes)
 	}
@@ -153,31 +223,29 @@ func Build(cfg Config) (*System, error) {
 	if costs == nil {
 		costs = m68k.DefaultCosts()
 	}
-	total := cfg.Hosts + cfg.Nodes
-	var (
-		tp  *topo.Topology
-		err error
-	)
-	if total <= topo.PortsPerCluster {
-		tp, err = topo.SingleCluster(total)
-	} else {
-		per := cfg.NodesPerCluster
-		if per == 0 {
-			per = 4
-		}
-		clusters := (total + per - 1) / per
-		tp, err = topo.IncompleteHypercube(clusters, per)
-	}
+	tp, err := cfg.Topology()
 	if err != nil {
 		return nil, err
 	}
+	if shards == 0 {
+		shards = tp.Clusters()
+	}
+	part := topo.PartitionClusters(tp, shards)
+	sh := &Sharded{Part: part, Topo: tp, Costs: costs}
 
-	k := sim.NewKernel(cfg.Seed)
-	tr := trace.New(k) // disabled until a caller opts in
-	k.SetProbe(tr)
-	ic := hpc.New(k, costs, tp)
-	ic.SetTracer(tr)
-	sys := &System{K: k, Costs: costs, Topo: tp, IC: ic, Trace: tr, byEP: make(map[topo.EndpointID]*Machine)}
+	// One kernel, tracer, and fabric per shard. Every kernel gets the
+	// same seed: a kernel's random source feeds only components that
+	// ask for randomness explicitly, none of which are in the stack
+	// built here, so a split draws nothing the serial build would not.
+	for i := 0; i < part.Shards(); i++ {
+		k := sim.NewKernel(cfg.Seed)
+		tr := trace.New(k) // disabled until a caller opts in
+		k.SetProbe(tr)
+		ic := hpc.New(k, costs, tp)
+		ic.SetTracer(tr)
+		sh.Sys = append(sh.Sys, &System{K: k, Costs: costs, Topo: tp, IC: ic, Trace: tr,
+			byEP: make(map[topo.EndpointID]*Machine)})
+	}
 
 	// Host workstations (SUN 3s) copy faster than the 68020 nodes;
 	// everything else is inherited from the calibrated model.
@@ -185,95 +253,73 @@ func Build(cfg Config) (*System, error) {
 	hostCosts.Copy = costs.HostCopy
 	hostCosts.KernelCopy = costs.HostCopy
 
-	build := func(name string, ep topo.EndpointID, host bool, idx int) *Machine {
-		c := costs
+	// Machines are built in global endpoint order, hosts first, each on
+	// its owning shard's kernel, so every kernel sees the serial
+	// construction order restricted to its own machines.
+	build := func(ep topo.EndpointID, host bool, idx int) {
+		sys := sh.Sys[part.OfEndpoint(tp, ep)]
+		c, class := costs, "node"
 		if host {
-			c = &hostCosts
+			c, class = &hostCosts, "host"
 		}
-		kn := kern.NewNode(k, c, name)
-		kn.SetTracer(tr)
-		m := &Machine{Kern: kn, IF: netif.Attach(kn, ic, ep), EP: ep, Host: host, Index: idx}
+		kn := kern.NewNode(sys.K, c, fmt.Sprintf("%s%d", class, idx))
+		kn.SetTracer(sys.Trace)
+		m := &Machine{Kern: kn, IF: netif.Attach(kn, sys.IC, ep), EP: ep, Host: host, Index: idx}
 		sys.byEP[ep] = m
-		return m
+		sys.add(m)
+		sh.add(m)
 	}
-	ep := topo.EndpointID(0)
 	for i := 0; i < cfg.Hosts; i++ {
-		sys.hosts = append(sys.hosts, build(fmt.Sprintf("host%d", i), ep, true, i))
-		ep++
+		build(topo.EndpointID(i), true, i)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		sys.nodes = append(sys.nodes, build(fmt.Sprintf("node%d", i), ep, false, i))
-		ep++
+		build(topo.EndpointID(cfg.Hosts+i), false, i)
 	}
 
 	// Object manager placement: Meglos centralizes all resource
 	// management on a single host; VORX replicates the communications
-	// object manager onto every processing node.
+	// object manager onto every processing node. Names hash over this
+	// one global list on every shard, and each shard's Manager serves
+	// the managers whose interfaces it owns.
 	var mgrEPs []topo.EndpointID
 	if cfg.CentralizedManager || cfg.Nodes == 0 {
-		first := sys.hosts
-		if len(first) == 0 {
-			first = sys.nodes
-		}
-		mgrEPs = []topo.EndpointID{first[0].EP}
+		mgrEPs = []topo.EndpointID{0} // the first machine: host0, or node0 without hosts
 	} else {
-		for _, n := range sys.nodes {
+		for _, n := range sh.nodes {
 			mgrEPs = append(mgrEPs, n.EP)
 		}
 	}
-	var ifs []*netif.IF
-	for _, m := range sys.Machines() {
-		ifs = append(ifs, m.IF)
-	}
-	sys.Mgr = objmgr.New(ifs, mgrEPs)
-	for _, m := range sys.Machines() {
-		m.Chans = channels.NewService(m.IF, sys.Mgr)
-	}
-
-	// Apply the communication profile. Classic (the zero value) takes
-	// none of these branches, leaving every layer byte-identical to the
-	// stop-and-wait stack.
-	if cfg.Comm.OutputDepth > 1 {
-		ic.SetOutputDepth(cfg.Comm.OutputDepth)
-	}
-	for _, m := range sys.Machines() {
-		if cfg.Comm.Coalesce {
-			m.IF.SetCoalesce(cfg.Comm.CoalesceHorizon)
+	for _, sys := range sh.Sys {
+		ms := sys.Machines()
+		ifs := make([]*netif.IF, len(ms))
+		for i, m := range ms {
+			ifs[i] = m.IF
 		}
-		if cfg.Comm.Window > 1 {
-			m.Chans.SetWindowConfig(channels.WindowConfig{Window: cfg.Comm.Window})
+		sys.Mgr = objmgr.New(ifs, mgrEPs)
+		for _, m := range ms {
+			m.Chans = channels.NewService(m.IF, sys.Mgr)
+		}
+
+		// Apply the communication profile. Classic (the zero value)
+		// takes none of these branches, leaving every layer
+		// byte-identical to the stop-and-wait stack.
+		if cfg.Comm.OutputDepth > 1 {
+			sys.IC.SetOutputDepth(cfg.Comm.OutputDepth)
+		}
+		for _, m := range ms {
+			if cfg.Comm.Coalesce {
+				m.IF.SetCoalesce(cfg.Comm.CoalesceHorizon)
+			}
+			if cfg.Comm.Window > 1 {
+				m.Chans.SetWindowConfig(channels.WindowConfig{Window: cfg.Comm.Window})
+			}
 		}
 	}
-	return sys, nil
-}
-
-// Hosts returns the host workstations.
-func (s *System) Hosts() []*Machine { return s.hosts }
-
-// Nodes returns the processing nodes.
-func (s *System) Nodes() []*Machine { return s.nodes }
-
-// Host returns host i.
-func (s *System) Host(i int) *Machine { return s.hosts[i] }
-
-// Node returns processing node i.
-func (s *System) Node(i int) *Machine { return s.nodes[i] }
-
-// Machines returns every machine, hosts first.
-func (s *System) Machines() []*Machine {
-	out := make([]*Machine, 0, len(s.hosts)+len(s.nodes))
-	out = append(out, s.hosts...)
-	out = append(out, s.nodes...)
-	return out
+	return sh, nil
 }
 
 // ByEndpoint returns the machine at an endpoint, or nil.
 func (s *System) ByEndpoint(ep topo.EndpointID) *Machine { return s.byEP[ep] }
-
-// Spawn starts a subprocess on machine m at priority prio.
-func (s *System) Spawn(m *Machine, name string, prio int, body func(sp *kern.Subprocess)) *kern.Subprocess {
-	return m.Kern.SpawnSubprocess(name, prio, body)
-}
 
 // Run drives the simulation until quiescence and returns a
 // *sim.DeadlockError if application processes are stuck.

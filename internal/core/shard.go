@@ -1,112 +1,52 @@
 // Sharded system assembly: one simulation partitioned over OS threads.
 //
-// BuildSharded constructs the same machine Build does — same topology,
-// same endpoint assignment, same per-machine stacks — but partitions
-// the clusters over a sim.Group of kernels (one per shard) coupled by
-// the conservative lookahead protocol. Each shard gets its own System
-// holding the machines whose clusters it owns, its own fabric shard,
-// and its own object-manager view; manager placement hashes over the
-// same global endpoint list on every shard, so names resolve to the
-// same manager everywhere. Intra-shard simulation is byte-identical to
-// serial; with Shards=1 the whole build degenerates to a one-kernel
-// group whose dispatch replicates sim.Kernel.Run exactly.
+// BuildSharded runs the same assembly Build does — same topology, same
+// endpoint assignment, same per-machine stacks — over one kernel per
+// shard, and couples the kernels into a sim.Group under the
+// conservative lookahead protocol. Each shard's System holds the
+// machines whose clusters it owns, its own fabric shard, and its own
+// object-manager view; names hash over the same global manager list on
+// every shard, so they resolve to the same manager everywhere.
+// Intra-shard simulation is byte-identical to serial; with Shards=1
+// the build degenerates to a one-kernel group whose dispatch
+// replicates sim.Kernel.Run exactly.
 package core
 
 import (
-	"fmt"
-
-	"hpcvorx/internal/channels"
 	"hpcvorx/internal/hpc"
-	"hpcvorx/internal/kern"
 	"hpcvorx/internal/m68k"
-	"hpcvorx/internal/netif"
-	"hpcvorx/internal/objmgr"
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/topo"
-	"hpcvorx/internal/trace"
 )
 
-// Sharded is a running installation split over parallel shards.
+// Sharded is a running installation split over parallel shards. Its
+// machine accessors span all shards, in global index order.
 type Sharded struct {
 	Group *sim.Group
 	Part  *topo.Partition
 	Topo  *topo.Topology
 	Costs *m68k.Costs
 	// Sys[i] is shard i's System: its kernel, fabric shard, machines,
-	// and manager view. Global machine accessors below span all shards.
+	// and manager view.
 	Sys []*System
 
-	hosts []*Machine
-	nodes []*Machine
-	byEP  map[topo.EndpointID]*Machine
-	shard map[topo.EndpointID]int
+	fleet
 }
 
 // BuildSharded constructs the system partitioned over cfg.Shards
-// parallel shards (see Config.Shards for the defaulting rule).
+// parallel shards (see Config.Shards for the defaulting rule). Keep
+// the shards' tracers disabled: shards run ahead of each other in
+// wall-clock terms, so trace emission at shard boundaries would race.
 func BuildSharded(cfg Config) (*Sharded, error) {
-	if cfg.Nodes < 0 || cfg.Hosts < 0 || cfg.Nodes+cfg.Hosts == 0 {
-		return nil, fmt.Errorf("core: need at least one machine (hosts=%d nodes=%d)", cfg.Hosts, cfg.Nodes)
-	}
-	costs := cfg.Costs
-	if costs == nil {
-		costs = m68k.DefaultCosts()
-	}
-	total := cfg.Hosts + cfg.Nodes
-	var (
-		tp  *topo.Topology
-		err error
-	)
-	if total <= topo.PortsPerCluster {
-		tp, err = topo.SingleCluster(total)
-	} else {
-		per := cfg.NodesPerCluster
-		if per == 0 {
-			per = 4
-		}
-		clusters := (total + per - 1) / per
-		tp, err = topo.IncompleteHypercube(clusters, per)
-	}
+	sh, err := assemble(cfg, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	want := cfg.Shards
-	if want == 0 {
-		want = tp.Clusters()
-	}
-	part := topo.PartitionClusters(tp, want)
-	n := part.Shards()
-
-	sh := &Sharded{
-		Part:  part,
-		Topo:  tp,
-		Costs: costs,
-		byEP:  make(map[topo.EndpointID]*Machine),
-		shard: make(map[topo.EndpointID]int),
-	}
-	shardOf := make([]int, tp.Clusters())
-	for c := 0; c < tp.Clusters(); c++ {
-		shardOf[c] = part.OfCluster(topo.ClusterID(c))
-	}
-
-	// One kernel, tracer, and fabric shard per shard. Every kernel gets
-	// the same seed: the serial kernel's random source feeds only
-	// components that ask for randomness explicitly, none of which are
-	// in the sharded stack. Tracers stay disabled — with shards running
-	// ahead of each other in wall-clock terms, trace emission at shard
-	// boundaries would race; subcommands that trace clamp to one shard.
+	n := sh.Shards()
 	kerns := make([]*sim.Kernel, n)
 	ics := make([]*hpc.Interconnect, n)
-	for i := 0; i < n; i++ {
-		kerns[i] = sim.NewKernel(cfg.Seed)
-		tr := trace.New(kerns[i])
-		kerns[i].SetProbe(tr)
-		ics[i] = hpc.New(kerns[i], costs, tp)
-		ics[i].SetTracer(tr)
-		sh.Sys = append(sh.Sys, &System{
-			K: kerns[i], Costs: costs, Topo: tp, IC: ics[i],
-			Trace: ics[i].Tracer(), byEP: make(map[topo.EndpointID]*Machine),
-		})
+	for i, sys := range sh.Sys {
+		kerns[i], ics[i] = sys.K, sys.IC
 	}
 	// Route-aware lookahead: the conservative promise between two shards
 	// is the minimum cube-route cost between their clusters, not the
@@ -115,94 +55,24 @@ func BuildSharded(cfg Config) (*Sharded, error) {
 	// ahead); pairs whose clusters sit k>1 links apart exchange signals
 	// only through k relaying boundary crossings, so they can promise
 	// k*HopFixed and synchronize far less often.
-	hops := part.RouteHops(tp)
+	hops := sh.Part.RouteHops(sh.Topo)
 	look := make([][]sim.Duration, n)
 	for s := range look {
 		look[s] = make([]sim.Duration, n)
 		for d := range look[s] {
 			if s != d {
-				look[s][d] = costs.HopFixed * sim.Duration(hops[s][d])
+				look[s][d] = sh.Costs.HopFixed * sim.Duration(hops[s][d])
 			}
 		}
 	}
 	sh.Group = sim.NewGroup(look, kerns...)
 	if n > 1 {
-		for i := 0; i < n; i++ {
-			ics[i].ConnectShards(i, shardOf, ics)
+		shardOf := make([]int, sh.Topo.Clusters())
+		for c := range shardOf {
+			shardOf[c] = sh.Part.OfCluster(topo.ClusterID(c))
 		}
-	}
-
-	hostCosts := *costs
-	hostCosts.Copy = costs.HostCopy
-	hostCosts.KernelCopy = costs.HostCopy
-
-	// Machines are built in the exact endpoint order Build uses, each
-	// on its owning shard's kernel, so per-shard construction order is
-	// the serial order restricted to that shard.
-	build := func(name string, ep topo.EndpointID, host bool, idx int) *Machine {
-		si := part.OfEndpoint(tp, ep)
-		sys := sh.Sys[si]
-		c := costs
-		if host {
-			c = &hostCosts
-		}
-		kn := kern.NewNode(sys.K, c, name)
-		kn.SetTracer(sys.Trace)
-		m := &Machine{Kern: kn, IF: netif.Attach(kn, sys.IC, ep), EP: ep, Host: host, Index: idx}
-		sys.byEP[ep] = m
-		sh.byEP[ep] = m
-		sh.shard[ep] = si
-		return m
-	}
-	ep := topo.EndpointID(0)
-	for i := 0; i < cfg.Hosts; i++ {
-		m := build(fmt.Sprintf("host%d", i), ep, true, i)
-		sh.hosts = append(sh.hosts, m)
-		sh.Sys[sh.shard[ep]].hosts = append(sh.Sys[sh.shard[ep]].hosts, m)
-		ep++
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		m := build(fmt.Sprintf("node%d", i), ep, false, i)
-		sh.nodes = append(sh.nodes, m)
-		sh.Sys[sh.shard[ep]].nodes = append(sh.Sys[sh.shard[ep]].nodes, m)
-		ep++
-	}
-
-	// Manager placement hashes names over the global endpoint list —
-	// identical on every shard — while each shard's Manager instance
-	// serves the interfaces it owns. Requests to a manager endpoint on
-	// a foreign shard travel the fabric like any other message.
-	var mgrEPs []topo.EndpointID
-	if cfg.CentralizedManager || cfg.Nodes == 0 {
-		first := sh.hosts
-		if len(first) == 0 {
-			first = sh.nodes
-		}
-		mgrEPs = []topo.EndpointID{first[0].EP}
-	} else {
-		for _, nd := range sh.nodes {
-			mgrEPs = append(mgrEPs, nd.EP)
-		}
-	}
-	for _, sys := range sh.Sys {
-		var ifs []*netif.IF
-		for _, m := range sys.Machines() {
-			ifs = append(ifs, m.IF)
-		}
-		sys.Mgr = objmgr.NewShardView(ifs, mgrEPs)
-		for _, m := range sys.Machines() {
-			m.Chans = channels.NewService(m.IF, sys.Mgr)
-		}
-		if cfg.Comm.OutputDepth > 1 {
-			sys.IC.SetOutputDepth(cfg.Comm.OutputDepth)
-		}
-		for _, m := range sys.Machines() {
-			if cfg.Comm.Coalesce {
-				m.IF.SetCoalesce(cfg.Comm.CoalesceHorizon)
-			}
-			if cfg.Comm.Window > 1 {
-				m.Chans.SetWindowConfig(channels.WindowConfig{Window: cfg.Comm.Window})
-			}
+		for i, ic := range ics {
+			ic.ConnectShards(i, shardOf, ics)
 		}
 	}
 	return sh, nil
@@ -211,48 +81,8 @@ func BuildSharded(cfg Config) (*Sharded, error) {
 // Shards returns the number of shards after clamping.
 func (s *Sharded) Shards() int { return len(s.Sys) }
 
-// Hosts returns every host workstation in global index order.
-func (s *Sharded) Hosts() []*Machine { return s.hosts }
-
-// Nodes returns every processing node in global index order.
-func (s *Sharded) Nodes() []*Machine { return s.nodes }
-
-// Host returns host i (global index).
-func (s *Sharded) Host(i int) *Machine { return s.hosts[i] }
-
-// Node returns processing node i (global index).
-func (s *Sharded) Node(i int) *Machine { return s.nodes[i] }
-
-// Machines returns every machine, hosts first, in global order.
-func (s *Sharded) Machines() []*Machine {
-	out := make([]*Machine, 0, len(s.hosts)+len(s.nodes))
-	out = append(out, s.hosts...)
-	out = append(out, s.nodes...)
-	return out
-}
-
-// ByEndpoint returns the machine at an endpoint, or nil.
-func (s *Sharded) ByEndpoint(ep topo.EndpointID) *Machine { return s.byEP[ep] }
-
-// ShardOf returns the shard index owning endpoint ep.
-func (s *Sharded) ShardOf(ep topo.EndpointID) int { return s.shard[ep] }
-
-// SystemOf returns the per-shard System owning endpoint ep.
-func (s *Sharded) SystemOf(ep topo.EndpointID) *System { return s.Sys[s.shard[ep]] }
-
-// Spawn starts a subprocess on machine m, on m's own shard.
-func (s *Sharded) Spawn(m *Machine, name string, prio int, body func(sp *kern.Subprocess)) *kern.Subprocess {
-	return m.Kern.SpawnSubprocess(name, prio, body)
-}
-
 // Run drives all shards until quiescence; see sim.Group.Run.
 func (s *Sharded) Run() error { return s.Group.Run() }
-
-// RunFor advances all shards by at most d past the trailing clock.
-func (s *Sharded) RunFor(d sim.Duration) { s.Group.RunFor(d) }
-
-// Shutdown kills all remaining simulated processes on every shard.
-func (s *Sharded) Shutdown() { s.Group.Shutdown() }
 
 // FabricStats sums interconnect counters over all shards.
 func (s *Sharded) FabricStats() hpc.Stats {

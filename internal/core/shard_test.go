@@ -86,10 +86,24 @@ func stackDigest(s chanSys, out []pairOutcome) string {
 }
 
 func TestBuildShardedMatchesSerial(t *testing.T) {
-	cfg := Config{Hosts: 1, Nodes: stackNodes, Seed: 11}
+	// Build ignores Shards: the serial reference is one kernel carrying
+	// every machine, even with a split configured, and perfbench builds
+	// its serial baseline for a sharded workload exactly this way.
+	cfg := Config{Hosts: 1, Nodes: stackNodes, Seed: 11, Shards: 4}
 	sys, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sys.K.Group() != nil {
+		t.Fatal("Build put its kernel in a sim.Group")
+	}
+	for _, m := range sys.Machines() {
+		if m.Kern.Kernel() != sys.K {
+			t.Fatalf("%s runs on another kernel than the serial System's", m.Name())
+		}
+	}
+	if got := len(sys.Machines()); got != 1+stackNodes {
+		t.Fatalf("serial System holds %d machines, want %d", got, 1+stackNodes)
 	}
 	serialOut := make([]pairOutcome, stackPairs)
 	stackTraffic(sys, serialOut)

@@ -117,26 +117,15 @@ type openRep struct {
 	pairing Pairing
 }
 
-// New creates the object-manager service. all lists every node's
-// network interface; managerEps selects which of those endpoints host
-// a manager (one entry = Meglos-style centralized; all entries =
-// VORX-style fully distributed).
+// New creates the object-manager service over the network interfaces
+// in all. Names hash over the full managerEps list (one entry =
+// Meglos-style centralized; all node endpoints = VORX-style fully
+// distributed), but only the managers whose endpoints are in all are
+// served here. A simulation shard passes its own interfaces: opens
+// addressed to a manager on another shard travel the fabric to it, and
+// each manager's state keeps its index in the global list, so the
+// channel ids it mints do not depend on the split.
 func New(all []*netif.IF, managerEps []topo.EndpointID) *Manager {
-	return build(all, managerEps, false)
-}
-
-// NewShardView creates one simulation shard's view of the
-// object-manager service: names hash over the full managerEps list —
-// identical on every shard, so every shard agrees on placement — but
-// only the manager endpoints present in all (this shard's interfaces)
-// are served locally. Opens addressed to a foreign manager travel the
-// fabric to the shard that owns it; its state keeps the global index,
-// so the channel IDs it mints match the serial build byte-for-byte.
-func NewShardView(all []*netif.IF, managerEps []topo.EndpointID) *Manager {
-	return build(all, managerEps, true)
-}
-
-func build(all []*netif.IF, managerEps []topo.EndpointID, partial bool) *Manager {
 	if len(managerEps) == 0 {
 		panic("objmgr: need at least one manager endpoint")
 	}
@@ -156,10 +145,7 @@ func build(all []*netif.IF, managerEps []topo.EndpointID, partial bool) *Manager
 	for i, ep := range managerEps {
 		f, ok := m.ifs[ep]
 		if !ok {
-			if partial {
-				continue // a foreign shard serves this manager
-			}
-			panic(fmt.Sprintf("objmgr: manager endpoint %d has no interface", ep))
+			continue // another shard serves this manager
 		}
 		st := &mgrState{idx: i, pending: make(map[string]*nameQueue)}
 		m.states[ep] = st

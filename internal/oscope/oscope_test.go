@@ -1,6 +1,8 @@
 package oscope_test
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 
 // imbalancedSystem runs a 2-node app where node0 computes for 10 ms
 // while node1 waits for input the whole time.
-func imbalancedSystem(t *testing.T) (*core.System, *oscope.Scope) {
+func imbalancedSystem(t testing.TB) (*core.System, *oscope.Scope) {
 	t.Helper()
 	sys, err := core.Build(core.Config{Nodes: 2, Seed: 1})
 	if err != nil {
@@ -265,6 +267,53 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := oscope.Load(strings.NewReader("oscope-trace 2 1\n0 0 10 hop 0 node0 cpu user\n")); err == nil {
 		t.Fatal("non-accounting v2 event should fail")
 	}
+	// v1 carries categories as integers: only kern.Categories() load.
+	for _, cat := range []string{"-1", "6", "9"} {
+		if _, err := oscope.Load(strings.NewReader("oscope-trace 1 1\nnode0 0 10 " + cat + "\n")); err == nil {
+			t.Fatalf("v1 category %s should fail", cat)
+		}
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the trace loader, seeded with a
+// real Save output and a version-1 sample. No input may panic, every
+// accepted trace must render, and a version-2 trace must round-trip
+// Save -> Load -> Save byte-identically.
+func FuzzLoad(f *testing.F) {
+	_, sc := imbalancedSystem(f)
+	var saved strings.Builder
+	if err := sc.Save(&saved); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved.String())
+	f.Add("oscope-trace 1 2\nnode0 0 1000 0\nnode1 0 400 2\nnode1 400 1000 5\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		sc, err := oscope.Load(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		sc.RenderAll(io.Discard, 40)
+		sc.RenderGrouped(io.Discard, 0, 1000, 40, 2)
+		var version int
+		fmt.Sscanf(in, "oscope-trace %d", &version) // Load accepted this header
+		if version != 2 {
+			return
+		}
+		var first, second strings.Builder
+		if err := sc.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := oscope.Load(strings.NewReader(first.String()))
+		if err != nil {
+			t.Fatalf("saved trace does not load: %v\n%s", err, first.String())
+		}
+		if err := back.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if first.String() != second.String() {
+			t.Fatalf("save -> load -> save differs:\n%s\nvs\n%s", first.String(), second.String())
+		}
+	})
 }
 
 // TestFromTracerMatchesLiveScope checks the unification satellite: the

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -128,6 +129,9 @@ func loadV1(sc *bufio.Scanner) (*Scope, error) {
 		var cat int
 		if _, err := fmt.Sscanf(line, "%s %d %d %d", &name, &start, &end, &cat); err != nil {
 			return nil, fmt.Errorf("oscope: bad trace line %q", line)
+		}
+		if !slices.Contains(kern.Categories(), kern.Category(cat)) {
+			return nil, fmt.Errorf("oscope: unknown category %d in %q", cat, line)
 		}
 		if !seen[name] {
 			seen[name] = true

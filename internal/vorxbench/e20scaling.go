@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"hpcvorx/internal/core"
-	"hpcvorx/internal/kern"
-	"hpcvorx/internal/objmgr"
-	"hpcvorx/internal/sim"
 )
 
 // E20 is the multi-core scaling table: a denser cross-cluster workload
@@ -24,73 +20,10 @@ import (
 // E20 geometry: 1 host + 63 nodes is 16 clusters of 4 — twice E19's
 // pool, with cluster pairs up to 4 cube hops apart, so the route-aware
 // lookahead matrix has real spread (1..4 x HopFixed).
-const (
-	e20Nodes = 63
-	e20Pairs = 30
-	e20Msgs  = 12
-)
+const e20Nodes = 63
 
-// e20Run drives the dense pair workload at one shard count.
-func e20Run(shards int) ShardMeasure {
-	sh, err := core.BuildSharded(core.Config{Hosts: 1, Nodes: e20Nodes, Seed: 20, Shards: shards})
-	if err != nil {
-		panic(err)
-	}
-	out := make([]e19Outcome, e20Pairs)
-	for pi := 0; pi < e20Pairs; pi++ {
-		pi := pi
-		name := fmt.Sprintf("e20-%d", pi)
-		wm, rm := sh.Node(pi), sh.Node(pi+e20Pairs)
-		size := 128 + 8*pi
-		sh.Spawn(wm, "writer", 0, func(sp *kern.Subprocess) {
-			sp.SleepFor(sim.Duration(1+11*pi) * sim.Microsecond)
-			ch := wm.Chans.Open(sp, name, objmgr.OpenAny)
-			for i := 0; i < e20Msgs; i++ {
-				if err := ch.Write(sp, size, fmt.Sprintf("m%d.%d", pi, i)); err != nil {
-					return
-				}
-				sp.SleepFor(sim.Duration(170+5*pi) * sim.Microsecond)
-			}
-		})
-		sh.Spawn(rm, "reader", 0, func(sp *kern.Subprocess) {
-			sp.SleepFor(sim.Duration(5+11*pi) * sim.Microsecond)
-			ch := rm.Chans.Open(sp, name, objmgr.OpenAny)
-			for i := 0; i < e20Msgs; i++ {
-				if _, ok := ch.Read(sp); !ok {
-					return
-				}
-				out[pi].recv++
-				out[pi].done = rm.Kern.Kernel().Now()
-			}
-		})
-	}
-	t0 := time.Now()
-	if err := sh.Run(); err != nil {
-		panic(err)
-	}
-	wall := time.Since(t0)
-
-	var b strings.Builder
-	for pi, o := range out {
-		fmt.Fprintf(&b, "pair%d recv=%d done=%d\n", pi, o.recv, int64(o.done))
-	}
-	var makespan sim.Time
-	for _, sys := range sh.Sys {
-		if n := sys.K.Now(); n > makespan {
-			makespan = n
-		}
-	}
-	return ShardMeasure{
-		Shards:   shards,
-		Digest:   b.String(),
-		Events:   sh.Group.Scheduled(),
-		Cross:    sh.Group.CrossPosts(),
-		Handoffs: sh.FabricStats().HandoffsOut,
-		Makespan: makespan,
-		Wall:     wall,
-		Sync:     sh.Group.SyncStats(),
-	}
-}
+var e20Load = pairLoad{name: "e20-%d", pairs: 30, msgs: 12, size: 128, sizeStep: 8,
+	writerAt: 1, readerAt: 5, stagger: 11, pace: 170, paceStep: 5}
 
 // E20MultiCoreScaling sweeps shard counts over the dense 16-cluster
 // pool. The table rows are deterministic (virtual-time event counts,
@@ -100,34 +33,10 @@ func e20Run(shards int) ShardMeasure {
 // host-dependent notes next to the wall clock, outside CI's double-run
 // diff.
 func E20MultiCoreScaling() *Table {
-	t := &Table{
-		ID:    "E20",
-		Title: "multi-core scaling: dense 16-cluster pool over shard counts",
-		Header: []string{"shards", "events", "cross posts", "handoffs",
-			"cross/events (%)", "makespan (us)", "identical"},
-	}
-	serialDigest := ""
-	var serialWall time.Duration
-	var runs []ShardMeasure
-	for _, shards := range []int{1, 2, 4, 8} {
-		r := e20Run(shards)
-		identical := "yes"
-		if shards == 1 {
-			serialDigest, serialWall = r.Digest, r.Wall
-		} else if r.Digest != serialDigest {
-			identical = "NO"
-		}
-		t.AddRow(
-			fmt.Sprint(shards),
-			fmt.Sprint(r.Events),
-			fmt.Sprint(r.Cross),
-			fmt.Sprint(r.Handoffs),
-			fmt.Sprintf("%.2f", 100*float64(r.Cross)/float64(r.Events)),
-			us(float64(r.Makespan)/1e3),
-			identical,
-		)
-		runs = append(runs, r)
-	}
+	t := &Table{ID: "E20", Title: "multi-core scaling: dense 16-cluster pool over shard counts"}
+	runs := sweepShards(t, func(shards int) ShardMeasure {
+		return e20Load.measure(core.Config{Hosts: 1, Nodes: e20Nodes, Seed: 20, Shards: shards})
+	})
 	t.Note("identical = per-pair delivery digest byte-equal to shards=1, the parallel kernel's " +
 		"contract at every shard count")
 	var sync []string
@@ -140,13 +49,7 @@ func E20MultiCoreScaling() *Table {
 		"(one store each), null = raises after a grant run that posted no cross, wakes = park/wake "+
 		"signals, drain = events dispatched per safe-bound computation (grant batching, higher is cheaper)",
 		strings.Join(sync, "; "))
-	var parts []string
-	for _, r := range runs {
-		evps := float64(r.Events) / r.Wall.Seconds()
-		parts = append(parts, fmt.Sprintf("shards=%d %.0fk ev/s (%.2fx)",
-			r.Shards, evps/1e3, serialWall.Seconds()/r.Wall.Seconds()))
-	}
 	t.Note("wall clock (host-dependent, this run, GOMAXPROCS=%d, %d CPUs): %s",
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), strings.Join(parts, ", "))
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), wallRates(runs))
 	return t
 }

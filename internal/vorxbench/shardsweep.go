@@ -7,8 +7,6 @@ import (
 	"strings"
 
 	"hpcvorx/internal/core"
-	"hpcvorx/internal/kern"
-	"hpcvorx/internal/objmgr"
 	"hpcvorx/internal/sim"
 )
 
@@ -22,10 +20,9 @@ import (
 // engine's own random stream, which a split simulation does not share;
 // neither belongs in a byte-identity check.
 
-const (
-	shardSweepPairs = 7
-	shardSweepMsgs  = 10
-)
+// shardLoad is E19's pair workload on the 15-node sweep pool.
+var shardLoad = pairLoad{name: "shard%d", pairs: 7, msgs: 10, size: 192, sizeStep: 16,
+	writerAt: 1, readerAt: 9, stagger: 17, pace: 310, paceStep: 7}
 
 // ShardRun is one seeded schedule's outcome on one shard count.
 type ShardRun struct {
@@ -64,7 +61,7 @@ func ShardChaosRun(seed int64, shards int) ShardRun {
 	// up: with no fault-engine oracle and no supervisor, a reader
 	// whose writer died would block forever.) Times are odd to stay
 	// off the workload's pacing grid.
-	victim := shardSweepPairs + rng.Intn(sweepNodes-shardSweepPairs)
+	victim := shardLoad.pairs + rng.Intn(sweepNodes-shardLoad.pairs)
 	cAt := sim.Time(1501+2*rng.Intn(1000)) * sim.Time(sim.Microsecond)
 	rAt := cAt + sim.Time(2101+2*rng.Intn(1450))*sim.Time(sim.Microsecond)
 	vm := sh.Node(victim)
@@ -87,49 +84,15 @@ func ShardChaosRun(seed int64, shards int) ShardRun {
 		gk.At(gEnd, func() { gm.IF.SetGray(0, nil) })
 	}
 
-	type outcome struct {
-		recv int
-		done sim.Time
-	}
-	out := make([]outcome, shardSweepPairs)
-	for pi := 0; pi < shardSweepPairs; pi++ {
-		pi := pi
-		name := fmt.Sprintf("shard%d", pi)
-		wm, rm := sh.Node(pi), sh.Node(pi+shardSweepPairs)
-		size := 192 + 16*pi
-		sh.Spawn(wm, "writer", 0, func(sp *kern.Subprocess) {
-			sp.SleepFor(sim.Duration(1+17*pi) * sim.Microsecond)
-			ch := wm.Chans.Open(sp, name, objmgr.OpenAny)
-			for i := 0; i < shardSweepMsgs; i++ {
-				if err := ch.Write(sp, size, fmt.Sprintf("s%d.%d", pi, i)); err != nil {
-					return
-				}
-				sp.SleepFor(sim.Duration(310+7*pi) * sim.Microsecond)
-			}
-		})
-		sh.Spawn(rm, "reader", 0, func(sp *kern.Subprocess) {
-			sp.SleepFor(sim.Duration(9+17*pi) * sim.Microsecond)
-			ch := rm.Chans.Open(sp, name, objmgr.OpenAny)
-			for i := 0; i < shardSweepMsgs; i++ {
-				if _, ok := ch.Read(sp); !ok {
-					return
-				}
-				out[pi].recv++
-				out[pi].done = rm.Kern.Kernel().Now()
-			}
-		})
-	}
+	out := shardLoad.spawn(sh)
 	if err := sh.Run(); err != nil {
 		panic(fmt.Sprintf("vorxbench: shard run (seed %d, shards %d): %v", seed, shards, err))
 	}
 
-	r := ShardRun{Seed: seed, Shards: sh.Shards(), Expected: shardSweepPairs * shardSweepMsgs,
+	r := ShardRun{Seed: seed, Shards: sh.Shards(), Expected: shardLoad.pairs * shardLoad.msgs,
 		CrossPosts: sh.Group.CrossPosts()}
 	var b strings.Builder
-	for pi, o := range out {
-		fmt.Fprintf(&b, "pair%d recv=%d done=%d\n", pi, o.recv, int64(o.done))
-		r.Delivered += o.recv
-	}
+	r.Delivered = pairDigest(&b, out)
 	retr, incs := 0, uint32(0)
 	for _, m := range sh.Machines() {
 		retr += m.Chans.TimeoutRetransmits
