@@ -268,11 +268,11 @@ func TestParseSchedule(t *testing.T) {
 		t.Fatalf("op3 = %+v", ops[3])
 	}
 	for _, bad := range []string{
-		"5 link-down 0 1",   // missing unit
-		"1ms link-down 0",   // missing arg
-		"1ms crash cpu3",    // bad machine class
-		"1ms frobnicate 1",  // unknown op
-		"1ms",               // op missing
+		"5 link-down 0 1",  // missing unit
+		"1ms link-down 0",  // missing arg
+		"1ms crash cpu3",   // bad machine class
+		"1ms frobnicate 1", // unknown op
+		"1ms",              // op missing
 	} {
 		if _, perr := fault.ParseSchedule(strings.NewReader(bad)); perr == nil {
 			if err := func() error {

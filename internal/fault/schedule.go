@@ -419,9 +419,9 @@ func (e *Engine) validate(ops []Op) error {
 		}
 		return fmt.Errorf("fault: %s (%s at %v): %s", where, en.op.Kind, en.at, fmt.Sprintf(format, args...))
 	}
-	linkDown := map[[2]int]bool{}    // schedule-owned link outages
-	machDown := map[string]bool{}    // schedule-owned crashes
-	machGray := map[string]bool{}    // schedule-owned gray degradations
+	linkDown := map[[2]int]bool{}       // schedule-owned link outages
+	machDown := map[string]bool{}       // schedule-owned crashes
+	machGray := map[string]bool{}       // schedule-owned gray degradations
 	lastAt := map[string]sim.Duration{} // target -> time of last op on it
 	partActive := false
 	var partAt sim.Duration

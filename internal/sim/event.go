@@ -76,7 +76,7 @@ func eventLess(a, b *event) bool {
 // heapPush inserts ev into the pending heap.
 func (k *Kernel) heapPush(ev *event) {
 	k.events = append(k.events, ev)
-	k.siftUp(int32(len(k.events) - 1), ev)
+	k.siftUp(int32(len(k.events)-1), ev)
 }
 
 // heapPop removes and returns the earliest heap event.

@@ -339,4 +339,3 @@ func (s *Station) push(rec fifoRecord) {
 	}
 	s.fifoCond.Signal()
 }
-

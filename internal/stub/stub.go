@@ -288,7 +288,6 @@ func launchTree(sys *core.System, host *core.Machine, app *App, img Image, fanou
 
 type chunkMsg struct{ seq, of int }
 
-
 func scName(app *App, i int) string   { return fmt.Sprintf("stub.sc.%d.%d", app.uid, i) }
 func treeName(app *App, i int) string { return fmt.Sprintf("stub.tree.%d.%d", app.uid, i) }
 

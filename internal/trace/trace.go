@@ -97,8 +97,8 @@ var kindNames = [numKinds]string{
 	KFlow:    "flow",
 	KAccount: "acct", KCrash: "crash", KRestart: "restart",
 	KHeartbeat: "heartbeat", KCheckpoint: "checkpoint", KSuper: "super",
-	KProc:   "proc",
-	KPhase:  "phase",
+	KProc:    "proc",
+	KPhase:   "phase",
 	KWindow:  "window",
 	KFence:   "fence",
 	KMigrate: "migrate",
@@ -115,8 +115,8 @@ var kindCats = [numKinds]string{
 	KFlow:    "flowctl",
 	KAccount: "kern", KCrash: "kern", KRestart: "kern",
 	KHeartbeat: "super", KCheckpoint: "super", KSuper: "super",
-	KProc:   "sim",
-	KPhase:  "prof",
+	KProc:    "sim",
+	KPhase:   "prof",
 	KWindow:  "chan",
 	KFence:   "netif",
 	KMigrate: "vchan",

@@ -75,7 +75,7 @@ type placement struct {
 
 const (
 	phaseSealing = iota + 1
-	phaseMoving // revoke sent (non-blocking), assign/expect/place chain running
+	phaseMoving  // revoke sent (non-blocking), assign/expect/place chain running
 )
 
 type migration struct {

@@ -52,11 +52,11 @@ func (v Violation) String() string {
 // dirState tracks one direction of one channel: the writes of one
 // (canonical) writer identity and their deliveries at the other end.
 type dirState struct {
-	expect    int             // next in-order seq the receiver should accept
-	delivered map[int]uint64  // seq -> payload fingerprint
-	redeliver map[int]bool    // seqs a reincarnation made re-deliverable
-	written   map[int]uint64  // seq -> payload fingerprint at the writer
-	retained  map[int]bool    // seqs currently on the retained list
+	expect    int            // next in-order seq the receiver should accept
+	delivered map[int]uint64 // seq -> payload fingerprint
+	redeliver map[int]bool   // seqs a reincarnation made re-deliverable
+	written   map[int]uint64 // seq -> payload fingerprint at the writer
+	retained  map[int]bool   // seqs currently on the retained list
 }
 
 // Checker implements channels.Verifier, netif.Verifier, and
