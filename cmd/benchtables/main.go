@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,17 +27,12 @@ func main() {
 	sel := flag.String("t", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	workers := flag.Int("workers", 1, "replication workers; 0 = one per CPU (output is identical to -workers 1)")
-	bench := flag.String("bench", "", "render classic-vs-pipelined delta columns from a BENCH_<rev>.json file")
 	flag.Parse()
 
 	if *list {
 		for _, id := range vorxbench.IDs() {
 			fmt.Println(id)
 		}
-		return
-	}
-	if *bench != "" {
-		renderCommDeltas(*bench)
 		return
 	}
 	ids := vorxbench.IDs()
@@ -55,49 +49,4 @@ func main() {
 		}
 		tb.Format(os.Stdout)
 	}
-}
-
-// renderCommDeltas prints the classic-vs-pipelined comparison recorded
-// by `vorx bench -json` as a delta table: host cost per message, host
-// events per message, and the virtual-time speedup of the fast path.
-func renderCommDeltas(path string) {
-	var r struct {
-		Rev                       string  `json:"rev"`
-		CommStreamMsgs            int     `json:"comm_stream_msgs"`
-		CommClassicNsPerMsg       float64 `json:"comm_classic_ns_per_msg"`
-		CommPipelinedNsPerMsg     float64 `json:"comm_pipelined_ns_per_msg"`
-		CommClassicEventsPerMsg   float64 `json:"comm_classic_events_per_msg"`
-		CommPipelinedEventsPerMsg float64 `json:"comm_pipelined_events_per_msg"`
-		CommVirtualSpeedup        float64 `json:"comm_virtual_speedup"`
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchtables:", err)
-		os.Exit(1)
-	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		fmt.Fprintln(os.Stderr, "benchtables:", err)
-		os.Exit(1)
-	}
-	if r.CommStreamMsgs == 0 {
-		fmt.Fprintf(os.Stderr, "benchtables: %s has no comm profile section (pre-pipelined revision?)\n", path)
-		os.Exit(1)
-	}
-	delta := func(classic, pipelined float64) string {
-		if classic == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%+.1f%%", (pipelined-classic)/classic*100)
-	}
-	fmt.Printf("== comm profile deltas: %s (%d stream messages) ==\n", r.Rev, r.CommStreamMsgs)
-	fmt.Printf("%-22s %14s %14s %10s\n", "metric", "classic", "pipelined", "delta")
-	fmt.Printf("%-22s %14.0f %14.0f %10s\n", "host ns/msg",
-		r.CommClassicNsPerMsg, r.CommPipelinedNsPerMsg,
-		delta(r.CommClassicNsPerMsg, r.CommPipelinedNsPerMsg))
-	fmt.Printf("%-22s %14.1f %14.1f %10s\n", "host events/msg",
-		r.CommClassicEventsPerMsg, r.CommPipelinedEventsPerMsg,
-		delta(r.CommClassicEventsPerMsg, r.CommPipelinedEventsPerMsg))
-	fmt.Printf("%-22s %14s %14s %10s\n", "virtual throughput",
-		"1.00x", fmt.Sprintf("%.2fx", r.CommVirtualSpeedup),
-		delta(1, r.CommVirtualSpeedup))
 }

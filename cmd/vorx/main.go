@@ -59,10 +59,9 @@ commands:
             (-fence enables partition-tolerant quorum + fencing)
   vchan     multiplex vchannels over broker lanes and live-migrate one
             mid-stream (-auto enables load-driven rebalancing)
-  bench     measure simulator performance; -json writes BENCH_<rev>.json
 
-bench and chaos -shardsweep run a simulation split over parallel
-shards (-shards N, conservative lookahead); topo -shards N prints the
+chaos -shardsweep runs a simulation split over parallel shards
+(-shards N, conservative lookahead); topo -shards N prints the
 partition; the other commands run the serial kernel
 `)
 	os.Exit(2)
@@ -95,8 +94,6 @@ func main() {
 		runHeal(os.Args[2:], nil)
 	case "vchan":
 		runVChan(os.Args[2:], nil)
-	case "bench":
-		cmdBench(os.Args[2:])
 	default:
 		usage()
 	}
@@ -118,6 +115,14 @@ func commFlag(fs *flag.FlagSet) func() core.CommProfile {
 			os.Exit(2)
 			panic("unreachable")
 		}
+	}
+}
+
+// atLeast exits with a usage error when flag -name of cmd is below min.
+func atLeast(cmd, name string, v, min int) {
+	if v < min {
+		fmt.Fprintf(os.Stderr, "vorx: %s -%s %d: want at least %d\n", cmd, name, v, min)
+		os.Exit(2)
 	}
 }
 
@@ -338,6 +343,7 @@ func runPing(args []string, tc *traceCtx) {
 	rounds := fs.Int("rounds", 1000, "messages to send")
 	comm := commFlag(fs)
 	fs.Parse(args)
+	atLeast("ping", "size", *size, 1)
 	sys, err := core.Build(core.Config{Nodes: 2, Seed: 1, Comm: comm()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)
@@ -356,6 +362,7 @@ func runLinks(args []string, tc *traceCtx) {
 	msgs := fs.Int("msgs", 10, "messages per sender")
 	comm := commFlag(fs)
 	fs.Parse(args)
+	atLeast("links", "nodes", *nodes, 2)
 	sys, err := core.Build(core.Config{Nodes: *nodes, Seed: 1, Comm: comm()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)
@@ -384,6 +391,7 @@ func runMix(args []string, tc *traceCtx) {
 	nodes := fs.Int("nodes", 6, "processing nodes")
 	comm := commFlag(fs)
 	fs.Parse(args)
+	atLeast("mix", "nodes", *nodes, 2)
 	sys, err := core.Build(core.Config{Hosts: 1, Nodes: *nodes, Seed: 1, Comm: comm()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)

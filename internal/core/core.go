@@ -199,6 +199,9 @@ func Build(cfg Config) (*System, error) {
 // cluster when every endpoint fits its ports, otherwise an incomplete
 // hypercube of NodesPerCluster endpoints per cluster.
 func (cfg Config) Topology() (*topo.Topology, error) {
+	if cfg.Nodes < 0 || cfg.Hosts < 0 || cfg.Nodes+cfg.Hosts == 0 {
+		return nil, fmt.Errorf("core: need at least one machine (hosts=%d nodes=%d)", cfg.Hosts, cfg.Nodes)
+	}
 	total := cfg.Hosts + cfg.Nodes
 	if total <= topo.PortsPerCluster {
 		return topo.SingleCluster(total)
@@ -216,16 +219,13 @@ func (cfg Config) Topology() (*topo.Topology, error) {
 // Build takes the one-shard result as is, and BuildSharded joins the
 // kernels into a sim.Group.
 func assemble(cfg Config, shards int) (*Sharded, error) {
-	if cfg.Nodes < 0 || cfg.Hosts < 0 || cfg.Nodes+cfg.Hosts == 0 {
-		return nil, fmt.Errorf("core: need at least one machine (hosts=%d nodes=%d)", cfg.Hosts, cfg.Nodes)
+	tp, err := cfg.Topology()
+	if err != nil {
+		return nil, err
 	}
 	costs := cfg.Costs
 	if costs == nil {
 		costs = m68k.DefaultCosts()
-	}
-	tp, err := cfg.Topology()
-	if err != nil {
-		return nil, err
 	}
 	if shards == 0 {
 		shards = tp.Clusters()

@@ -61,6 +61,13 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := core.Build(core.Config{Nodes: -1}); err == nil {
 		t.Fatal("negative nodes should fail")
 	}
+	// Topology alone (vorx topo calls it without building) makes the
+	// same machine-count check.
+	for _, cfg := range []core.Config{{Hosts: 10, Nodes: -5}, {Hosts: -1, Nodes: 3}, {}} {
+		if _, err := cfg.Topology(); err == nil {
+			t.Fatalf("Topology() with hosts=%d nodes=%d should fail", cfg.Hosts, cfg.Nodes)
+		}
+	}
 	// 9 endpoints/cluster would exceed 12 ports once the cube links
 	// are added.
 	if _, err := core.Build(core.Config{Nodes: 100, NodesPerCluster: 9}); err == nil {

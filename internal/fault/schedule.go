@@ -41,7 +41,9 @@ type Op struct {
 //
 // A partition lists cluster groups separated by "|"; clusters in
 // different groups cannot reach each other until the matching heal.
-// Clusters left unlisted form one implicit final group.
+// Clusters left unlisted form one implicit final group. Degrade
+// factors and gray slowdowns lie in [1, 1e6]; degrade 1 restores the
+// link.
 //
 // Blank lines and #-comments are ignored. Times are virtual and must
 // be positive, with units ns, us (or µs), ms, or s.
@@ -161,6 +163,22 @@ func (e *Engine) checkLink(a, b topo.ClusterID) error {
 	return nil
 }
 
+// maxSlowdown caps degrade factors and gray slowdowns. hpc and netif
+// scale a wire or ISR cost as float64(d) * factor and convert back to
+// sim.Duration; at this cap a cost would have to exceed 2.5 hours to
+// overflow, and a 53us hop already takes 53s.
+const maxSlowdown = 1e6
+
+// parseSlowdown parses a degrade factor or gray slowdown, which must
+// be finite and lie in [1, maxSlowdown].
+func parseSlowdown(what, arg string) (float64, error) {
+	f, err := strconv.ParseFloat(arg, 64)
+	if err != nil || !(f >= 1 && f <= maxSlowdown) { // NaN fails both
+		return 0, fmt.Errorf("bad %s %q (want 1 <= %s <= %g)", what, arg, what, maxSlowdown)
+	}
+	return f, nil
+}
+
 // parseGroups parses a partition spec like "0,1|2,3": groups of
 // cluster IDs separated by "|".
 func parseGroups(s string) ([][]topo.ClusterID, error) {
@@ -245,9 +263,9 @@ func (e *Engine) apply(op Op) error {
 		if len(op.Args) != 3 {
 			return fmt.Errorf("want: degrade <a> <b> <factor>")
 		}
-		f, err := strconv.ParseFloat(op.Args[2], 64)
+		f, err := parseSlowdown("factor", op.Args[2])
 		if err != nil {
-			return fmt.Errorf("bad factor %q", op.Args[2])
+			return err
 		}
 		a, b := topo.ClusterID(v[0]), topo.ClusterID(v[1])
 		if err := e.checkLink(a, b); err != nil {
@@ -297,12 +315,12 @@ func (e *Engine) apply(op Op) error {
 		if err := e.checkMachine(class, i); err != nil {
 			return err
 		}
-		slow, err := strconv.ParseFloat(op.Args[1], 64)
-		if err != nil || slow < 1 {
-			return fmt.Errorf("bad slowdown %q (want >= 1)", op.Args[1])
+		slow, err := parseSlowdown("slowdown", op.Args[1])
+		if err != nil {
+			return err
 		}
 		drop, err := strconv.ParseFloat(op.Args[2], 64)
-		if err != nil || drop < 0 || drop >= 1 {
+		if err != nil || !(drop >= 0 && drop < 1) { // NaN fails both
 			return fmt.Errorf("bad drop probability %q (want 0 <= p < 1)", op.Args[2])
 		}
 		if class == "node" {

@@ -52,6 +52,9 @@ func TestScheduleValidation(t *testing.T) {
 			5ms crash node2`},
 		{name: "valid restart without crash", schedule: `2ms restart node3`},
 		{name: "valid ungray without gray", schedule: `2ms ungray host1`},
+		{name: "valid degrade then restore", schedule: `
+			1ms degrade 0 1 1e6
+			3ms degrade 0 1 1`},
 
 		{name: "zero time", schedule: `0ms crash node1`, parseErr: "time must be positive"},
 		{name: "negative time", schedule: `-1ms crash node1`, parseErr: "bad duration"},
@@ -66,6 +69,14 @@ func TestScheduleValidation(t *testing.T) {
 		{name: "gray unknown node", schedule: `1ms gray node99 2.0 0.1`, applyErr: "no node99 in this system"},
 		{name: "gray slowdown below 1", schedule: `1ms gray node5 0.5 0.1`, applyErr: "bad slowdown"},
 		{name: "gray drop out of range", schedule: `1ms gray node5 2.0 1.0`, applyErr: "bad drop probability"},
+		{name: "gray NaN slowdown", schedule: `1ms gray node5 NaN 0.1`, applyErr: "(gray): bad slowdown"},
+		{name: "gray Inf slowdown", schedule: `1ms gray node5 Inf 0.1`, applyErr: "(gray): bad slowdown"},
+		{name: "gray overflowing slowdown", schedule: `1ms gray node5 1e300 0.1`, applyErr: "(gray): bad slowdown"},
+		{name: "gray NaN drop", schedule: `1ms gray node3 2.0 NaN`, applyErr: "(gray): bad drop probability"},
+		{name: "degrade NaN factor", schedule: `1ms degrade 0 1 NaN`, applyErr: "(degrade): bad factor"},
+		{name: "degrade Inf factor", schedule: `1ms degrade 0 1 Inf`, applyErr: "(degrade): bad factor"},
+		{name: "degrade overflowing factor", schedule: `1ms degrade 0 1 1e300`, applyErr: "(degrade): bad factor"},
+		{name: "degrade factor below 1", schedule: `1ms degrade 0 1 0.5`, applyErr: "(degrade): bad factor"},
 
 		{name: "double link-down", schedule: `
 			1ms link-down 0 1

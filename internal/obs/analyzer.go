@@ -483,8 +483,12 @@ func (r *Report) WriteTable(w io.Writer) {
 	}
 }
 
-// TopN returns the n slowest complete writes (ties broken by TID).
+// TopN returns the n slowest complete writes (ties broken by TID);
+// none for n <= 0.
 func (r *Report) TopN(n int) []WriteLatency {
+	if n <= 0 {
+		return nil
+	}
 	var c []WriteLatency
 	for _, w := range r.Writes {
 		if w.Complete {

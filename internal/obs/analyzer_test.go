@@ -73,6 +73,11 @@ func TestStreamAttributionExact(t *testing.T) {
 	if smp.Len() == 0 {
 		t.Fatal("sampler recorded no series points")
 	}
+	for _, tc := range []struct{ n, want int }{{-1, 0}, {0, 0}, {3, 3}, {100, 64}} {
+		if got := len(rep.TopN(tc.n)); got != tc.want {
+			t.Fatalf("TopN(%d) returned %d writes, want %d", tc.n, got, tc.want)
+		}
+	}
 	// p50 <= p99 <= p999 and all within [0, max total].
 	p50 := rep.Quantile("end_to_end", 0.50)
 	p99 := rep.Quantile("end_to_end", 0.99)

@@ -190,10 +190,6 @@ func e19Run(shards int) ShardMeasure {
 	return e19Load.measure(core.Config{Hosts: 1, Nodes: e19Nodes, Seed: 19, Shards: shards})
 }
 
-// ShardBench runs the E19 workload once at the given shard count, for
-// `vorx bench`'s shard section.
-func ShardBench(shards int) ShardMeasure { return e19Run(shards) }
-
 // E19ShardScaling sweeps shard counts over one installation.
 func E19ShardScaling() *Table {
 	t := &Table{ID: "E19", Title: "parallel kernel: sharded virtual time vs serial, 8-cluster pool"}
@@ -205,6 +201,6 @@ func E19ShardScaling() *Table {
 		"any shard's front or in-flight mail could reach it along the shortest lookahead path")
 	t.Note("wall clock (host-dependent, this run): %s", wallRates(runs))
 	t.Note("speedup needs real cores: on a 1-CPU host the shard goroutines serialize and " +
-		"cross-shard synchronization is pure overhead, exactly as Workers reporting in vorx bench")
+		"cross-shard synchronization is pure overhead")
 	return t
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"hpcvorx/internal/core"
 	"hpcvorx/internal/workload"
@@ -71,26 +70,6 @@ func RunIDs(ids []string, workers int) []*Table {
 	return out
 }
 
-// AllParallel is All() across a worker pool: same tables, same order,
-// same bytes.
-func AllParallel(workers int) []*Table {
-	return RunIDs(IDs(), workers)
-}
-
-// DeterministicIDs lists the experiments whose rendered output is a
-// pure function of the experiment — everything except E14, E18, E19,
-// and E20, whose notes report host wall-clock times. Byte-identity
-// checks (serial vs parallel, run vs rerun) should use this set.
-func DeterministicIDs() []string {
-	var out []string
-	for _, id := range IDs() {
-		if id != "E14" && id != "E18" && id != "E19" && id != "E20" {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // SeededRun is one independent replication of the standard all-to-one
 // macro workload (20 nodes, 800-byte messages, 10 per sender) at a
 // given seed. The returned digest captures everything the run decided
@@ -136,19 +115,4 @@ func ReplicateSeeds(seeds []int64, workers int, fn func(seed int64) string) []st
 	close(jobs)
 	wg.Wait()
 	return out
-}
-
-// TimedRun renders the named experiments (serially if workers <= 1)
-// and returns the concatenated output plus the wall-clock time spent.
-func TimedRun(ids []string, workers int) (string, time.Duration) {
-	start := time.Now()
-	tables := RunIDs(ids, workers)
-	wall := time.Since(start)
-	var b []byte
-	for _, t := range tables {
-		if t != nil {
-			b = append(b, t.String()...)
-		}
-	}
-	return string(b), wall
 }

@@ -45,3 +45,18 @@ func TestRunIDsSerialParallelIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicateSeedsSerialParallelIdentical: seeded replications of the
+// macro workload produce the same digest per seed on one worker and on
+// a pool. Workers clamps the pool to the CPUs available, so on a host
+// with two or more it runs the pool path.
+func TestReplicateSeedsSerialParallelIdentical(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4}
+	serial := ReplicateSeeds(seeds, 1, SeededRun)
+	parallel := ReplicateSeeds(seeds, 4, SeededRun)
+	for i, s := range seeds {
+		if serial[i] != parallel[i] {
+			t.Fatalf("seed %d: serial %q, parallel %q", s, serial[i], parallel[i])
+		}
+	}
+}
