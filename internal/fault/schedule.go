@@ -154,8 +154,10 @@ func (e *Engine) checkLink(a, b topo.ClusterID) error {
 	}
 	tp := e.sys.Topo
 	n := topo.ClusterID(tp.Clusters())
-	if a < 0 || a >= n || b < 0 || b >= n {
-		return fmt.Errorf("no cluster %d in this system (%d clusters)", max(int(a), int(b)), n)
+	for _, c := range [...]topo.ClusterID{a, b} {
+		if c < 0 || c >= n {
+			return fmt.Errorf("no cluster %d in this system (%d clusters)", c, n)
+		}
 	}
 	if !tp.HasLink(a, b) {
 		return fmt.Errorf("no cube link between clusters %d and %d", a, b)

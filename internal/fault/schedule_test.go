@@ -65,6 +65,8 @@ func TestScheduleValidation(t *testing.T) {
 		{name: "unknown host", schedule: `1ms crash host5`, applyErr: "no host5 in this system"},
 		{name: "bad machine class", schedule: `1ms crash cpu3`, applyErr: "bad machine"},
 		{name: "unknown cluster link", schedule: `1ms link-down 0 9`, applyErr: "no cluster 9"},
+		{name: "negative cluster link", schedule: `1ms link-down 0 -3`, applyErr: "no cluster -3"},
+		{name: "degrade negative cluster", schedule: `1ms degrade -1 0 2`, applyErr: "no cluster -1"},
 		{name: "non-neighbour link", schedule: `1ms link-down 0 3`, applyErr: "no cube link between clusters 0 and 3"},
 		{name: "gray unknown node", schedule: `1ms gray node99 2.0 0.1`, applyErr: "no node99 in this system"},
 		{name: "gray slowdown below 1", schedule: `1ms gray node5 0.5 0.1`, applyErr: "bad slowdown"},

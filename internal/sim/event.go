@@ -1,7 +1,8 @@
 package sim
 
-// event is a scheduled callback. Events at equal times fire in
-// scheduling order (seq), which makes the simulation deterministic.
+// event is a scheduled callback, or the start or resume of a proc.
+// Events at equal times fire in scheduling order (seq), which makes the
+// simulation deterministic.
 //
 // Event shells are pooled: when an event fires, is skipped as
 // canceled, or is swept by compaction, the shell goes back to the
@@ -16,6 +17,7 @@ type event struct {
 	seq      uint64
 	gen      uint64
 	fn       func()
+	proc     *Proc // the proc this event starts or resumes, when fn is nil
 	index    int32 // heap position, or nowIdx / freeIdx
 	canceled bool
 }
@@ -173,6 +175,7 @@ func (k *Kernel) alloc() *event {
 func (k *Kernel) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
+	ev.proc = nil
 	ev.canceled = false
 	ev.index = freeIdx
 	if len(k.free) < maxFreeEvents {

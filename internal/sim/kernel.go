@@ -13,9 +13,10 @@ import (
 // host goroutines: all access happens either before Run or from within
 // simulated processes and scheduled events.
 type Kernel struct {
-	now Time
-	seq uint64
-	rng *rand.Rand
+	now  Time
+	seq  uint64
+	seed int64
+	rng  *rand.Rand // made from seed on the first Rand call
 
 	// Pending events live in two places: a 4-ary min-heap for future
 	// timestamps, and a FIFO (nowQ[nowHead:]) for events scheduled at
@@ -35,8 +36,20 @@ type Kernel struct {
 	free      []*event
 	nCanceled int
 
-	running *Proc // the proc currently holding the run token, if any
-	yield   chan struct{}
+	// The run token: exactly one goroutine runs simulation code at a
+	// time, and every hand-off is a channel operation. running is the
+	// proc holding the token, nil while events dispatch. yield carries
+	// the token back to the goroutine waiting in switchTo: at every park
+	// on a Group shard or in Shutdown, and at the end of a standalone
+	// run. During a standalone run (direct) the token carries the event
+	// loop, bounded by deadline (see release). panicked holds a panic
+	// raised off the Run caller's goroutine, for switchTo to re-raise.
+	running  *Proc
+	yield    chan struct{}
+	direct   bool
+	deadline Time
+	panicked any
+
 	procs   []*Proc // all procs ever spawned
 	alive   int     // procs spawned but not yet finished
 	nextID  int
@@ -81,11 +94,12 @@ func (k *Kernel) Compactions() uint64 { return k.compactions }
 
 // NewKernel returns a kernel with its virtual clock at zero. The seed
 // feeds the kernel's random source, which is used only by components
-// that explicitly ask for randomness (e.g. random backoff); the kernel
-// itself is deterministic for a given seed.
+// that explicitly ask for randomness (e.g. random backoff) and is
+// created on the first such request; the kernel itself is
+// deterministic for a given seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
 		yield: make(chan struct{}),
 	}
 }
@@ -94,7 +108,12 @@ func NewKernel(seed int64) *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Rand returns the kernel's deterministic random source.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
+func (k *Kernel) Rand() *rand.Rand {
+	if k.rng == nil {
+		k.rng = rand.New(rand.NewSource(k.seed))
+	}
+	return k.rng
+}
 
 // At schedules fn to run at time at (clamped to the present) and
 // returns a Timer that can cancel it. Steady-state scheduling is
@@ -135,59 +154,112 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		name:   name,
 		resume: make(chan struct{}),
 		state:  procNew,
+		body:   fn,
 	}
-	p.resumeFn = func() { k.switchTo(p) }
 	k.nextID++
 	k.procs = append(k.procs, p)
 	k.alive++
 	if k.probe != nil {
 		k.probe.ProcEvent(k.now, name, "spawn")
 	}
-	k.At(k.now, func() { k.startProc(p, fn) })
+	p.resumeAt(k.now)
 	return p
 }
 
-// startProc launches the goroutine backing p and gives it the token.
-// Must be called from kernel-loop context.
-func (k *Kernel) startProc(p *Proc, fn func(p *Proc)) {
-	go func() {
-		<-p.resume
-		defer func() {
-			p.state = procDone
-			k.alive--
-			if k.probe != nil {
-				k.probe.ProcEvent(k.now, p.name, "done")
-			}
-			if r := recover(); r != nil && r != errKilled {
-				p.panicked = r
-			}
-			k.yield <- struct{}{}
-		}()
-		fn(p)
+// procMain is the body of the goroutine backing p. On exit p gives up
+// the token like a parking proc, except that a panic goes straight
+// back to the goroutine waiting in switchTo, to be re-raised there.
+func (k *Kernel) procMain(p *Proc) {
+	defer func() {
+		r := recover()
+		p.state = procDone
+		k.alive--
+		if k.probe != nil {
+			k.probe.ProcEvent(k.now, p.name, "done")
+		}
+		if r != nil && r != errKilled {
+			k.panicked = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
+			k.handOff(nil)
+			return
+		}
+		k.release(p)
 	}()
-	k.switchTo(p)
+	fn := p.body
+	p.body = nil
+	fn(p)
 }
 
-// switchTo hands the run token to p and waits until p blocks or
-// finishes. Must only be called from kernel-loop context (inside an
-// event callback), never from a running proc.
+// handOff passes the run token to p, starting p's goroutine if p is
+// new, or with p nil back to the goroutine waiting in switchTo. The
+// caller touches no simulation state afterwards.
+func (k *Kernel) handOff(p *Proc) {
+	if p == nil {
+		k.yield <- struct{}{}
+		return
+	}
+	k.running = p
+	if p.state == procNew {
+		p.state = procRunning
+		go k.procMain(p)
+		return
+	}
+	p.state = procRunning
+	p.resume <- struct{}{}
+}
+
+// switchTo hands the run token to p and waits until it comes back: when
+// p parks or finishes on a Group shard or in Shutdown, or when the run
+// ends during a standalone run. A panic raised while the token was away
+// is re-raised here.
 func (k *Kernel) switchTo(p *Proc) {
 	if p.state == procDone {
 		return
 	}
 	prev := k.running
-	k.running = p
-	p.state = procRunning
-	p.resume <- struct{}{}
+	k.handOff(p)
 	<-k.yield
 	k.running = prev
-	if p.panicked != nil {
-		panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, p.panicked))
+	if v := k.panicked; v != nil {
+		k.panicked = nil
+		panic(v)
 	}
 }
 
-// Running returns the proc currently holding the run token, or nil when
-// the kernel loop itself is running.
+// release gives up the token held by p's goroutine, p having parked or
+// finished. During a standalone run it dispatches events here until
+// one starts or resumes a proc; if that is p itself it reports true
+// and p runs on with no goroutine switch. Otherwise the token goes to
+// that proc, or back to switchTo when there is none (or outside a
+// standalone run).
+func (k *Kernel) release(p *Proc) (resumed bool) {
+	var next *Proc
+	if k.direct {
+		k.running = nil
+		next = k.dispatchOnProc()
+		if next == p {
+			k.running = p
+			return true
+		}
+	}
+	k.handOff(next)
+	return false
+}
+
+// dispatchOnProc is dispatch on a proc's goroutine. A panic in an event
+// callback there would kill the process, so it is recovered and left
+// for switchTo to re-raise on the Run caller's goroutine.
+func (k *Kernel) dispatchOnProc() (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.panicked = r
+			next = nil
+		}
+	}()
+	return k.dispatch()
+}
+
+// Running returns the proc currently holding the run token, or nil
+// while events dispatch.
 func (k *Kernel) Running() *Proc { return k.running }
 
 // Alive reports the number of spawned processes that have not finished.
@@ -239,16 +311,14 @@ func (k *Kernel) popFront(ev *event) {
 	k.heapPop()
 }
 
-// Run dispatches events until the event queue drains or Stop is
-// called. If processes remain blocked when the queue drains, Run
-// returns a *DeadlockError describing them; the processes stay parked
-// and can be cleaned up with Shutdown.
-func (k *Kernel) Run() error {
-	k.stopped = false
+// dispatch runs events in (at, seq) order until one starts or resumes
+// a proc, and returns that proc. It returns nil when the queue drains,
+// Stop is called, or the next event lies past the run's deadline.
+func (k *Kernel) dispatch() *Proc {
 	for !k.stopped {
 		ev := k.front()
-		if ev == nil {
-			break
+		if ev == nil || ev.at > k.deadline {
+			return nil
 		}
 		k.popFront(ev)
 		if ev.canceled {
@@ -257,10 +327,37 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		k.now = ev.at
-		fn := ev.fn
+		fn, p := ev.fn, ev.proc
 		k.recycle(ev)
-		fn()
+		if p == nil {
+			fn()
+		} else if p.state != procDone {
+			return p
+		}
 	}
+	return nil
+}
+
+// run dispatches events with timestamps <= deadline. The caller's
+// goroutine dispatches until the first proc switch; from then on the
+// token and the event loop move from proc to proc (see release), and
+// come back here when the run ends.
+func (k *Kernel) run(deadline Time) {
+	k.stopped = false
+	k.deadline = deadline
+	k.direct = true
+	defer func() { k.direct = false }()
+	if p := k.dispatch(); p != nil {
+		k.switchTo(p)
+	}
+}
+
+// Run dispatches events until the event queue drains or Stop is
+// called. If processes remain blocked when the queue drains, Run
+// returns a *DeadlockError describing them; the processes stay parked
+// and can be cleaned up with Shutdown.
+func (k *Kernel) Run() error {
+	k.run(maxDeadline)
 	if k.stopped {
 		return nil
 	}
@@ -281,23 +378,7 @@ func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 // the clock to deadline (if it is in the future). An event scheduled
 // exactly at the deadline fires.
 func (k *Kernel) RunUntil(deadline Time) {
-	k.stopped = false
-	for !k.stopped {
-		ev := k.front()
-		if ev == nil || ev.at > deadline {
-			break
-		}
-		k.popFront(ev)
-		if ev.canceled {
-			k.nCanceled--
-			k.recycle(ev)
-			continue
-		}
-		k.now = ev.at
-		fn := ev.fn
-		k.recycle(ev)
-		fn()
-	}
+	k.run(deadline)
 	if !k.stopped && k.now < deadline {
 		k.now = deadline
 	}

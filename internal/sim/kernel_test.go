@@ -3,8 +3,11 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestClockAdvances(t *testing.T) {
@@ -420,15 +423,153 @@ func TestArmTokenOutlivesWindow(t *testing.T) {
 	}
 }
 
+// TestProcPanicPropagates: a proc's panic surfaces from Run on the
+// caller's goroutine, wrapped with the proc's name, also when the proc
+// was resumed by another proc's goroutine.
 func TestProcPanicPropagates(t *testing.T) {
 	k := NewKernel(1)
-	k.Spawn("bomb", func(p *Proc) { panic("boom") })
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("expected panic to propagate out of Run")
+	k.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			p.Sleep(Microsecond)
 		}
+	})
+	k.Spawn("bomb", func(p *Proc) {
+		p.Sleep(Microseconds(2.5))
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != `sim: proc "bomb" panicked: boom` {
+			t.Fatalf("Run panicked with %v, want the proc's panic wrapped", r)
+		}
+		k.Shutdown()
 	}()
 	_ = k.Run()
+}
+
+// TestEventPanicPropagates: an event callback that panics while a
+// parking proc's goroutine runs the event loop surfaces from Run and
+// from RunUntil on the caller's goroutine, with the original value.
+func TestEventPanicPropagates(t *testing.T) {
+	sentinel := errors.New("sentinel")
+	runs := map[string]func(k *Kernel){
+		"Run":      func(k *Kernel) { _ = k.Run() },
+		"RunUntil": func(k *Kernel) { k.RunUntil(Time(Millisecond)) },
+	}
+	for name, run := range runs {
+		k := NewKernel(1)
+		k.Spawn("ticker", func(p *Proc) {
+			for i := 0; ; i++ {
+				if i == 3 {
+					k.After(Microsecond/2, func() { panic(sentinel) })
+				}
+				p.Sleep(Microsecond)
+			}
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			run(k)
+			return nil
+		}()
+		if got != sentinel {
+			t.Fatalf("%s panicked with %v, want the event's own value", name, got)
+		}
+		k.Shutdown()
+	}
+}
+
+// TestShutdownReleasesProcs: Shutdown ends the goroutine of every
+// parked proc, after a bounded run and after a deadlocked one.
+func TestShutdownReleasesProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(stage string) {
+		t.Helper()
+		// A killed proc's goroutine exits just after handing the token
+		// back, so give the stragglers a few seconds to finish.
+		for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(end); {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines, want at most %d", stage, n, base)
+		}
+	}
+	spawn := func(k *Kernel) {
+		c := NewCond(k, "never")
+		for i := 0; i < 50; i++ {
+			d := Duration(i) * Microsecond
+			k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+				p.Sleep(d)
+				c.Wait(p)
+			})
+		}
+	}
+
+	k := NewKernel(1)
+	spawn(k)
+	k.RunUntil(Time(Millisecond))
+	k.Shutdown()
+	settled("after RunUntil")
+
+	k = NewKernel(1)
+	spawn(k)
+	var dl *DeadlockError
+	if err := k.Run(); !errors.As(err, &dl) || len(dl.Procs) != 50 {
+		t.Fatalf("Run = %v, want a deadlock of 50 procs", err)
+	}
+	k.Shutdown()
+	settled("after deadlock")
+}
+
+// TestSameInstantResumeOrder: a parking proc whose own resume is queued
+// behind another proc's resume and a plain event at the same instant
+// runs after both, in (at, seq) order, whether the three sit in the
+// same-instant FIFO or in the heap.
+func TestSameInstantResumeOrder(t *testing.T) {
+	cases := map[string]func(k *Kernel, log func(string)){
+		"fifo": func(k *Kernel, log func(string)) {
+			var b *Proc
+			var tok ParkToken
+			b = k.Spawn("b", func(p *Proc) {
+				tok = p.Arm("wait")
+				p.Block()
+				log("b")
+			})
+			k.Spawn("a", func(p *Proc) {
+				p.Sleep(Microsecond)
+				b.Wake(tok)
+				k.At(p.Now(), func() { log("event") })
+				p.Yield()
+				log("a")
+			})
+		},
+		"heap": func(k *Kernel, log func(string)) {
+			at := Time(Microsecond)
+			k.Spawn("b", func(p *Proc) {
+				p.SleepUntil(at)
+				log("b")
+			})
+			k.Spawn("a", func(p *Proc) {
+				k.At(at, func() { log("event") })
+				p.SleepUntil(at)
+				log("a")
+			})
+		},
+	}
+	for name, setup := range cases {
+		k := NewKernel(1)
+		var order []string
+		setup(k, func(s string) {
+			if k.Now() != Time(Microsecond) {
+				t.Errorf("%s: %s ran at %v, want 1µs", name, s, k.Now())
+			}
+			order = append(order, s)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(order), "[b event a]"; got != want {
+			t.Fatalf("%s: order %s, want %s", name, got, want)
+		}
+	}
 }
 
 // Property: a FIFO queue delivers every item exactly once, in order,
@@ -598,6 +739,12 @@ func TestRandDeterministicPerSeed(t *testing.T) {
 	}
 	if a == c {
 		t.Fatal("different seeds collide (suspicious)")
+	}
+	k, ref := NewKernel(99), rand.New(rand.NewSource(99))
+	for i := 0; i < 3; i++ {
+		if got, want := k.Rand().Int63(), ref.Int63(); got != want {
+			t.Fatalf("draw %d = %d, want %d: one source per kernel, seeded once", i, got, want)
+		}
 	}
 }
 

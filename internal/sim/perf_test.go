@@ -211,3 +211,74 @@ func TestStopZeroAlloc(t *testing.T) {
 		t.Fatalf("schedule+cancel allocates %v/op, want 0", allocs)
 	}
 }
+
+// spawnPingPong starts two procs that alternate through Arm/Wake. ping
+// calls body once with round, which makes one round trip: ping wakes
+// pong, pong wakes ping, two proc switches.
+func spawnPingPong(k *Kernel, body func(round func())) {
+	var ping, pong *Proc
+	var pingTok, pongTok ParkToken
+	pong = k.Spawn("pong", func(p *Proc) {
+		for {
+			pongTok = p.Arm("pong")
+			p.Block()
+			ping.Wake(pingTok)
+		}
+	})
+	pong.SetDaemon(true)
+	ping = k.Spawn("ping", func(p *Proc) {
+		body(func() {
+			pingTok = p.Arm("ping")
+			pong.Wake(pongTok)
+			p.Block()
+		})
+	})
+}
+
+// TestProcSwitchZeroAlloc is the allocation guard for proc switches:
+// once warm, a ping-pong round trip allocates nothing.
+func TestProcSwitchZeroAlloc(t *testing.T) {
+	k := NewKernel(1)
+	allocs := -1.0
+	spawnPingPong(k, func(round func()) { allocs = testing.AllocsPerRun(1000, round) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	if allocs != 0 {
+		t.Fatalf("ping-pong round trip allocates %v/op, want 0", allocs)
+	}
+}
+
+// BenchmarkProcSelfResume times one proc sleeping in a loop: every park
+// is followed by the same proc's resume.
+func BenchmarkProcSelfResume(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel(1)
+	k.Spawn("sleeper", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Sleep(Microsecond)
+		}
+	})
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcPingPong times a round trip between two procs
+// alternating through Arm/Wake: two proc switches per op.
+func BenchmarkProcPingPong(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel(1)
+	spawnPingPong(k, func(round func()) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	k.Shutdown()
+}

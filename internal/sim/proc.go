@@ -23,9 +23,9 @@ type Proc struct {
 	k          *Kernel
 	id         int
 	name       string
+	body       func(p *Proc) // the function passed to Spawn, until it starts
 	resume     chan struct{}
 	waitReason string
-	panicked   any
 	state      procState
 	killed     bool
 	daemon     bool
@@ -39,11 +39,6 @@ type Proc struct {
 	// for exactly one wake however many parks follow it.
 	parkGen ParkToken
 	unwoken uint64
-
-	// resumeFn is the proc's switch-in thunk, bound once at spawn so
-	// the hot wake paths (unpark, Sleep, Yield) schedule it without
-	// allocating a fresh closure each time.
-	resumeFn func()
 }
 
 // SetDaemon marks the proc as a background service: a simulation where
@@ -69,13 +64,16 @@ func (p *Proc) Now() Time { return p.k.now }
 // WaitReason returns why the proc is blocked ("" when running).
 func (p *Proc) WaitReason() string { return p.waitReason }
 
-// park blocks the proc until some kernel-side event resumes it.
-// reason is recorded for deadlock reports.
+// park blocks the proc until some event resumes it. reason is recorded
+// for deadlock reports. During a standalone run the parking goroutine
+// runs the event loop itself (see Kernel.release), so a proc whose own
+// resume comes up next continues without a goroutine switch.
 func (p *Proc) park(reason string) {
 	p.waitReason = reason
 	p.state = procParked
-	p.k.yield <- struct{}{}
-	<-p.resume
+	if !p.k.release(p) {
+		<-p.resume
+	}
 	p.state = procRunning
 	p.waitReason = ""
 	if p.killed {
@@ -83,11 +81,16 @@ func (p *Proc) park(reason string) {
 	}
 }
 
+// resumeAt schedules the proc to start or resume at time t.
+func (p *Proc) resumeAt(t Time) {
+	p.k.At(t, nil).ev.proc = p
+}
+
 // unpark schedules the proc to resume at the current virtual time,
 // after events already queued at this instant. It must be called from
 // kernel context or from another running proc.
 func (p *Proc) unpark() {
-	p.k.At(p.k.now, p.resumeFn)
+	p.resumeAt(p.k.now)
 }
 
 // Sleep blocks the proc for d of virtual time.
@@ -96,7 +99,7 @@ func (p *Proc) Sleep(d Duration) {
 		p.Yield()
 		return
 	}
-	p.k.At(p.k.now.Add(d), p.resumeFn)
+	p.resumeAt(p.k.now.Add(d))
 	p.park("sleep")
 }
 
@@ -106,14 +109,14 @@ func (p *Proc) SleepUntil(t Time) {
 		p.Yield()
 		return
 	}
-	p.k.At(t, p.resumeFn)
+	p.resumeAt(t)
 	p.park("sleep-until")
 }
 
 // Yield relinquishes the token until all other work scheduled at the
 // current instant has run.
 func (p *Proc) Yield() {
-	p.k.At(p.k.now, p.resumeFn)
+	p.resumeAt(p.k.now)
 	p.park("yield")
 }
 

@@ -671,9 +671,13 @@ func (g *Group) dispatchOne(i int, safe, deadline Time) bool {
 		return true
 	}
 	k.now = ev.at
-	fn := ev.fn
+	fn, p := ev.fn, ev.proc
 	k.recycle(ev)
-	fn()
+	if p == nil {
+		fn()
+	} else {
+		k.switchTo(p)
+	}
 	return true
 }
 

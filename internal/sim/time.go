@@ -3,11 +3,12 @@
 //
 // The kernel maintains a virtual clock and an event queue. Simulated
 // processes are ordinary goroutines, but exactly one of them runs at a
-// time: the kernel hands a run token to a process and waits for the
-// process to block on a simulation primitive (Sleep, Queue, Semaphore,
-// ...) before dispatching the next event. Events that fire at the same
-// virtual instant are ordered by their scheduling sequence number, so a
-// simulation is fully deterministic and repeatable.
+// time: a process holds the run token until it blocks on a simulation
+// primitive (Sleep, Queue, Semaphore, ...), then dispatches the next
+// events itself until one resumes a process, and hands the token to
+// that process. Events that fire at the same virtual instant are
+// ordered by their scheduling sequence number, so a simulation is fully
+// deterministic and repeatable.
 //
 // All of HPC/VORX — the interconnect, the node kernels, the protocols —
 // runs on this kernel, which is how microsecond-scale 1988 latencies

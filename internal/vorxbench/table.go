@@ -73,66 +73,62 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// All runs every experiment and returns the tables in paper order.
-func All() []*Table {
-	return []*Table{
-		Figure1(),
-		Table1(),
-		Table2(),
-		E1ChannelThroughput(),
-		E2Download(),
-		E3UDOLatency(),
-		E4Bitmap(),
-		E5FFT(),
-		E6SNETFlowControl(),
-		E7Structuring(),
-		E8OpenStorm(),
-		E9Allocation(),
-		A1SideBuffers(),
-		A2TreeFanout(),
-		A3FewReceivers(),
-		A4TopologyTransparency(),
-		A5WindowedChannels(),
-		A6SpiceTransport(),
-		A7CEMUScaling(),
-		F2Scaling(),
-		E12FaultStorm(),
-		E13Supervision(),
-		E14TracingOverhead(),
-		E15Pipelined(),
-		E16Partitions(),
-		E17VChan(),
-		E18LatencyObservatory(),
-		E19ShardScaling(),
-		E20MultiCoreScaling(),
-	}
+// experiments lists every experiment in paper order, each with the
+// generator that runs it.
+var experiments = []struct {
+	id  string
+	gen func() *Table
+}{
+	{"F1", Figure1},
+	{"T1", Table1},
+	{"T2", Table2},
+	{"E1", E1ChannelThroughput},
+	{"E2", E2Download},
+	{"E3", E3UDOLatency},
+	{"E4", E4Bitmap},
+	{"E5", E5FFT},
+	{"E6", E6SNETFlowControl},
+	{"E7", E7Structuring},
+	{"E8", E8OpenStorm},
+	{"E9", E9Allocation},
+	{"A1", A1SideBuffers},
+	{"A2", A2TreeFanout},
+	{"A3", A3FewReceivers},
+	{"A4", A4TopologyTransparency},
+	{"A5", A5WindowedChannels},
+	{"A6", A6SpiceTransport},
+	{"A7", A7CEMUScaling},
+	{"F2", F2Scaling},
+	{"E12", E12FaultStorm},
+	{"E13", E13Supervision},
+	{"E14", E14TracingOverhead},
+	{"E15", E15Pipelined},
+	{"E16", E16Partitions},
+	{"E17", E17VChan},
+	{"E18", E18LatencyObservatory},
+	{"E19", E19ShardScaling},
+	{"E20", E20MultiCoreScaling},
 }
 
-// ByID returns the experiment with the given id, or nil.
+// ByID runs the experiment with the given id (any case), or returns
+// nil when there is none.
 func ByID(id string) *Table {
-	gens := map[string]func() *Table{
-		"F1": Figure1, "T1": Table1, "T2": Table2,
-		"E1": E1ChannelThroughput, "E2": E2Download, "E3": E3UDOLatency,
-		"E4": E4Bitmap, "E5": E5FFT, "E6": E6SNETFlowControl,
-		"E7": E7Structuring, "E8": E8OpenStorm, "E9": E9Allocation,
-		"A1": A1SideBuffers, "A2": A2TreeFanout,
-		"A3": A3FewReceivers, "A4": A4TopologyTransparency,
-		"A5": A5WindowedChannels,
-		"A6": A6SpiceTransport, "A7": A7CEMUScaling,
-		"F2": F2Scaling, "E12": E12FaultStorm, "E13": E13Supervision,
-		"E14": E14TracingOverhead, "E15": E15Pipelined, "E16": E16Partitions,
-		"E17": E17VChan, "E18": E18LatencyObservatory,
-		"E19": E19ShardScaling, "E20": E20MultiCoreScaling,
-	}
-	if g, ok := gens[strings.ToUpper(id)]; ok {
-		return g()
+	id = strings.ToUpper(id)
+	for _, e := range experiments {
+		if e.id == id {
+			return e.gen()
+		}
 	}
 	return nil
 }
 
 // IDs lists the experiment ids in paper order.
 func IDs() []string {
-	return []string{"F1", "T1", "T2", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "F2", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 func us(f float64) string   { return fmt.Sprintf("%.0f", f) }
