@@ -57,13 +57,12 @@ type Config struct {
 
 // CommProfile names a communication stack configuration: the classic
 // stop-and-wait protocols the paper starts from, or the pipelined fast
-// path its retrospective argues for (windowed fragments, coalesced
-// acks, interrupt batching, multi-slot ports). Every field at its zero
-// value leaves the corresponding layer on its classic behaviour.
+// path its retrospective argues for (windowed fragments, interrupt
+// batching, multi-slot ports). Every field at its zero value leaves
+// the corresponding layer on its classic behaviour.
 type CommProfile struct {
-	// Window is the channel write window (and the flowctl go-back-N
-	// window where a Reliable is built from this profile); <= 1 is
-	// classic stop-and-wait.
+	// Window is the channel write window; <= 1 is classic
+	// stop-and-wait.
 	Window int
 	// OutputDepth is the per-output-port buffer depth K; <= 1 keeps
 	// the single hardware slot.

@@ -5,7 +5,6 @@ import (
 
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/snet"
-	"hpcvorx/internal/trace"
 )
 
 // Reliable is the software error detection and recovery the early
@@ -48,21 +47,6 @@ type Reliable struct {
 	fences []map[int]uint32
 	// FencedDrops counts data frames refused by an incarnation fence.
 	FencedDrops int
-
-	// Windowed (go-back-N) mode, off unless SetWindowConfig enables
-	// it; see window.go. winSend/winRecv hold per-direction stream
-	// state and stay nil in classic mode.
-	wc      WindowConfig
-	winSend map[[2]int]*gbnSend
-	winRecv map[[2]int]*gbnRecv
-	// Tracer, when set and enabled, counts coalesced and piggybacked
-	// acks under "flowctl.acks.*".
-	Tracer *trace.Tracer
-	// AcksCoalesced counts in-order arrivals whose acknowledgement
-	// rode a cumulative ack instead of getting its own; AcksPiggybacked
-	// counts acks folded into reverse data traffic.
-	AcksCoalesced   int
-	AcksPiggybacked int
 }
 
 type relPend struct {
@@ -104,13 +88,6 @@ func NewReliable(k *sim.Kernel, nw *snet.Network) *Reliable {
 		seen := map[int]bool{} // dedupe by seq (unique per Reliable instance)
 		st.SetDeliver(func(m snet.Message) {
 			switch b := m.Payload.(type) {
-			case gbnData:
-				r.recvWindowed(st, i, m, b)
-			case gbnAck:
-				if m.Corrupt {
-					return // a damaged ack is garbage; timeout covers it
-				}
-				r.applyAck(i, m.Src, b.upTo)
 			case relData:
 				if fl := r.fences[i]; fl != nil {
 					if min, ok := fl[m.Src]; ok && b.inc < min {
@@ -191,9 +168,6 @@ func (r *Reliable) Fence(at, src int, min uint32) {
 // buffer. Returns the number of data transfers used. One outstanding
 // Send per station at a time (stop-and-wait).
 func (r *Reliable) Send(p *sim.Proc, src *snet.Station, dst, size int, payload any) int {
-	if r.Windowed() {
-		return r.sendWindowed(p, src, dst, size, payload)
-	}
 	r.seq++
 	seq := r.seq
 	transfers := 0
@@ -231,9 +205,4 @@ func (r *Reliable) Send(p *sim.Proc, src *snet.Station, dst, size int, payload a
 }
 
 // Name identifies the protocol in reports.
-func (r *Reliable) Name() string {
-	if r.Windowed() {
-		return fmt.Sprintf("reliable-gbn-w%d", r.wc.Window)
-	}
-	return "reliable-stop-and-wait"
-}
+func (r *Reliable) Name() string { return "reliable-stop-and-wait" }

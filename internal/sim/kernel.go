@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Kernel is a deterministic discrete-event simulation kernel.
@@ -38,22 +39,28 @@ type Kernel struct {
 
 	// The run token: exactly one goroutine runs simulation code at a
 	// time, and every hand-off is a channel operation. running is the
-	// proc holding the token, nil while events dispatch. yield carries
-	// the token back to the goroutine waiting in switchTo: at every park
-	// on a Group shard or in Shutdown, and at the end of a standalone
-	// run. During a standalone run (direct) the token carries the event
-	// loop, bounded by deadline (see release). panicked holds a panic
-	// raised off the Run caller's goroutine, for switchTo to re-raise.
+	// proc holding the token, nil while events dispatch. During a run,
+	// or a Group shard's grant, the token carries the event loop,
+	// bounded by deadline (noRun outside one; see release). yield
+	// carries the token back to the goroutine waiting in switchTo when
+	// the run ends, or at a park outside a run (Shutdown). panicked
+	// holds a panic raised off that goroutine, for switchTo to re-raise.
 	running  *Proc
 	yield    chan struct{}
-	direct   bool
 	deadline Time
 	panicked any
+
+	// cross holds the cross-shard events drained from this shard's
+	// mailboxes (see Group.drain), touched only by the token holder;
+	// always empty on a standalone kernel. dispatched counts the items
+	// dispatch has run, canceled shells included.
+	cross      crossHeap
+	dispatched uint64
 
 	procs   []*Proc // all procs ever spawned
 	alive   int     // procs spawned but not yet finished
 	nextID  int
-	stopped bool
+	stopped atomic.Bool
 	probe   Probe
 
 	// oldUnwoken lists armed parks that outlived their proc's 64-park
@@ -99,8 +106,9 @@ func (k *Kernel) Compactions() uint64 { return k.compactions }
 // deterministic for a given seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		seed:  seed,
-		yield: make(chan struct{}),
+		seed:     seed,
+		yield:    make(chan struct{}),
+		deadline: noRun,
 	}
 }
 
@@ -208,17 +216,16 @@ func (k *Kernel) handOff(p *Proc) {
 }
 
 // switchTo hands the run token to p and waits until it comes back: when
-// p parks or finishes on a Group shard or in Shutdown, or when the run
-// ends during a standalone run. A panic raised while the token was away
-// is re-raised here.
+// the run or grant ends, or when p parks or finishes outside one
+// (Shutdown). A panic raised while the token was away is re-raised
+// here.
 func (k *Kernel) switchTo(p *Proc) {
 	if p.state == procDone {
 		return
 	}
-	prev := k.running
 	k.handOff(p)
 	<-k.yield
-	k.running = prev
+	k.running = nil
 	if v := k.panicked; v != nil {
 		k.panicked = nil
 		panic(v)
@@ -226,20 +233,16 @@ func (k *Kernel) switchTo(p *Proc) {
 }
 
 // release gives up the token held by p's goroutine, p having parked or
-// finished. During a standalone run it dispatches events here until
-// one starts or resumes a proc; if that is p itself it reports true
-// and p runs on with no goroutine switch. Otherwise the token goes to
-// that proc, or back to switchTo when there is none (or outside a
-// standalone run).
+// finished. It dispatches events here until one starts or resumes a
+// proc; if that is p itself it reports true and p runs on with no
+// goroutine switch. Otherwise the token goes to that proc, or back to
+// switchTo when there is none, which outside a run (noRun) is at once.
 func (k *Kernel) release(p *Proc) (resumed bool) {
-	var next *Proc
-	if k.direct {
-		k.running = nil
-		next = k.dispatchOnProc()
-		if next == p {
-			k.running = p
-			return true
-		}
+	k.running = nil
+	next := k.dispatchOnProc()
+	if next == p {
+		k.running = p
+		return true
 	}
 	k.handOff(next)
 	return false
@@ -247,7 +250,7 @@ func (k *Kernel) release(p *Proc) (resumed bool) {
 
 // dispatchOnProc is dispatch on a proc's goroutine. A panic in an event
 // callback there would kill the process, so it is recovered and left
-// for switchTo to re-raise on the Run caller's goroutine.
+// for switchTo to re-raise on the goroutine that started the run.
 func (k *Kernel) dispatchOnProc() (next *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -273,8 +276,15 @@ func (k *Kernel) Alive() int { return k.alive }
 func (k *Kernel) Scheduled() uint64 { return k.seq }
 
 // Stop makes Run return after the current event completes. Pending
-// events remain queued; a subsequent Run resumes them.
-func (k *Kernel) Stop() { k.stopped = true }
+// events remain queued; a subsequent Run resumes them. On a grouped
+// kernel it stops the whole Group.
+func (k *Kernel) Stop() {
+	if k.group != nil {
+		k.group.Stop()
+		return
+	}
+	k.stopped.Store(true)
+}
 
 // front returns the earliest pending event without removing it, or
 // nil when nothing is queued. Canceled shells are still visible here;
@@ -314,13 +324,29 @@ func (k *Kernel) popFront(ev *event) {
 // dispatch runs events in (at, seq) order until one starts or resumes
 // a proc, and returns that proc. It returns nil when the queue drains,
 // Stop is called, or the next event lies past the run's deadline.
+// Drained crosses merge in by the Group's rule: at equal timestamps
+// they go before local events, in (src, seq) order.
 func (k *Kernel) dispatch() *Proc {
-	for !k.stopped {
+	for !k.stopped.Load() {
 		ev := k.front()
+		if h := k.cross.h; len(h) > 0 && (ev == nil || h[0].at <= ev.at) {
+			if h[0].at > k.deadline {
+				return nil
+			}
+			ce := k.cross.pop()
+			if ce.at < k.now {
+				panic("sim: cross-shard event arrived in the past")
+			}
+			k.now = ce.at
+			k.dispatched++
+			ce.fn()
+			continue
+		}
 		if ev == nil || ev.at > k.deadline {
 			return nil
 		}
 		k.popFront(ev)
+		k.dispatched++
 		if ev.canceled {
 			k.nCanceled--
 			k.recycle(ev)
@@ -338,15 +364,23 @@ func (k *Kernel) dispatch() *Proc {
 	return nil
 }
 
-// run dispatches events with timestamps <= deadline. The caller's
-// goroutine dispatches until the first proc switch; from then on the
-// token and the event loop move from proc to proc (see release), and
-// come back here when the run ends.
+// run clears Stop and dispatches events with timestamps <= deadline.
 func (k *Kernel) run(deadline Time) {
-	k.stopped = false
-	k.deadline = deadline
-	k.direct = true
-	defer func() { k.direct = false }()
+	k.stopped.Store(false)
+	k.runTo(deadline)
+}
+
+// noRun is the dispatch bound outside a run or grant: below every
+// event time, so a proc that parks then (Shutdown) dispatches nothing.
+const noRun = Time(-1)
+
+// runTo dispatches events with timestamps <= bound: a run, or one grant
+// of a Group shard. The caller's goroutine dispatches until the first
+// proc switch; from then on the token and the event loop move from proc
+// to proc (see release), and come back here when the run ends.
+func (k *Kernel) runTo(bound Time) {
+	k.deadline = bound
+	defer func() { k.deadline = noRun }()
 	if p := k.dispatch(); p != nil {
 		k.switchTo(p)
 	}
@@ -358,7 +392,7 @@ func (k *Kernel) run(deadline Time) {
 // and can be cleaned up with Shutdown.
 func (k *Kernel) Run() error {
 	k.run(maxDeadline)
-	if k.stopped {
+	if k.stopped.Load() {
 		return nil
 	}
 	for _, p := range k.procs {
@@ -379,7 +413,7 @@ func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 // exactly at the deadline fires.
 func (k *Kernel) RunUntil(deadline Time) {
 	k.run(deadline)
-	if !k.stopped && k.now < deadline {
+	if !k.stopped.Load() && k.now < deadline {
 		k.now = deadline
 	}
 }

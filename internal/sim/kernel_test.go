@@ -423,62 +423,76 @@ func TestArmTokenOutlivesWindow(t *testing.T) {
 	}
 }
 
-// TestProcPanicPropagates: a proc's panic surfaces from Run on the
-// caller's goroutine, wrapped with the proc's name, also when the proc
-// was resumed by another proc's goroutine.
-func TestProcPanicPropagates(t *testing.T) {
-	k := NewKernel(1)
-	k.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(Microsecond)
-		}
-	})
-	k.Spawn("bomb", func(p *Proc) {
-		p.Sleep(Microseconds(2.5))
-		panic("boom")
-	})
-	defer func() {
-		if r := recover(); r != `sim: proc "bomb" panicked: boom` {
-			t.Fatalf("Run panicked with %v, want the proc's panic wrapped", r)
-		}
-		k.Shutdown()
-	}()
-	_ = k.Run()
+// recovered runs run and returns the value it panicked with, or nil.
+func recovered(run func()) (r any) {
+	defer func() { r = recover() }()
+	run()
+	return nil
 }
 
-// TestEventPanicPropagates: an event callback that panics while a
-// parking proc's goroutine runs the event loop surfaces from Run and
-// from RunUntil on the caller's goroutine, with the original value.
+// TestProcPanicPropagates: a proc's panic surfaces from Run on the
+// caller's goroutine, wrapped with the proc's name, also when the proc
+// was resumed by another proc's goroutine, and also on a Group shard.
+func TestProcPanicPropagates(t *testing.T) {
+	for _, h := range procHosts() {
+		h.k.Spawn("ticker", func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Sleep(Microsecond)
+			}
+		})
+		h.k.Spawn("bomb", func(p *Proc) {
+			p.Sleep(Microseconds(2.5))
+			panic("boom")
+		})
+		if r := recovered(func() { _ = h.run() }); r != `sim: proc "bomb" panicked: boom` {
+			t.Fatalf("%s: Run panicked with %v, want the proc's panic wrapped", h.name, r)
+		}
+		h.shutdown()
+	}
+}
+
+// TestEventPanicPropagates: an event callback that panics surfaces from
+// Run and from RunUntil on the caller's goroutine, with the original
+// value: while a parking proc's goroutine runs the event loop, on a
+// standalone kernel or inside a Group shard's grant, and on a shard's
+// own goroutine, which must also stop the other shard's endless ticker.
 func TestEventPanicPropagates(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	runs := map[string]func(k *Kernel){
-		"Run":      func(k *Kernel) { _ = k.Run() },
-		"RunUntil": func(k *Kernel) { k.RunUntil(Time(Millisecond)) },
-	}
-	for name, run := range runs {
-		k := NewKernel(1)
+	ticker := func(k *Kernel, bomb bool) {
 		k.Spawn("ticker", func(p *Proc) {
 			for i := 0; ; i++ {
-				if i == 3 {
+				if bomb && i == 3 {
 					k.After(Microsecond/2, func() { panic(sentinel) })
 				}
 				p.Sleep(Microsecond)
 			}
 		})
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			run(k)
-			return nil
-		}()
-		if got != sentinel {
-			t.Fatalf("%s panicked with %v, want the event's own value", name, got)
-		}
-		k.Shutdown()
 	}
+	for _, h := range procHosts() {
+		runs := map[string]func(){
+			"Run":      func() { _ = h.run() },
+			"RunUntil": func() { h.runUntil(Time(Millisecond)) },
+		}
+		for name, run := range runs {
+			ticker(h.k, true)
+			if got := recovered(run); got != sentinel {
+				t.Fatalf("%s %s panicked with %v, want the event's own value", h.name, name, got)
+			}
+			h.shutdown()
+		}
+	}
+	g := newTestGroup(2)
+	ticker(g.Kernel(0), false)
+	g.Kernel(1).At(Time(2500), func() { panic(sentinel) })
+	if got := recovered(func() { _ = g.Run() }); got != sentinel {
+		t.Fatalf("Group shard goroutine: Run panicked with %v, want the event's own value", got)
+	}
+	g.Shutdown()
 }
 
 // TestShutdownReleasesProcs: Shutdown ends the goroutine of every
-// parked proc, after a bounded run and after a deadlocked one.
+// parked proc, after a bounded run and after a deadlocked one, on a
+// standalone kernel and on a Group shard.
 func TestShutdownReleasesProcs(t *testing.T) {
 	base := runtime.NumGoroutine()
 	settled := func(stage string) {
@@ -503,20 +517,21 @@ func TestShutdownReleasesProcs(t *testing.T) {
 		}
 	}
 
-	k := NewKernel(1)
-	spawn(k)
-	k.RunUntil(Time(Millisecond))
-	k.Shutdown()
-	settled("after RunUntil")
-
-	k = NewKernel(1)
-	spawn(k)
-	var dl *DeadlockError
-	if err := k.Run(); !errors.As(err, &dl) || len(dl.Procs) != 50 {
-		t.Fatalf("Run = %v, want a deadlock of 50 procs", err)
+	for _, h := range procHosts() {
+		spawn(h.k)
+		h.runUntil(Time(Millisecond))
+		h.shutdown()
+		settled(h.name + " after RunUntil")
 	}
-	k.Shutdown()
-	settled("after deadlock")
+	for _, h := range procHosts() {
+		spawn(h.k)
+		var dl *DeadlockError
+		if err := h.run(); !errors.As(err, &dl) || len(dl.Procs) != 50 {
+			t.Fatalf("%s: Run = %v, want a deadlock of 50 procs", h.name, err)
+		}
+		h.shutdown()
+		settled(h.name + " after deadlock")
+	}
 }
 
 // TestSameInstantResumeOrder: a parking proc whose own resume is queued

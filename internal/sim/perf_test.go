@@ -236,17 +236,19 @@ func spawnPingPong(k *Kernel, body func(round func())) {
 }
 
 // TestProcSwitchZeroAlloc is the allocation guard for proc switches:
-// once warm, a ping-pong round trip allocates nothing.
+// once warm, a ping-pong round trip allocates nothing, on a standalone
+// kernel or a Group shard.
 func TestProcSwitchZeroAlloc(t *testing.T) {
-	k := NewKernel(1)
-	allocs := -1.0
-	spawnPingPong(k, func(round func()) { allocs = testing.AllocsPerRun(1000, round) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	if allocs != 0 {
-		t.Fatalf("ping-pong round trip allocates %v/op, want 0", allocs)
+	for _, h := range procHosts() {
+		allocs := -1.0
+		spawnPingPong(h.k, func(round func()) { allocs = testing.AllocsPerRun(1000, round) })
+		if err := h.run(); err != nil {
+			t.Fatal(err)
+		}
+		h.shutdown()
+		if allocs != 0 {
+			t.Fatalf("%s: ping-pong round trip allocates %v/op, want 0", h.name, allocs)
+		}
 	}
 }
 
@@ -269,16 +271,20 @@ func BenchmarkProcSelfResume(b *testing.B) {
 // BenchmarkProcPingPong times a round trip between two procs
 // alternating through Arm/Wake: two proc switches per op.
 func BenchmarkProcPingPong(b *testing.B) {
-	b.ReportAllocs()
-	k := NewKernel(1)
-	spawnPingPong(k, func(round func()) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			round()
-		}
-	})
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
+	for x, h := range procHosts() {
+		b.Run(h.name, func(b *testing.B) {
+			h := procHosts()[x] // fresh for every b.N
+			b.ReportAllocs()
+			spawnPingPong(h.k, func(round func()) {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					round()
+				}
+			})
+			if err := h.run(); err != nil {
+				b.Fatal(err)
+			}
+			h.shutdown()
+		})
 	}
-	k.Shutdown()
 }

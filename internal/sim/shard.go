@@ -45,13 +45,20 @@ import (
 // earliest event finds every term above it once its inbound mail is
 // drained, and dispatches.
 //
+// Each shard's goroutine drains its mailboxes, computes the bound and
+// then runs one grant: an ordinary run of its kernel bounded by
+// safe(i)-1 and the run's deadline, in which procs hand the run token
+// to each other as on a standalone kernel and the token comes back
+// once the grant ends.
+//
 // Determinism: cross-shard events are merged not in wall-clock arrival
 // order but by the total key (at, source shard, per-pair sequence),
-// and at equal timestamps staged crosses dispatch before local events.
-// Every run of the same program therefore dispatches the same events
-// in the same order on every shard, regardless of GOMAXPROCS or
-// scheduling jitter. The lookahead matrix and the safe bound change
-// only when a shard dispatches, never what order events dispatch in.
+// and at equal timestamps drained crosses dispatch before local events
+// (Kernel.dispatch). Every run of the same program therefore
+// dispatches the same events in the same order on every shard,
+// regardless of GOMAXPROCS or scheduling jitter. The lookahead matrix
+// and the safe bound change only when a shard dispatches, never what
+// order events dispatch in.
 type Group struct {
 	kernels []*Kernel
 	n       int
@@ -64,26 +71,22 @@ type Group struct {
 	reach   [][]Duration
 
 	// mail[s][d] is the bounded SPSC mailbox from shard s to shard d
-	// (nil on the diagonal). staging[d] is the receive-side merge heap,
-	// touched only by shard d's loop.
-	mail    [][]*mailbox
-	staging []crossHeap
+	// (nil on the diagonal); drain moves it into d's Kernel.cross.
+	mail [][]*mailbox
 
 	// localMin[i] is shard i's published earliest undispatched event
-	// (its heap/now-queue front or staged cross), MaxInt64 when none.
+	// (its heap/now-queue front or drained cross), MaxInt64 when none.
 	// Together with the mailboxes' minPending these are what safeTime
 	// scans.
 	localMin []atomic.Int64
 	// movesBegun and movesDone count drains that move mail into a
-	// staging heap, bumped before the first move and after the last.
+	// cross heap, bumped before the first move and after the last.
 	// safeTime uses them as a sequence lock: a scan no move overlapped
 	// is a consistent snapshot.
 	movesBegun atomic.Uint64
 	movesDone  atomic.Uint64
 
 	wake []chan struct{}
-
-	stopFlag atomic.Bool
 
 	// Idle flags are atomics read lock-free by notifiers: a shard that
 	// publishes new state (localMin raise, post) only wakes peers
@@ -97,10 +100,9 @@ type Group struct {
 	finished bool
 	done     chan struct{}
 
-	// Cross-traffic accounting, owned by the respective shard loops and
-	// read only after a run joins.
-	posted     []uint64
-	dispatched []uint64
+	// Cross posts per source shard, owned by that shard's token holder
+	// and read only after a run joins.
+	posted []uint64
 
 	// Synchronization-layer accounting (the sim.sync.* counters), one
 	// struct per shard, owned by that shard's loop.
@@ -198,8 +200,8 @@ type mailbox struct {
 	minPending atomic.Int64
 }
 
-// crossHeap is a binary min-heap of staged crosses ordered by
-// (at, src, seq), owned by the destination shard's loop.
+// crossHeap is a binary min-heap of drained crosses ordered by
+// (at, src, seq), owned by the destination shard's token holder.
 type crossHeap struct {
 	h []crossEvent
 }
@@ -299,19 +301,17 @@ func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
 		}
 	}
 	g := &Group{
-		kernels:    kernels,
-		n:          n,
-		look:       lookahead,
-		minLook:    minLook,
-		reach:      shortestReach(lookahead),
-		mail:       make([][]*mailbox, n),
-		staging:    make([]crossHeap, n),
-		localMin:   make([]atomic.Int64, n),
-		wake:       make([]chan struct{}, n),
-		idle:       make([]atomic.Bool, n),
-		posted:     make([]uint64, n),
-		dispatched: make([]uint64, n),
-		sync:       make([]syncCounters, n),
+		kernels:  kernels,
+		n:        n,
+		look:     lookahead,
+		minLook:  minLook,
+		reach:    shortestReach(lookahead),
+		mail:     make([][]*mailbox, n),
+		localMin: make([]atomic.Int64, n),
+		wake:     make([]chan struct{}, n),
+		idle:     make([]atomic.Bool, n),
+		posted:   make([]uint64, n),
+		sync:     make([]syncCounters, n),
 	}
 	for i, k := range kernels {
 		if k.group != nil {
@@ -409,8 +409,8 @@ func (g *Group) Scheduled() uint64 {
 // Stop makes a running Run/RunUntil return after in-flight events
 // complete. Safe to call from any shard's event context.
 func (g *Group) Stop() {
-	g.stopFlag.Store(true)
-	for i := range g.wake {
+	for i, k := range g.kernels {
+		k.stopped.Store(true)
 		g.notify(i)
 	}
 }
@@ -450,11 +450,13 @@ func (k *Kernel) Group() *Group { return k.group }
 func (g *Group) post(src, dst int, at Time, fn func()) {
 	mb := g.mail[src][dst]
 	mb.mu.Lock()
-	for len(mb.q) >= mailboxCap {
+	for len(mb.q) >= mailboxCap && !g.kernels[dst].stopped.Load() {
 		// Bounded mailbox full: the receiver is behind in wall-clock
 		// terms. Drain our own inbound mail (only appends to our
-		// staging heap, safe mid-event) and yield until it catches up,
-		// so a pair of mutually-posting shards cannot deadlock.
+		// cross heap, safe mid-event) and yield until it catches up,
+		// so a pair of mutually-posting shards cannot deadlock. A
+		// stopping receiver drains no more, so the bound gives way:
+		// the post is kept for the next run.
 		mb.mu.Unlock()
 		g.drain(src)
 		runtime.Gosched()
@@ -493,12 +495,13 @@ func (g *Group) notifyIdle(src, dst int) {
 	}
 }
 
-// drain moves every queued inbound cross into shard i's staging heap.
+// drain moves every queued inbound cross into shard i's cross heap.
 // The lowered localMin is published before minPending is cleared, and
 // the move is bracketed by movesBegun/movesDone so safeTime can tell
 // when its scan raced it.
 func (g *Group) drain(i int) bool {
 	moved := false
+	cross := &g.kernels[i].cross
 	for s := 0; s < g.n; s++ {
 		mb := g.mail[s][i]
 		if mb == nil || mb.minPending.Load() == noEvent {
@@ -512,7 +515,7 @@ func (g *Group) drain(i int) bool {
 			moved = true
 			entryMin := noEvent
 			for idx, ev := range mb.q {
-				g.staging[i].push(ev)
+				cross.push(ev)
 				if int64(ev.at) < entryMin {
 					entryMin = int64(ev.at)
 				}
@@ -533,13 +536,14 @@ func (g *Group) drain(i int) bool {
 }
 
 // curMin is shard i's earliest undispatched event: local queue front
-// or staged cross. Owned by shard i's loop.
+// or drained cross. Owned by shard i's loop.
 func (g *Group) curMin(i int) int64 {
+	k := g.kernels[i]
 	min := noEvent
-	if ev := g.kernels[i].front(); ev != nil {
+	if ev := k.front(); ev != nil {
 		min = int64(ev.at)
 	}
-	if h := g.staging[i].h; len(h) > 0 && int64(h[0].at) < min {
+	if h := k.cross.h; len(h) > 0 && int64(h[0].at) < min {
 		min = int64(h[0].at)
 	}
 	return min
@@ -592,13 +596,14 @@ func (g *Group) publishLocalMin(i int, posted bool) {
 // bound above it, which lets a shard dispatch past a cross that event
 // will post. So the scan retries until no drain overlapped it. (Both
 // places weight the event by reach(d,i). The one drain whose weights
-// differ, into i, runs only on i's own goroutine, which is either the
-// one scanning or parked for enterIdle's completion sweep.) With
-// drains excluded, the row order is sound: a dispatch creates local
-// events at or after its own time (covered by the localMin that
-// preceded it) and posts crosses before publishLocalMin raises its
-// localMin, and each row reads localMin before that shard's outbound
-// mailboxes.
+// differ, into i, runs only on i's token holder: the goroutine that
+// scans for i, or one of i's procs while that goroutine waits out a
+// grant, and no one while i is parked for enterIdle's completion
+// sweep.) With drains excluded, the row order is sound: a dispatch
+// creates local events at or after its own time (covered by the
+// localMin that preceded it) and posts crosses before publishLocalMin
+// raises its localMin, and each row reads localMin before that shard's
+// outbound mailboxes.
 func (g *Group) safeTime(i int) Time {
 	for {
 		done := g.movesDone.Load()
@@ -630,55 +635,6 @@ func (g *Group) scanSafe(i int) Time {
 		}
 	}
 	return safe
-}
-
-// dispatchOne runs shard i's earliest dispatchable work item — a
-// staged cross or a local event — applying the deterministic merge
-// rule: at equal timestamps crosses go first, ordered by (src, seq).
-// Returns false when the front is not dispatchable under (safe,
-// deadline).
-func (g *Group) dispatchOne(i int, safe, deadline Time) bool {
-	k := g.kernels[i]
-	var localAt Time = maxDeadline
-	ev := k.front()
-	if ev != nil {
-		localAt = ev.at
-	}
-	var crossAt Time = maxDeadline
-	if h := g.staging[i].h; len(h) > 0 {
-		crossAt = h[0].at
-	}
-	if crossAt <= localAt {
-		if crossAt == maxDeadline || crossAt > deadline || crossAt >= safe {
-			return false
-		}
-		ce := g.staging[i].pop()
-		if ce.at < k.now {
-			panic("sim: cross-shard event arrived in the past")
-		}
-		k.now = ce.at
-		g.dispatched[i]++
-		ce.fn()
-		return true
-	}
-	if localAt > deadline || localAt >= safe {
-		return false
-	}
-	k.popFront(ev)
-	if ev.canceled {
-		k.nCanceled--
-		k.recycle(ev)
-		return true
-	}
-	k.now = ev.at
-	fn, p := ev.fn, ev.proc
-	k.recycle(ev)
-	if p == nil {
-		fn()
-	} else {
-		k.switchTo(p)
-	}
-	return true
 }
 
 // hasWork reports whether shard i could make progress right now.
@@ -766,7 +722,7 @@ func (g *Group) spinForWork(i int, deadline Time) bool {
 	}
 	for pass := 0; pass < spinPasses; pass++ {
 		runtime.Gosched()
-		if g.stopFlag.Load() || g.kernels[i].stopped {
+		if g.kernels[i].stopped.Load() {
 			return true
 		}
 		if g.drain(i) {
@@ -789,30 +745,22 @@ func (g *Group) exitIdle(i int) {
 }
 
 // shardLoop is one shard's dispatch loop for a single run: compute the
-// safe-advance bound once, drain every dispatchable event below it in
-// one grant run, publish the raised front, and only then decide
-// whether to re-arm or park. Between a dry pass and parking sits the
-// bounded yield-and-poll spin that resolves most handoffs without
-// parking.
+// safe-advance bound once, dispatch every event below it in one grant
+// (a run of the kernel bounded by the safe bound and the deadline),
+// publish the raised front, and only then decide whether to re-arm or
+// park. Between a dry pass and parking sits the bounded yield-and-poll
+// spin that resolves most handoffs without parking.
 func (g *Group) shardLoop(i int, deadline Time) {
 	k := g.kernels[i]
-	for {
-		if g.stopFlag.Load() || k.stopped {
-			g.Stop()
+	for !k.stopped.Load() {
+		g.drain(i)
+		before, posted := k.dispatched, g.posted[i]
+		k.runTo(min(deadline, g.safeTime(i)-1))
+		if k.stopped.Load() {
 			return
 		}
-		g.drain(i)
-		safe := g.safeTime(i)
-		ran, posted := uint64(0), g.posted[i]
-		for g.dispatchOne(i, safe, deadline) {
-			ran++
-			if g.stopFlag.Load() || k.stopped {
-				g.Stop()
-				return
-			}
-		}
 		g.publishLocalMin(i, g.posted[i] != posted)
-		if ran > 0 {
+		if ran := k.dispatched - before; ran > 0 {
 			g.sync[i].drainRuns++
 			g.sync[i].drainEvents += ran
 			continue
@@ -840,9 +788,10 @@ func (g *Group) shardLoop(i int, deadline Time) {
 }
 
 // run executes one parallel episode until quiescence-at-deadline or
-// Stop. Setup and teardown happen on the caller's goroutine.
+// Stop. Setup and teardown happen on the caller's goroutine. A panic on
+// a shard stops the others and is re-raised here with its own value
+// (the lowest shard's, if several panicked).
 func (g *Group) run(deadline Time) {
-	g.stopFlag.Store(false)
 	g.finished = false
 	g.nIdle = 0
 	g.done = make(chan struct{})
@@ -850,7 +799,7 @@ func (g *Group) run(deadline Time) {
 		g.idle[i].Store(false)
 	}
 	for i, k := range g.kernels {
-		k.stopped = false
+		k.stopped.Store(false)
 		g.localMin[i].Store(g.curMin(i))
 		// Drain any stale wakeup from a prior run.
 		select {
@@ -859,14 +808,26 @@ func (g *Group) run(deadline Time) {
 		}
 	}
 	var wg sync.WaitGroup
+	panics := make([]any, g.n)
 	for i := 0; i < g.n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panics[i] = r
+					g.Stop()
+				}
+			}()
 			g.shardLoop(i, deadline)
 		}(i)
 	}
 	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
+		}
+	}
 }
 
 // Run dispatches across all shards until every queue and mailbox
@@ -875,7 +836,7 @@ func (g *Group) run(deadline Time) {
 // aggregated over every shard.
 func (g *Group) Run() error {
 	g.run(maxDeadline)
-	if g.stopFlag.Load() {
+	if g.kernels[0].stopped.Load() {
 		return nil
 	}
 	var blocked []BlockedProc
@@ -902,7 +863,7 @@ func (g *Group) Run() error {
 // serial Kernel.RunUntil.
 func (g *Group) RunUntil(deadline Time) {
 	g.run(deadline)
-	if g.stopFlag.Load() {
+	if g.kernels[0].stopped.Load() {
 		return
 	}
 	for _, k := range g.kernels {

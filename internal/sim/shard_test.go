@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 // shardSim abstracts "n logical shards" so the same logical program
@@ -116,6 +117,28 @@ func newTestGroup(shards int) *Group {
 		ks[i] = NewKernel(1)
 	}
 	return NewGroup(UniformLookahead(shards, Duration(1000)), ks...)
+}
+
+// procHost is a kernel for proc tests together with the Run, RunUntil
+// and Shutdown of whatever owns it.
+type procHost struct {
+	name     string
+	k        *Kernel
+	run      func() error
+	runUntil func(Time)
+	shutdown func()
+}
+
+// procHosts returns fresh hosts of both kinds: a standalone kernel, and
+// shard 0 of a two-shard Group whose shard 1 stays idle, where procs
+// hand the run token to each other inside grants.
+func procHosts() []procHost {
+	k := NewKernel(1)
+	g := newTestGroup(2)
+	return []procHost{
+		{"kernel", k, k.Run, k.RunUntil, k.Shutdown},
+		{"group shard", g.Kernel(0), g.Run, g.RunUntil, g.Shutdown},
+	}
 }
 
 func TestGroupMatchesSerialReference(t *testing.T) {
@@ -233,15 +256,63 @@ func TestGroupDeadlockAggregation(t *testing.T) {
 }
 
 func TestGroupStopFromShard(t *testing.T) {
-	g := newTestGroup(2)
-	ran := 0
-	g.Kernel(0).At(10, func() { ran++; g.Stop() })
-	g.Kernel(1).At(1000000, func() { ran++ })
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
+	stops := map[string]func(g *Group){
+		"Group.Stop":  func(g *Group) { g.Stop() },
+		"Kernel.Stop": func(g *Group) { g.Kernel(0).Stop() },
 	}
-	if ran != 1 {
-		t.Fatalf("ran %d events after Stop, want 1", ran)
+	for name, stop := range stops {
+		g := newTestGroup(2)
+		ran := 0
+		g.Kernel(0).At(10, func() { ran++; stop(g) })
+		g.Kernel(1).At(1000000, func() { ran++ })
+		if err := g.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ran != 1 {
+			t.Fatalf("%s: ran %d events after Stop, want 1", name, ran)
+		}
+	}
+}
+
+// TestGroupStopWhilePostingPastFullMailbox: shard 1 posts three
+// mailboxes' worth of crosses to shard 0, and shard 0 stops the run
+// once the mailbox is full. A stopped shard drains no more, so the
+// poster must not wait for room; Run returns, and the next Run
+// dispatches every post.
+func TestGroupStopWhilePostingPastFullMailbox(t *testing.T) {
+	const posts = 3 * mailboxCap
+	done := make(chan struct{})
+	var first, second, ran int
+	go func() {
+		defer close(done)
+		g := newTestGroup(2)
+		full := make(chan struct{})
+		g.Kernel(0).At(10, func() { <-full; g.Stop() })
+		count := func() { ran++ }
+		g.Kernel(1).At(10, func() {
+			for n := 1; n <= posts; n++ {
+				g.Kernel(1).Post(0, 2000, count)
+				if n == mailboxCap {
+					close(full)
+				}
+			}
+		})
+		if err := g.Run(); err != nil {
+			t.Error(err)
+		}
+		first = ran
+		if err := g.Run(); err != nil {
+			t.Error(err)
+		}
+		second = ran
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still blocked 10 s after Stop, with a poster waiting on a full mailbox")
+	}
+	if first != 0 || second != posts {
+		t.Fatalf("crosses run: %d by the stopped Run, %d after the next, want 0 and %d", first, second, posts)
 	}
 }
 
