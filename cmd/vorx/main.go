@@ -22,7 +22,6 @@ import (
 	"hpcvorx/internal/dfs"
 	"hpcvorx/internal/fault"
 	"hpcvorx/internal/kern"
-	"hpcvorx/internal/netif"
 	"hpcvorx/internal/objmgr"
 	"hpcvorx/internal/obs"
 	"hpcvorx/internal/resmgr"
@@ -30,6 +29,7 @@ import (
 	"hpcvorx/internal/stub"
 	"hpcvorx/internal/super"
 	"hpcvorx/internal/topo"
+	"hpcvorx/internal/trace"
 	"hpcvorx/internal/verify"
 	"hpcvorx/internal/vorxbench"
 	"hpcvorx/internal/workload"
@@ -126,9 +126,12 @@ func atLeast(cmd, name string, v, min int) {
 	}
 }
 
-// traceCtx carries the `vorx trace` options into a demo run. A nil
-// *traceCtx leaves the system tracer disabled, so the plain commands
-// are byte-identical to their untraced behaviour.
+// traceCtx carries the `vorx trace` and `vorx analyze` options into a
+// demo run. A nil *traceCtx leaves the system tracer disabled unless
+// the demo itself arms a sink (`vorx mix` and its traffic table), so
+// the other plain commands run untraced. Tracing never perturbs
+// virtual time, so either way the output is what an untraced run
+// prints.
 type traceCtx struct {
 	out     string // Chrome trace_event JSON path
 	flight  string // flight-recorder text path
@@ -149,23 +152,30 @@ type traceCtx struct {
 	smp        *obs.Sampler
 }
 
-// arm enables tracing on a freshly built system. Call before any
-// traffic runs.
-func (tc *traceCtx) arm(sys *core.System) {
-	if tc == nil {
+// arm enables tracing on a freshly built system and installs one
+// forward sink: the demo's own sinks, plus the analyzer and sampler
+// under `vorx analyze`. With a nil tc the tracer is enabled only when
+// the demo passes a sink. Call before any traffic runs.
+func (tc *traceCtx) arm(sys *core.System, sinks ...trace.Sink) {
+	if tc == nil && len(sinks) == 0 {
 		return
 	}
 	sys.Trace.Enable()
-	if tc.ring > 0 {
-		sys.Trace.SetLimit(tc.ring)
-	}
-	if tc.analyze {
-		tc.an = obs.NewAnalyzer()
-		tc.smp = obs.NewSampler(sys.Trace.Metrics(), tc.series)
-		if tc.seriesRing > 0 {
-			tc.smp.SetLimit(tc.seriesRing)
+	if tc != nil {
+		if tc.ring > 0 {
+			sys.Trace.SetLimit(tc.ring)
 		}
-		sys.Trace.SetForward(obs.Tee(tc.an, tc.smp))
+		if tc.analyze {
+			tc.an = obs.NewAnalyzer()
+			tc.smp = obs.NewSampler(sys.Trace.Metrics(), tc.series)
+			if tc.seriesRing > 0 {
+				tc.smp.SetLimit(tc.seriesRing)
+			}
+			sinks = append(sinks, tc.an, tc.smp)
+		}
+	}
+	if len(sinks) > 0 {
+		sys.Trace.SetForward(obs.Tee(sinks...))
 	}
 }
 
@@ -397,15 +407,14 @@ func runMix(args []string, tc *traceCtx) {
 		fmt.Fprintln(os.Stderr, "vorx:", err)
 		os.Exit(1)
 	}
-	tc.arm(sys)
-	mt := netif.NewMsgTrace()
-	for _, m := range sys.Machines() {
-		mt.Attach(m.IF)
-	}
+	// The traffic table is a sink on the tracer's forward stream, so it
+	// stays whole under -ring.
+	var traffic obs.Traffic
+	tc.arm(sys, &traffic)
 	_ = workload.ManyToOne(sys, 700, 6)
 	res := workload.OpenStorm(sys, 3)
 	fmt.Printf("workload done (storm of %d opens included)\n\n", res.Opens)
-	mt.Summarize(os.Stdout)
+	traffic.WriteTable(os.Stdout)
 	tc.finish(sys)
 }
 

@@ -36,6 +36,9 @@ func runVChan(args []string, tc *traceCtx) {
 	seed := fs.Int64("seed", 1, "build seed")
 	comm := commFlag(fs)
 	fs.Parse(args)
+	atLeast("vchan", "brokers", *brokers, 1)
+	atLeast("vchan", "lanes", *lanes, 1)
+	atLeast("vchan", "window", *window, 1)
 
 	durs := map[string]sim.Duration{}
 	for name, s := range map[string]*string{"moveat": moveAt, "horizon": horizon} {
@@ -80,10 +83,16 @@ func runVChan(args []string, tc *traceCtx) {
 		prod, cons *core.Machine
 	}
 	ts := make([]tenant, *tenants)
+	moveKnown := *move == ""
 	for i := range ts {
 		ts[i] = tenant{name: fmt.Sprintf("t%d", i),
 			prod: sys.Node(i % half), cons: sys.Node(half + i%half)}
 		fab.Declare(ts[i].name, ts[i].prod, ts[i].cons)
+		moveKnown = moveKnown || ts[i].name == *move
+	}
+	if !moveKnown {
+		fmt.Fprintf(os.Stderr, "vorx: vchan -move %s: unknown vchannel (want t0..t%d)\n", *move, *tenants-1)
+		os.Exit(2)
 	}
 	var chk *verify.Checker
 	if *doVerify {
@@ -121,7 +130,7 @@ func runVChan(args []string, tc *traceCtx) {
 		sys.K.After(durs["moveat"], func() {
 			node, _, _, ok := bal.Placement(name)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "vorx: -move %s: unknown vchannel\n", name)
+				fmt.Fprintf(os.Stderr, "vorx: -move %s: unplaced at %v, not moved\n", name, sys.K.Now())
 				return
 			}
 			for _, bn := range bal.BrokerNodes() {

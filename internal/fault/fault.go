@@ -44,6 +44,10 @@ func (r Record) String() string {
 	return fmt.Sprintf("%10v  %-11s %s", r.At, r.Kind, r.Detail)
 }
 
+// ackTimeout is how long a channel write waits for its end-to-end ack
+// before Bind's recovery retransmits it.
+const ackTimeout = 5 * sim.Millisecond
+
 // Engine schedules faults and wires recovery. Create with New, attach
 // the system with Bind (and optionally BindResmgr/BindDFS), then
 // schedule fault events before running the simulation.
@@ -68,9 +72,8 @@ type Engine struct {
 	// recovery itself. Kept behind a flag so oracle and heartbeat
 	// detection can be A/B-tested on the same schedule.
 	oracleOff bool
-	// AckTimeout and MaxRetries configure the channel end-to-end
-	// recovery Bind installs on every machine. Defaults: 5 ms, 3.
-	AckTimeout sim.Duration
+	// MaxRetries bounds the channel end-to-end retransmits Bind
+	// installs on every machine, each after ackTimeout. Default 3.
 	MaxRetries int
 
 	seed int64
@@ -95,7 +98,6 @@ func New(k *sim.Kernel, seed int64) *Engine {
 		rng:         rand.New(rand.NewSource(seed)),
 		seed:        seed,
 		DetectDelay: 2 * sim.Millisecond,
-		AckTimeout:  5 * sim.Millisecond,
 		MaxRetries:  3,
 	}
 }
@@ -106,7 +108,7 @@ func New(k *sim.Kernel, seed int64) *Engine {
 func (e *Engine) Bind(sys *core.System) {
 	e.sys = sys
 	for _, m := range sys.Machines() {
-		m.Chans.SetAckTimeout(e.AckTimeout, e.MaxRetries)
+		m.Chans.SetAckTimeout(ackTimeout, e.MaxRetries)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"hpcvorx/internal/m68k"
 	"hpcvorx/internal/sim"
+	"hpcvorx/internal/trace"
 )
 
 func newNode() (*sim.Kernel, *Node) {
@@ -239,10 +240,14 @@ func TestIdleMixed(t *testing.T) {
 	}
 }
 
-func TestTraceSinkReceivesIntervals(t *testing.T) {
+// TestAccountSpansContiguous: the KAccount spans a node reports to its
+// tracer tile the node's time without gaps, and a compute-bound
+// subprocess produces both system (switch) and user spans.
+func TestAccountSpansContiguous(t *testing.T) {
 	k, n := newNode()
-	var ivs []Interval
-	n.SetTraceSink(func(_ *Node, iv Interval) { ivs = append(ivs, iv) })
+	tr := trace.New(k)
+	tr.Enable()
+	n.SetTracer(tr)
 	n.SpawnSubprocess("w", 0, func(sp *Subprocess) {
 		sp.Compute(sim.Microseconds(50))
 	})
@@ -250,27 +255,33 @@ func TestTraceSinkReceivesIntervals(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Totals() // close final interval
-	if len(ivs) < 2 {
-		t.Fatalf("intervals = %v", ivs)
-	}
-	// Intervals must be contiguous and non-overlapping.
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i].Start != ivs[i-1].End {
-			t.Fatalf("gap between %+v and %+v", ivs[i-1], ivs[i])
+	var spans []trace.Event
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KAccount {
+			spans = append(spans, e)
 		}
 	}
-	// Must include a system (switch) and a user interval.
+	if len(spans) < 2 {
+		t.Fatalf("spans = %v", spans)
+	}
+	// Spans must be contiguous and non-overlapping.
+	for i := 1; i < len(spans); i++ {
+		if prev := spans[i-1]; spans[i].At != prev.At.Add(prev.Dur) {
+			t.Fatalf("gap between %+v and %+v", prev, spans[i])
+		}
+	}
+	// Must include a system (switch) and a user span.
 	var haveUser, haveSys bool
-	for _, iv := range ivs {
-		switch iv.Cat {
-		case CatUser:
+	for _, e := range spans {
+		switch e.Detail {
+		case CatUser.String():
 			haveUser = true
-		case CatSystem:
+		case CatSystem.String():
 			haveSys = true
 		}
 	}
 	if !haveUser || !haveSys {
-		t.Fatalf("missing categories in %v", ivs)
+		t.Fatalf("missing categories in %v", spans)
 	}
 }
 

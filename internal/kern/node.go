@@ -69,16 +69,6 @@ func ParseCategory(s string) (Category, bool) {
 	return 0, false
 }
 
-// Interval is one accounted span of node time.
-type Interval struct {
-	Start, End sim.Time
-	Cat        Category
-}
-
-// TraceSink receives accounting intervals as they close (used by the
-// software oscilloscope).
-type TraceSink func(node *Node, iv Interval)
-
 // WaitKind tags what a blocked subprocess is waiting for.
 type WaitKind int
 
@@ -124,7 +114,6 @@ type Node struct {
 	acctCat   Category
 	acctSince sim.Time
 	totals    [numCategories]sim.Duration
-	sink      TraceSink
 	tracer    *trace.Tracer
 
 	// CtxSwitches counts full context switches performed.
@@ -197,9 +186,6 @@ func (n *Node) Costs() *m68k.Costs { return n.costs }
 // Subprocesses returns all subprocesses ever spawned on this node.
 func (n *Node) Subprocesses() []*Subprocess { return n.subs }
 
-// SetTraceSink installs the oscilloscope trace consumer.
-func (n *Node) SetTraceSink(s TraceSink) { n.sink = s }
-
 // SetTracer installs the unified event tracer: every closed accounting
 // interval becomes a KAccount span on this node's "cpu" lane, and
 // crash/restart become instants. Nil-safe; a disabled tracer costs one
@@ -226,9 +212,6 @@ func (n *Node) account(cat Category) {
 	now := n.k.Now()
 	if now > n.acctSince {
 		n.totals[n.acctCat] += now.Sub(n.acctSince)
-		if n.sink != nil {
-			n.sink(n, Interval{Start: n.acctSince, End: now, Cat: n.acctCat})
-		}
 		n.tracer.EmitSpan(trace.KAccount, 0, n.name, "cpu", n.acctSince, n.acctCat.String())
 	}
 	n.acctCat = cat

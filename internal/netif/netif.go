@@ -96,7 +96,6 @@ type IF struct {
 	ic       *hpc.Interconnect
 	ep       topo.EndpointID
 	services map[string]Service
-	trace    *MsgTrace
 
 	// pending holds deliveries accepted from the fabric but not yet
 	// released (their interrupt has not run). Released en masse if the
@@ -292,12 +291,6 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 			f.Dropped++
 			d.Release()
 			return
-		}
-		if f.trace != nil {
-			f.trace.record(TraceRecord{
-				At: f.node.Kernel().Now(), Src: d.Msg.Src, Dst: d.Msg.Dst,
-				Service: env.Service, Size: d.Msg.Size,
-			})
 		}
 		svc, ok := f.services[env.Service]
 		if !ok {

@@ -1,7 +1,6 @@
 package netif_test
 
 import (
-	"strings"
 	"testing"
 
 	"hpcvorx/internal/hpc"
@@ -151,70 +150,6 @@ func TestPolledServiceCostsNothing(t *testing.T) {
 	}
 	if nodes[1].Interrupts != 0 {
 		t.Fatalf("polled delivery raised %d interrupts", nodes[1].Interrupts)
-	}
-}
-
-func TestMsgTraceRecordsDeliveries(t *testing.T) {
-	k, _, ifs, _ := rig(t)
-	mt := netif.NewMsgTrace()
-	mt.Attach(ifs[1])
-	ifs[1].Register("svcA", netif.Service{
-		Cost:   func(*hpc.Message) sim.Duration { return 0 },
-		Handle: func(*hpc.Message) {},
-	})
-	ifs[1].Register("svcB", netif.Service{
-		Cost:   func(*hpc.Message) sim.Duration { return 0 },
-		Handle: func(*hpc.Message) {},
-	})
-	ifs[0].SendAsync(1, "svcA", 100, nil, nil)
-	ifs[0].SendAsync(1, "svcA", 200, nil, nil)
-	ifs[0].SendAsync(1, "svcB", 50, nil, nil)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(mt.Records()) != 3 {
-		t.Fatalf("records = %d", len(mt.Records()))
-	}
-	by := mt.ByService()
-	if by["svcA"].Messages != 2 || by["svcA"].Bytes != 300 {
-		t.Fatalf("svcA = %+v", by["svcA"])
-	}
-	if by["svcB"].Bytes != 50 {
-		t.Fatalf("svcB = %+v", by["svcB"])
-	}
-	mat := mt.Matrix()
-	if mat[[2]topo.EndpointID{0, 1}] != 350 {
-		t.Fatalf("matrix = %v", mat)
-	}
-	var b strings.Builder
-	mt.Summarize(&b)
-	if !strings.Contains(b.String(), "svcA") || !strings.Contains(b.String(), "3 messages") {
-		t.Fatalf("summary:\n%s", b.String())
-	}
-}
-
-func TestMsgTracePauseAndWindow(t *testing.T) {
-	k, _, ifs, _ := rig(t)
-	mt := netif.NewMsgTrace()
-	mt.Attach(ifs[1])
-	ifs[1].Register("s", netif.Service{
-		Cost:   func(*hpc.Message) sim.Duration { return 0 },
-		Handle: func(*hpc.Message) {},
-	})
-	ifs[0].SendAsync(1, "s", 10, nil, nil)
-	k.RunFor(sim.Milliseconds(1))
-	mt.SetEnabled(false)
-	ifs[0].SendAsync(1, "s", 10, nil, nil)
-	k.RunFor(sim.Milliseconds(1))
-	mt.SetEnabled(true)
-	ifs[0].SendAsync(1, "s", 10, nil, nil)
-	k.RunFor(sim.Milliseconds(1))
-	if len(mt.Records()) != 2 {
-		t.Fatalf("records = %d, want 2 (one suppressed)", len(mt.Records()))
-	}
-	early := mt.Window(0, sim.Time(sim.Milliseconds(1)))
-	if len(early) != 1 {
-		t.Fatalf("window = %d", len(early))
 	}
 }
 

@@ -2,9 +2,11 @@
 // tool that visualizes how well the processors of an application are
 // utilized and how well the computational load is balanced.
 //
-// Execution data is recorded while the application runs (the node
-// kernels emit accounting intervals); the oscilloscope later displays
-// one synchronized graph per processor, partitioning time into user,
+// Execution data is recorded while the application runs: each node
+// kernel reports its accounting intervals to the system tracer
+// (package trace) as KAccount spans, and an attached Scope is the
+// tracer's forward sink. The oscilloscope later displays one
+// synchronized graph per processor, partitioning time into user,
 // system, and the idle flavors: waiting for input, waiting for
 // output, mixed (some threads on input, some on output), and other.
 // The display can be windowed to any interval of execution time and
@@ -21,6 +23,7 @@ import (
 	"hpcvorx/internal/core"
 	"hpcvorx/internal/kern"
 	"hpcvorx/internal/sim"
+	"hpcvorx/internal/trace"
 )
 
 // glyphs maps each time category to its display character.
@@ -33,46 +36,64 @@ var glyphs = map[kern.Category]byte{
 	kern.CatIdleOther:  '.',
 }
 
-// Scope records execution data for a set of nodes.
+// Interval is one accounted span of node time.
+type Interval struct {
+	Start, End sim.Time
+	Cat        kern.Category
+}
+
+// Scope records execution data for a set of nodes. It is a
+// trace.Sink over the tracer's KAccount spans.
 type Scope struct {
 	order []string
-	recs  map[string][]kern.Interval
-	nodes map[string]*kern.Node
+	recs  map[string][]Interval
+	kerns []*kern.Node // live nodes Finalize closes; nil when detached
 }
 
-// Attach starts recording on every machine of the system. Call before
-// running the application.
+func newScope() *Scope { return &Scope{recs: map[string][]Interval{}} }
+
+// add appends one interval to node's record, listing the node the
+// first time it appears.
+func (s *Scope) add(node string, iv Interval) {
+	ivs, seen := s.recs[node]
+	if !seen {
+		s.order = append(s.order, node)
+	}
+	s.recs[node] = append(ivs, iv)
+}
+
+// TraceEvent implements trace.Sink: it keeps the KAccount spans whose
+// detail names a kernel accounting category and ignores every other
+// event.
+func (s *Scope) TraceEvent(e trace.Event) {
+	if e.Kind != trace.KAccount {
+		return
+	}
+	if cat, ok := kern.ParseCategory(e.Detail); ok {
+		s.add(e.Node, Interval{Start: e.At, End: e.At.Add(e.Dur), Cat: cat})
+	}
+}
+
+// Attach starts recording on every machine of the system: it lists
+// the machines in machine order, enables the system tracer and takes
+// its forward slot, replacing any sink installed there before. Call
+// before running the application.
 func Attach(sys *core.System) *Scope {
-	s := &Scope{recs: map[string][]kern.Interval{}, nodes: map[string]*kern.Node{}}
+	s := newScope()
 	for _, m := range sys.Machines() {
-		name := m.Name()
-		s.order = append(s.order, name)
-		s.nodes[name] = m.Kern
-		m.Kern.SetTraceSink(func(n *kern.Node, iv kern.Interval) {
-			s.recs[name] = append(s.recs[name], iv)
-		})
+		s.order = append(s.order, m.Name())
+		s.recs[m.Name()] = nil
+		s.kerns = append(s.kerns, m.Kern)
 	}
-	return s
-}
-
-// AttachNodes records only the given kernel nodes.
-func AttachNodes(nodes ...*kern.Node) *Scope {
-	s := &Scope{recs: map[string][]kern.Interval{}, nodes: map[string]*kern.Node{}}
-	for _, n := range nodes {
-		name := n.Name()
-		s.order = append(s.order, name)
-		s.nodes[name] = n
-		n.SetTraceSink(func(_ *kern.Node, iv kern.Interval) {
-			s.recs[name] = append(s.recs[name], iv)
-		})
-	}
+	sys.Trace.SetForward(s)
+	sys.Trace.Enable()
 	return s
 }
 
 // Finalize closes each node's in-progress interval; call after the
 // run, before rendering.
 func (s *Scope) Finalize() {
-	for _, n := range s.nodes {
+	for _, n := range s.kerns {
 		n.Totals()
 	}
 }
@@ -81,7 +102,7 @@ func (s *Scope) Finalize() {
 func (s *Scope) Nodes() []string { return append([]string(nil), s.order...) }
 
 // Intervals returns the recorded intervals for a node.
-func (s *Scope) Intervals(node string) []kern.Interval { return s.recs[node] }
+func (s *Scope) Intervals(node string) []Interval { return s.recs[node] }
 
 // Utilization returns the fraction of [from,to) each category
 // occupies on the node.

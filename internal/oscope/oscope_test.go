@@ -22,6 +22,14 @@ func imbalancedSystem(t testing.TB) (*core.System, *oscope.Scope) {
 		t.Fatal(err)
 	}
 	sc := oscope.Attach(sys)
+	runImbalanced(t, sys)
+	sc.Finalize()
+	return sys, sc
+}
+
+// runImbalanced runs the imbalanced 2-node app on sys.
+func runImbalanced(t testing.TB, sys *core.System) {
+	t.Helper()
 	sys.Spawn(sys.Node(0), "busy", 0, func(sp *kern.Subprocess) {
 		ch := sys.Node(0).Chans.Open(sp, "result", objmgr.OpenAny)
 		sp.Compute(sim.Milliseconds(10))
@@ -34,8 +42,6 @@ func imbalancedSystem(t testing.TB) (*core.System, *oscope.Scope) {
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	sc.Finalize()
-	return sys, sc
 }
 
 func TestUtilizationPartition(t *testing.T) {
@@ -324,20 +330,8 @@ func TestFromTracerMatchesLiveScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Trace.Enable()
 	sc := oscope.Attach(sys)
-	sys.Spawn(sys.Node(0), "busy", 0, func(sp *kern.Subprocess) {
-		ch := sys.Node(0).Chans.Open(sp, "result", objmgr.OpenAny)
-		sp.Compute(sim.Milliseconds(10))
-		ch.Write(sp, 100, nil)
-	})
-	sys.Spawn(sys.Node(1), "idle", 0, func(sp *kern.Subprocess) {
-		ch := sys.Node(1).Chans.Open(sp, "result", objmgr.OpenAny)
-		ch.Read(sp)
-	})
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runImbalanced(t, sys)
 	sc.Finalize() // flushes the open intervals into the tracer too
 	end := sys.K.Now()
 	from := oscope.FromTracer(sys.Trace)
@@ -355,5 +349,51 @@ func TestFromTracerMatchesLiveScope(t *testing.T) {
 	}
 	if got := loaded.Intervals("node9"); len(got) != 1 || got[0].End != sim.Time(1000) {
 		t.Fatalf("v1 load: %v", got)
+	}
+}
+
+// TestAttachSeesPastTheRing: a scope attached to a system whose tracer
+// keeps only its newest 8 events still sees every accounting span,
+// because it is the tracer's forward sink. It renders exactly what
+// FromTracer renders from an unbounded run of the same program.
+func TestAttachSeesPastTheRing(t *testing.T) {
+	build := func() *core.System {
+		sys, err := core.Build(core.Config{Nodes: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	ringed := build()
+	sc := oscope.Attach(ringed)
+	ringed.Trace.SetLimit(8)
+	runImbalanced(t, ringed)
+	sc.Finalize()
+	if ringed.Trace.Dropped() == 0 {
+		t.Fatal("the ring dropped nothing; the test proves nothing")
+	}
+
+	whole := build()
+	whole.Trace.Enable()
+	runImbalanced(t, whole)
+	for _, m := range whole.Machines() {
+		m.Kern.Totals() // close the in-progress intervals
+	}
+	from := oscope.FromTracer(whole.Trace)
+
+	end := ringed.K.Now()
+	if end != whole.K.Now() {
+		t.Fatalf("runs end at %v and %v", end, whole.K.Now())
+	}
+	var live, replay strings.Builder
+	sc.Render(&live, 0, end, 30)
+	from.Render(&replay, 0, end, 30)
+	if live.String() != replay.String() {
+		t.Fatalf("ringed live scope differs from unbounded replay:\n%s\nvs\n%s", live.String(), replay.String())
+	}
+	for _, node := range sc.Nodes() {
+		if a, b := len(sc.Intervals(node)), len(from.Intervals(node)); a != b {
+			t.Fatalf("%s: %d intervals live, %d replayed", node, a, b)
+		}
 	}
 }

@@ -63,21 +63,9 @@ func FromTracer(tr *trace.Tracer) *Scope { return FromEvents(tr.Events()) }
 // FromEvents builds a detached Scope from trace events, keeping only
 // KAccount spans whose detail names a kernel accounting category.
 func FromEvents(evs []trace.Event) *Scope {
-	s := &Scope{recs: map[string][]kern.Interval{}, nodes: map[string]*kern.Node{}}
+	s := newScope()
 	for _, e := range evs {
-		if e.Kind != trace.KAccount {
-			continue
-		}
-		cat, ok := kern.ParseCategory(e.Detail)
-		if !ok {
-			continue
-		}
-		if _, seen := s.recs[e.Node]; !seen {
-			s.order = append(s.order, e.Node)
-		}
-		s.recs[e.Node] = append(s.recs[e.Node], kern.Interval{
-			Start: e.At, End: e.At.Add(e.Dur), Cat: cat,
-		})
+		s.TraceEvent(e)
 	}
 	return s
 }
@@ -117,8 +105,7 @@ func Load(r io.Reader) (*Scope, error) {
 }
 
 func loadV1(sc *bufio.Scanner) (*Scope, error) {
-	s := &Scope{recs: map[string][]kern.Interval{}, nodes: map[string]*kern.Node{}}
-	seen := map[string]bool{}
+	s := newScope()
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -133,19 +120,13 @@ func loadV1(sc *bufio.Scanner) (*Scope, error) {
 		if !slices.Contains(kern.Categories(), kern.Category(cat)) {
 			return nil, fmt.Errorf("oscope: unknown category %d in %q", cat, line)
 		}
-		if !seen[name] {
-			seen[name] = true
-			s.order = append(s.order, name)
-		}
-		s.recs[name] = append(s.recs[name], kern.Interval{
-			Start: sim.Time(start), End: sim.Time(end), Cat: kern.Category(cat),
-		})
+		s.add(name, Interval{Start: sim.Time(start), End: sim.Time(end), Cat: kern.Category(cat)})
 	}
 	return s, nil
 }
 
 func loadV2(sc *bufio.Scanner) (*Scope, error) {
-	s := &Scope{recs: map[string][]kern.Interval{}, nodes: map[string]*kern.Node{}}
+	s := newScope()
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -162,12 +143,7 @@ func loadV2(sc *bufio.Scanner) (*Scope, error) {
 		if !ok {
 			return nil, fmt.Errorf("oscope: unknown category %q in %q", e.Detail, line)
 		}
-		if _, seen := s.recs[e.Node]; !seen {
-			s.order = append(s.order, e.Node)
-		}
-		s.recs[e.Node] = append(s.recs[e.Node], kern.Interval{
-			Start: e.At, End: e.At.Add(e.Dur), Cat: cat,
-		})
+		s.add(e.Node, Interval{Start: e.At, End: e.At.Add(e.Dur), Cat: cat})
 	}
 	return s, nil
 }

@@ -1,13 +1,15 @@
 // Package trace is the unified event-tracing and metrics layer of the
 // simulated LAM: the tooling substrate paper §6.2 credits for HPC/VORX
 // being operable at all ("the tools are what made the system usable").
-// Where oscope sees CPU accounting and the profiler sees program
-// phases, trace sees *everything* — every HPC message, S/NET bus
-// transfer, channel write/fragment/retransmit, and supervisor
-// heartbeat/checkpoint emits span events carrying a trace ID, so one
-// message can be followed hop-by-hop through switch clusters, across
-// backpressure stalls, and even across a node crash and endpoint
-// migration.
+// It is the one recording path of a run: every HPC message, S/NET bus
+// transfer, channel write/fragment/retransmit, CPU accounting interval
+// and supervisor heartbeat/checkpoint emits span events carrying a
+// trace ID, so one message can be followed hop-by-hop through switch
+// clusters, across backpressure stalls, and even across a node crash
+// and endpoint migration. The tools are sinks on it: the oscilloscope
+// (package oscope) keeps the CPU accounting spans, the per-service
+// traffic table and the latency analyzer (package obs) read the rest,
+// and the profiler mirrors its phases into it.
 //
 // Three design rules:
 //
@@ -233,7 +235,9 @@ func (t *Tracer) SetLimit(n int) {
 }
 
 // SetForward installs a secondary sink that receives every recorded
-// event as it happens (live consumers like an attached oscilloscope).
+// event as it happens, including events a SetLimit ring later evicts
+// (live consumers like an attached oscilloscope). There is one slot;
+// obs.Tee fans it out.
 func (t *Tracer) SetForward(s Sink) {
 	if t != nil {
 		t.forward = s

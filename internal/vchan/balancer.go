@@ -203,7 +203,7 @@ func (b *Balancer) start() {
 		b.tracer().GaugeSet("vchan.term", float64(p.term))
 		b.installChain(p, nil)
 	}
-	b.stopSweep = b.m.Kern.Beacon(b.fab.cfg.ReportEvery, b.sweep)
+	b.stopSweep = b.m.Kern.Beacon(reportEvery, b.sweep)
 	if b.fab.cfg.AutoEvery > 0 {
 		b.stopAuto = b.m.Kern.Beacon(b.fab.cfg.AutoEvery, b.autoSweep)
 	}
@@ -283,7 +283,7 @@ func (b *Balancer) pickLane(not *laneInfo) *laneInfo {
 // control-plane reliability ------------------------------------------
 
 // sendCtrl transmits a control message and retransmits it every
-// CtrlRetry until the machine's ack returns, then runs onAck.
+// ctrlRetry until the machine's ack returns, then runs onAck.
 func (b *Balancer) sendCtrl(dst topo.EndpointID, msg *ctrlMsg, onAck func()) {
 	b.nextCtrl++
 	msg.id = b.nextCtrl
@@ -295,7 +295,7 @@ func (b *Balancer) sendCtrl(dst topo.EndpointID, msg *ctrlMsg, onAck func()) {
 
 func (b *Balancer) xmit(out *ctrlOut) {
 	b.fab.svcs[b.ep].f.SendAsyncCtx(0, out.dst, "vchan.ctrl", CtrlBytes, out.msg, nil)
-	out.timer = b.m.Kern.Kernel().After(b.fab.cfg.CtrlRetry, func() {
+	out.timer = b.m.Kern.Kernel().After(ctrlRetry, func() {
 		if b.outstanding[out.id] == nil {
 			return
 		}
@@ -394,7 +394,7 @@ func (b *Balancer) migrate(v uint64, to *laneInfo, reason string) bool {
 		func() {
 			if cur := b.migs[v]; cur == mg && mg.phase == phaseSealing && !mg.drainOn {
 				mg.drainOn = true
-				mg.drainT = b.m.Kern.Kernel().After(b.fab.cfg.DrainTimeout, func() {
+				mg.drainT = b.m.Kern.Kernel().After(drainTimeout, func() {
 					mg.drainOn = false
 					b.drainDone(v, mg, false)
 				})
@@ -548,7 +548,7 @@ func (b *Balancer) placementsOn(bi *brokerInfo) []uint64 {
 	return vs
 }
 
-// sweep runs on the report period: a broker silent past SilenceAfter
+// sweep runs on the report period: a broker silent past silenceAfter
 // is written off and its placements evacuated (the crash-driven
 // migration path).
 func (b *Balancer) sweep() {
@@ -561,7 +561,7 @@ func (b *Balancer) sweep() {
 		if !bi.heard {
 			continue // never reported yet: give it the first window
 		}
-		if now.Sub(last) > b.fab.cfg.SilenceAfter {
+		if now.Sub(last) > silenceAfter {
 			b.markDead(bi, "silent")
 		}
 	}
@@ -582,7 +582,7 @@ func (b *Balancer) markDead(bi *brokerInfo, why string) {
 }
 
 // autoSweep is load-driven rebalancing: when the hottest lane's
-// recent bytes exceed AutoRatio × the coldest live lane's, move the
+// recent bytes exceed autoRatio × the coldest live lane's, move the
 // heaviest vchannel off the hot lane.
 func (b *Balancer) autoSweep() {
 	var hot, cold *laneInfo
@@ -605,7 +605,7 @@ func (b *Balancer) autoSweep() {
 	if hot == nil || cold == nil || hot == cold || hot.assigned < 2 {
 		return
 	}
-	if float64(hot.recent) < b.fab.cfg.AutoRatio*float64(cold.recent+1) {
+	if float64(hot.recent) < autoRatio*float64(cold.recent+1) {
 		return
 	}
 	// Heaviest tenant on the hot lane, lowest id on ties.

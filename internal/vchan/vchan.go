@@ -60,6 +60,35 @@ const (
 	CtrlBytes = 64
 )
 
+// Protocol timing, the same for every fabric.
+const (
+	// ackDelay is the consumer's ack-coalescing horizon. A reader
+	// flushes early once it owes max(1, Window/2) acks.
+	ackDelay = 100 * sim.Microsecond
+	// retransTimeout is the producer's go-back-N timer.
+	retransTimeout = 1500 * sim.Microsecond
+	// ctrlRetry is the balancer's control-message retransmit period.
+	ctrlRetry = 400 * sim.Microsecond
+	// drainTimeout bounds how long a migration waits for the old
+	// placement to drain before forcing the move.
+	drainTimeout = 2 * sim.Millisecond
+	// reportEvery is the broker load-report period, which is also the
+	// balancer's failure-sweep period. silenceAfter is how long
+	// without a report before a broker is deemed dead. Reports share
+	// the wire with data, so under saturation a healthy broker's
+	// report can queue behind a full window of frames; the silence
+	// threshold must sit above that worst case or load itself looks
+	// like death and the balancer churns placements between
+	// equally-congested brokers. Silence is the slow fallback —
+	// quorum-confirmed death via super.OnConfirm →
+	// BrokerConfirmedDead is the fast path.
+	reportEvery  = 500 * sim.Microsecond
+	silenceAfter = 25 * reportEvery
+	// autoRatio is the hot/cold lane byte ratio above which the
+	// automatic balancer moves one vchannel.
+	autoRatio = 4.0
+)
+
 // Config tunes the fabric. The zero value of any field selects the
 // documented default.
 type Config struct {
@@ -76,38 +105,11 @@ type Config struct {
 	// Window caps unacked frames per (producing machine, lane)
 	// (default 8, mirroring the pipelined profile).
 	Window int
-	// AckDelay is the consumer's ack-coalescing horizon (default
-	// 100µs); AckBatch flushes early after that many deliveries
-	// (default Window/2, min 1).
-	AckDelay sim.Duration
-	AckBatch int
-	// RetransTimeout is the producer's go-back-N timer (default
-	// 1.5ms).
-	RetransTimeout sim.Duration
-	// CtrlRetry is the balancer's control-message retransmit period
-	// (default 400µs).
-	CtrlRetry sim.Duration
-	// DrainTimeout bounds how long a migration waits for the old
-	// placement to drain before forcing the move (default 2ms).
-	DrainTimeout sim.Duration
-	// ReportEvery is the broker load-report period, which is also the
-	// balancer's failure-sweep period (default 500µs). SilenceAfter
-	// is how long without a report before a broker is deemed dead
-	// (default 25×ReportEvery). Reports share the wire with data, so
-	// under saturation a healthy broker's report can queue behind a
-	// full window of frames; the silence default must sit above that
-	// worst case or load itself looks like death and the balancer
-	// churns placements between equally-congested brokers. Silence is
-	// the slow fallback — quorum-confirmed death via
-	// super.OnConfirm → BrokerConfirmedDead is the fast path.
-	ReportEvery  sim.Duration
-	SilenceAfter sim.Duration
 	// AutoEvery enables the automatic load balancer: every AutoEvery
 	// the hottest lane is compared against the coldest and one
-	// vchannel migrated when the byte ratio exceeds AutoRatio
-	// (default 4.0). Zero AutoEvery means manual/DSL rebalance only.
+	// vchannel migrated when the byte ratio exceeds autoRatio. Zero
+	// means manual/DSL rebalance only.
 	AutoEvery sim.Duration
-	AutoRatio float64
 }
 
 func (c *Config) fill() {
@@ -119,33 +121,6 @@ func (c *Config) fill() {
 	}
 	if c.Window == 0 {
 		c.Window = 8
-	}
-	if c.AckDelay == 0 {
-		c.AckDelay = 100 * sim.Microsecond
-	}
-	if c.AckBatch == 0 {
-		c.AckBatch = c.Window / 2
-	}
-	if c.AckBatch < 1 {
-		c.AckBatch = 1
-	}
-	if c.RetransTimeout == 0 {
-		c.RetransTimeout = 1500 * sim.Microsecond
-	}
-	if c.CtrlRetry == 0 {
-		c.CtrlRetry = 400 * sim.Microsecond
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 2 * sim.Millisecond
-	}
-	if c.ReportEvery == 0 {
-		c.ReportEvery = 500 * sim.Microsecond
-	}
-	if c.SilenceAfter == 0 {
-		c.SilenceAfter = 25 * c.ReportEvery
-	}
-	if c.AutoRatio == 0 {
-		c.AutoRatio = 4.0
 	}
 }
 
@@ -730,7 +705,7 @@ func (w *Writer) armTimer() {
 		w.timer.Stop()
 	}
 	w.timerOn = true
-	rto := s.fab.cfg.RetransTimeout << w.backoff
+	rto := retransTimeout << w.backoff
 	w.timer = s.m.Kern.Kernel().After(rto, func() {
 		w.timerOn = false
 		s.retransFire(w)
@@ -937,7 +912,7 @@ func (s *Service) consumerData(fr *vFrame) {
 			wake()
 		}
 		r.owed++
-		if r.owed >= s.fab.cfg.AckBatch {
+		if r.owed >= max(1, s.fab.cfg.Window/2) {
 			s.flushAck(r)
 		} else {
 			s.armAck(r)
@@ -950,7 +925,7 @@ func (s *Service) armAck(r *Reader) {
 		return
 	}
 	r.ackOn = true
-	r.ackTick = s.m.Kern.Kernel().After(s.fab.cfg.AckDelay, func() {
+	r.ackTick = s.m.Kern.Kernel().After(ackDelay, func() {
 		r.ackOn = false
 		if s.m.Kern.Crashed() {
 			return
@@ -1149,7 +1124,7 @@ func (s *Service) startReports() {
 	if s.stopRep != nil {
 		return
 	}
-	s.stopRep = s.m.Kern.Beacon(s.fab.cfg.ReportEvery, s.sendReport)
+	s.stopRep = s.m.Kern.Beacon(reportEvery, s.sendReport)
 }
 
 func (s *Service) sendReport() {
