@@ -354,6 +354,7 @@ func runPing(args []string, tc *traceCtx) {
 	comm := commFlag(fs)
 	fs.Parse(args)
 	atLeast("ping", "size", *size, 1)
+	atLeast("ping", "rounds", *rounds, 1)
 	sys, err := core.Build(core.Config{Nodes: 2, Seed: 1, Comm: comm()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)
@@ -373,6 +374,7 @@ func runLinks(args []string, tc *traceCtx) {
 	comm := commFlag(fs)
 	fs.Parse(args)
 	atLeast("links", "nodes", *nodes, 2)
+	atLeast("links", "msgs", *msgs, 1)
 	sys, err := core.Build(core.Config{Nodes: *nodes, Seed: 1, Comm: comm()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)
@@ -443,6 +445,10 @@ func runChaos(args []string, tc *traceCtx) {
 	retries := fs.Int("retries", 3, "channel write retry budget; 0 retries forever (lets writers survive a partition)")
 	comm := commFlag(fs)
 	fs.Parse(args)
+	atLeast("chaos", "msgs", *msgs, 1)
+	if *shardSweepN > 0 {
+		atLeast("chaos", "shards", *shards, 2)
+	}
 	shardsSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "shards" {
@@ -630,6 +636,7 @@ func runHeal(args []string, tc *traceCtx) {
 	fence := fs.Bool("fence", false, "partition-tolerant supervision: quorum-gated confirms plus incarnation fencing")
 	comm := commFlag(fs)
 	fs.Parse(args)
+	atLeast("heal", "msgs", *msgs, 1)
 	if *pairs < 1 || *nodes < 2*(*pairs)+1 {
 		fmt.Fprintf(os.Stderr, "vorx: need at least %d nodes for %d pairs plus a spare\n", 2*(*pairs)+1, *pairs)
 		os.Exit(1)
@@ -759,6 +766,7 @@ func cmdDownload(args []string) {
 	nodes := fs.Int("nodes", 70, "processes to start")
 	tree := fs.Bool("tree", false, "use the shared-stub tree download")
 	fs.Parse(args)
+	atLeast("download", "nodes", *nodes, 1)
 	sys, err := core.Build(core.Config{Hosts: 1, Nodes: *nodes, Seed: 1})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)

@@ -39,6 +39,8 @@ func runVChan(args []string, tc *traceCtx) {
 	atLeast("vchan", "brokers", *brokers, 1)
 	atLeast("vchan", "lanes", *lanes, 1)
 	atLeast("vchan", "window", *window, 1)
+	atLeast("vchan", "tenants", *tenants, 1)
+	atLeast("vchan", "msgs", *msgs, 1)
 
 	durs := map[string]sim.Duration{}
 	for name, s := range map[string]*string{"moveat": moveAt, "horizon": horizon} {
@@ -50,7 +52,7 @@ func runVChan(args []string, tc *traceCtx) {
 		durs[name] = d
 	}
 	half := (*nodes - *brokers) / 2
-	if half < 1 || *tenants < 1 {
+	if half < 1 {
 		fmt.Fprintf(os.Stderr, "vorx: need at least %d nodes for %d brokers plus a producer and a consumer\n", *brokers+2, *brokers)
 		os.Exit(1)
 	}

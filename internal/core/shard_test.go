@@ -179,7 +179,7 @@ func TestBuildShardedShardEdges(t *testing.T) {
 	if sh.Shards() != 1 {
 		t.Fatalf("shards=1 built %d shards", sh.Shards())
 	}
-	if la := sh.Group.Lookahead(); la != 0 {
+	if la := sh.Group.PairLookahead(0, 0); la != 0 {
 		t.Fatalf("one-shard group lookahead = %v, want 0", la)
 	}
 	out := make([]pairOutcome, stackPairs)
@@ -205,8 +205,5 @@ func TestBuildShardedShardEdges(t *testing.T) {
 				t.Fatalf("lookahead[%d][%d] = %v, want %v (%d hops)", s, d, got, want, hops[s][d])
 			}
 		}
-	}
-	if sh4.Group.Lookahead() != sh4.Costs.HopFixed {
-		t.Fatalf("group min lookahead = %v, want HopFixed %v", sh4.Group.Lookahead(), sh4.Costs.HopFixed)
 	}
 }

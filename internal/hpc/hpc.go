@@ -133,6 +133,9 @@ type Interconnect struct {
 	// it is zero every route uses the canonical dimension-order rule,
 	// so an idle fault engine leaves behaviour bit-identical.
 	downCubes int
+	// onRepair holds the one-shot callbacks OnRepair registered, run
+	// the next time a failed cube link comes back up.
+	onRepair []func()
 
 	// cubePaths caches the canonical cube-link sequence per cluster
 	// pair. Dimension-order routes are topology-static, so entries
@@ -311,8 +314,18 @@ func (ic *Interconnect) setDirDown(from, to topo.ClusterID, down bool) {
 	} else {
 		ic.downCubes--
 		l.tryStart()
+		fns := ic.onRepair
+		ic.onRepair = nil
+		for _, fn := range fns {
+			fn()
+		}
 	}
 }
+
+// OnRepair runs fn once, the next time a failed cube link comes back
+// up: a sender that found its destination unreachable waits on it to
+// try again.
+func (ic *Interconnect) OnRepair(fn func()) { ic.onRepair = append(ic.onRepair, fn) }
 
 // CubeLinkDown reports whether the directed cube link from a to b is
 // currently failed.
@@ -843,9 +856,9 @@ func (l *link) tryStart() {
 	l.ic.k.After(dur, t.completeFn)
 }
 
-// complete finishes a transmission: the message now sits in l's
-// downstream buffer and has fully left its previous buffer.
-func (l *link) complete(t *transfer) {
+// endHop ends l's transmission of t: the link goes idle, the hop is
+// traced, and the upstream buffer the message just vacated is freed.
+func (l *link) endHop(t *transfer) {
 	l.busy = false
 	l.busyTime += l.ic.k.Now().Sub(l.lastStart)
 	l.count++
@@ -858,8 +871,6 @@ func (l *link) complete(t *transfer) {
 			tr.GaugeSet("hpc.util."+l.name, float64(l.busyTime)/float64(now))
 		}
 	}
-
-	// Free the upstream buffer the message just vacated.
 	if t.holder != nil {
 		prev := t.holder
 		prev.occ--
@@ -868,6 +879,12 @@ func (l *link) complete(t *transfer) {
 		t.onLeftFirstBuffer()
 		t.onLeftFirstBuffer = nil
 	}
+}
+
+// complete finishes a transmission: the message now sits in l's
+// downstream buffer and has fully left its previous buffer.
+func (l *link) complete(t *transfer) {
+	l.endHop(t)
 	t.holder = l.into
 	t.pos++
 

@@ -33,10 +33,10 @@ package hpc
 // with no slack to spare, and none needs rollback.
 //
 // Determinism: each directed boundary link serializes its hand-offs
-// (the buffer reservation admits one in-flight message), and all
-// cross-shard posts merge through the group's (time, source shard,
-// sequence) order, so a sharded run dispatches identically to the
-// serial one — CI diffs the two byte-for-byte.
+// (the buffer reservation admits one in-flight message), and every
+// cross-shard post joins its destination's event heap under the
+// kernel's (at, seq) key, so a sharded run dispatches identically to
+// the serial one — CI diffs the two byte-for-byte.
 //
 // With tracing enabled the source shard would read message fields at
 // hand-off completion while the far shard may already have delivered
@@ -47,7 +47,6 @@ package hpc
 import (
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/topo"
-	"hpcvorx/internal/trace"
 )
 
 // ConnectShards registers this fabric as shard self of a sharded
@@ -124,25 +123,12 @@ func (ic *Interconnect) handoff(l *link, t *transfer, dur sim.Duration) {
 }
 
 // handoffDone is the source-shard half of a boundary hop's completion:
-// identical to complete() except that the message's onward journey now
-// belongs to the far shard, and the downstream buffer — owned here —
-// stays reserved until the far shard's continuation vacates it.
+// it ends the hop like complete() does, but the message's onward
+// journey now belongs to the far shard, and the downstream buffer —
+// owned here — stays reserved until the far shard's continuation
+// vacates it.
 func (l *link) handoffDone(t *transfer) {
-	ic := l.ic
-	l.busy = false
-	l.busyTime += ic.k.Now().Sub(l.lastStart)
-	l.count++
-	if tr := ic.tracer; tr.Enabled() {
-		tr.EmitSpan(trace.KHop, t.msg.Trace, "fabric", l.name, l.lastStart, msgDetail(t.msg))
-	}
-	if t.holder != nil {
-		prev := t.holder
-		prev.occ--
-		ic.freed(prev, t.pos, t)
-	} else if t.onLeftFirstBuffer != nil {
-		t.onLeftFirstBuffer()
-		t.onLeftFirstBuffer = nil
-	}
+	l.endHop(t)
 	t.holder = nil
 	t.doneHops = true
 	t.released = true

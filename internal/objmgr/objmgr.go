@@ -180,20 +180,30 @@ func (m *Manager) ManagerFor(name string) topo.EndpointID {
 
 // Open performs a named rendezvous for the subprocess sp on node
 // interface from. It blocks until a peer's matching open arrives and
-// returns the pairing.
+// returns the pairing. While failed links cut sp's node off from the
+// name's manager, the open waits for a link to come back up and sends
+// again.
 func (m *Manager) Open(sp *kern.Subprocess, from *netif.IF, name string, mode Mode) Pairing {
 	sp.Syscall(OpenOverhead)
 	token := m.tokenSeq
 	m.tokenSeq++
 	var result Pairing
-	wake := sp.Block(kern.WaitOther, "open "+name)
-	m.replies[token] = func(p Pairing) {
-		result = p
+	for {
+		wake := sp.Block(kern.WaitOther, "open "+name)
+		m.replies[token] = func(p Pairing) {
+			result = p
+			wake()
+		}
+		if err := from.Send(sp, m.ManagerFor(name), "objmgr", OpenRequestBytes,
+			openReq{name: name, mode: mode, from: from.Endpoint(), token: token}); err == nil {
+			break
+		}
+		// The manager is unreachable: give up the reply wait and send
+		// again once a cube link comes back up.
 		wake()
-	}
-	if err := from.Send(sp, m.ManagerFor(name), "objmgr", OpenRequestBytes,
-		openReq{name: name, mode: mode, from: from.Endpoint(), token: token}); err != nil {
-		panic(fmt.Sprintf("objmgr: open send: %v", err))
+		sp.BlockNow()
+		from.Interconnect().OnRepair(sp.Block(kern.WaitOther, "open "+name+" (manager unreachable)"))
+		sp.BlockNow()
 	}
 	sp.BlockNow()
 	return result

@@ -169,10 +169,8 @@ func runHeal(t *testing.T, n int, attach trace.Sink) *core.System {
 	}
 	sup := super.New(sys, sys.Host(0), res, super.Config{
 		HeartbeatEvery:  500 * sim.Microsecond,
-		SuspectAfter:    1 * sim.Millisecond,
 		ConfirmAfter:    2 * sim.Millisecond,
 		CheckpointEvery: 1 * sim.Millisecond,
-		RestartDelay:    500 * sim.Microsecond,
 	})
 	eng := fault.New(sys.K, 7)
 	eng.Bind(sys)

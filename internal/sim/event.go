@@ -25,6 +25,9 @@ type event struct {
 const (
 	nowIdx  int32 = -2 // resident in the same-instant FIFO
 	freeIdx int32 = -1 // fired, recycled, or never scheduled
+
+	localSeq      = uint64(1) << 63 // set in every local event's seq
+	crossSrcShift = 40              // a cross's seq: source shard << 40 | post count
 )
 
 // Timer is a handle to a scheduled event that can be canceled before it
@@ -61,6 +64,11 @@ func (t Timer) Pending() bool {
 
 // eventLess orders events by (at, seq). seq is unique, so this is a
 // total order: any heap arrangement pops in exactly the same sequence.
+// A local event's seq is its kernel's schedule count with localSeq set;
+// a cross-shard event drained into the heap (Group.drain) carries its
+// source shard above crossSrcShift and the source kernel's post count
+// below. At equal times, crosses therefore run before local events, in
+// (source shard, posting order).
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at

@@ -20,14 +20,15 @@ type Kernel struct {
 	rng  *rand.Rand // made from seed on the first Rand call
 
 	// Pending events live in two places: a 4-ary min-heap for future
-	// timestamps, and a FIFO (nowQ[nowHead:]) for events scheduled at
-	// the current instant. The FIFO is the fast path — process wakeups,
-	// token handoffs, and Spawn all schedule "at now" — and it is
-	// already in (at, seq) order because seq is monotonic and the queue
-	// only ever receives events stamped with the current time. Every
-	// event in the heap predates every event in the FIFO that shares
-	// its timestamp (it was pushed while now was still earlier, hence
-	// with a smaller seq), so dispatch just compares the two fronts.
+	// timestamps and drained cross-shard events, and a FIFO
+	// (nowQ[nowHead:]) for events scheduled at the current instant. The
+	// FIFO is the fast path — process wakeups, token handoffs, and
+	// Spawn all schedule "at now" — and it is already in (at, seq) order
+	// because seq is monotonic and the queue only ever receives events
+	// stamped with the current time. Every event in the heap precedes
+	// every event in the FIFO that shares its timestamp (a local one was
+	// pushed while now was still earlier, a cross carries a seq below
+	// every local one), so dispatch just compares the two fronts.
 	events  []*event
 	nowQ    []*event
 	nowHead int
@@ -50,12 +51,11 @@ type Kernel struct {
 	deadline Time
 	panicked any
 
-	// cross holds the cross-shard events drained from this shard's
-	// mailboxes (see Group.drain), touched only by the token holder;
-	// always empty on a standalone kernel. dispatched counts the items
-	// dispatch has run, canceled shells included.
-	cross      crossHeap
+	// dispatched counts the events dispatch has run, canceled shells
+	// included. posts counts the cross-shard events this kernel has
+	// posted (see Group.post): the low bits of each one's seq.
 	dispatched uint64
+	posts      uint64
 
 	procs   []*Proc // all procs ever spawned
 	alive   int     // procs spawned but not yet finished
@@ -132,7 +132,7 @@ func (k *Kernel) At(at Time, fn func()) Timer {
 	}
 	ev := k.alloc()
 	ev.at = at
-	ev.seq = k.seq
+	ev.seq = k.seq | localSeq
 	ev.fn = fn
 	k.seq++
 	if at == k.now {
@@ -324,24 +324,9 @@ func (k *Kernel) popFront(ev *event) {
 // dispatch runs events in (at, seq) order until one starts or resumes
 // a proc, and returns that proc. It returns nil when the queue drains,
 // Stop is called, or the next event lies past the run's deadline.
-// Drained crosses merge in by the Group's rule: at equal timestamps
-// they go before local events, in (src, seq) order.
 func (k *Kernel) dispatch() *Proc {
 	for !k.stopped.Load() {
 		ev := k.front()
-		if h := k.cross.h; len(h) > 0 && (ev == nil || h[0].at <= ev.at) {
-			if h[0].at > k.deadline {
-				return nil
-			}
-			ce := k.cross.pop()
-			if ce.at < k.now {
-				panic("sim: cross-shard event arrived in the past")
-			}
-			k.now = ce.at
-			k.dispatched++
-			ce.fn()
-			continue
-		}
 		if ev == nil || ev.at > k.deadline {
 			return nil
 		}
@@ -395,12 +380,7 @@ func (k *Kernel) Run() error {
 	if k.stopped.Load() {
 		return nil
 	}
-	for _, p := range k.procs {
-		if (p.state == procParked || p.state == procNew) && !p.daemon {
-			return k.deadlockError()
-		}
-	}
-	return nil
+	return deadlock(k)
 }
 
 // RunFor advances the simulation by at most d, then returns. Parked
@@ -441,15 +421,27 @@ func (k *Kernel) Blocked() []*Proc {
 	return out
 }
 
-func (k *Kernel) deadlockError() *DeadlockError {
-	err := &DeadlockError{At: k.now}
-	for _, p := range k.procs {
-		if (p.state == procParked || p.state == procNew) && !p.daemon {
-			err.Procs = append(err.Procs, BlockedProc{
-				Name:   p.name,
-				Reason: p.waitReason,
-			})
+// deadlock reports the non-daemon procs still blocked on kernels whose
+// queues have drained: a *DeadlockError at the latest of their clocks,
+// its procs sorted by name, or nil when none is blocked. It allocates
+// only when one is.
+func deadlock(kernels ...*Kernel) error {
+	var err *DeadlockError
+	for _, k := range kernels {
+		for _, p := range k.procs {
+			if (p.state == procParked || p.state == procNew) && !p.daemon {
+				if err == nil {
+					err = &DeadlockError{}
+				}
+				err.Procs = append(err.Procs, BlockedProc{Name: p.name, Reason: p.waitReason})
+			}
 		}
+	}
+	if err == nil {
+		return nil
+	}
+	for _, k := range kernels {
+		err.At = max(err.At, k.now)
 	}
 	sort.Slice(err.Procs, func(i, j int) bool { return err.Procs[i].Name < err.Procs[j].Name })
 	return err

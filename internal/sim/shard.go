@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -28,7 +27,7 @@ import (
 // cross-shard arrival at i. Every such arrival descends from an event
 // that exists now: an undispatched event on some shard s (at or after
 // s's published front) or a cross in flight to some shard d (at or
-// after that mailbox's earliest entry). Each cross edge of the causal
+// after the earliest entry of d's inbox). Each cross edge of the causal
 // chain adds at least its lookahead and a local step adds nothing
 // negative, so the arrival lands no sooner than reach(s,i) after its
 // ancestor, where reach is the shortest path through the lookahead
@@ -36,53 +35,50 @@ import (
 // minimum, over one scan of the shared state, of
 //
 //   - front(s) + reach(s,i) for every shard s,
-//   - pending(s→d) + reach(d,i) for every mailbox into a shard d ≠ i,
-//   - pending(s→i) for every mailbox into i (already posted, no slack).
+//   - pending(d) + reach(d,i) for the inbox of every shard d ≠ i,
+//   - pending(i) for i's own inbox (already posted, no slack).
 //
 // That is the earliest arrival the matrix allows from the current
 // fronts, so no per-pair promise could be sound and exceed it. It also
 // makes progress unconditional: the shard holding the globally
-// earliest event finds every term above it once its inbound mail is
-// drained, and dispatches.
+// earliest event finds every term above it once its inbox is drained,
+// and dispatches.
 //
-// Each shard's goroutine drains its mailboxes, computes the bound and
+// Each shard's goroutine drains its inbox, computes the bound and
 // then runs one grant: an ordinary run of its kernel bounded by
 // safe(i)-1 and the run's deadline, in which procs hand the run token
 // to each other as on a standalone kernel and the token comes back
 // once the grant ends.
 //
-// Determinism: cross-shard events are merged not in wall-clock arrival
-// order but by the total key (at, source shard, per-pair sequence),
-// and at equal timestamps drained crosses dispatch before local events
-// (Kernel.dispatch). Every run of the same program therefore
-// dispatches the same events in the same order on every shard,
-// regardless of GOMAXPROCS or scheduling jitter. The lookahead matrix
-// and the safe bound change only when a shard dispatches, never what
-// order events dispatch in.
+// Determinism: a drained cross becomes an ordinary event in its
+// shard's heap, merged not in wall-clock arrival order but by the
+// kernel's one key (at, seq), whose seq layout (see eventLess) puts
+// crosses before same-instant local events, in (source shard, posting
+// order). Every run of the same program therefore dispatches the same
+// events in the same order on every shard, regardless of GOMAXPROCS or
+// scheduling jitter. The lookahead matrix and the safe bound change
+// only when a shard dispatches, never what order events dispatch in.
 type Group struct {
 	kernels []*Kernel
 	n       int
-	// look[s][d] is the pairwise lookahead Post enforces; minLook its
-	// smallest off-diagonal entry. reach[s][d] is the shortest path
-	// through look from s to d (see shortestReach), the weight of s's
-	// terms in d's safe bound.
-	look    [][]Duration
-	minLook Duration
-	reach   [][]Duration
+	// look[s][d] is the pairwise lookahead Post enforces. reach[s][d]
+	// is the shortest path through look from s to d (see
+	// shortestReach), the weight of s's terms in d's safe bound.
+	look  [][]Duration
+	reach [][]Duration
 
-	// mail[s][d] is the bounded SPSC mailbox from shard s to shard d
-	// (nil on the diagonal); drain moves it into d's Kernel.cross.
-	mail [][]*mailbox
+	// inbox[d] is the bounded queue every other shard posts to shard d
+	// through; drain moves it into d's event heap.
+	inbox []*inbox
 
-	// localMin[i] is shard i's published earliest undispatched event
-	// (its heap/now-queue front or drained cross), MaxInt64 when none.
-	// Together with the mailboxes' minPending these are what safeTime
-	// scans.
+	// localMin[i] is shard i's published earliest undispatched event,
+	// MaxInt64 when none. Together with the inboxes' minPending these
+	// are what safeTime scans.
 	localMin []atomic.Int64
-	// movesBegun and movesDone count drains that move mail into a
-	// cross heap, bumped before the first move and after the last.
-	// safeTime uses them as a sequence lock: a scan no move overlapped
-	// is a consistent snapshot.
+	// movesBegun and movesDone count drains that move an inbox into an
+	// event heap, bumped before the move and after it. safeTime uses
+	// them as a sequence lock: a scan no move overlapped is a
+	// consistent snapshot.
 	movesBegun atomic.Uint64
 	movesDone  atomic.Uint64
 
@@ -99,10 +95,6 @@ type Group struct {
 	nIdle    int
 	finished bool
 	done     chan struct{}
-
-	// Cross posts per source shard, owned by that shard's token holder
-	// and read only after a run joins.
-	posted []uint64
 
 	// Synchronization-layer accounting (the sim.sync.* counters), one
 	// struct per shard, owned by that shard's loop.
@@ -157,12 +149,12 @@ func (g *Group) SyncStats() SyncStats {
 
 const (
 	noEvent     = int64(math.MaxInt64)
-	mailboxCap  = 1 << 15
+	inboxCap    = 1 << 15
 	maxDeadline = Time(math.MaxInt64)
 
 	// spinPasses bounds the pre-park polling phase. A dry shard that has
 	// already published its front yields the processor a few times and
-	// re-checks for arriving mail or a raised safe bound before paying
+	// re-checks for arriving crosses or a raised safe bound before paying
 	// for the park/wake handshake (detMu, channel send, scheduler
 	// round trip). In a cross-shard dependency ping-pong each yield runs
 	// the posting shard, so the handoff lands at runqueue cost; a shard
@@ -170,78 +162,21 @@ const (
 	spinPasses = 4
 )
 
-// crossEvent is one cross-shard post: a callback with its timestamp,
-// origin shard, and per-pair sequence number. (at, src, seq) is a
-// total order over all crosses a shard will ever receive.
+// crossEvent is one cross-shard post: a callback with its timestamp
+// and its seq in the destination's event order (see eventLess).
 type crossEvent struct {
 	at  Time
-	src int32
 	seq uint64
 	fn  func()
 }
 
-func crossLess(a, b crossEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
-}
-
-// mailbox is the bounded queue between one ordered shard pair. The
-// source appends under mu; the destination drains under mu. minPending
-// mirrors the earliest queued timestamp for lock-free G computation.
-type mailbox struct {
+// inbox is the bounded queue into one shard. Every other shard appends
+// under mu; the destination drains under mu. minPending mirrors the
+// earliest queued timestamp for the lock-free safe-bound scan.
+type inbox struct {
 	mu         sync.Mutex
 	q          []crossEvent
-	seq        uint64
 	minPending atomic.Int64
-}
-
-// crossHeap is a binary min-heap of drained crosses ordered by
-// (at, src, seq), owned by the destination shard's token holder.
-type crossHeap struct {
-	h []crossEvent
-}
-
-func (c *crossHeap) push(ev crossEvent) {
-	c.h = append(c.h, ev)
-	i := len(c.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !crossLess(c.h[i], c.h[p]) {
-			break
-		}
-		c.h[i], c.h[p] = c.h[p], c.h[i]
-		i = p
-	}
-}
-
-func (c *crossHeap) pop() crossEvent {
-	top := c.h[0]
-	last := len(c.h) - 1
-	c.h[0] = c.h[last]
-	c.h[last] = crossEvent{}
-	c.h = c.h[:last]
-	i, n := 0, last
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && crossLess(c.h[r], c.h[l]) {
-			m = r
-		}
-		if !crossLess(c.h[m], c.h[i]) {
-			break
-		}
-		c.h[i], c.h[m] = c.h[m], c.h[i]
-		i = m
-	}
-	return top
 }
 
 // satAdd adds a duration to a time without wrapping past MaxInt64.
@@ -283,20 +218,13 @@ func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
 	if len(lookahead) != n {
 		panic("sim: lookahead matrix must be shards x shards")
 	}
-	minLook := Duration(math.MaxInt64)
 	for s := range lookahead {
 		if len(lookahead[s]) != n {
 			panic("sim: lookahead matrix must be shards x shards")
 		}
 		for d, v := range lookahead[s] {
-			if s == d {
-				continue
-			}
-			if v <= 0 {
+			if s != d && v <= 0 {
 				panic("sim: group lookahead must be positive")
-			}
-			if v < minLook {
-				minLook = v
 			}
 		}
 	}
@@ -304,13 +232,11 @@ func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
 		kernels:  kernels,
 		n:        n,
 		look:     lookahead,
-		minLook:  minLook,
 		reach:    shortestReach(lookahead),
-		mail:     make([][]*mailbox, n),
+		inbox:    make([]*inbox, n),
 		localMin: make([]atomic.Int64, n),
 		wake:     make([]chan struct{}, n),
 		idle:     make([]atomic.Bool, n),
-		posted:   make([]uint64, n),
 		sync:     make([]syncCounters, n),
 	}
 	for i, k := range kernels {
@@ -320,13 +246,8 @@ func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
 		k.group = g
 		k.shard = i
 		g.wake[i] = make(chan struct{}, 1)
-		g.mail[i] = make([]*mailbox, n)
-		for j := 0; j < n; j++ {
-			if j != i {
-				g.mail[i][j] = &mailbox{}
-				g.mail[i][j].minPending.Store(noEvent)
-			}
-		}
+		g.inbox[i] = &inbox{}
+		g.inbox[i].minPending.Store(noEvent)
 	}
 	return g
 }
@@ -357,18 +278,6 @@ func shortestReach(look [][]Duration) [][]Duration {
 	return reach
 }
 
-// Size returns the number of shards.
-func (g *Group) Size() int { return g.n }
-
-// Lookahead returns the group's minimum pairwise lookahead — the
-// tightest promise any shard pair operates under.
-func (g *Group) Lookahead() Duration {
-	if g.n == 1 {
-		return 0
-	}
-	return g.minLook
-}
-
 // PairLookahead returns the conservative promise from shard s to shard
 // d (0 on the diagonal).
 func (g *Group) PairLookahead(s, d int) Duration { return g.look[s][d] }
@@ -391,8 +300,8 @@ func (g *Group) Now() Time {
 // the group's lifetime. Call only while no run is in progress.
 func (g *Group) CrossPosts() uint64 {
 	var total uint64
-	for _, p := range g.posted {
-		total += p
+	for _, k := range g.kernels {
+		total += k.posts
 	}
 	return total
 }
@@ -440,36 +349,32 @@ func (k *Kernel) Post(dst int, at Time, fn func()) {
 	g.post(k.shard, dst, at, fn)
 }
 
-// Shard returns the kernel's shard index within its group (0 when
-// ungrouped).
-func (k *Kernel) Shard() int { return k.shard }
-
 // Group returns the group the kernel belongs to, or nil.
 func (k *Kernel) Group() *Group { return k.group }
 
 func (g *Group) post(src, dst int, at Time, fn func()) {
-	mb := g.mail[src][dst]
-	mb.mu.Lock()
-	for len(mb.q) >= mailboxCap && !g.kernels[dst].stopped.Load() {
-		// Bounded mailbox full: the receiver is behind in wall-clock
-		// terms. Drain our own inbound mail (only appends to our
-		// cross heap, safe mid-event) and yield until it catches up,
-		// so a pair of mutually-posting shards cannot deadlock. A
-		// stopping receiver drains no more, so the bound gives way:
-		// the post is kept for the next run.
-		mb.mu.Unlock()
+	k := g.kernels[src]
+	seq := uint64(src)<<crossSrcShift | k.posts
+	k.posts++
+	ib := g.inbox[dst]
+	ib.mu.Lock()
+	for len(ib.q) >= inboxCap && !g.kernels[dst].stopped.Load() {
+		// Bounded inbox full: the receiver is behind in wall-clock
+		// terms. Drain our own inbox (only pushes onto our event heap,
+		// safe mid-event) and yield until it catches up, so shards
+		// posting to each other cannot deadlock. A stopping receiver
+		// drains no more, so the bound gives way: the post is kept for
+		// the next run.
+		ib.mu.Unlock()
 		g.drain(src)
 		runtime.Gosched()
-		mb.mu.Lock()
+		ib.mu.Lock()
 	}
-	seq := mb.seq
-	mb.seq++
-	mb.q = append(mb.q, crossEvent{at: at, src: int32(src), seq: seq, fn: fn})
-	if cur := mb.minPending.Load(); int64(at) < cur {
-		mb.minPending.Store(int64(at))
+	ib.q = append(ib.q, crossEvent{at: at, seq: seq, fn: fn})
+	if cur := ib.minPending.Load(); int64(at) < cur {
+		ib.minPending.Store(int64(at))
 	}
-	mb.mu.Unlock()
-	g.posted[src]++
+	ib.mu.Unlock()
 	g.notifyIdle(src, dst)
 }
 
@@ -495,58 +400,50 @@ func (g *Group) notifyIdle(src, dst int) {
 	}
 }
 
-// drain moves every queued inbound cross into shard i's cross heap.
-// The lowered localMin is published before minPending is cleared, and
-// the move is bracketed by movesBegun/movesDone so safeTime can tell
-// when its scan raced it.
+// drain moves every queued cross in shard i's inbox into its event
+// heap, where each becomes an ordinary event with the seq it was
+// posted with. The lowered localMin is published before minPending is
+// cleared, and the move is bracketed by movesBegun/movesDone so
+// safeTime can tell when its scan raced it.
 func (g *Group) drain(i int) bool {
-	moved := false
-	cross := &g.kernels[i].cross
-	for s := 0; s < g.n; s++ {
-		mb := g.mail[s][i]
-		if mb == nil || mb.minPending.Load() == noEvent {
-			continue
-		}
-		mb.mu.Lock()
-		if len(mb.q) > 0 {
-			if !moved {
-				g.movesBegun.Add(1)
-			}
-			moved = true
-			entryMin := noEvent
-			for idx, ev := range mb.q {
-				cross.push(ev)
-				if int64(ev.at) < entryMin {
-					entryMin = int64(ev.at)
-				}
-				mb.q[idx] = crossEvent{}
-			}
-			mb.q = mb.q[:0]
-			if cur := g.localMin[i].Load(); entryMin < cur {
-				g.localMin[i].Store(entryMin)
-			}
-			mb.minPending.Store(noEvent)
-		}
-		mb.mu.Unlock()
+	ib := g.inbox[i]
+	if ib.minPending.Load() == noEvent {
+		return false
 	}
-	if moved {
-		g.movesDone.Add(1)
+	k := g.kernels[i]
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	if len(ib.q) == 0 {
+		return false
 	}
-	return moved
+	g.movesBegun.Add(1)
+	defer g.movesDone.Add(1)
+	entryMin := noEvent
+	for idx, ce := range ib.q {
+		if ce.at < k.now {
+			panic("sim: cross-shard event arrived in the past")
+		}
+		ev := k.alloc()
+		ev.at, ev.seq, ev.fn = ce.at, ce.seq, ce.fn
+		k.heapPush(ev)
+		entryMin = min(entryMin, int64(ce.at))
+		ib.q[idx] = crossEvent{}
+	}
+	ib.q = ib.q[:0]
+	if entryMin < g.localMin[i].Load() {
+		g.localMin[i].Store(entryMin)
+	}
+	ib.minPending.Store(noEvent)
+	return true
 }
 
-// curMin is shard i's earliest undispatched event: local queue front
-// or drained cross. Owned by shard i's loop.
+// curMin is shard i's earliest undispatched event. Owned by shard i's
+// loop.
 func (g *Group) curMin(i int) int64 {
-	k := g.kernels[i]
-	min := noEvent
-	if ev := k.front(); ev != nil {
-		min = int64(ev.at)
+	if ev := g.kernels[i].front(); ev != nil {
+		return int64(ev.at)
 	}
-	if h := k.cross.h; len(h) > 0 && int64(h[0].at) < min {
-		min = int64(h[0].at)
-	}
-	return min
+	return noEvent
 }
 
 // publishLocalMin refreshes shard i's published front after a grant
@@ -586,24 +483,23 @@ func (g *Group) publishLocalMin(i int, posted bool) {
 
 // safeTime is the bound below which shard i may freely dispatch: no
 // future cross-shard arrival can carry a smaller timestamp (see Group).
-// Inbound mail must be drained first, as the shard loop does: an
+// The inbox must be drained first, as the shard loop does: an
 // undrained cross caps the bound at its own timestamp.
 //
 // Each read is a valid bound at its own instant, but the scan is not
-// one instant: a drain moves an event from mail[s][d] (read in row s)
-// to localMin[d] (read in row d). A scan that reads localMin[d] before
-// the move and the mailbox after it misses the event and returns a
-// bound above it, which lets a shard dispatch past a cross that event
-// will post. So the scan retries until no drain overlapped it. (Both
-// places weight the event by reach(d,i). The one drain whose weights
-// differ, into i, runs only on i's token holder: the goroutine that
-// scans for i, or one of i's procs while that goroutine waits out a
-// grant, and no one while i is parked for enterIdle's completion
-// sweep.) With drains excluded, the row order is sound: a dispatch
-// creates local events at or after its own time (covered by the
-// localMin that preceded it) and posts crosses before publishLocalMin
-// raises its localMin, and each row reads localMin before that shard's
-// outbound mailboxes.
+// one instant: a drain moves an event from inbox[d] to localMin[d]. A
+// scan that reads localMin[d] before the move and the inbox after it
+// misses the event and returns a bound above it, which lets a shard
+// dispatch past a cross that event will post. So the scan retries
+// until no drain overlapped it. (Both places weight the event by
+// reach(d,i). The one drain whose weights differ, into i, runs only on
+// i's token holder: the goroutine that scans for i, or one of i's
+// procs while that goroutine waits out a grant, and no one while i is
+// parked for enterIdle's completion sweep.) With drains excluded, the
+// order is sound: a dispatch creates local events at or after its own
+// time (covered by the localMin that preceded it) and posts crosses
+// before publishLocalMin raises its localMin, and the scan reads every
+// localMin before any inbox.
 func (g *Group) safeTime(i int) Time {
 	for {
 		done := g.movesDone.Load()
@@ -614,25 +510,19 @@ func (g *Group) safeTime(i int) Time {
 	}
 }
 
-// scanSafe is one unsynchronized pass of safeTime.
+// scanSafe is one unsynchronized pass of safeTime: every front, then
+// every inbox.
 func (g *Group) scanSafe(i int) Time {
 	safe := maxDeadline
 	for s := 0; s < g.n; s++ {
-		if t := satAdd(Time(g.localMin[s].Load()), g.reach[s][i]); t < safe {
-			safe = t
+		safe = min(safe, satAdd(Time(g.localMin[s].Load()), g.reach[s][i]))
+	}
+	for d, ib := range g.inbox {
+		t := Time(ib.minPending.Load())
+		if d != i {
+			t = satAdd(t, g.reach[d][i])
 		}
-		for d, mb := range g.mail[s] {
-			if mb == nil {
-				continue
-			}
-			t := Time(mb.minPending.Load())
-			if d != i {
-				t = satAdd(t, g.reach[d][i])
-			}
-			if t < safe {
-				safe = t
-			}
-		}
+		safe = min(safe, t)
 	}
 	return safe
 }
@@ -640,10 +530,8 @@ func (g *Group) scanSafe(i int) Time {
 // hasWork reports whether shard i could make progress right now.
 // Called under detMu with the system momentarily stable.
 func (g *Group) hasWork(i int, deadline Time) bool {
-	for s := 0; s < g.n; s++ {
-		if mb := g.mail[s][i]; mb != nil && mb.minPending.Load() != noEvent {
-			return true
-		}
+	if g.inbox[i].minPending.Load() != noEvent {
+		return true
 	}
 	cand := g.curMin(i)
 	if cand == noEvent || Time(cand) > deadline {
@@ -661,12 +549,8 @@ func (g *Group) allQuiescent(deadline Time) bool {
 		if v := g.localMin[i].Load(); v != noEvent && Time(v) <= deadline {
 			return false
 		}
-		for j := 0; j < g.n; j++ {
-			if mb := g.mail[i][j]; mb != nil {
-				if v := mb.minPending.Load(); v != noEvent && Time(v) <= deadline {
-					return false
-				}
-			}
+		if v := g.inbox[i].minPending.Load(); v != noEvent && Time(v) <= deadline {
+			return false
 		}
 	}
 	return true
@@ -712,7 +596,7 @@ func (g *Group) enterIdle(i int, deadline Time) (finished, retry bool) {
 
 // spinForWork is the cheap half of the idle handshake: with its front
 // already published, yield and poll a few times for
-// newly-arrived mail or a raised safe bound before parking. Returns
+// newly-arrived crosses or a raised safe bound before parking. Returns
 // true when the shard should re-enter its dispatch loop. Purely a
 // wall-clock optimization: the spin delays parking, it never changes
 // what the protocol promises or the order events dispatch in.
@@ -754,12 +638,12 @@ func (g *Group) shardLoop(i int, deadline Time) {
 	k := g.kernels[i]
 	for !k.stopped.Load() {
 		g.drain(i)
-		before, posted := k.dispatched, g.posted[i]
+		before, posts := k.dispatched, k.posts
 		k.runTo(min(deadline, g.safeTime(i)-1))
 		if k.stopped.Load() {
 			return
 		}
-		g.publishLocalMin(i, g.posted[i] != posted)
+		g.publishLocalMin(i, k.posts != posts)
 		if ran := k.dispatched - before; ran > 0 {
 			g.sync[i].drainRuns++
 			g.sync[i].drainEvents += ran
@@ -830,32 +714,16 @@ func (g *Group) run(deadline Time) {
 	}
 }
 
-// Run dispatches across all shards until every queue and mailbox
-// drains or Stop is called. Mirrors Kernel.Run: if non-daemon
-// processes remain blocked at quiescence it returns a *DeadlockError
-// aggregated over every shard.
+// Run dispatches across all shards until every queue and inbox drains
+// or Stop is called. Mirrors Kernel.Run: if non-daemon processes remain
+// blocked at quiescence it returns a *DeadlockError aggregated over
+// every shard.
 func (g *Group) Run() error {
 	g.run(maxDeadline)
 	if g.kernels[0].stopped.Load() {
 		return nil
 	}
-	var blocked []BlockedProc
-	var at Time
-	for _, k := range g.kernels {
-		if k.now > at {
-			at = k.now
-		}
-		for _, p := range k.procs {
-			if (p.state == procParked || p.state == procNew) && !p.daemon {
-				blocked = append(blocked, BlockedProc{Name: p.name, Reason: p.waitReason})
-			}
-		}
-	}
-	if len(blocked) == 0 {
-		return nil
-	}
-	sort.Slice(blocked, func(i, j int) bool { return blocked[i].Name < blocked[j].Name })
-	return &DeadlockError{At: at, Procs: blocked}
+	return deadlock(g.kernels...)
 }
 
 // RunUntil dispatches events with timestamps <= deadline on every

@@ -42,10 +42,8 @@ func runZombieScenario(t *testing.T, fence bool) zombieOutcome {
 	)
 	cfg := super.Config{
 		HeartbeatEvery:  500 * sim.Microsecond,
-		SuspectAfter:    1 * sim.Millisecond,
 		ConfirmAfter:    2 * sim.Millisecond,
 		CheckpointEvery: 1 * sim.Millisecond,
-		RestartDelay:    1 * sim.Millisecond,
 		Fence:           fence,
 	}
 	sys, err := core.Build(core.Config{Hosts: 1, Nodes: 15, Seed: 16})
@@ -193,10 +191,8 @@ func TestMigrationWhilePeerSuspected(t *testing.T) {
 	)
 	cfg := super.Config{
 		HeartbeatEvery:  500 * sim.Microsecond,
-		SuspectAfter:    1 * sim.Millisecond,
 		ConfirmAfter:    2 * sim.Millisecond,
 		CheckpointEvery: 1 * sim.Millisecond,
-		RestartDelay:    1 * sim.Millisecond,
 		Fence:           true,
 	}
 	sys, err := core.Build(core.Config{Hosts: 1, Nodes: 15, Seed: 16})
@@ -217,7 +213,7 @@ func TestMigrationWhilePeerSuspected(t *testing.T) {
 	eng.BindResmgr(res)
 	eng.SetOracle(false)
 	// Reader dies for real; 300µs later the writer's cluster drops off
-	// the fabric for 1.4ms — past SuspectAfter, short of ConfirmAfter.
+	// the fabric for 1.4ms — past the 2H suspect mark, short of ConfirmAfter.
 	// The reader's confirm (4.5ms) and restart (5.5ms) land just as
 	// the writer comes back under suspicion.
 	eng.CrashNodeAt(2500*sim.Microsecond, 7)

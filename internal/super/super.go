@@ -53,6 +53,10 @@ const (
 	CkptHeaderBytes = 64
 )
 
+// RestartDelay models downloading the image to a spare node and
+// cold-booting the subprocess there.
+const RestartDelay = 1 * sim.Millisecond
+
 // HeartbeatISR is the supervisor-side cost to absorb one heartbeat.
 var HeartbeatISR = sim.Microseconds(4)
 
@@ -83,12 +87,9 @@ func (s State) String() string {
 
 // Config tunes the supervision timers. Zero fields take defaults.
 type Config struct {
-	// HeartbeatEvery (H) is the node → supervisor heartbeat period.
-	// Default 500 µs.
+	// HeartbeatEvery (H) is the node → supervisor heartbeat period; a
+	// machine silent for 2H is suspected. Default 500 µs.
 	HeartbeatEvery sim.Duration
-	// SuspectAfter is the silence before a machine is suspected.
-	// Default 2H.
-	SuspectAfter sim.Duration
 	// ConfirmAfter (T) is the silence before death is confirmed and
 	// recovery begins. Default 4H.
 	ConfirmAfter sim.Duration
@@ -96,9 +97,6 @@ type Config struct {
 	// tasks. Longer intervals cost less but lose more work on a
 	// crash. Default 2 ms.
 	CheckpointEvery sim.Duration
-	// RestartDelay models downloading the image to the spare node and
-	// cold-booting the subprocess. Default 1 ms.
-	RestartDelay sim.Duration
 	// Fence enables partition-tolerant supervision: deaths are only
 	// confirmed while the supervisor can see a majority of the cluster
 	// (itself plus the fresh members), and every confirm broadcasts an
@@ -113,17 +111,11 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 500 * sim.Microsecond
 	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2 * c.HeartbeatEvery
-	}
 	if c.ConfirmAfter <= 0 {
 		c.ConfirmAfter = 4 * c.HeartbeatEvery
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 2 * sim.Millisecond
-	}
-	if c.RestartDelay <= 0 {
-		c.RestartDelay = 1 * sim.Millisecond
 	}
 	return c
 }
@@ -470,8 +462,8 @@ func (s *Supervisor) Start() {
 		mode = " fence=on"
 	}
 	s.record("start", "monitoring %d machines: H=%v suspect=%v confirm=%v ckpt=%v restart=%v%s",
-		len(s.order), s.cfg.HeartbeatEvery, s.cfg.SuspectAfter, s.cfg.ConfirmAfter,
-		s.cfg.CheckpointEvery, s.cfg.RestartDelay, mode)
+		len(s.order), s.cfg.HeartbeatEvery, 2*s.cfg.HeartbeatEvery, s.cfg.ConfirmAfter,
+		s.cfg.CheckpointEvery, RestartDelay, mode)
 	for _, ep := range s.order {
 		mb := s.members[ep]
 		mb.lastSeen = now
@@ -621,7 +613,7 @@ func (s *Supervisor) sweep() {
 				continue
 			}
 			s.confirm(mb, silent)
-		case silent >= s.cfg.SuspectAfter && mb.state == Alive:
+		case silent >= 2*s.cfg.HeartbeatEvery && mb.state == Alive:
 			mb.state = Suspect
 			s.record("suspect", "%s silent for %v", mb.m.Name(), silent)
 		}
@@ -629,7 +621,7 @@ func (s *Supervisor) sweep() {
 }
 
 // quorum reports whether the supervisor currently sees a majority of
-// the cluster: the fresh members (heard from within SuspectAfter) plus
+// the cluster: the fresh members (heard from within 2H) plus
 // itself against the full membership plus itself. On the minority side
 // of a partition this fails, and silence stops being evidence of
 // death.
@@ -637,7 +629,7 @@ func (s *Supervisor) quorum(now sim.Time) bool {
 	fresh := 0
 	for _, ep := range s.order {
 		mb := s.members[ep]
-		if mb.state != Dead && now.Sub(mb.lastSeen) < s.cfg.SuspectAfter {
+		if mb.state != Dead && now.Sub(mb.lastSeen) < 2*s.cfg.HeartbeatEvery {
 			fresh++
 		}
 	}
@@ -757,7 +749,7 @@ func (s *Supervisor) migrate(t *Task) {
 	spare := s.sys.ByEndpoint(best)
 	s.record("spare", "task %q: %s (%d cube hops from dead %s)",
 		t.name, spare.Name(), s.sys.Topo.Hops(deadEP, best), t.mach.Name())
-	s.sys.K.After(s.cfg.RestartDelay, func() {
+	s.sys.K.After(RestartDelay, func() {
 		if spare.Kern.Crashed() {
 			s.record("no-spare", "task %q: spare %s crashed before restart", t.name, spare.Name())
 			s.failTaskChannels(t)

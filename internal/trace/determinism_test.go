@@ -70,10 +70,8 @@ func runHeal(t *testing.T, traced bool, n int) (*core.System, *super.Supervisor,
 	}
 	cfg := super.Config{
 		HeartbeatEvery:  500 * sim.Microsecond,
-		SuspectAfter:    1 * sim.Millisecond,
 		ConfirmAfter:    2 * sim.Millisecond,
 		CheckpointEvery: 1 * sim.Millisecond,
-		RestartDelay:    500 * sim.Microsecond,
 	}
 	sup := super.New(sys, sys.Host(0), res, cfg)
 

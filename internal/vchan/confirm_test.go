@@ -37,7 +37,6 @@ func TestConfirmedDeathBeatsSilence(t *testing.T) {
 
 	sup := super.New(sys, sys.Host(0), nil, super.Config{
 		HeartbeatEvery: 500 * sim.Microsecond,
-		SuspectAfter:   1 * sim.Millisecond,
 		ConfirmAfter:   2 * sim.Millisecond,
 	})
 	bal := fab.Balancer()

@@ -45,10 +45,8 @@ func e16Run(minority []topo.ClusterID, dur sim.Duration) e16Metrics {
 	)
 	cfg := super.Config{
 		HeartbeatEvery:  500 * sim.Microsecond,
-		SuspectAfter:    1 * sim.Millisecond,
 		ConfirmAfter:    2 * sim.Millisecond,
 		CheckpointEvery: 1 * sim.Millisecond,
-		RestartDelay:    1 * sim.Millisecond,
 		Fence:           true,
 	}
 	sys, err := core.Build(core.Config{Hosts: 1, Nodes: 15, Seed: 16})

@@ -37,10 +37,8 @@ func e13Run(h sim.Duration) e13Metrics {
 	)
 	cfg := super.Config{
 		HeartbeatEvery:  h,
-		SuspectAfter:    2 * h,
 		ConfirmAfter:    4 * h,
 		CheckpointEvery: 1 * sim.Millisecond,
-		RestartDelay:    1 * sim.Millisecond,
 	}
 	sys, err := core.Build(core.Config{Hosts: 1, Nodes: 5, Seed: 13})
 	if err != nil {
@@ -125,7 +123,7 @@ func e13Run(h sim.Duration) e13Metrics {
 			m.unavail = gap
 		}
 	}
-	m.bound = cfg.ConfirmAfter + 2*h + cfg.RestartDelay + 1*sim.Millisecond
+	m.bound = cfg.ConfirmAfter + 2*h + super.RestartDelay + 1*sim.Millisecond
 	m.consumedAt = sampledC
 	m.restoredAt = restoredK
 	if sampledC > 0 && restoredK >= 0 {
