@@ -46,7 +46,7 @@ func run(servoPrio int) (met, missed int, worst sim.Duration) {
 
 	// The servo subprocess: woken by the encoder interrupt every
 	// period, must issue its actuator command within the deadline.
-	var wakeServo func()
+	var wakeServo kern.Waker
 	var tickAt sim.Time
 	sys.Spawn(sys.Node(0), "servo", servoPrio, func(sp *kern.Subprocess) {
 		for i := 0; i < ticks; i++ {
@@ -72,9 +72,7 @@ func run(servoPrio int) (met, missed int, worst sim.Duration) {
 	tick = func() {
 		node.Interrupt(50*sim.Microsecond, func() {
 			tickAt = sys.K.Now()
-			if wakeServo != nil {
-				wakeServo()
-			}
+			wakeServo.Wake()
 			n++
 			if n < ticks {
 				sys.K.After(period, tick)

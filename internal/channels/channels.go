@@ -23,6 +23,7 @@ package channels
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -215,13 +216,13 @@ func NewService(f *netif.IF, mgr *objmgr.Manager) *Service {
 	costs := f.Node().Costs()
 	f.Register("chan", netif.Service{
 		Cost: func(m *hpc.Message) sim.Duration {
-			frag := m.Payload.(netif.Envelope).Body.(*dataFrag)
+			frag := m.Payload.(*dataFrag)
 			return costs.ChanRecvProto + costs.KernelCopyTime(frag.size)
 		},
 		// Fragments riding a coalesced interrupt amortize the protocol
 		// entry: only the kernel copy is per-message.
 		BatchCost: func(m *hpc.Message) sim.Duration {
-			frag := m.Payload.(netif.Envelope).Body.(*dataFrag)
+			frag := m.Payload.(*dataFrag)
 			return costs.KernelCopyTime(frag.size)
 		},
 		Handle: s.handleData,
@@ -236,7 +237,7 @@ func NewService(f *netif.IF, mgr *objmgr.Manager) *Service {
 	})
 	f.Register("chan.resume", netif.Service{
 		Cost: func(m *hpc.Message) sim.Duration {
-			rm := m.Payload.(netif.Envelope).Body.(resumeMsg)
+			rm := m.Payload.(resumeMsg)
 			if ch := s.chans[rm.ch]; ch != nil {
 				if om := ch.pendingBySeq(rm.seq); om != nil {
 					return costs.ChanSendProto + costs.KernelCopyTime(om.size)
@@ -331,7 +332,7 @@ type Channel struct {
 	// sliding-window protocol for channels").
 	window     int
 	pending    []*outMsg // un-acknowledged writes, oldest first
-	writerWake func()
+	writerWake kern.Waker
 	sendSeq    int
 
 	// receiver-side sequencing: messages are accepted strictly in
@@ -358,7 +359,7 @@ type Channel struct {
 }
 
 type blockedReader struct {
-	wake func()
+	wake kern.Waker
 	msg  Msg
 	ok   bool
 }
@@ -556,11 +557,8 @@ func (ch *Channel) sendFragments(sp *kern.Subprocess, om *outMsg, retrans bool) 
 
 // dropPending removes om from the un-acknowledged list.
 func (ch *Channel) dropPending(om *outMsg) {
-	for i, p := range ch.pending {
-		if p == om {
-			ch.pending = append(ch.pending[:i:i], ch.pending[i+1:]...)
-			return
-		}
+	if i := slices.Index(ch.pending, om); i >= 0 {
+		ch.pending = slices.Delete(ch.pending, i, i+1)
 	}
 }
 
@@ -643,18 +641,17 @@ func (ch *Channel) remoteGone() {
 		r := ch.reader
 		ch.reader = nil
 		r.ok = false
-		r.wake()
+		r.wake.Wake()
 	}
-	if ch.writerWake != nil {
-		w := ch.writerWake
-		ch.writerWake = nil
-		w()
+	if w := ch.writerWake; w.Armed() {
+		ch.writerWake = kern.Waker{}
+		w.Wake()
 	}
 	if mx := ch.mux; mx != nil && mx.waiting {
 		mx.waiting = false
 		mx.from = ch
 		mx.failed = true
-		mx.wake()
+		mx.wake.Wake()
 	}
 }
 
@@ -843,7 +840,8 @@ func (ch *Channel) Read(sp *kern.Subprocess) (Msg, bool) {
 // side buffer, resuming a starved sender if one is waiting.
 func (ch *Channel) takeReady() Msg {
 	m := ch.ready[0]
-	ch.ready = ch.ready[1:]
+	// Shift rather than re-slice, so the queue keeps its capacity.
+	ch.ready = slices.Delete(ch.ready, 0, 1)
 	ch.svc.releaseSideBuf()
 	return m
 }
@@ -853,7 +851,7 @@ func (s *Service) releaseSideBuf() {
 	s.traceSideBuf()
 	if len(s.starved) > 0 {
 		r := s.starved[0]
-		s.starved = s.starved[1:]
+		s.starved = slices.Delete(s.starved, 0, 1)
 		s.sendResume(r)
 	}
 }
@@ -896,7 +894,7 @@ func (s *Service) resumeIfStarved(ch *Channel) {
 
 // handleData runs at interrupt level on the receiving node.
 func (s *Service) handleData(m *hpc.Message) {
-	fr := m.Payload.(netif.Envelope).Body.(*dataFrag)
+	fr := m.Payload.(*dataFrag)
 	frag := *fr
 	putFrag(fr)
 	frag.src, frag.inc = m.Src, m.Inc
@@ -947,7 +945,7 @@ func (s *Service) deliverFrag(ch *Channel, frag dataFrag) {
 		r := ch.reader
 		ch.reader = nil
 		r.msg, r.ok = msg, true
-		r.wake()
+		r.wake.Wake()
 		s.accept(ch, frag, "fast-path")
 		return
 	}
@@ -1017,7 +1015,7 @@ func (s *Service) traceSideBuf() {
 
 // handleAck runs at interrupt level on the writer's node.
 func (s *Service) handleAck(m *hpc.Message) {
-	ap := m.Payload.(netif.Envelope).Body.(*ackMsg)
+	ap := m.Payload.(*ackMsg)
 	a := *ap
 	ackPool.Put(ap)
 	ch := s.chans[a.ch]
@@ -1027,7 +1025,7 @@ func (s *Service) handleAck(m *hpc.Message) {
 	for i, om := range ch.pending {
 		if om.seq == a.seq {
 			om.timer.Stop()
-			ch.pending = append(ch.pending[:i:i], ch.pending[i+1:]...)
+			ch.pending = slices.Delete(ch.pending, i, i+1)
 			if v := s.verifier; v != nil {
 				v.ChanAck(ch.id, s.f.Endpoint(), a.seq)
 			}
@@ -1056,10 +1054,9 @@ func (s *Service) handleAck(m *hpc.Message) {
 			break
 		}
 	}
-	if ch.writerWake != nil && len(ch.pending) < ch.window {
-		w := ch.writerWake
-		ch.writerWake = nil
-		w()
+	if w := ch.writerWake; w.Armed() && len(ch.pending) < ch.window {
+		ch.writerWake = kern.Waker{}
+		w.Wake()
 	}
 }
 
@@ -1075,7 +1072,7 @@ func (s *Service) handleBusy(m *hpc.Message) {
 // cost already covered re-copying the user buffer (the process is
 // still blocked, so the buffer is intact — no safety copy needed).
 func (s *Service) handleResume(m *hpc.Message) {
-	rm := m.Payload.(netif.Envelope).Body.(resumeMsg)
+	rm := m.Payload.(resumeMsg)
 	ch := s.chans[rm.ch]
 	if ch == nil {
 		return
@@ -1092,7 +1089,7 @@ func (s *Service) handleResume(m *hpc.Message) {
 // handleClose marks the remote end closed and fails any blocked
 // reader, writer, or mux waiter.
 func (s *Service) handleClose(m *hpc.Message) {
-	cm := m.Payload.(netif.Envelope).Body.(closeMsg)
+	cm := m.Payload.(closeMsg)
 	ch := s.chans[cm.ch]
 	if ch == nil {
 		return
@@ -1122,7 +1119,7 @@ func (ch *Channel) Closed() bool { return ch.closedLocal || ch.closedRemote }
 // from one of several channels" (paper §4).
 type Mux struct {
 	waiting bool
-	wake    func()
+	wake    kern.Waker
 	from    *Channel
 	msg     Msg
 	failed  bool // from's peer died or closed while we waited
@@ -1192,7 +1189,7 @@ func (mx *Mux) deliver(ch *Channel, m Msg) {
 	mx.waiting = false
 	mx.from = ch
 	mx.msg = m
-	mx.wake()
+	mx.wake.Wake()
 }
 
 // EndState is the per-channel-end state cdb reports (paper §6.1): the
@@ -1224,7 +1221,7 @@ func (s *Service) Snapshot() []EndState {
 			Received:      ch.received,
 			Buffered:      len(ch.ready),
 			ReaderBlocked: ch.reader != nil || ch.mux != nil,
-			WriterBlocked: ch.writerWake != nil,
+			WriterBlocked: ch.writerWake.Armed(),
 			Closed:        ch.Closed(),
 		})
 	}

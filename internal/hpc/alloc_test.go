@@ -99,3 +99,50 @@ func TestTransferPoolSurvivesLateRelease(t *testing.T) {
 		t.Fatal("second delivery never arrived after release")
 	}
 }
+
+// TestBlockedSendZeroAlloc: a proc whose Send finds its output section
+// full waits for the room-available interrupt as a park token on the
+// endpoint's waiter list, which keeps its storage, so once warm a
+// blocked send allocates nothing.
+func TestBlockedSendZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	k := sim.NewKernel(1)
+	tp, err := topo.SingleCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic := New(k, m68k.DefaultCosts(), tp)
+	msg := &Message{Src: 0, Dst: 1, Size: 512}
+	sent, blocked := 0, 0
+	k.Spawn("sender", func(p *sim.Proc) {
+		for {
+			// The previous message still holds the output section
+			// until its first hop ends, so every Send waits.
+			if !ic.OutputFree(0) {
+				blocked++
+			}
+			if err := ic.Send(p, msg, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			sent++
+		}
+	})
+	defer k.Shutdown()
+	cycle := func() {
+		for want := sent + 1; sent < want; {
+			k.RunFor(sim.Microsecond)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if blocked < 60 {
+		t.Fatalf("only %d of %d sends waited for room; scenario is vacuous", blocked, sent)
+	}
+	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
+		t.Fatalf("warm blocked Send allocates %v/op, want 0", allocs)
+	}
+}

@@ -34,7 +34,10 @@ type Message struct {
 	Src, Dst topo.EndpointID
 	Size     int
 	Payload  any
-	Tag      string // optional label for tracing and debugging
+	// Tag labels the message in traces and debugging output. netif
+	// also demultiplexes on it: a message sent through a network
+	// interface carries the name of its destination service here.
+	Tag string
 	// Trace is the causal trace ID threading this message's journey
 	// through the event tracer. Zero (tracing off, or an untraced
 	// send) means the fabric assigns one itself when tracing is on.
@@ -123,7 +126,10 @@ type Interconnect struct {
 	cubeLnk map[[2]topo.ClusterID]*link
 
 	deliver []DeliverFunc
-	onRoom  [][]func() // room-available interrupt handlers per endpoint
+	// onRoom[e] lists who waits for room in endpoint e's output
+	// section (the room-available interrupt), oldest first. The list
+	// keeps its storage across interrupts.
+	onRoom [][]roomWaiter
 
 	// outWait[e] is the park reason of a sender blocked on endpoint e's
 	// full output section, built on first use (see outputWaitReason).
@@ -142,11 +148,15 @@ type Interconnect struct {
 	// never invalidate; the cache is bypassed whenever downCubes != 0.
 	cubePaths map[[2]topo.ClusterID][]*link
 
-	// tPool and msgPool recycle transfer and Message shells so the
+	// tFree and msgPool recycle transfer and Message shells so the
 	// steady-state send path allocates nothing. Shells are reset on
 	// recycle; a transfer's completion and release thunks are bound
-	// once, at first construction, and survive reuse.
-	tPool   sync.Pool
+	// once, at first construction, and survive reuse. A transfer never
+	// leaves its fabric (a boundary hop continues in a fresh one on the
+	// far shard), so a plain list serves. A Message is freed by the
+	// receiving shard's netif, so its shells stay on a sync.Pool that
+	// every shard's fabric may feed.
+	tFree   []*transfer
 	msgPool sync.Pool
 
 	// Sharded execution (see shard.go): this fabric's shard index, the
@@ -190,10 +200,9 @@ func New(k *sim.Kernel, costs *m68k.Costs, t *topo.Topology) *Interconnect {
 		dnLink:  make([]*link, n),
 		cubeLnk: make(map[[2]topo.ClusterID]*link),
 		deliver: make([]DeliverFunc, n),
-		onRoom:  make([][]func(), n),
+		onRoom:  make([][]roomWaiter, n),
 	}
 	ic.cubePaths = make(map[[2]topo.ClusterID][]*link)
-	ic.tPool.New = func() any { return newBoundTransfer(ic) }
 	ic.msgPool.New = func() any { return &Message{} }
 	for e := 0; e < n; e++ {
 		ic.outSec[e] = &buffer{name: fmt.Sprintf("out%d", e), outEP: int32(e + 1)}
@@ -410,6 +419,14 @@ func (ic *Interconnect) SetOutputDepth(k int) {
 	}
 }
 
+// roomWaiter is one registration for a room-available interrupt:
+// either a callback or a proc parked with its park token.
+type roomWaiter struct {
+	fn  func()
+	p   *sim.Proc
+	tok sim.ParkToken
+}
+
 // NotifyRoom registers a one-shot callback invoked when endpoint e's
 // output section next becomes free (the "room available" interrupt).
 // If it is already free the callback fires at the current instant.
@@ -418,7 +435,15 @@ func (ic *Interconnect) NotifyRoom(e topo.EndpointID, fn func()) {
 		ic.k.After(0, fn)
 		return
 	}
-	ic.onRoom[e] = append(ic.onRoom[e], fn)
+	ic.onRoom[e] = append(ic.onRoom[e], roomWaiter{fn: fn})
+}
+
+// waitRoom blocks proc p until endpoint e's full output section next
+// frees. The proc waits as a token, so waiting allocates nothing.
+func (ic *Interconnect) waitRoom(p *sim.Proc, e topo.EndpointID, reason string) {
+	tok := p.Arm(reason)
+	ic.onRoom[e] = append(ic.onRoom[e], roomWaiter{p: p, tok: tok})
+	p.Block()
 }
 
 // TrySend starts transmission of msg if the sender's output section is
@@ -440,7 +465,7 @@ func (ic *Interconnect) TrySend(msg *Message, onDelivered func(*Message)) (bool,
 	t := ic.newTransfer()
 	if err := ic.routeLinksInto(t, msg.Src, msg.Dst); err != nil {
 		t.links = t.links[:0]
-		ic.tPool.Put(t)
+		ic.tFree = append(ic.tFree, t)
 		return false, err
 	}
 	if ic.tracer.Enabled() && msg.Trace == 0 {
@@ -469,9 +494,7 @@ func (ic *Interconnect) Send(p *sim.Proc, msg *Message, onDelivered func(*Messag
 		if ok {
 			return nil
 		}
-		wake := p.Park(ic.outputWaitReason(msg.Src))
-		ic.NotifyRoom(msg.Src, wake)
-		p.Block()
+		ic.waitRoom(p, msg.Src, ic.outputWaitReason(msg.Src))
 	}
 }
 
@@ -501,22 +524,17 @@ func (ic *Interconnect) SendMulticast(p *sim.Proc, src topo.EndpointID, dsts []t
 	}
 	out := ic.outSec[src]
 	for out.full() {
-		wake := p.Park("hpc-output-mc")
-		ic.NotifyRoom(src, wake)
-		p.Block()
+		ic.waitRoom(p, src, "hpc-output-mc")
 	}
 	ic.stats.MulticastsSent++
 	// Phase 1: one trip up to the source cluster's replication buffer.
 	up := ic.upLink[src]
 	mt := &mcastRoot{ic: ic, src: src, size: size, payload: payload, tag: tag, dsts: dsts, onDelivered: onDelivered}
-	t := &transfer{
-		msg:   &Message{Src: src, Dst: src, Size: size, Payload: payload, Tag: tag + "/mc-up"},
-		links: []*link{up},
-		onArrivedAtBuffer: func(tr *transfer) {
-			// Message is in the cluster replication buffer; fan out.
-			mt.fanOut(tr)
-		},
-	}
+	t := ic.newTransfer()
+	t.msg = &Message{Src: src, Dst: src, Size: size, Payload: payload, Tag: tag + "/mc-up"}
+	t.links = append(t.links[:0], up)
+	// Once the message is in the cluster replication buffer, fan out.
+	t.onArrivedAtBuffer = mt.fanOut
 	out.occ++
 	t.holder = out
 	up.request(t)
@@ -546,16 +564,16 @@ func (m *mcastRoot) fanOut(root *transfer) {
 	srcCluster := m.ic.topo.AttachmentOf(m.src).Cluster
 	for _, d := range m.dsts {
 		d := d
-		msg := &Message{Src: m.src, Dst: d, Size: m.size, Payload: m.payload, Tag: m.tag}
 		links := ic_linksFromCluster(m.ic, srcCluster, d)
-		bt := &transfer{msg: msg, onDelivered: func(mm *Message) {
+		bt := m.ic.newTransfer()
+		bt.msg = &Message{Src: m.src, Dst: d, Size: m.size, Payload: m.payload, Tag: m.tag}
+		bt.onDelivered = func(mm *Message) {
 			if m.onDelivered != nil {
 				m.onDelivered(d, mm)
 			}
-		}}
-		bt.notifySh = int32(m.ic.shardSelf)
+		}
 		bt.links = links
-		bt.holder = nil // replication buffer ownership handled by root
+		// bt.holder stays nil: the root owns the replication buffer.
 		bt.onLeftFirstBuffer = func() {
 			m.pending--
 			if m.pending == 0 {
@@ -663,10 +681,10 @@ func (b *buffer) full() bool { return b.occ >= b.cap() }
 
 // transfer is one message making its way along a link path.
 //
-// Transfer shells are pooled: newTransfer draws one from the
-// interconnect's pool and maybeRecycle returns it once the message has
-// both finished its hops (onDelivered ran) and had its input section
-// released by the endpoint — whichever happens last. The completion
+// Transfer shells are recycled: newTransfer draws one from the
+// interconnect's free list and maybeRecycle returns it once the
+// message has both finished its hops (onDelivered ran) and had its
+// input section released by the endpoint — whichever happens last. The completion
 // and release thunks are bound once per shell, so a steady-state send
 // schedules and delivers without allocating.
 type transfer struct {
@@ -715,9 +733,18 @@ func newBoundTransfer(ic *Interconnect) *transfer {
 	return t
 }
 
-// newTransfer draws a reset shell from the pool.
+// newTransfer draws a reset shell from the free list, or mints one.
+// Every transfer comes from here, so the list holds at most as many
+// shells as were once in flight together.
 func (ic *Interconnect) newTransfer() *transfer {
-	t := ic.tPool.Get().(*transfer)
+	var t *transfer
+	if n := len(ic.tFree); n > 0 {
+		t = ic.tFree[n-1]
+		ic.tFree[n-1] = nil
+		ic.tFree = ic.tFree[:n-1]
+	} else {
+		t = newBoundTransfer(ic)
+	}
 	t.doneHops = false
 	t.released = false
 	t.recycled = false
@@ -725,8 +752,9 @@ func (ic *Interconnect) newTransfer() *transfer {
 	return t
 }
 
-// maybeRecycle returns the shell to the pool once the last of the two
-// lifetime ends (hop completion, input-section release) has passed.
+// maybeRecycle returns the shell to the free list once the last of
+// the two lifetime ends (hop completion, input-section release) has
+// passed.
 // Both orders occur: a handler may Release inside its deliver callback
 // (before onDelivered runs) or hold the Delivery long after.
 func (t *transfer) maybeRecycle() {
@@ -746,7 +774,7 @@ func (t *transfer) maybeRecycle() {
 	t.dlv = Delivery{}
 	t.onFirstHopStart = nil
 	t.notifySh = int32(t.ic.shardSelf)
-	t.ic.tPool.Put(t)
+	t.ic.tFree = append(t.ic.tFree, t)
 }
 
 // link is a directed link with FIFO (fair) arbitration into a
@@ -831,7 +859,6 @@ func (l *link) tryStart() {
 		wire = sim.Duration(float64(wire) * l.slowdown)
 	}
 	dur := l.ic.costs.HopFixed + wire + l.propagation
-	t.ic = l.ic
 	// Sharded execution: the hop's completion time is known now, a full
 	// HopFixed (= the group lookahead) ahead, so every cross-shard
 	// consequence of this transmission is announced at its start.
@@ -845,12 +872,6 @@ func (l *link) tryStart() {
 	}
 	if t.onDelivered != nil && int(t.notifySh) != l.ic.shardSelf && t.pos == len(t.links)-1 {
 		l.ic.carryBack(t, l.ic.k.Now().Add(dur))
-	}
-	// Hand-built transfers (multicast) bind their thunk on first use;
-	// pooled shells carry one from birth.
-	if t.completeFn == nil {
-		tt := t
-		t.completeFn = func() { tt.curLink.complete(tt) }
 	}
 	t.curLink = l
 	l.ic.k.After(dur, t.completeFn)
@@ -905,16 +926,6 @@ func (l *link) complete(t *transfer) {
 		tr.Count("hpc.bytes", float64(t.msg.Size))
 	}
 	t.lastLink = l
-	if t.releaseFn == nil {
-		tt := t
-		t.releaseFn = func() {
-			ll := tt.lastLink
-			ll.into.occ--
-			tt.released = true
-			tt.maybeRecycle()
-			ll.tryStart()
-		}
-	}
 	t.dlv = Delivery{Msg: t.msg, release: t.releaseFn}
 	d := &t.dlv
 	if fn := l.ic.deliver[t.msg.Dst]; fn != nil {
@@ -938,11 +949,22 @@ func (ic *Interconnect) freed(b *buffer, posOfVacatingLink int, t *transfer) {
 	// Output section freed: room-available interrupt.
 	if b.outEP != 0 {
 		e := int(b.outEP - 1)
-		handlers := ic.onRoom[e]
-		ic.onRoom[e] = nil
-		for _, fn := range handlers {
-			fn()
+		// Fire exactly the waiters registered before this free, in
+		// order: one that registers while they run (a retry refused
+		// again) waits for the next free. Then shift the rest down so
+		// the list keeps its storage.
+		n := len(ic.onRoom[e])
+		for i := 0; i < n; i++ {
+			if w := ic.onRoom[e][i]; w.fn != nil {
+				w.fn()
+			} else {
+				w.p.Wake(w.tok)
+			}
 		}
+		q := ic.onRoom[e]
+		rest := copy(q, q[n:])
+		clear(q[rest:])
+		ic.onRoom[e] = q[:rest]
 		return
 	}
 	// Cluster buffer freed: the link feeding it may proceed.

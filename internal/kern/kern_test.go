@@ -181,7 +181,7 @@ func TestInterruptPreemptsAndResumesWithoutSwitch(t *testing.T) {
 func TestInterruptWakingHigherPrioritySubprocess(t *testing.T) {
 	k, n := newNode()
 	var events []string
-	var wakeHigh func()
+	var wakeHigh Waker
 	n.SpawnSubprocess("high", 9, func(sp *Subprocess) {
 		wakeHigh = sp.Block(WaitInput, "device")
 		sp.BlockNow()
@@ -193,7 +193,7 @@ func TestInterruptWakingHigherPrioritySubprocess(t *testing.T) {
 		events = append(events, "low")
 	})
 	k.After(sim.Milliseconds(1), func() {
-		n.Interrupt(sim.Microseconds(5), func() { wakeHigh() })
+		n.Interrupt(sim.Microseconds(5), func() { wakeHigh.Wake() })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestIdleCategories(t *testing.T) {
 	k, n := newNode()
 	n.SpawnSubprocess("reader", 0, func(sp *Subprocess) {
 		wake := sp.Block(WaitInput, "net-in")
-		k.After(sim.Milliseconds(1), wake)
+		k.After(sim.Milliseconds(1), wake.Wake)
 		sp.BlockNow()
 	})
 	if err := k.Run(); err != nil {
@@ -223,12 +223,12 @@ func TestIdleMixed(t *testing.T) {
 	k, n := newNode()
 	n.SpawnSubprocess("in", 0, func(sp *Subprocess) {
 		wake := sp.Block(WaitInput, "in")
-		k.After(sim.Milliseconds(2), wake)
+		k.After(sim.Milliseconds(2), wake.Wake)
 		sp.BlockNow()
 	})
 	n.SpawnSubprocess("out", 0, func(sp *Subprocess) {
 		wake := sp.Block(WaitOutput, "out")
-		k.After(sim.Milliseconds(2), wake)
+		k.After(sim.Milliseconds(2), wake.Wake)
 		sp.BlockNow()
 	})
 	if err := k.Run(); err != nil {

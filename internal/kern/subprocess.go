@@ -77,19 +77,39 @@ func (sp *Subprocess) Syscall(d sim.Duration) {
 	sp.node.exec(sp, CatSystem, sp.node.costs.Syscall+d)
 }
 
-// Block suspends the subprocess until the returned wake function is
-// called (from any simulation context). kind feeds the idle-time
-// partition; reason appears in deadlock reports and cdb output.
-func (sp *Subprocess) Block(kind WaitKind, reason string) (wake func()) {
+// Block arms the subprocess to wait until the returned Waker is woken
+// (from any simulation context); BlockNow then waits. kind feeds the
+// idle-time partition; reason appears in deadlock reports and cdb
+// output.
+func (sp *Subprocess) Block(kind WaitKind, reason string) Waker {
 	sp.waitKind = kind
 	sp.node.refreshIdle()
-	tok := sp.proc.Arm(reason)
-	return func() {
-		sp.waitKind = WaitNone
-		sp.node.refreshIdle()
-		sp.proc.Wake(tok)
-	}
+	return Waker{sp: sp, tok: sp.proc.Arm(reason)}
 }
+
+// Waker resumes one blocked subprocess: the wait one Block call
+// armed. It is a value, so holding or passing one allocates nothing.
+// The zero Waker wakes nothing.
+type Waker struct {
+	sp  *Subprocess
+	tok sim.ParkToken
+}
+
+// Wake ends the wait. Only the first Wake of an armed wait resumes the
+// subprocess; a repeated one resumes nothing, but like the first it
+// marks the subprocess as not waiting in the idle accounting.
+func (w Waker) Wake() {
+	if w.sp == nil {
+		return
+	}
+	w.sp.waitKind = WaitNone
+	w.sp.node.refreshIdle()
+	w.sp.proc.Wake(w.tok)
+}
+
+// Armed reports whether w holds a wait to end (it is not the zero
+// Waker).
+func (w Waker) Armed() bool { return w.sp != nil }
 
 // BlockNow arms Block and immediately waits; use when the waker was
 // registered beforehand.
@@ -123,7 +143,7 @@ type Semaphore struct {
 
 type waiter struct {
 	sp   *Subprocess
-	wake func()
+	wake Waker
 }
 
 // NewSemaphore creates a semaphore on the node with an initial count.
@@ -152,7 +172,7 @@ func (s *Semaphore) V(sp *Subprocess) {
 	if len(s.waiters) > 0 {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]
-		w.wake()
+		w.wake.Wake()
 		return
 	}
 	s.count++
@@ -164,7 +184,7 @@ func (s *Semaphore) VFromInterrupt() {
 	if len(s.waiters) > 0 {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]
-		w.wake()
+		w.wake.Wake()
 		return
 	}
 	s.count++

@@ -121,7 +121,7 @@ type Space struct {
 }
 
 type waiter struct {
-	wake  func()
+	wake  kern.Waker
 	tuple Tuple
 }
 
@@ -140,7 +140,7 @@ func New(sys *core.System, nodes []*core.Machine) *Space {
 		m.IF.Register(s.svc(i), netif.Service{
 			Cost: func(msg *hpc.Message) sim.Duration {
 				// Scan cost depends on what is stored under the name.
-				body := msg.Payload.(netif.Envelope).Body
+				body := msg.Payload
 				stored := 0
 				switch b := body.(type) {
 				case outMsg:
@@ -180,7 +180,7 @@ func (s *Space) ownerOf(name string) int {
 
 // handle runs at interrupt level on the owning node.
 func (s *Space) handle(i int, msg *hpc.Message) {
-	switch b := msg.Payload.(netif.Envelope).Body.(type) {
+	switch b := msg.Payload.(type) {
 	case outMsg:
 		name, err := b.tuple.Name()
 		if err != nil {
@@ -229,14 +229,14 @@ func (s *Space) reply(i int, req reqMsg, tp Tuple) {
 }
 
 func (s *Space) handleReply(msg *hpc.Message) {
-	rep := msg.Payload.(netif.Envelope).Body.(repMsg)
+	rep := msg.Payload.(repMsg)
 	w := s.replies[rep.token]
 	if w == nil {
 		return
 	}
 	delete(s.replies, rep.token)
 	w.tuple = rep.tuple
-	w.wake()
+	w.wake.Wake()
 }
 
 // Handle is a process's connection to the space.

@@ -71,7 +71,7 @@ type Sender struct {
 	members []topo.EndpointID
 
 	waitingAcks int
-	writerWake  func()
+	writerWake  kern.Waker
 
 	// Writes counts completed multicast writes.
 	Writes int
@@ -85,10 +85,10 @@ func NewSender(f *netif.IF, mgr *objmgr.Manager, name string) *Sender {
 		Cost: func(*hpc.Message) sim.Duration { return f.Node().Costs().ChanAckProto },
 		Handle: func(m *hpc.Message) {
 			s.waitingAcks--
-			if s.waitingAcks == 0 && s.writerWake != nil {
+			if s.waitingAcks == 0 && s.writerWake.Armed() {
 				w := s.writerWake
-				s.writerWake = nil
-				w()
+				s.writerWake = kern.Waker{}
+				w.Wake()
 			}
 		},
 	})
@@ -129,7 +129,7 @@ func (s *Sender) Write(sp *kern.Subprocess, size int, payload any) error {
 			frag.pay = payload
 		}
 		err := s.f.Interconnect().SendMulticast(sp.Proc(), s.f.Endpoint(), s.members,
-			n+headerBytes, netif.Envelope{Service: "mc." + s.name, Body: frag}, "mc."+s.name, nil)
+			n+headerBytes, frag, "mc."+s.name, nil)
 		if err != nil {
 			return err
 		}
@@ -150,7 +150,7 @@ type Receiver struct {
 
 	ready      []Msg
 	assembling int
-	reader     func()
+	reader     kern.Waker
 	waiting    bool
 	pendingMsg Msg
 	havePend   bool
@@ -169,7 +169,7 @@ func Join(f *netif.IF, mgr *objmgr.Manager, sp *kern.Subprocess, name string) *R
 	costs := f.Node().Costs()
 	f.Register("mc."+name, netif.Service{
 		Cost: func(m *hpc.Message) sim.Duration {
-			frag := m.Payload.(netif.Envelope).Body.(mcFrag)
+			frag := m.Payload.(mcFrag)
 			return costs.ChanRecvProto + costs.KernelCopyTime(frag.size)
 		},
 		Handle: func(m *hpc.Message) { r.handle(m) },
@@ -180,7 +180,7 @@ func Join(f *netif.IF, mgr *objmgr.Manager, sp *kern.Subprocess, name string) *R
 }
 
 func (r *Receiver) handle(m *hpc.Message) {
-	frag := m.Payload.(netif.Envelope).Body.(mcFrag)
+	frag := m.Payload.(mcFrag)
 	r.BytesRead += int64(frag.size)
 	if !frag.last {
 		r.assembling += frag.size
@@ -194,7 +194,7 @@ func (r *Receiver) handle(m *hpc.Message) {
 		r.waiting = false
 		r.pendingMsg = msg
 		r.havePend = true
-		r.reader()
+		r.reader.Wake()
 		return
 	}
 	r.ready = append(r.ready, msg)
@@ -211,8 +211,7 @@ func (r *Receiver) Read(sp *kern.Subprocess) Msg {
 		r.Reads++
 		return m
 	}
-	wake := sp.Block(kern.WaitInput, "mc-read "+r.name)
-	r.reader, r.waiting = wake, true
+	r.reader, r.waiting = sp.Block(kern.WaitInput, "mc-read "+r.name), true
 	sp.BlockNow()
 	sp.System(costs.SchedulerWake)
 	r.havePend = false

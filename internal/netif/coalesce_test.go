@@ -1,6 +1,7 @@
 package netif_test
 
 import (
+	"fmt"
 	"testing"
 
 	"hpcvorx/internal/hpc"
@@ -114,6 +115,73 @@ func TestCoalescedBatchFreedOnCrash(t *testing.T) {
 	}
 	if handled != 1 {
 		t.Fatalf("post-restart delivery handled %d, want 1", handled)
+	}
+}
+
+// TestCoalescedDrainFreedOnCrash: a crash while a drain interrupt is
+// queued or running loses that drain's messages as well as the batch
+// accumulating behind it, and counts every one of them dead. Here the
+// first message's drain is running (a 500 µs service time) and the
+// other two wait in the batch when the node dies.
+func TestCoalescedDrainFreedOnCrash(t *testing.T) {
+	k, _, ifs, nodes := rig(t)
+	handled := 0
+	ifs[1].SetCoalesce(0)
+	ifs[1].Register("svc", netif.Service{
+		Cost:   func(*hpc.Message) sim.Duration { return 500 * sim.Microsecond },
+		Handle: func(*hpc.Message) { handled++ },
+	})
+	for i := 0; i < 3; i++ {
+		ifs[0].SendAsync(1, "svc", 64, i, nil)
+	}
+	k.After(130*sim.Microsecond, func() { nodes[1].Crash() })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if handled != 0 || ifs[1].DroppedDead != 3 {
+		t.Fatalf("handled=%d DroppedDead=%d, want 0 and 3", handled, ifs[1].DroppedDead)
+	}
+}
+
+// TestCoalescedDrainRestartBeforeEnd: kern still runs a drain
+// interrupt whose service time ends after the node has crashed and
+// restarted. The crash already emptied that drain, so it handles
+// nothing, and it must not drain the batch raised after the restart
+// either: that batch waits for its own interrupt's full service time.
+func TestCoalescedDrainRestartBeforeEnd(t *testing.T) {
+	k, _, ifs, nodes := rig(t)
+	var handled []int
+	var at []sim.Time
+	ifs[1].SetCoalesce(0)
+	ifs[1].Register("svc", netif.Service{
+		Cost: func(*hpc.Message) sim.Duration { return 500 * sim.Microsecond },
+		Handle: func(m *hpc.Message) {
+			handled = append(handled, m.Payload.(int))
+			at = append(at, k.Now())
+		},
+	})
+	for i := 0; i < 3; i++ {
+		ifs[0].SendAsync(1, "svc", 64, i, nil)
+	}
+	const restart = 140 * sim.Microsecond
+	k.After(130*sim.Microsecond, func() { nodes[1].Crash() })
+	k.After(restart, func() {
+		nodes[1].Restart()
+		for i := 10; i < 13; i++ {
+			ifs[0].SendAsync(1, "svc", 64, i, nil)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(handled) != "[10 11 12]" || ifs[1].DroppedDead != 3 {
+		t.Fatalf("handled %v with DroppedDead=%d, want [10 11 12] and 3", handled, ifs[1].DroppedDead)
+	}
+	// No message sent at the restart can be handled before a drain
+	// raised after it has run its interrupt entry and service cost.
+	earliest := sim.Time(0).Add(restart + 525*sim.Microsecond)
+	if at[0] < earliest {
+		t.Fatalf("message 10 handled at %v, before a post-restart drain could end (%v)", at[0], earliest)
 	}
 }
 

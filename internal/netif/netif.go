@@ -3,7 +3,8 @@
 // demultiplexes incoming messages to registered services — the channel
 // protocol, the object manager, host stubs, and user-defined
 // communications objects all receive their traffic through one
-// interface.
+// interface. A message sent through an interface names its service in
+// hpc.Message.Tag and carries the sender's body itself as Payload.
 //
 // Each arriving message raises an interrupt on the node; the service's
 // declared ISR cost (interrupt entry plus whatever reading the message
@@ -23,12 +24,6 @@ import (
 	"hpcvorx/internal/topo"
 	"hpcvorx/internal/trace"
 )
-
-// Envelope is the payload wrapper that names the destination service.
-type Envelope struct {
-	Service string
-	Body    any
-}
 
 // fenceService is the driver-internal service that distributes
 // incarnation fences. A fence note names a target endpoint and the
@@ -149,8 +144,10 @@ type IF struct {
 	verifier Verifier
 
 	// isrFree is a free list of receive-interrupt records (see isr);
-	// the first delivery makes the first one.
-	isrFree *isr
+	// the first delivery makes the first one. retryFree does the same
+	// for refused asynchronous sends (see retry).
+	isrFree   *isr
+	retryFree *retry
 }
 
 // isr is one raised receive interrupt: the delivery it reads out and
@@ -196,12 +193,13 @@ func (r *isr) run() {
 
 // coalescer is an interface's receive-interrupt batch state.
 type coalescer struct {
-	batch   []batchEntry // read out, awaiting the next drain
-	armed   bool         // the horizon timer will fire the batch
-	pending bool         // a drain interrupt is queued or running
-	timer   sim.Timer
-	fire    func()      // f.fireBatch, bound once
-	free    *batchDrain // free list of drain records
+	batch []batchEntry // read out, awaiting the next drain
+	armed bool         // the horizon timer will fire the batch
+	// drain is the drain interrupt queued or running, nil when none.
+	drain *batchDrain
+	timer sim.Timer
+	fire  func()      // f.fireBatch, bound once
+	free  *batchDrain // free list of drain records
 }
 
 // batchDrain is one raised batch interrupt and the entries it drains.
@@ -215,9 +213,15 @@ type batchDrain struct {
 	next    *batchDrain
 }
 
-// run handles the drained messages in arrival order.
+// run handles the drained messages in arrival order. A drain a crash
+// has already emptied (see Attach) handles nothing and only goes back
+// on the free list: the node restarted before its interrupt ended.
 func (r *batchDrain) run() {
 	f, co, entries := r.f, r.f.co, r.entries
+	live := co.drain == r
+	if live {
+		co.drain = nil
+	}
 	for _, e := range entries {
 		e.svc.Handle(e.msg)
 		f.ic.FreeMessage(e.msg)
@@ -225,11 +229,10 @@ func (r *batchDrain) run() {
 	clear(entries)
 	r.entries = entries[:0]
 	r.next, co.free = co.free, r
-	co.pending = false
 	// Arrivals that landed while this drain was queued or running
 	// chain straight into the next one, like an ISR re-scanning the
 	// ring before returning.
-	if len(co.batch) > 0 {
+	if live && len(co.batch) > 0 {
 		f.fireBatch()
 	}
 }
@@ -248,16 +251,20 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 		}
 		f.pending = nil
 		// Batched messages were already read out of the hardware; the
-		// crash discards them before their drain interrupt ran.
+		// crash discards them before their drain interrupt ran, both
+		// the batch still accumulating and the one a drain interrupt
+		// owns. That record stays with its interrupt: kern still runs
+		// the interrupt if the node restarts before its service time
+		// ends, so the record must not carry a new batch meanwhile.
 		if co := f.co; co != nil {
-			for _, e := range co.batch {
-				f.DroppedDead++
-				ic.FreeMessage(e.msg)
+			if r := co.drain; r != nil {
+				co.drain = nil
+				f.dropBatch(r.entries)
+				r.entries = r.entries[:0]
 			}
-			clear(co.batch)
+			f.dropBatch(co.batch)
 			co.batch = co.batch[:0]
 			co.armed = false
-			co.pending = false
 			co.timer.Stop()
 		}
 	})
@@ -286,13 +293,7 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 				return
 			}
 		}
-		env, ok := d.Msg.Payload.(Envelope)
-		if !ok {
-			f.Dropped++
-			d.Release()
-			return
-		}
-		svc, ok := f.services[env.Service]
+		svc, ok := f.services[d.Msg.Tag]
 		if !ok {
 			f.Dropped++
 			msg := d.Msg
@@ -301,10 +302,10 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 			return
 		}
 		if v := f.verifier; v != nil {
-			v.FrameAccepted(f.ep, d.Msg.Src, d.Msg.Inc, env.Service)
+			v.FrameAccepted(f.ep, d.Msg.Src, d.Msg.Inc, d.Msg.Tag)
 		}
 		if tr := node.Tracer(); tr.Enabled() {
-			tr.Emit(trace.KService, d.Msg.Trace, node.Name(), "svc/"+env.Service,
+			tr.Emit(trace.KService, d.Msg.Trace, node.Name(), "svc/"+d.Msg.Tag,
 				fmt.Sprintf("%dB from %d", d.Msg.Size, d.Msg.Src))
 		}
 		if svc.NoInterrupt {
@@ -331,7 +332,7 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 			if tr := node.Tracer(); tr.Enabled() {
 				tr.GaugeSet("netif.batch."+node.Name(), float64(len(co.batch)))
 			}
-			if !co.armed && !co.pending {
+			if !co.armed && co.drain == nil {
 				co.armed = true
 				co.timer = node.Kernel().After(f.coalesceHorizon, co.fire)
 			}
@@ -350,6 +351,16 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 type batchEntry struct {
 	msg *hpc.Message
 	svc Service
+}
+
+// dropBatch discards read-out messages a crash caught before their
+// drain ran: each counts as dead and its shell goes back.
+func (f *IF) dropBatch(entries []batchEntry) {
+	for _, e := range entries {
+		f.DroppedDead++
+		f.ic.FreeMessage(e.msg)
+	}
+	clear(entries)
 }
 
 // SetCoalesce enables receive-interrupt coalescing: deliveries that
@@ -401,7 +412,7 @@ func (f *IF) fireBatch() {
 	// The drain takes the batch; the next batch reuses the storage the
 	// record's previous drain left behind.
 	r.entries, co.batch = entries, r.entries[:0]
-	co.pending = true
+	co.drain = r
 	f.node.Interrupt(f.isrCost(cost), r.fire)
 }
 
@@ -459,16 +470,12 @@ func (f *IF) SendFenceNote(dst, target topo.EndpointID, min uint32) {
 func (f *IF) refuse(d *hpc.Delivery, min uint32) {
 	msg := d.Msg
 	f.FencedDrops++
-	svcName := ""
-	if env, ok := msg.Payload.(Envelope); ok {
-		svcName = env.Service
-	}
 	if tr := f.node.Tracer(); tr.Enabled() {
 		tr.Emit(trace.KFence, msg.Trace, f.node.Name(), "svc/"+fenceService,
-			fmt.Sprintf("refused %s inc %d < %d from %d", svcName, msg.Inc, min, msg.Src))
+			fmt.Sprintf("refused %s inc %d < %d from %d", msg.Tag, msg.Inc, min, msg.Src))
 	}
 	if v := f.verifier; v != nil {
-		v.FrameRefused(f.ep, msg.Src, msg.Inc, min, svcName)
+		v.FrameRefused(f.ep, msg.Src, msg.Inc, min, msg.Tag)
 	}
 	src := msg.Src
 	d.Release()
@@ -484,7 +491,7 @@ func (f *IF) refuse(d *hpc.Delivery, min uint32) {
 // machine means the cluster has moved on without it — crash the zombie
 // state and cold-boot under the floor.
 func (f *IF) handleFenceNote(m *hpc.Message) {
-	note, ok := m.Payload.(Envelope).Body.(fenceNote)
+	note, ok := m.Payload.(fenceNote)
 	if !ok {
 		return
 	}
@@ -536,8 +543,9 @@ func (f *IF) Register(name string, svc Service) {
 	f.services[name] = svc
 }
 
-// Send transmits an Envelope-wrapped message, blocking the subprocess
-// until the output section accepts it. size is the wire size in bytes
+// Send transmits body to service on dst, blocking the subprocess until
+// the output section accepts it. The message names the service in its
+// Tag and carries body as its Payload. size is the wire size in bytes
 // (headers included). No CPU is charged here: callers model their own
 // protocol costs.
 func (f *IF) Send(sp *kern.Subprocess, dst topo.EndpointID, service string, size int, body any) error {
@@ -550,8 +558,7 @@ func (f *IF) Send(sp *kern.Subprocess, dst topo.EndpointID, service string, size
 func (f *IF) SendCtx(sp *kern.Subprocess, tid uint64, dst topo.EndpointID, service string, size int, body any) error {
 	m := f.ic.AllocMessage()
 	m.Src, m.Dst, m.Size = f.ep, dst, size
-	m.Payload = Envelope{Service: service, Body: body}
-	m.Tag = service
+	m.Payload, m.Tag = body, service
 	m.Trace = tid
 	m.Inc = f.node.Incarnation()
 	if err := f.ic.Send(sp.Proc(), m, nil); err != nil {
@@ -573,8 +580,7 @@ func (f *IF) SendAsync(dst topo.EndpointID, service string, size int, body any, 
 func (f *IF) SendAsyncCtx(tid uint64, dst topo.EndpointID, service string, size int, body any, onDelivered func()) {
 	msg := f.ic.AllocMessage()
 	msg.Src, msg.Dst, msg.Size = f.ep, dst, size
-	msg.Payload = Envelope{Service: service, Body: body}
-	msg.Tag = service
+	msg.Payload, msg.Tag = body, service
 	msg.Trace = tid
 	msg.Inc = f.node.Incarnation()
 	var cb func(*hpc.Message)
@@ -585,14 +591,40 @@ func (f *IF) SendAsyncCtx(tid uint64, dst topo.EndpointID, service string, size 
 		return
 	}
 	// The output section is full: retry on each room-available
-	// interrupt. Only a refused send pays for the retry closure.
-	var retry func()
-	retry = func() {
-		if !f.trySend(msg, cb) {
-			f.ic.NotifyRoom(f.ep, retry)
-		}
+	// interrupt.
+	r := f.retryFree
+	if r != nil {
+		f.retryFree, r.next = r.next, nil
+	} else {
+		r = &retry{f: f}
+		r.fire = r.run
 	}
-	f.ic.NotifyRoom(f.ep, retry)
+	r.msg, r.cb = msg, cb
+	f.ic.NotifyRoom(f.ep, r.fire)
+}
+
+// retry is an asynchronous send the output section refused, waiting
+// for room. Records are recycled per interface with fire bound once,
+// like isr records; a record goes back on the free list once its send
+// is done.
+type retry struct {
+	f    *IF
+	msg  *hpc.Message
+	cb   func(*hpc.Message)
+	fire func() // r.run, bound once
+	next *retry // free-list link
+}
+
+// run offers the message again; refused, it waits for the next room
+// interrupt.
+func (r *retry) run() {
+	f := r.f
+	if !f.trySend(r.msg, r.cb) {
+		f.ic.NotifyRoom(f.ep, r.fire)
+		return
+	}
+	r.msg, r.cb = nil, nil
+	r.next, f.retryFree = f.retryFree, r
 }
 
 // trySend offers msg to the output section once. It reports false only

@@ -1,6 +1,7 @@
 package netif_test
 
 import (
+	"fmt"
 	"testing"
 
 	"hpcvorx/internal/hpc"
@@ -34,7 +35,7 @@ func TestDispatchToService(t *testing.T) {
 	var got any
 	ifs[1].Register("svc", netif.Service{
 		Cost:   func(*hpc.Message) sim.Duration { return sim.Microseconds(10) },
-		Handle: func(m *hpc.Message) { got = m.Payload.(netif.Envelope).Body },
+		Handle: func(m *hpc.Message) { got = m.Payload },
 	})
 	ifs[0].SendAsync(1, "svc", 64, "payload", nil)
 	if err := k.Run(); err != nil {
@@ -206,5 +207,57 @@ func TestCrashReleasesPendingDeliveries(t *testing.T) {
 	}
 	if ifs[1].DroppedDead == 0 {
 		t.Fatal("pending delivery must be drained on crash")
+	}
+}
+
+// TestRoomInterruptOrder pins who goes first when a full output
+// section frees. The section's waiters register in the order P1 (a
+// blocked Send of A), the SendAsync retries of B and C, P2 (a blocked
+// Send of D), and R, a room handler that stands in for a retry and
+// registers again whenever it finds the section full. Each free fires
+// exactly the waiters registered before it, in order, but only a retry
+// sends inside the interrupt; a woken proc sends when it next runs, by
+// when a retry may have taken the room. So the deliveries are not in
+// registration order, and R, refused at two frees, fires once at each
+// free and never twice within one.
+func TestRoomInterruptOrder(t *testing.T) {
+	k, ic, ifs, nodes := rig(t)
+	var got []string
+	ifs[1].Register("svc", netif.Service{
+		Cost:   func(*hpc.Message) sim.Duration { return sim.Microseconds(10) },
+		Handle: func(m *hpc.Message) { got = append(got, m.Payload.(string)) },
+	})
+	send := func(name, body string) {
+		nodes[0].SpawnSubprocess(name, 0, func(sp *kern.Subprocess) {
+			if err := ifs[0].Send(sp, 1, "svc", 64, body); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	// m0 takes the output section; everything after it waits for room.
+	ifs[0].SendAsync(1, "svc", 64, "m0", nil)
+	send("p1", "A")
+	k.After(0, func() {
+		ifs[0].SendAsync(1, "svc", 64, "B", nil)
+		ifs[0].SendAsync(1, "svc", 64, "C", nil)
+	})
+	send("p2", "D")
+	var fires []sim.Time
+	var probe func()
+	probe = func() {
+		fires = append(fires, k.Now())
+		if !ic.OutputFree(0) {
+			ic.NotifyRoom(0, probe)
+		}
+	}
+	k.After(0, func() { ic.NotifyRoom(0, probe) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[m0 B C A D]"; fmt.Sprint(got) != want {
+		t.Fatalf("delivery order %v, want %s", got, want)
+	}
+	if len(fires) != 3 || !(fires[0] < fires[1] && fires[1] < fires[2]) {
+		t.Fatalf("R fired at %v, want once at each of three frees", fires)
 	}
 }

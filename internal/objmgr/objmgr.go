@@ -192,7 +192,7 @@ func (m *Manager) Open(sp *kern.Subprocess, from *netif.IF, name string, mode Mo
 		wake := sp.Block(kern.WaitOther, "open "+name)
 		m.replies[token] = func(p Pairing) {
 			result = p
-			wake()
+			wake.Wake()
 		}
 		if err := from.Send(sp, m.ManagerFor(name), "objmgr", OpenRequestBytes,
 			openReq{name: name, mode: mode, from: from.Endpoint(), token: token}); err == nil {
@@ -200,9 +200,9 @@ func (m *Manager) Open(sp *kern.Subprocess, from *netif.IF, name string, mode Mo
 		}
 		// The manager is unreachable: give up the reply wait and send
 		// again once a cube link comes back up.
-		wake()
+		wake.Wake()
 		sp.BlockNow()
-		from.Interconnect().OnRepair(sp.Block(kern.WaitOther, "open "+name+" (manager unreachable)"))
+		from.Interconnect().OnRepair(sp.Block(kern.WaitOther, "open "+name+" (manager unreachable)").Wake)
 		sp.BlockNow()
 	}
 	sp.BlockNow()
@@ -211,7 +211,7 @@ func (m *Manager) Open(sp *kern.Subprocess, from *netif.IF, name string, mode Mo
 
 // handleOpen runs at interrupt level on the manager node.
 func (m *Manager) handleOpen(ep topo.EndpointID, st *mgrState, msg *hpc.Message) {
-	req := msg.Payload.(netif.Envelope).Body.(openReq)
+	req := msg.Payload.(openReq)
 	st.Processed++
 	q := st.pending[req.name]
 	if q == nil {
@@ -258,7 +258,7 @@ func (m *Manager) match(ep topo.EndpointID, st *mgrState, name string, q *nameQu
 
 // handleReply runs at interrupt level on the opener's node.
 func (m *Manager) handleReply(msg *hpc.Message) {
-	rep := msg.Payload.(netif.Envelope).Body.(openRep)
+	rep := msg.Payload.(openRep)
 	fn, ok := m.replies[rep.token]
 	if !ok {
 		return

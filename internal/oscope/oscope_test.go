@@ -135,12 +135,12 @@ func TestIdleMixedGlyph(t *testing.T) {
 	sc := oscope.Attach(sys)
 	sys.Spawn(sys.Node(0), "in", 0, func(sp *kern.Subprocess) {
 		wake := sp.Block(kern.WaitInput, "in")
-		sys.K.After(sim.Milliseconds(5), wake)
+		sys.K.After(sim.Milliseconds(5), wake.Wake)
 		sp.BlockNow()
 	})
 	sys.Spawn(sys.Node(0), "out", 0, func(sp *kern.Subprocess) {
 		wake := sp.Block(kern.WaitOutput, "out")
-		sys.K.After(sim.Milliseconds(5), wake)
+		sys.K.After(sim.Milliseconds(5), wake.Wake)
 		sp.BlockNow()
 	})
 	if err := sys.Run(); err != nil {

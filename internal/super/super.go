@@ -530,7 +530,7 @@ func (s *Supervisor) record(kind, format string, args ...any) {
 
 // handleHeartbeat runs at interrupt level on the supervisor's host.
 func (s *Supervisor) handleHeartbeat(m *hpc.Message) {
-	hb := m.Payload.(netif.Envelope).Body.(hbMsg)
+	hb := m.Payload.(hbMsg)
 	mb := s.members[hb.from]
 	if mb == nil {
 		return
@@ -875,7 +875,7 @@ func (s *Supervisor) checkpointAll() {
 // handleCheckpoint commits a snapshot on the supervisor's host and
 // pushes stable marks out to retaining peers.
 func (s *Supervisor) handleCheckpoint(m *hpc.Message) {
-	ck := m.Payload.(netif.Envelope).Body.(ckptMsg)
+	ck := m.Payload.(ckptMsg)
 	t := ck.task
 	if ck.gen != t.gen {
 		return // a stale incarnation's snapshot arrived after restart
@@ -913,7 +913,7 @@ func (s *Supervisor) handleCheckpoint(m *hpc.Message) {
 
 // handleStable runs at interrupt level on a retaining peer's machine.
 func (s *Supervisor) handleStable(m *core.Machine, msg *hpc.Message) {
-	sm := msg.Payload.(netif.Envelope).Body.(stableMsg)
+	sm := msg.Payload.(stableMsg)
 	m.Chans.ReleaseRetained(sm.ch, sm.stable)
 }
 

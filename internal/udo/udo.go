@@ -59,7 +59,7 @@ type Object struct {
 
 	queue   []Msg
 	pending []*hpc.Delivery // polled mode: deliveries held for backpressure
-	waiter  func()
+	waiter  kern.Waker
 	waiting bool
 
 	// Received counts messages accepted.
@@ -86,7 +86,7 @@ func New(f *netif.IF, name string, polled bool) *Object {
 				}
 				if o.waiting {
 					o.waiting = false
-					o.waiter()
+					o.waiter.Wake()
 				}
 			},
 		})
@@ -100,7 +100,7 @@ func New(f *netif.IF, name string, polled bool) *Object {
 			o.accept(m)
 			if o.waiting {
 				o.waiting = false
-				o.waiter()
+				o.waiter.Wake()
 			}
 		},
 	})
@@ -108,8 +108,7 @@ func New(f *netif.IF, name string, polled bool) *Object {
 }
 
 func (o *Object) accept(m *hpc.Message) {
-	env := m.Payload.(netif.Envelope)
-	o.queue = append(o.queue, Msg{Src: m.Src, Size: m.Size - RawHeader, Payload: env.Body})
+	o.queue = append(o.queue, Msg{Src: m.Src, Size: m.Size - RawHeader, Payload: m.Payload})
 	o.Received++
 }
 
@@ -161,16 +160,14 @@ func (o *Object) Recv(sp *kern.Subprocess) Msg {
 			// Idle-wait for arrival without charging CPU (the real
 			// code would spin; the result is the same in virtual
 			// time because nothing else wants this CPU).
-			wake := sp.Block(kern.WaitInput, "udo-poll "+o.name)
-			o.waiter, o.waiting = wake, true
+			o.waiter, o.waiting = sp.Block(kern.WaitInput, "udo-poll "+o.name), true
 			sp.BlockNow()
 		}
 	}
 	if len(o.queue) > 0 {
 		return o.popLocked()
 	}
-	wake := sp.Block(kern.WaitInput, "udo-recv "+o.name)
-	o.waiter, o.waiting = wake, true
+	o.waiter, o.waiting = sp.Block(kern.WaitInput, "udo-recv "+o.name), true
 	sp.BlockNow()
 	sp.System(costs.SchedulerWake)
 	if len(o.queue) == 0 {

@@ -58,7 +58,7 @@ type WindowSender struct {
 	msgSize int
 
 	credits int
-	blocked func()
+	blocked kern.Waker
 	waiting bool
 
 	// Sent counts messages transmitted; Stalls counts the times the
@@ -77,7 +77,7 @@ func NewWindowSender(f *netif.IF, name string, dst topo.EndpointID, msgSize int)
 			ws.credits++
 			if ws.waiting {
 				ws.waiting = false
-				ws.blocked()
+				ws.blocked.Wake()
 			}
 		},
 	})
@@ -90,8 +90,7 @@ func (ws *WindowSender) Send(sp *kern.Subprocess, payload any) {
 	costs := ws.f.Node().Costs()
 	for ws.credits == 0 {
 		ws.Stalls++
-		wake := sp.Block(kern.WaitOutput, "window-credit "+ws.name)
-		ws.blocked, ws.waiting = wake, true
+		ws.blocked, ws.waiting = sp.Block(kern.WaitOutput, "window-credit "+ws.name), true
 		sp.BlockNow()
 		sp.System(costs.SchedulerWake)
 	}
@@ -117,7 +116,7 @@ type WindowReceiver struct {
 
 	ring    []Msg
 	waiting bool
-	waiter  func()
+	waiter  kern.Waker
 
 	// Received counts messages consumed by Recv.
 	Received int
@@ -132,11 +131,10 @@ func NewWindowReceiver(f *netif.IF, name string, src topo.EndpointID, msgSize, k
 			return costs.UDORecvISR + costs.CopyTime(msgSize) + WindowDeliverISR
 		},
 		Handle: func(m *hpc.Message) {
-			env := m.Payload.(netif.Envelope)
-			wr.ring = append(wr.ring, Msg{Src: m.Src, Size: msgSize, Payload: env.Body})
+			wr.ring = append(wr.ring, Msg{Src: m.Src, Size: msgSize, Payload: m.Payload})
 			if wr.waiting {
 				wr.waiting = false
-				wr.waiter()
+				wr.waiter.Wake()
 			}
 		},
 	})
@@ -160,8 +158,7 @@ func (wr *WindowReceiver) Start(sp *kern.Subprocess) {
 func (wr *WindowReceiver) Recv(sp *kern.Subprocess) Msg {
 	costs := wr.f.Node().Costs()
 	if len(wr.ring) == 0 {
-		wake := sp.Block(kern.WaitInput, "window-data "+wr.name)
-		wr.waiter, wr.waiting = wake, true
+		wr.waiter, wr.waiting = sp.Block(kern.WaitInput, "window-data "+wr.name), true
 		sp.BlockNow()
 		sp.System(costs.SchedulerWake)
 	}

@@ -401,7 +401,7 @@ type Service struct {
 type laneState struct {
 	id       uint32
 	inflight int
-	waiters  []func()
+	waiters  []kern.Waker
 }
 
 // Dump writes the service's live protocol state — writer windows,
@@ -487,7 +487,7 @@ type Reader struct {
 	expect int // next sequence to accept
 	term   uint32
 	ready  []Msg
-	wake   func()
+	wake   kern.Waker
 
 	owed    int
 	ackOn   bool
@@ -513,11 +513,11 @@ func newService(f *Fabric, m *core.Machine) *Service {
 	costs := m.Kern.Costs()
 	m.IF.Register("vchan.data", netif.Service{
 		Cost: func(m *hpc.Message) sim.Duration {
-			fr := m.Payload.(netif.Envelope).Body.(*vFrame)
+			fr := m.Payload.(*vFrame)
 			return costs.ChanRecvProto + costs.KernelCopyTime(fr.size)
 		},
 		BatchCost: func(m *hpc.Message) sim.Duration {
-			fr := m.Payload.(netif.Envelope).Body.(*vFrame)
+			fr := m.Payload.(*vFrame)
 			return costs.KernelCopyTime(fr.size)
 		},
 		Handle: s.handleData,
@@ -677,7 +677,7 @@ func (s *Service) wakeLane(l *laneState) {
 	for len(l.waiters) > 0 && l.inflight < s.fab.cfg.Window {
 		wake := l.waiters[0]
 		l.waiters = l.waiters[1:]
-		wake()
+		wake.Wake()
 	}
 }
 
@@ -694,7 +694,7 @@ func (s *Service) wakeAll() {
 		for len(l.waiters) > 0 {
 			wake := l.waiters[0]
 			l.waiters = l.waiters[1:]
-			wake()
+			wake.Wake()
 		}
 	}
 }
@@ -748,7 +748,7 @@ func (s *Service) retransFire(w *Writer) {
 }
 
 func (s *Service) handleAck(m *hpc.Message) {
-	a := m.Payload.(netif.Envelope).Body.(*vAck)
+	a := m.Payload.(*vAck)
 	w := s.writers[a.v]
 	if w == nil || a.upTo <= w.ackHigh {
 		return
@@ -778,7 +778,7 @@ func (s *Service) handleAck(m *hpc.Message) {
 }
 
 func (s *Service) handleNack(m *hpc.Message) {
-	n := m.Payload.(netif.Envelope).Body.(*vNack)
+	n := m.Payload.(*vNack)
 	w := s.writers[n.v]
 	if w == nil {
 		return
@@ -815,7 +815,7 @@ func (s *Service) sendDrained(w *Writer) {
 // broker side --------------------------------------------------------
 
 func (s *Service) handleData(m *hpc.Message) {
-	fr := m.Payload.(netif.Envelope).Body.(*vFrame)
+	fr := m.Payload.(*vFrame)
 	if fr.hop == 0 {
 		s.brokerData(fr)
 	} else {
@@ -906,10 +906,10 @@ func (s *Service) consumerData(fr *vFrame) {
 		r.ready = append(r.ready, Msg{Size: fr.size, Payload: fr.pay, Seq: fr.seq, Term: fr.term})
 		s.tracer().Emit(trace.KChanDel, fr.tid, s.m.Name(), "vchan/"+r.name,
 			fmt.Sprintf("seq=%d term=%d", fr.seq, fr.term))
-		if r.wake != nil {
+		if r.wake.Armed() {
 			wake := r.wake
-			r.wake = nil
-			wake()
+			r.wake = kern.Waker{}
+			wake.Wake()
 		}
 		r.owed++
 		if r.owed >= max(1, s.fab.cfg.Window/2) {
@@ -975,7 +975,7 @@ func (r *Reader) Term() uint32 { return r.term }
 // control plane (machine side) --------------------------------------
 
 func (s *Service) handleCtrl(m *hpc.Message) {
-	c := m.Payload.(netif.Envelope).Body.(*ctrlMsg)
+	c := m.Payload.(*ctrlMsg)
 	if s.fab.bal != nil && s.f.Endpoint() == s.fab.bal.ep {
 		switch c.kind {
 		case ctrlAck:
@@ -1108,7 +1108,7 @@ func (s *Service) onCrash() {
 			r.ackOn = false
 		}
 		r.ready = nil
-		r.wake = nil
+		r.wake = kern.Waker{}
 	}
 	for _, l := range s.lanes {
 		l.inflight = 0

@@ -42,7 +42,7 @@ type target struct {
 	breaks   map[string]bool
 	stopped  bool
 	stopLoc  string
-	resume   func()
+	resume   kern.Waker
 	onStop   func(loc string)
 	hits     int
 	attached bool
@@ -95,8 +95,7 @@ func Point(sp *kern.Subprocess, loc string) {
 	tg.hits++
 	tg.stopped = true
 	tg.stopLoc = loc
-	wake := sp.Block(kern.WaitOther, fmt.Sprintf("vdb-stop %s@%s", tg.name, loc))
-	tg.resume = wake
+	tg.resume = sp.Block(kern.WaitOther, fmt.Sprintf("vdb-stop %s@%s", tg.name, loc))
 	if tg.onStop != nil {
 		tg.onStop(loc)
 	}
@@ -230,12 +229,12 @@ func (d *Debugger) Continue() error {
 	if err != nil {
 		return err
 	}
-	if !tg.stopped || tg.resume == nil {
+	if !tg.stopped || !tg.resume.Armed() {
 		return fmt.Errorf("vdb: %s is not stopped", tg.name)
 	}
 	r := tg.resume
-	tg.resume = nil
-	r()
+	tg.resume = kern.Waker{}
+	r.Wake()
 	return nil
 }
 
