@@ -53,3 +53,62 @@ func TestClassicRoundTripAllocBound(t *testing.T) {
 		t.Fatalf("warm classic round trip allocates %v/op, want at most %d", allocs, bound)
 	}
 }
+
+// TestBusyResumeZeroAlloc: the reader has one side buffer, which its
+// previous message still holds whenever the next one arrives, so every
+// write is refused busy, parks as a starve record and is retransmitted
+// when a read frees the buffer and resumes it. Once warm, such a write
+// allocates nothing: the busy and resume notices travel on pooled
+// ackMsg shells, like acks.
+func TestBusyResumeZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	sys := build(t, 2)
+	rx := sys.Node(1).Chans
+	rx.SetSideBuffers(1)
+	read := 0
+	sys.Spawn(sys.Node(0), "writer", 0, func(sp *kern.Subprocess) {
+		ch := sys.Node(0).Chans.Open(sp, "busy", objmgr.OpenAny)
+		for {
+			if err := ch.Write(sp, 64, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	sys.Spawn(sys.Node(1), "reader", 0, func(sp *kern.Subprocess) {
+		ch := rx.Open(sp, "busy", objmgr.OpenAny)
+		for {
+			// Busy on the CPU rather than blocked in Read, so each
+			// arrival finds no reader and a full side buffer.
+			sp.Compute(sim.Millisecond)
+			if _, ok := ch.Read(sp); !ok {
+				t.Error("read failed")
+				return
+			}
+			read++
+		}
+	})
+	defer sys.Shutdown()
+	cycle := func() {
+		for want := read + 1; read < want; {
+			sys.RunFor(10 * sim.Microsecond)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	busies, retransmits := rx.Busies, rx.Retransmits
+	allocs := testing.AllocsPerRun(200, cycle)
+	// AllocsPerRun adds one warm-up call.
+	if got := rx.Busies - busies; got != 201 {
+		t.Fatalf("%d busy refusals in 201 reads; the scenario no longer refuses every write", got)
+	}
+	if got := rx.Retransmits - retransmits; got != 201 {
+		t.Fatalf("%d resumed retransmissions in 201 reads", got)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm busy-refused, resumed write allocates %v/op, want 0", allocs)
+	}
+}

@@ -167,13 +167,16 @@ type dataFrag struct {
 	inc uint32
 }
 
+// ackMsg names one write of a channel: the body of an ack, and of the
+// busy and resume notices of side-buffer flow control.
 type ackMsg struct {
 	ch  uint64
 	seq int
 }
 
-// fragPool and ackPool recycle the wire-body shells of the two
-// per-write messages. Shells are sent as pointers (boxing a pointer
+// fragPool and ackPool recycle the wire-body shells of the per-write
+// messages: data fragments, and the acks, busy and resume notices that
+// share ackMsg. Shells are sent as pointers (boxing a pointer
 // into an interface allocates nothing), the receiver copies the fields
 // out at interrupt level and returns the shell. The pools are shared
 // process-wide: sender and receiver are different nodes, and under
@@ -191,14 +194,6 @@ func putFrag(f *dataFrag) {
 	fragPool.Put(f)
 }
 
-type busyMsg struct {
-	ch  uint64
-	seq int
-}
-type resumeMsg struct {
-	ch  uint64
-	seq int
-}
 type closeMsg struct{ ch uint64 }
 
 // starveRec is one busy-discarded message awaiting a resume.
@@ -236,8 +231,9 @@ func NewService(f *netif.IF, mgr *objmgr.Manager) *Service {
 		Handle: s.handleBusy,
 	})
 	f.Register("chan.resume", netif.Service{
+		// Cost reads the shell before Handle puts it back.
 		Cost: func(m *hpc.Message) sim.Duration {
-			rm := m.Payload.(resumeMsg)
+			rm := m.Payload.(*ackMsg)
 			if ch := s.chans[rm.ch]; ch != nil {
 				if om := ch.pendingBySeq(rm.seq); om != nil {
 					return costs.ChanSendProto + costs.KernelCopyTime(om.size)
@@ -863,7 +859,9 @@ func (s *Service) sendResume(r starveRec) {
 		tr.Emit(trace.KResume, r.tid, s.f.Node().Name(), r.ch.lane(),
 			fmt.Sprintf("seq=%d ->ep%d", r.seq, r.ch.peer))
 	}
-	s.f.SendAsyncCtx(r.tid, r.ch.peer, "chan.resume", AckBytes, resumeMsg{ch: r.ch.id, seq: r.seq}, nil)
+	a := ackPool.Get().(*ackMsg)
+	a.ch, a.seq = r.ch.id, r.seq
+	s.f.SendAsyncCtx(r.tid, r.ch.peer, "chan.resume", AckBytes, a, nil)
 }
 
 // dropStarved removes every starve record for ch (its peer is gone and
@@ -1003,7 +1001,9 @@ func (s *Service) busy(ch *Channel, seq int, tid uint64) {
 		tr.Count("chan.busies", 1)
 	}
 	s.starved = append(s.starved, starveRec{ch: ch, seq: seq, tid: tid})
-	s.f.SendAsyncCtx(tid, ch.peer, "chan.busy", AckBytes, busyMsg{ch: ch.id, seq: seq}, nil)
+	a := ackPool.Get().(*ackMsg)
+	a.ch, a.seq = ch.id, seq
+	s.f.SendAsyncCtx(tid, ch.peer, "chan.busy", AckBytes, a, nil)
 }
 
 // traceSideBuf exports the side-buffer pool headroom as a gauge.
@@ -1063,16 +1063,18 @@ func (s *Service) handleAck(m *hpc.Message) {
 // handleBusy marks the pending write as awaiting a resume; the writer
 // stays blocked (stop-and-wait already holds it).
 func (s *Service) handleBusy(m *hpc.Message) {
-	// Nothing to do beyond bookkeeping: the data was discarded by the
-	// receiver; the write will be retransmitted on resume.
-	_ = m
+	// Nothing to do beyond returning the shell: the data was discarded
+	// by the receiver; the write will be retransmitted on resume.
+	ackPool.Put(m.Payload.(*ackMsg))
 }
 
 // handleResume retransmits the pending write from the kernel: the ISR
 // cost already covered re-copying the user buffer (the process is
 // still blocked, so the buffer is intact — no safety copy needed).
 func (s *Service) handleResume(m *hpc.Message) {
-	rm := m.Payload.(resumeMsg)
+	ap := m.Payload.(*ackMsg)
+	rm := *ap
+	ackPool.Put(ap)
 	ch := s.chans[rm.ch]
 	if ch == nil {
 		return

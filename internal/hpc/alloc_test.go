@@ -1,6 +1,7 @@
 package hpc
 
 import (
+	"fmt"
 	"testing"
 
 	"hpcvorx/internal/m68k"
@@ -144,5 +145,79 @@ func TestBlockedSendZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
 		t.Fatalf("warm blocked Send allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestShardBoundaryHopZeroAlloc is the allocation guard for the
+// sharded hand-off: once warm, a boundary hop and its three signals
+// (arrive, hop done, freed) allocate nothing, so a 2-shard run with
+// twice the crossings allocates no more than one with half, whatever a
+// run itself costs. The messages are caller-built: msgPool shells are
+// refilled on the receiving shard, so pooled ones would count as
+// allocations on the sender.
+func TestShardBoundaryHopZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	top, err := topo.IncompleteHypercube(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newShardedFabric(top, 2)
+	// Endpoint 0 (cluster 0, shard 0) and endpoint 4 (cluster 1,
+	// shard 1) send to each other: every message crosses the boundary
+	// once, in one direction or the other.
+	eps := [2]topo.EndpointID{0, 4}
+	delivered := [2]int{}
+	var sends [2]func()
+	for i, ic := range f.ics {
+		ic.SetDeliver(eps[i], func(d *Delivery) {
+			delivered[i]++
+			d.Release()
+		})
+		msg := &Message{Src: eps[i], Dst: eps[1-i], Size: 512}
+		sends[i] = func() {
+			if ok, err := ic.TrySend(msg, nil); err != nil || !ok {
+				panic(fmt.Sprintf("TrySend: ok=%v err=%v", ok, err))
+			}
+		}
+	}
+	// Sends are spaced far enough apart that each is delivered before
+	// the next one leaves, so one Message per direction serves them all.
+	const gap = 100 * sim.Microsecond
+	runWith := func(n int) func() {
+		return func() {
+			for i, ic := range f.ics {
+				now := ic.k.Now()
+				for j := 1; j <= n; j++ {
+					ic.k.At(now.Add(sim.Duration(j)*gap), sends[i])
+				}
+			}
+			if err := f.g.Run(); err != nil {
+				panic(err)
+			}
+		}
+	}
+	const n = 16
+	small, large := runWith(n), runWith(2*n)
+	for i := 0; i < 8; i++ {
+		small()
+		large()
+	}
+	before := f.ics[0].Stats().HandoffsOut + f.ics[1].Stats().HandoffsOut
+	allocSmall := testing.AllocsPerRun(50, small)
+	allocLarge := testing.AllocsPerRun(50, large)
+	crossed := f.ics[0].Stats().HandoffsOut + f.ics[1].Stats().HandoffsOut - before
+	// AllocsPerRun adds one warm-up call to each measured set.
+	if want := 2 * (51*n + 51*2*n); crossed != want {
+		t.Fatalf("%d boundary crossings, want %d", crossed, want)
+	}
+	if got, want := delivered[0]+delivered[1], 2*(8+51)*3*n; got != want {
+		t.Fatalf("%d deliveries, want %d", got, want)
+	}
+	t.Logf("allocations per run: %v at %d boundary crossings, %v at %d", allocSmall, 2*n, allocLarge, 4*n)
+	if allocLarge > allocSmall {
+		t.Fatalf("a run with %d boundary crossings allocates %v, one with %d allocates %v: the hand-off allocates",
+			4*n, allocLarge, 2*n, allocSmall)
 	}
 }

@@ -173,3 +173,48 @@ func TestDegradedLinkSlowsTransfer(t *testing.T) {
 		t.Fatalf("restored link latency %v, want %v", restored, clean)
 	}
 }
+
+// TestUnknownCubeLinksIgnored: failing, degrading or querying a pair
+// of clusters that no cube link joins — equal, two bits apart, a
+// neighbor the incomplete cube lacks, out of range or negative — is a
+// no-op that never indexes outside the fabric's link table.
+func TestUnknownCubeLinksIgnored(t *testing.T) {
+	k := sim.NewKernel(1)
+	tp, err := topo.IncompleteHypercube(5, 1) // clusters 0..4, dim 3: 4 has no neighbors 5, 6
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic := New(k, m68k.DefaultCosts(), tp)
+	pairs := [][2]topo.ClusterID{
+		{2, 2}, {1, 2}, {0, 3}, // equal, and two bits apart
+		{4, 5}, {4, 6}, {0, 8}, {9, 1}, {1 << 20, 0}, // beyond the clusters present
+		{-1, 0}, {0, -1}, {-1, -2}, {3, -5}, // negative
+	}
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		ic.SetCubeLinkDown(a, b, true)
+		ic.SetCubeLinkSlowdown(a, b, 4)
+		if ic.CubeLinkDown(a, b) || ic.CubeLinkDown(b, a) {
+			t.Fatalf("CubeLinkDown(%d, %d) reports a failed link", a, b)
+		}
+		ic.SetCubeLinkDown(a, b, false)
+	}
+	if n := ic.DownCubeLinks(); n != 0 {
+		t.Fatalf("%d cube links down after failing only unknown pairs", n)
+	}
+	for _, l := range ic.cube {
+		if l != nil && (l.down || l.slowdown != 0) {
+			t.Fatalf("link %s changed: down=%v slowdown=%v", l.name, l.down, l.slowdown)
+		}
+	}
+	// A real link still fails and repairs, so the no-ops above are not
+	// a dead entry point.
+	ic.SetCubeLinkDown(4, 0, true)
+	if !ic.CubeLinkDown(0, 4) || ic.DownCubeLinks() != 2 {
+		t.Fatalf("real link 0-4: down=%v count=%d", ic.CubeLinkDown(0, 4), ic.DownCubeLinks())
+	}
+	ic.SetCubeLinkDown(4, 0, false)
+	if ic.DownCubeLinks() != 0 {
+		t.Fatalf("%d cube links down after repair", ic.DownCubeLinks())
+	}
+}

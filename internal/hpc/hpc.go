@@ -19,6 +19,7 @@ package hpc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -119,11 +120,15 @@ type Interconnect struct {
 	costs *m68k.Costs
 	topo  *topo.Topology
 
-	outSec  []*buffer // per-endpoint output section
-	inSec   []*buffer // per-endpoint input section
-	upLink  []*link   // endpoint -> cluster
-	dnLink  []*link   // cluster -> endpoint
-	cubeLnk map[[2]topo.ClusterID]*link
+	outSec []*buffer // per-endpoint output section
+	inSec  []*buffer // per-endpoint input section
+	upLink []*link   // endpoint -> cluster
+	dnLink []*link   // cluster -> endpoint
+	// cube[c*dim+d] is the directed cube link leaving cluster c across
+	// dimension d, nil where the incomplete cube has no such neighbor.
+	// Routes are self-routed over it hop by hop (topo.NextHop), so
+	// nothing about them is memoized.
+	cube []*link
 
 	deliver []DeliverFunc
 	// onRoom[e] lists who waits for room in endpoint e's output
@@ -142,11 +147,6 @@ type Interconnect struct {
 	// onRepair holds the one-shot callbacks OnRepair registered, run
 	// the next time a failed cube link comes back up.
 	onRepair []func()
-
-	// cubePaths caches the canonical cube-link sequence per cluster
-	// pair. Dimension-order routes are topology-static, so entries
-	// never invalidate; the cache is bypassed whenever downCubes != 0.
-	cubePaths map[[2]topo.ClusterID][]*link
 
 	// tFree and msgPool recycle transfer and Message shells so the
 	// steady-state send path allocates nothing. Shells are reset on
@@ -190,6 +190,7 @@ func msgDetail(m *Message) string {
 // New builds an interconnect over the given topology.
 func New(k *sim.Kernel, costs *m68k.Costs, t *topo.Topology) *Interconnect {
 	n := t.Endpoints()
+	dim := t.Dimension()
 	ic := &Interconnect{
 		k:       k,
 		costs:   costs,
@@ -198,11 +199,10 @@ func New(k *sim.Kernel, costs *m68k.Costs, t *topo.Topology) *Interconnect {
 		inSec:   make([]*buffer, n),
 		upLink:  make([]*link, n),
 		dnLink:  make([]*link, n),
-		cubeLnk: make(map[[2]topo.ClusterID]*link),
+		cube:    make([]*link, t.Clusters()*dim),
 		deliver: make([]DeliverFunc, n),
 		onRoom:  make([][]roomWaiter, n),
 	}
-	ic.cubePaths = make(map[[2]topo.ClusterID][]*link)
 	ic.msgPool.New = func() any { return &Message{} }
 	for e := 0; e < n; e++ {
 		ic.outSec[e] = &buffer{name: fmt.Sprintf("out%d", e), outEP: int32(e + 1)}
@@ -211,9 +211,12 @@ func New(k *sim.Kernel, costs *m68k.Costs, t *topo.Topology) *Interconnect {
 		ic.dnLink[e] = &link{ic: ic, name: fmt.Sprintf("dn%d", e), into: ic.inSec[e]}
 	}
 	for c := 0; c < t.Clusters(); c++ {
-		for _, nb := range t.Neighbors(topo.ClusterID(c)) {
-			key := [2]topo.ClusterID{topo.ClusterID(c), nb}
-			ic.cubeLnk[key] = &link{
+		for d := 0; d < dim; d++ {
+			nb := topo.ClusterID(c ^ 1<<d)
+			if int(nb) >= t.Clusters() {
+				continue
+			}
+			ic.cube[c*dim+d] = &link{
 				ic:     ic,
 				name:   fmt.Sprintf("cube%d-%d", c, nb),
 				into:   &buffer{name: fmt.Sprintf("clbuf%d-%d", c, nb)},
@@ -224,6 +227,15 @@ func New(k *sim.Kernel, costs *m68k.Costs, t *topo.Topology) *Interconnect {
 		}
 	}
 	return ic
+}
+
+// cubeLink returns the directed cube link from cluster a to cluster b,
+// or nil when the two are not neighbors in the incomplete cube.
+func (ic *Interconnect) cubeLink(a, b topo.ClusterID) *link {
+	if !ic.topo.HasLink(a, b) {
+		return nil
+	}
+	return ic.cube[int(a)*ic.topo.Dimension()+bits.TrailingZeros(uint(a^b))]
 }
 
 // Topology returns the interconnect's topology.
@@ -249,8 +261,10 @@ func (ic *Interconnect) LinkStats() []LinkStat {
 	for e := range ic.upLink {
 		links = append(links, ic.upLink[e], ic.dnLink[e])
 	}
-	for _, l := range ic.cubeLnk {
-		links = append(links, l)
+	for _, l := range ic.cube {
+		if l != nil {
+			links = append(links, l)
+		}
 	}
 	out := make([]LinkStat, 0, len(links))
 	for _, l := range links {
@@ -306,7 +320,7 @@ func (ic *Interconnect) SetCubeLinkDown(a, b topo.ClusterID, down bool) {
 }
 
 func (ic *Interconnect) setDirDown(from, to topo.ClusterID, down bool) {
-	l := ic.cubeLnk[[2]topo.ClusterID{from, to}]
+	l := ic.cubeLink(from, to)
 	if l == nil || l.down == down {
 		return
 	}
@@ -339,7 +353,7 @@ func (ic *Interconnect) OnRepair(fn func()) { ic.onRepair = append(ic.onRepair, 
 // CubeLinkDown reports whether the directed cube link from a to b is
 // currently failed.
 func (ic *Interconnect) CubeLinkDown(a, b topo.ClusterID) bool {
-	l := ic.cubeLnk[[2]topo.ClusterID{a, b}]
+	l := ic.cubeLink(a, b)
 	return l != nil && l.down
 }
 
@@ -352,8 +366,8 @@ func (ic *Interconnect) DownCubeLinks() int { return ic.downCubes }
 // wire time is multiplied by factor, modeling a link renegotiated to a
 // lower rate. Unknown links are ignored.
 func (ic *Interconnect) SetCubeLinkSlowdown(a, b topo.ClusterID, factor float64) {
-	for _, key := range [][2]topo.ClusterID{{a, b}, {b, a}} {
-		if l := ic.cubeLnk[key]; l != nil {
+	for _, l := range [2]*link{ic.cubeLink(a, b), ic.cubeLink(b, a)} {
+		if l != nil {
 			l.slowdown = factor
 		}
 	}
@@ -364,34 +378,14 @@ func (ic *Interconnect) cubeDown(from, to topo.ClusterID) bool {
 	return ic.CubeLinkDown(from, to)
 }
 
-// clusterPath returns the cluster route from a to b. With no failed
-// links it is the canonical dimension-order route; with failures it is
-// a deterministic shortest path over the surviving links, or an error
-// when the failures partition a from b.
-func (ic *Interconnect) clusterPath(a, b topo.ClusterID) ([]topo.ClusterID, error) {
-	if ic.downCubes == 0 {
-		return ic.topo.ClusterRoute(a, b), nil
-	}
-	if r := ic.topo.RouteAvoiding(a, b, ic.cubeDown); r != nil {
-		return r, nil
-	}
-	return nil, fmt.Errorf("hpc: cluster %d unreachable from cluster %d (links down)", b, a)
-}
-
 // rerouteFrom re-paths a transfer currently held at cluster `at`
 // around the failed links, reporting whether a surviving path exists.
 func (ic *Interconnect) rerouteFrom(t *transfer, at topo.ClusterID) bool {
-	dstCluster := ic.topo.AttachmentOf(t.msg.Dst).Cluster
-	route := ic.topo.RouteAvoiding(at, dstCluster, ic.cubeDown)
-	if route == nil {
+	links, err := ic.appendRoute(t.links[:t.pos:t.pos], at, t.msg.Dst)
+	if err != nil {
 		return false
 	}
-	newLinks := make([]*link, 0, len(route))
-	for i := 1; i < len(route); i++ {
-		newLinks = append(newLinks, ic.cubeLnk[[2]topo.ClusterID{route[i-1], route[i]}])
-	}
-	newLinks = append(newLinks, ic.dnLink[t.msg.Dst])
-	t.links = append(t.links[:t.pos:t.pos], newLinks...)
+	t.links = links
 	ic.stats.Reroutes++
 	t.links[t.pos].request(t)
 	return true
@@ -564,7 +558,7 @@ func (m *mcastRoot) fanOut(root *transfer) {
 	srcCluster := m.ic.topo.AttachmentOf(m.src).Cluster
 	for _, d := range m.dsts {
 		d := d
-		links := ic_linksFromCluster(m.ic, srcCluster, d)
+		links := m.ic.mcastLinks(srcCluster, d)
 		bt := m.ic.newTransfer()
 		bt.msg = &Message{Src: m.src, Dst: d, Size: m.size, Payload: m.payload, Tag: m.tag}
 		bt.onDelivered = func(mm *Message) {
@@ -585,75 +579,61 @@ func (m *mcastRoot) fanOut(root *transfer) {
 	}
 }
 
-// ic_linksFromCluster returns the link path from cluster c to endpoint
-// dst (inter-cluster hops plus the final down-link). With failed links
-// it routes around them; when dst is unreachable it falls back to the
+// mcastLinks returns the link path from cluster c to endpoint dst
+// (inter-cluster hops plus the final down-link). With failed links it
+// routes around them; when dst is unreachable it falls back to the
 // canonical route, so the transfer parks at the failed link until
 // repair — used by multicast, which has no per-branch error path.
-func ic_linksFromCluster(ic *Interconnect, c topo.ClusterID, dst topo.EndpointID) []*link {
-	links, err := ic.linksFromCluster(c, dst)
+func (ic *Interconnect) mcastLinks(c topo.ClusterID, dst topo.EndpointID) []*link {
+	links, err := ic.appendRoute(nil, c, dst)
 	if err == nil {
 		return links
 	}
-	route := ic.topo.ClusterRoute(c, ic.topo.AttachmentOf(dst).Cluster)
-	links = nil
-	for i := 1; i < len(route); i++ {
-		links = append(links, ic.cubeLnk[[2]topo.ClusterID{route[i-1], route[i]}])
-	}
+	links = ic.appendCubeRoute(nil, c, ic.topo.AttachmentOf(dst).Cluster)
 	return append(links, ic.dnLink[dst])
 }
 
-// linksFromCluster returns the link path from cluster c to endpoint
-// dst over surviving links, or an error when dst is unreachable.
-func (ic *Interconnect) linksFromCluster(c topo.ClusterID, dst topo.EndpointID) ([]*link, error) {
-	route, err := ic.clusterPath(c, ic.topo.AttachmentOf(dst).Cluster)
-	if err != nil {
-		return nil, err
+// appendRoute appends the link path from cluster c to endpoint dst's
+// input section: the cube hops, then dst's down-link. With no failed
+// links the hops are the canonical route (appendCubeRoute); with
+// failures they are a deterministic shortest path over the surviving
+// links, and the error reports failures that partition c from dst.
+func (ic *Interconnect) appendRoute(links []*link, c topo.ClusterID, dst topo.EndpointID) ([]*link, error) {
+	b := ic.topo.AttachmentOf(dst).Cluster
+	if ic.downCubes == 0 {
+		links = ic.appendCubeRoute(links, c, b)
+		return append(links, ic.dnLink[dst]), nil
 	}
-	var links []*link
+	route := ic.topo.RouteAvoiding(c, b, ic.cubeDown)
+	if route == nil {
+		return links, fmt.Errorf("hpc: cluster %d unreachable from cluster %d (links down)", b, c)
+	}
 	for i := 1; i < len(route); i++ {
-		links = append(links, ic.cubeLnk[[2]topo.ClusterID{route[i-1], route[i]}])
+		links = append(links, ic.cubeLink(route[i-1], route[i]))
 	}
 	return append(links, ic.dnLink[dst]), nil
 }
 
-// cubePath returns the canonical cube-link sequence from cluster a to
-// cluster b, memoized. Valid only while no cube links are down.
-func (ic *Interconnect) cubePath(a, b topo.ClusterID) []*link {
-	key := [2]topo.ClusterID{a, b}
-	if p, ok := ic.cubePaths[key]; ok {
-		return p
+// appendCubeRoute appends the canonical cube links from cluster a to
+// cluster b, self-routed one topo.NextHop at a time from the dense
+// table, so it allocates only when links must grow.
+func (ic *Interconnect) appendCubeRoute(links []*link, a, b topo.ClusterID) []*link {
+	dim := ic.topo.Dimension()
+	for a != b {
+		next, d := topo.NextHop(a, b)
+		links = append(links, ic.cube[int(a)*dim+d])
+		a = next
 	}
-	route := ic.topo.ClusterRoute(a, b)
-	p := make([]*link, 0, len(route))
-	for i := 1; i < len(route); i++ {
-		p = append(p, ic.cubeLnk[[2]topo.ClusterID{route[i-1], route[i]}])
-	}
-	ic.cubePaths[key] = p
-	return p
+	return links
 }
 
 // routeLinksInto fills t.links with the full link path from src's
 // output section to dst's input section, reusing the slice's capacity.
-// With a healthy fabric the inter-cluster hops come from the memoized
-// canonical path; with failures it falls back to the allocating
-// avoidance router. Errors only when failures have left dst
-// unreachable.
+// Errors only when failures have left dst unreachable.
 func (ic *Interconnect) routeLinksInto(t *transfer, src, dst topo.EndpointID) error {
-	t.links = append(t.links[:0], ic.upLink[src])
-	if ic.downCubes == 0 {
-		a := ic.topo.AttachmentOf(src).Cluster
-		b := ic.topo.AttachmentOf(dst).Cluster
-		t.links = append(t.links, ic.cubePath(a, b)...)
-		t.links = append(t.links, ic.dnLink[dst])
-		return nil
-	}
-	rest, err := ic.linksFromCluster(ic.topo.AttachmentOf(src).Cluster, dst)
-	if err != nil {
-		return err
-	}
-	t.links = append(t.links, rest...)
-	return nil
+	links, err := ic.appendRoute(append(t.links[:0], ic.upLink[src]), ic.topo.AttachmentOf(src).Cluster, dst)
+	t.links = links
+	return err
 }
 
 // buffer is a hardware buffer holding whole messages. Historically
@@ -704,15 +684,15 @@ type transfer struct {
 	releaseFn  func() // bound once: free input section, recycle
 	dlv        Delivery
 
-	// Sharded execution (see shard.go). onFirstHopStart fires once, at
-	// the start of this transfer's first transmission, with the hop's
-	// completion time — the pre-announcement hook that funds cross-shard
-	// signals with a full hop of lookahead. notifySh is the shard whose
-	// state the onDelivered callback closes over; when it is not the
-	// delivering shard, the completion notice is posted back instead of
-	// called.
-	onFirstHopStart func(doneAt sim.Time)
-	notifySh        int32
+	// Sharded execution (see shard.go). inbound is the boundary record
+	// of the hand-off that started this transfer: its first
+	// transmission posts the record's "freed" signal home for the hop's
+	// completion time, a full hop of lookahead ahead. notifySh is the
+	// shard whose state the onDelivered callback closes over; when it
+	// is not the delivering shard, the completion notice is posted back
+	// instead of called.
+	inbound  *boundary
+	notifySh int32
 
 	doneHops bool // delivery (or terminal callback) has finished
 	released bool // the endpoint freed the input section
@@ -772,7 +752,7 @@ func (t *transfer) maybeRecycle() {
 	t.curLink = nil
 	t.lastLink = nil
 	t.dlv = Delivery{}
-	t.onFirstHopStart = nil
+	t.inbound = nil
 	t.notifySh = int32(t.ic.shardSelf)
 	t.ic.tFree = append(t.ic.tFree, t)
 }
@@ -793,6 +773,10 @@ type link struct {
 	from, to topo.ClusterID
 	down     bool
 	slowdown float64
+	// bnd is the hand-off record of a cube link from one of this
+	// shard's clusters into a foreign one (see shard.go), nil on every
+	// other link.
+	bnd *boundary
 
 	busyTime  sim.Duration
 	lastStart sim.Time
@@ -862,12 +846,12 @@ func (l *link) tryStart() {
 	// Sharded execution: the hop's completion time is known now, a full
 	// HopFixed (= the group lookahead) ahead, so every cross-shard
 	// consequence of this transmission is announced at its start.
-	if t.onFirstHopStart != nil {
-		t.onFirstHopStart(l.ic.k.Now().Add(dur))
-		t.onFirstHopStart = nil
+	if b := t.inbound; b != nil {
+		t.inbound = nil
+		l.ic.k.Post(b.home, l.ic.k.Now().Add(dur), b.freed)
 	}
-	if l.isCube && l.ic.shardOf != nil && l.ic.shardOf[l.to] != l.ic.shardSelf {
-		l.ic.handoff(l, t, dur)
+	if l.bnd != nil {
+		l.ic.handoff(l.bnd, t, dur)
 		return
 	}
 	if t.onDelivered != nil && int(t.notifySh) != l.ic.shardSelf && t.pos == len(t.links)-1 {

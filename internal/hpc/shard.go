@@ -16,21 +16,43 @@ package hpc
 // knows the completion time T, a full lookahead away, so everything
 // the hop causes elsewhere is posted at its start:
 //
-//   - the message's arrival in b's cluster buffer (remoteArrive on
-//     shard B, at T);
-//   - nothing else yet — the buffer stays reserved on shard A until
-//     shard B's continuation vacates it.
+//   - "arrive": the message's arrival in b's cluster buffer
+//     (remoteArrive on shard B, at T);
+//   - "hop done": the end of the hop on shard A, at T (handoffDone).
+//     The buffer stays reserved on shard A until shard B's
+//     continuation vacates it.
 //
-// Shard B rebuilds the remaining route from cluster b (sound because
-// sharded mode forbids link faults, so routes are the canonical
-// dimension-order paths both shards agree on). When the continuation
-// starts its own first hop at U — again knowing its completion U+d —
-// it posts the buffer release back to shard A at U+d (boundaryFreed),
-// re-arming the boundary link. A delivered message whose onDelivered
-// callback closes over another shard's state gets the same treatment:
-// the final down-link hop posts the completion notice home at its
-// start (carryBack). Every such signal therefore clears the lookahead
-// with no slack to spare, and none needs rollback.
+// Shard B self-routes the rest of the way from cluster b (sound
+// because sharded mode forbids link faults, so routes are the
+// canonical dimension-order paths both shards agree on). When the
+// continuation starts its own first hop at U — again knowing its
+// completion U+d — it posts "freed" back to shard A at U+d, which
+// releases the buffer and re-arms the boundary link. A delivered
+// message whose onDelivered callback closes over another shard's state
+// gets the same treatment: the final down-link hop posts the
+// completion notice home at its start (carryBack). Every such signal
+// therefore clears the lookahead with no slack to spare, and none
+// needs rollback.
+//
+// One record per boundary link. ConnectShards gives every cube link
+// from one of the fabric's clusters into a foreign one a boundary
+// record with its three callbacks ("arrive", "hop done", "freed")
+// bound once, so a hand-off allocates nothing. The record carries the in-flight message's fields: shard A
+// writes them in handoff, shard B reads them in remoteArrive. It is
+// the one piece of fabric memory two shard goroutines share, and
+// reusing it is race-free because the link's single-slot downstream
+// buffer admits one message at a time:
+//
+//   - shard A writes the record again only after "freed" has run
+//     there, since only "freed" empties the buffer tryStart waits for;
+//   - shard B posts "freed" after its last read of the record, and the
+//     post passes through shard A's inbox lock, which orders that read
+//     before shard A's next write;
+//   - "freed" lands at U+d >= T+HopFixed, after "hop done" at T, so
+//     "hop done" reads the record's transfer before the next hand-off
+//     refills it. Shard B never touches that field, and "hop done"
+//     touches none of the fields shard B reads at the same virtual
+//     instant.
 //
 // Determinism: each directed boundary link serializes its hand-offs
 // (the buffer reservation admits one in-flight message), and every
@@ -55,53 +77,85 @@ import (
 // traffic, on every shard's fabric. The fabrics' kernels must belong
 // to one sim.Group whose pairwise lookahead is at most the cost
 // model's HopFixed across every boundary cube link, in both directions
-// — remoteArrive rides the hop forward and boundaryFreed rides it
-// back, each with exactly one hop of slack. Non-adjacent shard pairs
-// may carry wider promises (route-aware lookahead); they exchange no
-// direct fabric signals.
+// — "arrive" rides the hop forward and "freed" rides it back, each
+// with exactly one hop of slack. Non-adjacent shard pairs may carry
+// wider promises (route-aware lookahead); they exchange no direct
+// fabric signals.
 func (ic *Interconnect) ConnectShards(self int, shardOf []int, peers []*Interconnect) {
-	if ic.k.Group() == nil && len(peers) > 1 {
+	g := ic.k.Group()
+	if g == nil && len(peers) > 1 {
 		panic("hpc: ConnectShards on a kernel outside a sim.Group")
-	}
-	if g := ic.k.Group(); g != nil && len(peers) > 1 {
-		for c := 0; c < ic.topo.Clusters(); c++ {
-			sc := shardOf[c]
-			for _, nb := range ic.topo.Neighbors(topo.ClusterID(c)) {
-				sn := shardOf[nb]
-				if sc == sn {
-					continue
-				}
-				if g.PairLookahead(sc, sn) > ic.costs.HopFixed ||
-					g.PairLookahead(sn, sc) > ic.costs.HopFixed {
-					panic("hpc: group lookahead across a boundary link exceeds the minimum cube-hop cost")
-				}
-			}
-		}
 	}
 	ic.shardSelf = self
 	ic.shardOf = shardOf
 	ic.peers = peers
+	// The table holds both directions of every cube link, so checking
+	// each directed boundary link's own direction covers both.
+	for _, l := range ic.cube {
+		if l == nil || shardOf[l.from] == shardOf[l.to] {
+			continue
+		}
+		if g.PairLookahead(shardOf[l.from], shardOf[l.to]) > ic.costs.HopFixed {
+			panic("hpc: group lookahead across a boundary link exceeds the minimum cube-hop cost")
+		}
+		// Bind records only on the links this shard runs: a link
+		// leaving a foreign cluster never carries a transfer here.
+		if shardOf[l.from] != self {
+			continue
+		}
+		b := &boundary{home: self, far: shardOf[l.to], to: l.to}
+		peer := peers[b.far]
+		b.arrive = func() { peer.remoteArrive(b) }
+		b.hopDone = func() { l.handoffDone(b.t) }
+		b.freed = func() {
+			l.into.occ--
+			l.tryStart()
+		}
+		l.bnd = b
+	}
+}
+
+// boundary is the hand-off record of one boundary link: a cube link
+// from one of this fabric's clusters into a foreign shard's cluster.
+// Its signals are bound once, by ConnectShards; the message fields
+// describe the one message in the link's downstream buffer (see the
+// package comment for why sharing them between shards is race-free).
+type boundary struct {
+	home, far int            // the shards running the link and the cluster it enters
+	to        topo.ClusterID // the cluster it enters
+
+	// Written by handoff on the home shard. t is read there only, by
+	// hopDone; msg, origin and onDel are read by remoteArrive on the far
+	// shard.
+	t      *transfer
+	msg    *Message
+	origin int32
+	onDel  func(*Message)
+
+	arrive  func() // far shard, at the hop's end: remoteArrive(b)
+	hopDone func() // home shard, at the hop's end: the link ends the hop
+	freed   func() // home shard: the continuation has left the buffer
 }
 
 // sharded reports whether this fabric is one shard of several.
 func (ic *Interconnect) sharded() bool { return len(ic.peers) > 1 }
 
-// handoff ships a transfer whose next cube hop lands in a foreign
-// shard's cluster. The transmission itself (duration dur, already
-// charged with wire time and slowdown by tryStart) is simulated here
-// on the owning shard; the arrival is posted to the destination shard
-// at the completion time, which clears the lookahead because
+// handoff ships a transfer whose next cube hop, over b's link, lands
+// in a foreign shard's cluster. The transmission itself (duration dur,
+// already charged with wire time and slowdown by tryStart) is simulated
+// here on the owning shard; the arrival is posted to the destination
+// shard at the completion time, which clears the lookahead because
 // dur >= HopFixed. The local bookkeeping happens at the same virtual
-// instant via handoffDone.
-func (ic *Interconnect) handoff(l *link, t *transfer, dur sim.Duration) {
+// instant via hopDone.
+func (ic *Interconnect) handoff(b *boundary, t *transfer, dur sim.Duration) {
 	doneAt := ic.k.Now().Add(dur)
 	ic.stats.HandoffsOut++
-	msg := t.msg
-	origin := t.notifySh
-	onDel := t.onDelivered
+	b.t = t
+	b.msg = t.msg
+	b.origin = t.notifySh
+	b.onDel = t.onDelivered
 	t.onDelivered = nil
-	dstShard := ic.shardOf[l.to]
-	if onDel != nil {
+	if b.onDel != nil {
 		// A delivery notice posts home from the final shard with one
 		// hop of slack (carryBack); under route-aware lookahead that
 		// only clears the promise when the delivering shard and the
@@ -109,17 +163,13 @@ func (ic *Interconnect) handoff(l *link, t *transfer, dur sim.Duration) {
 		// sends cross-shard completion notices between distant shards
 		// (only multicast produces them), so this is a declared
 		// restriction like link faults, not a silent wrong answer.
-		fin := ic.shardOf[ic.topo.AttachmentOf(msg.Dst).Cluster]
-		if fin != int(origin) && ic.k.Group().PairLookahead(fin, int(origin)) > ic.costs.HopFixed {
+		fin := ic.shardOf[ic.topo.AttachmentOf(b.msg.Dst).Cluster]
+		if fin != int(b.origin) && ic.k.Group().PairLookahead(fin, int(b.origin)) > ic.costs.HopFixed {
 			panic("hpc: cross-shard delivery notice between non-adjacent shards is not supported under route-aware lookahead; run multicast workloads on the serial kernel")
 		}
 	}
-	peer := ic.peers[dstShard]
-	from, to := l.from, l.to
-	ic.k.Post(dstShard, doneAt, func() {
-		peer.remoteArrive(from, to, msg, origin, onDel)
-	})
-	ic.k.At(doneAt, func() { l.handoffDone(t) })
+	ic.k.Post(b.far, doneAt, b.arrive)
+	ic.k.At(doneAt, b.hopDone)
 }
 
 // handoffDone is the source-shard half of a boundary hop's completion:
@@ -136,36 +186,22 @@ func (l *link) handoffDone(t *transfer) {
 }
 
 // remoteArrive runs on the destination shard at the instant a boundary
-// transmission over from→to completes: the message now sits in that
+// transmission over b's link completes: the message now sits in that
 // link's downstream buffer, owned by the sending shard. A fresh
 // transfer carries it the rest of the way along the canonical route;
-// when its first onward hop starts — completion time in hand — the
-// buffer release is posted back to the sender's shard.
-func (ic *Interconnect) remoteArrive(from, to topo.ClusterID, msg *Message, origin int32, onDel func(*Message)) {
+// when its first onward hop starts — completion time in hand — tryStart
+// posts b's "freed" signal back to the sender's shard.
+func (ic *Interconnect) remoteArrive(b *boundary) {
 	ic.stats.HandoffsIn++
 	t := ic.newTransfer()
-	dstCluster := ic.topo.AttachmentOf(msg.Dst).Cluster
-	t.links = append(t.links[:0], ic.cubePath(to, dstCluster)...)
-	t.links = append(t.links, ic.dnLink[msg.Dst])
-	t.msg = msg
-	t.onDelivered = onDel
-	t.notifySh = origin
-	t.holder = nil
-	srcShard := ic.shardOf[from]
-	peer := ic.peers[srcShard]
-	t.onFirstHopStart = func(doneAt sim.Time) {
-		ic.k.Post(srcShard, doneAt, func() { peer.boundaryFreed(from, to) })
-	}
+	t.msg = b.msg
+	t.onDelivered = b.onDel
+	t.notifySh = b.origin
+	dst := t.msg.Dst
+	t.links = ic.appendCubeRoute(t.links[:0], b.to, ic.topo.AttachmentOf(dst).Cluster)
+	t.links = append(t.links, ic.dnLink[dst])
+	t.inbound = b
 	t.links[0].request(t)
-}
-
-// boundaryFreed runs on the shard owning cube link a→b when the far
-// shard's continuation has fully vacated the link's downstream buffer:
-// the link may transmit its next queued message.
-func (ic *Interconnect) boundaryFreed(a, b topo.ClusterID) {
-	l := ic.cubeLnk[[2]topo.ClusterID{a, b}]
-	l.into.occ--
-	l.tryStart()
 }
 
 // carryBack reroutes a delivered message's completion notice to the

@@ -190,7 +190,7 @@ func TestShardedFabricMatchesSerial(t *testing.T) {
 
 // TestShardedFabricBackpressure drives many messages through one
 // boundary link so transfers queue behind the reserved cube buffer,
-// exercising boundaryFreed re-arming, and checks totals against
+// exercising the "freed" signal's re-arming, and checks totals against
 // serial.
 func TestShardedFabricBackpressure(t *testing.T) {
 	top, err := topo.IncompleteHypercube(2, 4)

@@ -45,6 +45,36 @@ func TestSyscallSystemZeroAllocWarm(t *testing.T) {
 	}
 }
 
+// TestSleepForZeroAllocWarm: a subprocess alone on its node loops
+// SleepFor; once its first sleep has built the reason and the wake
+// callback, each sleep allocates nothing.
+func TestSleepForZeroAllocWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	k, n := newNode()
+	const nap = 10 * sim.Microsecond
+	naps := 0
+	n.SpawnSubprocess("sleeper", 0, func(sp *Subprocess) {
+		for {
+			sp.SleepFor(nap)
+			naps++
+		}
+	})
+	defer k.Shutdown()
+	for i := 0; i < 64; i++ {
+		k.RunFor(nap)
+	}
+	before := naps
+	allocs := testing.AllocsPerRun(500, func() { k.RunFor(nap) })
+	if naps-before != 501 { // AllocsPerRun adds one warm-up call
+		t.Fatalf("%d sleeps in 501 naps", naps-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm SleepFor allocates %v/op, want 0", allocs)
+	}
+}
+
 // TestInterruptZeroAllocWarm raises interrupts with tracing off, both on
 // an idle CPU and preempting a running subprocess.
 func TestInterruptZeroAllocWarm(t *testing.T) {

@@ -341,7 +341,8 @@ func (n *Node) OnCrash(fn func()) { n.onCrash = append(n.onCrash, fn) }
 // consumed under preemption. A subprocess has at most one request
 // outstanding (it blocks until the CPU delivers it), so each
 // subprocess reuses one task record, made on its first request, which
-// also keeps the CPU time the subprocess has consumed.
+// also keeps the CPU time the subprocess has consumed and serves its
+// sleeps.
 type task struct {
 	sp     *Subprocess
 	reason string // park reason while waiting for the CPU
@@ -353,10 +354,27 @@ type task struct {
 	// than buf holds (repeated preemption mid-switch), then spills.
 	segs []seg
 	buf  [4]seg
-	tok  sim.ParkToken // wakes the subprocess when the last segment ends
+	// tok wakes the subprocess when the last segment ends, or when its
+	// SleepFor timer fires: a sleeping subprocess has no CPU request
+	// outstanding, so the two waits never overlap.
+	tok  sim.ParkToken
 	prio int
 	seq  uint64
 	idx  int // heap index
+	// sleepReason and wakeSleep are SleepFor's park reason and timer
+	// callback, built on the first sleep.
+	sleepReason string
+	wakeSleep   func()
+}
+
+// record returns sp's task record, made on first use.
+func (sp *Subprocess) record() *task {
+	if sp.task == nil {
+		t := &task{sp: sp, reason: "cpu " + sp.node.name}
+		t.segs = t.buf[:0]
+		sp.task = t
+	}
+	return sp.task
 }
 
 type seg struct {
@@ -420,12 +438,7 @@ func (n *Node) exec(sp *Subprocess, cat Category, d sim.Duration) {
 		sp.proc.Block()
 		return
 	}
-	t := sp.task
-	if t == nil {
-		t = &task{sp: sp, reason: "cpu " + n.name}
-		t.segs = t.buf[:0]
-		sp.task = t
-	}
+	t := sp.record()
 	t.segs = append(t.segs[:0], seg{cat, d})
 	t.prio, t.seq = sp.prio, n.seq
 	n.seq++

@@ -16,7 +16,7 @@ type Subprocess struct {
 	name     string
 	prio     int
 	waitKind WaitKind
-	task     *task // CPU request record and CPU time, from the first exec
+	task     *task // CPU request record, CPU time and sleep state, from first use
 }
 
 // CPUTime returns the user and system CPU the subprocess has consumed
@@ -116,16 +116,17 @@ func (w Waker) Armed() bool { return w.sp != nil }
 func (sp *Subprocess) BlockNow() { sp.proc.Block() }
 
 // SleepFor blocks the subprocess for d of virtual time (idle-other).
+// Once the first sleep has built the reason and the timer callback on
+// the task record, a sleep allocates nothing.
 func (sp *Subprocess) SleepFor(d sim.Duration) {
-	sp.waitKind = WaitOther
-	sp.node.refreshIdle()
-	wake := sp.proc.Park("sleep " + sp.name)
-	sp.node.k.After(d, func() {
-		sp.waitKind = WaitNone
-		sp.node.refreshIdle()
-		wake()
-	})
-	sp.proc.Block()
+	t := sp.record()
+	if t.wakeSleep == nil {
+		t.sleepReason = "sleep " + sp.name
+		t.wakeSleep = func() { Waker{sp: sp, tok: t.tok}.Wake() }
+	}
+	t.tok = sp.Block(WaitOther, t.sleepReason).tok
+	sp.node.k.After(d, t.wakeSleep)
+	sp.BlockNow()
 }
 
 // Yield lets equal-priority work run (cooperative reschedule).

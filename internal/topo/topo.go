@@ -138,37 +138,40 @@ func (t *Topology) Neighbors(c ClusterID) []ClusterID {
 	return out
 }
 
+// NextHop is one self-routing step of the incomplete-hypercube rule:
+// the cluster a message at cur moves to next on its way to dst, and the
+// dimension of the cube link it crosses. It clears the highest bit cur
+// has and dst lacks; once none is left, it sets the lowest bit dst has
+// and cur lacks. When cur == dst it returns (cur, -1).
+func NextHop(cur, dst ClusterID) (next ClusterID, dim int) {
+	if x := uint(cur) &^ uint(dst); x != 0 {
+		d := bits.Len(x) - 1
+		return ClusterID(uint(cur) &^ (1 << d)), d
+	}
+	if x := uint(dst) &^ uint(cur); x != 0 {
+		d := bits.TrailingZeros(x)
+		return ClusterID(uint(cur) | 1<<d), d
+	}
+	return cur, -1
+}
+
 // ClusterRoute returns the sequence of clusters a message visits from
-// cluster a to cluster b, inclusive of both. Routing is the
-// incomplete-hypercube rule in two phases: first clear (descending
-// dimension order) every bit where a has 1 and b has 0, moving through
-// clusters numbered below a; then set (ascending order) every bit
-// where b has 1, moving through subsets of b's address. Every
-// intermediate therefore exists in the incomplete cube, the path is a
-// shortest path, and — because every message acquires link classes in
-// the same global order (clear-high … clear-low, set-low … set-high) —
-// the store-and-forward buffer dependency graph is acyclic, so the
-// fabric cannot deadlock.
+// cluster a to cluster b, inclusive of both, taking NextHop until it
+// arrives. Routing is thus the incomplete-hypercube rule in two
+// phases: first clear (descending dimension order) every bit where a
+// has 1 and b has 0, moving through clusters numbered below a; then set
+// (ascending order) every bit where b has 1, moving through subsets of
+// b's address. Every intermediate therefore exists in the incomplete
+// cube, the path is a shortest path, and — because every message
+// acquires link classes in the same global order (clear-high …
+// clear-low, set-low … set-high) — the store-and-forward buffer
+// dependency graph is acyclic, so the fabric cannot deadlock.
 func (t *Topology) ClusterRoute(a, b ClusterID) []ClusterID {
-	route := []ClusterID{a}
-	if a == b {
-		return route
-	}
-	cur := uint(a)
-	dst := uint(b)
-	for d := t.dim - 1; d >= 0; d-- {
-		bit := uint(1) << d
-		if cur&bit != 0 && dst&bit == 0 {
-			cur &^= bit
-			route = append(route, ClusterID(cur))
-		}
-	}
-	for d := 0; d < t.dim; d++ {
-		bit := uint(1) << d
-		if cur&bit == 0 && dst&bit != 0 {
-			cur |= bit
-			route = append(route, ClusterID(cur))
-		}
+	route := make([]ClusterID, 1, 1+bits.OnesCount(uint(a)^uint(b)))
+	route[0] = a
+	for cur := a; cur != b; {
+		cur, _ = NextHop(cur, b)
+		route = append(route, cur)
 	}
 	return route
 }

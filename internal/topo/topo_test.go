@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -174,6 +175,78 @@ func TestRouteValidityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// twoPhaseRoute is the two-phase loop ClusterRoute ran before it took
+// NextHop one step at a time, kept as the reference the walk must
+// reproduce.
+func twoPhaseRoute(dim int, a, b ClusterID) []ClusterID {
+	route := []ClusterID{a}
+	if a == b {
+		return route
+	}
+	cur := uint(a)
+	dst := uint(b)
+	for d := dim - 1; d >= 0; d-- {
+		bit := uint(1) << d
+		if cur&bit != 0 && dst&bit == 0 {
+			cur &^= bit
+			route = append(route, ClusterID(cur))
+		}
+	}
+	for d := 0; d < dim; d++ {
+		bit := uint(1) << d
+		if cur&bit == 0 && dst&bit != 0 {
+			cur |= bit
+			route = append(route, ClusterID(cur))
+		}
+	}
+	return route
+}
+
+// TestNextHopWalkMatchesTwoPhaseRoute: for every ordered cluster pair
+// of every incomplete cube of 1–70 clusters, walking NextHop visits
+// the clusters the two-phase rule does, crosses a real cube link in
+// the dimension it names at every step, and takes Hops steps.
+func TestNextHopWalkMatchesTwoPhaseRoute(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		tp, err := IncompleteHypercube(n, 1) // endpoint c sits on cluster c
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := ClusterID(0); int(a) < n; a++ {
+			for b := ClusterID(0); int(b) < n; b++ {
+				want := twoPhaseRoute(tp.Dimension(), a, b)
+				walk := []ClusterID{a}
+				for cur := a; cur != b; {
+					next, d := NextHop(cur, b)
+					if !tp.HasLink(cur, next) {
+						t.Fatalf("n=%d %d->%d: hop %d->%d is not a cube link", n, a, b, cur, next)
+					}
+					if d < 0 || d >= tp.Dimension() || uint(cur)^uint(next) != 1<<d {
+						t.Fatalf("n=%d %d->%d: hop %d->%d reports dimension %d", n, a, b, cur, next, d)
+					}
+					walk = append(walk, next)
+					if len(walk) > len(want) {
+						t.Fatalf("n=%d %d->%d: walk %v overruns %v", n, a, b, walk, want)
+					}
+					cur = next
+				}
+				if !slices.Equal(walk, want) {
+					t.Fatalf("n=%d %d->%d: walk %v, two-phase %v", n, a, b, walk, want)
+				}
+				if hops := tp.Hops(EndpointID(a), EndpointID(b)); len(walk)-1 != hops {
+					t.Fatalf("n=%d %d->%d: %d hops, Hops says %d", n, a, b, len(walk)-1, hops)
+				}
+				if r := tp.ClusterRoute(a, b); !slices.Equal(r, want) {
+					t.Fatalf("n=%d %d->%d: ClusterRoute %v, two-phase %v", n, a, b, r, want)
+				}
+			}
+		}
+		if next, d := NextHop(ClusterID(n-1), ClusterID(n-1)); next != ClusterID(n-1) || d != -1 {
+			t.Fatalf("NextHop(%d, %d) = %d, %d; want %d, -1", n-1, n-1, next, d, n-1)
+		}
 	}
 }
 
