@@ -279,7 +279,7 @@ func BenchmarkCoroutineSwitch(b *testing.B) {
 		n.SpawnSubprocess("host", 0, func(sp *kern.Subprocess) {
 			g := kern.NewCoroutineGroup(sp)
 			for c := 0; c < 2; c++ {
-				g.Add(fmt.Sprint(c), func(co *kern.Coroutine) {
+				g.Add(func(co *kern.Coroutine) {
 					for j := 0; j < rounds; j++ {
 						co.Yield()
 					}
@@ -356,9 +356,11 @@ func BenchmarkFigure1Routing(b *testing.B) {
 	b.ResetTimer()
 	hops := 0
 	for i := 0; i < b.N; i++ {
-		src := topo.EndpointID(i % 1024)
-		dst := topo.EndpointID((i * 37) % 1024)
-		hops += len(tp.Route(src, dst))
+		cur := tp.AttachmentOf(topo.EndpointID(i % 1024)).Cluster
+		dst := tp.AttachmentOf(topo.EndpointID((i * 37) % 1024)).Cluster
+		for hops++; cur != dst; hops++ {
+			cur, _ = topo.NextHop(cur, dst)
+		}
 	}
 	b.ReportMetric(float64(hops)/float64(b.N), "route-len")
 }
@@ -420,28 +422,6 @@ func BenchmarkHPCSendPath(b *testing.B) {
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkReplicateSeeds measures the parallel replication harness on
-// a small seeded workload: one share-nothing simulation per seed,
-// fanned across a worker pool. On a multi-core host the speedup over
-// workers=1 approaches the worker count; the per-seed digests are
-// byte-identical either way.
-func BenchmarkReplicateSeeds(b *testing.B) {
-	seeds := make([]int64, 8)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
-	}
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", vorxbench.Workers(0)}} {
-		b.Run(fmt.Sprintf("%s/workers=%d", cfg.name, cfg.workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				vorxbench.ReplicateSeeds(seeds, cfg.workers, vorxbench.SeededRun)
-			}
-		})
 	}
 }
 

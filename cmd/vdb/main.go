@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"hpcvorx/internal/core"
 	"hpcvorx/internal/kern"
@@ -19,6 +20,11 @@ import (
 func main() {
 	procs := flag.Int("procs", 3, "application processes")
 	flag.Parse()
+	// The demo attaches to proc1.
+	if *procs < 2 {
+		fmt.Fprintf(os.Stderr, "vdb: -procs %d: want at least 2\n", *procs)
+		os.Exit(2)
+	}
 
 	sys, err := core.Build(core.Config{Nodes: *procs, Seed: 1})
 	if err != nil {

@@ -307,6 +307,7 @@ func cmdTopo(args []string) {
 	nodes := fs.Int("nodes", 70, "processing nodes")
 	shards := fs.Int("shards", 0, "also print the cluster-to-shard partition for this shard count (0 = skip)")
 	fs.Parse(args)
+	atLeast("topo", "shards", *shards, 0)
 	tp, err := core.Config{Hosts: *hosts, Nodes: *nodes}.Topology()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vorx:", err)
@@ -446,6 +447,8 @@ func runChaos(args []string, tc *traceCtx) {
 	comm := commFlag(fs)
 	fs.Parse(args)
 	atLeast("chaos", "msgs", *msgs, 1)
+	atLeast("chaos", "sweep", *sweepN, 0)
+	atLeast("chaos", "shardsweep", *shardSweepN, 0)
 	if *shardSweepN > 0 {
 		atLeast("chaos", "shards", *shards, 2)
 	}
@@ -637,10 +640,8 @@ func runHeal(args []string, tc *traceCtx) {
 	comm := commFlag(fs)
 	fs.Parse(args)
 	atLeast("heal", "msgs", *msgs, 1)
-	if *pairs < 1 || *nodes < 2*(*pairs)+1 {
-		fmt.Fprintf(os.Stderr, "vorx: need at least %d nodes for %d pairs plus a spare\n", 2*(*pairs)+1, *pairs)
-		os.Exit(1)
-	}
+	atLeast("heal", "pairs", *pairs, 1)
+	atLeast("heal", "nodes", *nodes, 2*(*pairs)+1) // the pairs plus a spare
 	durs := map[string]sim.Duration{}
 	for name, s := range map[string]*string{"crash": crash, "hb": hb, "confirm": confirm, "ckpt": ckpt, "horizon": horizon} {
 		d, err := fault.ParseDuration(*s)
@@ -649,6 +650,12 @@ func runHeal(args []string, tc *traceCtx) {
 			os.Exit(1)
 		}
 		durs[name] = d
+	}
+	// A confirm window no longer than one heartbeat period declares
+	// every machine dead before its first beat lands.
+	if durs["confirm"] <= durs["hb"] {
+		fmt.Fprintf(os.Stderr, "vorx: heal -confirm %s: want more than -hb %s\n", *confirm, *hb)
+		os.Exit(2)
 	}
 
 	sys, err := core.Build(core.Config{Hosts: 1, Nodes: *nodes, Seed: 1, Comm: comm()})

@@ -10,9 +10,12 @@
 // calibrated cost model (m68k), the interconnect (hpc, topo), the
 // S/NET baseline (snet, flowctl), the node kernel (kern), the
 // communications stack (netif, channels, objmgr, udo, multicast), the
-// execution environment (stub, resmgr), the tools (cdb, oscope,
-// profiler), the workloads (fft, spice, bitmap, workload), the
-// experiment harness (vorxbench), and the system assembly (core).
+// execution environment (stub, resmgr), the tools (cdb, vdb, oscope),
+// the workloads (fft, spice, bitmap, workload), the experiment harness
+// (vorxbench), and the system assembly (core). Every exported function
+// there has a caller in a program, or an allowlist entry naming the
+// test that reproduces a paper claim with it:
+// TestExportsHaveProgramCallers (exports_test.go) keeps it so.
 //
 // See README.md for a tour, DESIGN.md for the architecture and
 // calibration notes, and EXPERIMENTS.md for the paper-vs-measured

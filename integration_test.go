@@ -14,9 +14,7 @@ import (
 	"hpcvorx/internal/kern"
 	"hpcvorx/internal/objmgr"
 	"hpcvorx/internal/oscope"
-	"hpcvorx/internal/profiler"
 	"hpcvorx/internal/sim"
-	"hpcvorx/internal/spice"
 	"hpcvorx/internal/stub"
 	"hpcvorx/internal/workload"
 )
@@ -60,40 +58,6 @@ func TestOscilloscopeOnFFT(t *testing.T) {
 	sc.Render(&b, 0, end, 50)
 	if !strings.Contains(b.String(), "U") {
 		t.Fatal("render shows no user time")
-	}
-}
-
-// TestProfilerOnSpice profiles the phases of a distributed solve.
-func TestProfilerOnSpice(t *testing.T) {
-	sys, err := core.Build(core.Config{Nodes: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := profiler.New("spice-node0")
-	grid := spice.NewGrid(16)
-	// Wrap the solve in profiled phases via a driver subprocess on an
-	// extra node... simplest: profile the sequential reference next
-	// to the distributed run's elapsed time.
-	var seqTime sim.Duration
-	sys.Spawn(sys.Node(0), "profiled", 0, func(sp *kern.Subprocess) {
-		stop := p.Enter(sp, "sequential-solve")
-		sp.Compute(sim.Duration(16*16*5*30) * spice.FlopCost) // 30 sweeps of compute
-		grid.SolveSequential(30)
-		stop()
-		seqTime = p.Phase("sequential-solve")
-	})
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if seqTime <= 0 {
-		t.Fatal("no profiled time")
-	}
-	name, d := p.Hottest()
-	if name != "sequential-solve" || d != seqTime {
-		t.Fatalf("hottest = %s %v", name, d)
-	}
-	if !strings.Contains(p.String(), "100.0%") {
-		t.Fatalf("report:\n%s", p)
 	}
 }
 

@@ -75,16 +75,6 @@ func BlockedOnly() Filter {
 	return func(e End) bool { return e.ReaderBlocked || e.WriterBlocked }
 }
 
-// OnMachine keeps ends living on the named machine.
-func OnMachine(name string) Filter {
-	return func(e End) bool { return e.Machine == name }
-}
-
-// Open keeps ends that are not closed.
-func Open() Filter {
-	return func(e End) bool { return !e.Closed }
-}
-
 // Select returns a copy of the snapshot containing only ends passing
 // every filter.
 func (s Snapshot) Select(filters ...Filter) Snapshot {

@@ -130,21 +130,6 @@ func (c *Circuit) Validate() error {
 	return nil
 }
 
-// PrimaryInputs returns the undriven signal indices, ascending.
-func (c *Circuit) PrimaryInputs() []int {
-	driven := make([]bool, c.Signals)
-	for _, g := range c.Gates {
-		driven[g.Out] = true
-	}
-	var out []int
-	for i, d := range driven {
-		if !d {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Step advances the circuit one unit-delay step sequentially: every
 // gate output takes the value computed from the *previous* state —
 // the reference semantics the distributed simulator must match.
@@ -172,16 +157,6 @@ func (c *Circuit) Simulate(initial []bool, steps int) [][]bool {
 		traj = append(traj, append([]bool(nil), cur...))
 	}
 	return traj
-}
-
-// RingOscillator builds the classic n-inverter ring (n odd for
-// oscillation).
-func RingOscillator(n int) *Circuit {
-	c := &Circuit{Signals: n}
-	for i := 0; i < n; i++ {
-		c.Gates = append(c.Gates, Gate{Kind: Not, In: []int{(i + n - 1) % n}, Out: i})
-	}
-	return c
 }
 
 // RippleAdder builds an n-bit ripple-carry adder: inputs a0..an-1,

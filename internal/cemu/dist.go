@@ -141,7 +141,7 @@ func Run(sys *core.System, c *Circuit, initial []bool, steps, procs, window int)
 						hi = len(gatesOf[p])
 					}
 					chunk := gatesOf[p][lo:hi]
-					g.Add(fmt.Sprintf("eval%d", lo), func(co *kern.Coroutine) {
+					g.Add(func(co *kern.Coroutine) {
 						vals := make([]bool, 0, 8)
 						for _, gate := range chunk {
 							co.Compute(GateEvalCost)

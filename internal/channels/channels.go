@@ -250,9 +250,6 @@ func NewService(f *netif.IF, mgr *objmgr.Manager) *Service {
 	return s
 }
 
-// Interface returns the node interface the service runs on.
-func (s *Service) Interface() *netif.IF { return s.f }
-
 // tracer returns the node's unified event tracer (possibly nil).
 func (s *Service) tracer() *trace.Tracer { return s.f.Node().Tracer() }
 
@@ -417,9 +414,6 @@ func (ch *Channel) SetWindow(k int) {
 	}
 	ch.window = k
 }
-
-// Window returns the write window.
-func (ch *Channel) Window() int { return ch.window }
 
 // Open rendezvouses on name and returns the local channel end. It
 // blocks sp until the peer's open arrives (paper: "two processes
@@ -674,9 +668,6 @@ func (ch *Channel) SetManaged(retain bool) {
 	ch.managed = true
 	ch.retain = ch.retain || retain
 }
-
-// Managed reports whether the end is under supervision.
-func (ch *Channel) Managed() bool { return ch.managed }
 
 // RetainedWrites reports how many acknowledged writes the end is
 // holding for possible replay (0 unless retention is on).

@@ -183,8 +183,6 @@ func TestSideBufferExhaustionTriggersRetransmit(t *testing.T) {
 	// reader that sleeps: exhaust 64 side buffers, then drain.
 	total := channels.DefaultSideBuffers + 10
 	var received int
-	var done sim.WaitGroup
-	done.Add(writers)
 	for w := 0; w < writers; w++ {
 		w := w
 		sys.Spawn(sys.Node(w), "w", 0, func(sp *kern.Subprocess) {
@@ -194,7 +192,6 @@ func TestSideBufferExhaustionTriggersRetransmit(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			done.Done()
 		})
 	}
 	sys.Spawn(sys.Node(2), "r", 0, func(sp *kern.Subprocess) {

@@ -47,8 +47,6 @@ type Config struct {
 	// serial-equivalent shard; the count is clamped to the cluster
 	// count. Build ignores it: it is always the one-shard case.
 	Shards int
-	// Costs overrides the calibrated cost model (nil = defaults).
-	Costs *m68k.Costs
 	// Comm selects the communication profile. The zero value is the
 	// classic stop-and-wait stack, byte-identical to earlier revisions;
 	// Pipelined() turns on the windowed fast path at every layer.
@@ -84,14 +82,6 @@ func Classic() CommProfile { return CommProfile{} }
 // with no added latency for fine-grain traffic).
 func Pipelined() CommProfile {
 	return CommProfile{Window: 8, OutputDepth: 4, Coalesce: true}
-}
-
-// Name renders the profile for reports.
-func (cp CommProfile) Name() string {
-	if cp.Window <= 1 && cp.OutputDepth <= 1 && !cp.Coalesce {
-		return "classic"
-	}
-	return "pipelined"
 }
 
 // Machine is one attached computer: a host workstation or a processing
@@ -222,10 +212,7 @@ func assemble(cfg Config, shards int) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	costs := cfg.Costs
-	if costs == nil {
-		costs = m68k.DefaultCosts()
-	}
+	costs := m68k.DefaultCosts()
 	if shards == 0 {
 		shards = tp.Clusters()
 	}

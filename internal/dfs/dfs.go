@@ -28,7 +28,7 @@ var OpCost = sim.Microseconds(350)
 
 // request/reply wire bodies
 type req struct {
-	op   string // "create", "append", "read", "stat"
+	op   string // "create", "append", "read"
 	name string
 	data []byte
 }
@@ -36,7 +36,6 @@ type req struct {
 type rep struct {
 	err  string
 	data []byte
-	size int
 }
 
 const (
@@ -134,14 +133,6 @@ func (s *Service) serve(sp *kern.Subprocess, hi int, h *core.Machine, ch *channe
 			} else {
 				sp.Compute(costs.HostCopyTime(len(f)))
 				out.data = append([]byte(nil), f...)
-				out.size = len(f)
-			}
-		case "stat":
-			f, exists := s.files[hi][r.name]
-			if !exists {
-				out.err = "no such file"
-			} else {
-				out.size = len(f)
 			}
 		default:
 			out.err = "bad op"
@@ -273,24 +264,4 @@ func (c *Client) Read(sp *kern.Subprocess, name string) ([]byte, error) {
 		}
 	}
 	return nil, lastErr
-}
-
-// Stat returns the file size, with the same failover as Read.
-func (c *Client) Stat(sp *kern.Subprocess, name string) (int, error) {
-	var lastErr error
-	for _, host := range c.s.ReplicaHosts(name) {
-		out, err := c.call(sp, host, req{op: "stat", name: name})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if out.err == "" {
-			return out.size, nil
-		}
-		lastErr = fmt.Errorf("dfs: %s: %s", name, out.err)
-		if out.err != "host unavailable" {
-			return 0, lastErr
-		}
-	}
-	return 0, lastErr
 }

@@ -340,29 +340,6 @@ func (e *Engine) ungrayMachine(m *core.Machine) {
 	e.record("ungray", "%s healthy", m.Name())
 }
 
-// GrayStationAt applies gray degradation to S/NET station i of nw:
-// drain reads run slow times slower, and each incoming transfer is
-// lost with probability dropProb (seeded per station, deterministic).
-func (e *Engine) GrayStationAt(at sim.Duration, nw *snet.Network, i int, slow, dropProb float64) {
-	e.k.At(sim.Time(at), func() {
-		var drop func(src, size int) bool
-		if dropProb > 0 {
-			rng := rand.New(rand.NewSource(e.seed ^ (int64(i)+1)*0x9E3779B97F4A7C1))
-			drop = func(src, size int) bool { return rng.Float64() < dropProb }
-		}
-		nw.Station(i).SetGray(slow, drop)
-		e.record("gray", "station %d read x%.1f drop %.2f", i, slow, dropProb)
-	})
-}
-
-// UngrayStationAt restores S/NET station i of nw to healthy.
-func (e *Engine) UngrayStationAt(at sim.Duration, nw *snet.Network, i int) {
-	e.k.At(sim.Time(at), func() {
-		nw.Station(i).SetGray(0, nil)
-		e.record("ungray", "station %d healthy", i)
-	})
-}
-
 func (e *Engine) crashMachine(m *core.Machine) {
 	if m.Kern.Crashed() {
 		return

@@ -90,8 +90,6 @@ func Run2DFFT(sys *core.System, in *Matrix, procs int, strat Strategy) (*Result,
 
 	start := sys.K.Now()
 	var finished sim.Time
-	var done sim.WaitGroup
-	done.Add(procs)
 
 	// Per-processor column buffers: colBuf[p] accumulates the rows of
 	// the columns processor p owns.
@@ -101,7 +99,6 @@ func Run2DFFT(sys *core.System, in *Matrix, procs int, strat Strategy) (*Result,
 	runProc := func(p int, send func(sp *kern.Subprocess, p int, blocks []blockMsg), recv recvFn) {
 		node := sys.Node(p)
 		sys.Spawn(node, fmt.Sprintf("fft%d", p), 0, func(sp *kern.Subprocess) {
-			defer done.Done()
 			// Phase 1: row FFTs on my block.
 			r0 := p * rows
 			for r := r0; r < r0+rows; r++ {

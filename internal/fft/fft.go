@@ -22,23 +22,6 @@ import (
 // FFT computes the in-place forward FFT of x (len must be a power of
 // two) using the iterative radix-2 Cooley-Tukey algorithm.
 func FFT(x []complex128) error {
-	return transform(x, false)
-}
-
-// IFFT computes the in-place inverse FFT of x (including the 1/n
-// normalization).
-func IFFT(x []complex128) error {
-	if err := transform(x, true); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-	return nil
-}
-
-func transform(x []complex128, inverse bool) error {
 	n := len(x)
 	if n == 0 || n&(n-1) != 0 {
 		return fmt.Errorf("fft: length %d is not a power of two", n)
@@ -51,13 +34,9 @@ func transform(x []complex128, inverse bool) error {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
-		step := sign * 2 * math.Pi / float64(size)
+		step := -2 * math.Pi / float64(size)
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
 				w := complex(math.Cos(step*float64(k)), math.Sin(step*float64(k)))

@@ -21,7 +21,6 @@ import (
 
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/snet"
-	"hpcvorx/internal/trace"
 )
 
 // Strategy reliably delivers messages over an S/NET, recovering from
@@ -35,20 +34,13 @@ type Strategy interface {
 	Send(p *sim.Proc, src *snet.Station, dst, size int, payload any) int
 }
 
-// SpinRetry resends immediately on every fifo-full signal.
-type SpinRetry struct {
-	// Turnaround is the kernel cost to field the fifo-full signal and
-	// reissue the transfer (defaults to 30 µs when zero).
-	Turnaround sim.Duration
-	// MaxAttempts, when positive, bounds the retry loop so that
-	// livelocked experiments terminate; 0 means retry forever.
-	MaxAttempts int
-	// GaveUp counts sends abandoned at MaxAttempts.
-	GaveUp int
-	// Tracer, when set and enabled, records each retry as a KFlow
-	// event and counts retries under "flowctl.spin.retries".
-	Tracer *trace.Tracer
-}
+// SpinRetry resends immediately on every fifo-full signal. It retries
+// forever: a livelocked run ends at its horizon.
+type SpinRetry struct{}
+
+// spinTurnaround is the kernel cost to field the fifo-full signal and
+// reissue the transfer.
+const spinTurnaround = 30 * sim.Microsecond
 
 // Name implements Strategy.
 func (s *SpinRetry) Name() string { return "spin-retry" }
@@ -61,20 +53,7 @@ func (s *SpinRetry) Send(p *sim.Proc, src *snet.Station, dst, size int, payload 
 		if src.Send(p, dst, size, payload) == snet.Delivered {
 			return attempts
 		}
-		if s.MaxAttempts > 0 && attempts >= s.MaxAttempts {
-			s.GaveUp++
-			s.Tracer.Emit(trace.KFlow, 0, "snet", "flowctl", fmt.Sprintf("spin gave-up dst=%d after %d", dst, attempts))
-			return attempts
-		}
-		if tr := s.Tracer; tr.Enabled() {
-			tr.Emit(trace.KFlow, 0, "snet", "flowctl", fmt.Sprintf("spin retry dst=%d attempt=%d", dst, attempts))
-			tr.Count("flowctl.spin.retries", 1)
-		}
-		ta := s.Turnaround
-		if ta == 0 {
-			ta = 30 * sim.Microsecond
-		}
-		p.Sleep(ta)
+		p.Sleep(spinTurnaround)
 	}
 }
 
@@ -85,9 +64,6 @@ type RandomBackoff struct {
 	// throughput degenerates to the timeout rate, so Max directly
 	// sets the many-to-one bandwidth.
 	Max sim.Duration
-	// Tracer, when set and enabled, records each backoff wait as a
-	// KFlow event and counts them under "flowctl.backoff.waits".
-	Tracer *trace.Tracer
 }
 
 // Name implements Strategy.
@@ -105,12 +81,7 @@ func (b *RandomBackoff) Send(p *sim.Proc, src *snet.Station, dst, size int, payl
 		if max <= 0 {
 			max = int64(sim.Millisecond)
 		}
-		wait := sim.Duration(1 + p.Kernel().Rand().Int63n(max))
-		if tr := b.Tracer; tr.Enabled() {
-			tr.Emit(trace.KFlow, 0, "snet", "flowctl", fmt.Sprintf("backoff dst=%d wait=%v", dst, wait))
-			tr.Count("flowctl.backoff.waits", 1)
-		}
-		p.Sleep(wait)
+		p.Sleep(sim.Duration(1 + p.Kernel().Rand().Int63n(max)))
 	}
 }
 
@@ -138,12 +109,7 @@ type Reservation struct {
 	grants  []*sim.Cond       // receiver manager wakes when data arrives
 	cts     []*sim.Cond       // sender wakes when its CTS arrives
 	userFns []func(m snet.Message)
-	tracer  *trace.Tracer
 }
-
-// SetTracer installs the unified event tracer: RTS, CTS waits, and
-// data sends become KFlow events under the "snet"/"flowctl" lane.
-func (r *Reservation) SetTracer(t *trace.Tracer) { r.tracer = t }
 
 // NewReservation wires the protocol onto every station of nw and
 // starts the per-station grant managers and drain kernels.
@@ -158,14 +124,14 @@ func NewReservation(k *sim.Kernel, nw *snet.Network) *Reservation {
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		r.reqs[i] = sim.NewQueue[int](k, fmt.Sprintf("rsv-req%d", i), 0)
+		r.reqs[i] = sim.NewQueue[int](k, fmt.Sprintf("rsv-req%d", i))
 		r.grants[i] = sim.NewCond(k, fmt.Sprintf("rsv-grant%d", i))
 		r.cts[i] = sim.NewCond(k, fmt.Sprintf("rsv-cts%d", i))
 		st := nw.Station(i)
 		st.SetDeliver(func(m snet.Message) {
 			switch c := m.Payload.(type) {
 			case rtsMsg:
-				r.reqs[i].TryPut(c.src)
+				r.reqs[i].Put(c.src)
 			case ctsMsg:
 				r.cts[i].Signal()
 			case dataMsg:
@@ -205,7 +171,6 @@ func (r *Reservation) Send(p *sim.Proc, src *snet.Station, dst, size int, payloa
 	// The RTS itself is small; the protocol invariant (FIFO holds one
 	// data message plus an RTS from every processor) means it always
 	// fits, but retry defensively.
-	r.tracer.Emit(trace.KFlow, 0, "snet", "flowctl", fmt.Sprintf("rts %d->%d", src.ID(), dst))
 	for {
 		transfers++
 		if src.Send(p, dst, rtsBytes, rtsMsg{src: src.ID()}) == snet.Delivered {
@@ -214,7 +179,6 @@ func (r *Reservation) Send(p *sim.Proc, src *snet.Station, dst, size int, payloa
 		p.Sleep(10 * sim.Microsecond)
 	}
 	r.cts[src.ID()].Wait(p)
-	r.tracer.Emit(trace.KFlow, 0, "snet", "flowctl", fmt.Sprintf("cts %d<-%d", src.ID(), dst))
 	for {
 		transfers++
 		if src.Send(p, dst, size, dataMsg{payload: payload, user: r.userFns[dst]}) == snet.Delivered {

@@ -24,8 +24,6 @@ func runManyToOne(t *testing.T, strat func(k *sim.Kernel, nw *snet.Network) Stra
 	} else {
 		s.(*Reservation).SetDeliver(0, func(m snet.Message) { delivered++ })
 	}
-	var done sim.WaitGroup
-	done.Add(nSenders)
 	var last sim.Time
 	for i := 1; i <= nSenders; i++ {
 		i := i
@@ -34,7 +32,6 @@ func runManyToOne(t *testing.T, strat func(k *sim.Kernel, nw *snet.Network) Stra
 				s.Send(p, nw.Station(i), 0, size, nil)
 			}
 			last = p.Now()
-			done.Done()
 		})
 	}
 	k.RunFor(horizon)
@@ -145,26 +142,6 @@ func TestReservationAddsLatencyToUncontendedSends(t *testing.T) {
 	}
 	if reserved < plain+sim.Time(sim.Microseconds(100)) {
 		t.Fatalf("reservation overhead suspiciously small: %v vs %v", reserved, plain)
-	}
-}
-
-func TestSpinRetryMaxAttempts(t *testing.T) {
-	k := sim.NewKernel(3)
-	nw := snet.NewNetwork(k, m68k.DefaultCosts(), 3)
-	// No drain at station 0: after the FIFO fills, every send rejects.
-	s := &SpinRetry{MaxAttempts: 5}
-	k.Spawn("s", func(p *sim.Proc) {
-		nw.Station(1).Send(p, 0, 2000, nil) // fill the FIFO
-		attempts := s.Send(p, nw.Station(1), 0, 1000, nil)
-		if attempts != 5 {
-			t.Errorf("attempts = %d, want 5", attempts)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.GaveUp != 1 {
-		t.Fatalf("GaveUp = %d", s.GaveUp)
 	}
 }
 

@@ -176,9 +176,6 @@ type Interconnect struct {
 // a gauge and backpressure stalls as a counter.
 func (ic *Interconnect) SetTracer(t *trace.Tracer) { ic.tracer = t }
 
-// Tracer returns the interconnect's tracer (possibly nil).
-func (ic *Interconnect) Tracer() *trace.Tracer { return ic.tracer }
-
 // msgDetail renders the constant facts of a message for event details.
 func msgDetail(m *Message) string {
 	if m.Tag != "" {
@@ -238,12 +235,6 @@ func (ic *Interconnect) cubeLink(a, b topo.ClusterID) *link {
 	return ic.cube[int(a)*ic.topo.Dimension()+bits.TrailingZeros(uint(a^b))]
 }
 
-// Topology returns the interconnect's topology.
-func (ic *Interconnect) Topology() *topo.Topology { return ic.topo }
-
-// Costs returns the cost model in use.
-func (ic *Interconnect) Costs() *m68k.Costs { return ic.costs }
-
 // Stats returns a snapshot of interconnect counters.
 func (ic *Interconnect) Stats() Stats { return ic.stats }
 
@@ -272,17 +263,6 @@ func (ic *Interconnect) LinkStats() []LinkStat {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// SetEndpointCable sets the fiber length, in kilometers, of endpoint
-// e's connection to its cluster (both directions). Workstations "may
-// be geographically distributed within the area of a large building"
-// — over a kilometer of fiber adds light-propagation delay to every
-// message.
-func (ic *Interconnect) SetEndpointCable(e topo.EndpointID, km float64) {
-	d := sim.Duration(km * float64(ic.costs.FiberPerKm))
-	ic.upLink[e].propagation = d
-	ic.dnLink[e].propagation = d
 }
 
 // HottestLink returns the link with the most busy time.
@@ -760,12 +740,11 @@ func (t *transfer) maybeRecycle() {
 // link is a directed link with FIFO (fair) arbitration into a
 // one-message downstream buffer.
 type link struct {
-	ic          *Interconnect
-	name        string
-	into        *buffer
-	busy        bool
-	waitQ       []*transfer
-	propagation sim.Duration // fiber length delay
+	ic    *Interconnect
+	name  string
+	into  *buffer
+	busy  bool
+	waitQ []*transfer
 
 	// Fault state (cube links only). down refuses new transmissions;
 	// slowdown > 1 multiplies wire time (degraded bandwidth).
@@ -842,7 +821,7 @@ func (l *link) tryStart() {
 	if l.slowdown > 1 {
 		wire = sim.Duration(float64(wire) * l.slowdown)
 	}
-	dur := l.ic.costs.HopFixed + wire + l.propagation
+	dur := l.ic.costs.HopFixed + wire
 	// Sharded execution: the hop's completion time is known now, a full
 	// HopFixed (= the group lookahead) ahead, so every cross-shard
 	// consequence of this transmission is announced at its start.

@@ -389,27 +389,3 @@ func TestLinkStatsTrackTraffic(t *testing.T) {
 		t.Errorf("up0 busy = %v, want %v", stats["up0"].Busy, want)
 	}
 }
-
-func TestCableLengthAddsPropagation(t *testing.T) {
-	// Paper §1: fiber connections may be over a kilometer long. A
-	// 1.2 km workstation drop adds light-time each way but changes
-	// nothing else.
-	k, ic := newFabric(t, 2)
-	ic.SetEndpointCable(1, 1.2)
-	var at sim.Time
-	ic.SetDeliver(1, func(d *Delivery) { at = k.Now(); d.Release() })
-	k.Spawn("s", func(p *sim.Proc) {
-		if err := ic.Send(p, &Message{Src: 0, Dst: 1, Size: 100}, nil); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Base 12 µs + 1.2 km * 5 µs/km on the down link only (the up
-	// link belongs to endpoint 0, whose cable is zero-length).
-	want := sim.Time(sim.Microseconds(12) + sim.Microseconds(6))
-	if at != want {
-		t.Fatalf("delivered at %v, want %v", at, want)
-	}
-}

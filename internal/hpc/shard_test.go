@@ -29,6 +29,21 @@ type shardedFabric struct {
 	logs [][]delivRec
 }
 
+// uniformLookahead builds the n×n lookahead matrix with every
+// off-diagonal entry d.
+func uniformLookahead(n int, d sim.Duration) [][]sim.Duration {
+	m := make([][]sim.Duration, n)
+	for i := range m {
+		m[i] = make([]sim.Duration, n)
+		for j := range m[i] {
+			if i != j {
+				m[i][j] = d
+			}
+		}
+	}
+	return m
+}
+
 func newShardedFabric(t *topo.Topology, shards int) *shardedFabric {
 	part := topo.PartitionClusters(t, shards)
 	n := part.Shards()
@@ -39,7 +54,7 @@ func newShardedFabric(t *topo.Topology, shards int) *shardedFabric {
 	}
 	var g *sim.Group
 	if n > 1 {
-		g = sim.NewGroup(sim.UniformLookahead(n, costs.HopFixed), kerns...)
+		g = sim.NewGroup(uniformLookahead(n, costs.HopFixed), kerns...)
 	}
 	f := &shardedFabric{g: g, part: part, t: t, logs: make([][]delivRec, n)}
 	shardOf := make([]int, t.Clusters())

@@ -40,7 +40,7 @@ func TestSyscallSystemZeroAllocWarm(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm Syscall+System allocates %v/op, want 0", allocs)
 	}
-	if user, sys := sp.CPUTime(); user != 0 || sys == 0 {
+	if user, sys := cpuTime(sp); user != 0 || sys == 0 {
 		t.Fatalf("CPU time user=%v system=%v", user, sys)
 	}
 }

@@ -25,7 +25,6 @@ type CoroutineGroup struct {
 // Coroutine is one cooperative thread within a subprocess.
 type Coroutine struct {
 	g      *CoroutineGroup
-	name   string
 	body   func(c *Coroutine)
 	resume chan struct{}
 	done   bool
@@ -37,8 +36,8 @@ func NewCoroutineGroup(sp *Subprocess) *CoroutineGroup {
 }
 
 // Add registers a coroutine; call before Run.
-func (g *CoroutineGroup) Add(name string, body func(c *Coroutine)) *Coroutine {
-	c := &Coroutine{g: g, name: name, body: body, resume: make(chan struct{})}
+func (g *CoroutineGroup) Add(body func(c *Coroutine)) *Coroutine {
+	c := &Coroutine{g: g, body: body, resume: make(chan struct{})}
 	g.coros = append(g.coros, c)
 	return c
 }
@@ -79,14 +78,6 @@ func (g *CoroutineGroup) next() *Coroutine {
 	}
 	return nil
 }
-
-// Name returns the coroutine's name.
-func (c *Coroutine) Name() string { return c.name }
-
-// Subprocess returns the owning subprocess. Coroutine bodies use it
-// for Compute and other CPU operations; because exactly one thread of
-// the group runs at a time, delegation is safe.
-func (c *Coroutine) Subprocess() *Subprocess { return c.g.sp }
 
 // Compute consumes d of user CPU, delegated to the owning subprocess.
 // Safe because exactly one thread of the group runs at a time.

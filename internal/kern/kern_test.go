@@ -293,12 +293,12 @@ func TestCoroutineSwitchesAreCheap(t *testing.T) {
 	var elapsed sim.Duration
 	n.SpawnSubprocess("host", 0, func(sp *Subprocess) {
 		g := NewCoroutineGroup(sp)
-		g.Add("a", func(c *Coroutine) {
+		g.Add(func(c *Coroutine) {
 			for i := 0; i < rounds; i++ {
 				c.Yield()
 			}
 		})
-		g.Add("b", func(c *Coroutine) {
+		g.Add(func(c *Coroutine) {
 			for i := 0; i < rounds; i++ {
 				c.Yield()
 			}
@@ -322,7 +322,7 @@ func TestCoroutineComputeChargesOwner(t *testing.T) {
 	k, n := newNode()
 	n.SpawnSubprocess("host", 0, func(sp *Subprocess) {
 		g := NewCoroutineGroup(sp)
-		g.Add("c", func(c *Coroutine) { c.Compute(sim.Microseconds(100)) })
+		g.Add(func(c *Coroutine) { c.Compute(sim.Microseconds(100)) })
 		g.Run()
 	})
 	if err := k.Run(); err != nil {
@@ -340,7 +340,7 @@ func TestCoroutineRoundRobinOrder(t *testing.T) {
 		g := NewCoroutineGroup(sp)
 		for _, name := range []string{"a", "b", "c"} {
 			name := name
-			g.Add(name, func(c *Coroutine) {
+			g.Add(func(c *Coroutine) {
 				for i := 0; i < 2; i++ {
 					order = append(order, name)
 					c.Yield()
@@ -423,8 +423,8 @@ func TestPerSubprocessCPUAccounting(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ua, sa := spA.CPUTime()
-	ub, sb := spB.CPUTime()
+	ua, sa := cpuTime(spA)
+	ub, sb := cpuTime(spB)
 	if ua != sim.Microseconds(100) {
 		t.Errorf("a user = %v", ua)
 	}
@@ -460,7 +460,7 @@ func TestCPUAccountingSurvivesPreemption(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	u, _ := low.CPUTime()
+	u, _ := cpuTime(low)
 	if u != sim.Milliseconds(5) {
 		t.Fatalf("low user time = %v despite preemption", u)
 	}
@@ -512,30 +512,6 @@ func TestInterruptDuringIdle(t *testing.T) {
 	}
 }
 
-func TestSemaphoreValueAndVFromInterrupt(t *testing.T) {
-	k, n := newNode()
-	s := n.NewSemaphore("vi", 0)
-	got := false
-	n.SpawnSubprocess("w", 0, func(sp *Subprocess) {
-		s.P(sp)
-		got = true
-	})
-	k.After(sim.Milliseconds(1), func() {
-		n.Interrupt(sim.Microseconds(2), func() { s.VFromInterrupt() })
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Fatal("V from interrupt did not wake the waiter")
-	}
-	s2 := n.NewSemaphore("v2", 0)
-	s2.VFromInterrupt()
-	if s2.Value() != 1 {
-		t.Fatalf("value = %d", s2.Value())
-	}
-}
-
 func TestZeroAndNegativeComputeAreFree(t *testing.T) {
 	k, n := newNode()
 	var end sim.Time
@@ -565,10 +541,19 @@ func TestCategoriesStringAndList(t *testing.T) {
 	}
 }
 
+// cpuTime returns the user and system CPU the subprocess has consumed
+// (system time includes context switches performed on its behalf).
+func cpuTime(sp *Subprocess) (user, system sim.Duration) {
+	if sp.task == nil {
+		return 0, 0
+	}
+	return sp.task.user, sp.task.system
+}
+
 func TestSubprocessAccessors(t *testing.T) {
 	k, n := newNode()
 	n.SpawnSubprocess("acc", 3, func(sp *Subprocess) {
-		if sp.Name() != "acc" || sp.Priority() != 3 || sp.Node() != n {
+		if sp.name != "acc" || sp.prio != 3 || sp.Node() != n {
 			t.Error("accessors broken")
 		}
 		if sp.Proc() == nil {
@@ -578,8 +563,8 @@ func TestSubprocessAccessors(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(n.Subprocesses()) != 1 {
-		t.Fatalf("subprocesses = %d", len(n.Subprocesses()))
+	if len(n.subs) != 1 {
+		t.Fatalf("subprocesses = %d", len(n.subs))
 	}
 }
 

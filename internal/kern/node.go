@@ -183,9 +183,6 @@ func (n *Node) Kernel() *sim.Kernel { return n.k }
 // Costs returns the node's cost model.
 func (n *Node) Costs() *m68k.Costs { return n.costs }
 
-// Subprocesses returns all subprocesses ever spawned on this node.
-func (n *Node) Subprocesses() []*Subprocess { return n.subs }
-
 // SetTracer installs the unified event tracer: every closed accounting
 // interval becomes a KAccount span on this node's "cpu" lane, and
 // crash/restart become instants. Nil-safe; a disabled tracer costs one

@@ -19,15 +19,6 @@ type Subprocess struct {
 	task     *task // CPU request record, CPU time and sleep state, from first use
 }
 
-// CPUTime returns the user and system CPU the subprocess has consumed
-// (system time includes context switches performed on its behalf).
-func (sp *Subprocess) CPUTime() (user, system sim.Duration) {
-	if sp.task == nil {
-		return 0, 0
-	}
-	return sp.task.user, sp.task.system
-}
-
 // SpawnSubprocess starts a subprocess on the node at the given
 // priority (higher runs first, preemptively).
 func (n *Node) SpawnSubprocess(name string, prio int, body func(sp *Subprocess)) *Subprocess {
@@ -39,14 +30,8 @@ func (n *Node) SpawnSubprocess(name string, prio int, body func(sp *Subprocess))
 	return sp
 }
 
-// Name returns the subprocess name.
-func (sp *Subprocess) Name() string { return sp.name }
-
 // Node returns the node the subprocess runs on.
 func (sp *Subprocess) Node() *Node { return sp.node }
-
-// Priority returns the subprocess's scheduling priority.
-func (sp *Subprocess) Priority() int { return sp.prio }
 
 // Proc returns the underlying simulation process.
 func (sp *Subprocess) Proc() *sim.Proc { return sp.proc }
@@ -129,9 +114,6 @@ func (sp *Subprocess) SleepFor(d sim.Duration) {
 	sp.BlockNow()
 }
 
-// Yield lets equal-priority work run (cooperative reschedule).
-func (sp *Subprocess) Yield() { sp.proc.Yield() }
-
 // Semaphore is a VORX counting semaphore: the communication mechanism
 // between subprocesses of a process (paper §5). P and V charge the
 // semaphore-operation cost to the calling subprocess.
@@ -152,9 +134,6 @@ func (n *Node) NewSemaphore(name string, count int) *Semaphore {
 	return &Semaphore{node: n, name: name, count: count}
 }
 
-// Value returns the semaphore's current count.
-func (s *Semaphore) Value() int { return s.count }
-
 // P decrements the semaphore, blocking the subprocess while zero.
 func (s *Semaphore) P(sp *Subprocess) {
 	sp.System(s.node.costs.SemOp)
@@ -170,18 +149,6 @@ func (s *Semaphore) P(sp *Subprocess) {
 // V increments the semaphore, waking the oldest waiter.
 func (s *Semaphore) V(sp *Subprocess) {
 	sp.System(s.node.costs.SemOp)
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w.wake.Wake()
-		return
-	}
-	s.count++
-}
-
-// VFromInterrupt increments the semaphore from interrupt level (no
-// subprocess context, no charge — the interrupt already paid).
-func (s *Semaphore) VFromInterrupt() {
 	if len(s.waiters) > 0 {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]

@@ -50,10 +50,6 @@ type Costs struct {
 	// HopFixed is the fixed self-routing latency through one cluster
 	// (header decode + switch setup).
 	HopFixed sim.Duration
-	// FiberPerKm is the light propagation delay per kilometer of
-	// fiber (paper §1: "Fiber optic cables permit these connections
-	// to be over a kilometer in length").
-	FiberPerKm sim.Duration
 	// MaxMessage is the HPC hardware message size limit in bytes.
 	MaxMessage int
 
@@ -121,7 +117,6 @@ func DefaultCosts() *Costs {
 
 		WirePerByte: sim.Microseconds(0.05),
 		HopFixed:    sim.Microseconds(1.0),
-		FiberPerKm:  sim.Microseconds(5.0),
 		MaxMessage:  1060,
 
 		ChanSendProto: sim.Microseconds(81),

@@ -103,9 +103,6 @@ func (s *Sender) Accept(sp *kern.Subprocess) topo.EndpointID {
 	return p.Peer
 }
 
-// Members returns the admitted member endpoints.
-func (s *Sender) Members() []topo.EndpointID { return s.members }
-
 // Write multicasts size bytes to every member and blocks until all
 // their kernels acknowledge (group-wide stop-and-wait flow control).
 func (s *Sender) Write(sp *kern.Subprocess, size int, payload any) error {

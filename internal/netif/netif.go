@@ -435,9 +435,6 @@ func (f *IF) SetGray(slow float64, drop func(m *hpc.Message) bool) {
 	f.grayDrop = drop
 }
 
-// Gray reports whether the interface is currently degraded.
-func (f *IF) Gray() bool { return f.graySlow > 1 || f.grayDrop != nil }
-
 // SetVerifier installs the invariant checker's frame observer (nil to
 // remove).
 func (f *IF) SetVerifier(v Verifier) { f.verifier = v }
@@ -453,10 +450,6 @@ func (f *IF) Fence(src topo.EndpointID, min uint32) {
 		f.fences[src] = min
 	}
 }
-
-// FenceFloor returns the minimum incarnation accepted from src (0 when
-// unfenced).
-func (f *IF) FenceFloor(src topo.EndpointID) uint32 { return f.fences[src] }
 
 // SendFenceNote ships a fence note to the machine at dst: "refuse
 // frames from target stamped below min" — or, when dst is target

@@ -29,8 +29,8 @@ type Component int
 
 const (
 	// CompWire is link transmission: arbitration won through hop
-	// complete (fixed hop cost + bytes on the wire + propagation,
-	// including degraded-link slowdown), plus vchan broker forwards.
+	// complete (fixed hop cost + bytes on the wire, including
+	// degraded-link slowdown), plus vchan broker forwards.
 	CompWire Component = iota
 	// CompQueue is output-port and buffer queueing: waiting for an
 	// output section, stalled behind busy/failed links, and sitting
@@ -99,14 +99,6 @@ func (a *Analyzer) TraceEvent(e trace.Event) {
 		return
 	}
 	a.events = append(a.events, e)
-}
-
-// Len reports how many events have been captured.
-func (a *Analyzer) Len() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.events)
 }
 
 // Report analyzes the captured stream.
@@ -408,10 +400,6 @@ type Report struct {
 
 	reg *trace.Registry // lat.* histograms feeding the quantiles
 }
-
-// Metrics exposes the report's latency histograms (lat.end_to_end,
-// lat.<component>) — the registry OpenMetrics export reads.
-func (r *Report) Metrics() *trace.Registry { return r.reg }
 
 // CompleteWrites counts writes whose full causal chain was observed.
 func (r *Report) CompleteWrites() int { return len(r.Writes) - r.Incomplete }

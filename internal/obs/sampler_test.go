@@ -11,7 +11,7 @@ import (
 )
 
 func ev(at sim.Time) trace.Event {
-	return trace.Event{At: at, Kind: trace.KFlow}
+	return trace.Event{At: at, Kind: trace.KSuper}
 }
 
 func TestSamplerBoundaries(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"hpcvorx/internal/objmgr"
 	"hpcvorx/internal/oscope"
 	"hpcvorx/internal/sim"
+	"hpcvorx/internal/trace"
 )
 
 // imbalancedSystem runs a 2-node app where node0 computes for 10 ms
@@ -322,6 +323,25 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
+// fromTracer builds a detached Scope from the KAccount spans a tracer
+// recorded, by way of a version 2 trace file.
+func fromTracer(t *testing.T, tr *trace.Tracer) *oscope.Scope {
+	t.Helper()
+	var b strings.Builder
+	nodes := map[string]bool{}
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KAccount {
+			fmt.Fprintln(&b, trace.FormatEventLine(e))
+			nodes[e.Node] = true
+		}
+	}
+	sc, err := oscope.Load(strings.NewReader(fmt.Sprintf("oscope-trace 2 %d\n%s", len(nodes), b.String())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // TestFromTracerMatchesLiveScope checks the unification satellite: the
 // KAccount spans the system tracer records reproduce exactly what a
 // live-attached oscilloscope saw, and survive a v1 file round trip too.
@@ -334,7 +354,7 @@ func TestFromTracerMatchesLiveScope(t *testing.T) {
 	runImbalanced(t, sys)
 	sc.Finalize() // flushes the open intervals into the tracer too
 	end := sys.K.Now()
-	from := oscope.FromTracer(sys.Trace)
+	from := fromTracer(t, sys.Trace)
 	var live, replay strings.Builder
 	sc.Render(&live, 0, end, 30)
 	from.Render(&replay, 0, end, 30)
@@ -354,8 +374,8 @@ func TestFromTracerMatchesLiveScope(t *testing.T) {
 
 // TestAttachSeesPastTheRing: a scope attached to a system whose tracer
 // keeps only its newest 8 events still sees every accounting span,
-// because it is the tracer's forward sink. It renders exactly what
-// FromTracer renders from an unbounded run of the same program.
+// because it is the tracer's forward sink. It renders exactly what the
+// tracer of an unbounded run of the same program recorded.
 func TestAttachSeesPastTheRing(t *testing.T) {
 	build := func() *core.System {
 		sys, err := core.Build(core.Config{Nodes: 2, Seed: 1})
@@ -379,7 +399,7 @@ func TestAttachSeesPastTheRing(t *testing.T) {
 	for _, m := range whole.Machines() {
 		m.Kern.Totals() // close the in-progress intervals
 	}
-	from := oscope.FromTracer(whole.Trace)
+	from := fromTracer(t, whole.Trace)
 
 	end := ringed.K.Now()
 	if end != whole.K.Now() {

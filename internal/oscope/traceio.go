@@ -55,21 +55,6 @@ func (s *Scope) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// FromTracer builds a detached Scope from the KAccount spans a unified
-// tracer recorded (Finalize is a no-op on it). Other event kinds are
-// ignored, so the tracer may have recorded the whole stack.
-func FromTracer(tr *trace.Tracer) *Scope { return FromEvents(tr.Events()) }
-
-// FromEvents builds a detached Scope from trace events, keeping only
-// KAccount spans whose detail names a kernel accounting category.
-func FromEvents(evs []trace.Event) *Scope {
-	s := newScope()
-	for _, e := range evs {
-		s.TraceEvent(e)
-	}
-	return s
-}
-
 // Load reads a trace written by Save — either version — into a
 // detached Scope (no live nodes; Finalize is a no-op).
 func Load(r io.Reader) (*Scope, error) {

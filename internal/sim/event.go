@@ -57,11 +57,6 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// Pending reports whether the timer has neither fired nor been stopped.
-func (t Timer) Pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled && t.ev.index != freeIdx
-}
-
 // eventLess orders events by (at, seq). seq is unique, so this is a
 // total order: any heap arrangement pops in exactly the same sequence.
 // A local event's seq is its kernel's schedule count with localSeq set;
@@ -197,7 +192,6 @@ func (k *Kernel) recycle(ev *event) {
 // one would have; the FIFO keeps its relative order.
 func (k *Kernel) compact() {
 	swept := k.nCanceled
-	k.compactions++
 	if cp, ok := k.probe.(CompactionProbe); ok {
 		cp.QueueCompaction(k.now, swept)
 	}

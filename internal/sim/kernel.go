@@ -39,14 +39,12 @@ type Kernel struct {
 	nCanceled int
 
 	// The run token: exactly one goroutine runs simulation code at a
-	// time, and every hand-off is a channel operation. running is the
-	// proc holding the token, nil while events dispatch. During a run,
+	// time, and every hand-off is a channel operation. During a run,
 	// or a Group shard's grant, the token carries the event loop,
 	// bounded by deadline (noRun outside one; see release). yield
 	// carries the token back to the goroutine waiting in switchTo when
 	// the run ends, or at a park outside a run (Shutdown). panicked
 	// holds a panic raised off that goroutine, for switchTo to re-raise.
-	running  *Proc
 	yield    chan struct{}
 	deadline Time
 	panicked any
@@ -57,20 +55,13 @@ type Kernel struct {
 	dispatched uint64
 	posts      uint64
 
-	procs   []*Proc // all procs ever spawned
-	alive   int     // procs spawned but not yet finished
-	nextID  int
-	stopped atomic.Bool
+	procs   []*Proc     // all procs ever spawned
+	stopped atomic.Bool // set by Group.Stop
 	probe   Probe
 
 	// oldUnwoken lists armed parks that outlived their proc's 64-park
 	// window without being woken (see Proc.Arm); in practice empty.
 	oldUnwoken []parkRef
-
-	// compactions counts lazy-cancel sweeps over the kernel's lifetime
-	// (see event.go); exposed so the trace registry can verify the
-	// compaction policy under cancel-heavy loads.
-	compactions uint64
 
 	// Sharded execution (see shard.go): the group this kernel belongs
 	// to and its shard index, nil/0 for a standalone kernel.
@@ -94,10 +85,6 @@ type CompactionProbe interface {
 
 // SetProbe installs (or, with nil, removes) the lifecycle probe.
 func (k *Kernel) SetProbe(p Probe) { k.probe = p }
-
-// Compactions returns how many lazy-cancel compaction sweeps the
-// kernel has performed over its lifetime.
-func (k *Kernel) Compactions() uint64 { return k.compactions }
 
 // NewKernel returns a kernel with its virtual clock at zero. The seed
 // feeds the kernel's random source, which is used only by components
@@ -158,15 +145,12 @@ func (k *Kernel) After(d Duration, fn func()) Timer {
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		k:      k,
-		id:     k.nextID,
 		name:   name,
 		resume: make(chan struct{}),
 		state:  procNew,
 		body:   fn,
 	}
-	k.nextID++
 	k.procs = append(k.procs, p)
-	k.alive++
 	if k.probe != nil {
 		k.probe.ProcEvent(k.now, name, "spawn")
 	}
@@ -181,7 +165,6 @@ func (k *Kernel) procMain(p *Proc) {
 	defer func() {
 		r := recover()
 		p.state = procDone
-		k.alive--
 		if k.probe != nil {
 			k.probe.ProcEvent(k.now, p.name, "done")
 		}
@@ -205,7 +188,6 @@ func (k *Kernel) handOff(p *Proc) {
 		k.yield <- struct{}{}
 		return
 	}
-	k.running = p
 	if p.state == procNew {
 		p.state = procRunning
 		go k.procMain(p)
@@ -225,7 +207,6 @@ func (k *Kernel) switchTo(p *Proc) {
 	}
 	k.handOff(p)
 	<-k.yield
-	k.running = nil
 	if v := k.panicked; v != nil {
 		k.panicked = nil
 		panic(v)
@@ -238,10 +219,8 @@ func (k *Kernel) switchTo(p *Proc) {
 // goroutine switch. Otherwise the token goes to that proc, or back to
 // switchTo when there is none, which outside a run (noRun) is at once.
 func (k *Kernel) release(p *Proc) (resumed bool) {
-	k.running = nil
 	next := k.dispatchOnProc()
 	if next == p {
-		k.running = p
 		return true
 	}
 	k.handOff(next)
@@ -261,30 +240,12 @@ func (k *Kernel) dispatchOnProc() (next *Proc) {
 	return k.dispatch()
 }
 
-// Running returns the proc currently holding the run token, or nil
-// while events dispatch.
-func (k *Kernel) Running() *Proc { return k.running }
-
-// Alive reports the number of spawned processes that have not finished.
-func (k *Kernel) Alive() int { return k.alive }
-
 // Scheduled returns how many events have been scheduled over the
 // kernel's lifetime (including later-canceled ones). It is the
 // host-side work proxy behind events-per-message efficiency metrics:
 // fewer scheduled events for the same delivered traffic means a
 // cheaper simulation.
 func (k *Kernel) Scheduled() uint64 { return k.seq }
-
-// Stop makes Run return after the current event completes. Pending
-// events remain queued; a subsequent Run resumes them. On a grouped
-// kernel it stops the whole Group.
-func (k *Kernel) Stop() {
-	if k.group != nil {
-		k.group.Stop()
-		return
-	}
-	k.stopped.Store(true)
-}
 
 // front returns the earliest pending event without removing it, or
 // nil when nothing is queued. Canceled shells are still visible here;
@@ -323,7 +284,7 @@ func (k *Kernel) popFront(ev *event) {
 
 // dispatch runs events in (at, seq) order until one starts or resumes
 // a proc, and returns that proc. It returns nil when the queue drains,
-// Stop is called, or the next event lies past the run's deadline.
+// the Group stops, or the next event lies past the run's deadline.
 func (k *Kernel) dispatch() *Proc {
 	for !k.stopped.Load() {
 		ev := k.front()
@@ -349,12 +310,6 @@ func (k *Kernel) dispatch() *Proc {
 	return nil
 }
 
-// run clears Stop and dispatches events with timestamps <= deadline.
-func (k *Kernel) run(deadline Time) {
-	k.stopped.Store(false)
-	k.runTo(deadline)
-}
-
 // noRun is the dispatch bound outside a run or grant: below every
 // event time, so a proc that parks then (Shutdown) dispatches nothing.
 const noRun = Time(-1)
@@ -371,15 +326,11 @@ func (k *Kernel) runTo(bound Time) {
 	}
 }
 
-// Run dispatches events until the event queue drains or Stop is
-// called. If processes remain blocked when the queue drains, Run
-// returns a *DeadlockError describing them; the processes stay parked
-// and can be cleaned up with Shutdown.
+// Run dispatches events until the event queue drains. If processes
+// remain blocked then, Run returns a *DeadlockError describing them;
+// the processes stay parked and can be cleaned up with Shutdown.
 func (k *Kernel) Run() error {
-	k.run(maxDeadline)
-	if k.stopped.Load() {
-		return nil
-	}
+	k.runTo(maxDeadline)
 	return deadlock(k)
 }
 
@@ -392,8 +343,8 @@ func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 // the clock to deadline (if it is in the future). An event scheduled
 // exactly at the deadline fires.
 func (k *Kernel) RunUntil(deadline Time) {
-	k.run(deadline)
-	if !k.stopped.Load() && k.now < deadline {
+	k.runTo(deadline)
+	if k.now < deadline {
 		k.now = deadline
 	}
 }

@@ -48,11 +48,16 @@ func TestEventsFireInOrder(t *testing.T) {
 	}
 }
 
+// pending reports whether the timer has neither fired nor been stopped.
+func pending(t Timer) bool {
+	return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled && t.ev.index != freeIdx
+}
+
 func TestTimerStop(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
 	tm := k.After(Microsecond, func() { fired = true })
-	if !tm.Pending() {
+	if !pending(tm) {
 		t.Fatal("timer should be pending")
 	}
 	if !tm.Stop() {
@@ -78,7 +83,7 @@ func TestTimerStopAfterFire(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("Stop after fire should report false")
 	}
-	if tm.Pending() {
+	if pending(tm) {
 		t.Fatal("fired timer should not be pending")
 	}
 }
@@ -102,12 +107,12 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []string {
 		k := NewKernel(42)
 		var log []string
-		q := NewQueue[int](k, "q", 2)
+		q := NewQueue[int](k, "q")
 		for i := 0; i < 3; i++ {
 			i := i
 			k.Spawn(fmt.Sprintf("prod%d", i), func(p *Proc) {
 				for j := 0; j < 4; j++ {
-					q.Put(p, i*10+j)
+					q.Put(i*10 + j)
 					p.Sleep(Duration(i+1) * Microsecond)
 				}
 			})
@@ -132,7 +137,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[int](k, "never", 0)
+	q := NewQueue[int](k, "never")
 	k.Spawn("waiter", func(p *Proc) { q.Get(p) })
 	err := k.Run()
 	var dl *DeadlockError
@@ -146,8 +151,8 @@ func TestDeadlockDetection(t *testing.T) {
 		t.Fatalf("reason = %q", dl.Procs[0].Reason)
 	}
 	k.Shutdown()
-	if k.Alive() != 0 {
-		t.Fatalf("alive after shutdown: %d", k.Alive())
+	if n := len(k.Blocked()); n != 0 {
+		t.Fatalf("blocked after shutdown: %d", n)
 	}
 }
 
@@ -174,22 +179,7 @@ func TestSemaphoreFIFO(t *testing.T) {
 	}
 }
 
-func TestSemaphoreTryAcquire(t *testing.T) {
-	k := NewKernel(1)
-	s := NewSemaphore(k, "s", 1)
-	if !s.TryAcquire() {
-		t.Fatal("first TryAcquire should succeed")
-	}
-	if s.TryAcquire() {
-		t.Fatal("second TryAcquire should fail")
-	}
-	s.Release()
-	if s.Value() != 1 {
-		t.Fatalf("value = %d", s.Value())
-	}
-}
-
-func TestCondSignalAndBroadcast(t *testing.T) {
+func TestCondSignal(t *testing.T) {
 	k := NewKernel(1)
 	c := NewCond(k, "c")
 	woken := 0
@@ -204,9 +194,14 @@ func TestCondSignalAndBroadcast(t *testing.T) {
 		if !c.Signal() {
 			t.Error("Signal found no waiter")
 		}
-		p.Sleep(Microsecond)
-		if n := c.Broadcast(); n != 2 {
-			t.Errorf("Broadcast woke %d, want 2", n)
+		for i := 0; i < 2; i++ {
+			p.Sleep(Microsecond)
+			if !c.Signal() {
+				t.Error("Signal found no waiter")
+			}
+		}
+		if c.Signal() {
+			t.Error("Signal woke a waiter that was not there")
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -214,81 +209,6 @@ func TestCondSignalAndBroadcast(t *testing.T) {
 	}
 	if woken != 3 {
 		t.Fatalf("woken = %d", woken)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	k := NewKernel(1)
-	var wg WaitGroup
-	done := false
-	wg.Add(3)
-	for i := 1; i <= 3; i++ {
-		i := i
-		k.Spawn(fmt.Sprintf("worker%d", i), func(p *Proc) {
-			p.Sleep(Duration(i) * Microsecond)
-			wg.Done()
-		})
-	}
-	k.Spawn("main", func(p *Proc) {
-		wg.Wait(p)
-		done = true
-		if p.Now() != Time(3*Microsecond) {
-			t.Errorf("woke at %v, want 3µs", p.Now())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("main never woke")
-	}
-}
-
-func TestQueueCapacityBlocksPutter(t *testing.T) {
-	k := NewKernel(1)
-	q := NewQueue[int](k, "q", 1)
-	var events []string
-	k.Spawn("producer", func(p *Proc) {
-		q.Put(p, 1)
-		events = append(events, "put1")
-		q.Put(p, 2) // blocks until consumer takes item 1
-		events = append(events, fmt.Sprintf("put2@%v", p.Now()))
-	})
-	k.Spawn("consumer", func(p *Proc) {
-		p.Sleep(5 * Microsecond)
-		if v := q.Get(p); v != 1 {
-			t.Errorf("got %d, want 1", v)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := "[put1 put2@t=5.000µs]"
-	if fmt.Sprint(events) != want {
-		t.Fatalf("events = %v, want %v", events, want)
-	}
-}
-
-func TestQueueTryOps(t *testing.T) {
-	k := NewKernel(1)
-	q := NewQueue[string](k, "q", 2)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue succeeded")
-	}
-	if !q.TryPut("a") || !q.TryPut("b") {
-		t.Fatal("TryPut should succeed below capacity")
-	}
-	if q.TryPut("c") {
-		t.Fatal("TryPut above capacity succeeded")
-	}
-	if v, ok := q.Peek(); !ok || v != "a" {
-		t.Fatalf("Peek = %q, %v", v, ok)
-	}
-	if v, ok := q.TryGet(); !ok || v != "a" {
-		t.Fatalf("TryGet = %q, %v", v, ok)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("len = %d", q.Len())
 	}
 }
 
@@ -307,28 +227,6 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	k.RunFor(15 * Microsecond)
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2", fired)
-	}
-}
-
-func TestStopPausesRun(t *testing.T) {
-	k := NewKernel(1)
-	var hits []Time
-	k.After(Microsecond, func() {
-		hits = append(hits, k.Now())
-		k.Stop()
-	})
-	k.After(2*Microsecond, func() { hits = append(hits, k.Now()) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 {
-		t.Fatalf("hits = %v", hits)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 {
-		t.Fatalf("hits after resume = %v", hits)
 	}
 }
 
@@ -469,9 +367,9 @@ func TestEventPanicPropagates(t *testing.T) {
 		})
 	}
 	for _, h := range procHosts() {
-		runs := map[string]func(){
-			"Run":      func() { _ = h.run() },
-			"RunUntil": func() { h.runUntil(Time(Millisecond)) },
+		runs := map[string]func(){"Run": func() { _ = h.run() }}
+		if h.runUntil != nil {
+			runs["RunUntil"] = func() { h.runUntil(Time(Millisecond)) }
 		}
 		for name, run := range runs {
 			ticker(h.k, true)
@@ -482,12 +380,12 @@ func TestEventPanicPropagates(t *testing.T) {
 		}
 	}
 	g := newTestGroup(2)
-	ticker(g.Kernel(0), false)
-	g.Kernel(1).At(Time(2500), func() { panic(sentinel) })
+	ticker(g.kernels[0], false)
+	g.kernels[1].At(Time(2500), func() { panic(sentinel) })
 	if got := recovered(func() { _ = g.Run() }); got != sentinel {
 		t.Fatalf("Group shard goroutine: Run panicked with %v, want the event's own value", got)
 	}
-	g.Shutdown()
+	shutdownGroup(g)
 }
 
 // TestShutdownReleasesProcs: Shutdown ends the goroutine of every
@@ -518,6 +416,9 @@ func TestShutdownReleasesProcs(t *testing.T) {
 	}
 
 	for _, h := range procHosts() {
+		if h.runUntil == nil {
+			continue
+		}
 		spawn(h.k)
 		h.runUntil(Time(Millisecond))
 		h.shutdown()
@@ -559,12 +460,12 @@ func TestSameInstantResumeOrder(t *testing.T) {
 		"heap": func(k *Kernel, log func(string)) {
 			at := Time(Microsecond)
 			k.Spawn("b", func(p *Proc) {
-				p.SleepUntil(at)
+				p.Sleep(at.Sub(p.Now()))
 				log("b")
 			})
 			k.Spawn("a", func(p *Proc) {
 				k.At(at, func() { log("event") })
-				p.SleepUntil(at)
+				p.Sleep(at.Sub(p.Now()))
 				log("a")
 			})
 		},
@@ -590,15 +491,14 @@ func TestSameInstantResumeOrder(t *testing.T) {
 // Property: a FIFO queue delivers every item exactly once, in order,
 // regardless of producer/consumer interleaving parameters.
 func TestQueueFIFOProperty(t *testing.T) {
-	f := func(capRaw uint8, prodDelay, consDelay uint8, nRaw uint8) bool {
-		capacity := int(capRaw % 8)
+	f := func(prodDelay, consDelay uint8, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
 		k := NewKernel(7)
-		q := NewQueue[int](k, "q", capacity)
+		q := NewQueue[int](k, "q")
 		var got []int
 		k.Spawn("prod", func(p *Proc) {
 			for i := 0; i < n; i++ {
-				q.Put(p, i)
+				q.Put(i)
 				p.Sleep(Duration(prodDelay) * Nanosecond)
 			}
 		})
@@ -677,7 +577,7 @@ func TestBlockedListsParkedProcs(t *testing.T) {
 		if got := len(k.Blocked()); got != 1 {
 			t.Errorf("blocked = %d, want 1", got)
 		}
-		c.Broadcast()
+		c.Signal()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -686,7 +586,7 @@ func TestBlockedListsParkedProcs(t *testing.T) {
 
 func TestDaemonDoesNotDeadlock(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[int](k, "dq", 0)
+	q := NewQueue[int](k, "dq")
 	d := k.Spawn("daemon", func(p *Proc) {
 		for {
 			q.Get(p)
@@ -694,13 +594,13 @@ func TestDaemonDoesNotDeadlock(t *testing.T) {
 	})
 	d.SetDaemon(true)
 	k.Spawn("worker", func(p *Proc) {
-		q.Put(p, 1)
+		q.Put(1)
 		p.Sleep(Microsecond)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatalf("daemon should not count as deadlock: %v", err)
 	}
-	if !d.Daemon() {
+	if !d.daemon {
 		t.Fatal("daemon flag lost")
 	}
 	k.Shutdown()
@@ -711,22 +611,6 @@ func TestRunForWithEmptyQueueAdvancesClock(t *testing.T) {
 	k.RunFor(50 * Microsecond)
 	if k.Now() != Time(50*Microsecond) {
 		t.Fatalf("now = %v", k.Now())
-	}
-}
-
-func TestSleepUntilPastIsYield(t *testing.T) {
-	k := NewKernel(1)
-	var woke Time
-	k.Spawn("w", func(p *Proc) {
-		p.Sleep(10 * Microsecond)
-		p.SleepUntil(Time(5 * Microsecond)) // already past
-		woke = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != Time(10*Microsecond) {
-		t.Fatalf("woke at %v", woke)
 	}
 }
 
@@ -765,21 +649,12 @@ func TestRandDeterministicPerSeed(t *testing.T) {
 
 func TestProcAccessors(t *testing.T) {
 	k := NewKernel(1)
-	p1 := k.Spawn("first", func(p *Proc) {
-		if p.Kernel() != k || p.Name() != "first" || p.ID() != 0 {
+	k.Spawn("first", func(p *Proc) {
+		if p.Kernel() != k || p.Name() != "first" {
 			t.Error("accessors broken")
-		}
-	})
-	_ = p1
-	k.Spawn("second", func(p *Proc) {
-		if p.ID() != 1 {
-			t.Errorf("id = %d", p.ID())
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if k.Running() != nil {
-		t.Fatal("running should be nil outside dispatch")
 	}
 }

@@ -79,30 +79,6 @@ func TestRunUntilEventExactlyAtDeadline(t *testing.T) {
 	}
 }
 
-// TestStopMidDispatchSameInstant: Stop called from inside an event
-// leaves the rest of that instant's events queued, and the next Run
-// dispatches them in the original order.
-func TestStopMidDispatchSameInstant(t *testing.T) {
-	k := NewKernel(1)
-	var got []int
-	at := k.Now().Add(Millisecond)
-	k.At(at, func() { got = append(got, 1); k.Stop() })
-	k.At(at, func() { got = append(got, 2) })
-	k.At(at, func() { got = append(got, 3) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("first run dispatched %v, want [1]", got)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("resume dispatched %v, want [1 2 3]", got)
-	}
-}
-
 // TestStaleTimerHandleAfterReuse: a Timer stopped and swept keeps
 // reporting dead even after its pooled shell is reissued to a new
 // event — the stale handle must not be able to stop the new occupant.
@@ -115,13 +91,13 @@ func TestStaleTimerHandleAfterReuse(t *testing.T) {
 	}
 	fired := false
 	t2 := k.After(Millisecond, func() { fired = true })
-	if t1.Pending() {
+	if pending(t1) {
 		t.Fatal("stale handle reports pending after shell reuse")
 	}
 	if t1.Stop() {
 		t.Fatal("stale handle stopped the shell's new occupant")
 	}
-	if !t2.Pending() {
+	if !pending(t2) {
 		t.Fatal("new timer lost its pending state")
 	}
 	if err := k.Run(); err != nil {

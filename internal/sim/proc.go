@@ -21,7 +21,6 @@ const (
 // the function passed to Spawn, directly or indirectly).
 type Proc struct {
 	k          *Kernel
-	id         int
 	name       string
 	body       func(p *Proc) // the function passed to Spawn, until it starts
 	resume     chan struct{}
@@ -46,14 +45,8 @@ type Proc struct {
 // kernel drain loops and other forever-servers.
 func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 
-// Daemon reports whether the proc is a daemon.
-func (p *Proc) Daemon() bool { return p.daemon }
-
 // Kernel returns the kernel this proc runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
-
-// ID returns the proc's unique id (spawn order).
-func (p *Proc) ID() int { return p.id }
 
 // Name returns the proc's name.
 func (p *Proc) Name() string { return p.name }
@@ -101,16 +94,6 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	p.resumeAt(p.k.now.Add(d))
 	p.park("sleep")
-}
-
-// SleepUntil blocks the proc until the given instant.
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.k.now {
-		p.Yield()
-		return
-	}
-	p.resumeAt(t)
-	p.park("sleep-until")
 }
 
 // Yield relinquishes the token until all other work scheduled at the

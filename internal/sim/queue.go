@@ -1,56 +1,22 @@
 package sim
 
-// Queue is a FIFO message queue in virtual time. A capacity of zero
-// means unbounded. Put blocks while the queue is full; Get blocks
-// while it is empty. Waiters on each side are served in FIFO order.
+// Queue is an unbounded FIFO message queue in virtual time. Put never
+// blocks; Get blocks while the queue is empty. Waiting getters are
+// served in FIFO order.
 type Queue[T any] struct {
 	k       *Kernel
 	name    string
-	cap     int
 	items   []T
 	getters []*Proc
-	putters []*Proc
 }
 
-// NewQueue returns a queue with the given capacity (0 = unbounded).
-func NewQueue[T any](k *Kernel, name string, capacity int) *Queue[T] {
-	return &Queue[T]{k: k, name: name, cap: capacity}
+// NewQueue returns an empty queue.
+func NewQueue[T any](k *Kernel, name string) *Queue[T] {
+	return &Queue[T]{k: k, name: name}
 }
 
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
-// Cap returns the queue capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.cap }
-
-// Name returns the queue's name.
-func (q *Queue[T]) Name() string { return q.name }
-
-// GetWaiters returns the number of processes blocked in Get.
-func (q *Queue[T]) GetWaiters() int { return len(q.getters) }
-
-// PutWaiters returns the number of processes blocked in Put.
-func (q *Queue[T]) PutWaiters() int { return len(q.putters) }
-
-// Put appends v, blocking p while the queue is full.
-func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.cap > 0 && len(q.items) >= q.cap {
-		q.putters = append(q.putters, p)
-		p.park("queue-put " + q.name)
-	}
-	q.push(v)
-}
-
-// TryPut appends v if there is room, reporting whether it did.
-func (q *Queue[T]) TryPut(v T) bool {
-	if q.cap > 0 && len(q.items) >= q.cap {
-		return false
-	}
-	q.push(v)
-	return true
-}
-
-func (q *Queue[T]) push(v T) {
+// Put appends v, waking the oldest blocked getter if any.
+func (q *Queue[T]) Put(v T) {
 	q.items = append(q.items, v)
 	if len(q.getters) > 0 {
 		w := q.getters[0]
@@ -66,36 +32,9 @@ func (q *Queue[T]) Get(p *Proc) T {
 		q.getters = append(q.getters, p)
 		p.park("queue-get " + q.name)
 	}
-	return q.pop()
-}
-
-// TryGet removes and returns the oldest item if one is present.
-func (q *Queue[T]) TryGet() (T, bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.pop(), true
-}
-
-// Peek returns the oldest item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.items[0], true
-}
-
-func (q *Queue[T]) pop() T {
 	v := q.items[0]
 	var zero T
 	q.items[0] = zero
 	q.items = q.items[1:]
-	if len(q.putters) > 0 {
-		w := q.putters[0]
-		q.putters = q.putters[1:]
-		w.unpark()
-	}
 	return v
 }

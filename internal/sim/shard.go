@@ -46,7 +46,7 @@ import (
 //
 // Each shard's goroutine drains its inbox, computes the bound and
 // then runs one grant: an ordinary run of its kernel bounded by
-// safe(i)-1 and the run's deadline, in which procs hand the run token
+// safe(i)-1, in which procs hand the run token
 // to each other as on a standalone kernel and the token comes back
 // once the grant ends.
 //
@@ -187,29 +187,12 @@ func satAdd(t Time, d Duration) Time {
 	return t + Time(d)
 }
 
-// UniformLookahead builds the n×n lookahead matrix with every
-// off-diagonal entry d — the single-scalar protocol PR 9 shipped,
-// still exactly right when no topology separates the shards.
-func UniformLookahead(n int, d Duration) [][]Duration {
-	m := make([][]Duration, n)
-	for i := range m {
-		m[i] = make([]Duration, n)
-		for j := range m[i] {
-			if i != j {
-				m[i][j] = d
-			}
-		}
-	}
-	return m
-}
-
 // NewGroup couples the given kernels into one sharded simulation.
 // lookahead is the per-pair promise matrix: lookahead[s][d] bounds how
 // soon a post from shard s may land on shard d past s's clock
 // (diagonal entries are ignored; off-diagonal entries must be
-// positive, and Post panics on any violation). Use UniformLookahead
-// when every pair shares one bound. Kernels must be fresh to this
-// group (a kernel can belong to at most one).
+// positive, and Post panics on any violation). Kernels must be fresh
+// to this group (a kernel can belong to at most one).
 func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
 	if len(kernels) == 0 {
 		panic("sim: group needs at least one kernel")
@@ -282,20 +265,6 @@ func shortestReach(look [][]Duration) [][]Duration {
 // d (0 on the diagonal).
 func (g *Group) PairLookahead(s, d int) Duration { return g.look[s][d] }
 
-// Kernel returns shard i's kernel.
-func (g *Group) Kernel(i int) *Kernel { return g.kernels[i] }
-
-// Now returns the trailing virtual clock across shards.
-func (g *Group) Now() Time {
-	min := maxDeadline
-	for _, k := range g.kernels {
-		if k.now < min {
-			min = k.now
-		}
-	}
-	return min
-}
-
 // CrossPosts returns the number of events routed between shards over
 // the group's lifetime. Call only while no run is in progress.
 func (g *Group) CrossPosts() uint64 {
@@ -315,8 +284,8 @@ func (g *Group) Scheduled() uint64 {
 	return total
 }
 
-// Stop makes a running Run/RunUntil return after in-flight events
-// complete. Safe to call from any shard's event context.
+// Stop makes a running Run return after in-flight events complete.
+// Safe to call from any shard's event context.
 func (g *Group) Stop() {
 	for i, k := range g.kernels {
 		k.stopped.Store(true)
@@ -529,27 +498,20 @@ func (g *Group) scanSafe(i int) Time {
 
 // hasWork reports whether shard i could make progress right now.
 // Called under detMu with the system momentarily stable.
-func (g *Group) hasWork(i int, deadline Time) bool {
+func (g *Group) hasWork(i int) bool {
 	if g.inbox[i].minPending.Load() != noEvent {
 		return true
 	}
 	cand := g.curMin(i)
-	if cand == noEvent || Time(cand) > deadline {
-		return false
-	}
-	return Time(cand) < g.safeTime(i)
+	return cand != noEvent && Time(cand) < g.safeTime(i)
 }
 
-// allQuiescent reports that no undispatched event at or before the
-// deadline exists anywhere. Under detMu with all shards idle this is
-// exact, and quiescence is stable: events are only created by
-// dispatching events.
-func (g *Group) allQuiescent(deadline Time) bool {
+// allQuiescent reports that no undispatched event exists anywhere.
+// Under detMu with all shards idle this is exact, and quiescence is
+// stable: events are only created by dispatching events.
+func (g *Group) allQuiescent() bool {
 	for i := 0; i < g.n; i++ {
-		if v := g.localMin[i].Load(); v != noEvent && Time(v) <= deadline {
-			return false
-		}
-		if v := g.inbox[i].minPending.Load(); v != noEvent && Time(v) <= deadline {
+		if g.localMin[i].Load() != noEvent || g.inbox[i].minPending.Load() != noEvent {
 			return false
 		}
 	}
@@ -564,7 +526,7 @@ func (g *Group) allQuiescent(deadline Time) bool {
 // stalled on stale bounds, wakes exactly the shards that now have
 // dispatchable work — the safe bound guarantees the shard holding the
 // earliest event is among them.
-func (g *Group) enterIdle(i int, deadline Time) (finished, retry bool) {
+func (g *Group) enterIdle(i int) (finished, retry bool) {
 	g.detMu.Lock()
 	defer g.detMu.Unlock()
 	if g.finished {
@@ -574,19 +536,19 @@ func (g *Group) enterIdle(i int, deadline Time) (finished, retry bool) {
 		g.idle[i].Store(true)
 		g.nIdle++
 	}
-	if g.hasWork(i, deadline) {
+	if g.hasWork(i) {
 		g.idle[i].Store(false)
 		g.nIdle--
 		return false, true
 	}
 	if g.nIdle == g.n {
-		if g.allQuiescent(deadline) {
+		if g.allQuiescent() {
 			g.finished = true
 			close(g.done)
 			return true, false
 		}
 		for j := 0; j < g.n; j++ {
-			if j != i && g.hasWork(j, deadline) {
+			if j != i && g.hasWork(j) {
 				g.notify(j)
 			}
 		}
@@ -600,7 +562,7 @@ func (g *Group) enterIdle(i int, deadline Time) (finished, retry bool) {
 // true when the shard should re-enter its dispatch loop. Purely a
 // wall-clock optimization: the spin delays parking, it never changes
 // what the protocol promises or the order events dispatch in.
-func (g *Group) spinForWork(i int, deadline Time) bool {
+func (g *Group) spinForWork(i int) bool {
 	if g.n == 1 {
 		return false
 	}
@@ -612,7 +574,7 @@ func (g *Group) spinForWork(i int, deadline Time) bool {
 		if g.drain(i) {
 			return true
 		}
-		if cand := g.curMin(i); cand != noEvent && Time(cand) <= deadline && Time(cand) < g.safeTime(i) {
+		if cand := g.curMin(i); cand != noEvent && Time(cand) < g.safeTime(i) {
 			return true
 		}
 	}
@@ -630,16 +592,16 @@ func (g *Group) exitIdle(i int) {
 
 // shardLoop is one shard's dispatch loop for a single run: compute the
 // safe-advance bound once, dispatch every event below it in one grant
-// (a run of the kernel bounded by the safe bound and the deadline),
-// publish the raised front, and only then decide whether to re-arm or
-// park. Between a dry pass and parking sits the bounded yield-and-poll
-// spin that resolves most handoffs without parking.
-func (g *Group) shardLoop(i int, deadline Time) {
+// (a run of the kernel bounded by the safe bound), publish the raised
+// front, and only then decide whether to re-arm or park. Between a dry
+// pass and parking sits the bounded yield-and-poll spin that resolves
+// most handoffs without parking.
+func (g *Group) shardLoop(i int) {
 	k := g.kernels[i]
 	for !k.stopped.Load() {
 		g.drain(i)
 		before, posts := k.dispatched, k.posts
-		k.runTo(min(deadline, g.safeTime(i)-1))
+		k.runTo(g.safeTime(i) - 1)
 		if k.stopped.Load() {
 			return
 		}
@@ -652,10 +614,10 @@ func (g *Group) shardLoop(i int, deadline Time) {
 		if g.drain(i) {
 			continue
 		}
-		if g.spinForWork(i, deadline) {
+		if g.spinForWork(i) {
 			continue
 		}
-		finished, retry := g.enterIdle(i, deadline)
+		finished, retry := g.enterIdle(i)
 		if finished {
 			return
 		}
@@ -671,11 +633,13 @@ func (g *Group) shardLoop(i int, deadline Time) {
 	}
 }
 
-// run executes one parallel episode until quiescence-at-deadline or
-// Stop. Setup and teardown happen on the caller's goroutine. A panic on
-// a shard stops the others and is re-raised here with its own value
-// (the lowest shard's, if several panicked).
-func (g *Group) run(deadline Time) {
+// Run dispatches across all shards until every queue and inbox drains
+// or Stop is called. Mirrors Kernel.Run: if non-daemon processes remain
+// blocked at quiescence it returns a *DeadlockError aggregated over
+// every shard. Setup and teardown happen on the caller's goroutine. A
+// panic on a shard stops the others and is re-raised here with its own
+// value (the lowest shard's, if several panicked).
+func (g *Group) Run() error {
 	g.finished = false
 	g.nIdle = 0
 	g.done = make(chan struct{})
@@ -703,7 +667,7 @@ func (g *Group) run(deadline Time) {
 					g.Stop()
 				}
 			}()
-			g.shardLoop(i, deadline)
+			g.shardLoop(i)
 		}(i)
 	}
 	wg.Wait()
@@ -712,42 +676,8 @@ func (g *Group) run(deadline Time) {
 			panic(r)
 		}
 	}
-}
-
-// Run dispatches across all shards until every queue and inbox drains
-// or Stop is called. Mirrors Kernel.Run: if non-daemon processes remain
-// blocked at quiescence it returns a *DeadlockError aggregated over
-// every shard.
-func (g *Group) Run() error {
-	g.run(maxDeadline)
 	if g.kernels[0].stopped.Load() {
 		return nil
 	}
 	return deadlock(g.kernels...)
-}
-
-// RunUntil dispatches events with timestamps <= deadline on every
-// shard, then advances all clocks to the deadline, exactly like the
-// serial Kernel.RunUntil.
-func (g *Group) RunUntil(deadline Time) {
-	g.run(deadline)
-	if g.kernels[0].stopped.Load() {
-		return
-	}
-	for _, k := range g.kernels {
-		if k.now < deadline {
-			k.now = deadline
-		}
-	}
-}
-
-// RunFor advances all shards by at most d past the trailing clock.
-func (g *Group) RunFor(d Duration) { g.RunUntil(g.Now().Add(d)) }
-
-// Shutdown kills parked processes on every shard. Call only after a
-// run has returned.
-func (g *Group) Shutdown() {
-	for _, k := range g.kernels {
-		k.Shutdown()
-	}
 }

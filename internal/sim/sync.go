@@ -14,13 +14,6 @@ func NewSemaphore(k *Kernel, name string, count int) *Semaphore {
 	return &Semaphore{k: k, name: name, count: count}
 }
 
-// Value returns the current count (negative values never occur; a
-// zero count with waiters means contention).
-func (s *Semaphore) Value() int { return s.count }
-
-// Waiters returns the number of blocked acquirers.
-func (s *Semaphore) Waiters() int { return len(s.waiters) }
-
 // Acquire decrements the semaphore, blocking p while the count is zero.
 func (s *Semaphore) Acquire(p *Proc) {
 	if s.count > 0 {
@@ -29,16 +22,6 @@ func (s *Semaphore) Acquire(p *Proc) {
 	}
 	s.waiters = append(s.waiters, p)
 	p.park("semaphore " + s.name)
-}
-
-// TryAcquire decrements the semaphore if possible without blocking and
-// reports whether it succeeded.
-func (s *Semaphore) TryAcquire() bool {
-	if s.count > 0 {
-		s.count--
-		return true
-	}
-	return false
 }
 
 // Release increments the semaphore, waking the oldest waiter if any.
@@ -55,9 +38,9 @@ func (s *Semaphore) Release() {
 }
 
 // Cond is a condition-variable-like wait list: processes Wait on it,
-// and any simulation context can Signal (wake one, FIFO) or Broadcast
-// (wake all). Unlike sync.Cond there is no associated lock — the
-// simulation is single-threaded in virtual time.
+// and any simulation context can Signal it to wake the oldest waiter.
+// Unlike sync.Cond there is no associated lock — the simulation is
+// single-threaded in virtual time.
 type Cond struct {
 	k       *Kernel
 	name    string
@@ -69,7 +52,7 @@ func NewCond(k *Kernel, name string) *Cond {
 	return &Cond{k: k, name: name}
 }
 
-// Wait blocks p until Signal or Broadcast wakes it.
+// Wait blocks p until Signal wakes it.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
 	p.park("cond " + c.name)
@@ -85,50 +68,4 @@ func (c *Cond) Signal() bool {
 	c.waiters = c.waiters[1:]
 	w.unpark()
 	return true
-}
-
-// Broadcast wakes every waiter, in arrival order.
-func (c *Cond) Broadcast() int {
-	n := len(c.waiters)
-	for _, w := range c.waiters {
-		w.unpark()
-	}
-	c.waiters = nil
-	return n
-}
-
-// Waiters returns the number of blocked processes.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
-// WaitGroup counts outstanding work in virtual time.
-type WaitGroup struct {
-	count   int
-	waiters []*Proc
-}
-
-// Add adds delta to the counter. It panics if the counter goes
-// negative.
-func (wg *WaitGroup) Add(delta int) {
-	wg.count += delta
-	if wg.count < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if wg.count == 0 {
-		for _, w := range wg.waiters {
-			w.unpark()
-		}
-		wg.waiters = nil
-	}
-}
-
-// Done decrements the counter by one.
-func (wg *WaitGroup) Done() { wg.Add(-1) }
-
-// Wait blocks p until the counter reaches zero.
-func (wg *WaitGroup) Wait(p *Proc) {
-	if wg.count == 0 {
-		return
-	}
-	wg.waiters = append(wg.waiters, p)
-	p.park("waitgroup")
 }

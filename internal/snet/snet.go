@@ -20,7 +20,6 @@ import (
 
 	"hpcvorx/internal/m68k"
 	"hpcvorx/internal/sim"
-	"hpcvorx/internal/trace"
 )
 
 // Result reports the hardware outcome of one bus transfer.
@@ -104,14 +103,7 @@ type Network struct {
 	stats    Stats
 
 	injector Injector
-	tracer   *trace.Tracer
 }
-
-// SetTracer installs the unified event tracer: bus transfers become
-// spans on the "snet"/"bus" lane, FIFO overflows become instants on
-// the receiving station's lane, and FIFO occupancy is exported as a
-// per-station gauge.
-func (nw *Network) SetTracer(t *trace.Tracer) { nw.tracer = t }
 
 // SetInjector installs the network's fault injector (nil disables
 // injection).
@@ -169,18 +161,9 @@ type Station struct {
 	deliver  func(m Message)
 	draining bool
 
-	// Gray degradation (PR 6): a flaky-but-alive station. graySlow
-	// multiplies the per-record read cost of the drain process;
-	// grayDrop, when non-nil, is consulted per incoming transfer and
-	// true loses the deposit as if the FIFO logic glitched.
-	graySlow float64
-	grayDrop func(src, size int) bool
-
 	// Counters.
 	DeliveredMsgs int
 	DiscardedJunk int
-	// GrayDropped counts transfers lost to gray degradation.
-	GrayDropped int
 }
 
 // fifoRecord is one entry in a receive FIFO: either a whole message or
@@ -196,27 +179,9 @@ type fifoRecord struct {
 // ID returns the station index.
 func (s *Station) ID() int { return s.id }
 
-// FifoUsed returns the bytes currently occupying the FIFO.
-func (s *Station) FifoUsed() int { return s.fifoUsed }
-
-// FifoFree returns the free FIFO bytes.
-func (s *Station) FifoFree() int { return s.fifoCap - s.fifoUsed }
-
 // SetDeliver installs the callback invoked (from the station's drain
 // process) for each complete message read out of the FIFO.
 func (s *Station) SetDeliver(fn func(m Message)) { s.deliver = fn }
-
-// SetGray makes the station flaky without killing it: slow (> 1)
-// multiplies the fixed per-record cost of the kernel drain process,
-// and drop — when non-nil — is consulted per incoming transfer; true
-// loses the deposit while the transmitter still sees a clean bus
-// transfer. SetGray(0, nil) restores a healthy station. The fault
-// engine drives this with a seeded generator so runs stay
-// deterministic.
-func (s *Station) SetGray(slow float64, drop func(src, size int) bool) {
-	s.graySlow = slow
-	s.grayDrop = drop
-}
 
 // StartKernel spawns the station's low-level input process, which
 // reads records out of the FIFO as fast as the CPU allows: a fixed
@@ -241,11 +206,7 @@ func (s *Station) StartKernel() {
 			}
 			rec := s.records[0]
 			s.records = s.records[1:]
-			rd := s.nw.costs.SNETReadFixed
-			if s.graySlow > 1 {
-				rd = sim.Duration(float64(rd) * s.graySlow)
-			}
-			p.Sleep(rd)
+			p.Sleep(s.nw.costs.SNETReadFixed)
 			for done := 0; done < rec.size; {
 				n := chunk
 				if rec.size-done < n {
@@ -288,10 +249,6 @@ func (s *Station) Send(p *sim.Proc, dst, size int, payload any) Result {
 	nw.busSem.Release()
 
 	nw.stats.Transfers++
-	if tr := nw.tracer; tr.Enabled() {
-		tr.EmitSpan(trace.KBus, 0, "snet", "bus", start, fmt.Sprintf("%d->%d %dB", s.id, dst, size))
-		tr.Count("snet.transfers", 1)
-	}
 	d := nw.stations[dst]
 	if d.fifoUsed+size <= d.fifoCap {
 		fate := FateDeliver
@@ -300,13 +257,6 @@ func (s *Station) Send(p *sim.Proc, dst, size int, payload any) Result {
 		}
 		if fate == FateDrop {
 			// The transmitter saw a clean transfer; the bytes are gone.
-			nw.stats.Lost++
-			return Delivered
-		}
-		if d.grayDrop != nil && d.grayDrop(s.id, size) {
-			// Gray receiver hardware lost the deposit; like FateDrop,
-			// only an end-to-end timeout can tell.
-			d.GrayDropped++
 			nw.stats.Lost++
 			return Delivered
 		}
@@ -323,19 +273,11 @@ func (s *Station) Send(p *sim.Proc, dst, size int, payload any) Result {
 		nw.stats.JunkBytes += int64(frag)
 	}
 	nw.stats.Rejected++
-	if tr := nw.tracer; tr.Enabled() {
-		tr.Emit(trace.KFifoFull, 0, "snet", fmt.Sprintf("fifo%d", dst),
-			fmt.Sprintf("from %d %dB (junk %dB)", s.id, size, frag))
-		tr.Count("snet.fifo_full", 1)
-	}
 	return FifoFull
 }
 
 func (s *Station) push(rec fifoRecord) {
 	s.fifoUsed += rec.size
 	s.records = append(s.records, rec)
-	if tr := s.nw.tracer; tr.Enabled() {
-		tr.GaugeSet(fmt.Sprintf("snet.fifo%d.used", s.id), float64(s.fifoUsed))
-	}
 	s.fifoCond.Signal()
 }

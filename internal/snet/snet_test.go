@@ -54,8 +54,8 @@ func TestFifoOverflowLeavesFragment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1500 data + 548 fragment fills the 2048-byte FIFO exactly.
-	if st.FifoUsed() != 2048 {
-		t.Fatalf("fifo used = %d, want 2048", st.FifoUsed())
+	if st.fifoUsed != 2048 {
+		t.Fatalf("fifo used = %d, want 2048", st.fifoUsed)
 	}
 	if nw.Stats().JunkBytes != 548 || nw.Stats().Rejected != 1 {
 		t.Fatalf("stats = %+v", nw.Stats())
@@ -72,8 +72,8 @@ func TestJunkIsReadAndDiscarded(t *testing.T) {
 		nw.Station(0).Send(p, 1, 1000, nil) // rejected, leaves 548 junk
 		st.StartKernel()                    // drain only now
 		p.Sleep(sim.Milliseconds(5))
-		if st.FifoUsed() != 0 {
-			t.Errorf("fifo not drained: %d", st.FifoUsed())
+		if st.fifoUsed != 0 {
+			t.Errorf("fifo not drained: %d", st.fifoUsed)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -204,7 +204,7 @@ func TestSNETConservationProperty(t *testing.T) {
 		violated := false
 		check := func() {
 			st := nw.Station(0)
-			if st.FifoUsed() < 0 || st.FifoUsed() > 2048 {
+			if st.fifoUsed < 0 || st.fifoUsed > 2048 {
 				violated = true
 			}
 		}

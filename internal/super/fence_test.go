@@ -112,10 +112,7 @@ func runZombieScenario(t *testing.T, fence bool) zombieOutcome {
 	sup.StopAt(60 * sim.Millisecond)
 	// An unfenced zombie retransmits its unacked write forever, so the
 	// run never quiesces on its own; give it a hard horizon.
-	sys.K.At(sim.Time(60*sim.Millisecond), sys.K.Stop)
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sys.RunFor(60 * sim.Millisecond)
 	out := zombieOutcome{chk: chk, sup: sup, sys: sys, final: final}
 	for _, m := range sys.Machines() {
 		out.fenced += m.IF.FencedDrops

@@ -202,15 +202,6 @@ type snapshot struct {
 	state []byte
 }
 
-// Name returns the task's name.
-func (t *Task) Name() string { return t.name }
-
-// Machine returns the machine the task's current incarnation runs on.
-func (t *Task) Machine() *core.Machine { return t.mach }
-
-// Gen returns the current incarnation number (0 = original).
-func (t *Task) Gen() int { return t.gen }
-
 // SetBody sets or replaces the task body. NewTask accepts the body
 // directly; SetBody exists for bodies whose closures need to reference
 // the Task itself (for Attach/SetCheckpointer). Set it before Launch.
@@ -342,9 +333,8 @@ type Supervisor struct {
 	stops     []func()
 	started   bool
 
-	recs      []Record
-	verifier  Verifier
-	onConfirm []func(ep topo.EndpointID, lastInc uint32)
+	recs     []Record
+	verifier Verifier
 	// outage tracks a fence-mode quorum loss across sweeps, so the
 	// regain edge can void silence accumulated while blind.
 	outage bool
@@ -378,15 +368,6 @@ type Verifier interface {
 
 // SetVerifier installs the supervision observer (nil to remove).
 func (s *Supervisor) SetVerifier(v Verifier) { s.verifier = v }
-
-// OnConfirm registers a hook invoked when a machine's death is
-// confirmed, after any fence broadcast and before channel recovery.
-// Other placement authorities bind here — the vchan balancer's
-// BrokerConfirmedDead skips its own report-silence wait when the
-// supervisor's quorum has already confirmed the machine dead.
-func (s *Supervisor) OnConfirm(fn func(ep topo.EndpointID, lastInc uint32)) {
-	s.onConfirm = append(s.onConfirm, fn)
-}
 
 // New creates a supervisor running on host (one of sys's machines,
 // conventionally a workstation) and monitoring every processing node.
@@ -427,9 +408,6 @@ func New(sys *core.System, host *core.Machine, res *resmgr.VORX, cfg Config) *Su
 	sort.Slice(s.order, func(i, j int) bool { return s.order[i] < s.order[j] })
 	return s
 }
-
-// Config returns the effective (defaulted) configuration.
-func (s *Supervisor) Config() Config { return s.cfg }
 
 // MemberState returns the membership state of the machine at ep.
 func (s *Supervisor) MemberState(ep topo.EndpointID) State {
@@ -495,10 +473,6 @@ func (s *Supervisor) Stop() {
 func (s *Supervisor) StopAt(at sim.Duration) {
 	s.sys.K.At(sim.Time(at), s.Stop)
 }
-
-// Records returns every supervision event so far, in virtual-time
-// order.
-func (s *Supervisor) Records() []Record { return s.recs }
 
 // FirstRecord returns the earliest record of the given kind.
 func (s *Supervisor) FirstRecord(kind string) (Record, bool) {
@@ -665,9 +639,6 @@ func (s *Supervisor) confirm(mb *member, silent sim.Duration) {
 		if v := s.verifier; v != nil {
 			v.MachineFenced(mb.m.EP, floor)
 		}
-	}
-	for _, fn := range s.onConfirm {
-		fn(mb.m.EP, mb.lastInc)
 	}
 	failed := 0
 	for _, other := range s.sys.Machines() {

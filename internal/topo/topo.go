@@ -143,6 +143,16 @@ func (t *Topology) Neighbors(c ClusterID) []ClusterID {
 // dimension of the cube link it crosses. It clears the highest bit cur
 // has and dst lacks; once none is left, it sets the lowest bit dst has
 // and cur lacks. When cur == dst it returns (cur, -1).
+//
+// A route is thus taken in two phases: first clear (descending
+// dimension order) every bit where the source has 1 and dst has 0,
+// moving through clusters numbered below the source; then set
+// (ascending order) every bit where dst has 1, moving through subsets
+// of dst's address. Every intermediate therefore exists in the
+// incomplete cube, the path is a shortest path, and — because every
+// message acquires link classes in the same global order (clear-high …
+// clear-low, set-low … set-high) — the store-and-forward buffer
+// dependency graph is acyclic, so the fabric cannot deadlock.
 func NextHop(cur, dst ClusterID) (next ClusterID, dim int) {
 	if x := uint(cur) &^ uint(dst); x != 0 {
 		d := bits.Len(x) - 1
@@ -155,31 +165,10 @@ func NextHop(cur, dst ClusterID) (next ClusterID, dim int) {
 	return cur, -1
 }
 
-// ClusterRoute returns the sequence of clusters a message visits from
-// cluster a to cluster b, inclusive of both, taking NextHop until it
-// arrives. Routing is thus the incomplete-hypercube rule in two
-// phases: first clear (descending dimension order) every bit where a
-// has 1 and b has 0, moving through clusters numbered below a; then set
-// (ascending order) every bit where b has 1, moving through subsets of
-// b's address. Every intermediate therefore exists in the incomplete
-// cube, the path is a shortest path, and — because every message
-// acquires link classes in the same global order (clear-high …
-// clear-low, set-low … set-high) — the store-and-forward buffer
-// dependency graph is acyclic, so the fabric cannot deadlock.
-func (t *Topology) ClusterRoute(a, b ClusterID) []ClusterID {
-	route := make([]ClusterID, 1, 1+bits.OnesCount(uint(a)^uint(b)))
-	route[0] = a
-	for cur := a; cur != b; {
-		cur, _ = NextHop(cur, b)
-		route = append(route, cur)
-	}
-	return route
-}
-
 // RouteAvoiding returns a shortest cluster route from a to b that
 // traverses no cube link for which down reports true, or nil when the
-// failures partition a from b. Unlike ClusterRoute's fixed dimension-
-// order rule, this is a breadth-first search over the surviving links
+// failures partition a from b. Unlike NextHop's fixed dimension-order
+// rule, this is a breadth-first search over the surviving links
 // — the route a self-routing cluster would discover after the failed
 // port is masked out. Neighbors are explored in dimension order, so
 // the result is deterministic for a given failure set. down is
@@ -238,12 +227,6 @@ func (t *Topology) Nearest(from EndpointID, candidates []EndpointID) EndpointID 
 	return best
 }
 
-// Route returns the clusters a message visits from endpoint src to
-// endpoint dst (at least one cluster; src and dst may share it).
-func (t *Topology) Route(src, dst EndpointID) []ClusterID {
-	return t.ClusterRoute(t.attach[src].Cluster, t.attach[dst].Cluster)
-}
-
 // Hops returns the number of cluster-to-cluster links on the route
 // between two endpoints (0 when they share a cluster).
 func (t *Topology) Hops(src, dst EndpointID) int {
@@ -278,37 +261,4 @@ func (t *Topology) String() string {
 	}
 	return fmt.Sprintf("HPC: %d clusters (dim-%d incomplete hypercube), %d endpoints, diameter %d",
 		t.nClusters, t.dim, len(t.attach), t.Diameter())
-}
-
-// AvgHops returns the mean cluster-to-cluster distance over all
-// ordered cluster pairs (0 for a single cluster).
-func (t *Topology) AvgHops() float64 {
-	if t.nClusters < 2 {
-		return 0
-	}
-	total, pairs := 0, 0
-	for a := 0; a < t.nClusters; a++ {
-		for b := 0; b < t.nClusters; b++ {
-			if a == b {
-				continue
-			}
-			total += bits.OnesCount(uint(a) ^ uint(b))
-			pairs++
-		}
-	}
-	return float64(total) / float64(pairs)
-}
-
-// CubeLinks returns the number of bidirectional inter-cluster links
-// present in the (possibly incomplete) hypercube.
-func (t *Topology) CubeLinks() int {
-	n := 0
-	for c := 0; c < t.nClusters; c++ {
-		for _, nb := range t.Neighbors(ClusterID(c)) {
-			if nb > ClusterID(c) {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -19,7 +19,7 @@ func TestFlightFromWrappedRing(t *testing.T) {
 	tr.Enable()
 	tr.SetLimit(4)
 	for i := 0; i < 10; i++ {
-		tr.Emit(KFlow, uint64(i+1), "n", "l", fmt.Sprintf("m%d", i))
+		tr.Emit(KSuper, uint64(i+1), "n", "l", fmt.Sprintf("m%d", i))
 	}
 	var b bytes.Buffer
 	if err := tr.WriteFlight(&b); err != nil {
@@ -52,7 +52,7 @@ func TestFlightTruncatedFileFails(t *testing.T) {
 	tr := New(sim.NewKernel(1))
 	tr.Enable()
 	for i := 0; i < 5; i++ {
-		tr.Emit(KFlow, 0, "n", "l", "x")
+		tr.Emit(KSuper, 0, "n", "l", "x")
 	}
 	var b bytes.Buffer
 	if err := tr.WriteFlight(&b); err != nil {

@@ -236,34 +236,6 @@ func (r *Registry) Snapshot() Snap {
 	return s
 }
 
-// Diff returns this snapshot minus an earlier one: the activity in the
-// interval between them. Keys present in either side appear; zero
-// deltas are dropped.
-func (s Snap) Diff(prev Snap) Snap {
-	out := make(Snap)
-	for k, v := range s {
-		if d := v - prev[k]; d != 0 {
-			out[k] = d
-		}
-	}
-	for k, v := range prev {
-		if _, ok := s[k]; !ok && v != 0 {
-			out[k] = -v
-		}
-	}
-	return out
-}
-
-// Names returns the snapshot's keys sorted.
-func (s Snap) Names() []string {
-	names := make([]string, 0, len(s))
-	for k := range s {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func fmtVal(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return fmt.Sprintf("%d", int64(v))

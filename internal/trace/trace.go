@@ -1,15 +1,14 @@
 // Package trace is the unified event-tracing and metrics layer of the
 // simulated LAM: the tooling substrate paper §6.2 credits for HPC/VORX
 // being operable at all ("the tools are what made the system usable").
-// It is the one recording path of a run: every HPC message, S/NET bus
-// transfer, channel write/fragment/retransmit, CPU accounting interval
-// and supervisor heartbeat/checkpoint emits span events carrying a
+// It is the one recording path of a run: every HPC message, channel
+// write/fragment/retransmit, CPU accounting interval and supervisor
+// heartbeat/checkpoint emits span events carrying a
 // trace ID, so one message can be followed hop-by-hop through switch
 // clusters, across backpressure stalls, and even across a node crash
 // and endpoint migration. The tools are sinks on it: the oscilloscope
-// (package oscope) keeps the CPU accounting spans, the per-service
-// traffic table and the latency analyzer (package obs) read the rest,
-// and the profiler mirrors its phases into it.
+// (package oscope) keeps the CPU accounting spans, and the per-service
+// traffic table and the latency analyzer (package obs) read the rest.
 //
 // Three design rules:
 //
@@ -62,11 +61,6 @@ const (
 	KDeliver // message arrived in the destination input section
 	// Node interface (internal/netif).
 	KService // envelope demultiplexed to a registered service
-	// S/NET (internal/snet).
-	KBus      // one bus transfer (span)
-	KFifoFull // receive FIFO overflowed, fragment retained as junk
-	// Sender recovery (internal/flowctl).
-	KFlow // strategy-level control: retry, backoff, rts, cts
 	// Node kernel (internal/kern).
 	KAccount // one CPU accounting interval (span)
 	KCrash   // node crashed
@@ -77,8 +71,6 @@ const (
 	KSuper      // supervisor decision (suspect, confirm, spare, rebind, ...)
 	// Simulation kernel (internal/sim).
 	KProc // proc lifecycle (spawn, done)
-	// Profiler (internal/profiler).
-	KPhase // one profiled program phase (span)
 	// Pipelined fast path (PR 5).
 	KWindow // sliding-window credit consumed / advanced
 	// Incarnation fencing (PR 6).
@@ -95,12 +87,9 @@ var kindNames = [numKinds]string{
 	KEnqueue: "enqueue", KBlocked: "blocked", KAcquire: "link-acquire",
 	KHop: "hop", KDeliver: "deliver",
 	KService: "service",
-	KBus:     "bus", KFifoFull: "fifo-full",
-	KFlow:    "flow",
 	KAccount: "acct", KCrash: "crash", KRestart: "restart",
 	KHeartbeat: "heartbeat", KCheckpoint: "checkpoint", KSuper: "super",
 	KProc:    "proc",
-	KPhase:   "phase",
 	KWindow:  "window",
 	KFence:   "fence",
 	KMigrate: "migrate",
@@ -113,12 +102,9 @@ var kindCats = [numKinds]string{
 	KEnqueue: "hpc", KBlocked: "hpc", KAcquire: "hpc", KHop: "hpc",
 	KDeliver: "hpc",
 	KService: "netif",
-	KBus:     "snet", KFifoFull: "snet",
-	KFlow:    "flowctl",
 	KAccount: "kern", KCrash: "kern", KRestart: "kern",
 	KHeartbeat: "super", KCheckpoint: "super", KSuper: "super",
 	KProc:    "sim",
-	KPhase:   "prof",
 	KWindow:  "chan",
 	KFence:   "netif",
 	KMigrate: "vchan",
@@ -133,7 +119,7 @@ func (k Kind) String() string {
 }
 
 // Category returns the subsystem the kind belongs to ("chan", "hpc",
-// "snet", "netif", "flowctl", "kern", "super", "sim", "prof").
+// "netif", "kern", "super", "sim", "vchan").
 func (k Kind) Category() string {
 	if int(k) < len(kindCats) {
 		return kindCats[k]
@@ -161,14 +147,14 @@ type Event struct {
 	Dur    sim.Duration
 	Kind   Kind
 	TID    uint64
-	Node   string // Chrome "process": machine name, "fabric", or "snet"
-	Lane   string // Chrome "thread": link, channel, "cpu", "bus", ...
+	Node   string // Chrome "process": machine name or "fabric"
+	Lane   string // Chrome "thread": link, channel, "cpu", ...
 	Detail string
 }
 
 // Sink consumes trace events as they are recorded. The Tracer itself
-// is a Sink, so components that produce their own event streams (the
-// profiler, a replayed recording) can pour them into a live tracer.
+// is a Sink, so a component that produces its own event stream (a
+// replayed recording) can pour it into a live tracer.
 type Sink interface {
 	TraceEvent(e Event)
 }
@@ -208,13 +194,6 @@ func New(k *sim.Kernel) *Tracer {
 func (t *Tracer) Enable() {
 	if t != nil {
 		t.enabled = true
-	}
-}
-
-// Disable stops recording; already-recorded events are kept.
-func (t *Tracer) Disable() {
-	if t != nil {
-		t.enabled = false
 	}
 }
 

@@ -66,7 +66,7 @@ func TestRingLimitKeepsNewest(t *testing.T) {
 	tr.Enable()
 	tr.SetLimit(3)
 	for i := 0; i < 10; i++ {
-		tr.Emit(KFlow, 0, "n", "l", strings.Repeat("x", i))
+		tr.Emit(KSuper, 0, "n", "l", strings.Repeat("x", i))
 	}
 	evs := tr.Events()
 	if len(evs) != 3 {
@@ -122,10 +122,8 @@ func TestMetricsRegistry(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	tr.Count("a.count", 10)
-	diff := reg.Snapshot().Diff(snap)
-	if len(diff) != 1 || diff["a.count"] != 10 {
-		t.Fatalf("diff = %v", diff)
+	if snap["a.count"] != 5 || snap["b.level"] != 1 || snap["c.lat.count"] != 2 || snap["c.lat.sum"] != 6000 {
+		t.Fatalf("snapshot = %v", snap)
 	}
 
 	var b bytes.Buffer
@@ -190,7 +188,7 @@ func TestFlightRoundTrip(t *testing.T) {
 	tr.Emit(KWrite, tid, "m0", "chan/x", "size=128 detail with spaces")
 	tr.Emit(KProc, 0, "", "", "")
 	k.After(sim.Microsecond, func() {
-		tr.EmitSpan(KBus, 0, "snet", "bus", 0, "h0->h1")
+		tr.EmitSpan(KHop, 0, "fabric", "c0.p1", 0, "h0->h1")
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -59,20 +59,3 @@ func (o *Object) SendCoalesced(sp *kern.Subprocess, dst topo.EndpointID, segs []
 	sp.Compute(costs.UDOSend + costs.CopyTime(total))
 	return o.f.Send(sp, dst, "udo."+o.name, total+RawHeader, payload)
 }
-
-// SendGatherRemote is the Remote-handle variant of SendGather.
-func (r *Remote) SendGather(sp *kern.Subprocess, dst topo.EndpointID, segs []GatherSegment) error {
-	costs := r.f.Node().Costs()
-	total := 0
-	cost := costs.UDOSend
-	for _, s := range segs {
-		total += s.Size
-		cost += costs.CopyTime(s.Size) + GatherSetup
-	}
-	sp.Compute(cost)
-	payload := make([]any, len(segs))
-	for i, s := range segs {
-		payload[i] = s.Payload
-	}
-	return r.f.Send(sp, dst, "udo."+r.name, total+RawHeader, payload)
-}

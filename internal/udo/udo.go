@@ -69,7 +69,7 @@ type Object struct {
 // New creates a user-defined object named name on node interface f.
 // With polled=false incoming messages raise an interrupt service
 // routine (entry + read cost); with polled=true interrupts are
-// disabled and the application must call TryRecv/Recv to poll.
+// disabled and the application must call Recv to poll.
 func New(f *netif.IF, name string, polled bool) *Object {
 	o := &Object{f: f, name: name, polled: polled}
 	costs := f.Node().Costs()
@@ -112,9 +112,6 @@ func (o *Object) accept(m *hpc.Message) {
 	o.Received++
 }
 
-// Name returns the object's rendezvous name.
-func (o *Object) Name() string { return o.name }
-
 // Send transmits size data bytes directly at the hardware: no system
 // call, just the user-level setup cost plus the copy into the output
 // section. It blocks only on hardware output backpressure.
@@ -122,27 +119,6 @@ func (o *Object) Send(sp *kern.Subprocess, dst topo.EndpointID, size int, payloa
 	costs := o.f.Node().Costs()
 	sp.Compute(costs.UDOSend + costs.CopyTime(size))
 	return o.f.Send(sp, dst, "udo."+o.name, size+RawHeader, payload)
-}
-
-// SendAsync transmits from interrupt context (for ISR-driven
-// protocols); no CPU is charged here.
-func (o *Object) SendAsync(dst topo.EndpointID, size int, payload any) {
-	o.f.SendAsync(dst, "udo."+o.name, size+RawHeader, payload, nil)
-}
-
-// TryRecv polls for input: one poll-check of user CPU; if a message is
-// present it is returned (polled mode pays the user-level copy here).
-func (o *Object) TryRecv(sp *kern.Subprocess) (Msg, bool) {
-	costs := o.f.Node().Costs()
-	sp.Compute(PollCheck)
-	if len(o.queue) == 0 {
-		return Msg{}, false
-	}
-	m := o.popLocked()
-	if o.polled {
-		sp.Compute(costs.CopyTime(m.Size))
-	}
-	return m, true
 }
 
 // Recv returns the next message. In ISR mode it blocks until the ISR

@@ -200,34 +200,6 @@ func TestPolledBackpressureThrottlesSender(t *testing.T) {
 	sys.Shutdown()
 }
 
-func TestTryRecvPolling(t *testing.T) {
-	sys := build(t, 2)
-	snd := udo.New(sys.Node(0).IF, "try", true)
-	rcv := udo.New(sys.Node(1).IF, "try", true)
-	polls, got := 0, 0
-	sys.Spawn(sys.Node(0), "s", 0, func(sp *kern.Subprocess) {
-		sp.SleepFor(sim.Milliseconds(1))
-		snd.Send(sp, sys.Node(1).EP, 32, "x")
-	})
-	sys.Spawn(sys.Node(1), "r", 0, func(sp *kern.Subprocess) {
-		for got == 0 && polls < 10000 {
-			polls++
-			if _, ok := rcv.TryRecv(sp); ok {
-				got++
-			}
-		}
-	})
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("got = %d after %d polls", got, polls)
-	}
-	if polls < 2 {
-		t.Fatalf("expected some empty polls, got %d", polls)
-	}
-}
-
 // Property: the sliding-window protocol delivers every message, in
 // order, for any (size, buffer count, message count).
 func TestWindowDeliveryProperty(t *testing.T) {

@@ -126,9 +126,6 @@ func (b *Balancer) record(format string, args ...any) {
 	b.recs = append(b.recs, Record{At: b.m.Kern.Kernel().Now(), What: fmt.Sprintf(format, args...)})
 }
 
-// Records returns the balancer's decision log.
-func (b *Balancer) Records() []Record { return b.recs }
-
 // Report writes the decision log.
 func (b *Balancer) Report(w io.Writer) {
 	for _, r := range b.recs {
@@ -349,18 +346,6 @@ func (b *Balancer) MigrateTo(name string, node int) bool {
 	return b.migrate(r.id, lane, "manual")
 }
 
-// BrokerConfirmedDead evacuates every placement on the broker at the
-// given endpoint immediately — the supervisor's confirm hook
-// (super.OnConfirm) binds here so quorum-confirmed deaths skip the
-// report-silence wait.
-func (b *Balancer) BrokerConfirmedDead(ep topo.EndpointID) {
-	for _, bi := range b.brokers {
-		if bi.m.EP == ep && !bi.down {
-			b.markDead(bi, "confirmed")
-		}
-	}
-}
-
 func (b *Balancer) migrate(v uint64, to *laneInfo, reason string) bool {
 	p := b.places[v]
 	if p == nil || to == nil {
@@ -562,22 +547,23 @@ func (b *Balancer) sweep() {
 			continue // never reported yet: give it the first window
 		}
 		if now.Sub(last) > silenceAfter {
-			b.markDead(bi, "silent")
+			b.markDead(bi)
 		}
 	}
 }
 
-func (b *Balancer) markDead(bi *brokerInfo, why string) {
+// markDead writes off a silent broker and evacuates its placements.
+func (b *Balancer) markDead(bi *brokerInfo) {
 	bi.down = true
-	b.record("broker node%d dead (%s)", bi.node, why)
+	b.record("broker node%d dead (silent)", bi.node)
 	b.tracer().Emit(trace.KMigrate, 0, b.m.Name(), "vchan",
-		fmt.Sprintf("broker node%d dead (%s)", bi.node, why))
+		fmt.Sprintf("broker node%d dead (silent)", bi.node))
 	for _, v := range b.placementsOn(bi) {
 		p := b.places[v]
 		if b.migs[v] != nil {
 			continue
 		}
-		b.migrate(v, b.pickLane(p.lane), "broker-"+why)
+		b.migrate(v, b.pickLane(p.lane), "broker-silent")
 	}
 }
 

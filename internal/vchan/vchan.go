@@ -79,9 +79,8 @@ const (
 	// report can queue behind a full window of frames; the silence
 	// threshold must sit above that worst case or load itself looks
 	// like death and the balancer churns placements between
-	// equally-congested brokers. Silence is the slow fallback —
-	// quorum-confirmed death via super.OnConfirm →
-	// BrokerConfirmedDead is the fast path.
+	// equally-congested brokers. Silence is the balancer's only
+	// death detector: it does not consult the supervisor.
 	reportEvery  = 500 * sim.Microsecond
 	silenceAfter = 25 * reportEvery
 	// autoRatio is the hot/cold lane byte ratio above which the
@@ -352,15 +351,6 @@ func (f *Fabric) Balancer() *Balancer { return f.bal }
 // SetVerifier installs the invariant checker's observer on every
 // service and the balancer (nil to remove).
 func (f *Fabric) SetVerifier(v Verifier) { f.vf = v }
-
-// Names returns the declared vchannel names in declaration order.
-func (f *Fabric) Names() []string {
-	out := make([]string, len(f.regs))
-	for i, r := range f.regs {
-		out[i] = r.name
-	}
-	return out
-}
 
 // Service is the per-machine vchan machinery: producer windows and
 // retained writes, consumer cursors and ack coalescing, and — on
@@ -642,15 +632,6 @@ func (w *Writer) Write(sp *kern.Subprocess, size int, payload any) error {
 	w.armTimer()
 	return nil
 }
-
-// Pending reports retained, unacked writes.
-func (w *Writer) Pending() int { return len(w.pending) }
-
-// Term reports the writer's current placement term.
-func (w *Writer) Term() uint32 { return w.term }
-
-// AckHigh reports the highest cumulatively acked sequence.
-func (w *Writer) AckHigh() int { return w.ackHigh }
 
 func (s *Service) charge(w *Writer, rec *vWrite) {
 	l := s.lane(w.lane)
@@ -965,12 +946,6 @@ func (r *Reader) Read(sp *kern.Subprocess) (Msg, error) {
 		fmt.Sprintf("seq=%d", msg.Seq))
 	return msg, nil
 }
-
-// Expect reports the reader's delivery cursor (next sequence).
-func (r *Reader) Expect() int { return r.expect }
-
-// Term reports the reader's current term.
-func (r *Reader) Term() uint32 { return r.term }
 
 // control plane (machine side) --------------------------------------
 

@@ -183,7 +183,7 @@ func TestDeterministicRuns(t *testing.T) {
 		})
 		rig.sys.RunFor(60 * sim.Millisecond)
 		out := ""
-		for _, r := range bal.Records() {
+		for _, r := range bal.recs {
 			out += r.String() + "\n"
 		}
 		for _, m := range rig.sys.Machines() {

@@ -178,15 +178,6 @@ func (d *Debugger) OnStop(fn func(loc string)) error {
 	return nil
 }
 
-// Stopped reports whether the attached process is stopped, and where.
-func (d *Debugger) Stopped() (bool, string) {
-	tg, err := d.target()
-	if err != nil {
-		return false, ""
-	}
-	return tg.stopped, tg.stopLoc
-}
-
 // Hits returns how many breakpoints the attached process has hit.
 func (d *Debugger) Hits() int {
 	tg, err := d.target()

@@ -18,12 +18,6 @@
 //     undelivered is skipped) — the drain-to-stable-mark contract.
 //   - V4, no acked-but-lost: a cumulative ack covers only delivered
 //     sequences.
-//
-// Strict mode (SetStrict) additionally flags every duplicate frame —
-// channel-layer or vchannel — as a violation. Duplicates are legal
-// under faults (retransmission is how loss is survived), so strict
-// mode is for zero-fault runs, where an observed duplicate means an
-// acked write traveled twice: a protocol bug, not a recovery.
 package verify
 
 import (
@@ -59,11 +53,6 @@ func AttachAll(sys *core.System, f *vchan.Fabric) *Checker {
 	}
 	return c
 }
-
-// SetStrict enables zero-fault strict mode: any duplicate delivery,
-// channel-layer or vchannel, is flagged. Use only on runs with no
-// fault injection.
-func (c *Checker) SetStrict(on bool) { c.strict = on }
 
 func (c *Checker) vchanState(v uint64, name string) *vchanState {
 	if c.vchans == nil {
@@ -105,15 +94,12 @@ func (c *Checker) VChanWrite(v uint64, name string, seq, size int, payload any, 
 // VChanDeliver checks V1 and V2 at the consumer. A non-dup delivery
 // must be the cursor's sequence at exactly the consumer's adopted
 // term; a dup must re-cover an already-delivered sequence
-// byte-identically (and, under strict mode, is itself a violation).
+// byte-identically.
 func (c *Checker) VChanDeliver(v uint64, name string, seq int, payload any, term uint32, dup bool) {
 	vs := c.vchanState(v, name)
 	fp := fingerprint(payload)
 	if dup {
 		c.VDups++
-		if c.strict {
-			c.violate("strict-dup", "vchan %q seq %d: duplicate frame under zero faults", name, seq)
-		}
 		if seq >= vs.delivered {
 			c.violate("vchan-phantom-dup", "vchan %q seq %d: suppressed as duplicate but never delivered", name, seq)
 		} else if prev, ok := vs.delivFp[seq]; ok && prev != fp {

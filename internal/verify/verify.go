@@ -78,9 +78,6 @@ type Checker struct {
 	machFloors map[topo.EndpointID]uint32
 	// vchans models the virtualization layer (see vchan.go).
 	vchans map[uint64]*vchanState
-	// strict flags every duplicate delivery as a violation —
-	// zero-fault runs only (see SetStrict).
-	strict bool
 
 	viols []Violation
 
@@ -229,9 +226,6 @@ func (c *Checker) ChanDeliver(id uint64, name string, from topo.EndpointID, inc 
 	fp := fingerprint(payload)
 	if dup {
 		c.Dups++
-		if c.strict {
-			c.violate("strict-dup", "channel %q seq %d: duplicate frame under zero faults", name, seq)
-		}
 		prev, ok := ds.delivered[seq]
 		switch {
 		case !ok:

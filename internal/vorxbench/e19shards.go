@@ -103,8 +103,8 @@ func (l pairLoad) measure(cfg core.Config) ShardMeasure {
 
 	var b strings.Builder
 	pairDigest(&b, out)
-	// Group.Now is the trailing clock (a shard with no late events
-	// parks early); the makespan is the leading one.
+	// A shard with no late events parks early, so the makespan is the
+	// leading shard clock.
 	var makespan sim.Time
 	for _, sys := range sh.Sys {
 		if n := sys.K.Now(); n > makespan {

@@ -407,7 +407,7 @@ func E7Structuring() *Table {
 		n.SpawnSubprocess("host", 0, func(sp *kern.Subprocess) {
 			g := kern.NewCoroutineGroup(sp)
 			for c := 0; c < 2; c++ {
-				g.Add(fmt.Sprint(c), func(co *kern.Coroutine) {
+				g.Add(func(co *kern.Coroutine) {
 					for i := 0; i < rounds; i++ {
 						co.Yield()
 					}

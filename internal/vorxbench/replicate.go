@@ -1,12 +1,8 @@
 package vorxbench
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
-
-	"hpcvorx/internal/core"
-	"hpcvorx/internal/workload"
 )
 
 // Replication support: every experiment builds its own core.System —
@@ -63,53 +59,6 @@ func RunIDs(ids []string, workers int) []*Table {
 		}()
 	}
 	for i := range ids {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return out
-}
-
-// SeededRun is one independent replication of the standard all-to-one
-// macro workload (20 nodes, 800-byte messages, 10 per sender) at a
-// given seed. The returned digest captures everything the run decided
-// in virtual time, so comparing digests across serial and parallel
-// execution proves the worker pool changed nothing.
-func SeededRun(seed int64) string {
-	sys, err := core.Build(core.Config{Nodes: 20, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
-	mk := workload.ManyToOne(sys, 800, 10)
-	return fmt.Sprintf("seed=%d makespan=%v quiesce=%v", seed, mk, sys.K.Now())
-}
-
-// ReplicateSeeds runs fn once per seed across a pool of workers and
-// returns the outputs in seed order. workers <= 1 runs serially.
-func ReplicateSeeds(seeds []int64, workers int, fn func(seed int64) string) []string {
-	out := make([]string, len(seeds))
-	workers = Workers(workers)
-	if workers == 1 || len(seeds) <= 1 {
-		for i, s := range seeds {
-			out[i] = fn(s)
-		}
-		return out
-	}
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = fn(seeds[i])
-			}
-		}()
-	}
-	for i := range seeds {
 		jobs <- i
 	}
 	close(jobs)
