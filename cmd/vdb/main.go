@@ -30,22 +30,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	reg := vdb.NewRegistry()
 	iters := make([]int, *procs)
 	for i := 0; i < *procs; i++ {
 		i := i
 		sys.Spawn(sys.Node(i), fmt.Sprintf("app%d", i), 0, func(sp *kern.Subprocess) {
 			name := fmt.Sprintf("proc%d", i)
-			vdb.RegisterProcess(sp, name)
-			vdb.Var(name, "iter", func() string { return fmt.Sprint(iters[i]) })
-			vdb.Var(name, "node", func() string { return sp.Node().Name() })
+			reg.RegisterProcess(sp, name)
+			reg.Var(name, "iter", func() string { return fmt.Sprint(iters[i]) })
+			reg.Var(name, "node", func() string { return sp.Node().Name() })
 			for iters[i] = 0; iters[i] < 40; iters[i]++ {
-				vdb.Point(sp, "mainloop")
+				reg.Point(sp, "mainloop")
 				sp.Compute(sim.Microseconds(250))
 			}
 		})
 	}
 
-	d := vdb.New()
+	d := reg.NewDebugger()
 	// Attach mid-run, the way a VORX programmer would when a process
 	// misbehaves.
 	sys.K.After(sim.Milliseconds(3), func() {

@@ -766,6 +766,9 @@ func runHeal(args []string, tc *traceCtx) {
 	fmt.Printf("  resmgr: %d force-frees, spare owner: %q\n", res.ForceFrees, "super")
 	fmt.Printf("  virtual time at quiesce: %v\n", sys.K.Now())
 	tc.finish(sys)
+	if clean < *pairs {
+		os.Exit(1)
+	}
 }
 
 func cmdDownload(args []string) {

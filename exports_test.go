@@ -3,6 +3,7 @@ package hpcvorx
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -64,8 +66,7 @@ var exportAllowlist = []exportEntry{
 	{"resmgr.VORX.AutoReclaim", "paper", "TestAutoReclaimIsObjectionable",
 		"§3.1's rejected automatic reclaim; DESIGN.md Extensions (resmgr.AutoReclaim)"},
 
-	{"vdb.Reset", "paper", "TestErrors", vdbCite},
-	{"vdb.StoppedProcesses", "paper", "TestStoppedProcessesView", vdbCite},
+	{"vdb.Registry.StoppedProcesses", "paper", "TestStoppedProcessesView", vdbCite},
 	{"vdb.Debugger.Current", "paper", "TestAttachToRunningProcessAndSwitch", vdbCite},
 	{"vdb.Debugger.Hits", "paper", "TestBreakpointStopsAndContinues", vdbCite},
 
@@ -95,8 +96,14 @@ const (
 	vdbCite      = "§6 symbolic debugger; DESIGN.md Extensions (vdb)"
 )
 
+// scanRepo scans this module and perfbench once per test binary; the
+// three guards below share the result.
+var scanRepo = sync.OnceValues(func() (*exportScan, error) {
+	return scanExports(".", "perfbench")
+})
+
 func TestExportsHaveProgramCallers(t *testing.T) {
-	scan, err := scanExports(".", "perfbench")
+	scan, err := scanRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,26 +112,70 @@ func TestExportsHaveProgramCallers(t *testing.T) {
 	}
 }
 
+// A struct field declared under internal/ must be read: by program
+// code or by a test. A field nothing reads still costs each write and
+// each reader of the code. The scan counts a tagged field as read, and
+// every field of a struct compared with == or != or used as a map key.
+func TestFieldsAreRead(t *testing.T) {
+	scan, err := scanRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sortedNames(scan.unread) {
+		t.Errorf("%s: field %s is never read; delete it and whatever only it fed, or add the check it was meant for",
+			scan.fset.Position(scan.unread[name]), name)
+	}
+}
+
+// A cost under internal/ is a sim.Duration constant, never a
+// package-level variable: nothing may retune the calibration the
+// paper's numbers rest on at run time.
+func TestCostsAreConstants(t *testing.T) {
+	scan, err := scanRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sortedNames(scan.costVars) {
+		t.Errorf("%s: package-level var %s has type sim.Duration; make it a constant",
+			scan.fset.Position(scan.costVars[name]), name)
+	}
+}
+
 // TestExportScanRules runs the scan over one fixture module per rule
-// under testdata/exports and compares what it reports uncalled.
+// under testdata/exports and compares what it reports uncalled, the
+// fields it reports unread and the sim.Duration variables it finds.
 func TestExportScanRules(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		more []string // further modules, like perfbench
-		want []string
+		name   string
+		more   []string // further modules, like perfbench
+		want   []string
+		unread []string
+		vars   []string
 	}{
 		// An exported function nothing calls is reported; a use from
 		// inside its own body does not count.
-		{"uncalled", nil, []string{"a.Recursive", "a.Unused"}},
+		{"uncalled", nil, []string{"a.Recursive", "a.Unused"}, nil, nil},
 		// Uses count from another package, from the declaring package
 		// and from a separate module.
-		{"uses", []string{"bench"}, nil},
+		{"uses", []string{"bench"}, nil, nil, nil},
 		// Methods that satisfy fmt.Stringer, sort.Interface or an
 		// interface of the program are exempt; others are not.
-		{"iface", nil, []string{"a.Celsius.Kelvin"}},
+		{"iface", nil, []string{"a.Celsius.Kelvin"}, nil, nil},
 		// A generic method called only through an instantiation is
 		// called.
-		{"generic", nil, []string{"q.Queue.Len"}},
+		{"generic", nil, []string{"q.Queue.Len"}, nil, nil},
+		// A field nothing reads is reported, and so is one that is
+		// only assigned, incremented or keyed in a composite literal.
+		{"unread", nil, nil, []string{"a.T.bumped", "a.T.keyed", "a.T.set", "a.T.unused"}, nil},
+		// Reads count from another package, from an in-package test and
+		// from an external test package.
+		{"reads", nil, nil, nil, nil},
+		// A tagged field is read, and so is every field of a struct
+		// used as a map key or compared with !=.
+		{"whole", nil, nil, nil, nil},
+		// A package-level sim.Duration variable is reported; a
+		// sim.Duration constant is not.
+		{"costvar", nil, nil, nil, []string{"a.Cost"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "exports", c.name)
@@ -142,10 +193,26 @@ func TestExportScanRules(t *testing.T) {
 			}
 			sort.Strings(got)
 			if !reflect.DeepEqual(got, c.want) {
-				t.Fatalf("uncalled = %q, want %q", got, c.want)
+				t.Errorf("uncalled = %q, want %q", got, c.want)
+			}
+			if got := sortedNames(scan.unread); !reflect.DeepEqual(got, c.unread) {
+				t.Errorf("unread = %q, want %q", got, c.unread)
+			}
+			if got := sortedNames(scan.costVars); !reflect.DeepEqual(got, c.vars) {
+				t.Errorf("sim.Duration vars = %q, want %q", got, c.vars)
 			}
 		})
 	}
+}
+
+// sortedNames returns m's keys in order, nil for none.
+func sortedNames(m map[string]token.Pos) []string {
+	var names []string
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // TestExportAllowlistRules: an entry fails when its name is gone or has
@@ -190,7 +257,9 @@ func TestExportAllowlistRules(t *testing.T) {
 
 // exportScan is the result of type-checking a module tree: every
 // exported function and method declared under the first module's
-// internal/, the ones no non-test code uses, and the test files.
+// internal/, the ones no non-test code uses, and the test files; every
+// struct field declared there and the ones nothing reads; and the
+// package-level sim.Duration variables.
 type exportScan struct {
 	fset     *token.FileSet
 	decls    map[*types.Func]*ast.FuncDecl
@@ -198,6 +267,11 @@ type exportScan struct {
 	uncalled map[string]bool
 	tests    map[string]testFunc // Test and Benchmark functions by name
 	helpers  map[string]map[string]*ast.FuncDecl
+
+	fields   map[token.Pos]string // struct field -> pkg.Type.field
+	read     map[token.Pos]bool
+	unread   map[string]token.Pos
+	costVars map[string]token.Pos // pkg.Name of each sim.Duration var
 }
 
 // testFunc is one test function and where it lives.
@@ -211,12 +285,15 @@ type testFunc struct {
 var stdImporter types.ImporterFrom
 
 // scanExports loads the module at root and every further module dir
-// (each with its own go.mod), type-checks their non-test packages from
-// source, and records which exported functions and methods of root's
-// internal/ tree have a use outside their own body. A method also
-// counts as used when its receiver type implements an interface with a
-// method of that name, declared in a loaded package or one it imports:
-// the call may go through the interface.
+// (each with its own go.mod), type-checks their packages from source,
+// and records which exported functions and methods of root's internal/
+// tree have a use outside their own body. A method also counts as used
+// when its receiver type implements an interface with a method of that
+// name, declared in a loaded package or one it imports: the call may go
+// through the interface. It then type-checks the test files too, each
+// package's in-package tests together with it and its external _test
+// package on its own, and records which struct fields of root's
+// internal/ tree nothing reads, tests included.
 func scanExports(root string, more ...string) (*exportScan, error) {
 	if stdImporter == nil {
 		stdImporter = importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
@@ -228,8 +305,12 @@ func scanExports(root string, more ...string) (*exportScan, error) {
 		uncalled: map[string]bool{},
 		tests:    map[string]testFunc{},
 		helpers:  map[string]map[string]*ast.FuncDecl{},
+		fields:   map[token.Pos]string{},
+		read:     map[token.Pos]bool{},
+		unread:   map[string]token.Pos{},
+		costVars: map[string]token.Pos{},
 	}
-	l := &loader{s: s, dirs: map[string]string{}, pkgs: map[string]*loadedPkg{}}
+	l := &loader{s: s, dirs: map[string]string{}, pkgs: map[string]*loadedPkg{}, testFiles: map[string][]*ast.File{}}
 	var internal string
 	for i, dir := range append([]string{root}, more...) {
 		mod, err := l.addModule(dir)
@@ -238,6 +319,7 @@ func scanExports(root string, more ...string) (*exportScan, error) {
 		}
 		if i == 0 {
 			internal = mod + "/internal/"
+			l.internal = internal
 		}
 	}
 	paths := make([]string, 0, len(l.dirs))
@@ -255,6 +337,9 @@ func scanExports(root string, more ...string) (*exportScan, error) {
 	var ifaces []*types.Interface
 	for _, p := range paths {
 		lp := l.pkgs[p]
+		if strings.HasPrefix(p, internal) {
+			s.declareState(strings.TrimPrefix(p, internal), lp, internal+"sim")
+		}
 		for _, f := range lp.files {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && strings.HasPrefix(p, internal) {
@@ -286,7 +371,169 @@ func scanExports(root string, more ...string) (*exportScan, error) {
 			s.uncalled[name] = true
 		}
 	}
+
+	for _, p := range paths {
+		l.noteReads(l.pkgs[p].info, l.pkgs[p].files)
+	}
+	tpaths := make([]string, 0, len(l.testFiles))
+	for p := range l.testFiles {
+		tpaths = append(tpaths, p)
+	}
+	sort.Strings(tpaths)
+	for _, p := range tpaths {
+		if err := l.checkTests(p); err != nil {
+			return nil, err
+		}
+	}
+	for pos, name := range s.fields {
+		if !s.read[pos] {
+			s.unread[name] = pos
+		}
+	}
 	return s, nil
+}
+
+// declareState records the struct fields that lp's files declare, a
+// tagged one as read (encoding/json reads it), and its package-level
+// variables of type sim.Duration. pkg is lp's path below internal/.
+func (s *exportScan) declareState(pkg string, lp *loadedPkg, simPath string) {
+	for _, f := range lp.files {
+		for _, d := range f.Decls {
+			outer := "" // the declaration an anonymous struct sits in
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				outer = d.Name.Name
+			case *ast.GenDecl:
+				if len(d.Specs) > 0 {
+					if vs, ok := d.Specs[0].(*ast.ValueSpec); ok {
+						outer = vs.Names[0].Name
+					}
+				}
+			}
+			names := map[*ast.StructType]string{}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						names[st] = n.Name.Name
+					}
+				case *ast.StructType:
+					name, ok := names[n]
+					if !ok {
+						name = outer
+					}
+					st := lp.info.TypeOf(n).(*types.Struct)
+					for i := 0; i < st.NumFields(); i++ {
+						if v := st.Field(i); v.Name() != "_" {
+							s.fields[v.Pos()] = pkg + "." + name + "." + v.Name()
+							if st.Tag(i) != "" {
+								s.read[v.Pos()] = true
+							}
+						}
+					}
+					for _, fld := range n.Fields.List {
+						if inner, ok := fld.Type.(*ast.StructType); ok && len(fld.Names) > 0 {
+							names[inner] = name + "." + fld.Names[0].Name
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	scope := lp.pkg.Scope()
+	for _, name := range scope.Names() {
+		if v, ok := scope.Lookup(name).(*types.Var); ok {
+			if t, ok := v.Type().(*types.Named); ok && t.Obj().Name() == "Duration" && t.Obj().Pkg().Path() == simPath {
+				s.costVars[pkg+"."+name] = v.Pos()
+			}
+		}
+	}
+}
+
+// noteReads marks the fields of the loaded modules that files read. A
+// selector reads the field it names, unless it is the whole left side
+// of an assignment or an inc/dec, and every embedded field it passes
+// through; a key of a composite literal reads nothing. Comparing
+// struct values with == or != (a switch included), or keying a map
+// with them, reads every field.
+func (l *loader) noteReads(info *types.Info, files []*ast.File) {
+	for _, f := range files {
+		written := map[ast.Expr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					written[ast.Unparen(lhs)] = true
+				}
+			case *ast.IncDecStmt:
+				written[ast.Unparen(n.X)] = true
+			case *ast.SelectorExpr:
+				sel := info.Selections[n]
+				if sel == nil {
+					return true
+				}
+				path := sel.Index()
+				if sel.Kind() != types.FieldVal {
+					path = path[:len(path)-1]
+				}
+				t := sel.Recv()
+				for i, x := range path {
+					if p, ok := t.(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					if v := st.Field(x); i < len(path)-1 || !written[n] {
+						l.markRead(v)
+					}
+					t = st.Field(x).Type()
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					l.readWhole(info.TypeOf(n.X))
+				}
+			case *ast.SwitchStmt:
+				if n.Tag != nil {
+					l.readWhole(info.TypeOf(n.Tag))
+				}
+			}
+			return true
+		})
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			l.readWhole(m.Key())
+		}
+	}
+}
+
+// markRead marks v read if a loaded package declares it. A test
+// package's copy of a field has the position of the program's.
+func (l *loader) markRead(v *types.Var) {
+	v = v.Origin()
+	if v.Pkg() != nil && l.dirs[v.Pkg().Path()] != "" {
+		l.s.read[v.Pos()] = true
+	}
+}
+
+// readWhole marks every field of a struct value of type t read,
+// through nested structs and arrays.
+func (l *loader) readWhole(t types.Type) {
+	if t == nil {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			l.markRead(u.Field(i))
+			l.readWhole(u.Field(i).Type())
+		}
+	case *types.Array:
+		l.readWhole(u.Elem())
+	}
 }
 
 // exportName is pkg.Func for a function and pkg.Type.Method for a
@@ -451,9 +698,11 @@ func (s *exportScan) writes(fn *types.Func) string {
 // loader type-checks a module tree's packages from source, in import
 // order, each once.
 type loader struct {
-	s    *exportScan
-	dirs map[string]string // import path -> directory
-	pkgs map[string]*loadedPkg
+	s         *exportScan
+	internal  string            // the first module's path + "/internal/"
+	dirs      map[string]string // import path -> directory
+	pkgs      map[string]*loadedPkg
+	testFiles map[string][]*ast.File // import path -> the _test.go files the build takes
 }
 
 type loadedPkg struct {
@@ -491,22 +740,18 @@ func (l *loader) addModule(dir string) (string, error) {
 				return filepath.SkipDir
 			}
 		}
+		rel, _ := filepath.Rel(dir, path)
+		imp := mod
+		if rel != "." {
+			imp = mod + "/" + filepath.ToSlash(rel)
+		}
 		files, _ := filepath.Glob(filepath.Join(path, "*.go"))
-		hasCode := false
 		for _, f := range files {
 			if !strings.HasSuffix(f, "_test.go") {
-				hasCode = true
-			} else if err := l.addTestFile(path, f); err != nil {
+				l.dirs[imp] = path
+			} else if err := l.addTestFile(imp, path, f); err != nil {
 				return err
 			}
-		}
-		if hasCode {
-			rel, _ := filepath.Rel(dir, path)
-			imp := mod
-			if rel != "." {
-				imp = mod + "/" + filepath.ToSlash(rel)
-			}
-			l.dirs[imp] = path
 		}
 		return nil
 	})
@@ -514,11 +759,17 @@ func (l *loader) addModule(dir string) (string, error) {
 }
 
 // addTestFile records the Test and Benchmark functions of one test
-// file, and its other functions as helpers of its directory.
-func (l *loader) addTestFile(dir, file string) error {
+// file, and its other functions as helpers of its directory; it keeps
+// the file for type-checking if the build takes it.
+func (l *loader) addTestFile(imp, dir, file string) error {
 	af, err := parser.ParseFile(l.s.fset, file, nil, parser.SkipObjectResolution)
 	if err != nil {
 		return err
+	}
+	if ok, err := build.Default.MatchFile(dir, filepath.Base(file)); err != nil {
+		return err
+	} else if ok {
+		l.testFiles[imp] = append(l.testFiles[imp], af)
 	}
 	for _, decl := range af.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
@@ -561,11 +812,7 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 		return lp, nil
 	}
 	l.pkgs[path] = nil
-	lp := &loadedPkg{info: &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-	}}
+	lp := &loadedPkg{}
 	files, _ := filepath.Glob(filepath.Join(l.dirs[path], "*.go"))
 	for _, f := range files {
 		if strings.HasSuffix(f, "_test.go") {
@@ -577,12 +824,10 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 		}
 		lp.files = append(lp.files, af)
 	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.s.fset, lp.files, lp.info)
-	if err != nil {
+	var err error
+	if lp.pkg, lp.info, err = l.check(path, lp.files); err != nil {
 		return nil, err
 	}
-	lp.pkg = pkg
 	for _, f := range lp.files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
@@ -592,6 +837,69 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 	}
 	l.pkgs[path] = lp
 	return lp, nil
+}
+
+func (l *loader) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.s.fset, files, info)
+	return pkg, info, err
+}
+
+// checkTests type-checks the test files of the package at path, the
+// in-package ones together with its non-test files and the external
+// _test package on its own, and notes the fields they read. A test
+// package that imports no loaded package can read only its own
+// package's fields, so it is skipped unless that package is under
+// internal/: the root package's guard tests import go/types, whose
+// source alone takes longer to check than every other test.
+func (l *loader) checkTests(path string) error {
+	var in, ext []*ast.File
+	for _, f := range l.testFiles[path] {
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			ext = append(ext, f)
+		} else {
+			in = append(in, f)
+		}
+	}
+	noteReads := func(path string, files, tests []*ast.File, own bool) error {
+		if !own && !l.importsLoaded(tests) {
+			return nil
+		}
+		_, info, err := l.check(path, files)
+		if err == nil {
+			l.noteReads(info, tests)
+		}
+		return err
+	}
+	if len(in) > 0 {
+		pkg := in
+		if lp := l.pkgs[path]; lp != nil {
+			pkg = append(append([]*ast.File(nil), lp.files...), in...)
+		}
+		if err := noteReads(path, pkg, in, strings.HasPrefix(path, l.internal)); err != nil {
+			return err
+		}
+	}
+	return noteReads(path+"_test", ext, ext, false)
+}
+
+// importsLoaded reports whether a file imports a package of the loaded
+// modules.
+func (l *loader) importsLoaded(files []*ast.File) bool {
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			if l.dirs[strings.Trim(imp.Path.Value, `"`)] != "" {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // namedInterfaces returns error and every interface with methods

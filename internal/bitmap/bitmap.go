@@ -32,11 +32,11 @@ const ChunkBytes = 1024
 
 // PlaceCost is the receiver's per-chunk cost to decide where the data
 // goes in the frame buffer ("the few statements").
-var PlaceCost = sim.Microseconds(4)
+const PlaceCost = 4 * sim.Microsecond
 
 // SendOverhead is the sender's per-chunk cost beyond the raw copy
 // (chunk bookkeeping and address arithmetic).
-var SendOverhead = sim.Microseconds(17)
+const SendOverhead = 17 * sim.Microsecond
 
 // Result reports one streaming run.
 type Result struct {

@@ -11,7 +11,7 @@ import (
 
 // GateEvalCost is the 68020+68882 time to evaluate one gate's timing
 // model per step.
-var GateEvalCost = sim.Microseconds(25)
+const GateEvalCost = 25 * sim.Microsecond
 
 // CoroutineChunk is the number of gates one coroutine evaluates — the
 // CEMU structuring of §5: many model-evaluation threads inside one
@@ -20,7 +20,6 @@ const CoroutineChunk = 8
 
 // Result reports a distributed simulation run.
 type Result struct {
-	Procs   int
 	Steps   int
 	Window  int
 	Elapsed sim.Duration
@@ -95,7 +94,7 @@ func Run(sys *core.System, c *Circuit, initial []bool, steps, procs, window int)
 		sigs []int // signals carried q -> p
 	}
 	links := make([][]*pairIO, procs) // links[p][q]: p receives q's values
-	res := &Result{Procs: procs, Steps: steps, Window: window, Final: make([]bool, c.Signals)}
+	res := &Result{Steps: steps, Window: window, Final: make([]bool, c.Signals)}
 	for p := 0; p < procs; p++ {
 		links[p] = make([]*pairIO, procs)
 		for q := 0; q < procs; q++ {

@@ -101,11 +101,10 @@ type Service struct {
 	winCfg WindowConfig
 
 	// Stats.
-	Written      int
-	Delivered    int
-	Busies       int
-	Retransmits  int
-	BytesWritten int64
+	Written     int
+	Delivered   int
+	Busies      int
+	Retransmits int
 	// TimeoutRetransmits counts writes re-sent by the end-to-end
 	// timeout; PeerDeaths counts channel ends failed by retry
 	// exhaustion or PeerDown.
@@ -513,7 +512,6 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 	}
 	ch.sent++
 	ch.svc.Written++
-	ch.svc.BytesWritten += int64(size)
 	return nil
 }
 
@@ -1190,7 +1188,6 @@ func (mx *Mux) deliver(ch *Channel, m Msg) {
 // direction, and whether the application is blocked on it.
 type EndState struct {
 	Name          string
-	ID            uint64
 	Local, Peer   topo.EndpointID
 	Sent          int
 	Received      int
@@ -1207,7 +1204,6 @@ func (s *Service) Snapshot() []EndState {
 	for _, ch := range s.chans {
 		out = append(out, EndState{
 			Name:          ch.name,
-			ID:            ch.id,
 			Local:         s.f.Endpoint(),
 			Peer:          ch.peer,
 			Sent:          ch.sent,

@@ -55,7 +55,7 @@ func BuildSharded(cfg Config) (*Sharded, error) {
 	// ahead); pairs whose clusters sit k>1 links apart exchange signals
 	// only through k relaying boundary crossings, so they can promise
 	// k*HopFixed and synchronize far less often.
-	hops := sh.Part.RouteHops(sh.Topo)
+	hops := sh.Part.RouteHops()
 	look := make([][]sim.Duration, n)
 	for s := range look {
 		look[s] = make([]sim.Duration, n)

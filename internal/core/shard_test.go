@@ -197,7 +197,7 @@ func TestBuildShardedShardEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hops := sh4.Part.RouteHops(sh4.Topo)
+	hops := sh4.Part.RouteHops()
 	for s := 0; s < sh4.Shards(); s++ {
 		for d := 0; d < sh4.Shards(); d++ {
 			want := sh4.Costs.HopFixed * sim.Duration(hops[s][d])

@@ -24,7 +24,7 @@ import (
 
 // OpCost is the host-side fixed cost per file operation beyond the
 // per-byte copying.
-var OpCost = sim.Microseconds(350)
+const OpCost = 350 * sim.Microsecond
 
 // request/reply wire bodies
 type req struct {
@@ -45,7 +45,6 @@ const (
 
 // Service is the distributed file service: one server per host.
 type Service struct {
-	sys      *core.System
 	hosts    []*core.Machine
 	replicas int
 	uid      int
@@ -67,7 +66,7 @@ func New(sys *core.System, hosts []*core.Machine, replicas int) *Service {
 		replicas = len(hosts)
 	}
 	s := &Service{
-		sys: sys, hosts: hosts, replicas: replicas, uid: sys.NextUID("dfs"),
+		hosts: hosts, replicas: replicas, uid: sys.NextUID("dfs"),
 		files: make([]map[string][]byte, len(hosts)),
 		down:  make([]bool, len(hosts)),
 		Ops:   make([]int, len(hosts)),

@@ -18,7 +18,7 @@ const ComplexBytes = 8
 
 // ButterflyCost is the 68020+68882 execution time of one complex
 // butterfly (~10 floating point operations).
-var ButterflyCost = sim.Microseconds(65)
+const ButterflyCost = 65 * sim.Microsecond
 
 // fftCost returns the modeled execution time of an n-point 1DFFT.
 func fftCost(n int) sim.Duration {
@@ -47,10 +47,7 @@ func (s Strategy) String() string {
 
 // Result reports a distributed 2DFFT run.
 type Result struct {
-	N        int
-	Procs    int
-	Strategy Strategy
-	Elapsed  sim.Duration
+	Elapsed sim.Duration
 	// NumbersRead is the count of complex numbers each processor's
 	// kernel read off the wire during redistribution (the §4.2
 	// metric: 65536 with multicast vs 256 with scatter for n=256,
@@ -83,7 +80,6 @@ func Run2DFFT(sys *core.System, in *Matrix, procs int, strat Strategy) (*Result,
 	work := in.Clone()
 	out := NewMatrix(n)
 	res := &Result{
-		N: n, Procs: procs, Strategy: strat,
 		NumbersRead:  make([]int64, procs),
 		IdealCompute: sim.Duration(2*rows) * fftCost(n),
 	}

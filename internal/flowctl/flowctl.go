@@ -103,7 +103,6 @@ type dataMsg struct {
 // a demultiplexing deliver handler and a grant-manager process on
 // every station. Construct it before spawning application processes.
 type Reservation struct {
-	nw *snet.Network
 	// per-station state
 	reqs    []*sim.Queue[int] // pending RTS sources at each receiver
 	grants  []*sim.Cond       // receiver manager wakes when data arrives
@@ -116,7 +115,6 @@ type Reservation struct {
 func NewReservation(k *sim.Kernel, nw *snet.Network) *Reservation {
 	n := nw.Stations()
 	r := &Reservation{
-		nw:      nw,
 		reqs:    make([]*sim.Queue[int], n),
 		grants:  make([]*sim.Cond, n),
 		cts:     make([]*sim.Cond, n),
@@ -124,9 +122,9 @@ func NewReservation(k *sim.Kernel, nw *snet.Network) *Reservation {
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		r.reqs[i] = sim.NewQueue[int](k, fmt.Sprintf("rsv-req%d", i))
-		r.grants[i] = sim.NewCond(k, fmt.Sprintf("rsv-grant%d", i))
-		r.cts[i] = sim.NewCond(k, fmt.Sprintf("rsv-cts%d", i))
+		r.reqs[i] = sim.NewQueue[int](fmt.Sprintf("rsv-req%d", i))
+		r.grants[i] = sim.NewCond(fmt.Sprintf("rsv-grant%d", i))
+		r.cts[i] = sim.NewCond(fmt.Sprintf("rsv-cts%d", i))
 		st := nw.Station(i)
 		st.SetDeliver(func(m snet.Message) {
 			switch c := m.Payload.(type) {

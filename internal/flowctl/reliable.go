@@ -20,7 +20,6 @@ import (
 // number, so delivery is exactly-once.
 type Reliable struct {
 	k       *sim.Kernel
-	nw      *snet.Network
 	pending []*relPend
 	userFns []func(m snet.Message)
 	seq     int // per-instance sequence counter
@@ -72,7 +71,6 @@ func NewReliable(k *sim.Kernel, nw *snet.Network) *Reliable {
 	n := nw.Stations()
 	r := &Reliable{
 		k:          k,
-		nw:         nw,
 		pending:    make([]*relPend, n),
 		userFns:    make([]func(m snet.Message), n),
 		incs:       make([]uint32, n),

@@ -18,8 +18,6 @@ type CoroutineGroup struct {
 	sp    *Subprocess
 	coros []*Coroutine
 	yield chan struct{}
-	// Switches counts coroutine switches performed.
-	Switches int
 }
 
 // Coroutine is one cooperative thread within a subprocess.
@@ -60,7 +58,6 @@ func (g *CoroutineGroup) Run() {
 		if c == nil {
 			return
 		}
-		g.Switches++
 		g.sp.System(g.sp.node.costs.CoroutineSwitch)
 		c.resume <- struct{}{}
 		<-g.yield

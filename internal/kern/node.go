@@ -107,7 +107,6 @@ type Node struct {
 
 	inIntr      bool
 	crashed     bool
-	acctBusy    bool // accounting an active (non-idle) span
 	incarnation uint32
 	onCrash     []func()
 
@@ -357,7 +356,6 @@ type task struct {
 	tok  sim.ParkToken
 	prio int
 	seq  uint64
-	idx  int // heap index
 	// sleepReason and wakeSleep are SleepFor's park reason and timer
 	// callback, built on the first sleep.
 	sleepReason string
@@ -406,16 +404,8 @@ func (h taskHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h taskHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *taskHeap) Push(x any) {
-	t := x.(*task)
-	t.idx = len(*h)
-	*h = append(*h, t)
-}
+func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*task)) }
 func (h *taskHeap) Pop() any {
 	old := *h
 	t := old[len(old)-1]

@@ -121,12 +121,7 @@ type Semaphore struct {
 	node    *Node
 	name    string
 	count   int
-	waiters []waiter
-}
-
-type waiter struct {
-	sp   *Subprocess
-	wake Waker
+	waiters []Waker
 }
 
 // NewSemaphore creates a semaphore on the node with an initial count.
@@ -142,7 +137,7 @@ func (s *Semaphore) P(sp *Subprocess) {
 		return
 	}
 	wake := sp.Block(WaitOther, "sem "+s.name)
-	s.waiters = append(s.waiters, waiter{sp: sp, wake: wake})
+	s.waiters = append(s.waiters, wake)
 	sp.BlockNow()
 }
 
@@ -152,7 +147,7 @@ func (s *Semaphore) V(sp *Subprocess) {
 	if len(s.waiters) > 0 {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]
-		w.wake.Wake()
+		w.Wake()
 		return
 	}
 	s.count++

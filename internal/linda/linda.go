@@ -84,12 +84,12 @@ func (t Tuple) WireBytes() int {
 }
 
 // Kernel-level manager costs.
-var (
+const (
 	// MatchFixed is the manager's fixed cost to process one
 	// operation at interrupt level.
-	MatchFixed = sim.Microseconds(22)
+	MatchFixed = 22 * sim.Microsecond
 	// MatchPerTuple is the scan cost per stored tuple examined.
-	MatchPerTuple = sim.Microseconds(2)
+	MatchPerTuple = 2 * sim.Microsecond
 )
 
 // wire messages
@@ -107,7 +107,6 @@ type repMsg struct {
 
 // Space is a distributed tuple space over a set of processing nodes.
 type Space struct {
-	sys   *core.System
 	nodes []*core.Machine
 	uid   int
 
@@ -116,8 +115,8 @@ type Space struct {
 	replies map[uint64]*waiter
 	tokens  uint64
 
-	// Outs, Ins, Rds count completed operations.
-	Outs, Ins, Rds int
+	// Outs and Ins count completed operations.
+	Outs, Ins int
 }
 
 type waiter struct {
@@ -128,7 +127,7 @@ type waiter struct {
 // New builds a tuple space whose managers run on the given nodes.
 func New(sys *core.System, nodes []*core.Machine) *Space {
 	s := &Space{
-		sys: sys, nodes: nodes, uid: sys.NextUID("linda"),
+		nodes: nodes, uid: sys.NextUID("linda"),
 		store:   make([]map[string][]Tuple, len(nodes)),
 		waiters: make([]map[string][]reqMsg, len(nodes)),
 		replies: map[uint64]*waiter{},
@@ -279,11 +278,7 @@ func (h *Handle) In(sp *kern.Subprocess, pattern ...any) (Tuple, error) {
 // Rd reads a tuple matching the pattern without withdrawing it,
 // blocking until one exists.
 func (h *Handle) Rd(sp *kern.Subprocess, pattern ...any) (Tuple, error) {
-	t, err := h.request(sp, Tuple(pattern), false)
-	if err == nil {
-		h.s.Rds++
-	}
-	return t, err
+	return h.request(sp, Tuple(pattern), false)
 }
 
 func (h *Handle) request(sp *kern.Subprocess, pattern Tuple, take bool) (Tuple, error) {

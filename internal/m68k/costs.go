@@ -2,12 +2,16 @@
 // 25 MHz Motorola 68020 processing nodes with 68882 floating-point
 // coprocessors, SUN 3 host workstations, and the 160 Mbit/s HPC links.
 //
-// Every latency the simulation produces is a sum of these constants,
-// which are calibrated against the numbers the paper itself reports
+// Every latency the simulation produces is a sum of calibrated
+// constants: these hardware and kernel costs, and the typed cost
+// constants that protocol and application packages declare beside the
+// code that charges them (Table 1's sliding-window costs live in udo).
+// They are calibrated against the numbers the paper itself reports
 // (Tables 1 and 2, the 303 µs channel latency, the 60 µs user-defined
 // object latency, the 80 µs context switch, the 3.2 Mbyte/s bitmap
-// rate, and the 12 s vs 2 s download times). See DESIGN.md for the
-// calibration notes.
+// rate, and the 12 s vs 2 s download times). DESIGN.md's "Calibrated
+// cost model" lists every constant with the paper number it was
+// fitted to.
 package m68k
 
 import "hpcvorx/internal/sim"

@@ -19,7 +19,6 @@ package multicast
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"hpcvorx/internal/hpc"
 	"hpcvorx/internal/kern"
@@ -43,23 +42,10 @@ type Msg struct {
 }
 
 type mcFrag struct {
-	gid   uint64
 	size  int
 	total int
 	last  bool
 	pay   any
-}
-
-type mcAck struct {
-	gid  uint64
-	from topo.EndpointID
-}
-
-// gidFor derives the group id from the group name.
-func gidFor(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
 }
 
 // Sender is the writing end of a multicast group.
@@ -67,20 +53,16 @@ type Sender struct {
 	f       *netif.IF
 	mgr     *objmgr.Manager
 	name    string
-	gid     uint64
 	members []topo.EndpointID
 
 	waitingAcks int
 	writerWake  kern.Waker
-
-	// Writes counts completed multicast writes.
-	Writes int
 }
 
 // NewSender creates the group's writing end on node interface f. Call
 // Accept once per expected member before writing.
 func NewSender(f *netif.IF, mgr *objmgr.Manager, name string) *Sender {
-	s := &Sender{f: f, mgr: mgr, name: name, gid: gidFor(name)}
+	s := &Sender{f: f, mgr: mgr, name: name}
 	f.Register("mc.ack."+name, netif.Service{
 		Cost: func(*hpc.Message) sim.Duration { return f.Node().Costs().ChanAckProto },
 		Handle: func(m *hpc.Message) {
@@ -121,7 +103,7 @@ func (s *Sender) Write(sp *kern.Subprocess, size int, payload any) error {
 		if n > maxFragment {
 			n = maxFragment
 		}
-		frag := mcFrag{gid: s.gid, size: n, total: size, last: off+n >= size}
+		frag := mcFrag{size: n, total: size, last: off+n >= size}
 		if frag.last {
 			frag.pay = payload
 		}
@@ -133,36 +115,29 @@ func (s *Sender) Write(sp *kern.Subprocess, size int, payload any) error {
 	}
 	sp.BlockNow()
 	sp.System(costs.SchedulerWake)
-	s.Writes++
 	return nil
 }
 
 // Receiver is one member's reading end.
 type Receiver struct {
 	f    *netif.IF
-	mgr  *objmgr.Manager
 	name string
-	gid  uint64
 	peer topo.EndpointID
 
 	ready      []Msg
-	assembling int
 	reader     kern.Waker
 	waiting    bool
 	pendingMsg Msg
-	havePend   bool
 
 	// BytesRead counts all payload bytes this member's kernel read
 	// off the wire — including data the application did not need,
 	// which is the cost §4.2 warns about.
 	BytesRead int64
-	// Reads counts messages consumed.
-	Reads int
 }
 
 // Join creates the member end and rendezvouses with the group sender.
 func Join(f *netif.IF, mgr *objmgr.Manager, sp *kern.Subprocess, name string) *Receiver {
-	r := &Receiver{f: f, mgr: mgr, name: name, gid: gidFor(name)}
+	r := &Receiver{f: f, name: name}
 	costs := f.Node().Costs()
 	f.Register("mc."+name, netif.Service{
 		Cost: func(m *hpc.Message) sim.Duration {
@@ -180,17 +155,14 @@ func (r *Receiver) handle(m *hpc.Message) {
 	frag := m.Payload.(mcFrag)
 	r.BytesRead += int64(frag.size)
 	if !frag.last {
-		r.assembling += frag.size
 		return
 	}
-	r.assembling = 0
 	msg := Msg{Size: frag.total, Payload: frag.pay}
 	// Acknowledge: this member's kernel has the whole write.
-	r.f.SendAsync(r.peer, "mc.ack."+r.name, ackBytes, mcAck{gid: r.gid, from: r.f.Endpoint()}, nil)
+	r.f.SendAsync(r.peer, "mc.ack."+r.name, ackBytes, nil, nil)
 	if r.waiting {
 		r.waiting = false
 		r.pendingMsg = msg
-		r.havePend = true
 		r.reader.Wake()
 		return
 	}
@@ -205,13 +177,10 @@ func (r *Receiver) Read(sp *kern.Subprocess) Msg {
 		m := r.ready[0]
 		r.ready = r.ready[1:]
 		sp.System(costs.KernelCopyTime(m.Size))
-		r.Reads++
 		return m
 	}
 	r.reader, r.waiting = sp.Block(kern.WaitInput, "mc-read "+r.name), true
 	sp.BlockNow()
 	sp.System(costs.SchedulerWake)
-	r.havePend = false
-	r.Reads++
 	return r.pendingMsg
 }

@@ -117,9 +117,6 @@ type IF struct {
 	// crashed — the hardware input section auto-frees, the software
 	// never sees them.
 	DroppedDead int
-	// AsyncDropped counts asynchronous sends abandoned because link
-	// failures made the destination unreachable.
-	AsyncDropped int
 
 	// Incarnation fencing (PR 6). fences maps a source endpoint to the
 	// minimum incarnation this interface still accepts from it; frames
@@ -629,7 +626,6 @@ func (f *IF) trySend(msg *hpc.Message, cb func(*hpc.Message)) bool {
 		// Unreachable (partitioned) or oversize: drop. End-to-end
 		// recovery — channel timeouts, peer-death — is the caller's
 		// protocol layer's job.
-		f.AsyncDropped++
 		f.ic.FreeMessage(msg)
 		return true
 	}

@@ -60,15 +60,15 @@ const (
 	OpenReplyBytes   = 32
 )
 
-var (
+const (
 	// ManagerProcess is the manager-side CPU cost to process one
 	// open request (hash-table work plus reply generation).
-	ManagerProcess = sim.Microseconds(45)
+	ManagerProcess = 45 * sim.Microsecond
 	// OpenOverhead is the opener-side kernel cost beyond the bare
 	// system call.
-	OpenOverhead = sim.Microseconds(25)
+	OpenOverhead = 25 * sim.Microsecond
 	// ReplyISR is the opener-side cost to absorb the reply.
-	ReplyISR = sim.Microseconds(12)
+	ReplyISR = 12 * sim.Microsecond
 )
 
 // Pairing is the result of a successful open.

@@ -33,14 +33,14 @@ const (
 )
 
 // FramePeriod is the real-time frame cadence.
-var FramePeriod = 64 * sim.Millisecond
+const FramePeriod = 64 * sim.Millisecond
 
 // MixPerByte is the mixer's per-byte cost to sum one conferee's frame
 // into the mix.
-var MixPerByte = sim.Microseconds(0.28)
+const MixPerByte = 280 * sim.Nanosecond
 
 type joinMsg struct{ id int }
-type leaveMsg struct{ id int }
+type leaveMsg struct{}
 
 // Frame is a mixed audio frame delivered to a member.
 type Frame struct {
@@ -50,10 +50,7 @@ type Frame struct {
 
 // Conference is a running conference.
 type Conference struct {
-	sys   *core.System
-	node  *core.Machine
-	name  string
-	alive bool
+	name string
 
 	members map[int]*session
 	nextID  int
@@ -66,7 +63,6 @@ type Conference struct {
 
 // session is the mixer-side state for one conferee.
 type session struct {
-	id       int
 	up, down *channels.Channel
 	// latest uplink frame for the current period, if any
 	have bool
@@ -76,7 +72,7 @@ type session struct {
 // New starts a conference mixer on the given processing node. The
 // name is the rendezvous prefix conferees Join with.
 func New(sys *core.System, node *core.Machine, name string) *Conference {
-	c := &Conference{sys: sys, node: node, name: name, members: map[int]*session{}, alive: true}
+	c := &Conference{name: name, members: map[int]*session{}}
 
 	// Control subprocess: admits joiners forever (Serve reuse, §4).
 	ctl := sys.Spawn(node, "rapport-ctl", 1, func(sp *kern.Subprocess) {
@@ -93,7 +89,7 @@ func New(sys *core.System, node *core.Machine, name string) *Conference {
 				return
 			}
 			// Media channels for this member.
-			s := &session{id: id}
+			s := &session{}
 			s.up = node.Chans.Open(sp, c.upName(id), objmgr.Serve)
 			s.down = node.Chans.Open(sp, c.downName(id), objmgr.Serve)
 			c.members[id] = s
@@ -178,8 +174,6 @@ func (c *Conference) Members() int { return len(c.members) }
 
 // Member is a conferee's handle.
 type Member struct {
-	conf     *Conference
-	m        *core.Machine
 	id       int
 	up, down *channels.Channel
 	left     bool
@@ -197,7 +191,7 @@ func (c *Conference) Join(sp *kern.Subprocess, m *core.Machine) (*Member, error)
 		return nil, fmt.Errorf("rapport: join refused")
 	}
 	id := rep.Payload.(joinMsg).id
-	mem := &Member{conf: c, m: m, id: id}
+	mem := &Member{id: id}
 	mem.up = m.Chans.Open(sp, c.upName(id), objmgr.Connect)
 	mem.down = m.Chans.Open(sp, c.downName(id), objmgr.Connect)
 	ctl.Close(sp)
@@ -230,5 +224,5 @@ func (mem *Member) Leave(sp *kern.Subprocess) {
 		return
 	}
 	mem.left = true
-	mem.up.Write(sp, ctlBytes, leaveMsg{id: mem.id})
+	mem.up.Write(sp, ctlBytes, leaveMsg{})
 }

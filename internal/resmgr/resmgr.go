@@ -38,7 +38,6 @@ const MaxProcessesPerNode = 15
 
 // Meglos is the allocate-at-run policy.
 type Meglos struct {
-	k     *sim.Kernel
 	nodes []meglosNode
 	apps  map[int]*MeglosApp
 	seq   int
@@ -51,15 +50,13 @@ type meglosNode struct {
 
 // MeglosApp is a running application's allocation.
 type MeglosApp struct {
-	ID        int
-	User      string
-	Nodes     []NodeID
-	Exclusive bool
+	ID    int
+	Nodes []NodeID
 }
 
 // NewMeglos creates the policy over a pool of n processors.
-func NewMeglos(k *sim.Kernel, n int) *Meglos {
-	m := &Meglos{k: k, nodes: make([]meglosNode, n), apps: make(map[int]*MeglosApp)}
+func NewMeglos(n int) *Meglos {
+	m := &Meglos{nodes: make([]meglosNode, n), apps: make(map[int]*MeglosApp)}
 	for i := range m.nodes {
 		m.nodes[i].exclusive = -1
 	}
@@ -71,7 +68,7 @@ func NewMeglos(k *sim.Kernel, n int) *Meglos {
 // processors admit no other processes while the app runs. Returns
 // ErrNotAvailable when not enough processors qualify — the failure
 // mode §3.1 describes.
-func (m *Meglos) StartApp(user string, procs int, exclusive bool) (*MeglosApp, error) {
+func (m *Meglos) StartApp(procs int, exclusive bool) (*MeglosApp, error) {
 	var chosen []NodeID
 	for i := range m.nodes {
 		n := &m.nodes[i]
@@ -92,7 +89,7 @@ func (m *Meglos) StartApp(user string, procs int, exclusive bool) (*MeglosApp, e
 	if len(chosen) < procs {
 		return nil, ErrNotAvailable
 	}
-	app := &MeglosApp{ID: m.seq, User: user, Nodes: chosen, Exclusive: exclusive}
+	app := &MeglosApp{ID: m.seq, Nodes: chosen}
 	m.seq++
 	m.apps[app.ID] = app
 	for _, id := range chosen {

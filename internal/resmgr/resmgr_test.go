@@ -13,34 +13,32 @@ func TestMeglosRecompileRace(t *testing.T) {
 	// recompiles; meanwhile somebody else starts an exclusive app on
 	// the remaining processors; the rerun gets "processors not
 	// available".
-	k := sim.NewKernel(1)
-	m := NewMeglos(k, 8)
+	m := NewMeglos(8)
 
-	app, err := m.StartApp("alice", 8, true)
+	app, err := m.StartApp(8, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.EndApp(app) // run finished; processors return to the pool
 
 	// While alice recompiles, bob grabs everything exclusively.
-	if _, err := m.StartApp("bob", 8, true); err != nil {
+	if _, err := m.StartApp(8, true); err != nil {
 		t.Fatalf("bob should get the freed processors: %v", err)
 	}
 
 	// Alice's rerun fails with the famous diagnostic.
-	_, err = m.StartApp("alice", 8, true)
+	_, err = m.StartApp(8, true)
 	if !errors.Is(err, ErrNotAvailable) {
 		t.Fatalf("want %q, got %v", ErrNotAvailable, err)
 	}
 }
 
 func TestMeglosSharingWithoutExclusive(t *testing.T) {
-	k := sim.NewKernel(1)
-	m := NewMeglos(k, 2)
+	m := NewMeglos(2)
 	// Up to 15 protected processes share one processor.
 	var apps []*MeglosApp
 	for i := 0; i < 15; i++ {
-		app, err := m.StartApp("u", 1, false)
+		app, err := m.StartApp(1, false)
 		if err != nil {
 			t.Fatalf("app %d: %v", i, err)
 		}
@@ -50,7 +48,7 @@ func TestMeglosSharingWithoutExclusive(t *testing.T) {
 		}
 	}
 	// 16th process on node 0 is refused; it lands on node 1.
-	app, err := m.StartApp("u", 1, false)
+	app, err := m.StartApp(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +64,11 @@ func TestMeglosSharingWithoutExclusive(t *testing.T) {
 }
 
 func TestMeglosExclusiveExcludesSharing(t *testing.T) {
-	k := sim.NewKernel(1)
-	m := NewMeglos(k, 1)
-	if _, err := m.StartApp("a", 1, true); err != nil {
+	m := NewMeglos(1)
+	if _, err := m.StartApp(1, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.StartApp("b", 1, false); !errors.Is(err, ErrNotAvailable) {
+	if _, err := m.StartApp(1, false); !errors.Is(err, ErrNotAvailable) {
 		t.Fatalf("sharing with an exclusive holder should fail, got %v", err)
 	}
 }

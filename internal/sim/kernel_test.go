@@ -107,7 +107,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []string {
 		k := NewKernel(42)
 		var log []string
-		q := NewQueue[int](k, "q")
+		q := NewQueue[int]("q")
 		for i := 0; i < 3; i++ {
 			i := i
 			k.Spawn(fmt.Sprintf("prod%d", i), func(p *Proc) {
@@ -137,7 +137,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[int](k, "never")
+	q := NewQueue[int]("never")
 	k.Spawn("waiter", func(p *Proc) { q.Get(p) })
 	err := k.Run()
 	var dl *DeadlockError
@@ -158,7 +158,7 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestSemaphoreFIFO(t *testing.T) {
 	k := NewKernel(1)
-	s := NewSemaphore(k, "s", 1)
+	s := NewSemaphore("s", 1)
 	var order []string
 	hold := func(name string, work Duration) {
 		k.Spawn(name, func(p *Proc) {
@@ -181,7 +181,7 @@ func TestSemaphoreFIFO(t *testing.T) {
 
 func TestCondSignal(t *testing.T) {
 	k := NewKernel(1)
-	c := NewCond(k, "c")
+	c := NewCond("c")
 	woken := 0
 	for i := 0; i < 3; i++ {
 		k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
@@ -405,7 +405,7 @@ func TestShutdownReleasesProcs(t *testing.T) {
 		}
 	}
 	spawn := func(k *Kernel) {
-		c := NewCond(k, "never")
+		c := NewCond("never")
 		for i := 0; i < 50; i++ {
 			d := Duration(i) * Microsecond
 			k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -494,7 +494,7 @@ func TestQueueFIFOProperty(t *testing.T) {
 	f := func(prodDelay, consDelay uint8, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
 		k := NewKernel(7)
-		q := NewQueue[int](k, "q")
+		q := NewQueue[int]("q")
 		var got []int
 		k.Spawn("prod", func(p *Proc) {
 			for i := 0; i < n; i++ {
@@ -570,7 +570,7 @@ func TestDurationFormatting(t *testing.T) {
 
 func TestBlockedListsParkedProcs(t *testing.T) {
 	k := NewKernel(1)
-	c := NewCond(k, "gate")
+	c := NewCond("gate")
 	k.Spawn("a", func(p *Proc) { c.Wait(p) })
 	k.Spawn("b", func(p *Proc) {
 		p.Sleep(Microsecond)
@@ -586,7 +586,7 @@ func TestBlockedListsParkedProcs(t *testing.T) {
 
 func TestDaemonDoesNotDeadlock(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQueue[int](k, "dq")
+	q := NewQueue[int]("dq")
 	d := k.Spawn("daemon", func(p *Proc) {
 		for {
 			q.Get(p)

@@ -4,15 +4,14 @@ package sim
 // blocks; Get blocks while the queue is empty. Waiting getters are
 // served in FIFO order.
 type Queue[T any] struct {
-	k       *Kernel
 	name    string
 	items   []T
 	getters []*Proc
 }
 
 // NewQueue returns an empty queue.
-func NewQueue[T any](k *Kernel, name string) *Queue[T] {
-	return &Queue[T]{k: k, name: name}
+func NewQueue[T any](name string) *Queue[T] {
+	return &Queue[T]{name: name}
 }
 
 // Put appends v, waking the oldest blocked getter if any.

@@ -3,15 +3,14 @@ package sim
 // Semaphore is a counting semaphore in virtual time. Waiters are
 // served in FIFO order, which keeps simulations deterministic.
 type Semaphore struct {
-	k       *Kernel
 	name    string
 	count   int
 	waiters []*Proc
 }
 
 // NewSemaphore returns a semaphore with the given initial count.
-func NewSemaphore(k *Kernel, name string, count int) *Semaphore {
-	return &Semaphore{k: k, name: name, count: count}
+func NewSemaphore(name string, count int) *Semaphore {
+	return &Semaphore{name: name, count: count}
 }
 
 // Acquire decrements the semaphore, blocking p while the count is zero.
@@ -42,14 +41,13 @@ func (s *Semaphore) Release() {
 // Unlike sync.Cond there is no associated lock — the simulation is
 // single-threaded in virtual time.
 type Cond struct {
-	k       *Kernel
 	name    string
 	waiters []*Proc
 }
 
 // NewCond returns an empty wait list.
-func NewCond(k *Kernel, name string) *Cond {
-	return &Cond{k: k, name: name}
+func NewCond(name string) *Cond {
+	return &Cond{name: name}
 }
 
 // Wait blocks p until Signal wakes it.

@@ -54,13 +54,12 @@ type Message struct {
 
 // Stats counts network-level activity.
 type Stats struct {
-	Transfers   int // bus transfers attempted
-	Delivered   int // complete messages deposited
-	Rejected    int // fifo-full results
-	Lost        int // transfers destroyed in flight by fault injection
-	JunkBytes   int64
-	DataBytes   int64
-	BusBusyTime sim.Duration
+	Transfers int // bus transfers attempted
+	Delivered int // complete messages deposited
+	Rejected  int // fifo-full results
+	Lost      int // transfers destroyed in flight by fault injection
+	JunkBytes int64
+	DataBytes int64
 }
 
 // Fate is an injector's verdict on one bus transfer.
@@ -131,10 +130,10 @@ func (nw *Network) SetCorruptEvery(n int) {
 // NewNetwork creates an S/NET with n stations. The paper's largest
 // system had 12; most had 8.
 func NewNetwork(k *sim.Kernel, costs *m68k.Costs, n int) *Network {
-	nw := &Network{k: k, costs: costs, busSem: sim.NewSemaphore(k, "snet-bus", 1)}
+	nw := &Network{k: k, costs: costs, busSem: sim.NewSemaphore("snet-bus", 1)}
 	for i := 0; i < n; i++ {
 		st := &Station{nw: nw, id: i, fifoCap: costs.SNETFifoCap}
-		st.fifoCond = sim.NewCond(k, fmt.Sprintf("snet-fifo%d", i))
+		st.fifoCond = sim.NewCond(fmt.Sprintf("snet-fifo%d", i))
 		nw.stations = append(nw.stations, st)
 	}
 	return nw
@@ -162,7 +161,6 @@ type Station struct {
 	draining bool
 
 	// Counters.
-	DeliveredMsgs int
 	DiscardedJunk int
 }
 
@@ -218,11 +216,8 @@ func (s *Station) StartKernel() {
 			}
 			if rec.junk {
 				s.DiscardedJunk++
-			} else {
-				s.DeliveredMsgs++
-				if s.deliver != nil {
-					s.deliver(Message{Src: rec.src, Size: rec.size, Payload: rec.payload, Corrupt: rec.corrupt})
-				}
+			} else if s.deliver != nil {
+				s.deliver(Message{Src: rec.src, Size: rec.size, Payload: rec.payload, Corrupt: rec.corrupt})
 			}
 		}
 	})
@@ -243,9 +238,7 @@ func (s *Station) Send(p *sim.Proc, dst, size int, payload any) Result {
 	}
 	nw := s.nw
 	nw.busSem.Acquire(p)
-	start := p.Now()
 	p.Sleep(nw.costs.SNETBusFixed + sim.Duration(size)*nw.costs.SNETBusPerByte)
-	nw.stats.BusBusyTime += p.Now().Sub(start)
 	nw.busSem.Release()
 
 	nw.stats.Transfers++

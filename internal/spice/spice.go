@@ -29,7 +29,7 @@ import (
 
 // FlopCost is the 68882 time per floating point operation in the
 // solver's inner loop.
-var FlopCost = sim.Microseconds(6.5)
+const FlopCost = 6500 * sim.Nanosecond
 
 // ValueBytes is the wire size of one unknown (32-bit float in 1988).
 const ValueBytes = 4
@@ -135,11 +135,8 @@ func (tr Transport) String() string {
 
 // Result reports one distributed solve.
 type Result struct {
-	Transport  Transport
-	Procs      int
-	Iterations int
-	Elapsed    sim.Duration
-	Residual   float64
+	Elapsed  sim.Duration
+	Residual float64
 	// Messages is the total boundary-exchange messages sent.
 	Messages int
 }
@@ -166,7 +163,7 @@ func Solve(sys *core.System, grid *System, procs, iters int, tr Transport) (*Res
 	}
 	rows := n / procs
 	x := make([]float64, grid.Unknowns())
-	res := &Result{Transport: tr, Procs: procs, Iterations: iters}
+	res := &Result{}
 
 	send := make([]func(sp *kern.Subprocess, to int, b boundary), procs)
 	recvFrom := make([]func(sp *kern.Subprocess, from, iter int) []float64, procs)

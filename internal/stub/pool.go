@@ -21,7 +21,6 @@ import (
 // spreads its calls across all of them round-robin (or pins a host
 // explicitly), opening one channel per (process, host) lazily.
 type SyscallPool struct {
-	sys   *core.System
 	hosts []*core.Machine
 	uid   int
 
@@ -32,7 +31,7 @@ type SyscallPool struct {
 // NewSyscallPool starts a syscall server on each host. Servers are
 // daemons: they accept connections and serve forever.
 func NewSyscallPool(sys *core.System, hosts []*core.Machine) *SyscallPool {
-	p := &SyscallPool{sys: sys, hosts: hosts, uid: sys.NextUID("stub"), Served: make([]int, len(hosts))}
+	p := &SyscallPool{hosts: hosts, uid: sys.NextUID("stub"), Served: make([]int, len(hosts))}
 	for hi, h := range hosts {
 		hi, h := hi, h
 		acceptor := sys.Spawn(h, fmt.Sprintf("scpool-accept%d", hi), 0, func(sp *kern.Subprocess) {

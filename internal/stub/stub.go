@@ -46,7 +46,7 @@ const ChunkBytes = 1024
 
 // ProcessInit is the node-side cost to initialize a downloaded
 // process before it reports ready.
-var ProcessInit = sim.Milliseconds(5)
+const ProcessInit = 5 * sim.Millisecond
 
 // Mode selects the stub arrangement.
 type Mode int
@@ -67,7 +67,6 @@ func (m Mode) String() string {
 
 // App is a launched application.
 type App struct {
-	Mode  Mode
 	uid   int
 	Procs []*Proc
 	Stubs []*Stub
@@ -93,9 +92,7 @@ func (a *App) processStarted(now sim.Time) {
 
 // Stub is a host-side stub process.
 type Stub struct {
-	app    *App
 	host   *core.Machine
-	id     int
 	fds    map[int]string
 	nextFD int
 	// Syscalls counts forwarded calls executed by this stub.
@@ -104,7 +101,6 @@ type Stub struct {
 
 // Proc is a node-side application process handle.
 type Proc struct {
-	app     *App
 	node    *core.Machine
 	id      int
 	sc      *channels.Channel // syscall channel to the stub
@@ -116,7 +112,6 @@ func (p *Proc) Node() *core.Machine { return p.node }
 
 // syscall wire messages
 type scReq struct {
-	proc int
 	kind string // "open", "write", "block", ...
 	arg  string
 	dur  sim.Duration // host execution time beyond the base cost
@@ -140,9 +135,9 @@ const (
 // App.StartedAt holds the makespan. onReady (may be nil) fires inside
 // the simulation when the last process starts.
 func Launch(sys *core.System, host *core.Machine, nodes []*core.Machine, img Image, mode Mode, onReady func()) *App {
-	app := &App{Mode: mode, uid: sys.NextUID("stub"), onReady: onReady}
+	app := &App{uid: sys.NextUID("stub"), onReady: onReady}
 	for i, n := range nodes {
-		app.Procs = append(app.Procs, &Proc{app: app, node: n, id: i})
+		app.Procs = append(app.Procs, &Proc{node: n, id: i})
 	}
 	if mode == PerProcess {
 		launchPerProcess(sys, host, app, img)
@@ -159,9 +154,9 @@ func LaunchTree(sys *core.System, host *core.Machine, nodes []*core.Machine, img
 	if fanout < 1 {
 		fanout = 1
 	}
-	app := &App{Mode: SharedTree, uid: sys.NextUID("stub"), onReady: onReady}
+	app := &App{uid: sys.NextUID("stub"), onReady: onReady}
 	for i, n := range nodes {
-		app.Procs = append(app.Procs, &Proc{app: app, node: n, id: i})
+		app.Procs = append(app.Procs, &Proc{node: n, id: i})
 	}
 	launchTree(sys, host, app, img, fanout)
 	return app
@@ -175,7 +170,7 @@ func launchPerProcess(sys *core.System, host *core.Machine, app *App, img Image)
 		for i := range app.Procs {
 			i := i
 			sp.Compute(sys.Costs.HostFork) // fork(2) the stub
-			st := &Stub{app: app, host: host, id: i, fds: map[int]string{}}
+			st := &Stub{host: host, fds: map[int]string{}}
 			app.Stubs = append(app.Stubs, st)
 			sys.Spawn(host, fmt.Sprintf("stub%d", i), 0, func(ssp *kern.Subprocess) {
 				ssp.Proc().SetDaemon(true)
@@ -217,7 +212,7 @@ func launchTree(sys *core.System, host *core.Machine, app *App, img Image, fanou
 	chunks := (img.Bytes + ChunkBytes - 1) / ChunkBytes
 	sys.Spawn(host, "shell", 0, func(sp *kern.Subprocess) {
 		sp.Compute(sys.Costs.HostFork) // one fork only
-		st := &Stub{app: app, host: host, id: 0, fds: map[int]string{}}
+		st := &Stub{host: host, fds: map[int]string{}}
 		app.Stubs = append(app.Stubs, st)
 		sys.Spawn(host, "stub", 0, func(ssp *kern.Subprocess) {
 			ssp.Proc().SetDaemon(true)
@@ -227,7 +222,7 @@ func launchTree(sys *core.System, host *core.Machine, app *App, img Image, fanou
 				if rem := img.Bytes - c*ChunkBytes; rem < n {
 					n = rem
 				}
-				if err := dl.Write(ssp, n, chunkMsg{seq: c, of: chunks}); err != nil {
+				if err := dl.Write(ssp, n, "text"); err != nil {
 					panic(err)
 				}
 			}
@@ -285,8 +280,6 @@ func launchTree(sys *core.System, host *core.Machine, app *App, img Image, fanou
 		})
 	}
 }
-
-type chunkMsg struct{ seq, of int }
 
 func scName(app *App, i int) string   { return fmt.Sprintf("stub.sc.%d.%d", app.uid, i) }
 func treeName(app *App, i int) string { return fmt.Sprintf("stub.tree.%d.%d", app.uid, i) }
@@ -359,7 +352,7 @@ func (p *Proc) Syscall(sp *kern.Subprocess, kind, arg string, dur sim.Duration) 
 	if !p.started {
 		return -1, fmt.Errorf("stub: process %d not started", p.id)
 	}
-	if err := p.sc.Write(sp, reqBytes, scReq{proc: p.id, kind: kind, arg: arg, dur: dur}); err != nil {
+	if err := p.sc.Write(sp, reqBytes, scReq{kind: kind, arg: arg, dur: dur}); err != nil {
 		return -1, err
 	}
 	m, ok := p.sc.Read(sp)

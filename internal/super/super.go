@@ -58,10 +58,10 @@ const (
 const RestartDelay = 1 * sim.Millisecond
 
 // HeartbeatISR is the supervisor-side cost to absorb one heartbeat.
-var HeartbeatISR = sim.Microseconds(4)
+const HeartbeatISR = 4 * sim.Microsecond
 
 // StableISR is the cost to absorb a stable-mark notice.
-var StableISR = sim.Microseconds(4)
+const StableISR = 4 * sim.Microsecond
 
 // State is a monitored machine's membership state.
 type State int
@@ -169,8 +169,6 @@ type Incarnation struct {
 	// State is the last committed checkpoint (nil on generation 0 or
 	// when death beat the first checkpoint).
 	State []byte
-	// At is when that checkpoint was committed.
-	At sim.Time
 	// Gen counts incarnations: 0 is the original launch.
 	Gen int
 	// Machine is where this incarnation runs.
@@ -224,7 +222,7 @@ func (t *Task) Attach(ch *channels.Channel) {
 	id := ch.ID()
 	mc := s.chansByID[id]
 	if mc == nil {
-		mc = &managedChan{id: id, name: ch.Name()}
+		mc = &managedChan{name: ch.Name()}
 		mc.ends[0] = &chanEnd{ep: t.mach.EP}
 		mc.ends[1] = &chanEnd{ep: ch.Peer()}
 		s.chansByID[id] = mc
@@ -261,7 +259,6 @@ func (t *Task) Launch() {
 // channel: both ends' current endpoints, owning tasks, and stable
 // checkpoint marks.
 type managedChan struct {
-	id   uint64
 	name string
 	ends [2]*chanEnd
 }
@@ -782,7 +779,7 @@ func (s *Supervisor) restart(t *Task, spare *core.Machine, snap snapshot) {
 	t.mach = spare
 	t.ck = nil // the new incarnation re-registers its checkpointer
 	inc := &Incarnation{
-		State: snap.state, At: snap.at, Gen: t.gen, Machine: spare,
+		State: snap.state, Gen: t.gen, Machine: spare,
 		chans: map[string]*channels.Channel{},
 	}
 	for _, id := range s.chanIDs() {

@@ -59,7 +59,7 @@ func (p *Partition) OfEndpoint(t *Topology, e EndpointID) int {
 // clusters are k>1 links apart can promise k hops of slack, because
 // every fabric signal between them must relay through k-1 intermediate
 // boundary crossings (each itself at least one hop).
-func (p *Partition) RouteHops(t *Topology) [][]int {
+func (p *Partition) RouteHops() [][]int {
 	n := p.shards
 	hops := make([][]int, n)
 	for s := range hops {

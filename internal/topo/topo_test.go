@@ -445,7 +445,7 @@ func TestPartitionPropertiesQuick(t *testing.T) {
 			t.Fatalf("clusters=%d shards=%d: shard sizes %v differ by more than one cluster",
 				clusters, shards, counts)
 		}
-		hops := p.RouteHops(tp)
+		hops := p.RouteHops()
 		for s := 0; s < n; s++ {
 			if hops[s][s] != 0 {
 				t.Fatalf("clusters=%d shards=%d: hops[%d][%d] = %d, want 0", clusters, shards, s, s, hops[s][s])

@@ -76,13 +76,11 @@ var DefaultBounds = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 
 // Histogram accumulates a value distribution into fixed buckets.
 type Histogram struct {
-	clock    func() sim.Time
 	Bounds   []float64 // bucket i counts v <= Bounds[i]; one overflow bucket
 	Buckets  []uint64
 	N        uint64
 	Sum      float64
 	Min, Max float64
-	At       sim.Time
 }
 
 // Observe records one sample.
@@ -97,7 +95,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.N++
 	h.Sum += v
-	h.At = h.clock()
 }
 
 // Mean returns the average of all samples (0 when empty).
@@ -175,7 +172,6 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 			bounds = DefaultBounds
 		}
 		h = &Histogram{
-			clock:   r.clock,
 			Bounds:  append([]float64(nil), bounds...),
 			Buckets: make([]uint64, len(bounds)+1),
 		}

@@ -20,7 +20,7 @@ type GatherSegment struct {
 
 // GatherSetup is the per-segment address-setup cost of a gathered
 // send.
-var GatherSetup = sim.Microseconds(3)
+const GatherSetup = 3 * sim.Microsecond
 
 // SendGather transmits the segments as a single message. Cost: the
 // fixed direct-access send, one copy of each segment, and the

@@ -35,7 +35,6 @@ import (
 
 // Msg is a message received through a user-defined object.
 type Msg struct {
-	Src     topo.EndpointID
 	Size    int
 	Payload any
 }
@@ -45,7 +44,7 @@ const RawHeader = 4
 
 // PollCheck is the user-level cost of one test-for-input when
 // interrupts are disabled.
-var PollCheck = sim.Microseconds(10)
+const PollCheck = 10 * sim.Microsecond
 
 // PolledDepth bounds how many undelivered messages a polled object
 // absorbs before hardware backpressure reaches the sender.
@@ -61,9 +60,6 @@ type Object struct {
 	pending []*hpc.Delivery // polled mode: deliveries held for backpressure
 	waiter  kern.Waker
 	waiting bool
-
-	// Received counts messages accepted.
-	Received int
 }
 
 // New creates a user-defined object named name on node interface f.
@@ -108,8 +104,7 @@ func New(f *netif.IF, name string, polled bool) *Object {
 }
 
 func (o *Object) accept(m *hpc.Message) {
-	o.queue = append(o.queue, Msg{Src: m.Src, Size: m.Size - RawHeader, Payload: m.Payload})
-	o.Received++
+	o.queue = append(o.queue, Msg{Size: m.Size - RawHeader, Payload: m.Payload})
 }
 
 // Send transmits size data bytes directly at the hardware: no system

@@ -29,23 +29,23 @@ import (
 // buffers credits accumulate, the sender never stalls, and the
 // per-message time converges to the Table 1 floor; with one buffer
 // every message pays the full serialized round trip (414 µs).
-var (
+const (
 	// WindowSendBookkeeping is the sender's per-message window
 	// accounting before touching the hardware.
-	WindowSendBookkeeping = sim.Microseconds(84)
+	WindowSendBookkeeping = 84 * sim.Microsecond
 	// WindowSendFormatPerByte is the sender's per-byte cost to build
 	// the outgoing message in its transmit ring.
-	WindowSendFormatPerByte = sim.Microseconds(0.053)
+	WindowSendFormatPerByte = 53 * sim.Nanosecond
 	// CreditISR is the sender-side user ISR cost to process one
 	// buffer-available message (user-mode interrupt trampoline plus
 	// counter update), beyond the fixed interrupt entry.
-	CreditISR = sim.Microseconds(40)
+	CreditISR = 40 * sim.Microsecond
 	// WindowDeliverISR is the receiver-side user ISR cost to file an
 	// arrived message into the window buffer ring.
-	WindowDeliverISR = sim.Microseconds(30)
+	WindowDeliverISR = 30 * sim.Microsecond
 	// WindowReadBookkeeping is the receiver's per-message user-level
 	// cost to take a message out of the ring.
-	WindowReadBookkeeping = sim.Microseconds(74)
+	WindowReadBookkeeping = 74 * sim.Microsecond
 	// CreditBytes is the wire size of a buffer-available message.
 	CreditBytes = 8
 )
@@ -61,9 +61,8 @@ type WindowSender struct {
 	blocked kern.Waker
 	waiting bool
 
-	// Sent counts messages transmitted; Stalls counts the times the
-	// sender ran out of credits and blocked.
-	Sent   int
+	// Stalls counts the times the sender ran out of credits and
+	// blocked.
 	Stalls int
 }
 
@@ -100,7 +99,6 @@ func (ws *WindowSender) Send(sp *kern.Subprocess, payload any) {
 	if err := ws.f.Send(sp, ws.dst, "udw.d."+ws.name, ws.msgSize+RawHeader, payload); err != nil {
 		panic(err)
 	}
-	ws.Sent++
 }
 
 // Credits returns the sender's current credit count.
@@ -111,7 +109,6 @@ type WindowReceiver struct {
 	f       *netif.IF
 	name    string
 	src     topo.EndpointID
-	msgSize int
 	buffers int
 
 	ring    []Msg
@@ -124,14 +121,14 @@ type WindowReceiver struct {
 
 // NewWindowReceiver creates the receiver half with k message buffers.
 func NewWindowReceiver(f *netif.IF, name string, src topo.EndpointID, msgSize, k int) *WindowReceiver {
-	wr := &WindowReceiver{f: f, name: name, src: src, msgSize: msgSize, buffers: k}
+	wr := &WindowReceiver{f: f, name: name, src: src, buffers: k}
 	costs := f.Node().Costs()
 	f.Register("udw.d."+name, netif.Service{
 		Cost: func(m *hpc.Message) sim.Duration {
 			return costs.UDORecvISR + costs.CopyTime(msgSize) + WindowDeliverISR
 		},
 		Handle: func(m *hpc.Message) {
-			wr.ring = append(wr.ring, Msg{Src: m.Src, Size: msgSize, Payload: m.Payload})
+			wr.ring = append(wr.ring, Msg{Size: msgSize, Payload: m.Payload})
 			if wr.waiting {
 				wr.waiting = false
 				wr.waiter.Wake()

@@ -33,9 +33,6 @@ type Balancer struct {
 	outstanding map[uint64]*ctrlOut
 	nextCtrl    uint64
 
-	stopSweep func()
-	stopAuto  func()
-
 	recs []Record
 
 	// Stats.
@@ -200,9 +197,9 @@ func (b *Balancer) start() {
 		b.tracer().GaugeSet("vchan.term", float64(p.term))
 		b.installChain(p, nil)
 	}
-	b.stopSweep = b.m.Kern.Beacon(reportEvery, b.sweep)
+	b.m.Kern.Beacon(reportEvery, b.sweep)
 	if b.fab.cfg.AutoEvery > 0 {
-		b.stopAuto = b.m.Kern.Beacon(b.fab.cfg.AutoEvery, b.autoSweep)
+		b.m.Kern.Beacon(b.fab.cfg.AutoEvery, b.autoSweep)
 	}
 }
 

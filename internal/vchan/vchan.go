@@ -236,8 +236,6 @@ type ctrlMsg struct {
 	broker   topo.EndpointID
 	consumer topo.EndpointID
 	from     topo.EndpointID
-	// drained: stable is the highest acked sequence at the seal.
-	stable int
 	// report payload.
 	inc       uint32
 	laneBytes []laneBytes
@@ -245,9 +243,8 @@ type ctrlMsg struct {
 }
 
 type laneBytes struct {
-	lane     uint32
-	bytes    int64
-	inflight int
+	lane  uint32
+	bytes int64
 }
 
 type vchanBytes struct {
@@ -260,7 +257,6 @@ type Msg struct {
 	Size    int
 	Payload any
 	Seq     int
-	Term    uint32
 }
 
 // reg is one declared vchannel: name, fixed producer and consumer
@@ -329,7 +325,7 @@ func (f *Fabric) Declare(name string, prod, cons *core.Machine) uint64 {
 	f.byName[name] = r
 	// Producer and consumer state exist from declaration so frames
 	// and control messages can never race an Open.
-	f.svcs[prod.EP].addWriter(r, cons.EP)
+	f.svcs[prod.EP].addWriter(r)
 	f.svcs[cons.EP].addReader(r, prod.EP)
 	return r.id
 }
@@ -380,8 +376,6 @@ type Service struct {
 
 	// Stats.
 	StaleRefused int // frames refused for a stale term (broker+consumer)
-	EarlyDropped int // frames ahead of the consumer's term (ctrl in flight)
-	Unassigned   int // frames for a vchannel this broker no longer owns
 	Forwarded    int // frames relayed broker→consumer
 	Dups         int // redundant frames suppressed at the consumer
 	Gaps         int // out-of-order frames dropped (go-back-N restores)
@@ -389,7 +383,6 @@ type Service struct {
 }
 
 type laneState struct {
-	id       uint32
 	inflight int
 	waiters  []kern.Waker
 }
@@ -440,7 +433,6 @@ type Writer struct {
 	svc  *Service
 	id   uint64
 	name string
-	cons topo.EndpointID
 
 	seq     int // next sequence to mint
 	ackHigh int // highest cumulatively acked
@@ -535,11 +527,11 @@ func (s *Service) tracer() *trace.Tracer { return s.m.Kern.Tracer() }
 
 func (s *Service) vf() Verifier { return s.fab.vf }
 
-func (s *Service) addWriter(r *reg, cons topo.EndpointID) *Writer {
+func (s *Service) addWriter(r *reg) *Writer {
 	// ackHigh is -1 until the first cumulative ack: sequence numbers
 	// start at 0, so the zero value would swallow the ack for seq 0 —
 	// fatal at window 1, where that ack is the only source of credit.
-	w := &Writer{svc: s, id: r.id, name: r.name, cons: cons, ackHigh: -1}
+	w := &Writer{svc: s, id: r.id, name: r.name, ackHigh: -1}
 	s.writers[r.id] = w
 	s.worder = append(s.worder, w)
 	return w
@@ -578,7 +570,7 @@ func (s *Service) OpenReader(sp *kern.Subprocess, name string) *Reader {
 func (s *Service) lane(id uint32) *laneState {
 	l := s.lanes[id]
 	if l == nil {
-		l = &laneState{id: id}
+		l = &laneState{}
 		s.lanes[id] = l
 	}
 	return l
@@ -788,7 +780,7 @@ func (s *Service) handleNack(m *hpc.Message) {
 func (s *Service) sendDrained(w *Writer) {
 	s.f.SendAsyncCtx(0, s.fab.bal.ep, "vchan.ctrl", CtrlBytes,
 		&ctrlMsg{kind: ctrlDrained, v: w.id, name: w.name, term: w.term,
-			stable: w.ackHigh, from: s.f.Endpoint()}, nil)
+			from: s.f.Endpoint()}, nil)
 	s.tracer().Emit(trace.KMigrate, 0, s.m.Name(), "vchan/"+w.name,
 		fmt.Sprintf("drained term=%d stable=%d", w.term, w.ackHigh))
 }
@@ -817,7 +809,6 @@ func (s *Service) brokerData(fr *vFrame) {
 			// No (current) assignment: either this broker rebooted
 			// and awaits re-assignment, or the control plane is ahead
 			// of the producer. Nack with what we know.
-			s.Unassigned++
 			s.f.SendAsyncCtx(fr.tid, fr.src, "vchan.nack", AckBytes,
 				&vNack{v: fr.v, minTerm: cur}, nil)
 		}
@@ -861,7 +852,6 @@ func (s *Service) consumerData(fr *vFrame) {
 	if fr.term > r.term {
 		// Our expect ctrl is still in flight; the producer's timer
 		// will re-offer this frame after we adopt the term.
-		s.EarlyDropped++
 		return
 	}
 	switch {
@@ -884,7 +874,7 @@ func (s *Service) consumerData(fr *vFrame) {
 		}
 		r.expect++
 		r.Delivered++
-		r.ready = append(r.ready, Msg{Size: fr.size, Payload: fr.pay, Seq: fr.seq, Term: fr.term})
+		r.ready = append(r.ready, Msg{Size: fr.size, Payload: fr.pay, Seq: fr.seq})
 		s.tracer().Emit(trace.KChanDel, fr.tid, s.m.Name(), "vchan/"+r.name,
 			fmt.Sprintf("seq=%d term=%d", fr.seq, fr.term))
 		if r.wake.Armed() {

@@ -5,75 +5,69 @@
 // capability VORX added because "the programmer may not know in
 // advance which process needs to be debugged".
 //
-// Simulated programs cooperate by declaring program locations:
+// Each simulation makes one Registry. Its processes register with it
+// and cooperate by declaring program locations:
 //
-//	vdb.Point(sp, "solver.loop")   // a potential breakpoint site
+//	reg := vdb.NewRegistry()
+//	reg.RegisterProcess(sp, "solver")
+//	reg.Point(sp, "solver.loop")   // a potential breakpoint site
 //
-// A Debugger attaches to named processes, sets breakpoints on
-// locations, and when a process hits one it stops (in virtual time)
-// until the debugger continues it. While stopped, registered
-// variables can be inspected — the vdb enhancement of examining each
-// subprocess's locals. Processes without an attached debugger run at
-// full speed; Point costs nothing unless a breakpoint is armed.
+// A Debugger made from the registry attaches to named processes, sets
+// breakpoints on locations, and when a process hits one it stops (in
+// virtual time) until the debugger continues it. While stopped,
+// registered variables can be inspected — the vdb enhancement of
+// examining each subprocess's locals. Processes without an attached
+// debugger run at full speed; Point costs nothing unless a breakpoint
+// is armed.
 package vdb
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"hpcvorx/internal/kern"
 )
 
-// registry connects running subprocesses to debuggers. One registry
-// per simulation is typical; it is internally synchronized only in
-// the trivial sense (the simulation is single-threaded).
-type registry struct {
+// Registry connects one simulation's running subprocesses to its
+// debuggers. It needs no lock: a simulation runs one thing at a time.
+type Registry struct {
 	procs map[string]*target
+	bySP  map[*kern.Subprocess]*target
 }
 
-var defaultRegistry = &registry{procs: map[string]*target{}}
+// NewRegistry returns an empty registry for one simulation.
+func NewRegistry() *Registry {
+	return &Registry{procs: map[string]*target{}, bySP: map[*kern.Subprocess]*target{}}
+}
 
 // target is one debuggable process.
 type target struct {
-	name     string
-	sp       *kern.Subprocess
-	vars     map[string]func() string
-	breaks   map[string]bool
-	stopped  bool
-	stopLoc  string
-	resume   kern.Waker
-	onStop   func(loc string)
-	hits     int
-	attached bool
-}
-
-// resetForTest clears the registry (tests create many simulations).
-var resetMu sync.Mutex
-
-// Reset clears all registered processes; call between independent
-// simulations.
-func Reset() {
-	resetMu.Lock()
-	defer resetMu.Unlock()
-	defaultRegistry.procs = map[string]*target{}
+	name    string
+	vars    map[string]func() string
+	breaks  map[string]bool
+	stopped bool
+	stopLoc string
+	resume  kern.Waker
+	onStop  func(loc string)
+	hits    int
 }
 
 // RegisterProcess makes the calling subprocess debuggable under name.
 // Call once at process start.
-func RegisterProcess(sp *kern.Subprocess, name string) {
-	defaultRegistry.procs[name] = &target{
+func (r *Registry) RegisterProcess(sp *kern.Subprocess, name string) {
+	tg := &target{
 		name:   name,
-		sp:     sp,
 		vars:   map[string]func() string{},
 		breaks: map[string]bool{},
 	}
+	r.procs[name] = tg
+	r.bySP[sp] = tg
 }
 
 // Var registers a named variable of the process: the closure is
 // evaluated when the debugger prints it.
-func Var(name, varName string, read func() string) {
-	if tg := defaultRegistry.procs[name]; tg != nil {
+func (r *Registry) Var(name, varName string, read func() string) {
+	if tg := r.procs[name]; tg != nil {
 		tg.vars[varName] = read
 	}
 }
@@ -81,14 +75,8 @@ func Var(name, varName string, read func() string) {
 // Point declares a program location in the process owning sp. If a
 // debugger armed a breakpoint there, the process stops until
 // continued.
-func Point(sp *kern.Subprocess, loc string) {
-	var tg *target
-	for _, cand := range defaultRegistry.procs {
-		if cand.sp == sp {
-			tg = cand
-			break
-		}
-	}
+func (r *Registry) Point(sp *kern.Subprocess, loc string) {
+	tg := r.bySP[sp]
 	if tg == nil || !tg.breaks[loc] {
 		return
 	}
@@ -107,16 +95,18 @@ func Point(sp *kern.Subprocess, loc string) {
 // Debugger is one vdb session. It can attach to any running process
 // and switch between them.
 type Debugger struct {
+	reg     *Registry
 	current string
 }
 
-// New creates a debugger session.
-func New() *Debugger { return &Debugger{} }
+// NewDebugger creates a debugger session over the registry's
+// processes.
+func (r *Registry) NewDebugger() *Debugger { return &Debugger{reg: r} }
 
 // Processes lists the debuggable processes, sorted.
 func (d *Debugger) Processes() []string {
 	var out []string
-	for name := range defaultRegistry.procs {
+	for name := range d.reg.procs {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -126,11 +116,9 @@ func (d *Debugger) Processes() []string {
 // Attach switches the session to the named process — possible even
 // though the process is already running, the key VORX improvement.
 func (d *Debugger) Attach(name string) error {
-	tg := defaultRegistry.procs[name]
-	if tg == nil {
+	if d.reg.procs[name] == nil {
 		return fmt.Errorf("vdb: no process %q", name)
 	}
-	tg.attached = true
 	d.current = name
 	return nil
 }
@@ -139,7 +127,7 @@ func (d *Debugger) Attach(name string) error {
 func (d *Debugger) Current() string { return d.current }
 
 func (d *Debugger) target() (*target, error) {
-	tg := defaultRegistry.procs[d.current]
+	tg := d.reg.procs[d.current]
 	if tg == nil {
 		return nil, fmt.Errorf("vdb: not attached")
 	}
@@ -232,9 +220,9 @@ func (d *Debugger) Continue() error {
 // StoppedProcesses returns every process currently stopped at a
 // breakpoint — the multi-window view of the Meglos workflow, without
 // the windows.
-func StoppedProcesses() map[string]string {
+func (r *Registry) StoppedProcesses() map[string]string {
 	out := map[string]string{}
-	for name, tg := range defaultRegistry.procs {
+	for name, tg := range r.procs {
 		if tg.stopped {
 			out[name] = tg.stopLoc
 		}

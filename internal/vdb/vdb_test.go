@@ -10,29 +10,28 @@ import (
 	"hpcvorx/internal/vdb"
 )
 
-func newSys(t *testing.T, nodes int) *core.System {
+func newSys(t *testing.T, nodes int) (*core.System, *vdb.Registry) {
 	t.Helper()
-	vdb.Reset()
 	sys, err := core.Build(core.Config{Nodes: nodes, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return sys, vdb.NewRegistry()
 }
 
 func TestBreakpointStopsAndContinues(t *testing.T) {
-	sys := newSys(t, 1)
+	sys, reg := newSys(t, 1)
 	iter := 0
 	sys.Spawn(sys.Node(0), "p", 0, func(sp *kern.Subprocess) {
-		vdb.RegisterProcess(sp, "solver")
-		vdb.Var("solver", "iter", func() string { return fmt.Sprint(iter) })
+		reg.RegisterProcess(sp, "solver")
+		reg.Var("solver", "iter", func() string { return fmt.Sprint(iter) })
 		sp.SleepFor(sim.Microseconds(10)) // let the debugger arm
 		for iter = 0; iter < 5; iter++ {
-			vdb.Point(sp, "loop")
+			reg.Point(sp, "loop")
 			sp.Compute(sim.Microseconds(100))
 		}
 	})
-	d := vdb.New()
+	d := reg.NewDebugger()
 	var observed []string
 	// Registration happens when the process starts; arm the debugger
 	// in an event scheduled after the spawn.
@@ -73,20 +72,20 @@ func TestBreakpointStopsAndContinues(t *testing.T) {
 func TestAttachToRunningProcessAndSwitch(t *testing.T) {
 	// The VORX improvement over Meglos: attach to any process that is
 	// already running and switch between processes.
-	sys := newSys(t, 2)
+	sys, reg := newSys(t, 2)
 	progress := [2]int{}
 	for i := 0; i < 2; i++ {
 		i := i
 		sys.Spawn(sys.Node(i), fmt.Sprintf("w%d", i), 0, func(sp *kern.Subprocess) {
-			vdb.RegisterProcess(sp, fmt.Sprintf("proc%d", i))
+			reg.RegisterProcess(sp, fmt.Sprintf("proc%d", i))
 			for j := 0; j < 100; j++ {
-				vdb.Point(sp, "tick")
+				reg.Point(sp, "tick")
 				progress[i]++
 				sp.Compute(sim.Microseconds(50))
 			}
 		})
 	}
-	d := vdb.New()
+	d := reg.NewDebugger()
 	// Attach mid-run: after 2 ms, break proc1 only.
 	sys.K.After(sim.Milliseconds(2), func() {
 		if err := d.Attach("proc1"); err != nil {
@@ -131,12 +130,12 @@ func TestAttachToRunningProcessAndSwitch(t *testing.T) {
 }
 
 func TestPointWithoutBreakpointIsFree(t *testing.T) {
-	sys := newSys(t, 1)
+	sys, reg := newSys(t, 1)
 	var end sim.Time
 	sys.Spawn(sys.Node(0), "p", 0, func(sp *kern.Subprocess) {
-		vdb.RegisterProcess(sp, "fast")
+		reg.RegisterProcess(sp, "fast")
 		for i := 0; i < 1000; i++ {
-			vdb.Point(sp, "hot")
+			reg.Point(sp, "hot")
 		}
 		end = sp.Now()
 	})
@@ -149,16 +148,16 @@ func TestPointWithoutBreakpointIsFree(t *testing.T) {
 }
 
 func TestStoppedProcessesView(t *testing.T) {
-	sys := newSys(t, 2)
+	sys, reg := newSys(t, 2)
 	for i := 0; i < 2; i++ {
 		i := i
 		sys.Spawn(sys.Node(i), fmt.Sprintf("w%d", i), 0, func(sp *kern.Subprocess) {
-			vdb.RegisterProcess(sp, fmt.Sprintf("st%d", i))
+			reg.RegisterProcess(sp, fmt.Sprintf("st%d", i))
 			sp.SleepFor(sim.Microseconds(10)) // let the debuggers arm
-			vdb.Point(sp, "start")
+			reg.Point(sp, "start")
 		})
 	}
-	d0, d1 := vdb.New(), vdb.New()
+	d0, d1 := reg.NewDebugger(), reg.NewDebugger()
 	sys.K.After(0, func() {
 		d0.Attach("st0")
 		d0.Break("start")
@@ -167,7 +166,7 @@ func TestStoppedProcessesView(t *testing.T) {
 	})
 	checked := false
 	sys.K.After(sim.Milliseconds(1), func() {
-		stopped := vdb.StoppedProcesses()
+		stopped := reg.StoppedProcesses()
 		if len(stopped) != 2 || stopped["st0"] != "start" {
 			t.Errorf("stopped = %v", stopped)
 		}
@@ -184,8 +183,7 @@ func TestStoppedProcessesView(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	vdb.Reset()
-	d := vdb.New()
+	d := vdb.NewRegistry().NewDebugger()
 	if err := d.Attach("ghost"); err == nil {
 		t.Fatal("attach to unknown process should fail")
 	}

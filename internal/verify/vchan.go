@@ -27,7 +27,6 @@ import (
 
 // vchanState is the checker's model of one vchannel.
 type vchanState struct {
-	name      string
 	nextWrite int            // producer's next sequence
 	written   map[int]uint64 // seq -> payload fingerprint
 	delivered int            // consumer cursor: next in-order seq
@@ -54,14 +53,13 @@ func AttachAll(sys *core.System, f *vchan.Fabric) *Checker {
 	return c
 }
 
-func (c *Checker) vchanState(v uint64, name string) *vchanState {
+func (c *Checker) vchanState(v uint64) *vchanState {
 	if c.vchans == nil {
 		c.vchans = make(map[uint64]*vchanState)
 	}
 	vs := c.vchans[v]
 	if vs == nil {
 		vs = &vchanState{
-			name:    name,
 			written: make(map[int]uint64),
 			delivFp: make(map[int]uint64),
 			ackHigh: -1,
@@ -77,7 +75,7 @@ func (c *Checker) vchanState(v uint64, name string) *vchanState {
 // non-decreasing term.
 func (c *Checker) VChanWrite(v uint64, name string, seq, size int, payload any, term uint32) {
 	c.VWrites++
-	vs := c.vchanState(v, name)
+	vs := c.vchanState(v)
 	if seq != vs.nextWrite {
 		c.violate("vchan-write-gap", "vchan %q: wrote seq %d, expected %d", name, seq, vs.nextWrite)
 	}
@@ -96,7 +94,7 @@ func (c *Checker) VChanWrite(v uint64, name string, seq, size int, payload any, 
 // term; a dup must re-cover an already-delivered sequence
 // byte-identically.
 func (c *Checker) VChanDeliver(v uint64, name string, seq int, payload any, term uint32, dup bool) {
-	vs := c.vchanState(v, name)
+	vs := c.vchanState(v)
 	fp := fingerprint(payload)
 	if dup {
 		c.VDups++
@@ -134,7 +132,7 @@ func (c *Checker) VChanDeliver(v uint64, name string, seq int, payload any, term
 // sequences.
 func (c *Checker) VChanAck(v uint64, name string, upTo int) {
 	c.VAcked++
-	vs := c.vchanState(v, name)
+	vs := c.vchanState(v)
 	if upTo >= vs.delivered {
 		c.violate("vchan-acked-but-lost", "vchan %q: ack through %d but cursor is %d", name, upTo, vs.delivered)
 	}
@@ -146,7 +144,7 @@ func (c *Checker) VChanAck(v uint64, name string, upTo int) {
 // VChanTermMint checks V1 at the balancer: terms strictly increase.
 func (c *Checker) VChanTermMint(v uint64, name string, term uint32) {
 	c.VMints++
-	vs := c.vchanState(v, name)
+	vs := c.vchanState(v)
 	if term <= vs.minted {
 		c.violate("vchan-term-mint", "vchan %q: minted term %d after %d", name, term, vs.minted)
 	}
@@ -156,7 +154,7 @@ func (c *Checker) VChanTermMint(v uint64, name string, term uint32) {
 // VChanExpect checks the consumer adopts terms in increasing order
 // and never one the balancer has not minted.
 func (c *Checker) VChanExpect(v uint64, name string, term uint32, resume int) {
-	vs := c.vchanState(v, name)
+	vs := c.vchanState(v)
 	if term <= vs.consTerm {
 		c.violate("vchan-expect-regress", "vchan %q: adopted term %d after %d", name, term, vs.consTerm)
 	}
@@ -176,7 +174,7 @@ func (c *Checker) VChanExpect(v uint64, name string, term uint32, resume int) {
 // stable mark and skips nothing undelivered.
 func (c *Checker) VChanReplay(v uint64, name string, term uint32, from, to int) {
 	c.VReplays++
-	vs := c.vchanState(v, name)
+	vs := c.vchanState(v)
 	if from <= vs.ackHigh {
 		c.violate("vchan-replay-below-ack", "vchan %q term %d: replay from %d at or below acked %d",
 			name, term, from, vs.ackHigh)

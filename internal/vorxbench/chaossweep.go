@@ -94,7 +94,6 @@ func ChaosSchedule(seed int64) string {
 // ChaosRun is one seeded run's outcome.
 type ChaosRun struct {
 	Seed       int64
-	Schedule   string
 	Delivered  int // messages read across all pairs
 	Expected   int // pairs * msgs
 	Dups       int // duplicate data frames the channel layer absorbed
@@ -150,7 +149,7 @@ func ChaosVerifyRun(seed int64) ChaosRun {
 	if err := sys.Run(); err != nil {
 		panic(err)
 	}
-	r := ChaosRun{Seed: seed, Schedule: sched, Expected: sweepPairs * sweepMsgs,
+	r := ChaosRun{Seed: seed, Expected: sweepPairs * sweepMsgs,
 		Dups: chk.Dups, Violations: chk.Violations()}
 	for _, n := range recv {
 		r.Delivered += n

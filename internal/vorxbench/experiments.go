@@ -481,16 +481,16 @@ func E9Allocation() *Table {
 		Header: []string{"scenario", "Meglos (allocate-at-run)", "VORX (allocate-before-run)"},
 	}
 	k := sim.NewKernel(1)
-	mg := resmgr.NewMeglos(k, 8)
+	mg := resmgr.NewMeglos(8)
 	vx := resmgr.NewVORX(k, 8)
 
 	// Scenario: run, finish, recompile, rerun while a rival grabs all.
-	app, _ := mg.StartApp("alice", 8, true)
+	app, _ := mg.StartApp(8, true)
 	mg.EndApp(app)
 	mine, _ := vx.Allocate("alice", 8)
-	_, _ = mg.StartApp("bob", 8, true)
+	_, _ = mg.StartApp(8, true)
 	_, bobErr := vx.Allocate("bob", 1)
-	_, rerunErr := mg.StartApp("alice", 8, true)
+	_, rerunErr := mg.StartApp(8, true)
 	rerunVORX := len(vx.Owned("alice")) == 8
 
 	t.AddRow("rival grabs processors during recompile",

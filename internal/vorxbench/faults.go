@@ -113,7 +113,12 @@ func E12FaultStorm() *Table {
 			results[0].recv, msgs, detourMsgs, firstDetour.Microseconds()))
 
 	// Node crash: the writer got an error (not a hang) and the dead
-	// node's processor was force-freed.
+	// node's processor was force-freed. Only that pair's writer fails.
+	for pi, r := range results {
+		if (r.writeErr != nil) != (pi == 1) {
+			panic(fmt.Sprintf("E12 pair %d: writer error %v; only pair 1, whose reader crashed, may fail", pi, r.writeErr))
+		}
+	}
 	errLatency := results[1].errAt.Sub(sim.Time(crashAt))
 	t.AddRow("node crash",
 		"node6 dies at 2 ms",

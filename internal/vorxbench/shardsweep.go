@@ -26,7 +26,6 @@ var shardLoad = pairLoad{name: "shard%d", pairs: 7, msgs: 10, size: 192, sizeSte
 
 // ShardRun is one seeded schedule's outcome on one shard count.
 type ShardRun struct {
-	Seed      int64
 	Shards    int
 	Digest    string
 	Delivered int
@@ -89,7 +88,7 @@ func ShardChaosRun(seed int64, shards int) ShardRun {
 		panic(fmt.Sprintf("vorxbench: shard run (seed %d, shards %d): %v", seed, shards, err))
 	}
 
-	r := ShardRun{Seed: seed, Shards: sh.Shards(), Expected: shardLoad.pairs * shardLoad.msgs,
+	r := ShardRun{Shards: sh.Shards(), Expected: shardLoad.pairs * shardLoad.msgs,
 		CrossPosts: sh.Group.CrossPosts()}
 	var b strings.Builder
 	r.Delivered = pairDigest(&b, out)

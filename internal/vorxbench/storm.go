@@ -110,7 +110,6 @@ func StormSchedule(seed int64) string {
 // StormRun is one seeded storm's outcome.
 type StormRun struct {
 	Seed       int64
-	Schedule   string
 	Delivered  int // messages read across all tenants
 	Expected   int // tenants * msgs
 	Migrations int // placements the balancer moved (forced + evacuations)
@@ -180,7 +179,7 @@ func StormVerifyRun(seed int64) StormRun {
 	// comfortably covers every heal, restart, and ctrl retry.
 	sys.RunFor(60 * sim.Millisecond)
 
-	r := StormRun{Seed: seed, Schedule: sched, Expected: stormTenants * stormMsgs,
+	r := StormRun{Seed: seed, Expected: stormTenants * stormMsgs,
 		Migrations: fab.Balancer().Migrations, Dups: chk.VDups, Violations: chk.Violations()}
 	for _, n := range recv {
 		r.Delivered += n
