@@ -754,11 +754,14 @@ func runHeal(args []string, tc *traceCtx) {
 		}
 	}
 	fmt.Printf("  %d/%d pairs delivered all %d messages exactly once, in order\n", clean, *pairs, *msgs)
-	if confirmRec, ok := sup.FirstRecord("confirm"); ok {
-		if restartRec, ok2 := sup.FirstRecord("restart"); ok2 {
+	// The first confirm at or after the crash, and the first restart at
+	// or after that confirm: a false confirm of a live reader before the
+	// crash is no part of the crash's unavailability.
+	crashAt := sim.Time(0).Add(durs["crash"])
+	if confirmRec, ok := sup.FirstRecord("confirm", crashAt); ok {
+		if restartRec, ok2 := sup.FirstRecord("restart", confirmRec.At); ok2 {
 			fmt.Printf("  unavailability: crash %v -> confirm %v -> restart %v (window %v)\n",
-				durs["crash"], confirmRec.At, restartRec.At,
-				restartRec.At.Sub(sim.Time(0))-durs["crash"])
+				durs["crash"], confirmRec.At, restartRec.At, restartRec.At.Sub(crashAt))
 		}
 	}
 	fmt.Printf("  supervisor: %d heartbeats, %d checkpoints, %d restarts, %d rebinds\n",

@@ -50,8 +50,8 @@ func run(servoPrio int) (met, missed int, worst sim.Duration) {
 	var tickAt sim.Time
 	sys.Spawn(sys.Node(0), "servo", servoPrio, func(sp *kern.Subprocess) {
 		for i := 0; i < ticks; i++ {
-			wakeServo = sp.Block(kern.WaitInput, "encoder")
-			sp.BlockNow()
+			wakeServo = sp.Block(kern.WaitInput)
+			sp.BlockNow("encoder", "")
 			// Control-law computation + actuator command.
 			sp.Compute(400 * sim.Microsecond)
 			resp := sp.Now().Sub(tickAt)

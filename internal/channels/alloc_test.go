@@ -112,3 +112,39 @@ func TestBusyResumeZeroAlloc(t *testing.T) {
 		t.Fatalf("warm busy-refused, resumed write allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestPairedOpenAllocBound is the allocation guard for channel opens:
+// once warm, two subprocesses on a 2-node system that keep opening one
+// name allocate only the two new Channel records per paired open. The
+// reply waits are token-indexed records reused once their reply lands,
+// the open request and reply travel as pooled shells, the manager
+// reuses emptied name queues, and the park reasons are joined only
+// when read.
+func TestPairedOpenAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	sys := build(t, 2)
+	opened := 0
+	for i := 0; i < 2; i++ {
+		svc := sys.Node(i).Chans
+		sys.Spawn(sys.Node(i), "opener", 0, func(sp *kern.Subprocess) {
+			for {
+				svc.Open(sp, "again", objmgr.OpenAny)
+				opened++
+			}
+		})
+	}
+	defer sys.Shutdown()
+	pair := func() {
+		for want := opened + 2; opened < want; {
+			sys.RunFor(10 * sim.Microsecond)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		pair()
+	}
+	if allocs := testing.AllocsPerRun(200, pair); allocs != 2 {
+		t.Fatalf("warm paired open allocates %v/op, want 2 (the two Channel records)", allocs)
+	}
+}

@@ -24,7 +24,6 @@ package channels
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"hpcvorx/internal/hpc"
@@ -67,9 +66,14 @@ type Msg struct {
 // Service is the per-node channel machinery: the kernel's channel
 // table, side-buffer pool, and protocol handlers.
 type Service struct {
-	f     *netif.IF
-	mgr   *objmgr.Manager
-	chans map[uint64]*Channel
+	f   *netif.IF
+	mgr *objmgr.Manager
+	// ids and chans are the channel table: the ids of this node's
+	// channel ends in ascending order, and the ends in the same order.
+	// The ids have a slice of their own, so a lookup's binary search
+	// reads contiguous memory (see ByID).
+	ids   []uint64
+	chans []*Channel
 	// preopen stashes fragments that arrived before the local end's
 	// Open finished registering (the opener's reply can beat the
 	// subprocess getting scheduled).
@@ -205,8 +209,8 @@ type starveRec struct {
 // NewService attaches the channel service to a node's network
 // interface.
 func NewService(f *netif.IF, mgr *objmgr.Manager) *Service {
-	s := &Service{f: f, mgr: mgr, chans: make(map[uint64]*Channel),
-		preopen: make(map[uint64][]dataFrag), sideBufFree: DefaultSideBuffers}
+	s := &Service{f: f, mgr: mgr, preopen: make(map[uint64][]dataFrag),
+		sideBufFree: DefaultSideBuffers}
 	costs := f.Node().Costs()
 	f.Register("chan", netif.Service{
 		Cost: func(m *hpc.Message) sim.Duration {
@@ -233,7 +237,7 @@ func NewService(f *netif.IF, mgr *objmgr.Manager) *Service {
 		// Cost reads the shell before Handle puts it back.
 		Cost: func(m *hpc.Message) sim.Duration {
 			rm := m.Payload.(*ackMsg)
-			if ch := s.chans[rm.ch]; ch != nil {
+			if ch := s.ByID(rm.ch); ch != nil {
 				if om := ch.pendingBySeq(rm.seq); om != nil {
 					return costs.ChanSendProto + costs.KernelCopyTime(om.size)
 				}
@@ -283,14 +287,8 @@ func (s *Service) SetAckTimeout(d sim.Duration, maxRetries int) {
 // survivors instead of letting them hang). Returns the number of
 // channel ends failed.
 func (s *Service) PeerDown(ep topo.EndpointID) int {
-	ids := make([]uint64, 0, len(s.chans))
-	for id := range s.chans {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	n := 0
-	for _, id := range ids {
-		ch := s.chans[id]
+	for _, ch := range s.chans {
 		if ch.peer == ep && !ch.closedRemote && !ch.managed {
 			s.failPeer(ch)
 			n++
@@ -305,10 +303,6 @@ type Channel struct {
 	id   uint64
 	name string
 	peer topo.EndpointID
-
-	// readReason and writeReason are the park reasons of a subprocess
-	// blocked on this end, built once when the end is created.
-	readReason, writeReason string
 
 	// reader side
 	ready      []Msg       // side-buffered complete messages
@@ -420,8 +414,7 @@ func (ch *Channel) SetWindow(k int) {
 func (s *Service) Open(sp *kern.Subprocess, name string, mode objmgr.Mode) *Channel {
 	p := s.mgr.Open(sp, s.f, name, mode)
 	ch := &Channel{svc: s, id: p.Chan, name: name, peer: p.Peer, window: s.defaultWindow()}
-	ch.setReasons()
-	s.chans[p.Chan] = ch
+	s.install(ch)
 	if frags := s.preopen[p.Chan]; len(frags) > 0 {
 		delete(s.preopen, p.Chan)
 		for _, frag := range frags {
@@ -431,10 +424,16 @@ func (s *Service) Open(sp *kern.Subprocess, name string, mode objmgr.Mode) *Chan
 	return ch
 }
 
-// setReasons builds the end's park reasons from its name.
-func (ch *Channel) setReasons() {
-	ch.readReason = "chan-read " + ch.name
-	ch.writeReason = "chan-write " + ch.name
+// install enters ch in the channel table, in place of any end with
+// the same id (the table keeps one end per id, the last installed).
+func (s *Service) install(ch *Channel) {
+	i, found := slices.BinarySearch(s.ids, ch.id)
+	if found {
+		s.chans[i] = ch
+		return
+	}
+	s.ids = slices.Insert(s.ids, i, ch.id)
+	s.chans = slices.Insert(s.chans, i, ch)
 }
 
 // Name returns the channel's rendezvous name.
@@ -503,8 +502,8 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 	}
 	ch.svc.armTimer(ch, om)
 	for len(ch.pending) >= ch.window && !ch.closedRemote {
-		ch.writerWake = sp.Block(kern.WaitOutput, ch.writeReason)
-		sp.BlockNow()
+		ch.writerWake = sp.Block(kern.WaitOutput)
+		sp.BlockNow("chan-write ", ch.name)
 		sp.System(costs.SchedulerWake)
 	}
 	if ch.closedRemote {
@@ -672,7 +671,12 @@ func (ch *Channel) SetManaged(retain bool) {
 func (ch *Channel) RetainedWrites() int { return len(ch.retained) }
 
 // ByID returns the channel end with the given id on this node, or nil.
-func (s *Service) ByID(id uint64) *Channel { return s.chans[id] }
+func (s *Service) ByID(id uint64) *Channel {
+	if i, found := slices.BinarySearch(s.ids, id); found {
+		return s.chans[i]
+	}
+	return nil
+}
 
 // Rebind repoints channel id's local end at the reincarnated peer
 // endpoint and replays, in sequence order, every retained or pending
@@ -682,7 +686,7 @@ func (s *Service) ByID(id uint64) *Channel { return s.chans[id] }
 // re-acknowledged as duplicates by the peer's reincarnated sequence
 // state. Returns false when this node has no end of that channel.
 func (s *Service) Rebind(id uint64, newPeer topo.EndpointID, resumeFrom int) bool {
-	ch := s.chans[id]
+	ch := s.ByID(id)
 	if ch == nil {
 		return false
 	}
@@ -712,7 +716,7 @@ func (s *Service) Rebind(id uint64, newPeer topo.EndpointID, resumeFrom int) boo
 // checkpointed task to reincarnate, so no Rebind is coming. Reports
 // whether an end was actually failed.
 func (s *Service) FailEnd(id uint64) bool {
-	ch := s.chans[id]
+	ch := s.ByID(id)
 	if ch == nil || ch.closedRemote {
 		return false
 	}
@@ -731,8 +735,7 @@ func (s *Service) FailEnd(id uint64) bool {
 func (s *Service) Reincarnate(id uint64, name string, peer topo.EndpointID, sendSeq, recvSeq int) *Channel {
 	ch := &Channel{svc: s, id: id, name: name, peer: peer, window: s.defaultWindow(),
 		sendSeq: sendSeq, recvSeq: recvSeq, managed: true}
-	ch.setReasons()
-	s.chans[id] = ch
+	s.install(ch)
 	if v := s.verifier; v != nil {
 		v.ChanReincarnate(id, s.f.Endpoint(), peer, sendSeq, recvSeq)
 	}
@@ -751,7 +754,7 @@ func (s *Service) Reincarnate(id uint64, name string, peer topo.EndpointID, send
 // stable — the peer's checkpoint has captured their effects, so no
 // future restart can need them.
 func (s *Service) ReleaseRetained(id uint64, stable int) {
-	if ch := s.chans[id]; ch != nil {
+	if ch := s.ByID(id); ch != nil {
 		s.releaseRetained(ch, stable)
 	}
 }
@@ -805,10 +808,10 @@ func (ch *Channel) Read(sp *kern.Subprocess) (Msg, bool) {
 	}
 	br := &ch.readerRec
 	*br = blockedReader{}
-	br.wake = sp.Block(kern.WaitInput, ch.readReason)
+	br.wake = sp.Block(kern.WaitInput)
 	ch.reader = br
 	ch.svc.resumeIfStarved(ch)
-	sp.BlockNow()
+	sp.BlockNow("chan-read ", ch.name)
 	sp.System(costs.SchedulerWake)
 	if !br.ok {
 		return Msg{}, false
@@ -885,7 +888,7 @@ func (s *Service) handleData(m *hpc.Message) {
 	frag := *fr
 	putFrag(fr)
 	frag.src, frag.inc = m.Src, m.Inc
-	ch := s.chans[frag.ch]
+	ch := s.ByID(frag.ch)
 	if ch == nil {
 		// The local Open has not finished registering; hold the
 		// fragment and replay it when it does.
@@ -1007,7 +1010,7 @@ func (s *Service) handleAck(m *hpc.Message) {
 	ap := m.Payload.(*ackMsg)
 	a := *ap
 	ackPool.Put(ap)
-	ch := s.chans[a.ch]
+	ch := s.ByID(a.ch)
 	if ch == nil {
 		return
 	}
@@ -1064,7 +1067,7 @@ func (s *Service) handleResume(m *hpc.Message) {
 	ap := m.Payload.(*ackMsg)
 	rm := *ap
 	ackPool.Put(ap)
-	ch := s.chans[rm.ch]
+	ch := s.ByID(rm.ch)
 	if ch == nil {
 		return
 	}
@@ -1081,7 +1084,7 @@ func (s *Service) handleResume(m *hpc.Message) {
 // reader, writer, or mux waiter.
 func (s *Service) handleClose(m *hpc.Message) {
 	cm := m.Payload.(closeMsg)
-	ch := s.chans[cm.ch]
+	ch := s.ByID(cm.ch)
 	if ch == nil {
 		return
 	}
@@ -1148,12 +1151,12 @@ func MuxRead(sp *kern.Subprocess, chans ...*Channel) (*Channel, Msg, bool) {
 		return nil, Msg{}, false
 	}
 	mx := &Mux{waiting: true}
-	mx.wake = sp.Block(kern.WaitInput, "chan-mux")
+	mx.wake = sp.Block(kern.WaitInput)
 	for _, ch := range chans {
 		ch.mux = mx
 		svc.resumeIfStarved(ch)
 	}
-	sp.BlockNow()
+	sp.BlockNow("chan-mux", "")
 	for _, ch := range chans {
 		ch.mux = nil
 	}

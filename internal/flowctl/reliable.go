@@ -1,7 +1,7 @@
 package flowctl
 
 import (
-	"fmt"
+	"strconv"
 
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/snet"
@@ -180,7 +180,7 @@ func (r *Reliable) Send(p *sim.Proc, src *snet.Station, dst, size int, payload a
 			transfers++
 		}
 		pd.result = 0
-		pd.wake = p.Park(fmt.Sprintf("rel-ack %d", src.ID()))
+		pd.wake = p.Park()
 		r.pending[src.ID()] = pd
 		timer := r.k.After(r.AckTimeout, func() {
 			if pd.result == 0 {
@@ -188,7 +188,7 @@ func (r *Reliable) Send(p *sim.Proc, src *snet.Station, dst, size int, payload a
 				pd.wake()
 			}
 		})
-		p.Block()
+		p.Block("rel-ack ", strconv.Itoa(src.ID()))
 		timer.Stop()
 		r.pending[src.ID()] = nil
 		switch pd.result {

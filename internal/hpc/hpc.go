@@ -415,9 +415,9 @@ func (ic *Interconnect) NotifyRoom(e topo.EndpointID, fn func()) {
 // waitRoom blocks proc p until endpoint e's full output section next
 // frees. The proc waits as a token, so waiting allocates nothing.
 func (ic *Interconnect) waitRoom(p *sim.Proc, e topo.EndpointID, reason string) {
-	tok := p.Arm(reason)
+	tok := p.Arm()
 	ic.onRoom[e] = append(ic.onRoom[e], roomWaiter{p: p, tok: tok})
-	p.Block()
+	p.Block(reason, "")
 }
 
 // TrySend starts transmission of msg if the sender's output section is

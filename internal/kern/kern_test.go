@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -183,8 +184,8 @@ func TestInterruptWakingHigherPrioritySubprocess(t *testing.T) {
 	var events []string
 	var wakeHigh Waker
 	n.SpawnSubprocess("high", 9, func(sp *Subprocess) {
-		wakeHigh = sp.Block(WaitInput, "device")
-		sp.BlockNow()
+		wakeHigh = sp.Block(WaitInput)
+		sp.BlockNow("device", "")
 		sp.Compute(sim.Microseconds(10))
 		events = append(events, "high")
 	})
@@ -206,9 +207,9 @@ func TestInterruptWakingHigherPrioritySubprocess(t *testing.T) {
 func TestIdleCategories(t *testing.T) {
 	k, n := newNode()
 	n.SpawnSubprocess("reader", 0, func(sp *Subprocess) {
-		wake := sp.Block(WaitInput, "net-in")
+		wake := sp.Block(WaitInput)
 		k.After(sim.Milliseconds(1), wake.Wake)
-		sp.BlockNow()
+		sp.BlockNow("net-in", "")
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -222,14 +223,14 @@ func TestIdleCategories(t *testing.T) {
 func TestIdleMixed(t *testing.T) {
 	k, n := newNode()
 	n.SpawnSubprocess("in", 0, func(sp *Subprocess) {
-		wake := sp.Block(WaitInput, "in")
+		wake := sp.Block(WaitInput)
 		k.After(sim.Milliseconds(2), wake.Wake)
-		sp.BlockNow()
+		sp.BlockNow("in", "")
 	})
 	n.SpawnSubprocess("out", 0, func(sp *Subprocess) {
-		wake := sp.Block(WaitOutput, "out")
+		wake := sp.Block(WaitOutput)
 		k.After(sim.Milliseconds(2), wake.Wake)
-		sp.BlockNow()
+		sp.BlockNow("out", "")
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -589,10 +590,10 @@ func TestInterruptLevelProgramming(t *testing.T) {
 	n.SpawnSubprocess("app", 0, func(sp *Subprocess) {
 		// Start the ISR-driven computation, then suspend forever.
 		k.After(sim.Microseconds(10), func() { chain(0) })
-		wake := sp.Block(WaitOther, "suspended")
+		wake := sp.Block(WaitOther)
 		_ = wake // never woken: the ISRs do all the work
 		sp.Proc().SetDaemon(true)
-		sp.BlockNow()
+		sp.BlockNow("suspended", "")
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -608,5 +609,26 @@ func TestInterruptLevelProgramming(t *testing.T) {
 	// Per-event system time: 25 entry + 15 handler = 40 µs each.
 	if got := n.Totals()[CatSystem]; got != 50*sim.Microseconds(40) {
 		t.Fatalf("system time = %v", got)
+	}
+}
+
+// TestNestedWaitKeepsParkReason: a subprocess that arms a wait and
+// then waits for the CPU before it parks, as an open does when its
+// request send charges kernel time, still parks with the reason it
+// gives, so the deadlock report names what it waits for.
+func TestNestedWaitKeepsParkReason(t *testing.T) {
+	k, n := newNode()
+	n.SpawnSubprocess("opener", 0, func(sp *Subprocess) {
+		sp.Block(WaitOther) // never woken
+		sp.System(10 * sim.Microsecond)
+		sp.BlockNow("open ", "x")
+	})
+	defer k.Shutdown()
+	var dl *sim.DeadlockError
+	if err := k.Run(); !errors.As(err, &dl) || len(dl.Procs) != 1 {
+		t.Fatalf("Run = %v, want the opener deadlocked", err)
+	}
+	if got, want := dl.Procs[0].Reason, "open x"; got != want {
+		t.Fatalf("opener parked as %q, want %q", got, want)
 	}
 }

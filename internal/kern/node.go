@@ -341,7 +341,6 @@ func (n *Node) OnCrash(fn func()) { n.onCrash = append(n.onCrash, fn) }
 // sleeps.
 type task struct {
 	sp     *Subprocess
-	reason string // park reason while waiting for the CPU
 	user   sim.Duration
 	system sim.Duration // includes context switches on its behalf
 	// segs holds the remaining segments in reverse order, head last,
@@ -356,16 +355,14 @@ type task struct {
 	tok  sim.ParkToken
 	prio int
 	seq  uint64
-	// sleepReason and wakeSleep are SleepFor's park reason and timer
-	// callback, built on the first sleep.
-	sleepReason string
-	wakeSleep   func()
+	// wakeSleep is SleepFor's timer callback, bound on the first sleep.
+	wakeSleep func()
 }
 
 // record returns sp's task record, made on first use.
 func (sp *Subprocess) record() *task {
 	if sp.task == nil {
-		t := &task{sp: sp, reason: "cpu " + sp.node.name}
+		t := &task{sp: sp}
 		t.segs = t.buf[:0]
 		sp.task = t
 	}
@@ -421,19 +418,19 @@ func (n *Node) exec(sp *Subprocess, cat Category, d sim.Duration) {
 	if n.crashed {
 		// The CPU is dead: the subprocess is stranded forever.
 		sp.proc.SetDaemon(true)
-		sp.proc.Arm("crashed " + n.name)
-		sp.proc.Block()
+		sp.proc.Arm()
+		sp.proc.Block("crashed ", n.name)
 		return
 	}
 	t := sp.record()
 	t.segs = append(t.segs[:0], seg{cat, d})
 	t.prio, t.seq = sp.prio, n.seq
 	n.seq++
-	t.tok = sp.proc.Arm(t.reason)
+	t.tok = sp.proc.Arm()
 	heap.Push(&n.ready, t)
 	n.preemptIfNeeded(t)
 	n.schedule()
-	sp.proc.Block()
+	sp.proc.Block("cpu ", n.name)
 }
 
 // preemptIfNeeded preempts the running task when t outranks it. The

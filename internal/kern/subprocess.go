@@ -64,12 +64,11 @@ func (sp *Subprocess) Syscall(d sim.Duration) {
 
 // Block arms the subprocess to wait until the returned Waker is woken
 // (from any simulation context); BlockNow then waits. kind feeds the
-// idle-time partition; reason appears in deadlock reports and cdb
-// output.
-func (sp *Subprocess) Block(kind WaitKind, reason string) Waker {
+// idle-time partition.
+func (sp *Subprocess) Block(kind WaitKind) Waker {
 	sp.waitKind = kind
 	sp.node.refreshIdle()
-	return Waker{sp: sp, tok: sp.proc.Arm(reason)}
+	return Waker{sp: sp, tok: sp.proc.Arm()}
 }
 
 // Waker resumes one blocked subprocess: the wait one Block call
@@ -96,22 +95,25 @@ func (w Waker) Wake() {
 // Waker).
 func (w Waker) Armed() bool { return w.sp != nil }
 
-// BlockNow arms Block and immediately waits; use when the waker was
-// registered beforehand.
-func (sp *Subprocess) BlockNow() { sp.proc.Block() }
+// BlockNow waits for the Waker that Block armed. what and name, joined,
+// are the reason deadlock reports and cdb output show; they are given
+// here, where the subprocess parks, so a wait nested between Block and
+// BlockNow (for the CPU, or for room in an output section) cannot
+// replace them. Pass name apart from what, so that nothing is joined
+// unless the reason is read.
+func (sp *Subprocess) BlockNow(what, name string) { sp.proc.Block(what, name) }
 
 // SleepFor blocks the subprocess for d of virtual time (idle-other).
-// Once the first sleep has built the reason and the timer callback on
-// the task record, a sleep allocates nothing.
+// Once the first sleep has bound the timer callback on the task
+// record, a sleep allocates nothing.
 func (sp *Subprocess) SleepFor(d sim.Duration) {
 	t := sp.record()
 	if t.wakeSleep == nil {
-		t.sleepReason = "sleep " + sp.name
 		t.wakeSleep = func() { Waker{sp: sp, tok: t.tok}.Wake() }
 	}
-	t.tok = sp.Block(WaitOther, t.sleepReason).tok
+	t.tok = sp.Block(WaitOther).tok
 	sp.node.k.After(d, t.wakeSleep)
-	sp.BlockNow()
+	sp.BlockNow("sleep ", sp.name)
 }
 
 // Semaphore is a VORX counting semaphore: the communication mechanism
@@ -136,9 +138,9 @@ func (s *Semaphore) P(sp *Subprocess) {
 		s.count--
 		return
 	}
-	wake := sp.Block(WaitOther, "sem "+s.name)
+	wake := sp.Block(WaitOther)
 	s.waiters = append(s.waiters, wake)
-	sp.BlockNow()
+	sp.BlockNow("sem ", s.name)
 }
 
 // V increments the semaphore, waking the oldest waiter.

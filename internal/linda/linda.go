@@ -90,6 +90,9 @@ const (
 	MatchFixed = 22 * sim.Microsecond
 	// MatchPerTuple is the scan cost per stored tuple examined.
 	MatchPerTuple = 2 * sim.Microsecond
+	// ReplyISR is the requester's interrupt-level cost to absorb one
+	// reply.
+	ReplyISR = 10 * sim.Microsecond
 )
 
 // wire messages
@@ -160,7 +163,7 @@ func New(sys *core.System, nodes []*core.Machine) *Space {
 	// live anywhere).
 	for _, m := range sys.Machines() {
 		m.IF.Register(s.repSvc(), netif.Service{
-			Cost:   func(*hpc.Message) sim.Duration { return sim.Microseconds(10) },
+			Cost:   func(*hpc.Message) sim.Duration { return ReplyISR },
 			Handle: s.handleReply,
 		})
 	}
@@ -291,14 +294,14 @@ func (h *Handle) request(sp *kern.Subprocess, pattern Tuple, take bool) (Tuple, 
 	token := h.s.tokens
 	h.s.tokens++
 	w := &waiter{}
-	w.wake = sp.Block(kern.WaitInput, "linda "+name)
+	w.wake = sp.Block(kern.WaitInput)
 	h.s.replies[token] = w
 	owner := h.s.ownerOf(name)
 	req := reqMsg{pattern: pattern, from: h.m.EP, token: token, take: take}
 	if err := h.m.IF.Send(sp, h.s.nodes[owner].EP, h.s.svc(owner), pattern.WireBytes()+16, req); err != nil {
 		return nil, err
 	}
-	sp.BlockNow()
+	sp.BlockNow("linda ", name)
 	sp.System(costs.SchedulerWake)
 	return w.tuple, nil
 }

@@ -97,7 +97,7 @@ func (s *Sender) Write(sp *kern.Subprocess, size int, payload any) error {
 	costs := s.f.Node().Costs()
 	sp.Syscall(costs.ChanSendProto + costs.KernelCopyTime(size))
 	s.waitingAcks = len(s.members)
-	s.writerWake = sp.Block(kern.WaitOutput, "mc-write "+s.name)
+	s.writerWake = sp.Block(kern.WaitOutput)
 	for off := 0; off < size; off += maxFragment {
 		n := size - off
 		if n > maxFragment {
@@ -113,7 +113,7 @@ func (s *Sender) Write(sp *kern.Subprocess, size int, payload any) error {
 			return err
 		}
 	}
-	sp.BlockNow()
+	sp.BlockNow("mc-write ", s.name)
 	sp.System(costs.SchedulerWake)
 	return nil
 }
@@ -179,8 +179,8 @@ func (r *Receiver) Read(sp *kern.Subprocess) Msg {
 		sp.System(costs.KernelCopyTime(m.Size))
 		return m
 	}
-	r.reader, r.waiting = sp.Block(kern.WaitInput, "mc-read "+r.name), true
-	sp.BlockNow()
+	r.reader, r.waiting = sp.Block(kern.WaitInput), true
+	sp.BlockNow("mc-read ", r.name)
 	sp.System(costs.SchedulerWake)
 	return r.pendingMsg
 }

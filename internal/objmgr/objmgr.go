@@ -19,6 +19,8 @@ package objmgr
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"sync"
 
 	"hpcvorx/internal/hpc"
 	"hpcvorx/internal/kern"
@@ -77,20 +79,31 @@ type Pairing struct {
 	Peer topo.EndpointID
 }
 
-// Manager is the collective object-manager service: per-manager
-// pending tables plus the client-side reply plumbing on every node.
+// Manager is the collective object-manager service of one simulation
+// shard: the pending opens of the managers it serves, plus the
+// client-side reply waits of every node on the shard.
 type Manager struct {
-	ifs      map[topo.EndpointID]*netif.IF
-	mgrs     []topo.EndpointID
-	states   map[topo.EndpointID]*mgrState
-	replies  map[uint64]func(Pairing) // client-side, keyed by token
-	tokenSeq uint64
+	ifs    map[topo.EndpointID]*netif.IF
+	mgrs   []topo.EndpointID
+	states map[topo.EndpointID]*mgrState
+
+	// pending holds the unmatched opens of every manager served here,
+	// by name. ManagerFor sends each name to exactly one manager, so
+	// names of different managers never collide in the one table.
+	// freeQueues keeps emptied queues, storage and all, for reuse.
+	pending    map[string]*nameQueue
+	freeQueues []*nameQueue
+
+	// waits holds each open's wait for its reply, at the index in its
+	// token's low 32 bits; freeTokens lists the tokens of records whose
+	// open has read its reply (see newToken).
+	waits      []replyWait
+	freeTokens []uint64
 }
 
 type mgrState struct {
-	idSeq   uint64
-	idx     int
-	pending map[string]*nameQueue
+	idSeq uint64
+	idx   int
 	// Processed counts opens handled by this manager (the E8 load
 	// distribution measurement).
 	Processed int
@@ -98,6 +111,13 @@ type mgrState struct {
 
 type nameQueue struct {
 	any, serve, connect []pendingOpen
+}
+
+// replyWait is one open's wait for its reply.
+type replyWait struct {
+	tok     uint64     // the token of the open holding the record
+	wake    kern.Waker // armed until the reply lands
+	pairing Pairing    // the reply, once it has landed
 }
 
 type pendingOpen struct {
@@ -117,6 +137,17 @@ type openRep struct {
 	pairing Pairing
 }
 
+// reqPool and repPool recycle the wire-body shells of the open
+// protocol. A shell is sent as a pointer (boxing a pointer allocates
+// nothing) and the receiver copies it out and returns it. The pools are
+// process-wide because sender and receiver may sit on different
+// simulation shards; a shell lost en route falls to the garbage
+// collector.
+var (
+	reqPool = sync.Pool{New: func() any { return new(openReq) }}
+	repPool = sync.Pool{New: func() any { return new(openRep) }}
+)
+
 // New creates the object-manager service over the network interfaces
 // in all. Names hash over the full managerEps list (one entry =
 // Meglos-style centralized; all node endpoints = VORX-style fully
@@ -133,7 +164,7 @@ func New(all []*netif.IF, managerEps []topo.EndpointID) *Manager {
 		ifs:     make(map[topo.EndpointID]*netif.IF),
 		mgrs:    append([]topo.EndpointID(nil), managerEps...),
 		states:  make(map[topo.EndpointID]*mgrState),
-		replies: make(map[uint64]func(Pairing)),
+		pending: make(map[string]*nameQueue),
 	}
 	for _, f := range all {
 		m.ifs[f.Endpoint()] = f
@@ -147,7 +178,7 @@ func New(all []*netif.IF, managerEps []topo.EndpointID) *Manager {
 		if !ok {
 			continue // another shard serves this manager
 		}
-		st := &mgrState{idx: i, pending: make(map[string]*nameQueue)}
+		st := &mgrState{idx: i}
 		m.states[ep] = st
 		f.Register("objmgr", netif.Service{
 			Cost:   func(*hpc.Message) sim.Duration { return ManagerProcess },
@@ -185,38 +216,55 @@ func (m *Manager) ManagerFor(name string) topo.EndpointID {
 // again.
 func (m *Manager) Open(sp *kern.Subprocess, from *netif.IF, name string, mode Mode) Pairing {
 	sp.Syscall(OpenOverhead)
-	token := m.tokenSeq
-	m.tokenSeq++
-	var result Pairing
+	tok := m.newToken()
 	for {
-		wake := sp.Block(kern.WaitOther, "open "+name)
-		m.replies[token] = func(p Pairing) {
-			result = p
-			wake.Wake()
-		}
-		if err := from.Send(sp, m.ManagerFor(name), "objmgr", OpenRequestBytes,
-			openReq{name: name, mode: mode, from: from.Endpoint(), token: token}); err == nil {
+		m.waits[uint32(tok)] = replyWait{tok: tok, wake: sp.Block(kern.WaitOther)}
+		req := reqPool.Get().(*openReq)
+		*req = openReq{name: name, mode: mode, from: from.Endpoint(), token: tok}
+		if err := from.Send(sp, m.ManagerFor(name), "objmgr", OpenRequestBytes, req); err == nil {
 			break
 		}
+		reqPool.Put(req) // never entered the fabric
 		// The manager is unreachable: give up the reply wait and send
 		// again once a cube link comes back up.
-		wake.Wake()
-		sp.BlockNow()
-		from.Interconnect().OnRepair(sp.Block(kern.WaitOther, "open "+name+" (manager unreachable)").Wake)
-		sp.BlockNow()
+		m.waits[uint32(tok)].wake.Wake()
+		sp.BlockNow("open ", name)
+		from.Interconnect().OnRepair(sp.Block(kern.WaitOther).Wake)
+		sp.BlockNow("open ", name+" (manager unreachable)")
 	}
-	sp.BlockNow()
-	return result
+	sp.BlockNow("open ", name)
+	p := m.waits[uint32(tok)].pairing
+	m.freeTokens = append(m.freeTokens, tok)
+	return p
+}
+
+// newToken returns the token of a free reply record. A record is free
+// again once its open has read the reply, and reusing it adds 1<<32 to
+// the token, so a reply for an earlier holder matches nothing.
+func (m *Manager) newToken() uint64 {
+	if n := len(m.freeTokens); n > 0 {
+		tok := m.freeTokens[n-1] + 1<<32
+		m.freeTokens = m.freeTokens[:n-1]
+		return tok
+	}
+	m.waits = append(m.waits, replyWait{})
+	return uint64(len(m.waits) - 1)
 }
 
 // handleOpen runs at interrupt level on the manager node.
 func (m *Manager) handleOpen(ep topo.EndpointID, st *mgrState, msg *hpc.Message) {
-	req := msg.Payload.(openReq)
+	rp := msg.Payload.(*openReq)
+	req := *rp
+	reqPool.Put(rp)
 	st.Processed++
-	q := st.pending[req.name]
+	q := m.pending[req.name]
 	if q == nil {
-		q = &nameQueue{}
-		st.pending[req.name] = q
+		if n := len(m.freeQueues); n > 0 {
+			q, m.freeQueues = m.freeQueues[n-1], m.freeQueues[:n-1]
+		} else {
+			q = &nameQueue{}
+		}
+		m.pending[req.name] = q
 	}
 	switch req.mode {
 	case OpenAny:
@@ -229,40 +277,53 @@ func (m *Manager) handleOpen(ep topo.EndpointID, st *mgrState, msg *hpc.Message)
 	m.match(ep, st, req.name, q)
 }
 
-// match pairs pending opens for one name and sends the replies.
+// match pairs pending opens for one name and sends the replies. The
+// queues shift down rather than re-slice, so an emptied queue keeps its
+// storage for reuse.
 func (m *Manager) match(ep topo.EndpointID, st *mgrState, name string, q *nameQueue) {
 	f := m.ifs[ep]
 	pair := func(a, b pendingOpen) {
 		id := uint64(st.idx) | (st.idSeq+1)<<16
 		st.idSeq++
-		f.SendAsync(a.ep, "objmgr.rep", OpenReplyBytes,
-			openRep{token: a.token, pairing: Pairing{Chan: id, Peer: b.ep}}, nil)
-		f.SendAsync(b.ep, "objmgr.rep", OpenReplyBytes,
-			openRep{token: b.token, pairing: Pairing{Chan: id, Peer: a.ep}}, nil)
+		reply(f, a, Pairing{Chan: id, Peer: b.ep})
+		reply(f, b, Pairing{Chan: id, Peer: a.ep})
 	}
 	for len(q.any) >= 2 {
 		a, b := q.any[0], q.any[1]
-		q.any = q.any[2:]
+		q.any = slices.Delete(q.any, 0, 2)
 		pair(a, b)
 	}
 	for len(q.serve) > 0 && len(q.connect) > 0 {
 		s, c := q.serve[0], q.connect[0]
-		q.serve = q.serve[1:]
-		q.connect = q.connect[1:]
+		q.serve = slices.Delete(q.serve, 0, 1)
+		q.connect = slices.Delete(q.connect, 0, 1)
 		pair(s, c)
 	}
 	if len(q.any) == 0 && len(q.serve) == 0 && len(q.connect) == 0 {
-		delete(st.pending, name)
+		delete(m.pending, name)
+		m.freeQueues = append(m.freeQueues, q)
 	}
 }
 
-// handleReply runs at interrupt level on the opener's node.
+// reply sends one open its pairing.
+func reply(f *netif.IF, to pendingOpen, p Pairing) {
+	rep := repPool.Get().(*openRep)
+	*rep = openRep{token: to.token, pairing: p}
+	f.SendAsync(to.ep, "objmgr.rep", OpenReplyBytes, rep, nil)
+}
+
+// handleReply runs at interrupt level on the opener's node. A reply
+// for a token that no longer waits (a duplicate, or one for a record
+// since reused) wakes nothing.
 func (m *Manager) handleReply(msg *hpc.Message) {
-	rep := msg.Payload.(openRep)
-	fn, ok := m.replies[rep.token]
-	if !ok {
+	rp := msg.Payload.(*openRep)
+	rep := *rp
+	repPool.Put(rp)
+	w := &m.waits[uint32(rep.token)]
+	if w.tok != rep.token || !w.wake.Armed() {
 		return
 	}
-	delete(m.replies, rep.token)
-	fn(rep.pairing)
+	w.pairing = rep.pairing
+	w.wake.Wake()
+	w.wake = kern.Waker{}
 }

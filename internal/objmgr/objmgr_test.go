@@ -190,3 +190,65 @@ func TestUniqueChannelIDs(t *testing.T) {
 		ids[id] = true
 	}
 }
+
+// TestMixedModesShareOnePendingTable: Serve/Connect and OpenAny opens
+// on many names, waiting in the manager's one pending table at the same
+// time, each pair with their own partner, at one manager (the Meglos
+// placement) and at one manager per node (VORX), where the names are
+// owned by different managers of the one shard.
+func TestMixedModesShareOnePendingTable(t *testing.T) {
+	for _, central := range []bool{true, false} {
+		t.Run(fmt.Sprintf("central=%v", central), func(t *testing.T) {
+			sys := build(t, 4, central)
+			const names = 12
+			owners := map[topo.EndpointID]bool{}
+			type end struct {
+				node int
+				p    objmgr.Pairing
+			}
+			ends := make([][2]end, names)
+			for i := 0; i < names; i++ {
+				name := fmt.Sprintf("mixed%d", i)
+				owners[sys.Mgr.ManagerFor(name)] = true
+				modes := [2]objmgr.Mode{objmgr.OpenAny, objmgr.OpenAny}
+				if i%2 == 1 {
+					modes = [2]objmgr.Mode{objmgr.Serve, objmgr.Connect}
+				}
+				for j := 0; j < 2; j++ {
+					n := (i + j*(1+i%3)) % 4
+					ends[i][j].node = n
+					sys.Spawn(sys.Node(n), fmt.Sprintf("%s-%d", name, j), 0, func(sp *kern.Subprocess) {
+						// Stagger so later names arrive while earlier
+						// ones still wait for their partners.
+						sp.SleepFor(sim.Duration(j*names+i) * 10 * sim.Microsecond)
+						ends[i][j].p = sys.Mgr.Open(sp, sys.Node(n).IF, name, modes[j])
+					})
+				}
+			}
+			if err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !central && len(owners) < 2 {
+				t.Fatalf("the names hash to %d manager(s), want several", len(owners))
+			}
+			ids := map[uint64]bool{}
+			for i, e := range ends {
+				a, b := e[0], e[1]
+				if a.p.Chan != b.p.Chan || ids[a.p.Chan] {
+					t.Fatalf("mixed%d: ids %d and %d (seen before: %v)", i, a.p.Chan, b.p.Chan, ids[a.p.Chan])
+				}
+				ids[a.p.Chan] = true
+				if a.p.Peer != sys.Node(b.node).EP || b.p.Peer != sys.Node(a.node).EP {
+					t.Fatalf("mixed%d: peers %v and %v, want %v and %v", i, a.p.Peer, b.p.Peer, sys.Node(b.node).EP, sys.Node(a.node).EP)
+				}
+			}
+			total := 0
+			for _, ep := range sys.Mgr.Managers() {
+				total += sys.Mgr.Processed(ep)
+			}
+			if total != 2*names {
+				t.Fatalf("managers processed %d opens, want %d", total, 2*names)
+			}
+		})
+	}
+}

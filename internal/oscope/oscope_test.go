@@ -135,14 +135,14 @@ func TestIdleMixedGlyph(t *testing.T) {
 	}
 	sc := oscope.Attach(sys)
 	sys.Spawn(sys.Node(0), "in", 0, func(sp *kern.Subprocess) {
-		wake := sp.Block(kern.WaitInput, "in")
+		wake := sp.Block(kern.WaitInput)
 		sys.K.After(sim.Milliseconds(5), wake.Wake)
-		sp.BlockNow()
+		sp.BlockNow("in", "")
 	})
 	sys.Spawn(sys.Node(0), "out", 0, func(sp *kern.Subprocess) {
-		wake := sp.Block(kern.WaitOutput, "out")
+		wake := sp.Block(kern.WaitOutput)
 		sys.K.After(sim.Milliseconds(5), wake.Wake)
-		sp.BlockNow()
+		sp.BlockNow("out", "")
 	})
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)

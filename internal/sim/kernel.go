@@ -384,7 +384,7 @@ func deadlock(kernels ...*Kernel) error {
 				if err == nil {
 					err = &DeadlockError{}
 				}
-				err.Procs = append(err.Procs, BlockedProc{Name: p.name, Reason: p.waitReason})
+				err.Procs = append(err.Procs, BlockedProc{Name: p.name, Reason: p.WaitReason()})
 			}
 		}
 	}

@@ -235,8 +235,8 @@ func TestParkBlockWake(t *testing.T) {
 	var woke Time
 	var wake func()
 	k.Spawn("blocker", func(p *Proc) {
-		wake = p.Park("custom-wait")
-		p.Block()
+		wake = p.Park()
+		p.Block("custom-wait", "")
 		woke = p.Now()
 	})
 	k.After(7*Microsecond, func() { wake() })
@@ -251,9 +251,9 @@ func TestParkBlockWake(t *testing.T) {
 func TestDoubleWakeIsNoop(t *testing.T) {
 	k := NewKernel(1)
 	k.Spawn("blocker", func(p *Proc) {
-		wake := p.Park("w")
+		wake := p.Park()
 		k.After(Microsecond, func() { wake(); wake() })
-		p.Block()
+		p.Block("w", "")
 		p.Sleep(10 * Microsecond) // would panic if resumed twice
 	})
 	if err := k.Run(); err != nil {
@@ -268,13 +268,13 @@ func TestNestedParksEachWakeOnce(t *testing.T) {
 	k := NewKernel(1)
 	var resumed []Time
 	k.Spawn("nested", func(p *Proc) {
-		outer := p.Park("outer")
-		inner := p.Arm("inner")
+		outer := p.Park()
+		inner := p.Arm()
 		k.After(2*Microsecond, func() { p.Wake(inner) })
 		k.After(5*Microsecond, outer)
-		p.Block()
+		p.Block("inner", "")
 		resumed = append(resumed, p.Now())
-		p.Block()
+		p.Block("outer", "")
 		resumed = append(resumed, p.Now())
 		outer() // already spent: must not resume anything
 		p.Sleep(Microsecond)
@@ -294,20 +294,20 @@ func TestArmTokenOutlivesWindow(t *testing.T) {
 	k := NewKernel(1)
 	var woke Time
 	k.Spawn("long", func(p *Proc) {
-		old := p.Arm("left-armed")
+		old := p.Arm()
 		for i := 0; i < 100; i++ {
-			tok := p.Arm("cycle")
+			tok := p.Arm()
 			k.After(Microsecond, func() { p.Wake(tok); p.Wake(tok) })
-			p.Block()
+			p.Block("cycle", "")
 		}
-		p.Arm("wait-old")
+		p.Arm()
 		k.After(Microsecond, func() { p.Wake(old) })
-		p.Block()
+		p.Block("wait-old", "")
 		start := p.Now()
-		tok := p.Arm("wait-new")
+		tok := p.Arm()
 		k.After(5*Microsecond, func() { p.Wake(old) })
 		k.After(10*Microsecond, func() { p.Wake(tok) })
-		p.Block()
+		p.Block("wait-new", "")
 		woke = p.Now() - start
 	})
 	if err := k.Run(); err != nil {
@@ -445,8 +445,8 @@ func TestSameInstantResumeOrder(t *testing.T) {
 			var b *Proc
 			var tok ParkToken
 			b = k.Spawn("b", func(p *Proc) {
-				tok = p.Arm("wait")
-				p.Block()
+				tok = p.Arm()
+				p.Block("wait", "")
 				log("b")
 			})
 			k.Spawn("a", func(p *Proc) {

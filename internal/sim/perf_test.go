@@ -196,17 +196,17 @@ func spawnPingPong(k *Kernel, body func(round func())) {
 	var pingTok, pongTok ParkToken
 	pong = k.Spawn("pong", func(p *Proc) {
 		for {
-			pongTok = p.Arm("pong")
-			p.Block()
+			pongTok = p.Arm()
+			p.Block("pong", "")
 			ping.Wake(pingTok)
 		}
 	})
 	pong.SetDaemon(true)
 	ping = k.Spawn("ping", func(p *Proc) {
 		body(func() {
-			pingTok = p.Arm("ping")
+			pingTok = p.Arm()
 			pong.Wake(pongTok)
-			p.Block()
+			p.Block("ping", "")
 		})
 	})
 }

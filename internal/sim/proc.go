@@ -20,17 +20,17 @@ const (
 // proc's own goroutine while it holds the run token (i.e. from within
 // the function passed to Spawn, directly or indirectly).
 type Proc struct {
-	k          *Kernel
-	name       string
-	body       func(p *Proc) // the function passed to Spawn, until it starts
-	resume     chan struct{}
-	waitReason string
-	state      procState
-	killed     bool
-	daemon     bool
+	k      *Kernel
+	name   string
+	body   func(p *Proc) // the function passed to Spawn, until it starts
+	resume chan struct{}
+	// waitWhat and waitName are why the proc is parked, as its park gave
+	// them; WaitReason joins them only when someone reads it.
+	waitWhat, waitName string
+	state              procState
+	killed             bool
+	daemon             bool
 
-	// parkPending holds the reason for an armed Park awaiting Block.
-	parkPending string
 	// Armed parks (see Arm). parkGen is the latest token; bit i of
 	// unwoken is set while the park armed with token parkGen-i has not
 	// been woken. Unwoken tokens older than the 64-bit window move to
@@ -54,21 +54,24 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// WaitReason returns why the proc is blocked ("" when running).
-func (p *Proc) WaitReason() string { return p.waitReason }
+// WaitReason returns why the proc is blocked ("" when running): the
+// what and name its park gave, joined.
+func (p *Proc) WaitReason() string { return p.waitWhat + p.waitName }
 
-// park blocks the proc until some event resumes it. reason is recorded
-// for deadlock reports. During a standalone run the parking goroutine
-// runs the event loop itself (see Kernel.release), so a proc whose own
-// resume comes up next continues without a goroutine switch.
-func (p *Proc) park(reason string) {
-	p.waitReason = reason
+// park blocks the proc until some event resumes it. what and name are
+// recorded for deadlock reports and joined only when read, so a park
+// allocates nothing; what carries its own separator ("chan-read ",
+// "vchan/"). During a standalone run the parking goroutine runs the
+// event loop itself (see Kernel.release), so a proc whose own resume
+// comes up next continues without a goroutine switch.
+func (p *Proc) park(what, name string) {
+	p.waitWhat, p.waitName = what, name
 	p.state = procParked
 	if !p.k.release(p) {
 		<-p.resume
 	}
 	p.state = procRunning
-	p.waitReason = ""
+	p.waitWhat, p.waitName = "", ""
 	if p.killed {
 		panic(errKilled)
 	}
@@ -93,14 +96,14 @@ func (p *Proc) Sleep(d Duration) {
 		return
 	}
 	p.resumeAt(p.k.now.Add(d))
-	p.park("sleep")
+	p.park("sleep", "")
 }
 
 // Yield relinquishes the token until all other work scheduled at the
 // current instant has run.
 func (p *Proc) Yield() {
 	p.resumeAt(p.k.now)
-	p.park("yield")
+	p.park("yield", "")
 }
 
 // ParkToken identifies one armed park of a proc (see Arm).
@@ -112,14 +115,15 @@ type parkRef struct {
 	tok ParkToken
 }
 
-// Arm prepares the proc to park for reason and returns the token that
-// wakes it: hand the token to the waker, then call Block. It is the
-// allocation-free form of Park, for a proc whose waker can hold a token
-// instead of a closure, with the same semantics: each armed park's
-// token resumes the proc on its first Wake and is a no-op after that.
-// Parks may nest (arm, then block on something else first); every
-// armed token still counts for one resume.
-func (p *Proc) Arm(reason string) ParkToken {
+// Arm prepares the proc to park and returns the token that wakes it:
+// hand the token to the waker, then call Block, which gives the reason.
+// It is the allocation-free form of Park, for a proc whose waker can
+// hold a token instead of a closure, with the same semantics: each
+// armed park's token resumes the proc on its first Wake and is a no-op
+// after that. Parks may nest (arm, then block on something else first);
+// every armed token still counts for one resume, and each Block parks
+// with its own reason.
+func (p *Proc) Arm() ParkToken {
 	if p.unwoken>>63 != 0 {
 		p.k.oldUnwoken = append(p.k.oldUnwoken, parkRef{p, p.parkGen - 63})
 	}
@@ -127,7 +131,6 @@ func (p *Proc) Arm(reason string) ParkToken {
 	p.unwoken = p.unwoken<<1 | 1
 	// The caller hands the token out *before* blocking, so return
 	// first and let the caller invoke Block.
-	p.parkPending = reason
 	return p.parkGen
 }
 
@@ -161,14 +164,12 @@ func (p *Proc) Wake(tok ParkToken) {
 // with the token bound into a closure.
 //
 // Park is the escape hatch used to build higher-level primitives.
-func (p *Proc) Park(reason string) (wake func()) {
-	tok := p.Arm(reason)
+func (p *Proc) Park() (wake func()) {
+	tok := p.Arm()
 	return func() { p.Wake(tok) }
 }
 
-// Block parks the proc; it must follow an Arm or Park call.
-func (p *Proc) Block() {
-	reason := p.parkPending
-	p.parkPending = ""
-	p.park(reason)
-}
+// Block parks the proc; it must follow an Arm or Park call. what and
+// name, joined, are the reason deadlock reports and cdb show (see
+// WaitReason).
+func (p *Proc) Block(what, name string) { p.park(what, name) }

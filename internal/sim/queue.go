@@ -29,7 +29,7 @@ func (q *Queue[T]) Put(v T) {
 func (q *Queue[T]) Get(p *Proc) T {
 	for len(q.items) == 0 {
 		q.getters = append(q.getters, p)
-		p.park("queue-get " + q.name)
+		p.park("queue-get ", q.name)
 	}
 	v := q.items[0]
 	var zero T

@@ -256,12 +256,12 @@ func TestGroupPostLookaheadEnforced(t *testing.T) {
 func TestGroupDeadlockAggregation(t *testing.T) {
 	g := newTestGroup(2)
 	g.kernels[0].Spawn("stuck-a", func(p *Proc) {
-		p.Park("waiting-forever")
-		p.Block()
+		p.Park()
+		p.Block("waiting-forever", "")
 	})
 	g.kernels[1].Spawn("stuck-b", func(p *Proc) {
-		p.Park("also-waiting")
-		p.Block()
+		p.Park()
+		p.Block("also-waiting", "")
 	})
 	err := g.Run()
 	de, ok := err.(*DeadlockError)
@@ -344,9 +344,9 @@ func TestGroupProcsAcrossShards(t *testing.T) {
 	chain = func(sh int, hops int) {
 		k := g.kernels[sh]
 		k.Spawn(fmt.Sprintf("worker%d-%d", sh, hops), func(p *Proc) {
-			wake := p.Park("await-relay")
+			wake := p.Park()
 			k.After(Duration(1500), wake)
-			p.Block()
+			p.Block("await-relay", "")
 			wakes[sh]++
 			if hops > 0 {
 				next := (sh + 1) % shards

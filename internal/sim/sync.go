@@ -20,7 +20,7 @@ func (s *Semaphore) Acquire(p *Proc) {
 		return
 	}
 	s.waiters = append(s.waiters, p)
-	p.park("semaphore " + s.name)
+	p.park("semaphore ", s.name)
 }
 
 // Release increments the semaphore, waking the oldest waiter if any.
@@ -53,7 +53,7 @@ func NewCond(name string) *Cond {
 // Wait blocks p until Signal wakes it.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.park("cond " + c.name)
+	p.park("cond ", c.name)
 }
 
 // Signal wakes the oldest waiter, if any, and reports whether one was

@@ -263,10 +263,10 @@ func TestMigrationWhilePeerSuspected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := sup.FirstRecord("suspect"); !ok {
+	if _, ok := sup.FirstRecord("suspect", 0); !ok {
 		t.Fatal("the partitioned writer was never suspected")
 	}
-	if _, ok := sup.FirstRecord("clear"); !ok {
+	if _, ok := sup.FirstRecord("clear", 0); !ok {
 		t.Fatal("the writer's suspicion never cleared")
 	}
 	if sup.Restarts != 1 {

@@ -471,10 +471,11 @@ func (s *Supervisor) StopAt(at sim.Duration) {
 	s.sys.K.At(sim.Time(at), s.Stop)
 }
 
-// FirstRecord returns the earliest record of the given kind.
-func (s *Supervisor) FirstRecord(kind string) (Record, bool) {
+// FirstRecord returns the earliest record of the given kind at or
+// after from.
+func (s *Supervisor) FirstRecord(kind string, from sim.Time) (Record, bool) {
 	for _, r := range s.recs {
-		if r.Kind == kind {
+		if r.Kind == kind && r.At >= from {
 			return r, true
 		}
 	}

@@ -62,11 +62,11 @@ func TestHeartbeatDetectionTimeline(t *testing.T) {
 		t.Fatal("supervisor absorbed no heartbeats")
 	}
 
-	suspect, ok := sup.FirstRecord("suspect")
+	suspect, ok := sup.FirstRecord("suspect", 0)
 	if !ok {
 		t.Fatal("no suspect record")
 	}
-	confirm, ok := sup.FirstRecord("confirm")
+	confirm, ok := sup.FirstRecord("confirm", 0)
 	if !ok {
 		t.Fatal("no confirm record")
 	}
@@ -104,13 +104,13 @@ func TestSuspicionClearsOnResumedHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := sup.FirstRecord("suspect"); !ok {
+	if _, ok := sup.FirstRecord("suspect", 0); !ok {
 		t.Fatal("short outage should at least be suspected")
 	}
-	if _, ok := sup.FirstRecord("confirm"); ok {
+	if _, ok := sup.FirstRecord("confirm", 0); ok {
 		t.Fatal("short outage must not be confirmed dead")
 	}
-	if _, ok := sup.FirstRecord("clear"); !ok {
+	if _, ok := sup.FirstRecord("clear", 0); !ok {
 		t.Fatal("resumed heartbeats should clear the suspicion")
 	}
 	if got := sup.MemberState(sys.Node(0).EP); got != super.Alive {
@@ -274,7 +274,7 @@ func TestReaderDeathExactlyOnce(t *testing.T) {
 		t.Fatalf("writer saw %d peer deaths, want 0 (managed end)", got)
 	}
 	// The spare was allocated through the resource manager.
-	if _, ok := sup.FirstRecord("spare"); !ok {
+	if _, ok := sup.FirstRecord("spare", 0); !ok {
 		t.Fatal("no spare record")
 	}
 }
@@ -299,11 +299,11 @@ func TestWriterDeathExactlyOnce(t *testing.T) {
 func TestUnavailabilityWindowBounded(t *testing.T) {
 	const n = 20
 	_, sup, _ := healScenario(t, "reader", n)
-	confirm, ok := sup.FirstRecord("confirm")
+	confirm, ok := sup.FirstRecord("confirm", 0)
 	if !ok {
 		t.Fatal("no confirm record")
 	}
-	restart, ok := sup.FirstRecord("restart")
+	restart, ok := sup.FirstRecord("restart", 0)
 	if !ok {
 		t.Fatal("no restart record")
 	}
@@ -476,7 +476,7 @@ func TestOrphanManagedEndFailed(t *testing.T) {
 	if readOK {
 		t.Fatal("read from an orphaned dead peer must fail")
 	}
-	if _, ok := sup.FirstRecord("orphan"); !ok {
+	if _, ok := sup.FirstRecord("orphan", 0); !ok {
 		t.Fatal("no orphan record")
 	}
 }

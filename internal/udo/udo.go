@@ -131,15 +131,15 @@ func (o *Object) Recv(sp *kern.Subprocess) Msg {
 			// Idle-wait for arrival without charging CPU (the real
 			// code would spin; the result is the same in virtual
 			// time because nothing else wants this CPU).
-			o.waiter, o.waiting = sp.Block(kern.WaitInput, "udo-poll "+o.name), true
-			sp.BlockNow()
+			o.waiter, o.waiting = sp.Block(kern.WaitInput), true
+			sp.BlockNow("udo-poll ", o.name)
 		}
 	}
 	if len(o.queue) > 0 {
 		return o.popLocked()
 	}
-	o.waiter, o.waiting = sp.Block(kern.WaitInput, "udo-recv "+o.name), true
-	sp.BlockNow()
+	o.waiter, o.waiting = sp.Block(kern.WaitInput), true
+	sp.BlockNow("udo-recv ", o.name)
 	sp.System(costs.SchedulerWake)
 	if len(o.queue) == 0 {
 		panic(fmt.Sprintf("udo: woken with empty queue on %q", o.name))

@@ -89,8 +89,8 @@ func (ws *WindowSender) Send(sp *kern.Subprocess, payload any) {
 	costs := ws.f.Node().Costs()
 	for ws.credits == 0 {
 		ws.Stalls++
-		ws.blocked, ws.waiting = sp.Block(kern.WaitOutput, "window-credit "+ws.name), true
-		sp.BlockNow()
+		ws.blocked, ws.waiting = sp.Block(kern.WaitOutput), true
+		sp.BlockNow("window-credit ", ws.name)
 		sp.System(costs.SchedulerWake)
 	}
 	ws.credits--
@@ -155,8 +155,8 @@ func (wr *WindowReceiver) Start(sp *kern.Subprocess) {
 func (wr *WindowReceiver) Recv(sp *kern.Subprocess) Msg {
 	costs := wr.f.Node().Costs()
 	if len(wr.ring) == 0 {
-		wr.waiter, wr.waiting = sp.Block(kern.WaitInput, "window-data "+wr.name), true
-		sp.BlockNow()
+		wr.waiter, wr.waiting = sp.Block(kern.WaitInput), true
+		sp.BlockNow("window-data ", wr.name)
 		sp.System(costs.SchedulerWake)
 	}
 	m := wr.ring[0]

@@ -597,9 +597,9 @@ func (w *Writer) Write(sp *kern.Subprocess, size int, payload any) error {
 	sp.Syscall(costs.ChanSendProto + costs.KernelCopyTime(size))
 	for !w.canSend() {
 		l := s.lane(w.lane)
-		wake := sp.Block(kern.WaitOutput, "vchan/"+w.name)
+		wake := sp.Block(kern.WaitOutput)
 		l.waiters = append(l.waiters, wake)
-		sp.BlockNow()
+		sp.BlockNow("vchan/", w.name)
 	}
 	tid := s.tracer().NewTraceID()
 	rec := &vWrite{seq: w.seq, size: size, pay: payload, tid: tid}
@@ -924,8 +924,8 @@ func (r *Reader) Read(sp *kern.Subprocess) (Msg, error) {
 	costs := s.m.Kern.Costs()
 	sp.Syscall(costs.ChanRecvProto)
 	for len(r.ready) == 0 {
-		r.wake = sp.Block(kern.WaitInput, "vchan/"+r.name)
-		sp.BlockNow()
+		r.wake = sp.Block(kern.WaitInput)
+		sp.BlockNow("vchan/", r.name)
 	}
 	msg := r.ready[0]
 	copy(r.ready, r.ready[1:])

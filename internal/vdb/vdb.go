@@ -83,11 +83,11 @@ func (r *Registry) Point(sp *kern.Subprocess, loc string) {
 	tg.hits++
 	tg.stopped = true
 	tg.stopLoc = loc
-	tg.resume = sp.Block(kern.WaitOther, fmt.Sprintf("vdb-stop %s@%s", tg.name, loc))
+	tg.resume = sp.Block(kern.WaitOther)
 	if tg.onStop != nil {
 		tg.onStop(loc)
 	}
-	sp.BlockNow()
+	sp.BlockNow("vdb-stop ", tg.name+"@"+loc)
 	tg.stopped = false
 	tg.stopLoc = ""
 }

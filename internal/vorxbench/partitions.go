@@ -131,7 +131,7 @@ func e16Run(minority []topo.ClusterID, dur sim.Duration) e16Metrics {
 		violations: len(chk.Violations()),
 	}
 	m.quorum = sup.Restarts > 0 || sup.QuorumHolds == 0
-	if confirm, ok := sup.FirstRecord("confirm"); ok {
+	if confirm, ok := sup.FirstRecord("confirm", 0); ok {
 		m.detect = confirm.At.Sub(sim.Time(cutAt))
 	}
 	for i := 1; i < len(deliveries); i++ {

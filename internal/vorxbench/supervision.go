@@ -113,7 +113,7 @@ func e13Run(h sim.Duration) e13Metrics {
 	}
 
 	m := e13Metrics{heartbeat: h, confirm: cfg.ConfirmAfter, checkpoints: sup.Checkpoints}
-	if confirm, ok := sup.FirstRecord("confirm"); ok {
+	if confirm, ok := sup.FirstRecord("confirm", 0); ok {
 		m.detect = confirm.At.Sub(sim.Time(crashAt))
 	}
 	// Unavailability: the largest delivery gap (the stream pauses from
