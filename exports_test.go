@@ -116,6 +116,8 @@ func TestExportsHaveProgramCallers(t *testing.T) {
 // code or by a test. A field nothing reads still costs each write and
 // each reader of the code. The scan counts a tagged field as read, and
 // every field of a struct compared with == or != or used as a map key.
+// A map is not read by storing into it, deleting from it or comparing
+// it with nil.
 func TestFieldsAreRead(t *testing.T) {
 	scan, err := scanRepo()
 	if err != nil {
@@ -165,10 +167,12 @@ func TestExportScanRules(t *testing.T) {
 		// called.
 		{"generic", nil, []string{"q.Queue.Len"}, nil, nil},
 		// A field nothing reads is reported, and so is one that is
-		// only assigned, incremented or keyed in a composite literal.
-		{"unread", nil, nil, []string{"a.T.bumped", "a.T.keyed", "a.T.set", "a.T.unused"}, nil},
+		// only assigned, incremented or keyed in a composite literal,
+		// and a map only stored into, deleted from or compared with nil.
+		{"unread", nil, nil, []string{"a.T.added", "a.T.bumped", "a.T.counted", "a.T.deleted", "a.T.keyed", "a.T.nilTested", "a.T.set", "a.T.stored", "a.T.unused"}, nil},
 		// Reads count from another package, from an in-package test and
-		// from an external test package.
+		// from an external test package, and a map is read by an index
+		// on the right, a range or len.
 		{"reads", nil, nil, nil, nil},
 		// A tagged field is read, and so is every field of a struct
 		// used as a map key or compared with !=.
@@ -454,20 +458,40 @@ func (s *exportScan) declareState(pkg string, lp *loadedPkg, simPath string) {
 // noteReads marks the fields of the loaded modules that files read. A
 // selector reads the field it names, unless it is the whole left side
 // of an assignment or an inc/dec, and every embedded field it passes
-// through; a key of a composite literal reads nothing. Comparing
-// struct values with == or != (a switch included), or keying a map
-// with them, reads every field.
+// through; a key of a composite literal reads nothing. A map-typed
+// selector reads nothing either where it is indexed on the left side
+// of an assignment (op-assignments included) or an inc/dec, is
+// delete's first argument, or is compared with nil. Comparing struct
+// values with == or != (a switch included), or keying a map with
+// them, reads every field.
 func (l *loader) noteReads(info *types.Info, files []*ast.File) {
+	isMap := func(x ast.Expr) bool {
+		_, ok := info.TypeOf(x).Underlying().(*types.Map)
+		return ok
+	}
 	for _, f := range files {
 		written := map[ast.Expr]bool{}
+		write := func(x ast.Expr) {
+			x = ast.Unparen(x)
+			written[x] = true
+			if ix, ok := x.(*ast.IndexExpr); ok && isMap(ix.X) {
+				written[ast.Unparen(ix.X)] = true
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					written[ast.Unparen(lhs)] = true
+					write(lhs)
 				}
 			case *ast.IncDecStmt:
-				written[ast.Unparen(n.X)] = true
+				write(n.X)
+			case *ast.CallExpr:
+				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) > 0 {
+					if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "delete" {
+						written[ast.Unparen(n.Args[0])] = true
+					}
+				}
 			case *ast.SelectorExpr:
 				sel := info.Selections[n]
 				if sel == nil {
@@ -494,6 +518,12 @@ func (l *loader) noteReads(info *types.Info, files []*ast.File) {
 			case *ast.BinaryExpr:
 				if n.Op == token.EQL || n.Op == token.NEQ {
 					l.readWhole(info.TypeOf(n.X))
+					if isMap(n.X) && info.Types[n.Y].IsNil() {
+						written[ast.Unparen(n.X)] = true
+					}
+					if isMap(n.Y) && info.Types[n.X].IsNil() {
+						written[ast.Unparen(n.Y)] = true
+					}
 				}
 			case *ast.SwitchStmt:
 				if n.Tag != nil {

@@ -305,11 +305,10 @@ type Channel struct {
 	peer topo.EndpointID
 
 	// reader side
-	ready      []Msg       // side-buffered complete messages
-	assembling map[int]int // bytes received per in-flight message seq
-	reader     *blockedReader
-	readerRec  blockedReader // reader's storage: one Read blocks at a time
-	mux        *Mux
+	ready     []Msg // side-buffered complete messages
+	reader    *blockedReader
+	readerRec blockedReader // reader's storage: one Read blocks at a time
+	mux       *Mux
 
 	// writer side. window is the number of un-acknowledged writes
 	// allowed in flight: 1 is the classic stop-and-wait; larger
@@ -622,8 +621,6 @@ func (ch *Channel) remoteGone() {
 	// asking a dead sender to retransmit while a live starved channel
 	// waits for the next free — which may never come.
 	ch.svc.dropStarved(ch)
-	// Partially assembled messages will never complete either.
-	ch.assembling = nil
 	if ch.reader != nil {
 		r := ch.reader
 		ch.reader = nil
@@ -904,13 +901,8 @@ func (s *Service) deliverFrag(ch *Channel, frag dataFrag) {
 		s.Retransmits++
 	}
 	if !frag.last {
-		if ch.assembling == nil {
-			ch.assembling = map[int]int{}
-		}
-		ch.assembling[frag.seq] += frag.size
 		return
 	}
-	delete(ch.assembling, frag.seq)
 	msg := Msg{Size: frag.total, Payload: frag.payload}
 
 	if frag.seq < ch.recvSeq {

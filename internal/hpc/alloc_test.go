@@ -2,6 +2,7 @@ package hpc
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hpcvorx/internal/m68k"
@@ -104,11 +105,14 @@ func TestTransferPoolSurvivesLateRelease(t *testing.T) {
 // TestBlockedSendZeroAlloc: a proc whose Send finds its output section
 // full waits for the room-available interrupt as a park token on the
 // endpoint's waiter list, which keeps its storage, so once warm a
-// blocked send allocates nothing.
+// blocked send allocates nothing. Nor does the first one on each
+// endpoint of a fresh fabric: its park reason is the output section's
+// own name, and each waiter list starts with room for one waiter.
 func TestBlockedSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
+	coldBlockedSends(t)
 	k := sim.NewKernel(1)
 	tp, err := topo.SingleCluster(2)
 	if err != nil {
@@ -145,6 +149,60 @@ func TestBlockedSendZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
 		t.Fatalf("warm blocked Send allocates %v/op, want 0", allocs)
+	}
+}
+
+// coldBlockedSends is TestBlockedSendZeroAlloc's cold case. On a fresh
+// one-cluster fabric, endpoint 0 warms the transfer and event pools and
+// the path into the last endpoint; then every other endpoint sends to
+// it twice, and the second send, that endpoint's first to wait for
+// room, must allocate nothing.
+func coldBlockedSends(t *testing.T) {
+	k := sim.NewKernel(1)
+	tp, err := topo.SingleCluster(topo.PortsPerCluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic := New(k, m68k.DefaultCosts(), tp)
+	n := tp.Endpoints()
+	msgs := make([]Message, n)
+	for e := range msgs {
+		msgs[e] = Message{Src: topo.EndpointID(e), Dst: topo.EndpointID(n - 1), Size: 512}
+	}
+	var mallocs uint64
+	waited := 0
+	k.Spawn("sender", func(p *sim.Proc) {
+		send := func(e int) {
+			if err := ic.Send(p, &msgs[e], nil); err != nil {
+				t.Error(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			send(0)
+			send(0)
+			p.Sleep(sim.Millisecond) // both reach the sink
+		}
+		var before, after runtime.MemStats
+		for e := 1; e < n-1; e++ {
+			send(e) // takes the free output section
+			if !ic.OutputFree(topo.EndpointID(e)) {
+				waited++
+			}
+			runtime.ReadMemStats(&before)
+			send(e)
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+			p.Sleep(sim.Millisecond)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if waited != n-2 {
+		t.Fatalf("%d of %d cold sends waited for room; scenario is vacuous", waited, n-2)
+	}
+	if mallocs != 0 {
+		t.Fatalf("the first blocked Send on each of %d fresh endpoints allocates %d objects in all, want 0", n-2, mallocs)
 	}
 }
 

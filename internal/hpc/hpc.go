@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 
 	"hpcvorx/internal/m68k"
@@ -132,13 +133,10 @@ type Interconnect struct {
 
 	deliver []DeliverFunc
 	// onRoom[e] lists who waits for room in endpoint e's output
-	// section (the room-available interrupt), oldest first. The list
-	// keeps its storage across interrupts.
+	// section (the room-available interrupt), oldest first. Each list
+	// starts with room for one waiter, all in one array, and keeps its
+	// storage across interrupts.
 	onRoom [][]roomWaiter
-
-	// outWait[e] is the park reason of a sender blocked on endpoint e's
-	// full output section, built on first use (see outputWaitReason).
-	outWait []string
 
 	// downCubes counts directed cube links currently marked down. When
 	// it is zero every route uses the canonical dimension-order rule,
@@ -201,7 +199,9 @@ func New(k *sim.Kernel, costs *m68k.Costs, t *topo.Topology) *Interconnect {
 		onRoom:  make([][]roomWaiter, n),
 	}
 	ic.msgPool.New = func() any { return &Message{} }
+	room := make([]roomWaiter, n)
 	for e := 0; e < n; e++ {
+		ic.onRoom[e] = room[e : e : e+1]
 		ic.outSec[e] = &buffer{name: fmt.Sprintf("out%d", e), outEP: int32(e + 1)}
 		ic.inSec[e] = &buffer{name: fmt.Sprintf("in%d", e)}
 		ic.upLink[e] = &link{ic: ic, name: fmt.Sprintf("up%d", e), into: &buffer{name: fmt.Sprintf("clbuf-up%d", e)}}
@@ -413,11 +413,12 @@ func (ic *Interconnect) NotifyRoom(e topo.EndpointID, fn func()) {
 }
 
 // waitRoom blocks proc p until endpoint e's full output section next
-// frees. The proc waits as a token, so waiting allocates nothing.
-func (ic *Interconnect) waitRoom(p *sim.Proc, e topo.EndpointID, reason string) {
+// frees, parked for what and name (see sim.Proc.Block). The proc waits
+// as a token, so waiting allocates nothing.
+func (ic *Interconnect) waitRoom(p *sim.Proc, e topo.EndpointID, what, name string) {
 	tok := p.Arm()
 	ic.onRoom[e] = append(ic.onRoom[e], roomWaiter{p: p, tok: tok})
-	p.Block(reason, "")
+	p.Block(what, name)
 }
 
 // TrySend starts transmission of msg if the sender's output section is
@@ -468,20 +469,10 @@ func (ic *Interconnect) Send(p *sim.Proc, msg *Message, onDelivered func(*Messag
 		if ok {
 			return nil
 		}
-		ic.waitRoom(p, msg.Src, ic.outputWaitReason(msg.Src))
+		// The output section's name is "out<e>", so the reason reads
+		// "hpc-output <e>" without formatting anything.
+		ic.waitRoom(p, msg.Src, "hpc-output ", strings.TrimPrefix(ic.outSec[msg.Src].name, "out"))
 	}
-}
-
-// outputWaitReason is the park reason of a sender waiting for room in
-// endpoint e's output section, built once per endpoint.
-func (ic *Interconnect) outputWaitReason(e topo.EndpointID) string {
-	if ic.outWait == nil {
-		ic.outWait = make([]string, len(ic.outSec))
-	}
-	if ic.outWait[e] == "" {
-		ic.outWait[e] = "hpc-output " + fmt.Sprint(e)
-	}
-	return ic.outWait[e]
 }
 
 // SendMulticast transmits one message to several destinations. The
@@ -498,7 +489,7 @@ func (ic *Interconnect) SendMulticast(p *sim.Proc, src topo.EndpointID, dsts []t
 	}
 	out := ic.outSec[src]
 	for out.full() {
-		ic.waitRoom(p, src, "hpc-output-mc")
+		ic.waitRoom(p, src, "hpc-output-mc", "")
 	}
 	ic.stats.MulticastsSent++
 	// Phase 1: one trip up to the source cluster's replication buffer.

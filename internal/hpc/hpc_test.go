@@ -104,6 +104,27 @@ func TestOutputSectionBackpressure(t *testing.T) {
 	}
 }
 
+// TestBlockedSendWaitReason: a sender waiting for room in its full
+// output section is reported as "hpc-output <endpoint>".
+func TestBlockedSendWaitReason(t *testing.T) {
+	k, ic := newFabric(t, 12)
+	ic.SetDeliver(0, func(*Delivery) {}) // never releases: the fabric backs up
+	k.Spawn("sender", func(p *sim.Proc) {
+		for {
+			if err := ic.Send(p, &Message{Src: 11, Dst: 0, Size: 1000}, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	defer k.Shutdown()
+	err := k.Run()
+	dl, ok := err.(*sim.DeadlockError)
+	if !ok || len(dl.Procs) != 1 || dl.Procs[0] != (sim.BlockedProc{Name: "sender", Reason: "hpc-output 11"}) {
+		t.Fatalf("Run = %v, want the sender blocked as hpc-output 11", err)
+	}
+}
+
 func TestNoLossUnderManyToOne(t *testing.T) {
 	// Paper §2: HPC flow control makes loss impossible and every
 	// sender is eventually serviced. 11 senders blast one receiver.

@@ -57,6 +57,10 @@ type Kernel struct {
 
 	procs   []*Proc     // all procs ever spawned
 	stopped atomic.Bool // set by Group.Stop
+	// grouped is set while a Group run drives the kernel: a grant that
+	// runs dry does not end the run, the token holder opens the next
+	// one (Group.nextGrant).
+	grouped bool
 	probe   Probe
 
 	// oldUnwoken lists armed parks that outlived their proc's 64-park
@@ -284,11 +288,17 @@ func (k *Kernel) popFront(ev *event) {
 
 // dispatch runs events in (at, seq) order until one starts or resumes
 // a proc, and returns that proc. It returns nil when the queue drains,
-// the Group stops, or the next event lies past the run's deadline.
+// the Group stops, or the next event lies past the run's deadline. In
+// a Group run a grant that runs dry is followed by the next one, opened
+// here on whichever goroutine holds the token, so dispatch returns nil
+// only when the whole run ends.
 func (k *Kernel) dispatch() *Proc {
 	for !k.stopped.Load() {
 		ev := k.front()
 		if ev == nil || ev.at > k.deadline {
+			if k.grouped && k.group.nextGrant(k.shard) {
+				continue
+			}
 			return nil
 		}
 		k.popFront(ev)
@@ -314,10 +324,11 @@ func (k *Kernel) dispatch() *Proc {
 // event time, so a proc that parks then (Shutdown) dispatches nothing.
 const noRun = Time(-1)
 
-// runTo dispatches events with timestamps <= bound: a run, or one grant
-// of a Group shard. The caller's goroutine dispatches until the first
-// proc switch; from then on the token and the event loop move from proc
-// to proc (see release), and come back here when the run ends.
+// runTo dispatches events with timestamps <= bound: a run, or a Group
+// shard's first grant and every grant after it. The caller's goroutine
+// dispatches until the first proc switch; from then on the token and
+// the event loop move from proc to proc (see release), and come back
+// here when the run ends.
 func (k *Kernel) runTo(bound Time) {
 	k.deadline = bound
 	defer func() { k.deadline = noRun }()

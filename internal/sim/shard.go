@@ -44,11 +44,14 @@ import (
 // earliest event finds every term above it once its inbox is drained,
 // and dispatches.
 //
-// Each shard's goroutine drains its inbox, computes the bound and
-// then runs one grant: an ordinary run of its kernel bounded by
-// safe(i)-1, in which procs hand the run token
-// to each other as on a standalone kernel and the token comes back
-// once the grant ends.
+// A shard runs in grants: an ordinary run of its kernel bounded by
+// safe(i)-1, in which procs hand the run token to each other as on a
+// standalone kernel. Between grants its token holder publishes its
+// front, drains its inbox and computes the next bound, or parks when
+// there is nothing it may dispatch (nextGrant). That holder is
+// whichever goroutine ran the grant dry, usually a proc that just
+// parked, so the step costs no goroutine switch; the token returns to
+// the shard's own goroutine only when the run ends.
 //
 // Determinism: a drained cross becomes an ordinary event in its
 // shard's heap, merged not in wall-clock arrival order but by the
@@ -97,7 +100,7 @@ type Group struct {
 	done     chan struct{}
 
 	// Synchronization-layer accounting (the sim.sync.* counters), one
-	// struct per shard, owned by that shard's loop.
+	// struct per shard, owned by that shard's token holder.
 	sync []syncCounters
 }
 
@@ -106,13 +109,16 @@ type Group struct {
 // those followed a grant run that posted no cross (null messages —
 // pure time advance, no traffic), every park/wake signal delivered,
 // and how the dispatched events group into grant batches (one
-// safe-bound computation each).
+// safe-bound computation each). grantFrom and grantPosts are the
+// kernel's dispatched and posts counts when its current grant opened.
 type syncCounters struct {
 	frontPubs   uint64
 	nullPubs    uint64
 	wakeups     uint64
 	drainRuns   uint64
 	drainEvents uint64
+
+	grantFrom, grantPosts uint64
 }
 
 // SyncStats aggregates the sim.sync.* counters over all shards. Read
@@ -358,7 +364,7 @@ func (g *Group) notify(dst int) {
 // notifyIdle wakes shard dst only if it is parked, charging the signal
 // to src's wakeup counter when one is actually delivered. Callers must
 // have already published the state that creates work for dst; a busy
-// dst picks that state up at the top of its own loop.
+// dst picks that state up when it opens its next grant.
 func (g *Group) notifyIdle(src, dst int) {
 	if g.idle[dst].Load() {
 		select {
@@ -406,8 +412,9 @@ func (g *Group) drain(i int) bool {
 	return true
 }
 
-// curMin is shard i's earliest undispatched event. Owned by shard i's
-// loop.
+// curMin is shard i's earliest undispatched event. Only i's token
+// holder calls it, but for Run before the shards start and enterIdle's
+// sweep while i is parked.
 func (g *Group) curMin(i int) int64 {
 	if ev := g.kernels[i].front(); ev != nil {
 		return int64(ev.at)
@@ -452,8 +459,8 @@ func (g *Group) publishLocalMin(i int, posted bool) {
 
 // safeTime is the bound below which shard i may freely dispatch: no
 // future cross-shard arrival can carry a smaller timestamp (see Group).
-// The inbox must be drained first, as the shard loop does: an
-// undrained cross caps the bound at its own timestamp.
+// The inbox must be drained first, as openGrant does: an undrained
+// cross caps the bound at its own timestamp.
 //
 // Each read is a valid bound at its own instant, but the scan is not
 // one instant: a drain moves an event from inbox[d] to localMin[d]. A
@@ -462,13 +469,12 @@ func (g *Group) publishLocalMin(i int, posted bool) {
 // dispatch past a cross that event will post. So the scan retries
 // until no drain overlapped it. (Both places weight the event by
 // reach(d,i). The one drain whose weights differ, into i, runs only on
-// i's token holder: the goroutine that scans for i, or one of i's
-// procs while that goroutine waits out a grant, and no one while i is
-// parked for enterIdle's completion sweep.) With drains excluded, the
-// order is sound: a dispatch creates local events at or after its own
-// time (covered by the localMin that preceded it) and posts crosses
-// before publishLocalMin raises its localMin, and the scan reads every
-// localMin before any inbox.
+// i's token holder, which is also the one goroutine that scans for i,
+// and on no one while i is parked for enterIdle's completion sweep.)
+// With drains excluded, the order is sound: a dispatch creates local
+// events at or after its own time (covered by the localMin that
+// preceded it) and posts crosses before publishLocalMin raises its
+// localMin, and the scan reads every localMin before any inbox.
 func (g *Group) safeTime(i int) Time {
 	for {
 		done := g.movesDone.Load()
@@ -559,7 +565,7 @@ func (g *Group) enterIdle(i int) (finished, retry bool) {
 // spinForWork is the cheap half of the idle handshake: with its front
 // already published, yield and poll a few times for
 // newly-arrived crosses or a raised safe bound before parking. Returns
-// true when the shard should re-enter its dispatch loop. Purely a
+// true when the shard should open its next grant. Purely a
 // wall-clock optimization: the spin delays parking, it never changes
 // what the protocol promises or the order events dispatch in.
 func (g *Group) spinForWork(i int) bool {
@@ -590,47 +596,65 @@ func (g *Group) exitIdle(i int) {
 	g.detMu.Unlock()
 }
 
-// shardLoop is one shard's dispatch loop for a single run: compute the
-// safe-advance bound once, dispatch every event below it in one grant
-// (a run of the kernel bounded by the safe bound), publish the raised
-// front, and only then decide whether to re-arm or park. Between a dry
-// pass and parking sits the bounded yield-and-poll spin that resolves
-// most handoffs without parking.
-func (g *Group) shardLoop(i int) {
+// openGrant starts shard i's next grant: it drains the inbox, notes
+// the counts nextGrant compares at the grant's end, and returns the
+// grant's bound, safe(i)-1.
+func (g *Group) openGrant(i int) Time {
 	k := g.kernels[i]
-	for !k.stopped.Load() {
-		g.drain(i)
-		before, posts := k.dispatched, k.posts
-		k.runTo(g.safeTime(i) - 1)
-		if k.stopped.Load() {
-			return
-		}
-		g.publishLocalMin(i, k.posts != posts)
-		if ran := k.dispatched - before; ran > 0 {
-			g.sync[i].drainRuns++
-			g.sync[i].drainEvents += ran
-			continue
-		}
-		if g.drain(i) {
-			continue
-		}
-		if g.spinForWork(i) {
-			continue
-		}
+	g.drain(i)
+	g.sync[i].grantFrom, g.sync[i].grantPosts = k.dispatched, k.posts
+	return g.safeTime(i) - 1
+}
+
+// nextGrant is the step between two of shard i's grants, run by
+// dispatch on whichever goroutine holds i's token when a grant runs
+// dry: publish the raised front, count the grant, and open the next
+// one; when the dry grant dispatched nothing and no cross arrived,
+// first spin, then park idle until there may be work. It reports false
+// when the run ends (finished or stopped), and the token then goes
+// back to the shard's goroutine.
+func (g *Group) nextGrant(i int) bool {
+	k := g.kernels[i]
+	if k.stopped.Load() {
+		return false
+	}
+	sc := &g.sync[i]
+	g.publishLocalMin(i, k.posts != sc.grantPosts)
+	if ran := k.dispatched - sc.grantFrom; ran > 0 {
+		sc.drainRuns++
+		sc.drainEvents += ran
+	} else if !g.drain(i) && !g.spinForWork(i) {
 		finished, retry := g.enterIdle(i)
 		if finished {
-			return
+			return false
 		}
-		if retry {
-			continue
-		}
-		select {
-		case <-g.wake[i]:
-			g.exitIdle(i)
-		case <-g.done:
-			return
+		if !retry {
+			select {
+			case <-g.wake[i]:
+				g.exitIdle(i)
+			case <-g.done:
+				return false
+			}
 		}
 	}
+	if k.stopped.Load() {
+		return false
+	}
+	k.deadline = g.openGrant(i)
+	return true
+}
+
+// shardLoop runs shard i for one Group run on the shard's goroutine:
+// it opens the first grant and runs the kernel, and nextGrant opens
+// every later grant where the one before ran dry.
+func (g *Group) shardLoop(i int) {
+	k := g.kernels[i]
+	if k.stopped.Load() {
+		return
+	}
+	k.grouped = true
+	defer func() { k.grouped = false }()
+	k.runTo(g.openGrant(i))
 }
 
 // Run dispatches across all shards until every queue and inbox drains

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -436,6 +438,86 @@ func TestCompactionsCounter(t *testing.T) {
 	}
 }
 
+// procRunsGrantStep reports whether some proc's goroutine is inside
+// Group.nextGrant: a proc holds its shard's token between grants.
+func procRunsGrantStep() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, st := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(st, "sim.(*Group).nextGrant") && strings.Contains(st, "sim.(*Kernel).procMain") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGroupIdleOnProcGoroutine: shard 0's only proc parks, which runs
+// the grant dry on the proc's goroutine, and shard 0 goes idle there,
+// the token still on that goroutine, while shard 1 waits in an event
+// until it sees this. Then shard 1 ends it one of four ways: a cross
+// post that wakes the proc, Stop, nothing (a deadlock), or a cross
+// whose callback panics in the grant it opens. Every run ends as on the
+// shard goroutine, and Shutdown leaves no goroutine behind.
+func TestGroupIdleOnProcGoroutine(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		name string
+		end  func(g *Group, wake func())
+		want func(err error, panicked any, woke bool) bool
+	}{
+		{"cross wakes it", func(g *Group, wake func()) {
+			g.kernels[1].Post(0, g.kernels[1].Now().Add(1000), wake)
+		}, func(err error, panicked any, woke bool) bool { return err == nil && panicked == nil && woke }},
+		{"stop", func(g *Group, _ func()) { g.Stop() },
+			func(err error, panicked any, woke bool) bool { return err == nil && panicked == nil && !woke }},
+		{"deadlock", func(*Group, func()) {}, func(err error, panicked any, woke bool) bool {
+			var dl *DeadlockError
+			return errors.As(err, &dl) && len(dl.Procs) == 1 && dl.Procs[0] == BlockedProc{"waiter", "idle-test"} && !woke
+		}},
+		{"panic in the next grant", func(g *Group, _ func()) {
+			g.kernels[1].Post(0, g.kernels[1].Now().Add(1000), func() { panic(boom) })
+		}, func(err error, panicked any, woke bool) bool { return panicked == boom && !woke }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			g := newTestGroup(2)
+			var waiter *Proc
+			var tok ParkToken
+			woke := false
+			waiter = g.kernels[0].Spawn("waiter", func(p *Proc) {
+				tok = p.Arm()
+				p.Block("idle-test", "")
+				woke = true
+			})
+			seen := false
+			g.kernels[1].At(10, func() {
+				for end := time.Now().Add(10 * time.Second); time.Now().Before(end); time.Sleep(100 * time.Microsecond) {
+					if g.idle[0].Load() && procRunsGrantStep() {
+						seen = true
+						break
+					}
+				}
+				c.end(g, func() { waiter.Wake(tok) })
+			})
+			var err error
+			panicked := recovered(func() { err = g.Run() })
+			shutdownGroup(g)
+			if !seen {
+				t.Fatal("shard 0 never went idle with its token on a proc's goroutine")
+			}
+			if !c.want(err, panicked, woke) {
+				t.Fatalf("Run returned %v, panicked with %v, proc woke %v", err, panicked, woke)
+			}
+			for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(end); {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("%d goroutines after Shutdown, %d before the run", n, base)
+			}
+		})
+	}
+}
+
 func BenchmarkGroupCrossRelay(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -462,6 +544,50 @@ func BenchmarkGroupCrossRelay(b *testing.B) {
 			}
 			if err := g.Run(); err != nil {
 				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkGroupProcRelay isolates the token's path between grants:
+// one proc per shard, woken by a cross post from the shard before it,
+// posts the next wake and parks, which runs its grant dry on its own
+// goroutine. One op is one hop: a wake, a post and a park.
+func BenchmarkGroupProcRelay(b *testing.B) {
+	for _, shards := range []int{2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			g := newTestGroup(shards)
+			procs := make([]*Proc, shards)
+			toks := make([]ParkToken, shards)
+			wake := make([]func(), shards)
+			hops := 0 // carried along the relay, like its one wake
+			for sh := range procs {
+				sh, k := sh, g.kernels[sh]
+				next := (sh + 1) % shards
+				wake[sh] = func() { procs[sh].Wake(toks[sh]) }
+				procs[sh] = k.Spawn(fmt.Sprintf("relay%d", sh), func(p *Proc) {
+					for {
+						toks[sh] = p.Arm()
+						p.Block("relay", "")
+						if hops == b.N {
+							return
+						}
+						hops++
+						k.Post(next, p.Now().Add(1000), wake[next])
+					}
+				})
+				procs[sh].SetDaemon(true)
+			}
+			g.kernels[0].At(1, wake[0])
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := g.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			shutdownGroup(g)
+			if hops != b.N {
+				b.Fatalf("relay made %d hops, want %d", hops, b.N)
 			}
 		})
 	}
