@@ -32,10 +32,6 @@ type Config struct {
 	// Nodes is the number of processing nodes (the paper's pool had
 	// 70).
 	Nodes int
-	// NodesPerCluster controls hypercube construction when the
-	// machine exceeds one cluster; 0 means 4, the paper's flagship
-	// arrangement (8 cube ports + 4 node ports).
-	NodesPerCluster int
 	// CentralizedManager places a single object manager on the first
 	// host (the Meglos arrangement) instead of replicating managers
 	// on every processing node (the VORX arrangement).
@@ -184,9 +180,14 @@ func Build(cfg Config) (*System, error) {
 	return sh.Sys[0], nil
 }
 
+// nodesPerCluster is how many endpoints each cluster of a multi-cluster
+// machine attaches: 4, the paper's flagship arrangement (8 cube ports
+// + 4 node ports).
+const nodesPerCluster = 4
+
 // Topology sizes the interconnect for the configured machine: one
 // cluster when every endpoint fits its ports, otherwise an incomplete
-// hypercube of NodesPerCluster endpoints per cluster.
+// hypercube of nodesPerCluster endpoints per cluster.
 func (cfg Config) Topology() (*topo.Topology, error) {
 	if cfg.Nodes < 0 || cfg.Hosts < 0 || cfg.Nodes+cfg.Hosts == 0 {
 		return nil, fmt.Errorf("core: need at least one machine (hosts=%d nodes=%d)", cfg.Hosts, cfg.Nodes)
@@ -195,11 +196,7 @@ func (cfg Config) Topology() (*topo.Topology, error) {
 	if total <= topo.PortsPerCluster {
 		return topo.SingleCluster(total)
 	}
-	per := cfg.NodesPerCluster
-	if per == 0 {
-		per = 4
-	}
-	return topo.IncompleteHypercube((total+per-1)/per, per)
+	return topo.IncompleteHypercube((total+nodesPerCluster-1)/nodesPerCluster, nodesPerCluster)
 }
 
 // assemble builds the machine over shards simulation kernels (0 = one

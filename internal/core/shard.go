@@ -48,24 +48,9 @@ func BuildSharded(cfg Config) (*Sharded, error) {
 	for i, sys := range sh.Sys {
 		kerns[i], ics[i] = sys.K, sys.IC
 	}
-	// Route-aware lookahead: the conservative promise between two shards
-	// is the minimum cube-route cost between their clusters, not the
-	// single-hop floor. Shard pairs that share a boundary link stay at
-	// HopFixed (the hand-off protocol posts signals exactly one hop
-	// ahead); pairs whose clusters sit k>1 links apart exchange signals
-	// only through k relaying boundary crossings, so they can promise
-	// k*HopFixed and synchronize far less often.
-	hops := sh.Part.RouteHops()
-	look := make([][]sim.Duration, n)
-	for s := range look {
-		look[s] = make([]sim.Duration, n)
-		for d := range look[s] {
-			if s != d {
-				look[s][d] = sh.Costs.HopFixed * sim.Duration(hops[s][d])
-			}
-		}
-	}
-	sh.Group = sim.NewGroup(look, kerns...)
+	// The lookahead is one cube hop: anything one shard's clusters do to
+	// another's crosses at least one, at HopFixed or more.
+	sh.Group = sim.NewGroup(sh.Costs.HopFixed, kerns...)
 	if n > 1 {
 		shardOf := make([]int, sh.Topo.Clusters())
 		for c := range shardOf {

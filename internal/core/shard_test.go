@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"hpcvorx/internal/hpc"
 	"hpcvorx/internal/kern"
 	"hpcvorx/internal/objmgr"
 	"hpcvorx/internal/sim"
+	"hpcvorx/internal/topo"
 )
 
 // The sharded build must be observably identical to the serial one:
@@ -167,10 +170,9 @@ func TestBuildShardedDefaultsToClusters(t *testing.T) {
 }
 
 // TestBuildShardedShardEdges pins the remaining Config.Shards edges:
-// Shards=1 degenerates to a one-kernel group with zero effective
-// lookahead that still runs the full workload, and a multi-shard build
-// carries the route-aware lookahead matrix (HopFixed times the
-// minimum cube distance between each shard pair, zero diagonal).
+// Shards=1 degenerates to a one-kernel group that still runs the full
+// workload, and a multi-shard build promises one cube hop (HopFixed)
+// between any two shards.
 func TestBuildShardedShardEdges(t *testing.T) {
 	sh, err := BuildSharded(Config{Hosts: 1, Nodes: stackNodes, Seed: 1, Shards: 1})
 	if err != nil {
@@ -178,9 +180,6 @@ func TestBuildShardedShardEdges(t *testing.T) {
 	}
 	if sh.Shards() != 1 {
 		t.Fatalf("shards=1 built %d shards", sh.Shards())
-	}
-	if la := sh.Group.PairLookahead(0, 0); la != 0 {
-		t.Fatalf("one-shard group lookahead = %v, want 0", la)
 	}
 	out := make([]pairOutcome, stackPairs)
 	stackTraffic(sh, out)
@@ -197,12 +196,98 @@ func TestBuildShardedShardEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hops := sh4.Part.RouteHops()
-	for s := 0; s < sh4.Shards(); s++ {
-		for d := 0; d < sh4.Shards(); d++ {
-			want := sh4.Costs.HopFixed * sim.Duration(hops[s][d])
-			if got := sh4.Group.PairLookahead(s, d); got != want {
-				t.Fatalf("lookahead[%d][%d] = %v, want %v (%d hops)", s, d, got, want, hops[s][d])
+	if got := sh4.Group.Lookahead(); got != sh4.Costs.HopFixed {
+		t.Fatalf("4-shard lookahead = %v, want HopFixed (%v)", got, sh4.Costs.HopFixed)
+	}
+}
+
+// mcastDelivery is one multicast copy arriving: when, where, and its
+// tag.
+type mcastDelivery struct {
+	at  sim.Time
+	dst topo.EndpointID
+	tag string
+}
+
+// multicastAll has endpoint 0 multicast 512 B to every other endpoint,
+// owner(e) being the System that runs endpoint e, and returns the
+// deliveries sorted by (time, destination). Each System logs only the
+// deliveries to its own endpoints, so the logs are race-free. Every
+// copy's completion notice must reach the sender.
+func multicastAll(t *testing.T, systems []*System, owner func(topo.EndpointID) int, run func() error) []mcastDelivery {
+	t.Helper()
+	n := systems[0].Topo.Endpoints()
+	logs := make([][]mcastDelivery, len(systems))
+	dsts := make([]topo.EndpointID, 0, n-1)
+	for e := 0; e < n; e++ {
+		ep := topo.EndpointID(e)
+		if e > 0 {
+			dsts = append(dsts, ep)
+		}
+		i := owner(ep)
+		sys := systems[i]
+		sys.IC.SetDeliver(ep, func(d *hpc.Delivery) {
+			logs[i] = append(logs[i], mcastDelivery{at: sys.K.Now(), dst: d.Msg.Dst, tag: d.Msg.Tag})
+			d.Release()
+		})
+	}
+	src := systems[owner(0)]
+	notices := 0
+	src.K.Spawn("multicast", func(p *sim.Proc) {
+		if err := src.IC.SendMulticast(p, 0, dsts, 512, nil, "mc", func(topo.EndpointID, *hpc.Message) { notices++ }); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	if notices != len(dsts) {
+		t.Fatalf("the sender got %d completion notices, want %d", notices, len(dsts))
+	}
+	var all []mcastDelivery
+	for _, l := range logs {
+		all = append(all, l...)
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].at != all[b].at {
+			return all[a].at < all[b].at
+		}
+		return all[a].dst < all[b].dst
+	})
+	return all
+}
+
+// TestShardedMulticastMatchesSerial: a multicast from endpoint 0 to the
+// 63 others of a 16-cluster pool, whose copies' completion notices go
+// home to endpoint 0's shard from clusters up to four cube hops away,
+// delivers every copy at the serial run's instant at every split.
+func TestShardedMulticastMatchesSerial(t *testing.T) {
+	cfg := Config{Hosts: 1, Nodes: 63, Seed: 1}
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := multicastAll(t, []*System{sys}, func(topo.EndpointID) int { return 0 }, sys.Run)
+	if len(want) != 63 {
+		t.Fatalf("serial run delivered %d copies, want 63", len(want))
+	}
+	for _, shards := range []int{2, 4, 8, 16} {
+		c := cfg
+		c.Shards = shards
+		sh, err := BuildSharded(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh.Shards() != shards {
+			t.Fatalf("want %d shards, built %d", shards, sh.Shards())
+		}
+		got := multicastAll(t, sh.Sys, func(e topo.EndpointID) int { return sh.Part.OfEndpoint(sh.Topo, e) }, sh.Run)
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: %d copies delivered, serial %d", shards, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("shards=%d: delivery %d = %+v, serial %+v", shards, i, got[i], want[i])
 			}
 		}
 	}

@@ -48,10 +48,13 @@ type Reliable struct {
 	FencedDrops int
 }
 
+// relPend is one Send's outstanding exchange: the sending proc and the
+// token of the park that awaits its ack or timeout.
 type relPend struct {
 	seq    int
 	result int // 0 pending, 1 acked, -1 nakked, 2 timed out
-	wake   func()
+	p      *sim.Proc
+	tok    sim.ParkToken
 }
 
 type relData struct {
@@ -121,7 +124,7 @@ func NewReliable(k *sim.Kernel, nw *snet.Network) *Reliable {
 				} else {
 					pd.result = -1
 				}
-				pd.wake()
+				pd.p.Wake(pd.tok)
 			}
 		})
 		st.StartKernel()
@@ -172,7 +175,7 @@ func (r *Reliable) Send(p *sim.Proc, src *snet.Station, dst, size int, payload a
 	// One pending record serves every retransmission round: an ack for
 	// this seq is equally valid whichever transmission it answers (the
 	// previous round's timer is stopped before the record is re-armed).
-	pd := &relPend{seq: seq}
+	pd := &relPend{seq: seq, p: p}
 	for {
 		transfers++
 		for src.Send(p, dst, size, relData{seq: seq, inc: r.incs[src.ID()], user: payload}) != snet.Delivered {
@@ -180,12 +183,12 @@ func (r *Reliable) Send(p *sim.Proc, src *snet.Station, dst, size int, payload a
 			transfers++
 		}
 		pd.result = 0
-		pd.wake = p.Park()
+		pd.tok = p.Arm()
 		r.pending[src.ID()] = pd
 		timer := r.k.After(r.AckTimeout, func() {
 			if pd.result == 0 {
 				pd.result = 2
-				pd.wake()
+				pd.p.Wake(pd.tok)
 			}
 		})
 		p.Block("rel-ack ", strconv.Itoa(src.ID()))

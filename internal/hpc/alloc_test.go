@@ -105,9 +105,11 @@ func TestTransferPoolSurvivesLateRelease(t *testing.T) {
 // TestBlockedSendZeroAlloc: a proc whose Send finds its output section
 // full waits for the room-available interrupt as a park token on the
 // endpoint's waiter list, which keeps its storage, so once warm a
-// blocked send allocates nothing. Nor does the first one on each
-// endpoint of a fresh fabric: its park reason is the output section's
-// own name, and each waiter list starts with room for one waiter.
+// blocked send allocates nothing. Nor, on each endpoint of a fresh
+// fabric, does its first send, whose up-link queue starts with room
+// for one transfer, or its first blocked send: its park reason is the
+// output section's own name, and each waiter list starts with room for
+// one waiter.
 func TestBlockedSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -155,8 +157,9 @@ func TestBlockedSendZeroAlloc(t *testing.T) {
 // coldBlockedSends is TestBlockedSendZeroAlloc's cold case. On a fresh
 // one-cluster fabric, endpoint 0 warms the transfer and event pools and
 // the path into the last endpoint; then every other endpoint sends to
-// it twice, and the second send, that endpoint's first to wait for
-// room, must allocate nothing.
+// it twice, and neither the first send, its up-link's first request,
+// nor the second, that endpoint's first to wait for room, may
+// allocate.
 func coldBlockedSends(t *testing.T) {
 	k := sim.NewKernel(1)
 	tp, err := topo.SingleCluster(topo.PortsPerCluster)
@@ -169,7 +172,7 @@ func coldBlockedSends(t *testing.T) {
 	for e := range msgs {
 		msgs[e] = Message{Src: topo.EndpointID(e), Dst: topo.EndpointID(n - 1), Size: 512}
 	}
-	var mallocs uint64
+	var firstMallocs, mallocs uint64
 	waited := 0
 	k.Spawn("sender", func(p *sim.Proc) {
 		send := func(e int) {
@@ -184,7 +187,10 @@ func coldBlockedSends(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		for e := 1; e < n-1; e++ {
+			runtime.ReadMemStats(&before)
 			send(e) // takes the free output section
+			runtime.ReadMemStats(&after)
+			firstMallocs += after.Mallocs - before.Mallocs
 			if !ic.OutputFree(topo.EndpointID(e)) {
 				waited++
 			}
@@ -200,6 +206,9 @@ func coldBlockedSends(t *testing.T) {
 	}
 	if waited != n-2 {
 		t.Fatalf("%d of %d cold sends waited for room; scenario is vacuous", waited, n-2)
+	}
+	if firstMallocs != 0 {
+		t.Fatalf("the first Send on each of %d fresh endpoints allocates %d objects in all, want 0", n-2, firstMallocs)
 	}
 	if mallocs != 0 {
 		t.Fatalf("the first blocked Send on each of %d fresh endpoints allocates %d objects in all, want 0", n-2, mallocs)

@@ -157,11 +157,9 @@ type Interconnect struct {
 	tFree   []*transfer
 	msgPool sync.Pool
 
-	// Sharded execution (see shard.go): this fabric's shard index, the
-	// cluster→shard map, and the peer fabrics, all nil/zero when the
-	// simulation is unsharded.
+	// Sharded execution (see shard.go): this fabric's shard index and
+	// the peer fabrics, zero and nil when the simulation is unsharded.
 	shardSelf int
-	shardOf   []int
 	peers     []*Interconnect
 
 	stats  Stats
@@ -200,12 +198,17 @@ func New(k *sim.Kernel, costs *m68k.Costs, t *topo.Topology) *Interconnect {
 	}
 	ic.msgPool.New = func() any { return &Message{} }
 	room := make([]roomWaiter, n)
+	// Every link's wait queue starts with room for one transfer, all in
+	// one array (slot w is link w's: up-links, down-links, then the
+	// cube table), and tryStart's shift keeps that room.
+	waits := make([]*transfer, 2*n+len(ic.cube))
+	queue := func(w int) []*transfer { return waits[w : w : w+1] }
 	for e := 0; e < n; e++ {
 		ic.onRoom[e] = room[e : e : e+1]
 		ic.outSec[e] = &buffer{name: fmt.Sprintf("out%d", e), outEP: int32(e + 1)}
 		ic.inSec[e] = &buffer{name: fmt.Sprintf("in%d", e)}
-		ic.upLink[e] = &link{ic: ic, name: fmt.Sprintf("up%d", e), into: &buffer{name: fmt.Sprintf("clbuf-up%d", e)}}
-		ic.dnLink[e] = &link{ic: ic, name: fmt.Sprintf("dn%d", e), into: ic.inSec[e]}
+		ic.upLink[e] = &link{ic: ic, name: fmt.Sprintf("up%d", e), into: &buffer{name: fmt.Sprintf("clbuf-up%d", e)}, waitQ: queue(e)}
+		ic.dnLink[e] = &link{ic: ic, name: fmt.Sprintf("dn%d", e), into: ic.inSec[e], waitQ: queue(n + e)}
 	}
 	for c := 0; c < t.Clusters(); c++ {
 		for d := 0; d < dim; d++ {
@@ -217,6 +220,7 @@ func New(k *sim.Kernel, costs *m68k.Costs, t *topo.Topology) *Interconnect {
 				ic:     ic,
 				name:   fmt.Sprintf("cube%d-%d", c, nb),
 				into:   &buffer{name: fmt.Sprintf("clbuf%d-%d", c, nb)},
+				waitQ:  queue(2*n + c*dim + d),
 				isCube: true,
 				from:   topo.ClusterID(c),
 				to:     nb,

@@ -11,10 +11,11 @@ package hpc
 // cluster crosses shards.
 //
 // The boundary protocol rides on one physical fact: a cube hop costs
-// at least HopFixed, which is precisely the group's lookahead. When
-// shard A starts transmitting over a boundary link a→b it already
-// knows the completion time T, a full lookahead away, so everything
-// the hop causes elsewhere is posted at its start:
+// at least HopFixed, and the group's lookahead, the one promise between
+// any two shards, is no more than that. When shard A starts
+// transmitting over a boundary link a→b it already knows the completion
+// time T, a full lookahead away, so everything the hop causes
+// elsewhere is posted at its start:
 //
 //   - "arrive": the message's arrival in b's cluster buffer
 //     (remoteArrive on shard B, at T);
@@ -30,9 +31,9 @@ package hpc
 // releases the buffer and re-arms the boundary link. A delivered
 // message whose onDelivered callback closes over another shard's state
 // gets the same treatment: the final down-link hop posts the
-// completion notice home at its start (carryBack). Every such signal
-// therefore clears the lookahead with no slack to spare, and none
-// needs rollback.
+// completion notice home at its start (carryBack), however far away
+// home is. Every such signal is a hop's completion posted at the hop's
+// start, so it clears the lookahead, and none needs rollback.
 //
 // One record per boundary link. ConnectShards gives every cube link
 // from one of the fabric's clusters into a foreign one a boundary
@@ -75,32 +76,25 @@ import (
 // simulation: shardOf maps every cluster to its owning shard and peers
 // lists all shard fabrics (peers[self] == ic). Call once, before any
 // traffic, on every shard's fabric. The fabrics' kernels must belong
-// to one sim.Group whose pairwise lookahead is at most the cost
-// model's HopFixed across every boundary cube link, in both directions
-// — "arrive" rides the hop forward and "freed" rides it back, each
-// with exactly one hop of slack. Non-adjacent shard pairs may carry
-// wider promises (route-aware lookahead); they exchange no direct
-// fabric signals.
+// to one sim.Group whose lookahead is at most the cost model's
+// HopFixed: every cross-shard signal ("arrive" riding a hop forward,
+// "freed" riding it back, a delivery notice going home) is posted with
+// exactly one hop of slack.
 func (ic *Interconnect) ConnectShards(self int, shardOf []int, peers []*Interconnect) {
 	g := ic.k.Group()
-	if g == nil && len(peers) > 1 {
+	if g == nil {
 		panic("hpc: ConnectShards on a kernel outside a sim.Group")
 	}
+	if g.Lookahead() > ic.costs.HopFixed {
+		panic("hpc: group lookahead exceeds the minimum cube-hop cost")
+	}
 	ic.shardSelf = self
-	ic.shardOf = shardOf
 	ic.peers = peers
-	// The table holds both directions of every cube link, so checking
-	// each directed boundary link's own direction covers both.
 	for _, l := range ic.cube {
-		if l == nil || shardOf[l.from] == shardOf[l.to] {
-			continue
-		}
-		if g.PairLookahead(shardOf[l.from], shardOf[l.to]) > ic.costs.HopFixed {
-			panic("hpc: group lookahead across a boundary link exceeds the minimum cube-hop cost")
-		}
-		// Bind records only on the links this shard runs: a link
-		// leaving a foreign cluster never carries a transfer here.
-		if shardOf[l.from] != self {
+		// Bind records only on the links this shard runs into a
+		// foreign cluster: a link leaving a foreign cluster never
+		// carries a transfer here.
+		if l == nil || shardOf[l.from] != self || shardOf[l.to] == self {
 			continue
 		}
 		b := &boundary{home: self, far: shardOf[l.to], to: l.to}
@@ -146,7 +140,8 @@ func (ic *Interconnect) sharded() bool { return len(ic.peers) > 1 }
 // here on the owning shard; the arrival is posted to the destination
 // shard at the completion time, which clears the lookahead because
 // dur >= HopFixed. The local bookkeeping happens at the same virtual
-// instant via hopDone.
+// instant via hopDone. A delivery notice rides along to the far shard,
+// which posts it home when the final hop starts (carryBack).
 func (ic *Interconnect) handoff(b *boundary, t *transfer, dur sim.Duration) {
 	doneAt := ic.k.Now().Add(dur)
 	ic.stats.HandoffsOut++
@@ -155,19 +150,6 @@ func (ic *Interconnect) handoff(b *boundary, t *transfer, dur sim.Duration) {
 	b.origin = t.notifySh
 	b.onDel = t.onDelivered
 	t.onDelivered = nil
-	if b.onDel != nil {
-		// A delivery notice posts home from the final shard with one
-		// hop of slack (carryBack); under route-aware lookahead that
-		// only clears the promise when the delivering shard and the
-		// notice's home are boundary-adjacent. No sharded workload
-		// sends cross-shard completion notices between distant shards
-		// (only multicast produces them), so this is a declared
-		// restriction like link faults, not a silent wrong answer.
-		fin := ic.shardOf[ic.topo.AttachmentOf(b.msg.Dst).Cluster]
-		if fin != int(b.origin) && ic.k.Group().PairLookahead(fin, int(b.origin)) > ic.costs.HopFixed {
-			panic("hpc: cross-shard delivery notice between non-adjacent shards is not supported under route-aware lookahead; run multicast workloads on the serial kernel")
-		}
-	}
 	ic.k.Post(b.far, doneAt, b.arrive)
 	ic.k.At(doneAt, b.hopDone)
 }

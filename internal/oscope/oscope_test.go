@@ -265,8 +265,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := oscope.Load(strings.NewReader("oscope-trace 9 0\n")); err == nil {
 		t.Fatal("future version should fail")
 	}
-	if _, err := oscope.Load(strings.NewReader("oscope-trace 1 1\nnodeX 0 bad 0\n")); err == nil {
-		t.Fatal("bad line should fail")
+	if _, err := oscope.Load(strings.NewReader("oscope-trace 1 1\nnode0 0 10 0\n")); err == nil {
+		t.Fatal("version-1 trace should fail")
 	}
 	if _, err := oscope.Load(strings.NewReader("oscope-trace 2 1\nnot an event line\n")); err == nil {
 		t.Fatal("bad v2 line should fail")
@@ -274,18 +274,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := oscope.Load(strings.NewReader("oscope-trace 2 1\n0 0 10 hop 0 node0 cpu user\n")); err == nil {
 		t.Fatal("non-accounting v2 event should fail")
 	}
-	// v1 carries categories as integers: only kern.Categories() load.
-	for _, cat := range []string{"-1", "6", "9"} {
-		if _, err := oscope.Load(strings.NewReader("oscope-trace 1 1\nnode0 0 10 " + cat + "\n")); err == nil {
-			t.Fatalf("v1 category %s should fail", cat)
-		}
-	}
 }
 
 // FuzzLoad feeds arbitrary bytes to the trace loader, seeded with a
-// real Save output and a version-1 sample. No input may panic, every
-// accepted trace must render, and a version-2 trace must round-trip
-// Save -> Load -> Save byte-identically.
+// real Save output. No input may panic, and every accepted trace must
+// render and round-trip Save -> Load -> Save byte-identically.
 func FuzzLoad(f *testing.F) {
 	_, sc := imbalancedSystem(f)
 	var saved strings.Builder
@@ -293,7 +286,6 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(saved.String())
-	f.Add("oscope-trace 1 2\nnode0 0 1000 0\nnode1 0 400 2\nnode1 400 1000 5\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		sc, err := oscope.Load(strings.NewReader(in))
 		if err != nil {
@@ -301,11 +293,6 @@ func FuzzLoad(f *testing.F) {
 		}
 		sc.RenderAll(io.Discard, 40)
 		sc.RenderGrouped(io.Discard, 0, 1000, 40, 2)
-		var version int
-		fmt.Sscanf(in, "oscope-trace %d", &version) // Load accepted this header
-		if version != 2 {
-			return
-		}
 		var first, second strings.Builder
 		if err := sc.Save(&first); err != nil {
 			t.Fatal(err)
@@ -344,7 +331,7 @@ func fromTracer(t *testing.T, tr *trace.Tracer) *oscope.Scope {
 
 // TestFromTracerMatchesLiveScope checks the unification satellite: the
 // KAccount spans the system tracer records reproduce exactly what a
-// live-attached oscilloscope saw, and survive a v1 file round trip too.
+// live-attached oscilloscope saw.
 func TestFromTracerMatchesLiveScope(t *testing.T) {
 	sys, err := core.Build(core.Config{Nodes: 2, Seed: 1})
 	if err != nil {
@@ -360,15 +347,6 @@ func TestFromTracerMatchesLiveScope(t *testing.T) {
 	from.Render(&replay, 0, end, 30)
 	if live.String() != replay.String() {
 		t.Fatalf("tracer replay differs from live scope:\n%s\nvs\n%s", live.String(), replay.String())
-	}
-	// The legacy v1 format must stay loadable.
-	v1 := "oscope-trace 1 1\nnode9 0 1000 0\n"
-	loaded, err := oscope.Load(strings.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.Intervals("node9"); len(got) != 1 || got[0].End != sim.Time(1000) {
-		t.Fatalf("v1 load: %v", got)
 	}
 }
 

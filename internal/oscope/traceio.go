@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 
 	"hpcvorx/internal/kern"
-	"hpcvorx/internal/sim"
 	"hpcvorx/internal/trace"
 )
 
@@ -20,12 +18,11 @@ import (
 // run on one machine can be examined elsewhere, frozen, and seeked at
 // will.
 //
-// Two versions exist. Version 1 is the original private format
-// ("node start end cat" per interval). Version 2 unifies the payload
-// with the flight-recorder lines of package trace: each body line is
-// one trace.FormatEventLine KAccount span, so the same accounting
-// events can be dumped by the unified tracer and rendered here, and an
-// oscope file is readable by any tool that parses trace event lines.
+// The format is version 2, the only one Load accepts. Its payload is
+// the flight-recorder lines of package trace: each body line is one
+// trace.FormatEventLine KAccount span, so the same accounting events
+// can be dumped by the unified tracer and rendered here, and an oscope
+// file is readable by any tool that parses trace event lines.
 
 // Save writes the recorded intervals in the version-2 (unified trace
 // event line) format. The header counts the nodes with data.
@@ -55,8 +52,8 @@ func (s *Scope) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a trace written by Save — either version — into a
-// detached Scope (no live nodes; Finalize is a no-op).
+// Load reads a trace written by Save into a detached Scope (no live
+// nodes; Finalize is a no-op).
 func Load(r io.Reader) (*Scope, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -67,16 +64,10 @@ func Load(r io.Reader) (*Scope, error) {
 	if _, err := fmt.Sscanf(sc.Text(), "oscope-trace %d %d", &version, &count); err != nil {
 		return nil, fmt.Errorf("oscope: bad trace header %q", sc.Text())
 	}
-	var s *Scope
-	var err error
-	switch version {
-	case 1:
-		s, err = loadV1(sc)
-	case 2:
-		s, err = loadV2(sc)
-	default:
+	if version != 2 {
 		return nil, fmt.Errorf("oscope: unsupported trace version %d", version)
 	}
+	s, err := loadV2(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -85,27 +76,6 @@ func Load(r io.Reader) (*Scope, error) {
 	}
 	if len(s.order) != count {
 		return nil, fmt.Errorf("oscope: trace names %d, header says %d", len(s.order), count)
-	}
-	return s, nil
-}
-
-func loadV1(sc *bufio.Scanner) (*Scope, error) {
-	s := newScope()
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var name string
-		var start, end int64
-		var cat int
-		if _, err := fmt.Sscanf(line, "%s %d %d %d", &name, &start, &end, &cat); err != nil {
-			return nil, fmt.Errorf("oscope: bad trace line %q", line)
-		}
-		if !slices.Contains(kern.Categories(), kern.Category(cat)) {
-			return nil, fmt.Errorf("oscope: unknown category %d in %q", cat, line)
-		}
-		s.add(name, Interval{Start: sim.Time(start), End: sim.Time(end), Cat: kern.Category(cat)})
 	}
 	return s, nil
 }

@@ -233,13 +233,13 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 func TestParkBlockWake(t *testing.T) {
 	k := NewKernel(1)
 	var woke Time
-	var wake func()
-	k.Spawn("blocker", func(p *Proc) {
-		wake = p.Park()
+	var tok ParkToken
+	blocker := k.Spawn("blocker", func(p *Proc) {
+		tok = p.Arm()
 		p.Block("custom-wait", "")
 		woke = p.Now()
 	})
-	k.After(7*Microsecond, func() { wake() })
+	k.After(7*Microsecond, func() { blocker.Wake(tok) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +251,8 @@ func TestParkBlockWake(t *testing.T) {
 func TestDoubleWakeIsNoop(t *testing.T) {
 	k := NewKernel(1)
 	k.Spawn("blocker", func(p *Proc) {
-		wake := p.Park()
-		k.After(Microsecond, func() { wake(); wake() })
+		tok := p.Arm()
+		k.After(Microsecond, func() { p.Wake(tok); p.Wake(tok) })
 		p.Block("w", "")
 		p.Sleep(10 * Microsecond) // would panic if resumed twice
 	})
@@ -268,15 +268,15 @@ func TestNestedParksEachWakeOnce(t *testing.T) {
 	k := NewKernel(1)
 	var resumed []Time
 	k.Spawn("nested", func(p *Proc) {
-		outer := p.Park()
+		outer := p.Arm()
 		inner := p.Arm()
 		k.After(2*Microsecond, func() { p.Wake(inner) })
-		k.After(5*Microsecond, outer)
+		k.After(5*Microsecond, func() { p.Wake(outer) })
 		p.Block("inner", "")
 		resumed = append(resumed, p.Now())
 		p.Block("outer", "")
 		resumed = append(resumed, p.Now())
-		outer() // already spent: must not resume anything
+		p.Wake(outer) // already spent: must not resume anything
 		p.Sleep(Microsecond)
 	})
 	if err := k.Run(); err != nil {

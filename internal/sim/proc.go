@@ -116,13 +116,14 @@ type parkRef struct {
 }
 
 // Arm prepares the proc to park and returns the token that wakes it:
-// hand the token to the waker, then call Block, which gives the reason.
-// It is the allocation-free form of Park, for a proc whose waker can
-// hold a token instead of a closure, with the same semantics: each
-// armed park's token resumes the proc on its first Wake and is a no-op
-// after that. Parks may nest (arm, then block on something else first);
-// every armed token still counts for one resume, and each Block parks
-// with its own reason.
+// hand the proc and the token to the waker, then call Block, which
+// gives the reason. Each armed park's token resumes the proc on its
+// first Wake and is a no-op after that. Parks may nest (arm, then block
+// on something else first); every armed token still counts for one
+// resume, and each Block parks with its own reason.
+//
+// Arm and Wake are the escape hatch used to build higher-level
+// primitives.
 func (p *Proc) Arm() ParkToken {
 	if p.unwoken>>63 != 0 {
 		p.k.oldUnwoken = append(p.k.oldUnwoken, parkRef{p, p.parkGen - 63})
@@ -158,18 +159,7 @@ func (p *Proc) Wake(tok ParkToken) {
 	p.unpark()
 }
 
-// Park blocks the proc until another process or event calls the
-// returned wake function. Calling wake more than once is a no-op; the
-// wake function may be called from any simulation context. It is Arm
-// with the token bound into a closure.
-//
-// Park is the escape hatch used to build higher-level primitives.
-func (p *Proc) Park() (wake func()) {
-	tok := p.Arm()
-	return func() { p.Wake(tok) }
-}
-
-// Block parks the proc; it must follow an Arm or Park call. what and
+// Block parks the proc; it must follow an Arm call. what and
 // name, joined, are the reason deadlock reports and cdb show (see
 // WaitReason).
 func (p *Proc) Block(what, name string) { p.park(what, name) }

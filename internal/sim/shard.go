@@ -12,15 +12,15 @@ import (
 // threads under conservative (Chandy-Misra-Bryant style) synchronization.
 //
 // The contract with the model layer is a single primitive: an event
-// running on shard s may Post a callback to shard d, but only at a
-// timestamp at least look(s,d) beyond s's current clock, where
-// look(s,d) is the group's per-pair lookahead matrix. The lookahead is
-// physical: in the HPC cost model every cross-cluster signal rides
-// cube hops that cost at minimum HopFixed each (plus 0.05 µs/byte of
-// wire time), so shards whose clusters sit k links apart can promise
-// k hops of slack — a shard's present can never influence a distant
-// neighbor's near future. That bound is what lets a shard dispatch
-// ahead without ever having to roll back.
+// running on one shard may Post a callback to another, but only at a
+// timestamp at least the group's lookahead L beyond the poster's
+// current clock. The lookahead is physical: in the HPC cost model
+// anything one cluster does to another crosses at least one cube hop,
+// which costs at least HopFixed (plus 0.05 µs/byte of wire time), so
+// every shard can promise every other one hop of slack — a shard's
+// present can never influence another shard's nearer future. That
+// bound is what lets a shard dispatch ahead without ever having to
+// roll back.
 //
 // Safety ("no event from the future"): shard i only dispatches an
 // event at time t when t < safe(i), a lower bound on every future
@@ -28,21 +28,19 @@ import (
 // that exists now: an undispatched event on some shard s (at or after
 // s's published front) or a cross in flight to some shard d (at or
 // after the earliest entry of d's inbox). Each cross edge of the causal
-// chain adds at least its lookahead and a local step adds nothing
-// negative, so the arrival lands no sooner than reach(s,i) after its
-// ancestor, where reach is the shortest path through the lookahead
-// matrix and reach(i,i) the shortest round trip. safe(i) is the
-// minimum, over one scan of the shared state, of
+// chain adds at least L and a local step adds nothing negative, so the
+// arrival lands at least L after an ancestor on another shard, and at
+// least 2L after one on i itself, whose chain must leave i and come
+// back. safe(i) is one minimum, over one scan of the shared state, of
 //
-//   - front(s) + reach(s,i) for every shard s,
-//   - pending(d) + reach(d,i) for the inbox of every shard d ≠ i,
+//   - front(s) + L and pending(s) + L for every other shard s,
+//   - front(i) + 2L, the round trip (unbounded in a one-shard group),
 //   - pending(i) for i's own inbox (already posted, no slack).
 //
-// That is the earliest arrival the matrix allows from the current
-// fronts, so no per-pair promise could be sound and exceed it. It also
-// makes progress unconditional: the shard holding the globally
-// earliest event finds every term above it once its inbox is drained,
-// and dispatches.
+// That is the earliest arrival one lookahead allows from the current
+// fronts. It also makes progress unconditional: the shard holding the
+// globally earliest event finds every term above it once its inbox is
+// drained, and dispatches.
 //
 // A shard runs in grants: an ordinary run of its kernel bounded by
 // safe(i)-1, in which procs hand the run token to each other as on a
@@ -59,16 +57,16 @@ import (
 // crosses before same-instant local events, in (source shard, posting
 // order). Every run of the same program therefore dispatches the same
 // events in the same order on every shard, regardless of GOMAXPROCS or
-// scheduling jitter. The lookahead matrix and the safe bound change
-// only when a shard dispatches, never what order events dispatch in.
+// scheduling jitter. The lookahead and the safe bound change only when
+// a shard dispatches, never what order events dispatch in.
 type Group struct {
 	kernels []*Kernel
 	n       int
-	// look[s][d] is the pairwise lookahead Post enforces. reach[s][d]
-	// is the shortest path through look from s to d (see
-	// shortestReach), the weight of s's terms in d's safe bound.
-	look  [][]Duration
-	reach [][]Duration
+	// look is the lookahead Post enforces between any two shards. rt
+	// is the round trip out of a shard and back, 2·look, the weight of
+	// a shard's own front in its safe bound; unbounded in a one-shard
+	// group, where no post can come back.
+	look, rt Duration
 
 	// inbox[d] is the bounded queue every other shard posts to shard d
 	// through; drain moves it into d's event heap.
@@ -194,34 +192,28 @@ func satAdd(t Time, d Duration) Time {
 }
 
 // NewGroup couples the given kernels into one sharded simulation.
-// lookahead is the per-pair promise matrix: lookahead[s][d] bounds how
-// soon a post from shard s may land on shard d past s's clock
-// (diagonal entries are ignored; off-diagonal entries must be
-// positive, and Post panics on any violation). Kernels must be fresh
-// to this group (a kernel can belong to at most one).
-func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
+// lookahead is the promise between any two shards: a post from one
+// shard lands on another no sooner than lookahead past the poster's
+// clock. It must be positive, and Post panics on any violation.
+// Kernels must be fresh to this group (a kernel can belong to at most
+// one).
+func NewGroup(lookahead Duration, kernels ...*Kernel) *Group {
 	if len(kernels) == 0 {
 		panic("sim: group needs at least one kernel")
 	}
-	n := len(kernels)
-	if len(lookahead) != n {
-		panic("sim: lookahead matrix must be shards x shards")
+	if lookahead <= 0 {
+		panic("sim: group lookahead must be positive")
 	}
-	for s := range lookahead {
-		if len(lookahead[s]) != n {
-			panic("sim: lookahead matrix must be shards x shards")
-		}
-		for d, v := range lookahead[s] {
-			if s != d && v <= 0 {
-				panic("sim: group lookahead must be positive")
-			}
-		}
+	n := len(kernels)
+	rt := Duration(math.MaxInt64)
+	if n > 1 {
+		rt = Duration(satAdd(Time(lookahead), lookahead))
 	}
 	g := &Group{
 		kernels:  kernels,
 		n:        n,
 		look:     lookahead,
-		reach:    shortestReach(lookahead),
+		rt:       rt,
 		inbox:    make([]*inbox, n),
 		localMin: make([]atomic.Int64, n),
 		wake:     make([]chan struct{}, n),
@@ -241,35 +233,8 @@ func NewGroup(lookahead [][]Duration, kernels ...*Kernel) *Group {
 	return g
 }
 
-// shortestReach closes the lookahead matrix under path composition
-// (Floyd–Warshall with saturating adds): reach[s][d] is the cheapest
-// chain of cross posts from shard s to shard d, and reach[s][s] the
-// cheapest round trip through s — MaxInt64 when there is none, as in a
-// one-shard group. An entry can undercut look[s][d], because nothing
-// makes the matrix obey the triangle inequality (core's cube-distance
-// matrix need not).
-func shortestReach(look [][]Duration) [][]Duration {
-	n := len(look)
-	reach := make([][]Duration, n)
-	for s := range reach {
-		reach[s] = append([]Duration(nil), look[s]...)
-		reach[s][s] = Duration(math.MaxInt64)
-	}
-	for k := 0; k < n; k++ {
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if via := Duration(satAdd(Time(reach[s][k]), reach[k][d])); via < reach[s][d] {
-					reach[s][d] = via
-				}
-			}
-		}
-	}
-	return reach
-}
-
-// PairLookahead returns the conservative promise from shard s to shard
-// d (0 on the diagonal).
-func (g *Group) PairLookahead(s, d int) Duration { return g.look[s][d] }
+// Lookahead returns the promise Post enforces between any two shards.
+func (g *Group) Lookahead() Duration { return g.look }
 
 // CrossPosts returns the number of events routed between shards over
 // the group's lifetime. Call only while no run is in progress.
@@ -300,9 +265,9 @@ func (g *Group) Stop() {
 }
 
 // Post enqueues fn to run on shard dst at time at. From a grouped
-// kernel, a genuinely cross-shard post must respect the pairwise
-// lookahead: at >= now + look(src,dst), measured on the posting
-// shard's clock. Posts to the kernel's own shard (and all posts on an
+// kernel, a genuinely cross-shard post must respect the group's
+// lookahead: at >= now + lookahead, measured on the posting shard's
+// clock. Posts to the kernel's own shard (and all posts on an
 // ungrouped kernel, where dst must be 0) degrade to plain At
 // scheduling.
 func (k *Kernel) Post(dst int, at Time, fn func()) {
@@ -318,7 +283,7 @@ func (k *Kernel) Post(dst int, at Time, fn func()) {
 		k.At(at, fn)
 		return
 	}
-	if at < satAdd(k.now, g.look[k.shard][dst]) {
+	if at < satAdd(k.now, g.look) {
 		panic("sim: cross-shard post violates lookahead")
 	}
 	g.post(k.shard, dst, at, fn)
@@ -424,11 +389,11 @@ func (g *Group) curMin(i int) int64 {
 
 // publishLocalMin refreshes shard i's published front after a grant
 // run; posted reports whether the run posted a cross. A raise lifts
-// each peer j's bound term front(i) + reach(i,j), so it is the
-// protocol's one announcement: counted as a front publish, and as a
-// null message when no cross traffic came with it. It wakes only the
-// parked peers it can unblock: after the raise, j's bound is at most
-// lm + reach(i,j), so a peer whose own front lies at or beyond that
+// each peer's bound term front(i) + lookahead, so it is the protocol's
+// one announcement: counted as a front publish, and as a null message
+// when no cross traffic came with it. It wakes only the parked peers
+// it can unblock: after the raise, a peer's bound is at most
+// lm + lookahead, so a peer whose own front lies at or beyond that
 // stays blocked whatever else moved. Any wake this leaves for later is
 // re-evaluated on every subsequent raise and, once all shards park, by
 // enterIdle's exact completion sweep.
@@ -451,7 +416,7 @@ func (g *Group) publishLocalMin(i int, posted bool) {
 			continue
 		}
 		fj := g.localMin[j].Load()
-		if fj != noEvent && Time(fj) < satAdd(Time(lm), g.reach[i][j]) {
+		if fj != noEvent && Time(fj) < satAdd(Time(lm), g.look) {
 			g.notifyIdle(i, j)
 		}
 	}
@@ -467,10 +432,12 @@ func (g *Group) publishLocalMin(i int, posted bool) {
 // scan that reads localMin[d] before the move and the inbox after it
 // misses the event and returns a bound above it, which lets a shard
 // dispatch past a cross that event will post. So the scan retries
-// until no drain overlapped it. (Both places weight the event by
-// reach(d,i). The one drain whose weights differ, into i, runs only on
-// i's token holder, which is also the one goroutine that scans for i,
-// and on no one while i is parked for enterIdle's completion sweep.)
+// until no drain overlapped it. (For a drain into another shard, both
+// places weight the event by the lookahead. A drain into i itself
+// moves it from a bare term to one weighted by the round trip, but
+// runs only on i's token holder, which is also the one goroutine that
+// scans for i, and on no one while i is parked for enterIdle's
+// completion sweep.)
 // With drains excluded, the order is sound: a dispatch creates local
 // events at or after its own time (covered by the localMin that
 // preceded it) and posts crosses before publishLocalMin raises its
@@ -486,20 +453,22 @@ func (g *Group) safeTime(i int) Time {
 }
 
 // scanSafe is one unsynchronized pass of safeTime: every front, then
-// every inbox.
+// every inbox, the other shards' folded into one minimum that is one
+// lookahead away.
 func (g *Group) scanSafe(i int) Time {
-	safe := maxDeadline
-	for s := 0; s < g.n; s++ {
-		safe = min(safe, satAdd(Time(g.localMin[s].Load()), g.reach[s][i]))
-	}
-	for d, ib := range g.inbox {
-		t := Time(ib.minPending.Load())
-		if d != i {
-			t = satAdd(t, g.reach[d][i])
+	other := noEvent
+	for s := range g.localMin {
+		if s != i {
+			other = min(other, g.localMin[s].Load())
 		}
-		safe = min(safe, t)
 	}
-	return safe
+	own := g.localMin[i].Load()
+	for d, ib := range g.inbox {
+		if d != i {
+			other = min(other, ib.minPending.Load())
+		}
+	}
+	return min(satAdd(Time(other), g.look), satAdd(Time(own), g.rt), Time(g.inbox[i].minPending.Load()))
 }
 
 // hasWork reports whether shard i could make progress right now.

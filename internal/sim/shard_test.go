@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -114,21 +113,6 @@ func diffLogs(t *testing.T, label string, want, got [][]relayEntry) {
 	}
 }
 
-// uniformLookahead builds the n×n lookahead matrix with every
-// off-diagonal entry d.
-func uniformLookahead(n int, d Duration) [][]Duration {
-	m := make([][]Duration, n)
-	for i := range m {
-		m[i] = make([]Duration, n)
-		for j := range m[i] {
-			if i != j {
-				m[i][j] = d
-			}
-		}
-	}
-	return m
-}
-
 // shutdownGroup kills the parked procs of every shard.
 func shutdownGroup(g *Group) {
 	for _, k := range g.kernels {
@@ -141,7 +125,7 @@ func newTestGroup(shards int) *Group {
 	for i := range ks {
 		ks[i] = NewKernel(1)
 	}
-	return NewGroup(uniformLookahead(shards, Duration(1000)), ks...)
+	return NewGroup(Duration(1000), ks...)
 }
 
 // procHost is a kernel for proc tests together with the Run, RunUntil
@@ -258,11 +242,11 @@ func TestGroupPostLookaheadEnforced(t *testing.T) {
 func TestGroupDeadlockAggregation(t *testing.T) {
 	g := newTestGroup(2)
 	g.kernels[0].Spawn("stuck-a", func(p *Proc) {
-		p.Park()
+		p.Arm()
 		p.Block("waiting-forever", "")
 	})
 	g.kernels[1].Spawn("stuck-b", func(p *Proc) {
-		p.Park()
+		p.Arm()
 		p.Block("also-waiting", "")
 	})
 	err := g.Run()
@@ -346,8 +330,8 @@ func TestGroupProcsAcrossShards(t *testing.T) {
 	chain = func(sh int, hops int) {
 		k := g.kernels[sh]
 		k.Spawn(fmt.Sprintf("worker%d-%d", sh, hops), func(p *Proc) {
-			wake := p.Park()
-			k.After(Duration(1500), wake)
+			tok := p.Arm()
+			k.After(Duration(1500), func() { p.Wake(tok) })
 			p.Block("await-relay", "")
 			wakes[sh]++
 			if hops > 0 {
@@ -593,204 +577,60 @@ func BenchmarkGroupProcRelay(b *testing.B) {
 	}
 }
 
-// lineMatrix is the lookahead step x shard distance in line order.
-func lineMatrix(shards int, step Duration) [][]Duration {
-	look := make([][]Duration, shards)
-	for s := range look {
-		look[s] = make([]Duration, shards)
-		for d := range look[s] {
-			if s != d {
-				dist := s - d
-				if dist < 0 {
-					dist = -dist
-				}
-				look[s][d] = step * Duration(dist)
-			}
-		}
-	}
-	return look
-}
-
-func lineMatrixGroup(shards int, step Duration) *Group {
-	ks := make([]*Kernel, shards)
-	for i := range ks {
-		ks[i] = NewKernel(1)
-	}
-	return NewGroup(lineMatrix(shards, step), ks...)
-}
-
-// nonMetricMatrix breaks the triangle inequality: the direct 0→2 entry
-// is 5000, yet 0→1→2 costs 2000.
-func nonMetricMatrix() [][]Duration {
-	const L = Duration(1000)
-	return [][]Duration{{0, L, 5 * L}, {L, 0, L}, {L, L, 0}}
-}
-
-// TestGroupMatrixLookaheadDeterminism runs a ring relay on non-uniform
-// lookahead matrices and checks the dispatch logs against the serial
-// reference, so a matrix provably changes only when shards
-// synchronize, never what they dispatch. On the line matrix every
-// delay clears the widest pair promise (3 x 1000). On the non-metric
-// matrix the ring routes each chain 0→1→2 in 2000 while shard 2 ticks
-// densely on its own; a safe bound that weighted shard 0's front by
-// the direct 5000 instead of the shortest path would let shard 2 tick
-// past a hop still on its way and receive it in its past.
-func TestGroupMatrixLookaheadDeterminism(t *testing.T) {
+// TestGroupRingRelayMatchesSerial runs one chain around a ring of
+// shards, each hop at the lookahead plus a little jitter, while shard
+// 2 ticks densely on its own, and checks the dispatch logs against the
+// serial reference. A safe bound that let shard 2 tick past a hop still
+// on its way would deliver the hop into its past.
+func TestGroupRingRelayMatchesSerial(t *testing.T) {
+	const shards = 4
 	type entry struct {
 		hop int
 		at  Time
 	}
-	for _, tc := range []struct {
-		name  string
-		look  [][]Duration
-		delay Duration // per hop, before jitter
-		tick  Duration // period of shard 2's local ticker, 0 for none
-	}{
-		{"line", lineMatrix(4, 1000), 3100, 0},
-		{"non-metric", nonMetricMatrix(), 1000, 6},
-	} {
-		shards := len(tc.look)
-		run := func(post func(src, dst int, at Time, fn func()), k func(int) *Kernel, logs [][]entry, done func() error) {
-			// The chain runs at even instants and the ticker at odd
-			// ones, so no two events ever tie.
-			var hop func(cur, n int, at Time)
-			hop = func(cur, n int, at Time) {
-				logs[cur] = append(logs[cur], entry{hop: n, at: at})
-				if n == 0 {
-					return
-				}
-				next := (cur + 1) % shards
-				nat := at.Add(tc.delay + Duration(2*(n%7)))
-				post(cur, next, nat, func() { hop(next, n-1, nat) })
+	run := func(post func(src, dst int, at Time, fn func()), k func(int) *Kernel, logs [][]entry, done func() error) {
+		// The chain runs at even instants and the ticker at odd ones,
+		// so no two events ever tie.
+		var hop func(cur, n int, at Time)
+		hop = func(cur, n int, at Time) {
+			logs[cur] = append(logs[cur], entry{hop: n, at: at})
+			if n == 0 {
+				return
 			}
-			k(0).At(10, func() { hop(0, 40, 10) })
-			if tc.tick > 0 {
-				var tick func(at Time)
-				tick = func(at Time) {
-					logs[2] = append(logs[2], entry{hop: -1, at: at})
-					if next := at.Add(tc.tick); next < 45000 {
-						k(2).At(next, func() { tick(next) })
-					}
-				}
-				k(2).At(1, func() { tick(1) })
-			}
-			if err := done(); err != nil {
-				t.Fatal(err)
+			next := (cur + 1) % shards
+			nat := at.Add(Duration(1000 + 2*(n%7)))
+			post(cur, next, nat, func() { hop(next, n-1, nat) })
+		}
+		k(0).At(10, func() { hop(0, 40, 10) })
+		var tick func(at Time)
+		tick = func(at Time) {
+			logs[2] = append(logs[2], entry{hop: -1, at: at})
+			if next := at.Add(6); next < 45000 {
+				k(2).At(next, func() { tick(next) })
 			}
 		}
-		// The serial "shard" log is keyed by the ring position the hop
-		// ran at, which the closure records into logs[cur] identically.
-		serialLogs := make([][]entry, shards)
-		sk := NewKernel(1)
-		run(func(_, _ int, at Time, fn func()) { sk.At(at, fn) },
-			func(int) *Kernel { return sk },
-			serialLogs, sk.Run)
-		ks := make([]*Kernel, shards)
-		for i := range ks {
-			ks[i] = NewKernel(1)
-		}
-		g := NewGroup(tc.look, ks...)
-		groupLogs := make([][]entry, shards)
-		run(func(src, dst int, at Time, fn func()) { g.kernels[src].Post(dst, at, fn) },
-			func(i int) *Kernel { return g.kernels[i] },
-			groupLogs, g.Run)
-		for sh := range serialLogs {
-			if fmt.Sprint(groupLogs[sh]) != fmt.Sprint(serialLogs[sh]) {
-				t.Fatalf("%s: shard %d diverged:\nserial %v\ngroup  %v", tc.name, sh, serialLogs[sh], groupLogs[sh])
-			}
+		k(2).At(1, func() { tick(1) })
+		if err := done(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	g := lineMatrixGroup(4, Duration(1000))
-	if g.PairLookahead(0, 3) != Duration(3000) || g.PairLookahead(0, 1) != Duration(1000) {
-		t.Fatalf("matrix promises wrong: %v, %v", g.PairLookahead(0, 3), g.PairLookahead(0, 1))
-	}
-}
-
-// bruteReach is the cheapest chain of matrix edges from s to d found
-// by enumerating every simple path (every simple cycle when s == d);
-// MaxInt64 when there is none.
-func bruteReach(look [][]Duration, s, d int) Duration {
-	best := Duration(math.MaxInt64)
-	var walk func(at int, cost Duration, seen uint)
-	walk = func(at int, cost Duration, seen uint) {
-		for nx := range look {
-			if nx == at {
-				continue
-			}
-			c := cost + look[at][nx]
-			if nx == d && c < best {
-				best = c
-			}
-			if seen&(1<<nx) == 0 {
-				walk(nx, c, seen|1<<nx)
-			}
+	// The serial "shard" log is keyed by the ring position the hop ran
+	// at, which the closure records into logs[cur] identically.
+	serialLogs := make([][]entry, shards)
+	sk := NewKernel(1)
+	run(func(_, _ int, at Time, fn func()) { sk.At(at, fn) },
+		func(int) *Kernel { return sk },
+		serialLogs, sk.Run)
+	g := newTestGroup(shards)
+	groupLogs := make([][]entry, shards)
+	run(func(src, dst int, at Time, fn func()) { g.kernels[src].Post(dst, at, fn) },
+		func(i int) *Kernel { return g.kernels[i] },
+		groupLogs, g.Run)
+	for sh := range serialLogs {
+		if fmt.Sprint(groupLogs[sh]) != fmt.Sprint(serialLogs[sh]) {
+			t.Fatalf("shard %d diverged:\nserial %v\ngroup  %v", sh, serialLogs[sh], groupLogs[sh])
 		}
 	}
-	walk(s, 0, 1<<s)
-	return best
-}
-
-// TestGroupReachIsShortestPath: the safe bound's weights equal brute-
-// force shortest paths through the lookahead matrix — round trips on
-// the diagonal, unbounded for a lone shard — including matrices that
-// break the triangle inequality.
-func TestGroupReachIsShortestPath(t *testing.T) {
-	looks := [][][]Duration{uniformLookahead(1, 1000), nonMetricMatrix(), lineMatrix(4, 1000)}
-	rng := rand.New(rand.NewSource(5))
-	for n := 2; n <= 6; n++ {
-		for rep := 0; rep < 20; rep++ {
-			look := uniformLookahead(n, 0)
-			for s := range look {
-				for d := range look[s] {
-					if s != d {
-						look[s][d] = Duration(1 + rng.Intn(9000))
-					}
-				}
-			}
-			looks = append(looks, look)
-		}
-	}
-	for x, look := range looks {
-		ks := make([]*Kernel, len(look))
-		for i := range ks {
-			ks[i] = NewKernel(1)
-		}
-		g := NewGroup(look, ks...)
-		for s := range look {
-			for d := range look {
-				if got, want := g.reach[s][d], bruteReach(look, s, d); got != want {
-					t.Fatalf("matrix %d %v: reach[%d][%d] = %v, shortest path %v", x, look, s, d, got, want)
-				}
-			}
-		}
-	}
-	if g := newTestGroup(1); g.reach[0][0] != Duration(math.MaxInt64) {
-		t.Fatalf("one-shard reach %v, want unbounded", g.reach[0][0])
-	}
-	if g := NewGroup(nonMetricMatrix(), NewKernel(1), NewKernel(1), NewKernel(1)); g.reach[0][2] != 2000 || g.reach[2][2] != 2000 {
-		t.Fatalf("non-metric reach[0][2] = %v, reach[2][2] = %v, want 2000 each", g.reach[0][2], g.reach[2][2])
-	}
-}
-
-// TestGroupMatrixPostEnforcedPerPair: the Post floor is the pair's own
-// matrix entry, not the group minimum — a post that clears the minimum
-// but undercuts its pair promise must panic.
-func TestGroupMatrixPostEnforcedPerPair(t *testing.T) {
-	g := lineMatrixGroup(3, Duration(1000))
-	g.kernels[0].At(100, func() {
-		// Distance-1 pair at exactly the promise: legal.
-		g.kernels[0].Post(1, Time(100+1000), func() {})
-		defer func() {
-			if recover() == nil {
-				t.Error("post below the pair promise did not panic")
-			}
-			g.Stop()
-		}()
-		// Distance-2 pair beyond the group minimum but below the pair's
-		// 2000 promise: must panic.
-		g.kernels[0].Post(2, Time(100+1999), func() {})
-	})
-	g.Run()
 }
 
 // TestGroupSyncStatsCounters: a cross-shard run populates every

@@ -1,7 +1,5 @@
 package topo
 
-import "math/bits"
-
 // Partition assigns every cluster of a topology to one of a fixed
 // number of shards, for parallel simulation. Clusters are the natural
 // grain: intra-cluster traffic (bus arbitration, up-link hops, local
@@ -45,37 +43,4 @@ func (p *Partition) OfCluster(c ClusterID) int { return p.byCluster[c] }
 // OfEndpoint returns the shard that owns e's cluster.
 func (p *Partition) OfEndpoint(t *Topology, e EndpointID) int {
 	return p.byCluster[t.AttachmentOf(e).Cluster]
-}
-
-// RouteHops returns the minimum cube-route distance between every
-// shard pair: hops[s][d] is the fewest cluster-to-cluster links any
-// message can traverse between a cluster of s and a cluster of d
-// (0 on the diagonal). Cluster distance is the Hamming distance of
-// the cluster addresses — a lower bound on every real route, including
-// the detours an incomplete cube forces — so hops[s][d] cube hops is a
-// floor on the latency of any signal between the two shards. That
-// floor funds the conservative lookahead matrix: shard pairs that
-// share a cube link get the single-hop minimum, while pairs whose
-// clusters are k>1 links apart can promise k hops of slack, because
-// every fabric signal between them must relay through k-1 intermediate
-// boundary crossings (each itself at least one hop).
-func (p *Partition) RouteHops() [][]int {
-	n := p.shards
-	hops := make([][]int, n)
-	for s := range hops {
-		hops[s] = make([]int, n)
-	}
-	for a := range p.byCluster {
-		for b := range p.byCluster {
-			sa, sb := p.byCluster[a], p.byCluster[b]
-			if sa == sb {
-				continue
-			}
-			h := bits.OnesCount(uint(a) ^ uint(b))
-			if hops[sa][sb] == 0 || h < hops[sa][sb] {
-				hops[sa][sb] = h
-			}
-		}
-	}
-	return hops
 }

@@ -391,13 +391,10 @@ func TestPartitionClustersClamps(t *testing.T) {
 	}
 }
 
-// TestPartitionPropertiesQuick drives PartitionClusters and RouteHops
-// over random pool shapes and shard requests: the split must be
-// contiguous, cover every cluster, balance shard sizes within one
-// cluster, honor the [1, clusters] clamp, and yield a lookahead
-// distance matrix that is zero on the diagonal, symmetric and
-// positive off it, and exactly 1 for every shard pair sharing a cube
-// link.
+// TestPartitionPropertiesQuick drives PartitionClusters over random
+// pool shapes and shard requests: the split must be contiguous, cover
+// every cluster, balance shard sizes within one cluster, and honor the
+// [1, clusters] clamp.
 func TestPartitionPropertiesQuick(t *testing.T) {
 	f := func(rawClusters, rawShards uint8) bool {
 		clusters := 1 + int(rawClusters)%24
@@ -444,30 +441,6 @@ func TestPartitionPropertiesQuick(t *testing.T) {
 		if hi-lo > 1 {
 			t.Fatalf("clusters=%d shards=%d: shard sizes %v differ by more than one cluster",
 				clusters, shards, counts)
-		}
-		hops := p.RouteHops()
-		for s := 0; s < n; s++ {
-			if hops[s][s] != 0 {
-				t.Fatalf("clusters=%d shards=%d: hops[%d][%d] = %d, want 0", clusters, shards, s, s, hops[s][s])
-			}
-			for d := 0; d < n; d++ {
-				if s == d {
-					continue
-				}
-				if hops[s][d] < 1 || hops[s][d] != hops[d][s] {
-					t.Fatalf("clusters=%d shards=%d: hops[%d][%d]=%d hops[%d][%d]=%d",
-						clusters, shards, s, d, hops[s][d], d, s, hops[d][s])
-				}
-			}
-		}
-		for c := 0; c < clusters; c++ {
-			sc := p.OfCluster(ClusterID(c))
-			for _, nb := range tp.Neighbors(ClusterID(c)) {
-				if sn := p.OfCluster(nb); sn != sc && hops[sc][sn] != 1 {
-					t.Fatalf("clusters=%d shards=%d: boundary pair (%d,%d) has distance %d, want 1",
-						clusters, shards, sc, sn, hops[sc][sn])
-				}
-			}
 		}
 		return true
 	}

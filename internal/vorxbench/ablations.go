@@ -204,14 +204,14 @@ func A4TopologyTransparency() *Table {
 		Title:  "Ablation: topology transparency — 4-byte channel latency vs hop count",
 		Header: []string{"placement", "cluster hops", "latency (µs)", "added by hardware"},
 	}
-	sys, err := core.Build(core.Config{Nodes: 1024, NodesPerCluster: 4, Seed: 1})
+	sys, err := core.Build(core.Config{Nodes: 1024, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
 	// Same cluster: nodes 0..3 share cluster 0.
 	same := measurePair(sys, 0, 1, "a4same")
 	// Full diameter: endpoint of cluster 0 to endpoint of cluster 255.
-	sys2, err := core.Build(core.Config{Nodes: 1024, NodesPerCluster: 4, Seed: 1})
+	sys2, err := core.Build(core.Config{Nodes: 1024, Seed: 1})
 	if err != nil {
 		panic(err)
 	}

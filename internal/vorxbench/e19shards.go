@@ -3,7 +3,6 @@ package vorxbench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"hpcvorx/internal/core"
 	"hpcvorx/internal/kern"
@@ -14,10 +13,11 @@ import (
 // E19 measures the parallel discrete-event kernel: the same
 // installation and workload run at increasing shard counts, checking
 // that every split dispatches byte-identically to the serial run and
-// reporting how the event volume divides across shards. Virtual-time
-// columns are deterministic; the events/sec note is wall-clock and
-// scales with host CPUs, so E19 sits with E14/E18 outside the
-// replication identity check.
+// reporting how the event volume divides across shards. Every column
+// is virtual-time derived, so the table is deterministic; what the
+// shards cost the host is perfbench's to measure, with repeats
+// (sim.group.speedup_vs_serial and the sim.group.* counters on
+// pairs_sharded).
 
 // pairLoad is the paced cross-cluster channel workload the shard
 // experiments share: writer pi on node pi and reader pi on node
@@ -95,11 +95,9 @@ func (l pairLoad) measure(cfg core.Config) ShardMeasure {
 		panic(err)
 	}
 	out := l.spawn(sh)
-	t0 := time.Now()
 	if err := sh.Run(); err != nil {
 		panic(err)
 	}
-	wall := time.Since(t0)
 
 	var b strings.Builder
 	pairDigest(&b, out)
@@ -112,43 +110,39 @@ func (l pairLoad) measure(cfg core.Config) ShardMeasure {
 		}
 	}
 	return ShardMeasure{
-		Shards:   cfg.Shards,
 		Digest:   b.String(),
 		Events:   sh.Group.Scheduled(),
 		Cross:    sh.Group.CrossPosts(),
 		Handoffs: sh.FabricStats().HandoffsOut,
 		Makespan: makespan,
-		Wall:     wall,
-		Sync:     sh.Group.SyncStats(),
 	}
 }
 
 // ShardMeasure is one measured execution of a sharded workload: the
-// deterministic outcome digest (byte-comparable across shard counts),
-// the virtual-time event volume, and the host-dependent wall clock
-// plus conservative-synchronization counters.
+// deterministic outcome digest (byte-comparable across shard counts)
+// and the virtual-time event volume.
 type ShardMeasure struct {
-	Shards   int
 	Digest   string
 	Events   uint64
 	Cross    uint64
 	Handoffs int
 	Makespan sim.Time
-	Wall     time.Duration
-	Sync     sim.SyncStats
 }
 
 // sweepShards runs one workload at 1, 2, 4 and 8 shards, one table row
 // each; identical says whether a split's digest equals the serial
 // run's.
-func sweepShards(t *Table, run func(shards int) ShardMeasure) []ShardMeasure {
+func sweepShards(t *Table, run func(shards int) ShardMeasure) {
 	t.Header = []string{"shards", "events", "cross posts", "handoffs",
 		"cross/events (%)", "makespan (us)", "identical"}
-	var runs []ShardMeasure
+	var serial string
 	for _, shards := range []int{1, 2, 4, 8} {
 		r := run(shards)
+		if shards == 1 {
+			serial = r.Digest
+		}
 		identical := "yes"
-		if shards > 1 && r.Digest != runs[0].Digest {
+		if r.Digest != serial {
 			identical = "NO"
 		}
 		t.AddRow(
@@ -160,21 +154,7 @@ func sweepShards(t *Table, run func(shards int) ShardMeasure) []ShardMeasure {
 			us(float64(r.Makespan)/1e3),
 			identical,
 		)
-		runs = append(runs, r)
 	}
-	return runs
-}
-
-// wallRates renders each run's event rate and its speedup over the
-// first (serial) run, for the host-dependent wall-clock note.
-func wallRates(runs []ShardMeasure) string {
-	var parts []string
-	for _, r := range runs {
-		evps := float64(r.Events) / r.Wall.Seconds()
-		parts = append(parts, fmt.Sprintf("shards=%d %.0fk ev/s (%.2fx)",
-			r.Shards, evps/1e3, runs[0].Wall.Seconds()/r.Wall.Seconds()))
-	}
-	return strings.Join(parts, ", ")
 }
 
 // E19 geometry: 1 host + 31 nodes is 8 clusters of 4, the largest
@@ -193,13 +173,12 @@ func e19Run(shards int) ShardMeasure {
 // E19ShardScaling sweeps shard counts over one installation.
 func E19ShardScaling() *Table {
 	t := &Table{ID: "E19", Title: "parallel kernel: sharded virtual time vs serial, 8-cluster pool"}
-	runs := sweepShards(t, e19Run)
+	sweepShards(t, e19Run)
 	t.Note("identical = per-pair delivery digest byte-equal to shards=1; the CI shard sweep " +
 		"(vorx chaos -shardsweep) enforces the same identity under crash/gray fault schedules")
-	t.Note("route-aware lookahead: the promise between two shards is HopFixed (1us) times the " +
-		"minimum cube distance between their clusters; a shard advances to the earliest time " +
-		"any shard's front or in-flight mail could reach it along the shortest lookahead path")
-	t.Note("wall clock (host-dependent, this run): %s", wallRates(runs))
+	t.Note("lookahead: one cube hop (HopFixed, 1us) between any two shards; a shard advances " +
+		"to the earliest time another shard's front or in-flight mail could reach it one hop " +
+		"later, or its own front two hops later")
 	t.Note("speedup needs real cores: on a 1-CPU host the shard goroutines serialize and " +
 		"cross-shard synchronization is pure overhead")
 	return t

@@ -2,7 +2,6 @@ package vorxbench
 
 import (
 	"fmt"
-	"time"
 
 	"hpcvorx/internal/core"
 	"hpcvorx/internal/obs"
@@ -17,15 +16,15 @@ import (
 // table shows not just that the pipelined generation is faster but
 // where the time it saved used to go. A congested all-to-one row
 // exercises the busy-stall component. The analyzer and series sampler
-// ride the tracer's forward sink; the overhead notes price that
-// host-side cost and assert it perturbs virtual time not at all.
+// ride the tracer's forward sink; the perturbation note asserts they
+// change virtual time not at all (their host-side cost is perfbench's
+// trace.overhead_frac).
 
 // e18point is one analyzed run.
 type e18point struct {
 	rep     *obs.Report
 	mk      sim.Duration // workload virtual makespan
 	quiesce sim.Time
-	wall    time.Duration
 	samples int
 }
 
@@ -44,9 +43,8 @@ func e18Run(cfg core.Config, analyzed bool, wl func(sys *core.System) sim.Durati
 		smp = obs.NewSampler(sys.Trace.Metrics(), 500*sim.Microsecond)
 		sys.Trace.SetForward(obs.Tee(an, smp))
 	}
-	w0 := time.Now()
 	mk := wl(sys)
-	p := e18point{mk: mk, quiesce: sys.K.Now(), wall: time.Since(w0)}
+	p := e18point{mk: mk, quiesce: sys.K.Now()}
 	if analyzed {
 		smp.Flush(sys.K.Now())
 		p.rep = an.Report()
@@ -150,8 +148,8 @@ func E18LatencyObservatory() *Table {
 		"the congested all-to-one pays in busy/retransmit recovery instead")
 	t.Note("series sampler: %d virtual-time samples at 500us over the pipelined stream run", pipeSamples)
 
-	// Observatory overhead: same run with and without the analyzer.
-	// Virtual time must be bit-identical; only host wall clock pays.
+	// Observatory perturbation: same run with and without the analyzer.
+	// Virtual time must be bit-identical.
 	plain := e18Stream(core.Classic(), false)
 	analyzed := e18Stream(core.Classic(), true)
 	if plain.mk == analyzed.mk && plain.quiesce == analyzed.quiesce {
@@ -159,10 +157,6 @@ func E18LatencyObservatory() *Table {
 	} else {
 		t.Note("virtual-time perturbation DETECTED: %v vs %v — the observatory must not alter the simulation",
 			plain.mk, analyzed.mk)
-	}
-	if plain.wall > 0 {
-		t.Note("analyzer wall-clock overhead: %.0f%% on this host (host-side only; varies run to run)",
-			100*(float64(analyzed.wall)-float64(plain.wall))/float64(plain.wall))
 	}
 	return t
 }

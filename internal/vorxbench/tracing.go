@@ -3,7 +3,6 @@ package vorxbench
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"hpcvorx/internal/core"
 	"hpcvorx/internal/sim"
@@ -12,9 +11,8 @@ import (
 
 // e14run is one all-to-one run with or without the unified tracer.
 type e14run struct {
-	makespan sim.Duration  // workload start..finish in virtual time
-	quiesce  sim.Time      // kernel time at quiescence
-	wall     time.Duration // host wall clock for the whole run
+	makespan sim.Duration // workload start..finish in virtual time
+	quiesce  sim.Time     // kernel time at quiescence
 	events   int
 	sys      *core.System
 }
@@ -27,16 +25,16 @@ func e14Run(traced bool) e14run {
 	if traced {
 		sys.Trace.Enable()
 	}
-	w0 := time.Now()
 	mk := workload.ManyToOne(sys, 800, 10)
-	return e14run{makespan: mk, quiesce: sys.K.Now(), wall: time.Since(w0), events: sys.Trace.Len(), sys: sys}
+	return e14run{makespan: mk, quiesce: sys.K.Now(), events: sys.Trace.Len(), sys: sys}
 }
 
 // E14TracingOverhead measures the cost of the unified event tracer on
 // the standard all-to-one workload (the vorx links demo: 20 nodes,
 // 800-byte messages, 10 per sender). The design claim is that tracing
 // is recorded host-side only, so virtual time must be bit-identical
-// with tracing on; only wall clock and memory may pay.
+// with tracing on; only wall clock and memory may pay, which perfbench
+// measures with repeats (trace.overhead_frac).
 func E14TracingOverhead() *Table {
 	off := e14Run(false)
 	on := e14Run(true)
@@ -48,17 +46,11 @@ func E14TracingOverhead() *Table {
 	t.AddRow("virtual makespan", fmt.Sprintf("%v", off.makespan), fmt.Sprintf("%v", on.makespan))
 	t.AddRow("virtual quiesce", fmt.Sprintf("%v", off.quiesce), fmt.Sprintf("%v", on.quiesce))
 	t.AddRow("events recorded", fmt.Sprintf("%d", off.events), fmt.Sprintf("%d", on.events))
-	t.AddRow("wall clock", fmt.Sprintf("%.1f ms", float64(off.wall.Microseconds())/1000),
-		fmt.Sprintf("%.1f ms", float64(on.wall.Microseconds())/1000))
 	if off.makespan == on.makespan && off.quiesce == on.quiesce {
 		t.Note("virtual-time perturbation: zero — the traced run is bit-identical in virtual time")
 	} else {
 		t.Note("virtual-time perturbation DETECTED: makespan %v vs %v — tracing must not alter the simulation",
 			off.makespan, on.makespan)
-	}
-	if off.wall > 0 {
-		t.Note("wall-clock overhead: %.0f%% (host-side recording only; varies run to run)",
-			100*(float64(on.wall)-float64(off.wall))/float64(off.wall))
 	}
 
 	// Metrics the traced run collected: fabric refusals and the
