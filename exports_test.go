@@ -73,6 +73,7 @@ var exportAllowlist = []exportEntry{
 	{"cemu.Circuit.Simulate", "reference", "TestDistributedEquivalenceProperty", ""},
 
 	{"channels.Channel.RetainedWrites", "observe", "TestRetainedWritesReleasedByStableMarks", ""},
+	{"channels.Service.FreeShells", "observe", "TestShellListsCappedOnOneWayShardTraffic", ""},
 	{"channels.Service.SideBuffersFree", "observe", "TestSideBufferConservationProperty", ""},
 	{"dfs.Service.StoredOn", "observe", "TestReplicationWritesAllCopies", ""},
 	{"fault.Engine.Records", "observe", "TestCrashForceFreesProcessors", ""},

@@ -3,6 +3,7 @@ package channels_test
 import (
 	"testing"
 
+	"hpcvorx/internal/core"
 	"hpcvorx/internal/kern"
 	"hpcvorx/internal/objmgr"
 	"hpcvorx/internal/sim"
@@ -58,20 +59,43 @@ func TestClassicRoundTripAllocBound(t *testing.T) {
 // previous message still holds whenever the next one arrives, so every
 // write is refused busy, parks as a starve record and is retransmitted
 // when a read frees the buffer and resumes it. Once warm, such a write
-// allocates nothing: the busy and resume notices travel on pooled
-// ackMsg shells, like acks.
+// allocates nothing: the busy and resume notices travel on ackMsg
+// shells, like acks.
 func TestBusyResumeZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	sys := build(t, 2)
+	busyResume(t, core.Classic(), 64, 1)
+}
+
+// TestPipelinedStreamZeroAlloc is the same guard for the windowed
+// fragment path: on the pipelined stack (a write window, K-deep ports
+// and coalesced receive interrupts) each 6,000 B write travels as 6
+// fragments, is refused busy and is resumed. Once warm such a write
+// allocates nothing: fragments, acks and notices come from the shard's
+// shell lists.
+func TestPipelinedStreamZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	busyResume(t, core.Pipelined(), 6000, 6)
+}
+
+// busyResume streams size-byte writes of frags fragments each into a
+// reader with one side buffer that computes for 1 ms before each read,
+// so every write arrives to find no reader and a full side buffer. It
+// fails unless each of 201 warm reads sees one write refused busy and
+// its fragments resumed, with nothing allocated.
+func busyResume(t *testing.T, cp core.CommProfile, size, frags int) {
+	t.Helper()
+	sys := buildComm(t, 2, cp)
 	rx := sys.Node(1).Chans
 	rx.SetSideBuffers(1)
 	read := 0
 	sys.Spawn(sys.Node(0), "writer", 0, func(sp *kern.Subprocess) {
 		ch := sys.Node(0).Chans.Open(sp, "busy", objmgr.OpenAny)
 		for {
-			if err := ch.Write(sp, 64, nil); err != nil {
+			if err := ch.Write(sp, size, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -105,8 +129,8 @@ func TestBusyResumeZeroAlloc(t *testing.T) {
 	if got := rx.Busies - busies; got != 201 {
 		t.Fatalf("%d busy refusals in 201 reads; the scenario no longer refuses every write", got)
 	}
-	if got := rx.Retransmits - retransmits; got != 201 {
-		t.Fatalf("%d resumed retransmissions in 201 reads", got)
+	if got := rx.Retransmits - retransmits; got != 201*frags {
+		t.Fatalf("%d fragments retransmitted on resume in 201 reads, want %d", got, 201*frags)
 	}
 	if allocs != 0 {
 		t.Fatalf("warm busy-refused, resumed write allocates %v/op, want 0", allocs)

@@ -24,7 +24,6 @@ package channels
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"hpcvorx/internal/hpc"
 	"hpcvorx/internal/kern"
@@ -66,8 +65,9 @@ type Msg struct {
 // Service is the per-node channel machinery: the kernel's channel
 // table, side-buffer pool, and protocol handlers.
 type Service struct {
-	f   *netif.IF
-	mgr *objmgr.Manager
+	f      *netif.IF
+	mgr    *objmgr.Manager
+	shells *Shells // the shard's wire-body free lists
 	// ids and chans are the channel table: the ids of this node's
 	// channel ends in ascending order, and the ends in the same order.
 	// The ids have a slice of their own, so a lookup's binary search
@@ -79,10 +79,10 @@ type Service struct {
 	// subprocess getting scheduled).
 	preopen map[uint64][]dataFrag
 
-	// outFree recycles write records. A Service is single-kernel, so a
-	// plain slice suffices; a record is recycled only once its ack
-	// timer is stopped and no pending or retained list can reach it.
-	outFree []*outMsg
+	// outFree recycles write records. A record is recycled only once
+	// its ack timer is stopped and no pending or retained list can
+	// reach it.
+	outFree netif.FreeList[outMsg]
 
 	sideBufFree int
 	// starved lists (channel, message) pairs whose peer was told
@@ -177,24 +177,21 @@ type ackMsg struct {
 	seq int
 }
 
-// fragPool and ackPool recycle the wire-body shells of the per-write
-// messages: data fragments, and the acks, busy and resume notices that
-// share ackMsg. Shells are sent as pointers (boxing a pointer
-// into an interface allocates nothing), the receiver copies the fields
-// out at interrupt level and returns the shell. The pools are shared
-// process-wide: sender and receiver are different nodes, and under
-// parallel replication different kernels, so they need the
-// synchronized pool rather than a per-Service free list. A shell that
-// dies en route (crashed node, dropped service) simply falls to the
-// garbage collector.
-var (
-	fragPool = sync.Pool{New: func() any { return new(dataFrag) }}
-	ackPool  = sync.Pool{New: func() any { return new(ackMsg) }}
-)
-
-func putFrag(f *dataFrag) {
-	*f = dataFrag{} // drop the app payload reference
-	fragPool.Put(f)
+// Shells is one simulation shard's free lists of the per-write wire
+// bodies: data fragments, and the acks, busy and resume notices that
+// share ackMsg. core makes one per shard and hands it to every Service
+// on the shard. A shell is sent as a pointer (boxing a pointer into an
+// interface allocates nothing); the receiver copies its fields out at
+// interrupt level and puts the shell on its own shard's list, so each
+// list has one owner and needs no lock. A sender whose list is empty
+// allocates. Traffic that flows one way between shards moves every
+// shell from the sender's shard to the receiver's, where the list's
+// cap (netif.MaxFreeShells) leaves the surplus to the garbage
+// collector, like a shell that dies en route (crashed node, dropped
+// service).
+type Shells struct {
+	frags netif.FreeList[dataFrag]
+	acks  netif.FreeList[ackMsg]
 }
 
 type closeMsg struct{ ch uint64 }
@@ -207,9 +204,10 @@ type starveRec struct {
 }
 
 // NewService attaches the channel service to a node's network
-// interface.
-func NewService(f *netif.IF, mgr *objmgr.Manager) *Service {
-	s := &Service{f: f, mgr: mgr, preopen: make(map[uint64][]dataFrag),
+// interface. shells are the free lists of the node's simulation shard,
+// shared by every Service on it.
+func NewService(f *netif.IF, mgr *objmgr.Manager, shells *Shells) *Service {
+	s := &Service{f: f, mgr: mgr, shells: shells, preopen: make(map[uint64][]dataFrag),
 		sideBufFree: DefaultSideBuffers}
 	costs := f.Node().Costs()
 	f.Register("chan", netif.Service{
@@ -270,6 +268,12 @@ func (s *Service) SetSideBuffers(n int) {
 
 // SideBuffersFree returns the current side-buffer pool headroom.
 func (s *Service) SideBuffersFree() int { return s.sideBufFree }
+
+// FreeShells returns how many spare fragment and ack shells the
+// service's shard holds.
+func (s *Service) FreeShells() (frags, acks int) {
+	return len(s.shells.frags), len(s.shells.acks)
+}
 
 // SetAckTimeout enables the end-to-end timeout: a write unacknowledged
 // after d is retransmitted, and after maxRetries retransmissions the
@@ -358,26 +362,6 @@ type outMsg struct {
 	tid     uint64    // trace ID threading this write through the stack
 }
 
-// maxFreeOut bounds the write-record free list.
-const maxFreeOut = 1024
-
-func (s *Service) getOut() *outMsg {
-	if n := len(s.outFree); n > 0 {
-		om := s.outFree[n-1]
-		s.outFree[n-1] = nil
-		s.outFree = s.outFree[:n-1]
-		return om
-	}
-	return &outMsg{}
-}
-
-func (s *Service) putOut(om *outMsg) {
-	*om = outMsg{}
-	if len(s.outFree) < maxFreeOut {
-		s.outFree = append(s.outFree, om)
-	}
-}
-
 // WindowConfig is the service-wide sliding-window configuration: every
 // channel end subsequently opened (or reincarnated after migration)
 // starts with Window un-acknowledged writes allowed in flight instead
@@ -464,7 +448,7 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 	}
 	costs := ch.svc.f.Node().Costs()
 	sp.Syscall(costs.ChanSendProto + costs.KernelCopyTime(size))
-	om := ch.svc.getOut()
+	om := ch.svc.outFree.Get()
 	om.seq, om.size, om.payload = ch.sendSeq, size, payload
 	ch.sendSeq++
 	ch.pending = append(ch.pending, om)
@@ -490,7 +474,7 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 		if !ch.managed && !retryForever {
 			ch.dropPending(om)
 			name := ch.name
-			ch.svc.putOut(om) // timer never armed, no list reaches it
+			ch.svc.outFree.Put(om) // timer never armed, no list reaches it
 			return fmt.Errorf("channels: write on %q: %w", name, err)
 		}
 		// Managed end (or an end configured to retry forever),
@@ -524,7 +508,7 @@ func (ch *Channel) sendFragments(sp *kern.Subprocess, om *outMsg, retrans bool) 
 			n = MaxFragment
 		}
 		last := off+n >= om.size
-		frag := fragPool.Get().(*dataFrag)
+		frag := ch.svc.shells.frags.Get()
 		*frag = dataFrag{ch: ch.id, seq: om.seq, size: n, total: om.size, last: last, retransmit: retrans, tid: om.tid}
 		if last {
 			frag.payload = om.payload
@@ -534,7 +518,7 @@ func (ch *Channel) sendFragments(sp *kern.Subprocess, om *outMsg, retrans bool) 
 				fmt.Sprintf("seq=%d off=%d %dB", om.seq, off, n))
 		}
 		if err := ch.svc.f.SendCtx(sp, om.tid, ch.peer, "chan", n+HeaderBytes, frag); err != nil {
-			putFrag(frag) // never entered the fabric
+			ch.svc.shells.frags.Put(frag) // never entered the fabric
 			return err
 		}
 	}
@@ -600,7 +584,7 @@ func (s *Service) retransmitAsync(ch *Channel, om *outMsg) {
 			n = MaxFragment
 		}
 		last := off+n >= om.size
-		frag := fragPool.Get().(*dataFrag)
+		frag := s.shells.frags.Get()
 		*frag = dataFrag{ch: ch.id, seq: om.seq, size: n, total: om.size, last: last, retransmit: true, tid: om.tid}
 		if last {
 			frag.payload = om.payload
@@ -765,7 +749,7 @@ func (s *Service) releaseRetained(ch *Channel, stable int) {
 			if v := s.verifier; v != nil {
 				v.ChanRelease(ch.id, s.f.Endpoint(), om.seq, false)
 			}
-			s.putOut(om) // acked and checkpoint-stable: fully dead
+			s.outFree.Put(om) // acked and checkpoint-stable: fully dead
 		}
 	}
 	for i := len(keep); i < len(ch.retained); i++ {
@@ -848,7 +832,7 @@ func (s *Service) sendResume(r starveRec) {
 		tr.Emit(trace.KResume, r.tid, s.f.Node().Name(), r.ch.lane(),
 			fmt.Sprintf("seq=%d ->ep%d", r.seq, r.ch.peer))
 	}
-	a := ackPool.Get().(*ackMsg)
+	a := s.shells.acks.Get()
 	a.ch, a.seq = r.ch.id, r.seq
 	s.f.SendAsyncCtx(r.tid, r.ch.peer, "chan.resume", AckBytes, a, nil)
 }
@@ -883,7 +867,7 @@ func (s *Service) resumeIfStarved(ch *Channel) {
 func (s *Service) handleData(m *hpc.Message) {
 	fr := m.Payload.(*dataFrag)
 	frag := *fr
-	putFrag(fr)
+	s.shells.frags.Put(fr)
 	frag.src, frag.inc = m.Src, m.Inc
 	ch := s.ByID(frag.ch)
 	if ch == nil {
@@ -965,7 +949,7 @@ func (s *Service) accept(ch *Channel, frag dataFrag, how string) {
 }
 
 func (s *Service) ack(ch *Channel, seq int, tid uint64) {
-	a := ackPool.Get().(*ackMsg)
+	a := s.shells.acks.Get()
 	a.ch, a.seq = ch.id, seq
 	s.f.SendAsyncCtx(tid, ch.peer, "chan.ack", AckBytes, a, nil)
 }
@@ -985,7 +969,7 @@ func (s *Service) busy(ch *Channel, seq int, tid uint64) {
 		tr.Count("chan.busies", 1)
 	}
 	s.starved = append(s.starved, starveRec{ch: ch, seq: seq, tid: tid})
-	a := ackPool.Get().(*ackMsg)
+	a := s.shells.acks.Get()
 	a.ch, a.seq = ch.id, seq
 	s.f.SendAsyncCtx(tid, ch.peer, "chan.busy", AckBytes, a, nil)
 }
@@ -1001,7 +985,7 @@ func (s *Service) traceSideBuf() {
 func (s *Service) handleAck(m *hpc.Message) {
 	ap := m.Payload.(*ackMsg)
 	a := *ap
-	ackPool.Put(ap)
+	s.shells.acks.Put(ap)
 	ch := s.ByID(a.ch)
 	if ch == nil {
 		return
@@ -1033,7 +1017,7 @@ func (s *Service) handleAck(m *hpc.Message) {
 				}
 			} else {
 				// Timer stopped, off every list: recycle the record.
-				s.putOut(om)
+				s.outFree.Put(om)
 			}
 			break
 		}
@@ -1049,7 +1033,7 @@ func (s *Service) handleAck(m *hpc.Message) {
 func (s *Service) handleBusy(m *hpc.Message) {
 	// Nothing to do beyond returning the shell: the data was discarded
 	// by the receiver; the write will be retransmitted on resume.
-	ackPool.Put(m.Payload.(*ackMsg))
+	s.shells.acks.Put(m.Payload.(*ackMsg))
 }
 
 // handleResume retransmits the pending write from the kernel: the ISR
@@ -1058,7 +1042,7 @@ func (s *Service) handleBusy(m *hpc.Message) {
 func (s *Service) handleResume(m *hpc.Message) {
 	ap := m.Payload.(*ackMsg)
 	rm := *ap
-	ackPool.Put(ap)
+	s.shells.acks.Put(ap)
 	ch := s.ByID(rm.ch)
 	if ch == nil {
 		return

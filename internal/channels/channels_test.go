@@ -7,6 +7,7 @@ import (
 	"hpcvorx/internal/channels"
 	"hpcvorx/internal/core"
 	"hpcvorx/internal/kern"
+	"hpcvorx/internal/netif"
 	"hpcvorx/internal/objmgr"
 	"hpcvorx/internal/sim"
 )
@@ -532,4 +533,67 @@ func TestWindowRespectsLimit(t *testing.T) {
 		t.Fatalf("writer completed %d writes into a wedged receiver (window 2)", written)
 	}
 	sys.Shutdown()
+}
+
+// TestShellListsCappedOnOneWayShardTraffic: with every writer on shard 0
+// and every reader on shard 1 (E19's shape), each fragment is made on
+// shard 0 and freed on shard 1, and each ack the other way round. After
+// more writes than netif.MaxFreeShells, shard 1's fragment list and
+// shard 0's ack list hold exactly the cap, and the senders' own lists
+// of those shells stay empty.
+func TestShellListsCappedOnOneWayShardTraffic(t *testing.T) {
+	const pairs, writes = 4, 300
+	if pairs*writes <= netif.MaxFreeShells {
+		t.Fatalf("%d writes do not pass the cap of %d", pairs*writes, netif.MaxFreeShells)
+	}
+	sh, err := core.BuildSharded(core.Config{Nodes: 16, Seed: 1, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var side [2][]*core.Machine
+	for _, m := range sh.Nodes() {
+		s := sh.Part.OfEndpoint(sh.Topo, m.EP)
+		side[s] = append(side[s], m)
+	}
+	read := make([]int, pairs)
+	for i := 0; i < pairs; i++ {
+		i, name := i, fmt.Sprintf("oneway%d", i)
+		w, r := side[0][i], side[1][i]
+		sh.Spawn(w, "writer", 0, func(sp *kern.Subprocess) {
+			ch := w.Chans.Open(sp, name, objmgr.OpenAny)
+			for n := 0; n < writes; n++ {
+				if err := ch.Write(sp, 64, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+		sh.Spawn(r, "reader", 0, func(sp *kern.Subprocess) {
+			ch := r.Chans.Open(sp, name, objmgr.OpenAny)
+			for n := 0; n < writes; n++ {
+				if _, ok := ch.Read(sp); !ok {
+					t.Error("read failed")
+					return
+				}
+				read[i]++
+			}
+		})
+	}
+	if err := sh.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range read {
+		if n != writes {
+			t.Fatalf("pair %d read %d of %d writes", i, n, writes)
+		}
+	}
+	txFrags, txAcks := side[0][0].Chans.FreeShells()
+	rxFrags, rxAcks := side[1][0].Chans.FreeShells()
+	if rxFrags != netif.MaxFreeShells || txAcks != netif.MaxFreeShells {
+		t.Fatalf("shard 1 keeps %d fragment shells and shard 0 %d ack shells, want the cap, %d",
+			rxFrags, txAcks, netif.MaxFreeShells)
+	}
+	if txFrags != 0 || rxAcks != 0 {
+		t.Fatalf("shard 0 keeps %d fragment shells and shard 1 %d ack shells, want 0", txFrags, rxAcks)
+	}
 }

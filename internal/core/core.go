@@ -279,8 +279,9 @@ func assemble(cfg Config, shards int) (*Sharded, error) {
 			ifs[i] = m.IF
 		}
 		sys.Mgr = objmgr.New(ifs, mgrEPs)
+		shells := new(channels.Shells)
 		for _, m := range ms {
-			m.Chans = channels.NewService(m.IF, sys.Mgr)
+			m.Chans = channels.NewService(m.IF, sys.Mgr, shells)
 		}
 
 		// Apply the communication profile. Classic (the zero value)

@@ -18,13 +18,30 @@ import (
 // virtual time, same retransmit totals. The workload below exercises
 // the full stack — channel opens rendezvousing through hashed object
 // managers, paced writes crossing cluster (and shard) boundaries,
-// stop-and-wait acks flowing back — with tie-free staggered starts and
-// distinct message sizes per pair.
+// acks flowing back — with tie-free staggered starts and distinct
+// message sizes per pair. Writers sit on the low clusters and readers
+// on the high ones, so at 2 shards every data message crosses one way.
 
 const (
 	stackNodes = 15 // 1 host + 15 nodes -> 4 clusters of 4
 	stackPairs = 7
-	stackMsgs  = 6
+)
+
+// stackLoad is one profile's traffic: msgs writes per pair, each of
+// size(pair, write) bytes.
+type stackLoad struct {
+	comm CommProfile
+	msgs int
+	size func(pi, i int) int
+}
+
+var (
+	// classicLoad's one-fragment writes stop and wait.
+	classicLoad = stackLoad{msgs: 6, size: func(pi, _ int) int { return 192 + 16*pi }}
+	// pipelinedLoad's 2.5–6.7 KB writes are trains of 3 to 7 fragments
+	// under a write window, over K-deep ports with coalesced receive
+	// interrupts.
+	pipelinedLoad = stackLoad{comm: Pipelined(), msgs: 12, size: func(pi, i int) int { return 2560 + 600*pi + 50*i }}
 )
 
 type pairOutcome struct {
@@ -44,17 +61,16 @@ type chanSys interface {
 // stackTraffic spawns writer/reader pairs spanning clusters. Readers
 // on different shards write disjoint slice entries, so the recording
 // is race-free under the group scheduler.
-func stackTraffic(s chanSys, out []pairOutcome) {
+func stackTraffic(s chanSys, load stackLoad, out []pairOutcome) {
 	for pi := 0; pi < stackPairs; pi++ {
 		pi := pi
 		name := fmt.Sprintf("pair%d", pi)
 		wm, rm := s.Node(pi), s.Node(pi+stackPairs)
-		size := 192 + 16*pi
 		s.Spawn(wm, "writer", 0, func(sp *kern.Subprocess) {
 			sp.SleepFor(sim.Duration(1+17*pi) * sim.Microsecond)
 			ch := wm.Chans.Open(sp, name, objmgr.OpenAny)
-			for i := 0; i < stackMsgs; i++ {
-				if err := ch.Write(sp, size, fmt.Sprintf("p%d.%d", pi, i)); err != nil {
+			for i := 0; i < load.msgs; i++ {
+				if err := ch.Write(sp, load.size(pi, i), fmt.Sprintf("p%d.%d", pi, i)); err != nil {
 					return
 				}
 				sp.SleepFor(sim.Duration(310+7*pi) * sim.Microsecond)
@@ -63,7 +79,7 @@ func stackTraffic(s chanSys, out []pairOutcome) {
 		s.Spawn(rm, "reader", 0, func(sp *kern.Subprocess) {
 			sp.SleepFor(sim.Duration(9+17*pi) * sim.Microsecond)
 			ch := rm.Chans.Open(sp, name, objmgr.OpenAny)
-			for i := 0; i < stackMsgs; i++ {
+			for i := 0; i < load.msgs; i++ {
 				if _, ok := ch.Read(sp); !ok {
 					return
 				}
@@ -89,10 +105,15 @@ func stackDigest(s chanSys, out []pairOutcome) string {
 }
 
 func TestBuildShardedMatchesSerial(t *testing.T) {
+	t.Run("classic", func(t *testing.T) { testShardedMatchesSerial(t, classicLoad) })
+	t.Run("pipelined", func(t *testing.T) { testShardedMatchesSerial(t, pipelinedLoad) })
+}
+
+func testShardedMatchesSerial(t *testing.T, load stackLoad) {
 	// Build ignores Shards: the serial reference is one kernel carrying
 	// every machine, even with a split configured, and perfbench builds
 	// its serial baseline for a sharded workload exactly this way.
-	cfg := Config{Hosts: 1, Nodes: stackNodes, Seed: 11, Shards: 4}
+	cfg := Config{Hosts: 1, Nodes: stackNodes, Seed: 11, Shards: 4, Comm: load.comm}
 	sys, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,14 +130,14 @@ func TestBuildShardedMatchesSerial(t *testing.T) {
 		t.Fatalf("serial System holds %d machines, want %d", got, 1+stackNodes)
 	}
 	serialOut := make([]pairOutcome, stackPairs)
-	stackTraffic(sys, serialOut)
+	stackTraffic(sys, load, serialOut)
 	if err := sys.Run(); err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
 	want := stackDigest(sys, serialOut)
 	for pi, o := range serialOut {
-		if o.recv != stackMsgs {
-			t.Fatalf("serial pair %d delivered %d/%d", pi, o.recv, stackMsgs)
+		if o.recv != load.msgs {
+			t.Fatalf("serial pair %d delivered %d/%d", pi, o.recv, load.msgs)
 		}
 	}
 
@@ -131,7 +152,7 @@ func TestBuildShardedMatchesSerial(t *testing.T) {
 			t.Fatalf("want %d shards, built %d", shards, sh.Shards())
 		}
 		out := make([]pairOutcome, stackPairs)
-		stackTraffic(sh, out)
+		stackTraffic(sh, load, out)
 		if err := sh.Run(); err != nil {
 			t.Fatalf("shards=%d run: %v", shards, err)
 		}
@@ -182,13 +203,13 @@ func TestBuildShardedShardEdges(t *testing.T) {
 		t.Fatalf("shards=1 built %d shards", sh.Shards())
 	}
 	out := make([]pairOutcome, stackPairs)
-	stackTraffic(sh, out)
+	stackTraffic(sh, classicLoad, out)
 	if err := sh.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for pi, o := range out {
-		if o.recv != stackMsgs {
-			t.Fatalf("shards=1 pair %d delivered %d/%d", pi, o.recv, stackMsgs)
+		if o.recv != classicLoad.msgs {
+			t.Fatalf("shards=1 pair %d delivered %d/%d", pi, o.recv, classicLoad.msgs)
 		}
 	}
 

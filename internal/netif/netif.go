@@ -85,12 +85,49 @@ type Service struct {
 	HandleRaw func(d *hpc.Delivery)
 }
 
+// FreeList is a LIFO list of spare records of type T with one owner:
+// the wire bodies a protocol sends through interfaces, kept by the
+// simulation shard that frees them, or one service's own records. A
+// body freed on another shard than the one that made it never goes
+// back, so each list keeps at most MaxFreeShells, as sim caps its
+// event shells, and leaves the surplus to the garbage collector.
+type FreeList[T any] []*T
+
+// MaxFreeShells caps every FreeList.
+const MaxFreeShells = 1024
+
+// Get takes a record from the list, or makes one.
+func (l *FreeList[T]) Get() *T {
+	if n := len(*l); n > 0 {
+		x := (*l)[n-1]
+		(*l)[n-1] = nil
+		*l = (*l)[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+// Put zeroes x, dropping the references it holds, and keeps it unless
+// the list is full.
+func (l *FreeList[T]) Put(x *T) {
+	var zero T
+	*x = zero
+	if len(*l) < MaxFreeShells {
+		*l = append(*l, x)
+	}
+}
+
 // IF is one node's network interface.
 type IF struct {
-	node     *kern.Node
-	ic       *hpc.Interconnect
-	ep       topo.EndpointID
-	services map[string]Service
+	node *kern.Node
+	ic   *hpc.Interconnect
+	ep   topo.EndpointID
+	// services is the service table in registration order, which each
+	// delivery scans for its tag. An interface serves a handful of
+	// services, 24 at most in any program here (a core machine's 8
+	// plus FFT's 16 multicast groups), so comparing a few tags costs
+	// less than hashing every frame's.
+	services []namedService
 
 	// pending holds deliveries accepted from the fabric but not yet
 	// released (their interrupt has not run). Released en masse if the
@@ -146,6 +183,17 @@ type IF struct {
 	isrFree   *isr
 	retryFree *retry
 }
+
+// namedService is one entry of an interface's service table.
+type namedService struct {
+	tag string
+	svc Service
+}
+
+// coreServices is how many services every machine of a core build
+// registers: the fence note, the object manager's two and the channel
+// protocol's five. An interface's table starts with room for them.
+const coreServices = 8
 
 // isr is one raised receive interrupt: the delivery it reads out and
 // the handler of the service it belongs to. Records are recycled per
@@ -236,7 +284,7 @@ func (r *batchDrain) run() {
 
 // Attach wires node to endpoint ep of ic and returns the interface.
 func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
-	f := &IF{node: node, ic: ic, ep: ep, services: make(map[string]Service)}
+	f := &IF{node: node, ic: ic, ep: ep, services: make([]namedService, 0, coreServices)}
 	node.OnCrash(func() {
 		// The crash discarded the queued ISRs (kern nils the interrupt
 		// queue), so this is the last reference to these messages.
@@ -265,10 +313,10 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 			co.timer.Stop()
 		}
 	})
-	f.services[fenceService] = Service{
+	f.Register(fenceService, Service{
 		Cost:   func(*hpc.Message) sim.Duration { return fenceISR },
 		Handle: f.handleFenceNote,
-	}
+	})
 	ic.SetDeliver(ep, func(d *hpc.Delivery) {
 		if node.Crashed() {
 			f.DroppedDead++
@@ -290,8 +338,8 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 				return
 			}
 		}
-		svc, ok := f.services[d.Msg.Tag]
-		if !ok {
+		svc := f.service(d.Msg.Tag)
+		if svc == nil {
 			f.Dropped++
 			msg := d.Msg
 			d.Release()
@@ -325,7 +373,7 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 				co = &coalescer{fire: f.fireBatch}
 				f.co = co
 			}
-			co.batch = append(co.batch, batchEntry{msg: msg, svc: svc})
+			co.batch = append(co.batch, batchEntry{msg: msg, svc: *svc})
 			if tr := node.Tracer(); tr.Enabled() {
 				tr.GaugeSet("netif.batch."+node.Name(), float64(len(co.batch)))
 			}
@@ -527,10 +575,20 @@ func (f *IF) Endpoint() topo.EndpointID { return f.ep }
 // Register installs the handler for a service name. Registering the
 // same name twice panics: it is a wiring bug.
 func (f *IF) Register(name string, svc Service) {
-	if _, dup := f.services[name]; dup {
+	if f.service(name) != nil {
 		panic(fmt.Sprintf("netif: service %q registered twice on %s", name, f.node.Name()))
 	}
-	f.services[name] = svc
+	f.services = append(f.services, namedService{tag: name, svc: svc})
+}
+
+// service returns the registered service named tag, or nil.
+func (f *IF) service(tag string) *Service {
+	for i := range f.services {
+		if f.services[i].tag == tag {
+			return &f.services[i].svc
+		}
+	}
+	return nil
 }
 
 // Send transmits body to service on dst, blocking the subprocess until

@@ -65,14 +65,30 @@ func TestISRCostChargedToNode(t *testing.T) {
 	}
 }
 
+// A frame whose tag names no registered service is counted as dropped
+// and frees its input section, so the frames queued behind it at the
+// one-slot section still arrive. Two of the unknown tags are a prefix
+// and an extension of registered ones: the table matches whole tags.
 func TestUnknownServiceDropped(t *testing.T) {
 	k, _, ifs, _ := rig(t)
-	ifs[0].SendAsync(1, "nobody-home", 64, nil, nil)
+	var got []any
+	for _, tag := range []string{"svc.a", "svc"} {
+		ifs[1].Register(tag, netif.Service{
+			Cost:   func(*hpc.Message) sim.Duration { return sim.Microseconds(10) },
+			Handle: func(m *hpc.Message) { got = append(got, m.Payload) },
+		})
+	}
+	for _, tag := range []string{"sv", "svc.ab", "nobody-home", "svc", "svc.a"} {
+		ifs[0].SendAsync(1, tag, 64, tag, nil)
+	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ifs[1].Dropped != 1 {
-		t.Fatalf("dropped = %d", ifs[1].Dropped)
+	if ifs[1].Dropped != 3 {
+		t.Fatalf("dropped = %d, want 3", ifs[1].Dropped)
+	}
+	if fmt.Sprint(got) != "[svc svc.a]" {
+		t.Fatalf("delivered %v, want [svc svc.a]", got)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sync"
 
 	"hpcvorx/internal/hpc"
 	"hpcvorx/internal/kern"
@@ -99,6 +98,15 @@ type Manager struct {
 	// open has read its reply (see newToken).
 	waits      []replyWait
 	freeTokens []uint64
+
+	// reqs and reps are the shard's spare wire bodies of the open
+	// protocol. A body is sent as a pointer (boxing a pointer allocates
+	// nothing); the receiver copies it out and puts the shell on its
+	// own shard's list, so each list has one owner and needs no lock.
+	// Opens whose manager sits on another shard move shells one way,
+	// and the lists' cap leaves the surplus to the garbage collector.
+	reqs netif.FreeList[openReq]
+	reps netif.FreeList[openRep]
 }
 
 type mgrState struct {
@@ -136,17 +144,6 @@ type openRep struct {
 	token   uint64
 	pairing Pairing
 }
-
-// reqPool and repPool recycle the wire-body shells of the open
-// protocol. A shell is sent as a pointer (boxing a pointer allocates
-// nothing) and the receiver copies it out and returns it. The pools are
-// process-wide because sender and receiver may sit on different
-// simulation shards; a shell lost en route falls to the garbage
-// collector.
-var (
-	reqPool = sync.Pool{New: func() any { return new(openReq) }}
-	repPool = sync.Pool{New: func() any { return new(openRep) }}
-)
 
 // New creates the object-manager service over the network interfaces
 // in all. Names hash over the full managerEps list (one entry =
@@ -219,12 +216,12 @@ func (m *Manager) Open(sp *kern.Subprocess, from *netif.IF, name string, mode Mo
 	tok := m.newToken()
 	for {
 		m.waits[uint32(tok)] = replyWait{tok: tok, wake: sp.Block(kern.WaitOther)}
-		req := reqPool.Get().(*openReq)
+		req := m.reqs.Get()
 		*req = openReq{name: name, mode: mode, from: from.Endpoint(), token: tok}
 		if err := from.Send(sp, m.ManagerFor(name), "objmgr", OpenRequestBytes, req); err == nil {
 			break
 		}
-		reqPool.Put(req) // never entered the fabric
+		m.reqs.Put(req) // never entered the fabric
 		// The manager is unreachable: give up the reply wait and send
 		// again once a cube link comes back up.
 		m.waits[uint32(tok)].wake.Wake()
@@ -255,7 +252,7 @@ func (m *Manager) newToken() uint64 {
 func (m *Manager) handleOpen(ep topo.EndpointID, st *mgrState, msg *hpc.Message) {
 	rp := msg.Payload.(*openReq)
 	req := *rp
-	reqPool.Put(rp)
+	m.reqs.Put(rp)
 	st.Processed++
 	q := m.pending[req.name]
 	if q == nil {
@@ -285,8 +282,8 @@ func (m *Manager) match(ep topo.EndpointID, st *mgrState, name string, q *nameQu
 	pair := func(a, b pendingOpen) {
 		id := uint64(st.idx) | (st.idSeq+1)<<16
 		st.idSeq++
-		reply(f, a, Pairing{Chan: id, Peer: b.ep})
-		reply(f, b, Pairing{Chan: id, Peer: a.ep})
+		m.reply(f, a, Pairing{Chan: id, Peer: b.ep})
+		m.reply(f, b, Pairing{Chan: id, Peer: a.ep})
 	}
 	for len(q.any) >= 2 {
 		a, b := q.any[0], q.any[1]
@@ -306,8 +303,8 @@ func (m *Manager) match(ep topo.EndpointID, st *mgrState, name string, q *nameQu
 }
 
 // reply sends one open its pairing.
-func reply(f *netif.IF, to pendingOpen, p Pairing) {
-	rep := repPool.Get().(*openRep)
+func (m *Manager) reply(f *netif.IF, to pendingOpen, p Pairing) {
+	rep := m.reps.Get()
 	*rep = openRep{token: to.token, pairing: p}
 	f.SendAsync(to.ep, "objmgr.rep", OpenReplyBytes, rep, nil)
 }
@@ -318,7 +315,7 @@ func reply(f *netif.IF, to pendingOpen, p Pairing) {
 func (m *Manager) handleReply(msg *hpc.Message) {
 	rp := msg.Payload.(*openRep)
 	rep := *rp
-	repPool.Put(rp)
+	m.reps.Put(rp)
 	w := &m.waits[uint32(rep.token)]
 	if w.tok != rep.token || !w.wake.Armed() {
 		return
