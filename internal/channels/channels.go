@@ -181,9 +181,9 @@ type ackMsg struct {
 // bodies: data fragments, and the acks, busy and resume notices that
 // share ackMsg. core makes one per shard and hands it to every Service
 // on the shard. A shell is sent as a pointer (boxing a pointer into an
-// interface allocates nothing); the receiver copies its fields out at
-// interrupt level and puts the shell on its own shard's list, so each
-// list has one owner and needs no lock. A sender whose list is empty
+// interface allocates nothing); the receiver reads it at interrupt
+// level and puts it on its own shard's list, so each list has one
+// owner and needs no lock. A sender whose list is empty
 // allocates. Traffic that flows one way between shards moves every
 // shell from the sender's shard to the receiver's, where the list's
 // cap (netif.MaxFreeShells) leaves the surplus to the garbage
@@ -400,8 +400,8 @@ func (s *Service) Open(sp *kern.Subprocess, name string, mode objmgr.Mode) *Chan
 	s.install(ch)
 	if frags := s.preopen[p.Chan]; len(frags) > 0 {
 		delete(s.preopen, p.Chan)
-		for _, frag := range frags {
-			s.deliverFrag(ch, frag)
+		for i := range frags {
+			s.deliverFrag(ch, &frags[i])
 		}
 	}
 	return ch
@@ -508,8 +508,9 @@ func (ch *Channel) sendFragments(sp *kern.Subprocess, om *outMsg, retrans bool) 
 			n = MaxFragment
 		}
 		last := off+n >= om.size
-		frag := ch.svc.shells.frags.Get()
-		*frag = dataFrag{ch: ch.id, seq: om.seq, size: n, total: om.size, last: last, retransmit: retrans, tid: om.tid}
+		frag := ch.svc.shells.frags.Get() // zeroed: set only what differs
+		frag.ch, frag.seq, frag.size, frag.total = ch.id, om.seq, n, om.size
+		frag.last, frag.retransmit, frag.tid = last, retrans, om.tid
 		if last {
 			frag.payload = om.payload
 		}
@@ -584,8 +585,9 @@ func (s *Service) retransmitAsync(ch *Channel, om *outMsg) {
 			n = MaxFragment
 		}
 		last := off+n >= om.size
-		frag := s.shells.frags.Get()
-		*frag = dataFrag{ch: ch.id, seq: om.seq, size: n, total: om.size, last: last, retransmit: true, tid: om.tid}
+		frag := s.shells.frags.Get() // zeroed: set only what differs
+		frag.ch, frag.seq, frag.size, frag.total = ch.id, om.seq, n, om.size
+		frag.last, frag.retransmit, frag.tid = last, true, om.tid
 		if last {
 			frag.payload = om.payload
 		}
@@ -724,8 +726,8 @@ func (s *Service) Reincarnate(id uint64, name string, peer topo.EndpointID, send
 		// The peer's rebind replay raced ahead of the reincarnation;
 		// deliver the held fragments in arrival order.
 		delete(s.preopen, id)
-		for _, frag := range frags {
-			s.deliverFrag(ch, frag)
+		for i := range frags {
+			s.deliverFrag(ch, &frags[i])
 		}
 	}
 	return ch
@@ -863,24 +865,23 @@ func (s *Service) resumeIfStarved(ch *Channel) {
 	}
 }
 
-// handleData runs at interrupt level on the receiving node.
+// handleData runs at interrupt level on the receiving node. The shell
+// goes back on the shard's list once the fragment is delivered.
 func (s *Service) handleData(m *hpc.Message) {
-	fr := m.Payload.(*dataFrag)
-	frag := *fr
-	s.shells.frags.Put(fr)
+	frag := m.Payload.(*dataFrag)
 	frag.src, frag.inc = m.Src, m.Inc
-	ch := s.ByID(frag.ch)
-	if ch == nil {
-		// The local Open has not finished registering; hold the
-		// fragment and replay it when it does.
-		s.preopen[frag.ch] = append(s.preopen[frag.ch], frag)
-		return
+	if ch := s.ByID(frag.ch); ch != nil {
+		s.deliverFrag(ch, frag)
+	} else {
+		// The local Open has not finished registering; hold a copy of
+		// the fragment and replay it when it does.
+		s.preopen[frag.ch] = append(s.preopen[frag.ch], *frag)
 	}
-	s.deliverFrag(ch, frag)
+	s.shells.frags.Put(frag)
 }
 
 // deliverFrag is the interrupt-level delivery logic for one fragment.
-func (s *Service) deliverFrag(ch *Channel, frag dataFrag) {
+func (s *Service) deliverFrag(ch *Channel, frag *dataFrag) {
 	if frag.retransmit {
 		s.Retransmits++
 	}
@@ -934,7 +935,7 @@ func (s *Service) deliverFrag(ch *Channel, frag dataFrag) {
 }
 
 // accept finishes an in-order delivery: counters, sequencing, ack.
-func (s *Service) accept(ch *Channel, frag dataFrag, how string) {
+func (s *Service) accept(ch *Channel, frag *dataFrag, how string) {
 	s.Delivered++
 	ch.recvSeq++
 	if v := s.verifier; v != nil {

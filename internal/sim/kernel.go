@@ -38,14 +38,12 @@ type Kernel struct {
 	free      []*event
 	nCanceled int
 
-	// The run token: exactly one goroutine runs simulation code at a
-	// time, and every hand-off is a channel operation. During a run,
-	// or a Group shard's grant, the token carries the event loop,
-	// bounded by deadline (noRun outside one; see release). yield
-	// carries the token back to the goroutine waiting in switchTo when
-	// the run ends, or at a park outside a run (Shutdown). panicked
-	// holds a panic raised off that goroutine, for switchTo to re-raise.
-	yield    chan struct{}
+	// The run token: exactly one coroutine runs simulation code at a
+	// time, the run goroutine (the one in Run or RunUntil, or a Group
+	// shard's) or a proc's runner. During a run, or a Group shard's
+	// grant, the token carries the event loop, bounded by deadline
+	// (noRun outside one; see Proc.park). panicked holds a panic a
+	// runner caught, for the run goroutine to re-raise (see resume).
 	deadline Time
 	panicked any
 
@@ -98,7 +96,6 @@ func (k *Kernel) SetProbe(p Probe) { k.probe = p }
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
 		seed:     seed,
-		yield:    make(chan struct{}),
 		deadline: noRun,
 	}
 }
@@ -148,11 +145,10 @@ func (k *Kernel) After(d Duration, fn func()) Timer {
 // instant. The name appears in deadlock reports and traces.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		state:  procNew,
-		body:   fn,
+		k:     k,
+		name:  name,
+		state: procNew,
+		body:  fn,
 	}
 	k.procs = append(k.procs, p)
 	if k.probe != nil {
@@ -162,9 +158,10 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// procMain is the body of the goroutine backing p. On exit p gives up
-// the token like a parking proc, except that a panic goes straight
-// back to the goroutine waiting in switchTo, to be re-raised there.
+// procMain runs p's body on p's runner. When the body returns, or
+// panics, p is done and the runner yields to the run goroutine; a
+// panic other than Shutdown's kill is left for it to re-raise, wrapped
+// with p's name.
 func (k *Kernel) procMain(p *Proc) {
 	defer func() {
 		r := recover()
@@ -174,66 +171,16 @@ func (k *Kernel) procMain(p *Proc) {
 		}
 		if r != nil && r != errKilled {
 			k.panicked = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
-			k.handOff(nil)
-			return
 		}
-		k.release(p)
 	}()
 	fn := p.body
 	p.body = nil
 	fn(p)
 }
 
-// handOff passes the run token to p, starting p's goroutine if p is
-// new, or with p nil back to the goroutine waiting in switchTo. The
-// caller touches no simulation state afterwards.
-func (k *Kernel) handOff(p *Proc) {
-	if p == nil {
-		k.yield <- struct{}{}
-		return
-	}
-	if p.state == procNew {
-		p.state = procRunning
-		go k.procMain(p)
-		return
-	}
-	p.state = procRunning
-	p.resume <- struct{}{}
-}
-
-// switchTo hands the run token to p and waits until it comes back: when
-// the run or grant ends, or when p parks or finishes outside one
-// (Shutdown). A panic raised while the token was away is re-raised
-// here.
-func (k *Kernel) switchTo(p *Proc) {
-	if p.state == procDone {
-		return
-	}
-	k.handOff(p)
-	<-k.yield
-	if v := k.panicked; v != nil {
-		k.panicked = nil
-		panic(v)
-	}
-}
-
-// release gives up the token held by p's goroutine, p having parked or
-// finished. It dispatches events here until one starts or resumes a
-// proc; if that is p itself it reports true and p runs on with no
-// goroutine switch. Otherwise the token goes to that proc, or back to
-// switchTo when there is none, which outside a run (noRun) is at once.
-func (k *Kernel) release(p *Proc) (resumed bool) {
-	next := k.dispatchOnProc()
-	if next == p {
-		return true
-	}
-	k.handOff(next)
-	return false
-}
-
-// dispatchOnProc is dispatch on a proc's goroutine. A panic in an event
-// callback there would kill the process, so it is recovered and left
-// for switchTo to re-raise on the goroutine that started the run.
+// dispatchOnProc is dispatch on a proc's runner. A panic in an event
+// callback there would end the runner, so it is recovered and left for
+// the run goroutine to re-raise.
 func (k *Kernel) dispatchOnProc() (next *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -290,7 +237,7 @@ func (k *Kernel) popFront(ev *event) {
 // a proc, and returns that proc. It returns nil when the queue drains,
 // the Group stops, or the next event lies past the run's deadline. In
 // a Group run a grant that runs dry is followed by the next one, opened
-// here on whichever goroutine holds the token, so dispatch returns nil
+// here on whichever coroutine holds the token, so dispatch returns nil
 // only when the whole run ends.
 func (k *Kernel) dispatch() *Proc {
 	for !k.stopped.Load() {
@@ -326,14 +273,14 @@ const noRun = Time(-1)
 
 // runTo dispatches events with timestamps <= bound: a run, or a Group
 // shard's first grant and every grant after it. The caller's goroutine
-// dispatches until the first proc switch; from then on the token and
-// the event loop move from proc to proc (see release), and come back
-// here when the run ends.
+// is the run goroutine: it dispatches up to the first proc resume and
+// runs that proc on its runner. A parking proc dispatches on (see
+// Proc.park), so the run goroutine gets control back only when the
+// token must pass to another proc, or when a proc ends.
 func (k *Kernel) runTo(bound Time) {
 	k.deadline = bound
 	defer func() { k.deadline = noRun }()
-	if p := k.dispatch(); p != nil {
-		k.switchTo(p)
+	for p := k.dispatch(); p != nil; p = k.resume(p) {
 	}
 }
 
@@ -360,13 +307,13 @@ func (k *Kernel) RunUntil(deadline Time) {
 	}
 }
 
-// Shutdown kills all parked processes so their goroutines exit. It is
+// Shutdown kills all parked processes, so their runners exit. It is
 // safe to call after Run returns (including after a deadlock).
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
 		if p.state == procParked {
 			p.killed = true
-			k.switchTo(p)
+			k.resume(p)
 		}
 	}
 }

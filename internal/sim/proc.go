@@ -3,7 +3,7 @@ package sim
 import "errors"
 
 // errKilled is panicked inside a parked proc by Shutdown so that its
-// goroutine unwinds and exits.
+// body unwinds and its runner exits.
 var errKilled = errors.New("sim: proc killed")
 
 type procState uint8
@@ -15,15 +15,15 @@ const (
 	procDone
 )
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by
+// Proc is a simulated process: a coroutine scheduled cooperatively by
 // the Kernel in virtual time. All Proc methods must be called from the
-// proc's own goroutine while it holds the run token (i.e. from within
+// proc's own runner while it holds the run token (i.e. from within
 // the function passed to Spawn, directly or indirectly).
 type Proc struct {
-	k      *Kernel
-	name   string
-	body   func(p *Proc) // the function passed to Spawn, until it starts
-	resume chan struct{}
+	k    *Kernel
+	name string
+	body func(p *Proc) // the function passed to Spawn, until it starts
+	run  *runner       // the coroutine it runs on, from its start to its end
 	// waitWhat and waitName are why the proc is parked, as its park gave
 	// them; WaitReason joins them only when someone reads it.
 	waitWhat, waitName string
@@ -61,14 +61,16 @@ func (p *Proc) WaitReason() string { return p.waitWhat + p.waitName }
 // park blocks the proc until some event resumes it. what and name are
 // recorded for deadlock reports and joined only when read, so a park
 // allocates nothing; what carries its own separator ("chan-read ",
-// "vchan/"). During a standalone run the parking goroutine runs the
-// event loop itself (see Kernel.release), so a proc whose own resume
-// comes up next continues without a goroutine switch.
+// "vchan/"). The parking proc runs the event loop itself, up to the
+// next proc resume. If that is its own, it continues with no switch;
+// otherwise it yields that proc (nil when the run ends) to the run
+// goroutine, which resumes it. Outside a run (Shutdown) the bound is noRun, so it
+// dispatches nothing and yields at once.
 func (p *Proc) park(what, name string) {
 	p.waitWhat, p.waitName = what, name
 	p.state = procParked
-	if !p.k.release(p) {
-		<-p.resume
+	if next := p.k.dispatchOnProc(); next != p {
+		p.run.yield(next)
 	}
 	p.state = procRunning
 	p.waitWhat, p.waitName = "", ""

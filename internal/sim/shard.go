@@ -47,9 +47,10 @@ import (
 // standalone kernel. Between grants its token holder publishes its
 // front, drains its inbox and computes the next bound, or parks when
 // there is nothing it may dispatch (nextGrant). That holder is
-// whichever goroutine ran the grant dry, usually a proc that just
-// parked, so the step costs no goroutine switch; the token returns to
-// the shard's own goroutine only when the run ends.
+// whichever coroutine ran the grant dry, usually the runner of a proc
+// that just parked, so the step costs no switch. The shard's own
+// goroutine resumes its procs' runners, as Run's caller does on a
+// standalone kernel.
 //
 // Determinism: a drained cross becomes an ordinary event in its
 // shard's heap, merged not in wall-clock arrival order but by the
@@ -435,7 +436,7 @@ func (g *Group) publishLocalMin(i int, posted bool) {
 // until no drain overlapped it. (For a drain into another shard, both
 // places weight the event by the lookahead. A drain into i itself
 // moves it from a bare term to one weighted by the round trip, but
-// runs only on i's token holder, which is also the one goroutine that
+// runs only on i's token holder, which is also the one coroutine that
 // scans for i, and on no one while i is parked for enterIdle's
 // completion sweep.)
 // With drains excluded, the order is sound: a dispatch creates local
@@ -576,7 +577,7 @@ func (g *Group) openGrant(i int) Time {
 }
 
 // nextGrant is the step between two of shard i's grants, run by
-// dispatch on whichever goroutine holds i's token when a grant runs
+// dispatch on whichever coroutine holds i's token when a grant runs
 // dry: publish the raised front, count the grant, and open the next
 // one; when the dry grant dispatched nothing and no cross arrived,
 // first spin, then park idle until there may be work. It reports false
@@ -614,8 +615,8 @@ func (g *Group) nextGrant(i int) bool {
 }
 
 // shardLoop runs shard i for one Group run on the shard's goroutine:
-// it opens the first grant and runs the kernel, and nextGrant opens
-// every later grant where the one before ran dry.
+// it opens the first grant and resumes the kernel's procs, and
+// nextGrant opens every later grant where the one before ran dry.
 func (g *Group) shardLoop(i int) {
 	k := g.kernels[i]
 	if k.stopped.Load() {

@@ -2,13 +2,14 @@
 // simulation kernel.
 //
 // The kernel maintains a virtual clock and an event queue. Simulated
-// processes are ordinary goroutines, but exactly one of them runs at a
-// time: a process holds the run token until it blocks on a simulation
+// processes are coroutines, and exactly one of them runs at a time: a
+// process holds the run token until it blocks on a simulation
 // primitive (Sleep, Queue, Semaphore, ...), then dispatches the next
 // events itself until one resumes a process, and hands the token to
-// that process. Events that fire at the same virtual instant are
-// ordered by their scheduling sequence number, so a simulation is fully
-// deterministic and repeatable.
+// that process through the goroutine that runs the kernel. Events that
+// fire at the same virtual instant are ordered by their scheduling
+// sequence number, so a simulation is fully deterministic and
+// repeatable.
 //
 // All of HPC/VORX — the interconnect, the node kernels, the protocols —
 // runs on this kernel, which is how microsecond-scale 1988 latencies
