@@ -442,38 +442,22 @@ func runChaos(args []string, tc *traceCtx) {
 	doVerify := fs.Bool("verify", false, "attach the invariant checker; exit 1 on any violation")
 	sweepN := fs.Int("sweep", 0, "run N seeded schedules (partitions, grays, crashes) plus N rebalance storms through the checker")
 	shardSweepN := fs.Int("shardsweep", 0, "run N seeded crash/gray schedules at shards=1 and -shards and byte-diff the outcomes; exit 1 on any divergence")
-	shards := fs.Int("shards", 4, "parallel shard count the -shardsweep runs split over (schedule replay itself clamps to the serial kernel)")
+	shards := fs.Int("shards", 4, "parallel shard count the -shardsweep runs split over")
 	retries := fs.Int("retries", 3, "channel write retry budget; 0 retries forever (lets writers survive a partition)")
 	comm := commFlag(fs)
 	fs.Parse(args)
 	atLeast("chaos", "msgs", *msgs, 1)
 	atLeast("chaos", "sweep", *sweepN, 0)
 	atLeast("chaos", "shardsweep", *shardSweepN, 0)
-	if *shardSweepN > 0 {
-		atLeast("chaos", "shards", *shards, 2)
-	}
-	shardsSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			shardsSet = true
-		}
-	})
 
 	if *shardSweepN > 0 {
+		atLeast("chaos", "shards", *shards, 2)
 		sw := vorxbench.RunShardSweep(*seed, *shardSweepN, *shards)
 		sw.Format(os.Stdout)
 		if !sw.OK() {
 			os.Exit(1)
 		}
 		return
-	}
-	if shardsSet && *shards > 1 {
-		// Schedule replay itself always runs the serial kernel, but an
-		// explicit -shards asks for the sharded restriction: the fault
-		// DSL rejects link and partition ops up front, naming the
-		// offending schedule line, instead of hitting the fabric's
-		// runtime panic mid-run.
-		fmt.Fprintf(os.Stderr, "vorx: schedule replay runs the serial kernel; validating the schedule for %d shards\n", *shards)
 	}
 
 	if *sweepN > 0 {
@@ -520,9 +504,6 @@ func runChaos(args []string, tc *traceCtx) {
 	eng := fault.New(sys.K, *seed)
 	eng.MaxRetries = *retries
 	eng.Bind(sys)
-	if shardsSet {
-		eng.SetShards(*shards)
-	}
 	eng.BindResmgr(res)
 	if *detect != "" {
 		d, err := fault.ParseDuration(*detect)

@@ -39,16 +39,6 @@ type exportEntry struct {
 }
 
 var exportAllowlist = []exportEntry{
-	// §4's checksummed stop-and-wait over the S/NET, and the fault
-	// hooks only its tests drive (ROADMAP item 4 decides its future).
-	{"flowctl.NewReliable", "paper", "TestReliableDeliversDespiteCorruption", reliableCite},
-	{"flowctl.Reliable.SetDeliver", "paper", "TestReliableDeliversDespiteCorruption", reliableCite},
-	{"flowctl.Reliable.Fence", "paper", "TestFenceStarvesStaleSender", reliableCite},
-	{"flowctl.Reliable.Incarnation", "paper", "TestFenceStarvesStaleSender", reliableCite},
-	{"flowctl.Reliable.BumpIncarnation", "paper", "TestRebootClearsFence", reliableCite},
-	{"snet.Network.SetCorruptEvery", "paper", "TestReliableDeliversDespiteCorruption", reliableCite},
-	{"fault.Engine.SNETModel", "paper", "TestDifferentSeedsDiverge", reliableCite},
-
 	{"stub.NewSyscallPool", "paper", "TestMoreHostsShortenSyscallMakespan", poolCite},
 	{"stub.SyscallPool.NewClient", "paper", "TestMoreHostsShortenSyscallMakespan", poolCite},
 	{"stub.Client.Syscall", "paper", "TestMoreHostsShortenSyscallMakespan", poolCite},
@@ -90,11 +80,10 @@ var exportAllowlist = []exportEntry{
 }
 
 const (
-	reliableCite = "§4 checksummed stop-and-wait; DESIGN.md Extensions (flowctl.Reliable)"
-	poolCite     = "§3.3 decentralized syscalls; DESIGN.md Extensions (stub.SyscallPool)"
-	stubCite     = "§3.3: a blocking UNIX call stalls every process its shared stub serves"
-	allocCite    = "§3.1 allocation policy; DESIGN.md E9"
-	vdbCite      = "§6 symbolic debugger; DESIGN.md Extensions (vdb)"
+	poolCite  = "§3.3 decentralized syscalls; DESIGN.md Extensions (stub.SyscallPool)"
+	stubCite  = "§3.3: a blocking UNIX call stalls every process its shared stub serves"
+	allocCite = "§3.1 allocation policy; DESIGN.md E9"
+	vdbCite   = "§6 symbolic debugger; DESIGN.md Extensions (vdb)"
 )
 
 // scanRepo scans this module and perfbench once per test binary; the

@@ -1,17 +1,17 @@
 // Package fault is the deterministic fault-injection engine: a seeded
 // source of failures scheduled as virtual-time events on the sim
 // clock. It can fail and repair HPC cube links, degrade their
-// bandwidth, crash and restart nodes and hosts, take DFS servers down,
-// and install probabilistic loss/corruption on an S/NET bus — and it
-// drives the recovery half of the system: channel peers of a crashed
-// machine get errors instead of hangs, the resource manager force-
-// frees the dead node's processors (the §3.1 VORX policy), and DFS
-// clients fail over to surviving replicas.
+// bandwidth, crash and restart nodes and hosts, put them into gray
+// degradation and take DFS servers down — and it drives the recovery
+// half of the system: channel peers of a crashed machine get errors
+// instead of hangs, the resource manager force-frees the dead node's
+// processors (the §3.1 VORX policy), and DFS clients fail over to
+// surviving replicas.
 //
-// Determinism: all fault times are virtual, the probabilistic S/NET
-// model draws from the engine's own seeded generator in bus-transfer
-// order, and every recovery action is scheduled on the same event
-// clock — so one seed plus one schedule yields one bit-identical run.
+// Determinism: all fault times are virtual, gray drops draw from
+// generators seeded by the engine seed and the gray machine, and every
+// recovery action is scheduled on the same event clock — so one seed
+// plus one schedule yields one bit-identical run.
 // An engine with nothing scheduled costs nothing: no timers are armed
 // and no hot path consults it.
 package fault
@@ -28,7 +28,6 @@ import (
 	"hpcvorx/internal/hpc"
 	"hpcvorx/internal/resmgr"
 	"hpcvorx/internal/sim"
-	"hpcvorx/internal/snet"
 	"hpcvorx/internal/topo"
 	"hpcvorx/internal/vchan"
 )
@@ -53,7 +52,6 @@ const ackTimeout = 5 * sim.Millisecond
 // schedule fault events before running the simulation.
 type Engine struct {
 	k   *sim.Kernel
-	rng *rand.Rand
 	sys *core.System
 	res *resmgr.VORX
 	fs  *dfs.Service
@@ -77,11 +75,6 @@ type Engine struct {
 	MaxRetries int
 
 	seed int64
-	// shards > 1 marks the engine as driving one shard of a split
-	// build (SetShards): link and partition faults are rejected at
-	// validation time, because zero-lookahead rerouting cannot run
-	// under the conservative shard protocol.
-	shards int
 	// partCut remembers which cube links the active partition cut (and
 	// only those: links that were already down stay down across a
 	// heal).
@@ -90,12 +83,11 @@ type Engine struct {
 	recs []Record
 }
 
-// New creates an engine on kernel k. seed drives the probabilistic
-// models; scheduled (non-probabilistic) faults do not consume it.
+// New creates an engine on kernel k. seed drives gray drops;
+// scheduled (non-probabilistic) faults do not consume it.
 func New(k *sim.Kernel, seed int64) *Engine {
 	return &Engine{
 		k:           k,
-		rng:         rand.New(rand.NewSource(seed)),
 		seed:        seed,
 		DetectDelay: 2 * sim.Millisecond,
 		MaxRetries:  3,
@@ -117,12 +109,6 @@ func (e *Engine) Bind(sys *core.System) {
 // fire DetectDelay after every crash). Turn it off when a supervisor
 // owns detection, so deaths are noticed by heartbeat loss instead.
 func (e *Engine) SetOracle(on bool) { e.oracleOff = !on }
-
-// SetShards declares that the bound system is one simulation split
-// over n shards. With n > 1, Apply rejects link and partition faults
-// at validation time — the sharded fabric cannot reroute (it would
-// panic mid-run) — naming the schedule line carrying the offending op.
-func (e *Engine) SetShards(n int) { e.shards = n }
 
 // BindResmgr makes node crashes force-free the dead node's processors.
 func (e *Engine) BindResmgr(res *resmgr.VORX) { e.res = res }
@@ -374,22 +360,4 @@ func (e *Engine) restartMachine(m *core.Machine) {
 	}
 	m.Kern.Restart()
 	e.record("restart", "%s", m.Name())
-}
-
-// SNETModel installs a probabilistic loss/corruption model on an S/NET
-// bus: each accepted transfer is independently destroyed with
-// probability lossProb and corrupted with probability corruptProb,
-// drawn from the engine's seeded generator in deterministic
-// bus-transfer order. Subsumes snet.SetCorruptEvery.
-func (e *Engine) SNETModel(nw *snet.Network, lossProb, corruptProb float64) {
-	nw.SetInjector(snet.InjectorFunc(func(src, dst, size int) snet.Fate {
-		x := e.rng.Float64()
-		switch {
-		case x < lossProb:
-			return snet.FateDrop
-		case x < lossProb+corruptProb:
-			return snet.FateCorrupt
-		}
-		return snet.FateDeliver
-	}))
 }

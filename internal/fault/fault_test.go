@@ -8,13 +8,10 @@ import (
 	"hpcvorx/internal/core"
 	"hpcvorx/internal/dfs"
 	"hpcvorx/internal/fault"
-	"hpcvorx/internal/flowctl"
 	"hpcvorx/internal/kern"
-	"hpcvorx/internal/m68k"
 	"hpcvorx/internal/objmgr"
 	"hpcvorx/internal/resmgr"
 	"hpcvorx/internal/sim"
-	"hpcvorx/internal/snet"
 )
 
 // stormSchedule exercises every op kind the engine supports except
@@ -109,43 +106,6 @@ func TestStormDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(a, "link-down") || !strings.Contains(a, "restart") {
 		t.Fatalf("fault log incomplete:\n%s", a)
-	}
-}
-
-// TestDifferentSeedsDiverge: the probabilistic S/NET model must fire
-// differently under different seeds (and identically under the same
-// one).
-func seedTrace(t *testing.T, seed int64) string {
-	t.Helper()
-	k := sim.NewKernel(5)
-	nw := snet.NewNetwork(k, m68k.DefaultCosts(), 2)
-	eng := fault.New(k, seed)
-	eng.SNETModel(nw, 0.15, 0.10)
-	rel := flowctl.NewReliable(k, nw)
-	rel.SetDeliver(0, func(m snet.Message) {})
-	var transfers []int
-	k.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < 30; i++ {
-			transfers = append(transfers, rel.Send(p, nw.Station(1), 0, 300, i))
-		}
-	})
-	k.RunFor(sim.Seconds(5))
-	k.Shutdown()
-	if rel.Delivered != 30 {
-		t.Fatalf("delivered %d of 30 under loss model", rel.Delivered)
-	}
-	return fmt.Sprintf("%v %+v", transfers, nw.Stats())
-}
-
-func TestDifferentSeedsDiverge(t *testing.T) {
-	a1 := seedTrace(t, 1)
-	a2 := seedTrace(t, 1)
-	b := seedTrace(t, 2)
-	if a1 != a2 {
-		t.Fatalf("same seed diverged:\n%s\n%s", a1, a2)
-	}
-	if a1 == b {
-		t.Fatalf("different seeds produced identical fault firings:\n%s", a1)
 	}
 }
 

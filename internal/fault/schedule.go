@@ -470,12 +470,6 @@ func (e *Engine) validate(ops []Op) error {
 	}
 
 	for _, en := range ordered {
-		if e.shards > 1 {
-			switch en.op.Kind {
-			case "link-down", "link-up", "degrade", "partition", "heal":
-				return bad(en, "link and partition faults reroute with zero lookahead and cannot run on a build split over %d shards; drop this op or run serial (-shards=1)", e.shards)
-			}
-		}
 		switch en.op.Kind {
 		case "link-down", "link-up", "degrade":
 			key, target, ok := linkKey(en.op.Args)

@@ -132,73 +132,6 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
-// TestShardedScheduleRejectsLinkFaults: with SetShards(n > 1) the
-// validator refuses link and partition ops before anything is armed —
-// the sharded fabric cannot reroute, and the error must name the
-// schedule line so the user can fix the file — while crash and gray
-// faults (which the shard sweep replays routinely) still pass, and a
-// serial engine (shards <= 1) keeps accepting link faults.
-func TestShardedScheduleRejectsLinkFaults(t *testing.T) {
-	sched := `# comment line
-2ms crash node2
-1ms link-down 0 1
-4ms restart node2`
-	ops, err := fault.ParseSchedule(strings.NewReader(sched))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := boundEngine(t)
-	eng.SetShards(4)
-	err = eng.Apply(ops)
-	if err == nil {
-		t.Fatal("link-down with 4 shards must be rejected")
-	}
-	for _, want := range []string{"line 3", "link-down", "shards"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not name %q", err, want)
-		}
-	}
-	if n := len(eng.Records()); n != 0 {
-		t.Fatalf("rejected schedule still armed %d ops", n)
-	}
-
-	for _, kind := range []string{"link-up 0 1", "degrade 0 1 4.0", "partition 0,1|2,3", "heal"} {
-		one, err := fault.ParseSchedule(strings.NewReader("1ms " + kind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := boundEngine(t)
-		e.SetShards(2)
-		if err := e.Apply(one); err == nil || !strings.Contains(err.Error(), "shards") {
-			t.Fatalf("%s with 2 shards: error = %v, want shard rejection", kind, err)
-		}
-	}
-
-	safe, err := fault.ParseSchedule(strings.NewReader(`
-		1ms crash node2
-		2ms gray node5 2.0 0
-		3ms restart node2
-		4ms ungray node5`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng = boundEngine(t)
-	eng.SetShards(8)
-	if err := eng.Apply(safe); err != nil {
-		t.Fatalf("crash/gray schedule must survive the shard restriction: %v", err)
-	}
-
-	serial := boundEngine(t)
-	serial.SetShards(1)
-	linkOps, err := fault.ParseSchedule(strings.NewReader("1ms link-down 0 1\n2ms link-up 0 1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := serial.Apply(linkOps); err != nil {
-		t.Fatalf("serial engine must keep accepting link faults: %v", err)
-	}
-}
-
 // TestScheduleRejectionIsAtomic: a schedule that fails validation must
 // arm nothing — the engine's record log stays empty after the clock
 // runs past every op's time.

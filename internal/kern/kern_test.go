@@ -3,6 +3,7 @@ package kern
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hpcvorx/internal/m68k"
@@ -355,6 +356,52 @@ func TestCoroutineRoundRobinOrder(t *testing.T) {
 	}
 	if fmt.Sprint(order) != "[a b c a b c]" {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+// TestShutdownKillsParkedCoroutine: one coroutine parks its subprocess
+// forever while the other is suspended in Yield. Run reports the
+// deadlock, and Shutdown's kill unwinds the parked coroutine and the
+// subprocess body; Run stops the yielder on the way out, running its
+// deferred calls, and neither coroutine is left behind.
+func TestShutdownKillsParkedCoroutine(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		// Warm the runner pool, so the subprocess takes its runner
+		// from it and the count below is exact.
+		warm := sim.NewKernel(1)
+		warm.Spawn("warm", func(*sim.Proc) {})
+		if err := warm.Run(); err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		k, n := newNode()
+		unwound := 0
+		n.SpawnSubprocess("host", 0, func(sp *Subprocess) {
+			g := NewCoroutineGroup(sp)
+			g.Add(func(c *Coroutine) {
+				defer func() { unwound++ }()
+				for {
+					c.Yield()
+				}
+			})
+			g.Add(func(c *Coroutine) {
+				sp.Block(WaitOther)
+				sp.BlockNow("never ", "woken")
+			})
+			g.Run()
+		})
+		var dl *sim.DeadlockError
+		if err := k.Run(); !errors.As(err, &dl) {
+			t.Fatalf("round %d: Run returned %v, want a deadlock", round, err)
+		}
+		k.Shutdown()
+		if unwound != 1 {
+			t.Fatalf("round %d: the yielder's deferred call ran %d times, want 1", round, unwound)
+		}
+		// The killed subprocess's runner exits with it.
+		if got := runtime.NumGoroutine(); got != base-1 {
+			t.Fatalf("round %d: %d goroutines after Shutdown, want %d (%d before the run, less the killed runner)", round, got, base-1, base)
+		}
 	}
 }
 

@@ -16,10 +16,11 @@ import (
 // procs is therefore two coroutine switches, through the run
 // goroutine, and never a trip through the Go scheduler; a parking proc
 // whose own resume comes next does not switch at all (see Proc.park).
-// A proc may also park from a goroutine that runs its code while its
-// runner waits on it (kern's coroutines do): a coroutine switch swaps
+// A proc may also park from a coroutine its runner resumes (kern's
+// coroutines are iter.Pull coroutines too): a coroutine switch swaps
 // whichever goroutine makes it with the one waiting, so that park's
-// yield reaches the run goroutine too.
+// yield reaches the run goroutine too, and a kill's panic comes back
+// out of that coroutine onto the runner.
 type runner struct {
 	p     *Proc // the proc it runs; set by the run goroutine, cleared when the proc ends
 	next  func() (*Proc, bool)

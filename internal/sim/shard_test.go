@@ -463,6 +463,14 @@ func TestGroupIdleOnProcGoroutine(t *testing.T) {
 		}, func(err error, panicked any, woke bool) bool { return panicked == boom && !woke }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			// Read the baseline on a warm runner pool: a woken waiter
+			// hands its runner back to the pool, which counts as a
+			// goroutine only if the waiter had to make it.
+			warm := NewKernel(1)
+			warm.Spawn("warm", func(*Proc) {})
+			if err := warm.Run(); err != nil {
+				t.Fatal(err)
+			}
 			base := runtime.NumGoroutine()
 			g := newTestGroup(2)
 			var waiter *Proc

@@ -46,10 +46,6 @@ type Message struct {
 	Src     int
 	Size    int
 	Payload any
-	// Corrupt marks a message damaged in transit (fault injection:
-	// the paper's early S/NET work "was unsure of its error
-	// characteristics" and added detection/recovery in software).
-	Corrupt bool
 }
 
 // Stats counts network-level activity.
@@ -57,41 +53,9 @@ type Stats struct {
 	Transfers int // bus transfers attempted
 	Delivered int // complete messages deposited
 	Rejected  int // fifo-full results
-	Lost      int // transfers destroyed in flight by fault injection
 	JunkBytes int64
 	DataBytes int64
 }
-
-// Fate is an injector's verdict on one bus transfer.
-type Fate int
-
-const (
-	// FateDeliver deposits the message intact (the default).
-	FateDeliver Fate = iota
-	// FateCorrupt deposits the bytes damaged; software checksums must
-	// catch it.
-	FateCorrupt
-	// FateDrop destroys the message in flight: the bus transfer
-	// completes and the transmitter sees success, but nothing reaches
-	// the receiver's FIFO. Only an end-to-end timeout can detect it.
-	FateDrop
-)
-
-// Injector decides the fate of each bus transfer that fit the
-// receiver's FIFO. It is the single fault-injection point of the
-// S/NET model; package fault installs probabilistic loss/corruption
-// models through it. Injectors are consulted in bus-transfer order,
-// which is deterministic, so a seeded injector yields reproducible
-// fault patterns.
-type Injector interface {
-	Transfer(src, dst, size int) Fate
-}
-
-// InjectorFunc adapts a function to the Injector interface.
-type InjectorFunc func(src, dst, size int) Fate
-
-// Transfer implements Injector.
-func (f InjectorFunc) Transfer(src, dst, size int) Fate { return f(src, dst, size) }
 
 // Network is one S/NET: a bus plus n stations.
 type Network struct {
@@ -100,31 +64,6 @@ type Network struct {
 	stations []*Station
 	busSem   *sim.Semaphore
 	stats    Stats
-
-	injector Injector
-}
-
-// SetInjector installs the network's fault injector (nil disables
-// injection).
-func (nw *Network) SetInjector(inj Injector) { nw.injector = inj }
-
-// SetCorruptEvery makes every nth accepted data transfer arrive
-// corrupted (0 disables injection). It is a thin shim over
-// SetInjector kept for existing callers; installing it replaces any
-// other injector.
-func (nw *Network) SetCorruptEvery(n int) {
-	if n <= 0 {
-		nw.SetInjector(nil)
-		return
-	}
-	transferred := 0
-	nw.SetInjector(InjectorFunc(func(src, dst, size int) Fate {
-		transferred++
-		if transferred%n == 0 {
-			return FateCorrupt
-		}
-		return FateDeliver
-	}))
 }
 
 // NewNetwork creates an S/NET with n stations. The paper's largest
@@ -171,7 +110,6 @@ type fifoRecord struct {
 	junk    bool
 	src     int
 	payload any
-	corrupt bool
 }
 
 // ID returns the station index.
@@ -217,7 +155,7 @@ func (s *Station) StartKernel() {
 			if rec.junk {
 				s.DiscardedJunk++
 			} else if s.deliver != nil {
-				s.deliver(Message{Src: rec.src, Size: rec.size, Payload: rec.payload, Corrupt: rec.corrupt})
+				s.deliver(Message{Src: rec.src, Size: rec.size, Payload: rec.payload})
 			}
 		}
 	})
@@ -244,16 +182,7 @@ func (s *Station) Send(p *sim.Proc, dst, size int, payload any) Result {
 	nw.stats.Transfers++
 	d := nw.stations[dst]
 	if d.fifoUsed+size <= d.fifoCap {
-		fate := FateDeliver
-		if nw.injector != nil {
-			fate = nw.injector.Transfer(s.id, dst, size)
-		}
-		if fate == FateDrop {
-			// The transmitter saw a clean transfer; the bytes are gone.
-			nw.stats.Lost++
-			return Delivered
-		}
-		d.push(fifoRecord{size: size, src: s.id, payload: payload, corrupt: fate == FateCorrupt})
+		d.push(fifoRecord{size: size, src: s.id, payload: payload})
 		nw.stats.Delivered++
 		nw.stats.DataBytes += int64(size)
 		return Delivered
