@@ -662,7 +662,12 @@ func runHeal(args []string, tc *traceCtx) {
 	eng.Bind(sys)
 	eng.BindResmgr(res)
 	eng.SetOracle(false) // the supervisor owns detection
-	eng.CrashNodeAt(durs["crash"], *pairs)
+	if err := eng.Apply([]fault.Op{
+		{At: durs["crash"], Kind: "crash", Args: []string{fmt.Sprintf("node%d", *pairs)}},
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "vorx:", err)
+		os.Exit(1)
+	}
 
 	finals := make([][]string, *pairs)
 	for pi := 0; pi < *pairs; pi++ {

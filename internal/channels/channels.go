@@ -99,10 +99,10 @@ type Service struct {
 	ackTimeout sim.Duration
 	maxRetries int
 
-	// winCfg is the sliding-window default applied to every channel
-	// end this service opens or reincarnates (the pipelined profile).
-	// The zero value keeps the classic stop-and-wait window of 1.
-	winCfg WindowConfig
+	// window is the write window every channel end this service opens
+	// or reincarnates starts with: 1, classic stop-and-wait, unless the
+	// pipelined profile sets more (SetDefaultWindow).
+	window int
 
 	// Stats.
 	Written     int
@@ -208,7 +208,7 @@ type starveRec struct {
 // shared by every Service on it.
 func NewService(f *netif.IF, mgr *objmgr.Manager, shells *Shells) *Service {
 	s := &Service{f: f, mgr: mgr, shells: shells, preopen: make(map[uint64][]dataFrag),
-		sideBufFree: DefaultSideBuffers}
+		sideBufFree: DefaultSideBuffers, window: 1}
 	costs := f.Node().Costs()
 	f.Register("chan", netif.Service{
 		Cost: func(m *hpc.Message) sim.Duration {
@@ -362,24 +362,15 @@ type outMsg struct {
 	tid     uint64    // trace ID threading this write through the stack
 }
 
-// WindowConfig is the service-wide sliding-window configuration: every
+// SetDefaultWindow sets the service-wide write window (>=1): every
 // channel end subsequently opened (or reincarnated after migration)
-// starts with Window un-acknowledged writes allowed in flight instead
-// of 1. The zero value is the classic stop-and-wait protocol.
-type WindowConfig struct {
-	Window int
-}
-
-// SetWindowConfig installs the service-wide window default. Existing
+// starts with k un-acknowledged writes allowed in flight. Existing
 // channel ends are untouched; use Channel.SetWindow for those.
-func (s *Service) SetWindowConfig(wc WindowConfig) { s.winCfg = wc }
-
-// defaultWindow is the window a freshly created channel end starts with.
-func (s *Service) defaultWindow() int {
-	if s.winCfg.Window > 1 {
-		return s.winCfg.Window
+func (s *Service) SetDefaultWindow(k int) {
+	if k < 1 {
+		k = 1
 	}
-	return 1
+	s.window = k
 }
 
 // SetWindow sets the channel end's write window (>=1). Call before
@@ -396,7 +387,7 @@ func (ch *Channel) SetWindow(k int) {
 // rendezvous on a channel by specifying its name in an open call").
 func (s *Service) Open(sp *kern.Subprocess, name string, mode objmgr.Mode) *Channel {
 	p := s.mgr.Open(sp, s.f, name, mode)
-	ch := &Channel{svc: s, id: p.Chan, name: name, peer: p.Peer, window: s.defaultWindow()}
+	ch := &Channel{svc: s, id: p.Chan, name: name, peer: p.Peer, window: s.window}
 	s.install(ch)
 	if frags := s.preopen[p.Chan]; len(frags) > 0 {
 		delete(s.preopen, p.Chan)
@@ -716,7 +707,7 @@ func (s *Service) FailEnd(id uint64) bool {
 // replays from the surviving peer are re-acknowledged, not
 // re-delivered.
 func (s *Service) Reincarnate(id uint64, name string, peer topo.EndpointID, sendSeq, recvSeq int) *Channel {
-	ch := &Channel{svc: s, id: id, name: name, peer: peer, window: s.defaultWindow(),
+	ch := &Channel{svc: s, id: id, name: name, peer: peer, window: s.window,
 		sendSeq: sendSeq, recvSeq: recvSeq, managed: true}
 	s.install(ch)
 	if v := s.verifier; v != nil {

@@ -24,7 +24,9 @@ func TestSideBufferAccountingAfterPeerCrash(t *testing.T) {
 
 	eng := fault.New(sys.K, 1)
 	eng.Bind(sys)
-	eng.CrashNodeAt(5*sim.Millisecond, 0)
+	if err := eng.Apply([]fault.Op{{At: 5 * sim.Millisecond, Kind: "crash", Args: []string{"node0"}}}); err != nil {
+		t.Fatal(err)
+	}
 
 	sys.Spawn(w, "writer", 0, func(sp *kern.Subprocess) {
 		ch := w.Chans.Open(sp, "pa", objmgr.OpenAny)
@@ -72,7 +74,10 @@ func TestStarvedResumeSkipsDeadPeer(t *testing.T) {
 
 	eng := fault.New(sys.K, 1)
 	eng.Bind(sys)
-	eng.CrashNodeAt(2*sim.Millisecond, 1) // w2 dies; detection at +2ms
+	// w2 dies; detection at +2ms.
+	if err := eng.Apply([]fault.Op{{At: 2 * sim.Millisecond, Kind: "crash", Args: []string{"node1"}}}); err != nil {
+		t.Fatal(err)
+	}
 
 	errs := make([]error, 3)
 	write := func(m *core.Machine, idx int, name string, delay sim.Duration) {

@@ -93,8 +93,12 @@ func TestWindowedLinkOutageMidTrain(t *testing.T) {
 
 	eng := fault.New(sys.K, 1)
 	eng.Bind(sys)
-	eng.CubeLinkDownAt(1*sim.Millisecond, 0, 2)
-	eng.CubeLinkUpAt(9*sim.Millisecond, 0, 2)
+	if err := eng.Apply([]fault.Op{
+		{At: 1 * sim.Millisecond, Kind: "link-down", Args: []string{"0", "2"}},
+		{At: 9 * sim.Millisecond, Kind: "link-up", Args: []string{"0", "2"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	const msgs, size = 24, 3000 // 3 fragments per message
 	var writeErr error

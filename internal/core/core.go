@@ -295,7 +295,7 @@ func assemble(cfg Config, shards int) (*Sharded, error) {
 				m.IF.SetCoalesce(cfg.Comm.CoalesceHorizon)
 			}
 			if cfg.Comm.Window > 1 {
-				m.Chans.SetWindowConfig(channels.WindowConfig{Window: cfg.Comm.Window})
+				m.Chans.SetDefaultWindow(cfg.Comm.Window)
 			}
 		}
 	}

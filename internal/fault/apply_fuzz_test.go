@@ -19,21 +19,24 @@ import (
 // FuzzApplySchedule applies every schedule that parses to a system
 // with every binding Apply validates against (resmgr, DFS, a vchan
 // balancer), then runs paced channel and vchannel traffic under it. A
-// schedule Apply rejects must fail with a "fault:" error; one it
-// accepts must run without a panic, whatever it cuts, crashes or moves.
+// schedule Apply rejects must fail with a "fault:" error and arm
+// nothing: no event is scheduled, and no fault fires within the run's
+// horizon. One it accepts must run without a panic, whatever it cuts,
+// crashes or moves.
 func FuzzApplySchedule(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(vorxbench.ChaosSchedule(seed))
 		f.Add(vorxbench.StormSchedule(seed))
 	}
 	f.Add(stormSchedule)
+	f.Add("1ms link-down 0 1\n2ms crash node99\n") // valid op, then a bad target
 	f.Fuzz(func(t *testing.T, schedule string) {
 		ops, err := fault.ParseSchedule(strings.NewReader(schedule))
 		if err != nil {
 			return
 		}
 		const nodes, msgs = 15, 10
-		const pace = 300 * sim.Microsecond
+		const pace, horizon = 300 * sim.Microsecond, 40 * sim.Millisecond
 		// 2 hosts + 15 nodes: 5 clusters, lanes on nodes 13 and 14.
 		sys, err := core.Build(core.Config{Hosts: 2, Nodes: nodes, Seed: 7})
 		if err != nil {
@@ -52,9 +55,18 @@ func FuzzApplySchedule(f *testing.F) {
 		eng.BindResmgr(res)
 		eng.BindDFS(dfs.New(sys, sys.Hosts(), 2))
 		eng.BindVChan(fab.Balancer())
+		before := sys.K.Scheduled()
 		if err := eng.Apply(ops); err != nil {
 			if !strings.HasPrefix(err.Error(), "fault:") {
 				t.Fatalf("Apply error %q does not start with \"fault:\"", err)
+			}
+			if n := sys.K.Scheduled() - before; n != 0 {
+				t.Fatalf("rejected schedule (%v) scheduled %d events", err, n)
+			}
+			sys.RunFor(horizon)
+			sys.Shutdown()
+			if recs := eng.Records(); len(recs) != 0 {
+				t.Fatalf("rejected schedule (%v) still fired: %v", err, recs)
 			}
 			return
 		}
@@ -104,7 +116,7 @@ func FuzzApplySchedule(f *testing.F) {
 				}
 			})
 		}
-		sys.RunFor(40 * sim.Millisecond)
+		sys.RunFor(horizon)
 		sys.Shutdown()
 	})
 }

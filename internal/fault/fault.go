@@ -48,8 +48,8 @@ func (r Record) String() string {
 const ackTimeout = 5 * sim.Millisecond
 
 // Engine schedules faults and wires recovery. Create with New, attach
-// the system with Bind (and optionally BindResmgr/BindDFS), then
-// schedule fault events before running the simulation.
+// the system with Bind (and optionally BindResmgr/BindDFS/BindVChan),
+// then Apply a schedule before running the simulation.
 type Engine struct {
 	k   *sim.Kernel
 	sys *core.System
@@ -120,17 +120,6 @@ func (e *Engine) BindDFS(fs *dfs.Service) { e.fs = fs }
 // schedule ops resolve (and validate against the declared vchannels).
 func (e *Engine) BindVChan(b *vchan.Balancer) { e.vb = b }
 
-// RebalanceAt schedules a placement change: move the named vchannel
-// to a lane on the given node at virtual time at. The engine records
-// the balancer's verdict — a vchannel already mid-migration refuses
-// the op, deterministically.
-func (e *Engine) RebalanceAt(at sim.Duration, name string, node int) {
-	e.k.After(at, func() {
-		ok := e.vb.MigrateTo(name, node)
-		e.record("rebalance", "%s -> node%d ok=%v", name, node, ok)
-	})
-}
-
 // Records returns every fault and recovery action so far, in
 // virtual-time order.
 func (e *Engine) Records() []Record { return e.recs }
@@ -147,100 +136,63 @@ func (e *Engine) record(kind, format string, args ...any) {
 	e.recs = append(e.recs, Record{At: e.k.Now(), Kind: kind, Detail: fmt.Sprintf(format, args...)})
 }
 
-// CubeLinkDownAt fails the cube link between clusters a and b at
-// virtual time at.
-func (e *Engine) CubeLinkDownAt(at sim.Duration, a, b topo.ClusterID) {
-	e.k.At(sim.Time(at), func() {
-		e.sys.IC.SetCubeLinkDown(a, b, true)
-		e.record("link-down", "cube %d-%d", a, b)
+// arm schedules a resolved action at its absolute virtual time.
+func (e *Engine) arm(a *action) {
+	e.k.At(sim.Time(a.At), func() {
+		switch a.Kind {
+		case "link-down", "link-up":
+			e.sys.IC.SetCubeLinkDown(a.link[0], a.link[1], a.Kind == "link-down")
+			e.record(a.Kind, "cube %d-%d", a.link[0], a.link[1])
+		case "degrade": // factor 1 restores full bandwidth
+			e.sys.IC.SetCubeLinkSlowdown(a.link[0], a.link[1], a.slow)
+			e.record("degrade", "cube %d-%d x%.2f", a.link[0], a.link[1], a.slow)
+		case "crash":
+			e.crashMachine(a.m)
+		case "restart":
+			if a.m.Kern.Crashed() {
+				a.m.Kern.Restart()
+				e.record("restart", "%s", a.m.Name())
+			}
+		case "gray":
+			e.grayMachine(a.m, a.slow, a.drop)
+		case "ungray":
+			a.m.IF.SetGray(0, nil)
+			e.record("ungray", "%s healthy", a.m.Name())
+		case "partition":
+			e.partition(a.groups)
+		case "heal":
+			// Every link the partition cut comes up again in one atomic
+			// step; links failed by other means stay down.
+			for _, l := range e.partCut {
+				e.sys.IC.SetCubeLinkDown(l[0], l[1], false)
+			}
+			e.record("heal", "%d links restored", len(e.partCut))
+			e.partCut = nil
+		case "dfs-down", "dfs-up": // a server outage; the host stays alive
+			e.fs.SetDown(a.host, a.Kind == "dfs-down")
+			e.record(a.Kind, "host %d", a.host)
+		case "rebalance":
+			// The balancer's verdict is recorded: a vchannel already
+			// mid-migration refuses the move, deterministically.
+			ok := e.vb.MigrateTo(a.vchan, a.m.Index)
+			e.record("rebalance", "%s -> %s ok=%v", a.vchan, a.m.Name(), ok)
+		}
 	})
 }
 
-// CubeLinkUpAt repairs the cube link between a and b at time at.
-func (e *Engine) CubeLinkUpAt(at sim.Duration, a, b topo.ClusterID) {
-	e.k.At(sim.Time(at), func() {
-		e.sys.IC.SetCubeLinkDown(a, b, false)
-		e.record("link-up", "cube %d-%d", a, b)
-	})
-}
-
-// DegradeCubeLinkAt multiplies the a-b link's wire time by factor at
-// time at (factor <= 1 restores full bandwidth).
-func (e *Engine) DegradeCubeLinkAt(at sim.Duration, a, b topo.ClusterID, factor float64) {
-	e.k.At(sim.Time(at), func() {
-		e.sys.IC.SetCubeLinkSlowdown(a, b, factor)
-		e.record("degrade", "cube %d-%d x%.2f", a, b, factor)
-	})
-}
-
-// CrashNodeAt crashes processing node i at time at; recovery (peer
-// death, force-free) follows after DetectDelay.
-func (e *Engine) CrashNodeAt(at sim.Duration, i int) {
-	e.k.At(sim.Time(at), func() { e.crashMachine(e.sys.Node(i)) })
-}
-
-// RestartNodeAt restarts processing node i at time at.
-func (e *Engine) RestartNodeAt(at sim.Duration, i int) {
-	e.k.At(sim.Time(at), func() { e.restartMachine(e.sys.Node(i)) })
-}
-
-// CrashHostAt crashes host workstation i at time at. Its DFS server
-// (if any) dies with it; clients fail over on transport errors.
-func (e *Engine) CrashHostAt(at sim.Duration, i int) {
-	e.k.At(sim.Time(at), func() { e.crashMachine(e.sys.Host(i)) })
-}
-
-// RestartHostAt restarts host workstation i at time at.
-func (e *Engine) RestartHostAt(at sim.Duration, i int) {
-	e.k.At(sim.Time(at), func() { e.restartMachine(e.sys.Host(i)) })
-}
-
-// DFSDownAt marks DFS host server i software-down at time at (the
-// host machine stays alive — a server outage, not a crash).
-func (e *Engine) DFSDownAt(at sim.Duration, host int) {
-	e.k.At(sim.Time(at), func() {
-		e.fs.SetDown(host, true)
-		e.record("dfs-down", "host %d", host)
-	})
-}
-
-// DFSUpAt brings DFS host server i back at time at.
-func (e *Engine) DFSUpAt(at sim.Duration, host int) {
-	e.k.At(sim.Time(at), func() {
-		e.fs.SetDown(host, false)
-		e.record("dfs-up", "host %d", host)
-	})
-}
-
-// PartitionAt cuts the cube topology into disjoint reachability groups
-// at time at: every cube link whose two clusters land in different
-// groups goes down in one atomic step. Clusters not listed in any
-// group form an implicit final group. Links that were already down are
-// left alone (they belong to whoever failed them), so a later HealAt
-// restores exactly the partition's own cut-set and nothing else.
-func (e *Engine) PartitionAt(at sim.Duration, groups [][]topo.ClusterID) {
-	e.k.At(sim.Time(at), func() { e.partition(groups) })
-}
-
+// partition cuts the cube topology into disjoint reachability groups:
+// every cube link whose two clusters land in different groups goes
+// down in one atomic step. Clusters not listed in any group form an
+// implicit final group. Links that were already down are left alone
+// (they belong to whoever failed them), so the heal restores exactly
+// the partition's own cut-set and nothing else.
 func (e *Engine) partition(groups [][]topo.ClusterID) {
 	tp := e.sys.Topo
-	groupOf := make(map[topo.ClusterID]int, tp.Clusters())
-	for gi, g := range groups {
-		for _, c := range g {
-			groupOf[c] = gi
-		}
-	}
-	rest := len(groups)
-	for c := 0; c < tp.Clusters(); c++ {
-		if _, ok := groupOf[topo.ClusterID(c)]; !ok {
-			groupOf[topo.ClusterID(c)] = rest
-		}
-	}
 	cut := 0
 	for c := 0; c < tp.Clusters(); c++ {
 		a := topo.ClusterID(c)
 		for _, b := range tp.Neighbors(a) {
-			if b <= a || groupOf[a] == groupOf[b] {
+			if b <= a || groupOf(groups, a) == groupOf(groups, b) {
 				continue
 			}
 			if e.sys.IC.CubeLinkDown(a, b) {
@@ -252,19 +204,6 @@ func (e *Engine) partition(groups [][]topo.ClusterID) {
 		}
 	}
 	e.record("partition", "%s: %d links cut", groupsDesc(groups), cut)
-}
-
-// HealAt merges the partition back at time at: every link the
-// partition cut comes up again in one atomic step. Links failed by
-// other means (link-down ops, earlier outages) stay down.
-func (e *Engine) HealAt(at sim.Duration) {
-	e.k.At(sim.Time(at), func() {
-		for _, l := range e.partCut {
-			e.sys.IC.SetCubeLinkDown(l[0], l[1], false)
-		}
-		e.record("heal", "%d links restored", len(e.partCut))
-		e.partCut = nil
-	})
 }
 
 func groupsDesc(groups [][]topo.ClusterID) string {
@@ -285,45 +224,25 @@ func groupsDesc(groups [][]topo.ClusterID) string {
 	return b.String()
 }
 
-// GrayNodeAt puts processing node i into gray degradation at time at:
-// the node stays up and keeps heartbeating, but its interrupt service
-// runs slow times slower and — when dropProb > 0 — each arriving
-// fabric frame is independently lost with probability dropProb. Drops
-// draw from a generator seeded by the engine seed and the node index,
-// so each gray node's fate stream is deterministic regardless of how
-// arrivals interleave across nodes.
-func (e *Engine) GrayNodeAt(at sim.Duration, i int, slow, dropProb float64) {
-	e.k.At(sim.Time(at), func() { e.grayMachine(e.sys.Node(i), slow, dropProb, int64(i)) })
-}
-
-// UngrayNodeAt restores node i to healthy at time at.
-func (e *Engine) UngrayNodeAt(at sim.Duration, i int) {
-	e.k.At(sim.Time(at), func() { e.ungrayMachine(e.sys.Node(i)) })
-}
-
-// GrayHostAt puts host workstation i into gray degradation at time at.
-func (e *Engine) GrayHostAt(at sim.Duration, i int, slow, dropProb float64) {
-	e.k.At(sim.Time(at), func() { e.grayMachine(e.sys.Host(i), slow, dropProb, int64(i)+1<<16) })
-}
-
-// UngrayHostAt restores host i to healthy at time at.
-func (e *Engine) UngrayHostAt(at sim.Duration, i int) {
-	e.k.At(sim.Time(at), func() { e.ungrayMachine(e.sys.Host(i)) })
-}
-
-func (e *Engine) grayMachine(m *core.Machine, slow, dropProb float64, seedIdx int64) {
+// grayMachine puts m into gray degradation: it stays up and keeps
+// heartbeating, but its interrupt service runs slow times slower and —
+// when dropProb > 0 — each arriving fabric frame is independently lost
+// with probability dropProb. Drops draw from a generator seeded by the
+// engine seed and the machine (index i for node<i>, i + 1<<16 for
+// host<i>), so each gray machine's fate stream is deterministic
+// regardless of how arrivals interleave across machines.
+func (e *Engine) grayMachine(m *core.Machine, slow, dropProb float64) {
 	var drop func(*hpc.Message) bool
 	if dropProb > 0 {
+		seedIdx := int64(m.Index)
+		if m.Host {
+			seedIdx += 1 << 16
+		}
 		rng := rand.New(rand.NewSource(e.seed ^ (seedIdx+1)*0x9E3779B97F4A7C1))
 		drop = func(*hpc.Message) bool { return rng.Float64() < dropProb }
 	}
 	m.IF.SetGray(slow, drop)
 	e.record("gray", "%s isr x%.1f drop %.2f", m.Name(), slow, dropProb)
-}
-
-func (e *Engine) ungrayMachine(m *core.Machine) {
-	m.IF.SetGray(0, nil)
-	e.record("ungray", "%s healthy", m.Name())
 }
 
 func (e *Engine) crashMachine(m *core.Machine) {
@@ -352,12 +271,4 @@ func (e *Engine) crashMachine(m *core.Machine) {
 			e.record("force-free", "node %d (owners %v)", m.Index, owners)
 		}
 	})
-}
-
-func (e *Engine) restartMachine(m *core.Machine) {
-	if !m.Kern.Crashed() {
-		return
-	}
-	m.Kern.Restart()
-	e.record("restart", "%s", m.Name())
 }

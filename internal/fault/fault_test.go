@@ -124,7 +124,9 @@ func TestCrashForceFreesProcessors(t *testing.T) {
 	eng := fault.New(sys.K, 1)
 	eng.Bind(sys)
 	eng.BindResmgr(res)
-	eng.CrashNodeAt(2*sim.Millisecond, 6)
+	if err := eng.Apply([]fault.Op{{At: 2 * sim.Millisecond, Kind: "crash", Args: []string{"node6"}}}); err != nil {
+		t.Fatal(err)
+	}
 	var writeErr error
 	wm := sys.Node(0)
 	sys.Spawn(wm, "writer", 0, func(sp *kern.Subprocess) {
@@ -200,7 +202,11 @@ func TestDFSFailoverOnHostCrash(t *testing.T) {
 		sp.SleepFor(20 * sim.Millisecond)
 		readBack, readErr = client.Read(sp, file)
 	})
-	eng.CrashHostAt(10*sim.Millisecond, primary)
+	if err := eng.Apply([]fault.Op{
+		{At: 10 * sim.Millisecond, Kind: "crash", Args: []string{fmt.Sprintf("host%d", primary)}},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +240,8 @@ func TestParseSchedule(t *testing.T) {
 		"1ms frobnicate 1", // unknown op
 		"1ms",              // op missing
 	} {
-		if _, perr := fault.ParseSchedule(strings.NewReader(bad)); perr == nil {
-			if err := func() error {
-				ops, _ := fault.ParseSchedule(strings.NewReader(bad))
-				k := sim.NewKernel(1)
-				e := fault.New(k, 1)
-				return e.Apply(ops)
-			}(); err == nil {
+		if ops, perr := fault.ParseSchedule(strings.NewReader(bad)); perr == nil {
+			if err := boundEngine(t).Apply(ops); err == nil {
 				t.Errorf("schedule %q must fail to parse or apply", bad)
 			}
 		}

@@ -75,6 +75,10 @@ func TestRebalanceScheduleValidation(t *testing.T) {
 			1ms crash node2
 			2ms rebalance t0 node2`,
 			applyErr: "targets crashed node2"},
+		{name: "crashed target, two spellings", schedule: `
+			1ms crash node02
+			2ms rebalance t0 node2`,
+			applyErr: "targets crashed node2"},
 		{name: "target across partition cut", schedule: `
 			1ms partition 0,1|2,3
 			2ms rebalance t0 node6

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hpcvorx/internal/core"
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/topo"
 )
@@ -117,54 +118,6 @@ func parseDur(s string) (sim.Duration, error) {
 	return sim.Duration(ns), nil
 }
 
-// parseMachine parses a "node3"/"host0" target.
-func parseMachine(a string) (string, int, error) {
-	for _, class := range []string{"node", "host"} {
-		if strings.HasPrefix(a, class) {
-			i, err := strconv.Atoi(a[len(class):])
-			if err != nil || i < 0 {
-				return "", 0, fmt.Errorf("bad machine %q", a)
-			}
-			return class, i, nil
-		}
-	}
-	return "", 0, fmt.Errorf("bad machine %q (want nodeN or hostN)", a)
-}
-
-// checkMachine verifies the target machine exists (when a system is
-// bound; a standalone engine skips the bounds check).
-func (e *Engine) checkMachine(class string, i int) error {
-	if e.sys == nil {
-		return nil
-	}
-	n := len(e.sys.Nodes())
-	if class == "host" {
-		n = len(e.sys.Hosts())
-	}
-	if i >= n {
-		return fmt.Errorf("no %s%d in this system (%d %ss)", class, i, n, class)
-	}
-	return nil
-}
-
-// checkLink verifies clusters a and b exist and are cube neighbours.
-func (e *Engine) checkLink(a, b topo.ClusterID) error {
-	if e.sys == nil {
-		return nil
-	}
-	tp := e.sys.Topo
-	n := topo.ClusterID(tp.Clusters())
-	for _, c := range [...]topo.ClusterID{a, b} {
-		if c < 0 || c >= n {
-			return fmt.Errorf("no cluster %d in this system (%d clusters)", c, n)
-		}
-	}
-	if !tp.HasLink(a, b) {
-		return fmt.Errorf("no cube link between clusters %d and %d", a, b)
-	}
-	return nil
-}
-
 // maxSlowdown caps degrade factors and gray slowdowns. hpc and netif
 // scale a wire or ISR cost as float64(d) * factor and convert back to
 // sim.Duration; at this cap a cost would have to exceed 2.5 hours to
@@ -181,402 +134,340 @@ func parseSlowdown(what, arg string) (float64, error) {
 	return f, nil
 }
 
-// parseGroups parses a partition spec like "0,1|2,3": groups of
-// cluster IDs separated by "|".
-func parseGroups(s string) ([][]topo.ClusterID, error) {
+// action is one schedule op resolved against the bound system: its
+// arguments parsed and its targets looked up, once, before the
+// schedule is validated and armed.
+type action struct {
+	Op
+	idx    int                // 1-based op number, for error messages
+	m      *core.Machine      // crash, restart, gray, ungray, rebalance
+	link   [2]topo.ClusterID  // link-down, link-up, degrade: as written
+	groups [][]topo.ClusterID // partition
+	slow   float64            // degrade factor or gray slowdown
+	drop   float64            // gray drop probability
+	host   int                // dfs-down, dfs-up
+	vchan  string             // rebalance
+}
+
+// Apply is the one way to schedule faults. It resolves every op
+// against the bound system (parses its arguments and looks up its
+// machine, link, partition groups, DFS host or vchannel), validates
+// the resolved schedule as a whole (rejecting overlapping entries for
+// the same target: a link failed twice without a repair between, a
+// machine crashed while already down, nested partitions), and only if
+// both steps found no error arms every op on the engine's clock at its
+// absolute virtual time, in schedule order; a rejected schedule arms
+// nothing. The engine must already be bound to a system (and to a DFS
+// service or vchan balancer if the schedule uses dfs-down/dfs-up or
+// rebalance). One call is one schedule: its ops are checked against
+// each other, not against earlier calls.
+func (e *Engine) Apply(ops []Op) error {
+	if e.sys == nil {
+		return fmt.Errorf("fault: no system bound (Bind)")
+	}
+	acts := make([]action, len(ops))
+	for i, op := range ops {
+		a, err := e.resolve(op)
+		if err != nil {
+			return fmt.Errorf("fault: op %d (%s): %w", i+1, op.Kind, err)
+		}
+		a.idx = i + 1
+		acts[i] = a
+	}
+	if err := e.validate(acts); err != nil {
+		return err
+	}
+	for i := range acts {
+		e.arm(&acts[i])
+	}
+	return nil
+}
+
+// resolve parses op's arguments and looks up its targets.
+func (e *Engine) resolve(op Op) (action, error) {
+	a := action{Op: op}
+	args := op.Args
+	var err error
+	switch op.Kind {
+	case "link-down", "link-up":
+		a.link, err = e.link(args)
+	case "degrade":
+		if a.link, err = e.link(args); err != nil {
+			return a, err
+		}
+		if len(args) != 3 {
+			return a, fmt.Errorf("want: degrade <a> <b> <factor>")
+		}
+		a.slow, err = parseSlowdown("factor", args[2])
+	case "partition":
+		if len(args) != 1 {
+			return a, fmt.Errorf("want: partition <a,b|c,d|...>")
+		}
+		a.groups, err = e.groups(args[0])
+	case "heal":
+		if len(args) != 0 {
+			return a, fmt.Errorf("heal takes no args")
+		}
+	case "gray":
+		if len(args) != 3 {
+			return a, fmt.Errorf("want: gray <nodeN|hostN> <slowdown> <dropProb>")
+		}
+		if a.m, err = e.machine(args[0]); err != nil {
+			return a, err
+		}
+		if a.slow, err = parseSlowdown("slowdown", args[1]); err != nil {
+			return a, err
+		}
+		a.drop, err = strconv.ParseFloat(args[2], 64)
+		if err != nil || !(a.drop >= 0 && a.drop < 1) { // NaN fails both
+			return a, fmt.Errorf("bad drop probability %q (want 0 <= p < 1)", args[2])
+		}
+	case "ungray":
+		if len(args) != 1 {
+			return a, fmt.Errorf("want: ungray <nodeN|hostN>")
+		}
+		a.m, err = e.machine(args[0])
+	case "crash", "restart":
+		if len(args) != 1 {
+			return a, fmt.Errorf("want one arg like node3 or host0")
+		}
+		a.m, err = e.machine(args[0])
+	case "rebalance":
+		if len(args) != 2 {
+			return a, fmt.Errorf("want: rebalance <vchan> <nodeN>")
+		}
+		if e.vb == nil {
+			return a, fmt.Errorf("no vchan balancer bound (BindVChan)")
+		}
+		if a.m, err = e.machine(args[1]); err != nil {
+			return a, err
+		}
+		if a.m.Host {
+			return a, fmt.Errorf("rebalance target must be a nodeN (lanes live on nodes)")
+		}
+		if a.vchan = args[0]; !e.vb.HasVChan(a.vchan) {
+			return a, fmt.Errorf("unknown vchannel %q", a.vchan)
+		}
+	case "dfs-down", "dfs-up":
+		if len(args) < 1 {
+			return a, fmt.Errorf("want 1 args, got 0")
+		}
+		if a.host, err = strconv.Atoi(args[0]); err != nil {
+			return a, fmt.Errorf("bad arg %q", args[0])
+		}
+		if e.fs == nil {
+			return a, fmt.Errorf("no DFS service bound")
+		}
+		if a.host < 0 || a.host >= e.fs.NumHosts() {
+			return a, fmt.Errorf("no DFS server on host%d (%d hosts)", a.host, e.fs.NumHosts())
+		}
+	default:
+		return a, fmt.Errorf("unknown op %q", op.Kind)
+	}
+	return a, err
+}
+
+// machine resolves a "node3"/"host0" target to its machine.
+func (e *Engine) machine(arg string) (*core.Machine, error) {
+	for _, class := range []string{"node", "host"} {
+		if !strings.HasPrefix(arg, class) {
+			continue
+		}
+		i, err := strconv.Atoi(arg[len(class):])
+		if err != nil || i < 0 {
+			return nil, fmt.Errorf("bad machine %q", arg)
+		}
+		ms := e.sys.Nodes()
+		if class == "host" {
+			ms = e.sys.Hosts()
+		}
+		if i >= len(ms) {
+			return nil, fmt.Errorf("no %s%d in this system (%d %ss)", class, i, len(ms), class)
+		}
+		return ms[i], nil
+	}
+	return nil, fmt.Errorf("bad machine %q (want nodeN or hostN)", arg)
+}
+
+// link resolves the cube link between the clusters its first two args
+// name, kept in the order written.
+func (e *Engine) link(args []string) ([2]topo.ClusterID, error) {
+	var l [2]topo.ClusterID
+	if len(args) < 2 {
+		return l, fmt.Errorf("want 2 args, got %d", len(args))
+	}
+	for i := range l {
+		v, err := strconv.Atoi(args[i])
+		if err != nil {
+			return l, fmt.Errorf("bad arg %q", args[i])
+		}
+		l[i] = topo.ClusterID(v)
+	}
+	n := topo.ClusterID(e.sys.Topo.Clusters())
+	for _, c := range l {
+		if c < 0 || c >= n {
+			return l, fmt.Errorf("no cluster %d in this system (%d clusters)", c, n)
+		}
+	}
+	if !e.sys.Topo.HasLink(l[0], l[1]) {
+		return l, fmt.Errorf("no cube link between clusters %d and %d", l[0], l[1])
+	}
+	return l, nil
+}
+
+// groups resolves a partition spec like "0,1|2,3": groups of cluster
+// IDs separated by "|", each cluster of this system listed at most
+// once, and at least two groups counting the implicit final one.
+func (e *Engine) groups(spec string) ([][]topo.ClusterID, error) {
+	n := e.sys.Topo.Clusters()
+	if n < 2 {
+		return nil, fmt.Errorf("partition needs a multi-cluster topology")
+	}
 	var groups [][]topo.ClusterID
 	seen := map[topo.ClusterID]bool{}
-	for _, gs := range strings.Split(s, "|") {
+	for _, gs := range strings.Split(spec, "|") {
 		if gs == "" {
-			return nil, fmt.Errorf("empty group in partition %q", s)
+			return nil, fmt.Errorf("empty group in partition %q", spec)
 		}
 		var g []topo.ClusterID
 		for _, cs := range strings.Split(gs, ",") {
 			v, err := strconv.Atoi(cs)
 			if err != nil || v < 0 {
-				return nil, fmt.Errorf("bad cluster %q in partition %q", cs, s)
+				return nil, fmt.Errorf("bad cluster %q in partition %q", cs, spec)
+			}
+			if v >= n {
+				return nil, fmt.Errorf("no cluster %d in this system (%d clusters)", v, n)
 			}
 			c := topo.ClusterID(v)
 			if seen[c] {
-				return nil, fmt.Errorf("cluster %d listed twice in partition %q", v, s)
+				return nil, fmt.Errorf("cluster %d listed twice in partition %q", v, spec)
 			}
 			seen[c] = true
 			g = append(g, c)
 		}
 		groups = append(groups, g)
 	}
+	if len(groups) == 1 && len(seen) == n {
+		return nil, fmt.Errorf("partition %q has only one group", spec)
+	}
 	return groups, nil
 }
 
-// Apply validates the whole schedule, then arms every op on the
-// engine's clock. The engine must already be bound to a system (and
-// to a DFS service if the schedule uses dfs-down/dfs-up). Validation
-// rejects unknown targets and overlapping entries for the same target
-// — a link failed twice without a repair between, a machine crashed
-// while already down, nested partitions — before anything is
-// scheduled, so a bad schedule never half-applies.
-func (e *Engine) Apply(ops []Op) error {
-	if err := e.validate(ops); err != nil {
-		return err
+// validate walks the resolved schedule in virtual-time order and
+// rejects overlapping entries for the same target: a link must come
+// back up before it can fail again, a machine must restart before it
+// can crash again, a gray machine must be restored before it can
+// degrade again, and partitions cannot nest (a heal must separate
+// them). Two ops for the same target at the same instant are rejected
+// as ambiguous, and explicit link ops are rejected while a partition
+// owns the cut-set (the heal could not tell whose outage a down link
+// is). Targets are the resolved machines and sorted link pairs, so
+// "node2" and "node02" are one target.
+func (e *Engine) validate(acts []action) error {
+	ordered := make([]*action, len(acts))
+	for i := range acts {
+		ordered[i] = &acts[i]
 	}
-	for i, op := range ops {
-		if err := e.apply(op); err != nil {
-			return fmt.Errorf("fault: op %d (%s): %w", i+1, op.Kind, err)
-		}
-	}
-	return nil
-}
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
 
-func (e *Engine) apply(op Op) error {
-	argInts := func(n int) ([]int, error) {
-		if len(op.Args) < n {
-			return nil, fmt.Errorf("want %d args, got %d", n, len(op.Args))
+	bad := func(a *action, format string, args ...any) error {
+		where := fmt.Sprintf("op %d", a.idx)
+		if a.Line > 0 {
+			where = fmt.Sprintf("line %d", a.Line)
 		}
-		out := make([]int, n)
-		for i := 0; i < n; i++ {
-			v, err := strconv.Atoi(op.Args[i])
-			if err != nil {
-				return nil, fmt.Errorf("bad arg %q", op.Args[i])
-			}
-			out[i] = v
-		}
-		return out, nil
+		return fmt.Errorf("fault: %s (%s at %v): %s", where, a.Kind, a.At, fmt.Sprintf(format, args...))
 	}
-	switch op.Kind {
-	case "link-down", "link-up":
-		v, err := argInts(2)
-		if err != nil {
-			return err
-		}
-		a, b := topo.ClusterID(v[0]), topo.ClusterID(v[1])
-		if err := e.checkLink(a, b); err != nil {
-			return err
-		}
-		if op.Kind == "link-down" {
-			e.CubeLinkDownAt(op.At, a, b)
-		} else {
-			e.CubeLinkUpAt(op.At, a, b)
-		}
-	case "degrade":
-		v, err := argInts(2)
-		if err != nil {
-			return err
-		}
-		if len(op.Args) != 3 {
-			return fmt.Errorf("want: degrade <a> <b> <factor>")
-		}
-		f, err := parseSlowdown("factor", op.Args[2])
-		if err != nil {
-			return err
-		}
-		a, b := topo.ClusterID(v[0]), topo.ClusterID(v[1])
-		if err := e.checkLink(a, b); err != nil {
-			return err
-		}
-		e.DegradeCubeLinkAt(op.At, a, b, f)
-	case "partition":
-		if len(op.Args) != 1 {
-			return fmt.Errorf("want: partition <a,b|c,d|...>")
-		}
-		groups, err := parseGroups(op.Args[0])
-		if err != nil {
-			return err
-		}
-		if e.sys != nil {
-			n := e.sys.Topo.Clusters()
-			if n < 2 {
-				return fmt.Errorf("partition needs a multi-cluster topology")
-			}
-			listed := 0
-			for _, g := range groups {
-				for _, c := range g {
-					if int(c) >= n {
-						return fmt.Errorf("no cluster %d in this system (%d clusters)", c, n)
-					}
-					listed++
-				}
-			}
-			if len(groups) == 1 && listed >= n {
-				return fmt.Errorf("partition %q has only one group", op.Args[0])
-			}
-		}
-		e.PartitionAt(op.At, groups)
-	case "heal":
-		if len(op.Args) != 0 {
-			return fmt.Errorf("heal takes no args")
-		}
-		e.HealAt(op.At)
-	case "gray":
-		if len(op.Args) != 3 {
-			return fmt.Errorf("want: gray <nodeN|hostN> <slowdown> <dropProb>")
-		}
-		class, i, err := parseMachine(op.Args[0])
-		if err != nil {
-			return err
-		}
-		if err := e.checkMachine(class, i); err != nil {
-			return err
-		}
-		slow, err := parseSlowdown("slowdown", op.Args[1])
-		if err != nil {
-			return err
-		}
-		drop, err := strconv.ParseFloat(op.Args[2], 64)
-		if err != nil || !(drop >= 0 && drop < 1) { // NaN fails both
-			return fmt.Errorf("bad drop probability %q (want 0 <= p < 1)", op.Args[2])
-		}
-		if class == "node" {
-			e.GrayNodeAt(op.At, i, slow, drop)
-		} else {
-			e.GrayHostAt(op.At, i, slow, drop)
-		}
-	case "ungray":
-		if len(op.Args) != 1 {
-			return fmt.Errorf("want: ungray <nodeN|hostN>")
-		}
-		class, i, err := parseMachine(op.Args[0])
-		if err != nil {
-			return err
-		}
-		if err := e.checkMachine(class, i); err != nil {
-			return err
-		}
-		if class == "node" {
-			e.UngrayNodeAt(op.At, i)
-		} else {
-			e.UngrayHostAt(op.At, i)
-		}
-	case "crash", "restart":
-		if len(op.Args) != 1 {
-			return fmt.Errorf("want one arg like node3 or host0")
-		}
-		class, i, err := parseMachine(op.Args[0])
-		if err != nil {
-			return err
-		}
-		if err := e.checkMachine(class, i); err != nil {
-			return err
-		}
-		switch {
-		case op.Kind == "crash" && class == "node":
-			e.CrashNodeAt(op.At, i)
-		case op.Kind == "crash" && class == "host":
-			e.CrashHostAt(op.At, i)
-		case op.Kind == "restart" && class == "node":
-			e.RestartNodeAt(op.At, i)
-		default:
-			e.RestartHostAt(op.At, i)
-		}
-	case "rebalance":
-		if len(op.Args) != 2 {
-			return fmt.Errorf("want: rebalance <vchan> <nodeN>")
-		}
-		if e.vb == nil {
-			return fmt.Errorf("no vchan balancer bound (BindVChan)")
-		}
-		name := op.Args[0]
-		class, i, err := parseMachine(op.Args[1])
-		if err != nil {
-			return err
-		}
-		if class != "node" {
-			return fmt.Errorf("rebalance target must be a nodeN (lanes live on nodes)")
-		}
-		if err := e.checkMachine(class, i); err != nil {
-			return err
-		}
-		if !e.vb.HasVChan(name) {
-			return fmt.Errorf("unknown vchannel %q", name)
-		}
-		e.RebalanceAt(op.At, name, i)
-	case "dfs-down", "dfs-up":
-		v, err := argInts(1)
-		if err != nil {
-			return err
-		}
-		if e.fs == nil {
-			return fmt.Errorf("no DFS service bound")
-		}
-		if v[0] < 0 || v[0] >= e.fs.NumHosts() {
-			return fmt.Errorf("no DFS server on host%d (%d hosts)", v[0], e.fs.NumHosts())
-		}
-		if op.Kind == "dfs-down" {
-			e.DFSDownAt(op.At, v[0])
-		} else {
-			e.DFSUpAt(op.At, v[0])
-		}
-	default:
-		return fmt.Errorf("unknown op %q", op.Kind)
-	}
-	return nil
-}
-
-// validate walks the schedule in virtual-time order and rejects
-// overlapping entries for the same target before anything is armed:
-// a link must come back up before it can fail again, a machine must
-// restart before it can crash again, a gray machine must be restored
-// before it can degrade again, and partitions cannot nest (a heal must
-// separate them). Two ops for the same target at the same instant are
-// rejected as ambiguous, and explicit link ops are rejected while a
-// partition owns the cut-set (the heal could not tell whose outage a
-// down link is).
-func (e *Engine) validate(ops []Op) error {
-	type ent struct {
-		at  sim.Duration
-		idx int // 1-based op number, for error messages
-		op  Op
-	}
-	ordered := make([]ent, 0, len(ops))
-	for i, op := range ops {
-		ordered = append(ordered, ent{at: op.At, idx: i + 1, op: op})
-	}
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].at < ordered[j].at })
-
-	bad := func(en ent, format string, args ...any) error {
-		where := fmt.Sprintf("op %d", en.idx)
-		if en.op.Line > 0 {
-			where = fmt.Sprintf("line %d", en.op.Line)
-		}
-		return fmt.Errorf("fault: %s (%s at %v): %s", where, en.op.Kind, en.at, fmt.Sprintf(format, args...))
-	}
-	linkDown := map[[2]int]bool{}       // schedule-owned link outages
-	machDown := map[string]bool{}       // schedule-owned crashes
-	machGray := map[string]bool{}       // schedule-owned gray degradations
-	lastAt := map[string]sim.Duration{} // target -> time of last op on it
-	partActive := false
+	linkDown := map[[2]topo.ClusterID]bool{} // schedule-owned link outages
+	machDown := map[*core.Machine]bool{}     // schedule-owned crashes
+	machGray := map[*core.Machine]bool{}     // schedule-owned gray degradations
+	lastAt := map[string]sim.Duration{}      // target -> time of last op on it
 	var partAt sim.Duration
-	var partGroups [][]topo.ClusterID // groups of the active partition
+	var partGroups [][]topo.ClusterID // groups of the active partition; nil when none
 
-	touch := func(en ent, target string) error {
-		if at, ok := lastAt[target]; ok && at == en.at {
-			return bad(en, "second op for %s at the same instant (ambiguous order)", target)
+	touch := func(a *action, target string) error {
+		if at, ok := lastAt[target]; ok && at == a.At {
+			return bad(a, "second op for %s at the same instant (ambiguous order)", target)
 		}
-		lastAt[target] = en.at
+		lastAt[target] = a.At
 		return nil
 	}
-	linkKey := func(args []string) ([2]int, string, bool) {
-		if len(args) < 2 {
-			return [2]int{}, "", false
-		}
-		a, err1 := strconv.Atoi(args[0])
-		b, err2 := strconv.Atoi(args[1])
-		if err1 != nil || err2 != nil {
-			return [2]int{}, "", false
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return [2]int{a, b}, fmt.Sprintf("link %d-%d", a, b), true
-	}
 
-	for _, en := range ordered {
-		switch en.op.Kind {
+	for _, a := range ordered {
+		switch a.Kind {
 		case "link-down", "link-up", "degrade":
-			key, target, ok := linkKey(en.op.Args)
-			if !ok {
-				continue // apply() reports the malformed args
+			key := a.link
+			if key[0] > key[1] {
+				key[0], key[1] = key[1], key[0]
 			}
-			if err := touch(en, target); err != nil {
+			target := fmt.Sprintf("link %d-%d", key[0], key[1])
+			if err := touch(a, target); err != nil {
 				return err
 			}
-			switch en.op.Kind {
-			case "link-down":
-				if partActive {
-					return bad(en, "link op while a partition is active (since %v); heal first", partAt)
-				}
-				if linkDown[key] {
-					return bad(en, "%s is already down (overlapping outage; add a link-up between)", target)
-				}
-				linkDown[key] = true
-			case "link-up":
-				if partActive {
-					return bad(en, "link op while a partition is active (since %v); heal first", partAt)
-				}
+			if a.Kind == "degrade" {
+				break
+			}
+			if partGroups != nil {
+				return bad(a, "link op while a partition is active (since %v); heal first", partAt)
+			}
+			if a.Kind == "link-up" {
 				delete(linkDown, key)
+			} else if linkDown[key] {
+				return bad(a, "%s is already down (overlapping outage; add a link-up between)", target)
+			} else {
+				linkDown[key] = true
 			}
 		case "crash", "restart":
-			if len(en.op.Args) != 1 {
-				continue
-			}
-			target := en.op.Args[0]
-			if err := touch(en, target); err != nil {
+			if err := touch(a, a.m.Name()); err != nil {
 				return err
 			}
-			if en.op.Kind == "crash" {
-				if machDown[target] {
-					return bad(en, "%s is already crashed (overlapping crash; add a restart between)", target)
-				}
-				machDown[target] = true
+			if a.Kind == "restart" {
+				delete(machDown, a.m)
+			} else if machDown[a.m] {
+				return bad(a, "%s is already crashed (overlapping crash; add a restart between)", a.m.Name())
 			} else {
-				delete(machDown, target)
+				machDown[a.m] = true
 			}
 		case "gray", "ungray":
-			if len(en.op.Args) < 1 {
-				continue
-			}
-			target := "gray " + en.op.Args[0]
-			if err := touch(en, target); err != nil {
+			if err := touch(a, "gray "+a.m.Name()); err != nil {
 				return err
 			}
-			if en.op.Kind == "gray" {
-				if machGray[en.op.Args[0]] {
-					return bad(en, "%s is already gray (overlapping degradation; add an ungray between)", en.op.Args[0])
-				}
-				machGray[en.op.Args[0]] = true
+			if a.Kind == "ungray" {
+				delete(machGray, a.m)
+			} else if machGray[a.m] {
+				return bad(a, "%s is already gray (overlapping degradation; add an ungray between)", a.m.Name())
 			} else {
-				delete(machGray, en.op.Args[0])
+				machGray[a.m] = true
 			}
 		case "partition", "heal":
-			if err := touch(en, "partition"); err != nil {
+			if err := touch(a, "partition"); err != nil {
 				return err
 			}
-			if en.op.Kind == "partition" {
-				if partActive {
-					return bad(en, "partition while one is already active (since %v); heal first", partAt)
+			if a.Kind == "heal" {
+				if partGroups == nil {
+					return bad(a, "heal with no active partition")
 				}
-				partActive = true
-				partAt = en.at
-				if len(en.op.Args) == 1 {
-					partGroups, _ = parseGroups(en.op.Args[0]) // apply() reports a bad spec
-				}
-			} else {
-				if !partActive {
-					return bad(en, "heal with no active partition")
-				}
-				partActive = false
 				partGroups = nil
+			} else if partGroups != nil {
+				return bad(a, "partition while one is already active (since %v); heal first", partAt)
+			} else {
+				partAt, partGroups = a.At, a.groups
 			}
 		case "rebalance":
-			if len(en.op.Args) != 2 || e.vb == nil {
-				continue // apply() reports the malformed op
-			}
-			name := en.op.Args[0]
-			if err := touch(en, "vchan "+name); err != nil {
+			if err := touch(a, "vchan "+a.vchan); err != nil {
 				return err
 			}
-			if !e.vb.HasVChan(name) {
-				return bad(en, "unknown vchannel %q", name)
+			if machDown[a.m] {
+				return bad(a, "rebalance targets crashed %s (restart it first)", a.m.Name())
 			}
-			class, i, err := parseMachine(en.op.Args[1])
-			if err != nil || class != "node" {
-				continue // apply() reports the bad target
+			if e.vb.Started() && !e.vb.IsBroker(a.m.Index) {
+				return bad(a, "%s hosts no vchan lanes (lane nodes: %v)", a.m.Name(), e.vb.BrokerNodes())
 			}
-			if err := e.checkMachine(class, i); err != nil {
-				continue
-			}
-			target := en.op.Args[1]
-			if machDown[target] {
-				return bad(en, "rebalance targets crashed %s (restart it first)", target)
-			}
-			if e.vb.Started() && !e.vb.IsBroker(i) {
-				return bad(en, "%s hosts no vchan lanes (lane nodes: %v)", target, e.vb.BrokerNodes())
-			}
-			if partActive && e.sys != nil {
-				tc := e.sys.Topo.AttachmentOf(e.sys.Node(i).EP).Cluster
+			if partGroups != nil {
+				tc := e.sys.Topo.AttachmentOf(a.m.EP).Cluster
 				bc := e.sys.Topo.AttachmentOf(e.vb.Endpoint()).Cluster
 				if groupOf(partGroups, tc) != groupOf(partGroups, bc) {
-					return bad(en, "rebalance targets %s across the active partition cut (since %v); heal first",
-						target, partAt)
+					return bad(a, "rebalance targets %s across the active partition cut (since %v); heal first",
+						a.m.Name(), partAt)
 				}
 			}
 		}

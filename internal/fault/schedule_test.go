@@ -86,9 +86,18 @@ func TestScheduleValidation(t *testing.T) {
 		{name: "double crash", schedule: `
 			1ms crash node2
 			2ms crash node2`, applyErr: "already crashed"},
+		{name: "double crash, two spellings", schedule: `
+			1ms crash node2
+			2ms crash node02`, applyErr: "node2 is already crashed"},
 		{name: "double gray", schedule: `
 			1ms gray node5 2.0 0
 			2ms gray node5 4.0 0`, applyErr: "already gray"},
+		{name: "double gray, two spellings", schedule: `
+			1ms gray node5 2.0 0
+			2ms gray node005 4.0 0`, applyErr: "node5 is already gray"},
+		{name: "double link-down, reversed pair", schedule: `
+			1ms link-down 0 1
+			2ms link-down 1 0`, applyErr: "link 0-1 is already down"},
 		{name: "same-instant same-target", schedule: `
 			1ms crash node2
 			1ms restart node2`, applyErr: "ambiguous order"},
@@ -132,32 +141,60 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
-// TestScheduleRejectionIsAtomic: a schedule that fails validation must
-// arm nothing — the engine's record log stays empty after the clock
-// runs past every op's time.
+// TestScheduleRejectionIsAtomic: a schedule that fails, whether on an
+// op's arguments or on the timeline, must arm nothing — the kernel
+// schedules no event, and the engine's record log stays empty after
+// the clock runs past every op's time.
 func TestScheduleRejectionIsAtomic(t *testing.T) {
-	sys, err := core.Build(core.Config{Hosts: 2, Nodes: 14, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ name, schedule, applyErr string }{
+		{"timeline error", `
+			1ms link-down 0 1
+			2ms crash node2
+			3ms crash node2`, "already crashed"},
+		{"argument error", `
+			1ms link-down 0 1
+			2ms crash node99`, "no node99 in this system"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := core.Build(core.Config{Hosts: 2, Nodes: 14, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := fault.New(sys.K, 1)
+			eng.Bind(sys)
+			ops, err := fault.ParseSchedule(strings.NewReader(tc.schedule))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := sys.K.Scheduled()
+			if err := eng.Apply(ops); err == nil || !strings.Contains(err.Error(), tc.applyErr) {
+				t.Fatalf("apply error = %v, want fragment %q", err, tc.applyErr)
+			}
+			if n := sys.K.Scheduled() - before; n != 0 {
+				t.Errorf("rejected schedule scheduled %d events", n)
+			}
+			sys.K.At(sim.Time(10*sim.Millisecond), func() {})
+			if err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(eng.Records()); n != 0 {
+				t.Fatalf("rejected schedule still armed %d ops: %v", n, eng.Records())
+			}
+		})
 	}
-	eng := fault.New(sys.K, 1)
-	eng.Bind(sys)
-	ops, err := fault.ParseSchedule(strings.NewReader(`
-		1ms link-down 0 1
-		2ms crash node2
-		3ms crash node2`))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestApplyNeedsBoundSystem: an engine with no system bound rejects a
+// schedule instead of arming ops that would fault when they fire.
+func TestApplyNeedsBoundSystem(t *testing.T) {
+	k := sim.NewKernel(1)
+	eng := fault.New(k, 1)
+	err := eng.Apply([]fault.Op{{At: sim.Millisecond, Kind: "crash", Args: []string{"node1"}}})
+	if err == nil || !strings.Contains(err.Error(), "no system bound") {
+		t.Fatalf("apply error = %v, want an unbound-engine rejection", err)
 	}
-	if err := eng.Apply(ops); err == nil {
-		t.Fatal("overlapping crash must be rejected")
-	}
-	sys.K.At(sim.Time(10*sim.Millisecond), func() {})
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(eng.Records()); n != 0 {
-		t.Fatalf("rejected schedule still armed %d ops: %v", n, eng.Records())
+	if n := k.Scheduled(); n != 0 {
+		t.Fatalf("unbound engine scheduled %d events", n)
 	}
 }
 

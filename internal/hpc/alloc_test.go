@@ -3,6 +3,7 @@ package hpc
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"hpcvorx/internal/m68k"
@@ -160,7 +161,16 @@ func TestBlockedSendZeroAlloc(t *testing.T) {
 // it twice, and neither the first send, its up-link's first request,
 // nor the second, that endpoint's first to wait for room, may
 // allocate.
+//
+// runtime.MemStats.Mallocs counts every goroutine's allocations, so
+// the brackets measure only the send path the way testing.AllocsPerRun
+// does: on one P, with a collection finished first and the collector
+// kept from starting inside them (a cycle can allocate, a process's
+// first one its mark workers).
 func coldBlockedSends(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	k := sim.NewKernel(1)
 	tp, err := topo.SingleCluster(topo.PortsPerCluster)
 	if err != nil {

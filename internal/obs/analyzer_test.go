@@ -176,7 +176,9 @@ func runHeal(t *testing.T, n int, attach trace.Sink) *core.System {
 	eng.Bind(sys)
 	eng.BindResmgr(res)
 	eng.SetOracle(false)
-	eng.CrashNodeAt(2*sim.Millisecond, 1)
+	if err := eng.Apply([]fault.Op{{At: 2 * sim.Millisecond, Kind: "crash", Args: []string{"node1"}}}); err != nil {
+		t.Fatal(err)
+	}
 
 	var final []string
 	writer := sup.NewTask("writer", sys.Node(0), 0, nil)

@@ -12,7 +12,6 @@ import (
 	"hpcvorx/internal/resmgr"
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/super"
-	"hpcvorx/internal/topo"
 	"hpcvorx/internal/verify"
 )
 
@@ -66,8 +65,12 @@ func runZombieScenario(t *testing.T, fence bool) zombieOutcome {
 	// Cut 3ms..8ms: long enough for confirm (5ms) and the restart
 	// (6ms) to happen while the old writer is still alive behind the
 	// cut — the double-active hazard by construction.
-	eng.PartitionAt(3*sim.Millisecond, [][]topo.ClusterID{{1}})
-	eng.HealAt(8 * sim.Millisecond)
+	if err := eng.Apply([]fault.Op{
+		{At: 3 * sim.Millisecond, Kind: "partition", Args: []string{"1"}},
+		{At: 8 * sim.Millisecond, Kind: "heal"},
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	var final []string
 	writer := sup.NewTask("writer", sys.Node(3), 0, nil)
@@ -213,9 +216,13 @@ func TestMigrationWhilePeerSuspected(t *testing.T) {
 	// the fabric for 1.4ms — past the 2H suspect mark, short of ConfirmAfter.
 	// The reader's confirm (4.5ms) and restart (5.5ms) land just as
 	// the writer comes back under suspicion.
-	eng.CrashNodeAt(2500*sim.Microsecond, 7)
-	eng.PartitionAt(2800*sim.Microsecond, [][]topo.ClusterID{{1}})
-	eng.HealAt(4200 * sim.Microsecond)
+	if err := eng.Apply([]fault.Op{
+		{At: 2500 * sim.Microsecond, Kind: "crash", Args: []string{"node7"}},
+		{At: 2800 * sim.Microsecond, Kind: "partition", Args: []string{"1"}},
+		{At: 4200 * sim.Microsecond, Kind: "heal"},
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	var final []string
 	writer := sup.NewTask("writer", sys.Node(3), 0, nil)

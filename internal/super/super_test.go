@@ -44,7 +44,9 @@ func TestHeartbeatDetectionTimeline(t *testing.T) {
 	eng.Bind(sys)
 	eng.SetOracle(false)
 	crashAt := 3 * sim.Millisecond
-	eng.CrashNodeAt(crashAt, 1)
+	if err := eng.Apply([]fault.Op{{At: crashAt, Kind: "crash", Args: []string{"node1"}}}); err != nil {
+		t.Fatal(err)
+	}
 
 	sup.Start()
 	sup.StopAt(10 * sim.Millisecond)
@@ -95,8 +97,12 @@ func TestSuspicionClearsOnResumedHeartbeat(t *testing.T) {
 	eng := fault.New(sys.K, 7)
 	eng.Bind(sys)
 	eng.SetOracle(false)
-	eng.CrashNodeAt(3*sim.Millisecond, 0)
-	eng.RestartNodeAt(4400*sim.Microsecond, 0) // inside the confirm window
+	if err := eng.Apply([]fault.Op{
+		{At: 3 * sim.Millisecond, Kind: "crash", Args: []string{"node0"}},
+		{At: 4400 * sim.Microsecond, Kind: "restart", Args: []string{"node0"}}, // inside the confirm window
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	sup.Start()
 	sup.StopAt(10 * sim.Millisecond)
@@ -215,13 +221,17 @@ func healScenario(t *testing.T, victim string, n int) ([]string, *super.Supervis
 	writer.SetBody(writerBody)
 	reader.SetBody(readerBody)
 
+	var target string
 	switch victim {
 	case "writer":
-		eng.CrashNodeAt(2*sim.Millisecond, 0)
+		target = "node0"
 	case "reader":
-		eng.CrashNodeAt(2*sim.Millisecond, 1)
+		target = "node1"
 	default:
 		t.Fatalf("bad victim %q", victim)
+	}
+	if err := eng.Apply([]fault.Op{{At: 2 * sim.Millisecond, Kind: "crash", Args: []string{target}}}); err != nil {
+		t.Fatal(err)
 	}
 
 	writer.Launch()
@@ -384,7 +394,9 @@ func TestUnstartedSupervisorIsInert(t *testing.T) {
 		}
 		eng := fault.New(sys.K, 7)
 		eng.Bind(sys)
-		eng.CrashNodeAt(4*sim.Millisecond, 1)
+		if err := eng.Apply([]fault.Op{{At: 4 * sim.Millisecond, Kind: "crash", Args: []string{"node1"}}}); err != nil {
+			t.Fatal(err)
+		}
 		var got []string
 		sys.Spawn(sys.Node(0), "writer", 0, func(sp *kern.Subprocess) {
 			ch := sys.Node(0).Chans.Open(sp, "pipe", objmgr.OpenAny)
@@ -447,7 +459,9 @@ func TestOrphanManagedEndFailed(t *testing.T) {
 	eng := fault.New(sys.K, 7)
 	eng.Bind(sys)
 	eng.SetOracle(false)
-	eng.CrashNodeAt(2*sim.Millisecond, 1)
+	if err := eng.Apply([]fault.Op{{At: 2 * sim.Millisecond, Kind: "crash", Args: []string{"node1"}}}); err != nil {
+		t.Fatal(err)
+	}
 
 	readOK := true
 	returned := false

@@ -79,7 +79,10 @@ func runHeal(t *testing.T, traced bool, n int) (*core.System, *super.Supervisor,
 	eng.Bind(sys)
 	eng.BindResmgr(res)
 	eng.SetOracle(false)
-	eng.CrashNodeAt(2*sim.Millisecond, 1) // the reader's node
+	// Crash the reader's node.
+	if err := eng.Apply([]fault.Op{{At: 2 * sim.Millisecond, Kind: "crash", Args: []string{"node1"}}}); err != nil {
+		t.Fatal(err)
+	}
 
 	var final []string
 	writer := sup.NewTask("writer", sys.Node(0), 0, nil)

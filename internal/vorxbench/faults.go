@@ -40,9 +40,13 @@ func E12FaultStorm() *Table {
 	eng.BindResmgr(res)
 	linkDownAt := 1 * sim.Millisecond
 	crashAt := 2 * sim.Millisecond
-	eng.CubeLinkDownAt(linkDownAt, 0, 2)
-	eng.CubeLinkUpAt(8*sim.Millisecond, 0, 2)
-	eng.CrashNodeAt(crashAt, 6)
+	if err := eng.Apply([]fault.Op{
+		{At: linkDownAt, Kind: "link-down", Args: []string{"0", "2"}},
+		{At: 8 * sim.Millisecond, Kind: "link-up", Args: []string{"0", "2"}},
+		{At: crashAt, Kind: "crash", Args: []string{"node6"}},
+	}); err != nil {
+		panic(err)
+	}
 
 	// Pair A crosses the failed link (node1 on cluster 0 → node8 on
 	// cluster 2); pair B's reader is the crashed node6; pair C is an
@@ -167,7 +171,11 @@ func E12FaultStorm() *Table {
 		_, failErr = client.Read(sp, file)
 		failover = sp.Now().Sub(t1)
 	})
-	deng.CrashHostAt(10*sim.Millisecond, primary)
+	if err := deng.Apply([]fault.Op{
+		{At: 10 * sim.Millisecond, Kind: "crash", Args: []string{fmt.Sprintf("host%d", primary)}},
+	}); err != nil {
+		panic(err)
+	}
 	if err := dsys.Run(); err != nil {
 		panic(err)
 	}

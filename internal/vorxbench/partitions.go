@@ -10,7 +10,6 @@ import (
 	"hpcvorx/internal/resmgr"
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/super"
-	"hpcvorx/internal/topo"
 	"hpcvorx/internal/verify"
 )
 
@@ -31,11 +30,11 @@ type e16Metrics struct {
 }
 
 // e16Run streams writer(node3, cluster 1) -> reader(node7, cluster 2)
-// under fence-mode supervision from host0 (cluster 0), cuts the given
-// minority clusters out of the fabric at 3ms for dur, heals, and
-// audits the delivered log. Deterministic: same cut and dur, same
-// numbers.
-func e16Run(minority []topo.ClusterID, dur sim.Duration) e16Metrics {
+// under fence-mode supervision from host0 (cluster 0), cuts the
+// minority clusters listed in cut ("1,2") out of the fabric at 3ms for
+// dur, heals, and audits the delivered log. Deterministic: same cut
+// and dur, same numbers.
+func e16Run(cut string, dur sim.Duration) e16Metrics {
 	const (
 		msgs    = 30
 		pace    = 300 * sim.Microsecond
@@ -66,8 +65,12 @@ func e16Run(minority []topo.ClusterID, dur sim.Duration) e16Metrics {
 	eng.Bind(sys)
 	eng.BindResmgr(res)
 	eng.SetOracle(false)
-	eng.PartitionAt(cutAt, [][]topo.ClusterID{minority})
-	eng.HealAt(cutAt + dur)
+	if err := eng.Apply([]fault.Op{
+		{At: cutAt, Kind: "partition", Args: []string{cut}},
+		{At: cutAt + dur, Kind: "heal"},
+	}); err != nil {
+		panic(err)
+	}
 
 	var (
 		deliveries []sim.Time
@@ -118,13 +121,6 @@ func e16Run(minority []topo.ClusterID, dur sim.Duration) e16Metrics {
 		panic(err)
 	}
 
-	cut := ""
-	for i, c := range minority {
-		if i > 0 {
-			cut += ","
-		}
-		cut += fmt.Sprint(c)
-	}
 	m := e16Metrics{
 		cut: cut, dur: dur,
 		restarts: sup.Restarts, holds: sup.QuorumHolds, falseSusp: sup.FalseSuspects,
@@ -174,17 +170,17 @@ func E16Partitions() *Table {
 			"restarts", "holds", "cleared", "refused", "reboots", "dup", "lost", "violations"},
 	}
 	rows := []struct {
-		minority []topo.ClusterID
-		dur      sim.Duration
+		cut string
+		dur sim.Duration
 	}{
-		{[]topo.ClusterID{1}, 2 * sim.Millisecond},
-		{[]topo.ClusterID{1}, 4 * sim.Millisecond},
-		{[]topo.ClusterID{1}, 6 * sim.Millisecond},
-		{[]topo.ClusterID{1, 2}, 3 * sim.Millisecond},
-		{[]topo.ClusterID{1, 2, 3}, 3 * sim.Millisecond},
+		{"1", 2 * sim.Millisecond},
+		{"1", 4 * sim.Millisecond},
+		{"1", 6 * sim.Millisecond},
+		{"1,2", 3 * sim.Millisecond},
+		{"1,2,3", 3 * sim.Millisecond},
 	}
 	for _, r := range rows {
-		m := e16Run(r.minority, r.dur)
+		m := e16Run(r.cut, r.dur)
 		q := "held"
 		if m.quorum {
 			q = "kept"

@@ -53,7 +53,9 @@ func e13Run(h sim.Duration) e13Metrics {
 	eng.Bind(sys)
 	eng.BindResmgr(res)
 	eng.SetOracle(false)
-	eng.CrashNodeAt(crashAt, 1)
+	if err := eng.Apply([]fault.Op{{At: crashAt, Kind: "crash", Args: []string{"node1"}}}); err != nil {
+		panic(err)
+	}
 
 	var (
 		deliveries []sim.Time
