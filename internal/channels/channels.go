@@ -460,7 +460,7 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 		v.ChanWrite(ch.id, ch.name, ch.svc.f.Endpoint(), ch.svc.f.Node().Incarnation(),
 			om.seq, size, payload)
 	}
-	if err := ch.sendFragments(sp, om, false); err != nil {
+	if err := ch.sendFragments(sp, om); err != nil {
 		retryForever := ch.svc.ackTimeout > 0 && ch.svc.maxRetries <= 0
 		if !ch.managed && !retryForever {
 			ch.dropPending(om)
@@ -492,29 +492,31 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 // fragments. The subprocess blocks per fragment only on hardware
 // output-section backpressure. An error (destination unreachable)
 // aborts the remaining fragments.
-func (ch *Channel) sendFragments(sp *kern.Subprocess, om *outMsg, retrans bool) error {
+func (ch *Channel) sendFragments(sp *kern.Subprocess, om *outMsg) error {
 	for off := 0; off < om.size; off += MaxFragment {
-		n := om.size - off
-		if n > MaxFragment {
-			n = MaxFragment
-		}
-		last := off+n >= om.size
-		frag := ch.svc.shells.frags.Get() // zeroed: set only what differs
-		frag.ch, frag.seq, frag.size, frag.total = ch.id, om.seq, n, om.size
-		frag.last, frag.retransmit, frag.tid = last, retrans, om.tid
-		if last {
-			frag.payload = om.payload
-		}
+		frag := ch.svc.fragment(ch, om, off)
 		if tr := ch.svc.tracer(); tr.Enabled() {
 			tr.Emit(trace.KFragment, om.tid, ch.svc.f.Node().Name(), ch.lane(),
-				fmt.Sprintf("seq=%d off=%d %dB", om.seq, off, n))
+				fmt.Sprintf("seq=%d off=%d %dB", om.seq, off, frag.size))
 		}
-		if err := ch.svc.f.SendCtx(sp, om.tid, ch.peer, "chan", n+HeaderBytes, frag); err != nil {
+		if err := ch.svc.f.SendCtx(sp, om.tid, ch.peer, "chan", frag.size+HeaderBytes, frag); err != nil {
 			ch.svc.shells.frags.Put(frag) // never entered the fabric
 			return err
 		}
 	}
 	return nil
+}
+
+// fragment takes a shell from the free list and fills it with om's
+// fragment at byte offset off.
+func (s *Service) fragment(ch *Channel, om *outMsg, off int) *dataFrag {
+	frag := s.shells.frags.Get() // zeroed: set only what differs
+	frag.ch, frag.seq, frag.total, frag.tid = ch.id, om.seq, om.size, om.tid
+	frag.size = min(om.size-off, MaxFragment)
+	if off+frag.size >= om.size {
+		frag.last, frag.payload = true, om.payload
+	}
+	return frag
 }
 
 // dropPending removes om from the un-acknowledged list.
@@ -571,18 +573,9 @@ func (s *Service) retransmitAsync(ch *Channel, om *outMsg) {
 		tr.Count("chan.retransmits_sent", 1)
 	}
 	for off := 0; off < om.size; off += MaxFragment {
-		n := om.size - off
-		if n > MaxFragment {
-			n = MaxFragment
-		}
-		last := off+n >= om.size
-		frag := s.shells.frags.Get() // zeroed: set only what differs
-		frag.ch, frag.seq, frag.size, frag.total = ch.id, om.seq, n, om.size
-		frag.last, frag.retransmit, frag.tid = last, true, om.tid
-		if last {
-			frag.payload = om.payload
-		}
-		s.f.SendAsyncCtx(om.tid, ch.peer, "chan", n+HeaderBytes, frag, nil)
+		frag := s.fragment(ch, om, off)
+		frag.retransmit = true
+		s.f.SendAsyncCtx(om.tid, ch.peer, "chan", frag.size+HeaderBytes, frag, nil)
 	}
 }
 

@@ -89,10 +89,10 @@ func TestWindowedExactlyOnceInOrderProperty(t *testing.T) {
 func TestWindowedLinkOutageMidTrain(t *testing.T) {
 	sys := buildComm(t, 16, core.Pipelined())
 	w, r := sys.Node(0), sys.Node(8) // different hypercube clusters
-	w.Chans.SetAckTimeout(2*sim.Millisecond, 20)
 
 	eng := fault.New(sys.K, 1)
-	eng.Bind(sys)
+	eng.Bind(sys) // resets every machine's ack timeout to the engine's
+	w.Chans.SetAckTimeout(2*sim.Millisecond, 20)
 	if err := eng.Apply([]fault.Op{
 		{At: 1 * sim.Millisecond, Kind: "link-down", Args: []string{"0", "2"}},
 		{At: 9 * sim.Millisecond, Kind: "link-up", Args: []string{"0", "2"}},

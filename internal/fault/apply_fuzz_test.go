@@ -30,6 +30,7 @@ func FuzzApplySchedule(f *testing.F) {
 	}
 	f.Add(stormSchedule)
 	f.Add("1ms link-down 0 1\n2ms crash node99\n") // valid op, then a bad target
+	f.Add("1ms link-down 0 1 junk\n")              // an arg past the op's last
 	f.Fuzz(func(t *testing.T, schedule string) {
 		ops, err := fault.ParseSchedule(strings.NewReader(schedule))
 		if err != nil {

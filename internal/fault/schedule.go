@@ -190,13 +190,16 @@ func (e *Engine) resolve(op Op) (action, error) {
 	var err error
 	switch op.Kind {
 	case "link-down", "link-up":
+		if len(args) != 2 {
+			return a, fmt.Errorf("want: %s <a> <b>", op.Kind)
+		}
 		a.link, err = e.link(args)
 	case "degrade":
-		if a.link, err = e.link(args); err != nil {
-			return a, err
-		}
 		if len(args) != 3 {
 			return a, fmt.Errorf("want: degrade <a> <b> <factor>")
+		}
+		if a.link, err = e.link(args); err != nil {
+			return a, err
 		}
 		a.slow, err = parseSlowdown("factor", args[2])
 	case "partition":
@@ -249,8 +252,8 @@ func (e *Engine) resolve(op Op) (action, error) {
 			return a, fmt.Errorf("unknown vchannel %q", a.vchan)
 		}
 	case "dfs-down", "dfs-up":
-		if len(args) < 1 {
-			return a, fmt.Errorf("want 1 args, got 0")
+		if len(args) != 1 {
+			return a, fmt.Errorf("want: %s <host>", op.Kind)
 		}
 		if a.host, err = strconv.Atoi(args[0]); err != nil {
 			return a, fmt.Errorf("bad arg %q", args[0])
@@ -290,12 +293,9 @@ func (e *Engine) machine(arg string) (*core.Machine, error) {
 }
 
 // link resolves the cube link between the clusters its first two args
-// name, kept in the order written.
+// name, kept in the order written. The caller checks the arg count.
 func (e *Engine) link(args []string) ([2]topo.ClusterID, error) {
 	var l [2]topo.ClusterID
-	if len(args) < 2 {
-		return l, fmt.Errorf("want 2 args, got %d", len(args))
-	}
 	for i := range l {
 		v, err := strconv.Atoi(args[i])
 		if err != nil {

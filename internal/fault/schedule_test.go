@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hpcvorx/internal/core"
+	"hpcvorx/internal/dfs"
 	"hpcvorx/internal/fault"
 	"hpcvorx/internal/kern"
 	"hpcvorx/internal/objmgr"
@@ -13,7 +14,8 @@ import (
 )
 
 // boundEngine builds a 4-cluster system (2 hosts + 14 nodes) and an
-// engine bound to it, so Apply's target validation is live.
+// engine bound to it and to a DFS service, so Apply's target
+// validation is live.
 func boundEngine(t *testing.T) *fault.Engine {
 	t.Helper()
 	sys, err := core.Build(core.Config{Hosts: 2, Nodes: 14, Seed: 7})
@@ -22,6 +24,7 @@ func boundEngine(t *testing.T) *fault.Engine {
 	}
 	eng := fault.New(sys.K, 1)
 	eng.Bind(sys)
+	eng.BindDFS(dfs.New(sys, sys.Hosts(), 2))
 	return eng
 }
 
@@ -60,6 +63,9 @@ func TestScheduleValidation(t *testing.T) {
 		{name: "negative time", schedule: `-1ms crash node1`, parseErr: "bad duration"},
 		{name: "missing unit", schedule: `5 crash node1`, parseErr: "needs a unit"},
 		{name: "unknown op", schedule: `1ms explode node1`, applyErr: `unknown op "explode"`},
+		{name: "link-down extra arg", schedule: `1ms link-down 0 1 junk`, applyErr: "want: link-down <a> <b>"},
+		{name: "link-up extra arg", schedule: `3ms link-up 0 1 7`, applyErr: "want: link-up <a> <b>"},
+		{name: "dfs-down extra arg", schedule: `1ms dfs-down 0 extra`, applyErr: "want: dfs-down <host>"},
 
 		{name: "unknown node", schedule: `1ms crash node99`, applyErr: "no node99 in this system"},
 		{name: "unknown host", schedule: `1ms crash host5`, applyErr: "no host5 in this system"},

@@ -239,10 +239,9 @@ func (r *isr) run() {
 // coalescer is an interface's receive-interrupt batch state.
 type coalescer struct {
 	batch []batchEntry // read out, awaiting the next drain
-	armed bool         // the horizon timer will fire the batch
 	// drain is the drain interrupt queued or running, nil when none.
 	drain *batchDrain
-	timer sim.Timer
+	timer sim.Timer   // pending while the horizon timer will fire the batch
 	fire  func()      // f.fireBatch, bound once
 	free  *batchDrain // free list of drain records
 }
@@ -309,7 +308,6 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 			}
 			f.dropBatch(co.batch)
 			co.batch = co.batch[:0]
-			co.armed = false
 			co.timer.Stop()
 		}
 	})
@@ -377,8 +375,7 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 			if tr := node.Tracer(); tr.Enabled() {
 				tr.GaugeSet("netif.batch."+node.Name(), float64(len(co.batch)))
 			}
-			if !co.armed && co.drain == nil {
-				co.armed = true
+			if !co.timer.Pending() && co.drain == nil {
 				co.timer = node.Kernel().After(f.coalesceHorizon, co.fire)
 			}
 			return
@@ -423,7 +420,6 @@ func (f *IF) SetCoalesce(horizon sim.Duration) {
 // fireBatch raises the single interrupt that drains the armed batch.
 func (f *IF) fireBatch() {
 	co := f.co
-	co.armed = false
 	entries := co.batch
 	if tr := f.node.Tracer(); tr.Enabled() && len(entries) > 0 {
 		tr.GaugeSet("netif.batch."+f.node.Name(), 0)

@@ -33,10 +33,8 @@ type Kernel struct {
 	nowQ    []*event
 	nowHead int
 
-	// free is the event shell pool; nCanceled counts canceled shells
-	// still resident, for compaction.
-	free      []*event
-	nCanceled int
+	// free is the event shell pool.
+	free []*event
 
 	// The run token: exactly one coroutine runs simulation code at a
 	// time, the run goroutine (the one in Run or RunUntil, or a Group
@@ -47,9 +45,9 @@ type Kernel struct {
 	deadline Time
 	panicked any
 
-	// dispatched counts the events dispatch has run, canceled shells
-	// included. posts counts the cross-shard events this kernel has
-	// posted (see Group.post): the low bits of each one's seq.
+	// dispatched counts the events dispatch has run. posts counts the
+	// cross-shard events this kernel has posted (see Group.post): the
+	// low bits of each one's seq.
 	dispatched uint64
 	posts      uint64
 
@@ -76,13 +74,6 @@ type Kernel struct {
 // not schedule events or touch the clock.
 type Probe interface {
 	ProcEvent(at Time, proc string, what string)
-}
-
-// CompactionProbe is an optional extension of Probe: a probe that also
-// implements it observes every lazy-cancel compaction sweep (at the
-// virtual time it ran, with the number of canceled shells swept).
-type CompactionProbe interface {
-	QueueCompaction(at Time, swept int)
 }
 
 // SetProbe installs (or, with nil, removes) the lifecycle probe.
@@ -192,15 +183,14 @@ func (k *Kernel) dispatchOnProc() (next *Proc) {
 }
 
 // Scheduled returns how many events have been scheduled over the
-// kernel's lifetime (including later-canceled ones). It is the
+// kernel's lifetime (including later-stopped ones). It is the
 // host-side work proxy behind events-per-message efficiency metrics:
 // fewer scheduled events for the same delivered traffic means a
 // cheaper simulation.
 func (k *Kernel) Scheduled() uint64 { return k.seq }
 
 // front returns the earliest pending event without removing it, or
-// nil when nothing is queued. Canceled shells are still visible here;
-// the dispatch loops sweep them.
+// nil when nothing is queued.
 func (k *Kernel) front() *event {
 	hasNow := k.nowHead < len(k.nowQ)
 	hasHeap := len(k.events) > 0
@@ -218,21 +208,6 @@ func (k *Kernel) front() *event {
 	return nil
 }
 
-// popFront removes ev, which must be the event front() just returned.
-func (k *Kernel) popFront(ev *event) {
-	if ev.index == nowIdx {
-		k.nowQ[k.nowHead] = nil
-		k.nowHead++
-		if k.nowHead == len(k.nowQ) {
-			k.nowQ = k.nowQ[:0]
-			k.nowHead = 0
-		}
-		ev.index = freeIdx
-		return
-	}
-	k.heapPop()
-}
-
 // dispatch runs events in (at, seq) order until one starts or resumes
 // a proc, and returns that proc. It returns nil when the queue drains,
 // the Group stops, or the next event lies past the run's deadline. In
@@ -248,13 +223,8 @@ func (k *Kernel) dispatch() *Proc {
 			}
 			return nil
 		}
-		k.popFront(ev)
+		k.remove(ev)
 		k.dispatched++
-		if ev.canceled {
-			k.nCanceled--
-			k.recycle(ev)
-			continue
-		}
 		k.now = ev.at
 		fn, p := ev.fn, ev.proc
 		k.recycle(ev)

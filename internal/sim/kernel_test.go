@@ -48,16 +48,11 @@ func TestEventsFireInOrder(t *testing.T) {
 	}
 }
 
-// pending reports whether the timer has neither fired nor been stopped.
-func pending(t Timer) bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled && t.ev.index != freeIdx
-}
-
 func TestTimerStop(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
 	tm := k.After(Microsecond, func() { fired = true })
-	if !pending(tm) {
+	if !tm.Pending() {
 		t.Fatal("timer should be pending")
 	}
 	if !tm.Stop() {
@@ -83,7 +78,7 @@ func TestTimerStopAfterFire(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("Stop after fire should report false")
 	}
-	if pending(tm) {
+	if tm.Pending() {
 		t.Fatal("fired timer should not be pending")
 	}
 }

@@ -1,11 +1,17 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
 
 // TestCanceledTimerSweep is the regression test for the canceled-timer
 // leak: a workload that schedules and immediately stops a million
-// timers must not accumulate their shells in the pending store (the
-// old heap kept every canceled entry until its timestamp came up).
+// timers must leave no shell in the pending store (the old heap kept
+// every canceled entry until its timestamp came up).
 func TestCanceledTimerSweep(t *testing.T) {
 	k := NewKernel(1)
 	fired := 0
@@ -15,8 +21,8 @@ func TestCanceledTimerSweep(t *testing.T) {
 			t.Fatalf("timer %d: Stop reported not pending", i)
 		}
 	}
-	if got := k.pendingLen(); got > 2*compactMin {
-		t.Fatalf("pending store holds %d shells after 1M cancels, want <= %d", got, 2*compactMin)
+	if got := len(k.events) + len(k.nowQ) - k.nowHead; got != 0 {
+		t.Fatalf("pending store holds %d shells after 1M cancels, want 0", got)
 	}
 	if len(k.free) > maxFreeEvents {
 		t.Fatalf("free list grew to %d, cap is %d", len(k.free), maxFreeEvents)
@@ -29,32 +35,100 @@ func TestCanceledTimerSweep(t *testing.T) {
 	}
 }
 
-// TestCanceledSweepKeepsLiveOrder verifies compaction never reorders
-// the survivors: live timers interleaved with a flood of cancels still
-// fire in exact (time, schedule-order) sequence.
+// TestCanceledSweepKeepsLiveOrder verifies Stop never reorders the
+// survivors: after cancels from every position of the heap, in random
+// order, the live timers still fire in exact (time, schedule-order)
+// sequence.
 func TestCanceledSweepKeepsLiveOrder(t *testing.T) {
 	k := NewKernel(1)
-	var got []int
-	n := 0
-	for i := 0; i < 10_000; i++ {
-		i := i
-		tm := k.At(k.Now().Add(Duration(10_000-i)*Microsecond), func() { got = append(got, i) })
-		if i%10 != 0 {
-			tm.Stop()
-		} else {
-			n++
+	rng := rand.New(rand.NewSource(1))
+	type stamp struct {
+		at Time
+		i  int
+	}
+	var got, want []stamp
+	tms := make([]Timer, 10_000)
+	for i := range tms {
+		at := k.Now().Add(Duration(rng.Intn(1000)+1) * Microsecond) // ties included
+		tms[i] = k.At(at, func() { got = append(got, stamp{k.Now(), i}) })
+		if i%10 == 0 {
+			want = append(want, stamp{at, i})
+		}
+	}
+	for _, i := range rng.Perm(len(tms)) {
+		if i%10 != 0 && !tms[i].Stop() {
+			t.Fatalf("timer %d: Stop reported not pending", i)
 		}
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != n {
-		t.Fatalf("fired %d, want %d", len(got), n)
+	sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at }) // ties keep schedule order
+	if !slices.Equal(got, want) {
+		t.Fatalf("survivors ran out of (time, schedule) order: %d ran, %d expected", len(got), len(want))
 	}
-	for j := 1; j < len(got); j++ {
-		if got[j-1] < got[j] { // times descend with i, so i must descend
-			t.Fatalf("out of order at %d: %d before %d", j, got[j-1], got[j])
-		}
+}
+
+// TestStopSameInstant: stopping events in the same-instant FIFO, at
+// its head, in its middle and from a callback, keeps them from running
+// and leaves the others in scheduling order.
+func TestStopSameInstant(t *testing.T) {
+	k := NewKernel(1)
+	var got []int
+	tms := make([]Timer, 7)
+	for i := range tms {
+		tms[i] = k.At(k.Now(), func() {
+			got = append(got, i)
+			if i == 1 && !tms[5].Stop() {
+				t.Error("Stop of a queued same-instant event reported not pending")
+			}
+		})
+	}
+	tms[0].Stop()
+	tms[2].Stop()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[1 3 4 6]" {
+		t.Fatalf("ran %v, want [1 3 4 6]", got)
+	}
+	if len(k.nowQ) != 0 || k.nowHead != 0 {
+		t.Fatalf("FIFO left with %d slots, head %d", len(k.nowQ), k.nowHead)
+	}
+}
+
+// TestTimerPendingLifecycle follows Pending through a timer's life:
+// zero, armed, inside its own callback, fired, stopped, and a stale
+// handle whose shell now carries another event.
+func TestTimerPendingLifecycle(t *testing.T) {
+	k := NewKernel(1)
+	var zero Timer
+	if zero.Pending() || zero.Stop() {
+		t.Fatal("zero Timer reports pending or stops")
+	}
+	var fired Timer
+	inside := true
+	fired = k.After(Microsecond, func() { inside = fired.Pending() })
+	if !fired.Pending() {
+		t.Fatal("armed timer not pending")
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if inside || fired.Pending() {
+		t.Fatalf("fired timer pending (inside its callback %v)", inside)
+	}
+	stopped := k.After(Microsecond, func() {})
+	stopped.Stop()
+	if stopped.Pending() {
+		t.Fatal("stopped timer still pending")
+	}
+	next := k.After(Microsecond, func() {})
+	if next.ev != stopped.ev {
+		t.Fatal("stopped timer's shell was not reused")
+	}
+	if stopped.Pending() || !next.Pending() {
+		t.Fatalf("after reuse: stale pending %v, new pending %v", stopped.Pending(), next.Pending())
 	}
 }
 
@@ -79,25 +153,22 @@ func TestRunUntilEventExactlyAtDeadline(t *testing.T) {
 	}
 }
 
-// TestStaleTimerHandleAfterReuse: a Timer stopped and swept keeps
-// reporting dead even after its pooled shell is reissued to a new
-// event — the stale handle must not be able to stop the new occupant.
+// TestStaleTimerHandleAfterReuse: a stopped Timer keeps reporting
+// dead even after its pooled shell is reissued to a new event — the
+// stale handle must not be able to stop the new occupant.
 func TestStaleTimerHandleAfterReuse(t *testing.T) {
 	k := NewKernel(1)
 	t1 := k.After(Millisecond, func() {})
-	t1.Stop()
-	if err := k.Run(); err != nil { // sweeps and recycles the shell
-		t.Fatal(err)
-	}
+	t1.Stop() // recycles the shell
 	fired := false
 	t2 := k.After(Millisecond, func() { fired = true })
-	if pending(t1) {
+	if t1.Pending() {
 		t.Fatal("stale handle reports pending after shell reuse")
 	}
 	if t1.Stop() {
 		t.Fatal("stale handle stopped the shell's new occupant")
 	}
-	if !pending(t2) {
+	if !t2.Pending() {
 		t.Fatal("new timer lost its pending state")
 	}
 	if err := k.Run(); err != nil {
@@ -111,7 +182,7 @@ func TestStaleTimerHandleAfterReuse(t *testing.T) {
 // TestRescheduleWhileCanceled: stopping a timer and immediately
 // scheduling a replacement (the arm-timer idiom) must leave exactly
 // the replacement live, across enough iterations to force shell reuse
-// and compaction underneath.
+// and heap removal underneath.
 func TestRescheduleWhileCanceled(t *testing.T) {
 	k := NewKernel(1)
 	fired := 0

@@ -395,29 +395,16 @@ func TestGroupFloorScanRacingDrain(t *testing.T) {
 	}
 }
 
-type countingProbe struct{ compactions, swept int }
-
-func (c *countingProbe) ProcEvent(Time, string, string) {}
-func (c *countingProbe) QueueCompaction(at Time, n int) { c.compactions++; c.swept += n }
-
-func TestCompactionsCounter(t *testing.T) {
-	k := NewKernel(1)
-	probe := &countingProbe{}
-	k.SetProbe(probe)
-	var timers []Timer
-	for i := 0; i < 100000; i++ {
-		timers = append(timers, k.After(Duration(1000+i), func() {}))
+// TestGroupFrontSkipsStoppedTimer: a shard whose only event is a
+// stopped timer has no front, so it holds no peer's safe bound back.
+func TestGroupFrontSkipsStoppedTimer(t *testing.T) {
+	k0, k1 := NewKernel(1), NewKernel(1)
+	g := NewGroup(Microsecond, k0, k1)
+	k0.At(Time(Second), func() { t.Error("stopped timer ran") }).Stop()
+	if got := g.curMin(0); got != noEvent {
+		t.Fatalf("curMin(0) = %d with only a stopped timer queued, want none", got)
 	}
-	for _, tm := range timers {
-		tm.Stop()
-	}
-	if probe.compactions == 0 {
-		t.Fatal("100k cancels triggered no compaction")
-	}
-	if probe.swept == 0 {
-		t.Fatal("compactions swept nothing")
-	}
-	if err := k.Run(); err != nil {
+	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
 }

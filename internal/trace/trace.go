@@ -325,17 +325,6 @@ func (t *Tracer) ProcEvent(at sim.Time, proc string, what string) {
 	t.record(Event{At: at, Kind: KProc, Node: "sim", Lane: "procs", Detail: what + " " + proc})
 }
 
-// QueueCompaction implements sim.CompactionProbe: every lazy-cancel
-// sweep lands in the metrics registry, so cancel-heavy workloads can
-// verify the event queue is actually reclaiming canceled shells.
-func (t *Tracer) QueueCompaction(at sim.Time, swept int) {
-	if t == nil || !t.enabled {
-		return
-	}
-	t.reg.Counter("sim.queue.compactions").Add(1)
-	t.reg.Counter("sim.queue.compacted_events").Add(float64(swept))
-}
-
 // Count adds d to the named counter. Nil-safe, no-op when disabled.
 func (t *Tracer) Count(name string, d float64) {
 	if t == nil || !t.enabled {

@@ -83,7 +83,6 @@ type migration struct {
 	phase   int
 	start   sim.Time
 	drainT  sim.Timer
-	drainOn bool
 }
 
 // ctrlOut is one in-flight control message, retransmitted until its
@@ -290,9 +289,6 @@ func (b *Balancer) sendCtrl(dst topo.EndpointID, msg *ctrlMsg, onAck func()) {
 func (b *Balancer) xmit(out *ctrlOut) {
 	b.fab.svcs[b.ep].f.SendAsyncCtx(0, out.dst, "vchan.ctrl", CtrlBytes, out.msg, nil)
 	out.timer = b.m.Kern.Kernel().After(ctrlRetry, func() {
-		if b.outstanding[out.id] == nil {
-			return
-		}
 		b.CtrlRetries++
 		b.xmit(out)
 	})
@@ -374,10 +370,8 @@ func (b *Balancer) migrate(v uint64, to *laneInfo, reason string) bool {
 	// already forwarded still drains, and the rest replays later.
 	b.sendCtrl(p.prod, &ctrlMsg{kind: ctrlSeal, v: p.v, name: p.name, term: p.term},
 		func() {
-			if cur := b.migs[v]; cur == mg && mg.phase == phaseSealing && !mg.drainOn {
-				mg.drainOn = true
+			if cur := b.migs[v]; cur == mg && mg.phase == phaseSealing && !mg.drainT.Pending() {
 				mg.drainT = b.m.Kern.Kernel().After(drainTimeout, func() {
-					mg.drainOn = false
 					b.drainDone(v, mg, false)
 				})
 			}
@@ -390,10 +384,7 @@ func (b *Balancer) handleDrained(c *ctrlMsg) {
 	if mg == nil || mg.phase != phaseSealing || c.term != mg.p.term {
 		return
 	}
-	if mg.drainOn {
-		mg.drainT.Stop()
-		mg.drainOn = false
-	}
+	mg.drainT.Stop()
 	b.drainDone(c.v, mg, true)
 }
 

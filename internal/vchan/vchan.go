@@ -393,7 +393,7 @@ type laneState struct {
 func (s *Service) Dump(out io.Writer) {
 	for _, w := range s.worder {
 		fmt.Fprintf(out, "%s: writer %s term=%d lane=%d seq=%d ackHigh=%d pending=%d placed=%v sealed=%v stale=%v timer=%v\n",
-			s.m.Name(), w.name, w.term, w.lane, w.seq, w.ackHigh, len(w.pending), w.placed, w.sealed, w.stale, w.timerOn)
+			s.m.Name(), w.name, w.term, w.lane, w.seq, w.ackHigh, len(w.pending), w.placed, w.sealed, w.stale, w.timer.Pending())
 	}
 	for _, r := range s.rorder {
 		fmt.Fprintf(out, "%s: reader %s term=%d expect=%d ready=%d delivered=%d\n",
@@ -446,7 +446,6 @@ type Writer struct {
 	stale  bool // nacked above our term: hold fire until the next place
 
 	timer   sim.Timer
-	timerOn bool
 	backoff uint8 // consecutive timeouts without ack progress
 }
 
@@ -472,7 +471,6 @@ type Reader struct {
 	wake   kern.Waker
 
 	owed    int
-	ackOn   bool
 	ackTick sim.Timer
 
 	// Delivered counts in-order application deliveries.
@@ -674,22 +672,9 @@ func (s *Service) wakeAll() {
 
 func (w *Writer) armTimer() {
 	s := w.svc
-	if w.timerOn {
-		w.timer.Stop()
-	}
-	w.timerOn = true
+	w.timer.Stop()
 	rto := retransTimeout << w.backoff
-	w.timer = s.m.Kern.Kernel().After(rto, func() {
-		w.timerOn = false
-		s.retransFire(w)
-	})
-}
-
-func (w *Writer) stopTimer() {
-	if w.timerOn {
-		w.timer.Stop()
-		w.timerOn = false
-	}
+	w.timer = s.m.Kern.Kernel().After(rto, func() { s.retransFire(w) })
 }
 
 // retransFire is the producer's recovery timer: re-offer the OLDEST
@@ -741,7 +726,7 @@ func (s *Service) handleAck(m *hpc.Message) {
 		v.VChanAck(w.id, w.name, a.upTo)
 	}
 	if len(w.pending) == 0 {
-		w.stopTimer()
+		w.timer.Stop()
 		if w.sealed {
 			s.sendDrained(w)
 		}
@@ -763,12 +748,12 @@ func (s *Service) handleNack(m *hpc.Message) {
 	// earlier silence was loss, not congestion.
 	if n.minTerm > w.term {
 		w.stale = true
-		w.stopTimer()
+		w.timer.Stop()
 		return
 	}
 	if w.backoff > 0 {
 		w.backoff = 0
-		if w.timerOn {
+		if w.timer.Pending() {
 			w.armTimer()
 		}
 	}
@@ -892,12 +877,10 @@ func (s *Service) consumerData(fr *vFrame) {
 }
 
 func (s *Service) armAck(r *Reader) {
-	if r.ackOn {
+	if r.ackTick.Pending() {
 		return
 	}
-	r.ackOn = true
 	r.ackTick = s.m.Kern.Kernel().After(ackDelay, func() {
-		r.ackOn = false
 		if s.m.Kern.Crashed() {
 			return
 		}
@@ -909,10 +892,7 @@ func (s *Service) armAck(r *Reader) {
 
 func (s *Service) flushAck(r *Reader) {
 	r.owed = 0
-	if r.ackOn {
-		r.ackTick.Stop()
-		r.ackOn = false
-	}
+	r.ackTick.Stop()
 	s.f.SendAsyncCtx(0, r.prod, "vchan.ack", AckBytes,
 		&vAck{v: r.id, upTo: r.expect - 1}, nil)
 }
@@ -1063,15 +1043,12 @@ func (s *Service) onCrash() {
 	s.fwdLane = make(map[uint32]int64)
 	s.fwdVChan = make(map[uint64]int64)
 	for _, w := range s.worder {
-		w.stopTimer()
+		w.timer.Stop()
 		w.placed = false
 		w.pending = nil
 	}
 	for _, r := range s.rorder {
-		if r.ackOn {
-			r.ackTick.Stop()
-			r.ackOn = false
-		}
+		r.ackTick.Stop()
 		r.ready = nil
 		r.wake = kern.Waker{}
 	}

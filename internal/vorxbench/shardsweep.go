@@ -16,9 +16,10 @@ import (
 // Schedules stick to crash/restart and gray slowdowns — the faults a
 // sharded build supports. Partitions and link faults need
 // zero-lookahead rerouting and are rejected by the sharded fabric
-// (SetCubeLinkDown panics), and gray frame-dropping draws on the fault
-// engine's own random stream, which a split simulation does not share;
-// neither belongs in a byte-identity check.
+// (SetCubeLinkDown panics). Gray frame-dropping is armed only by the
+// fault engine (its per-machine drop generators), and fault.Engine
+// binds only a serial System, so the sweep arms its faults on the
+// shard kernels itself and leaves drops out.
 
 // shardLoad is E19's pair workload on the 15-node sweep pool.
 var shardLoad = pairLoad{name: "shard%d", pairs: 7, msgs: 10, size: 192, sizeStep: 16,
