@@ -141,3 +141,35 @@ func TestDeterministicAcrossBuilds(t *testing.T) {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
 	}
 }
+
+// built keeps BenchmarkBuild's machines reachable, so the compiler
+// cannot drop the builds.
+var built any
+
+// BenchmarkBuild times building the machines of perfbench's
+// fanin_classic (64 nodes, serial) and pairs_sharded (1 host and 255
+// nodes over 64 clusters, 2 shards, each shard with a fabric over the
+// whole topology) workloads: set-up, which perfbench pays on every
+// iteration, without the workload's procs.
+func BenchmarkBuild(b *testing.B) {
+	b.Run("fanin_classic", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sys, err := core.Build(core.Config{Nodes: 64, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			built = sys
+		}
+	})
+	b.Run("pairs_sharded", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sh, err := core.BuildSharded(core.Config{Hosts: 1, Nodes: 255, Seed: 1, Shards: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			built = sh
+		}
+	})
+}

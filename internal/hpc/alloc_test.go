@@ -48,6 +48,38 @@ func TestSendPathZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// maxNewAllocs bounds what building a fabric may allocate, whatever its
+// size: the buffers, the links and their names take one allocation
+// each.
+const maxNewAllocs = 16
+
+// TestNewAllocBound: New costs a constant number of allocations, on a
+// 12-endpoint cluster as on the 256-endpoint, 64-cluster fabric of a
+// full LAM (896 links and 1,152 buffers).
+func TestNewAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	one, err := topo.SingleCluster(topo.PortsPerCluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lam, err := topo.IncompleteHypercube(64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sim.NewKernel(1)
+	costs := m68k.DefaultCosts()
+	for _, tp := range []*topo.Topology{one, lam} {
+		allocs := testing.AllocsPerRun(20, func() { New(k, costs, tp) })
+		t.Logf("%d endpoints in %d clusters: %v allocations", tp.Endpoints(), tp.Clusters(), allocs)
+		if allocs > maxNewAllocs {
+			t.Errorf("New over %d endpoints in %d clusters allocates %v objects, want at most %d",
+				tp.Endpoints(), tp.Clusters(), allocs, maxNewAllocs)
+		}
+	}
+}
+
 // TestTransferPoolSurvivesLateRelease exercises the out-of-order
 // lifetime: the receiver holds the Delivery past the sender's next
 // message, so recycling must wait for the release.
@@ -110,25 +142,44 @@ func TestTransferPoolSurvivesLateRelease(t *testing.T) {
 // fabric, does its first send, whose up-link queue starts with room
 // for one transfer, or its first blocked send: its park reason is the
 // output section's own name, and each waiter list starts with room for
-// one waiter.
+// one waiter. The warm case runs on endpoints 0 and 1 and again on two
+// endpoints numbered 100 or more, where formatting the endpoint number
+// would allocate.
 func TestBlockedSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	coldBlockedSends(t)
-	k := sim.NewKernel(1)
-	tp, err := topo.SingleCluster(2)
+	pair, err := topo.SingleCluster(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	warmBlockedSends(t, pair, 0, 1)
+	lam, err := topo.IncompleteHypercube(64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := lam.EndpointsOn(topo.ClusterID(lam.Clusters() - 1))
+	if eps[0] < 100 {
+		t.Fatalf("endpoints %v are below 100", eps)
+	}
+	warmBlockedSends(t, lam, eps[0], eps[1])
+}
+
+// warmBlockedSends is TestBlockedSendZeroAlloc's warm case: src sends
+// to dst without pause on a fresh fabric over tp, so every Send waits
+// for room, and once warm a send must allocate nothing.
+func warmBlockedSends(t *testing.T, tp *topo.Topology, src, dst topo.EndpointID) {
+	t.Helper()
+	k := sim.NewKernel(1)
 	ic := New(k, m68k.DefaultCosts(), tp)
-	msg := &Message{Src: 0, Dst: 1, Size: 512}
+	msg := &Message{Src: src, Dst: dst, Size: 512}
 	sent, blocked := 0, 0
 	k.Spawn("sender", func(p *sim.Proc) {
 		for {
 			// The previous message still holds the output section
 			// until its first hop ends, so every Send waits.
-			if !ic.OutputFree(0) {
+			if !ic.OutputFree(src) {
 				blocked++
 			}
 			if err := ic.Send(p, msg, nil); err != nil {
@@ -148,10 +199,10 @@ func TestBlockedSendZeroAlloc(t *testing.T) {
 		cycle()
 	}
 	if blocked < 60 {
-		t.Fatalf("only %d of %d sends waited for room; scenario is vacuous", blocked, sent)
+		t.Fatalf("endpoint %d: only %d of %d sends waited for room; scenario is vacuous", src, blocked, sent)
 	}
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
-		t.Fatalf("warm blocked Send allocates %v/op, want 0", allocs)
+		t.Fatalf("endpoint %d: warm blocked Send allocates %v/op, want 0", src, allocs)
 	}
 }
 

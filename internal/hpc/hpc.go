@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -121,10 +122,12 @@ type Interconnect struct {
 	costs *m68k.Costs
 	topo  *topo.Topology
 
-	outSec []*buffer // per-endpoint output section
-	inSec  []*buffer // per-endpoint input section
-	upLink []*link   // endpoint -> cluster
-	dnLink []*link   // cluster -> endpoint
+	// The per-endpoint tables are windows on the fabric's one buffer
+	// array and one link array (see New).
+	outSec []buffer // per-endpoint output section
+	inSec  []buffer // per-endpoint input section
+	upLink []link   // endpoint -> cluster
+	dnLink []link   // cluster -> endpoint
 	// cube[c*dim+d] is the directed cube link leaving cluster c across
 	// dimension d, nil where the incomplete cube has no such neighbor.
 	// Routes are self-routed over it hop by hop (topo.NextHop), so
@@ -180,54 +183,106 @@ func msgDetail(m *Message) string {
 	return fmt.Sprintf("%dB %d->%d", m.Size, m.Src, m.Dst)
 }
 
-// New builds an interconnect over the given topology.
+// New builds an interconnect over the given topology. Every buffer sits
+// in one array and every link in another, and every name is a slice of
+// one string, so a fabric costs the same few allocations whatever its
+// size.
 func New(k *sim.Kernel, costs *m68k.Costs, t *topo.Topology) *Interconnect {
-	n := t.Endpoints()
-	dim := t.Dimension()
+	n, nc, dim := t.Endpoints(), t.Clusters(), t.Dimension()
+	nCube := 0
+	for c := 0; c < nc; c++ {
+		for d := 0; d < dim; d++ {
+			if c^1<<d < nc {
+				nCube++
+			}
+		}
+	}
+	// Buffers: the output sections, the input sections, the up-links'
+	// cluster buffers, then the cube links'. Links: the up-links, the
+	// down-links, then the cube links.
+	bufs := make([]buffer, 3*n+nCube)
+	links := make([]link, 2*n+nCube)
 	ic := &Interconnect{
 		k:       k,
 		costs:   costs,
 		topo:    t,
-		outSec:  make([]*buffer, n),
-		inSec:   make([]*buffer, n),
-		upLink:  make([]*link, n),
-		dnLink:  make([]*link, n),
-		cube:    make([]*link, t.Clusters()*dim),
+		outSec:  bufs[:n],
+		inSec:   bufs[n : 2*n],
+		upLink:  links[:n],
+		dnLink:  links[n : 2*n],
+		cube:    make([]*link, nc*dim),
 		deliver: make([]DeliverFunc, n),
 		onRoom:  make([][]roomWaiter, n),
 	}
 	ic.msgPool.New = func() any { return &Message{} }
 	room := make([]roomWaiter, n)
 	// Every link's wait queue starts with room for one transfer, all in
-	// one array (slot w is link w's: up-links, down-links, then the
-	// cube table), and tryStart's shift keeps that room.
-	waits := make([]*transfer, 2*n+len(ic.cube))
+	// one array (slot w is links[w]'s), and tryStart's shift keeps that
+	// room.
+	waits := make([]*transfer, len(links))
 	queue := func(w int) []*transfer { return waits[w : w : w+1] }
+	// Each endpoint names five things ("out7", "in7", "clbuf-up7", "up7",
+	// "dn7") and each cube link two ("cube3-7", "clbuf3-7"): room for
+	// them all up front keeps every name in one allocation.
+	const perEndpoint, perCube = len("out" + "in" + "clbuf-up" + "up" + "dn"), len("cube-" + "clbuf-")
+	var nm names
+	nm.sb.Grow(n*(perEndpoint+5*nm.width(n-1)) + nCube*(perCube+4*nm.width(nc-1)))
 	for e := 0; e < n; e++ {
 		ic.onRoom[e] = room[e : e : e+1]
-		ic.outSec[e] = &buffer{name: fmt.Sprintf("out%d", e), outEP: int32(e + 1)}
-		ic.inSec[e] = &buffer{name: fmt.Sprintf("in%d", e)}
-		ic.upLink[e] = &link{ic: ic, name: fmt.Sprintf("up%d", e), into: &buffer{name: fmt.Sprintf("clbuf-up%d", e)}, waitQ: queue(e)}
-		ic.dnLink[e] = &link{ic: ic, name: fmt.Sprintf("dn%d", e), into: ic.inSec[e], waitQ: queue(n + e)}
+		ic.outSec[e] = buffer{name: nm.cut("out", e, -1), outEP: int32(e + 1)}
+		ic.inSec[e] = buffer{name: nm.cut("in", e, -1)}
+		clbuf := &bufs[2*n+e]
+		clbuf.name = nm.cut("clbuf-up", e, -1)
+		ic.upLink[e] = link{ic: ic, name: nm.cut("up", e, -1), into: clbuf, waitQ: queue(e)}
+		ic.dnLink[e] = link{ic: ic, name: nm.cut("dn", e, -1), into: &ic.inSec[e], waitQ: queue(n + e)}
 	}
-	for c := 0; c < t.Clusters(); c++ {
+	i := 0 // cube links made so far
+	for c := 0; c < nc; c++ {
 		for d := 0; d < dim; d++ {
-			nb := topo.ClusterID(c ^ 1<<d)
-			if int(nb) >= t.Clusters() {
+			nb := c ^ 1<<d
+			if nb >= nc {
 				continue
 			}
-			ic.cube[c*dim+d] = &link{
+			clbuf := &bufs[3*n+i]
+			clbuf.name = nm.cut("clbuf", c, nb)
+			links[2*n+i] = link{
 				ic:     ic,
-				name:   fmt.Sprintf("cube%d-%d", c, nb),
-				into:   &buffer{name: fmt.Sprintf("clbuf%d-%d", c, nb)},
-				waitQ:  queue(2*n + c*dim + d),
+				name:   nm.cut("cube", c, nb),
+				into:   clbuf,
+				waitQ:  queue(2*n + i),
 				isCube: true,
 				from:   topo.ClusterID(c),
-				to:     nb,
+				to:     topo.ClusterID(nb),
 			}
+			ic.cube[c*dim+d] = &links[2*n+i]
+			i++
 		}
 	}
 	return ic
+}
+
+// names cuts a fabric's link and buffer names from one string, which
+// New sizes before the first cut.
+type names struct {
+	sb  strings.Builder
+	num [20]byte
+}
+
+// width returns the number of decimal digits of x.
+func (nm *names) width(x int) int { return len(strconv.AppendInt(nm.num[:0], int64(x), 10)) }
+
+// cut appends prefix and a, then "-" and b when b >= 0, and returns
+// what it appended as a slice of the one string. A Builder never
+// rewrites what it holds, so earlier cuts stay valid.
+func (nm *names) cut(prefix string, a, b int) string {
+	start := nm.sb.Len()
+	nm.sb.WriteString(prefix)
+	nm.sb.Write(strconv.AppendInt(nm.num[:0], int64(a), 10))
+	if b >= 0 {
+		nm.sb.WriteByte('-')
+		nm.sb.Write(strconv.AppendInt(nm.num[:0], int64(b), 10))
+	}
+	return nm.sb.String()[start:]
 }
 
 // cubeLink returns the directed cube link from cluster a to cluster b,
@@ -254,7 +309,7 @@ type LinkStat struct {
 func (ic *Interconnect) LinkStats() []LinkStat {
 	var links []*link
 	for e := range ic.upLink {
-		links = append(links, ic.upLink[e], ic.dnLink[e])
+		links = append(links, &ic.upLink[e], &ic.dnLink[e])
 	}
 	for _, l := range ic.cube {
 		if l != nil {
@@ -392,8 +447,8 @@ func (ic *Interconnect) SetOutputDepth(k int) {
 	if k < 1 {
 		k = 1
 	}
-	for _, b := range ic.outSec {
-		b.depth = int32(k)
+	for e := range ic.outSec {
+		ic.outSec[e].depth = int32(k)
 	}
 }
 
@@ -437,7 +492,7 @@ func (ic *Interconnect) TrySend(msg *Message, onDelivered func(*Message)) (bool,
 	if msg.Size < 0 {
 		return false, fmt.Errorf("hpc: negative message size")
 	}
-	out := ic.outSec[msg.Src]
+	out := &ic.outSec[msg.Src]
 	if out.full() {
 		return false, nil
 	}
@@ -491,13 +546,13 @@ func (ic *Interconnect) SendMulticast(p *sim.Proc, src topo.EndpointID, dsts []t
 	if len(dsts) == 0 {
 		return fmt.Errorf("hpc: multicast with no destinations")
 	}
-	out := ic.outSec[src]
+	out := &ic.outSec[src]
 	for out.full() {
 		ic.waitRoom(p, src, "hpc-output-mc", "")
 	}
 	ic.stats.MulticastsSent++
 	// Phase 1: one trip up to the source cluster's replication buffer.
-	up := ic.upLink[src]
+	up := &ic.upLink[src]
 	mt := &mcastRoot{ic: ic, src: src, size: size, payload: payload, tag: tag, dsts: dsts, onDelivered: onDelivered}
 	t := ic.newTransfer()
 	t.msg = &Message{Src: src, Dst: src, Size: size, Payload: payload, Tag: tag + "/mc-up"}
@@ -565,7 +620,7 @@ func (ic *Interconnect) mcastLinks(c topo.ClusterID, dst topo.EndpointID) []*lin
 		return links
 	}
 	links = ic.appendCubeRoute(nil, c, ic.topo.AttachmentOf(dst).Cluster)
-	return append(links, ic.dnLink[dst])
+	return append(links, &ic.dnLink[dst])
 }
 
 // appendRoute appends the link path from cluster c to endpoint dst's
@@ -577,7 +632,7 @@ func (ic *Interconnect) appendRoute(links []*link, c topo.ClusterID, dst topo.En
 	b := ic.topo.AttachmentOf(dst).Cluster
 	if ic.downCubes == 0 {
 		links = ic.appendCubeRoute(links, c, b)
-		return append(links, ic.dnLink[dst]), nil
+		return append(links, &ic.dnLink[dst]), nil
 	}
 	route := ic.topo.RouteAvoiding(c, b, ic.cubeDown)
 	if route == nil {
@@ -586,7 +641,7 @@ func (ic *Interconnect) appendRoute(links []*link, c topo.ClusterID, dst topo.En
 	for i := 1; i < len(route); i++ {
 		links = append(links, ic.cubeLink(route[i-1], route[i]))
 	}
-	return append(links, ic.dnLink[dst]), nil
+	return append(links, &ic.dnLink[dst]), nil
 }
 
 // appendCubeRoute appends the canonical cube links from cluster a to
@@ -606,7 +661,7 @@ func (ic *Interconnect) appendCubeRoute(links []*link, a, b topo.ClusterID) []*l
 // output section to dst's input section, reusing the slice's capacity.
 // Errors only when failures have left dst unreachable.
 func (ic *Interconnect) routeLinksInto(t *transfer, src, dst topo.EndpointID) error {
-	links, err := ic.appendRoute(append(t.links[:0], ic.upLink[src]), ic.topo.AttachmentOf(src).Cluster, dst)
+	links, err := ic.appendRoute(append(t.links[:0], &ic.upLink[src]), ic.topo.AttachmentOf(src).Cluster, dst)
 	t.links = links
 	return err
 }

@@ -181,7 +181,7 @@ func (ic *Interconnect) remoteArrive(b *boundary) {
 	t.notifySh = b.origin
 	dst := t.msg.Dst
 	t.links = ic.appendCubeRoute(t.links[:0], b.to, ic.topo.AttachmentOf(dst).Cluster)
-	t.links = append(t.links, ic.dnLink[dst])
+	t.links = append(t.links, &ic.dnLink[dst])
 	t.inbound = b
 	t.links[0].request(t)
 }
