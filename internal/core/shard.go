@@ -3,7 +3,8 @@
 // BuildSharded runs the same assembly Build does — same topology, same
 // endpoint assignment, same per-machine stacks — over one kernel per
 // shard, and couples the kernels into a sim.Group under the
-// conservative lookahead protocol. Each shard's System holds the
+// conservative lookahead protocol, with the two promises of the cost
+// model (see BuildSharded). Each shard's System holds the
 // machines whose clusters it owns, its own fabric shard, and its own
 // object-manager view; names hash over the same global manager list on
 // every shard, so they resolve to the same manager everywhere.
@@ -48,9 +49,13 @@ func BuildSharded(cfg Config) (*Sharded, error) {
 	for i, sys := range sh.Sys {
 		kerns[i], ics[i] = sys.K, sys.IC
 	}
-	// The lookahead is one cube hop: anything one shard's clusters do to
-	// another's crosses at least one, at HopFixed or more.
-	sh.Group = sim.NewGroup(sh.Costs.HopFixed, kerns...)
+	// The narrow promise is one cube hop: anything one shard's clusters
+	// do to another's crosses at least one, at HopFixed or more. The wide
+	// one is two: a message leaves its node on its own cluster's up-link
+	// before any cube hop, and a hop of one of 20 bytes or more lasts
+	// 2·HopFixed. hpc holds the narrow promise while a shorter message
+	// is in the fabric.
+	sh.Group = sim.NewGroup(sh.Costs.HopFixed, 2*sh.Costs.HopFixed, kerns...)
 	if n > 1 {
 		shardOf := make([]int, sh.Topo.Clusters())
 		for c := range shardOf {

@@ -161,9 +161,12 @@ type Interconnect struct {
 	msgPool sync.Pool
 
 	// Sharded execution (see shard.go): this fabric's shard index and
-	// the peer fabrics, zero and nil when the simulation is unsharded.
-	shardSelf int
-	peers     []*Interconnect
+	// the peer fabrics, zero and nil when the simulation is unsharded,
+	// and the size under which a message is short (see short), zero
+	// on an unsharded fabric.
+	shardSelf  int
+	peers      []*Interconnect
+	shortBelow int
 
 	stats  Stats
 	tracer *trace.Tracer
@@ -510,6 +513,9 @@ func (ic *Interconnect) TrySend(msg *Message, onDelivered func(*Message)) (bool,
 	out.occ++
 	t.holder = out
 	ic.stats.MessagesSent++
+	if ic.short(msg.Size) {
+		ic.k.HoldNarrow()
+	}
 	if ic.tracer.Enabled() {
 		ic.tracer.Emit(trace.KEnqueue, msg.Trace, "fabric", out.name, msgDetail(msg))
 	}
@@ -559,6 +565,9 @@ func (ic *Interconnect) SendMulticast(p *sim.Proc, src topo.EndpointID, dsts []t
 	t.links = append(t.links[:0], up)
 	// Once the message is in the cluster replication buffer, fan out.
 	t.onArrivedAtBuffer = mt.fanOut
+	if ic.short(size) {
+		ic.k.HoldNarrow() // the root's, handed to the branches at fan-out
+	}
 	out.occ++
 	t.holder = out
 	up.request(t)
@@ -580,12 +589,14 @@ type mcastRoot struct {
 }
 
 // fanOut launches one transfer per destination from the replication
-// buffer. The buffer frees when every branch has left it.
+// buffer. The buffer frees when every branch has left it. A short
+// multicast's root hold ends here, once every branch holds its own.
 func (m *mcastRoot) fanOut(root *transfer) {
 	m.rootBuf = root.holder
 	m.rootLink = root.links[len(root.links)-1]
 	m.pending = len(m.dsts)
 	srcCluster := m.ic.topo.AttachmentOf(m.src).Cluster
+	short := m.ic.short(m.size)
 	for _, d := range m.dsts {
 		d := d
 		links := m.ic.mcastLinks(srcCluster, d)
@@ -605,7 +616,13 @@ func (m *mcastRoot) fanOut(root *transfer) {
 				m.rootLink.tryStart()
 			}
 		}
+		if short {
+			m.ic.k.HoldNarrow()
+		}
 		links[0].request(bt)
+	}
+	if short {
+		m.ic.k.ReleaseNarrow()
 	}
 }
 
@@ -717,7 +734,7 @@ type transfer struct {
 	// Sharded execution (see shard.go). inbound is the boundary record
 	// of the hand-off that started this transfer: its first
 	// transmission posts the record's "freed" signal home for the hop's
-	// completion time, a full hop of lookahead ahead. notifySh is the
+	// completion time, a full hop ahead. notifySh is the
 	// shard whose state the onDelivered callback closes over; when it
 	// is not the delivering shard, the completion notice is posted back
 	// instead of called.
@@ -872,9 +889,11 @@ func (l *link) tryStart() {
 		wire = sim.Duration(float64(wire) * l.slowdown)
 	}
 	dur := l.ic.costs.HopFixed + wire
-	// Sharded execution: the hop's completion time is known now, a full
-	// HopFixed (= the group lookahead) ahead, so every cross-shard
-	// consequence of this transmission is announced at its start.
+	// Sharded execution: the hop's completion time is known now, at
+	// least HopFixed (the group's narrow promise) ahead, and two
+	// HopFixed (the wide one) unless the message is short, so every
+	// cross-shard consequence of this transmission is announced at its
+	// start.
 	if b := t.inbound; b != nil {
 		t.inbound = nil
 		l.ic.k.Post(b.home, l.ic.k.Now().Add(dur), b.freed)
@@ -930,7 +949,11 @@ func (l *link) complete(t *transfer) {
 		t.links[t.pos].request(t)
 		return
 	}
-	// Arrived in the destination input section.
+	// Arrived in the destination input section: a short message has
+	// made its last post (see short).
+	if l.ic.short(t.msg.Size) {
+		l.ic.k.ReleaseNarrow()
+	}
 	l.ic.stats.MessagesDelivered++
 	l.ic.stats.BytesDelivered += int64(t.msg.Size)
 	if tr := l.ic.tracer; tr.Enabled() {

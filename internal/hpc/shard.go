@@ -10,12 +10,21 @@ package hpc
 // takes exactly the serial code path; only a cube hop into a foreign
 // cluster crosses shards.
 //
-// The boundary protocol rides on one physical fact: a cube hop costs
-// at least HopFixed, and the group's lookahead, the one promise between
-// any two shards, is no more than that. When shard A starts
-// transmitting over a boundary link a→b it already knows the completion
-// time T, a full lookahead away, so everything the hop causes
-// elsewhere is posted at its start:
+// The boundary protocol rides on three physical facts: a cube hop costs
+// at least HopFixed, and a hop of a message of 20 bytes or more, whose
+// wire time is at least HopFixed too, at least 2·HopFixed; and every
+// message's first hop is its source's up-link, inside its own cluster
+// (a multicast's copies leave from the replication buffer that hop
+// fills), so whatever its size a message posts nothing across shards
+// sooner than two hops after it is sent. The group's narrow promise is
+// no more than the first and its wide one no more than the second, and
+// the wide one is in force only while no short message is in the
+// fabric: each short message holds the narrow promise from the moment
+// TrySend accepts it until it lands in its destination's input section
+// (see short). When shard A starts transmitting over a boundary link
+// a→b it already knows the completion time T, at least the promise in
+// force away, so everything the hop causes elsewhere is posted at its
+// start:
 //
 //   - "arrive": the message's arrival in b's cluster buffer
 //     (remoteArrive on shard B, at T);
@@ -33,7 +42,7 @@ package hpc
 // gets the same treatment: the final down-link hop posts the
 // completion notice home at its start (carryBack), however far away
 // home is. Every such signal is a hop's completion posted at the hop's
-// start, so it clears the lookahead, and none needs rollback.
+// start, so it clears the promise in force, and none needs rollback.
 //
 // One record per boundary link. ConnectShards gives every cube link
 // from one of the fabric's clusters into a foreign one a boundary
@@ -68,6 +77,8 @@ package hpc
 // subcommands that need tracing clamp to one shard.
 
 import (
+	"math"
+
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/topo"
 )
@@ -76,20 +87,33 @@ import (
 // simulation: shardOf maps every cluster to its owning shard and peers
 // lists all shard fabrics (peers[self] == ic). Call once, before any
 // traffic, on every shard's fabric. The fabrics' kernels must belong
-// to one sim.Group whose lookahead is at most the cost model's
-// HopFixed: every cross-shard signal ("arrive" riding a hop forward,
-// "freed" riding it back, a delivery notice going home) is posted with
-// exactly one hop of slack.
+// to one sim.Group whose narrow promise is at most the cost model's
+// HopFixed and whose wide one at most 2·HopFixed: every cross-shard
+// signal ("arrive" riding a hop forward, "freed" riding it back, a
+// delivery notice going home) is posted with exactly one hop of slack,
+// HopFixed plus the message's wire time.
 func (ic *Interconnect) ConnectShards(self int, shardOf []int, peers []*Interconnect) {
 	g := ic.k.Group()
 	if g == nil {
 		panic("hpc: ConnectShards on a kernel outside a sim.Group")
 	}
-	if g.Lookahead() > ic.costs.HopFixed {
-		panic("hpc: group lookahead exceeds the minimum cube-hop cost")
+	narrow, wide := g.Lookahead()
+	if narrow > ic.costs.HopFixed {
+		panic("hpc: group's narrow lookahead exceeds one cube hop (HopFixed)")
+	}
+	if wide > 2*ic.costs.HopFixed {
+		panic("hpc: group's wide lookahead exceeds two cube hops (2·HopFixed)")
 	}
 	ic.shardSelf = self
 	ic.peers = peers
+	if ic.sharded() {
+		// WireTime(n) = n·WirePerByte is under HopFixed for n under
+		// ceil(HopFixed/WirePerByte), and at every size on a free wire.
+		ic.shortBelow = math.MaxInt
+		if w := ic.costs.WirePerByte; w > 0 {
+			ic.shortBelow = int((ic.costs.HopFixed + w - 1) / w)
+		}
+	}
 	for _, l := range ic.cube {
 		// Bind records only on the links this shard runs into a
 		// foreign cluster: a link leaving a foreign cluster never
@@ -134,14 +158,26 @@ type boundary struct {
 // sharded reports whether this fabric is one shard of several.
 func (ic *Interconnect) sharded() bool { return len(ic.peers) > 1 }
 
+// short reports whether a message of size bytes is short on a sharded
+// fabric: its wire time is under HopFixed, so a hop of it may post
+// across shards with less than the group's wide promise. Each short
+// message holds the group's narrow promise (sim.Kernel.HoldNarrow) from
+// the moment the fabric accepts it until it lands in its destination's
+// input section, after its last post; a hand-off carries the hold to
+// the far shard. A multicast's root holds until fan-out, and each
+// branch from then until its delivery. A serial fabric counts nothing.
+func (ic *Interconnect) short(size int) bool { return size < ic.shortBelow }
+
 // handoff ships a transfer whose next cube hop, over b's link, lands
 // in a foreign shard's cluster. The transmission itself (duration dur,
 // already charged with wire time and slowdown by tryStart) is simulated
 // here on the owning shard; the arrival is posted to the destination
-// shard at the completion time, which clears the lookahead because
-// dur >= HopFixed. The local bookkeeping happens at the same virtual
-// instant via hopDone. A delivery notice rides along to the far shard,
-// which posts it home when the final hop starts (carryBack).
+// shard at the completion time, which clears the promise in force
+// because dur >= HopFixed, and dur >= 2·HopFixed unless the message is
+// short and holds the narrow promise. The local bookkeeping happens at
+// the same virtual instant via hopDone. A delivery notice rides along
+// to the far shard, which posts it home when the final hop starts
+// (carryBack).
 func (ic *Interconnect) handoff(b *boundary, t *transfer, dur sim.Duration) {
 	doneAt := ic.k.Now().Add(dur)
 	ic.stats.HandoffsOut++

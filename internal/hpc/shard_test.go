@@ -39,7 +39,7 @@ func newShardedFabric(t *topo.Topology, shards int) *shardedFabric {
 	}
 	var g *sim.Group
 	if n > 1 {
-		g = sim.NewGroup(costs.HopFixed, kerns...)
+		g = sim.NewGroup(costs.HopFixed, 2*costs.HopFixed, kerns...)
 	}
 	f := &shardedFabric{g: g, part: part, t: t, logs: make([][]delivRec, n)}
 	shardOf := make([]int, t.Clusters())
@@ -258,4 +258,60 @@ func TestShardedModeRejectsLinkFaults(t *testing.T) {
 		}
 	}()
 	f.ics[0].SetCubeLinkDown(0, 1, true)
+}
+
+// TestConnectShardsChecksPromises: a group promising more than one cube
+// hop narrow or two wide is refused, and the panic names the promise.
+func TestConnectShardsChecksPromises(t *testing.T) {
+	top, err := topo.IncompleteHypercube(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := m68k.DefaultCosts()
+	for _, c := range []struct {
+		narrow, wide sim.Duration
+		want         string
+	}{
+		{costs.HopFixed + 1, 2 * costs.HopFixed, "hpc: group's narrow lookahead exceeds one cube hop (HopFixed)"},
+		{costs.HopFixed, 2*costs.HopFixed + 1, "hpc: group's wide lookahead exceeds two cube hops (2·HopFixed)"},
+	} {
+		kerns := []*sim.Kernel{sim.NewKernel(1), sim.NewKernel(1)}
+		sim.NewGroup(c.narrow, c.wide, kerns...)
+		ics := []*Interconnect{New(kerns[0], costs, top), New(kerns[1], costs, top)}
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != c.want {
+					t.Errorf("promises %v/%v: recovered %v, want %q", c.narrow, c.wide, r, c.want)
+				}
+			}()
+			ics[0].ConnectShards(0, []int{0, 1}, ics)
+		}()
+	}
+}
+
+// TestShortBelowOneHopOfWire: a sharded fabric calls a message short,
+// so that it holds the group's narrow promise, exactly when its wire
+// time is under HopFixed: below 20 bytes at the calibrated 0.05 µs/B,
+// at every size on a free wire. A serial fabric calls nothing short.
+func TestShortBelowOneHopOfWire(t *testing.T) {
+	top, err := topo.IncompleteHypercube(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newShardedFabric(top, 2)
+	if ic := f.ics[0]; !ic.short(19) || ic.short(20) {
+		t.Fatalf("calibrated costs: short(19) = %v, short(20) = %v; want true, false", ic.short(19), ic.short(20))
+	}
+	free := *m68k.DefaultCosts()
+	free.WirePerByte = 0
+	kerns := []*sim.Kernel{sim.NewKernel(1), sim.NewKernel(1)}
+	sim.NewGroup(free.HopFixed, 2*free.HopFixed, kerns...)
+	ics := []*Interconnect{New(kerns[0], &free, top), New(kerns[1], &free, top)}
+	ics[0].ConnectShards(0, []int{0, 1}, ics)
+	if !ics[0].short(free.MaxMessage) {
+		t.Fatalf("free wire: a %d-byte message is not short", free.MaxMessage)
+	}
+	if serial := New(sim.NewKernel(1), m68k.DefaultCosts(), top); serial.short(0) {
+		t.Fatal("a serial fabric calls an empty message short")
+	}
 }

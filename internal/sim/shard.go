@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -13,14 +14,20 @@ import (
 //
 // The contract with the model layer is a single primitive: an event
 // running on one shard may Post a callback to another, but only at a
-// timestamp at least the group's lookahead L beyond the poster's
-// current clock. The lookahead is physical: in the HPC cost model
-// anything one cluster does to another crosses at least one cube hop,
-// which costs at least HopFixed (plus 0.05 µs/byte of wire time), so
-// every shard can promise every other one hop of slack — a shard's
-// present can never influence another shard's nearer future. That
-// bound is what lets a shard dispatch ahead without ever having to
-// roll back.
+// timestamp at least the promise in force beyond the poster's current
+// clock. The group has two promises, both physical. In the HPC cost
+// model a cube hop costs HopFixed plus 0.05 µs/byte of wire time, and
+// every cross-shard post is a hop's completion posted at the hop's
+// start, so every post has at least one HopFixed of slack: the narrow
+// promise. A message of 20 bytes or more spends at least HopFixed more
+// on the wire, and every message leaves its node through its own
+// cluster's up-link before it can take a cube link, so anything a
+// message sent from now on posts lands at least two HopFixed out: the
+// wide promise. Only a short message already in the fabric can post
+// with less, so the model layer takes a hold (HoldNarrow) for each one
+// while it travels, and the group keeps the wide promise whenever no
+// hold is out. Either promise is what lets a shard dispatch ahead
+// without ever having to roll back.
 //
 // Safety ("no event from the future"): shard i only dispatches an
 // event at time t when t < safe(i), a lower bound on every future
@@ -28,16 +35,26 @@ import (
 // that exists now: an undispatched event on some shard s (at or after
 // s's published front) or a cross in flight to some shard d (at or
 // after the earliest entry of d's inbox). Each cross edge of the causal
-// chain adds at least L and a local step adds nothing negative, so the
-// arrival lands at least L after an ancestor on another shard, and at
-// least 2L after one on i itself, whose chain must leave i and come
-// back. safe(i) is one minimum, over one scan of the shared state, of
+// chain adds at least the promise L and a local step adds nothing
+// negative, so the arrival lands at least L after an ancestor on
+// another shard, and at least 2L after one on i itself, whose chain
+// must leave i and come back. safe(i) is one minimum, over one scan of
+// the shared state, of
 //
 //   - front(s) + L and pending(s) + L for every other shard s,
 //   - front(i) + 2L, the round trip (unbounded in a one-shard group),
 //   - pending(i) for i's own inbox (already posted, no slack).
 //
-// That is the earliest arrival one lookahead allows from the current
+// L is the wide promise when no hold is out as the scan reads the hold
+// count, after every front and every other shard's inbox and before
+// i's own, and the narrow one otherwise (see scanSafe). A hold taken
+// during a grant does not narrow the bound that grant already holds,
+// except on the holder's own shard: its message can come back there
+// one wide and one narrow promise after the hold, before the wide
+// round trip, so HoldNarrow lowers the running grant's bound to that
+// instant.
+//
+// That is the earliest arrival the promises allow from the current
 // fronts. It also makes progress unconditional: the shard holding the
 // globally earliest event finds every term above it once its inbox is
 // drained, and dispatches.
@@ -58,16 +75,21 @@ import (
 // crosses before same-instant local events, in (source shard, posting
 // order). Every run of the same program therefore dispatches the same
 // events in the same order on every shard, regardless of GOMAXPROCS or
-// scheduling jitter. The lookahead and the safe bound change only when
-// a shard dispatches, never what order events dispatch in.
+// scheduling jitter. The promises, the holds and the safe bound change
+// only when a shard dispatches, never what order events dispatch in.
 type Group struct {
 	kernels []*Kernel
 	n       int
-	// look is the lookahead Post enforces between any two shards. rt
-	// is the round trip out of a shard and back, 2·look, the weight of
-	// a shard's own front in its safe bound; unbounded in a one-shard
-	// group, where no post can come back.
-	look, rt Duration
+	// narrow and wide are the two promises between any two shards, in
+	// force while a hold is out and while none is. narrowRT and wideRT
+	// are the round trips out of a shard and back, twice each, the
+	// weight of a shard's own front in its safe bound; unbounded in a
+	// one-shard group, where no post can come back.
+	narrow, wide     Duration
+	narrowRT, wideRT Duration
+	// holds counts the narrowings out (HoldNarrow, ReleaseNarrow): the
+	// short messages in the model's fabric.
+	holds atomic.Int64
 
 	// inbox[d] is the bounded queue every other shard posts to shard d
 	// through; drain moves it into d's event heap.
@@ -193,28 +215,32 @@ func satAdd(t Time, d Duration) Time {
 }
 
 // NewGroup couples the given kernels into one sharded simulation.
-// lookahead is the promise between any two shards: a post from one
-// shard lands on another no sooner than lookahead past the poster's
-// clock. It must be positive, and Post panics on any violation.
-// Kernels must be fresh to this group (a kernel can belong to at most
-// one).
-func NewGroup(lookahead Duration, kernels ...*Kernel) *Group {
+// narrow and wide are the promises between any two shards: a post from
+// one shard lands on another no sooner than narrow past the poster's
+// clock while a hold is out (HoldNarrow), and no sooner than wide while
+// none is. Both must be positive, narrow no more than wide, and Post
+// panics on any violation. Kernels must be fresh to this group (a
+// kernel can belong to at most one).
+func NewGroup(narrow, wide Duration, kernels ...*Kernel) *Group {
 	if len(kernels) == 0 {
 		panic("sim: group needs at least one kernel")
 	}
-	if lookahead <= 0 {
-		panic("sim: group lookahead must be positive")
+	if narrow <= 0 || wide < narrow {
+		panic("sim: group lookahead must be positive, the narrow promise no more than the wide")
 	}
 	n := len(kernels)
-	rt := Duration(math.MaxInt64)
+	narrowRT, wideRT := Duration(math.MaxInt64), Duration(math.MaxInt64)
 	if n > 1 {
-		rt = Duration(satAdd(Time(lookahead), lookahead))
+		narrowRT = Duration(satAdd(Time(narrow), narrow))
+		wideRT = Duration(satAdd(Time(wide), wide))
 	}
 	g := &Group{
 		kernels:  kernels,
 		n:        n,
-		look:     lookahead,
-		rt:       rt,
+		narrow:   narrow,
+		wide:     wide,
+		narrowRT: narrowRT,
+		wideRT:   wideRT,
 		inbox:    make([]*inbox, n),
 		localMin: make([]atomic.Int64, n),
 		wake:     make([]chan struct{}, n),
@@ -234,8 +260,52 @@ func NewGroup(lookahead Duration, kernels ...*Kernel) *Group {
 	return g
 }
 
-// Lookahead returns the promise Post enforces between any two shards.
-func (g *Group) Lookahead() Duration { return g.look }
+// Lookahead returns the two promises between any two shards: narrow,
+// in force while a hold is out, and wide, while none is.
+func (g *Group) Lookahead() (narrow, wide Duration) { return g.narrow, g.wide }
+
+// promise is the lookahead in force: narrow while a hold is out, wide
+// while none is.
+func (g *Group) promise() Duration {
+	if g.holds.Load() != 0 {
+		return g.narrow
+	}
+	return g.wide
+}
+
+// HoldNarrow narrows the group's promise to the narrow one until the
+// matching ReleaseNarrow, which may run on another shard. A hold stands
+// for one journey that may post with less than the wide promise: the
+// model takes it before the journey's first hop and releases it after
+// its last post is made. The holder promises that everything the
+// journey posts lands at least wide after the hold was taken, and at
+// least narrow past each poster's clock. So a post can come back to
+// the holder's own shard one wide and one narrow promise after the
+// hold, before the wide round trip its running grant may be bounded
+// by, and the hold lowers that bound to the instant before (outside a
+// run the bound is noRun, below every instant). On an ungrouped kernel
+// it does nothing.
+func (k *Kernel) HoldNarrow() {
+	g := k.group
+	if g == nil {
+		return
+	}
+	g.holds.Add(1)
+	if back := satAdd(satAdd(k.now, g.wide), g.narrow) - 1; back < k.deadline {
+		k.deadline = back
+	}
+}
+
+// ReleaseNarrow ends a hold HoldNarrow took on any shard of the group.
+func (k *Kernel) ReleaseNarrow() {
+	g := k.group
+	if g == nil {
+		return
+	}
+	if g.holds.Add(-1) < 0 {
+		panic("sim: ReleaseNarrow without a hold")
+	}
+}
 
 // CrossPosts returns the number of events routed between shards over
 // the group's lifetime. Call only while no run is in progress.
@@ -266,11 +336,11 @@ func (g *Group) Stop() {
 }
 
 // Post enqueues fn to run on shard dst at time at. From a grouped
-// kernel, a genuinely cross-shard post must respect the group's
-// lookahead: at >= now + lookahead, measured on the posting shard's
-// clock. Posts to the kernel's own shard (and all posts on an
-// ungrouped kernel, where dst must be 0) degrade to plain At
-// scheduling.
+// kernel, a genuinely cross-shard post must respect the promise in
+// force: at >= now + narrow while a hold is out, at >= now + wide while
+// none is, measured on the posting shard's clock. Posts to the kernel's
+// own shard (and all posts on an ungrouped kernel, where dst must be 0)
+// degrade to plain At scheduling.
 func (k *Kernel) Post(dst int, at Time, fn func()) {
 	g := k.group
 	if g == nil {
@@ -284,8 +354,8 @@ func (k *Kernel) Post(dst int, at Time, fn func()) {
 		k.At(at, fn)
 		return
 	}
-	if at < satAdd(k.now, g.look) {
-		panic("sim: cross-shard post violates lookahead")
+	if look := g.promise(); at < satAdd(k.now, look) {
+		panic(fmt.Sprintf("sim: cross-shard post violates lookahead: clock %v, target %v, promise %v", k.now, at, look))
 	}
 	g.post(k.shard, dst, at, fn)
 }
@@ -390,12 +460,13 @@ func (g *Group) curMin(i int) int64 {
 
 // publishLocalMin refreshes shard i's published front after a grant
 // run; posted reports whether the run posted a cross. A raise lifts
-// each peer's bound term front(i) + lookahead, so it is the protocol's
+// each peer's bound term front(i) + promise, so it is the protocol's
 // one announcement: counted as a front publish, and as a null message
 // when no cross traffic came with it. It wakes only the parked peers
-// it can unblock: after the raise, a peer's bound is at most
-// lm + lookahead, so a peer whose own front lies at or beyond that
-// stays blocked whatever else moved. Any wake this leaves for later is
+// it can unblock: after the raise, a peer's bound is at most lm plus
+// the promise in force, so a peer whose own front lies at or beyond
+// that stays blocked whatever else moved. Any wake this leaves for
+// later (a hold released after the filter read the count) is
 // re-evaluated on every subsequent raise and, once all shards park, by
 // enterIdle's exact completion sweep.
 func (g *Group) publishLocalMin(i int, posted bool) {
@@ -412,12 +483,13 @@ func (g *Group) publishLocalMin(i int, posted bool) {
 	if !posted {
 		g.sync[i].nullPubs++
 	}
+	reach := satAdd(Time(lm), g.promise())
 	for j := 0; j < g.n; j++ {
 		if j == i || !g.idle[j].Load() {
 			continue
 		}
 		fj := g.localMin[j].Load()
-		if fj != noEvent && Time(fj) < satAdd(Time(lm), g.look) {
+		if fj != noEvent && Time(fj) < reach {
 			g.notifyIdle(i, j)
 		}
 	}
@@ -454,8 +526,21 @@ func (g *Group) safeTime(i int) Time {
 }
 
 // scanSafe is one unsynchronized pass of safeTime: every front, then
-// every inbox, the other shards' folded into one minimum that is one
-// lookahead away.
+// every other shard's inbox, folded into one minimum that is one
+// promise away, then the hold count, then i's own inbox, bare. The
+// promise is the wide one only if the count reads 0, and that one read
+// is enough. Take a post into i that lands below the wide bound, and
+// the message whose hop makes it. If the front the pass read of the
+// message's sender was published before the send, the send descends
+// from what the pass covered, and the message left on its own
+// cluster's up-link, so it posts at least wide after that (a chain
+// that began on i left i first: by the same argument or, sent on i,
+// within HoldNarrow's bound). Otherwise the sender counted the hold
+// before it published that front, so the count, read after the front
+// and sequentially consistent with it, sees the hold unless the
+// message has landed; and it has not, for it posts into i after the
+// pass read i's inbox, which comes after the count, or the bare term
+// would cover the post. So the pass keeps the narrow promise.
 func (g *Group) scanSafe(i int) Time {
 	other := noEvent
 	for s := range g.localMin {
@@ -469,7 +554,11 @@ func (g *Group) scanSafe(i int) Time {
 			other = min(other, ib.minPending.Load())
 		}
 	}
-	return min(satAdd(Time(other), g.look), satAdd(Time(own), g.rt), Time(g.inbox[i].minPending.Load()))
+	look, rt := g.wide, g.wideRT
+	if g.holds.Load() != 0 {
+		look, rt = g.narrow, g.narrowRT
+	}
+	return min(satAdd(Time(other), look), satAdd(Time(own), rt), Time(g.inbox[i].minPending.Load()))
 }
 
 // hasWork reports whether shard i could make progress right now.

@@ -125,7 +125,7 @@ func newTestGroup(shards int) *Group {
 	for i := range ks {
 		ks[i] = NewKernel(1)
 	}
-	return NewGroup(Duration(1000), ks...)
+	return NewGroup(Duration(1000), Duration(1000), ks...)
 }
 
 // procHost is a kernel for proc tests together with the Run, RunUntil
@@ -225,18 +225,192 @@ func TestGroupDrainRejectsCrossInThePast(t *testing.T) {
 	g.drain(1)
 }
 
+// TestGroupPostLookaheadEnforced: on a one-promise group a post below
+// it panics; on a two-promise group a post whose slack lies between the
+// two panics only while no hold is out, and one below the narrow
+// promise panics even with a hold out. The panic names the poster's
+// clock, the target time and the promise it broke.
 func TestGroupPostLookaheadEnforced(t *testing.T) {
-	g := newTestGroup(2)
-	g.kernels[0].At(100, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("post below lookahead did not panic")
+	for _, c := range []struct {
+		name         string
+		narrow, wide Duration
+		hold         bool
+		slack        Duration
+		want         string // "" when the post must go through
+	}{
+		{"one promise", 1000, 1000, false, 999, "clock t=0.100µs, target t=1.099µs, promise 1.000µs"},
+		{"between, no hold", 1000, 2000, false, 1500, "clock t=0.100µs, target t=1.600µs, promise 2.000µs"},
+		{"between, held", 1000, 2000, true, 1500, ""},
+		{"wide, no hold", 1000, 2000, false, 2000, ""},
+		{"below narrow, held", 1000, 2000, true, 999, "clock t=0.100µs, target t=1.099µs, promise 1.000µs"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k0, k1 := NewKernel(1), NewKernel(1)
+			g := NewGroup(c.narrow, c.wide, k0, k1)
+			if c.hold {
+				k0.HoldNarrow()
 			}
-			g.Stop()
-		}()
-		g.kernels[0].Post(1, Time(100+999), func() {})
+			var got any
+			k0.At(100, func() {
+				got = recovered(func() { k0.Post(1, Time(100).Add(c.slack), func() {}) })
+				g.Stop()
+			})
+			if err := g.Run(); err != nil {
+				t.Fatal(err)
+			}
+			switch msg := fmt.Sprint(got); {
+			case c.want == "" && got != nil:
+				t.Fatalf("post with slack %v panicked: %v", c.slack, got)
+			case c.want != "" && msg != "sim: cross-shard post violates lookahead: "+c.want:
+				t.Fatalf("post with slack %v: recovered %v, want the lookahead panic naming %q", c.slack, got, c.want)
+			}
+		})
+	}
+}
+
+// TestGroupHoldBoundsOwnGrant: shard 0 ticks densely and, at 100, takes
+// a hold and posts to shard 1 one wide promise on, which posts back one
+// narrow promise later and releases the hold. The answer lands at
+// 100 + wide + narrow, before shard 0's first wide round trip ends
+// (front 0 + 2·wide), so the hold must lower shard 0's running grant:
+// without that, shard 0 ticks past the answer and receives it in its
+// past. Every run reproduces it, on any number of threads.
+func TestGroupHoldBoundsOwnGrant(t *testing.T) {
+	const narrow, wide = Duration(1000), Duration(2000)
+	k0, k1 := NewKernel(1), NewKernel(1)
+	g := NewGroup(narrow, wide, k0, k1)
+	var ticks int
+	var tick func()
+	tick = func() {
+		ticks++
+		if k0.Now() < 6000 {
+			k0.After(10, tick)
+		}
+	}
+	k0.At(5, tick)
+	answered := Time(-1)
+	k0.At(100, func() {
+		k0.HoldNarrow()
+		k0.Post(1, k0.Now().Add(wide), func() {
+			k1.Post(0, k1.Now().Add(narrow), func() { answered = k0.Now() })
+			k1.ReleaseNarrow()
+		})
 	})
-	g.Run()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if answered != Time(100).Add(wide+narrow) || ticks != 601 {
+		t.Fatalf("answer ran at %v after %d ticks, want %v after 601", answered, ticks, Time(100).Add(wide+narrow))
+	}
+}
+
+// TestGroupFrontRaiseWakesWithinPromise: a front raise wakes a parked
+// peer whose front lies within the promise in force of the new front:
+// with no hold out, one lying between the narrow and the wide promise
+// of it is woken, and with a hold out it is not.
+func TestGroupFrontRaiseWakesWithinPromise(t *testing.T) {
+	for _, held := range []bool{false, true} {
+		k0, k1 := NewKernel(1), NewKernel(1)
+		g := NewGroup(1000, 2000, k0, k1)
+		if held {
+			k0.HoldNarrow()
+		}
+		k0.At(5000, func() {})
+		g.localMin[0].Store(0)
+		g.localMin[1].Store(6500)
+		g.idle[1].Store(true)
+		g.publishLocalMin(0, false)
+		woken := len(g.wake[1]) == 1
+		if woken == held {
+			t.Fatalf("hold out %v: raise to 5000 woke the peer parked at 6500: %v", held, woken)
+		}
+	}
+}
+
+// journeyProgram is relayProgram with holds: chains wander between
+// shards on legs of at least the wide promise, and now and then one
+// makes a journey the way a short message crosses the fabric. It takes
+// a hold; its first leg stays on the holder's shard, as a message's hop
+// up its own cluster's link does; each leg lasts at least narrow, so a
+// cross lands at least two narrow promises (wide) after the hold and
+// can come back to the holder's shard after three; and the landing of
+// the last leg releases the hold. Chains keep their timestamps
+// congruent to their index, so nothing ties. wide must be at most
+// twice narrow.
+func journeyProgram(s shardSim, shards int, seed int64, logs [][]relayEntry, narrow, wide Duration) {
+	nChains := shards * 4
+	base := (int(narrow) + nChains - 1) / nChains // nChains*base >= narrow
+	wideBase := (int(wide) + nChains - 1) / nChains
+	for c := 0; c < nChains; c++ {
+		c := c
+		home := c % shards
+		rng := rand.New(rand.NewSource(seed*991 + int64(c)))
+		hops := 40 + c%5
+		held, legs := false, 0 // a journey's hold, and its short legs still to post
+		var hop func(cur, remaining int, at Time)
+		hop = func(cur, remaining int, at Time) {
+			logs[cur] = append(logs[cur], relayEntry{chain: c, hop: hops - remaining, at: at})
+			if held && (legs == 0 || remaining == 0) {
+				// The journey's last leg has landed.
+				s.kernel(cur).ReleaseNarrow()
+				held = false
+			}
+			if remaining == 0 {
+				return
+			}
+			next := (cur + rng.Intn(shards)) % shards
+			delay := nChains * (wideBase + rng.Intn(40))
+			switch {
+			case held:
+				legs--
+				delay = nChains * (base + rng.Intn(wideBase-base))
+			case c%4 == 0 && rng.Intn(5) == 0:
+				s.kernel(cur).HoldNarrow()
+				held, legs = true, 1+rng.Intn(3)
+				next, delay = cur, nChains*(base+rng.Intn(wideBase-base))
+			}
+			nat := at.Add(Duration(delay))
+			if next == cur {
+				s.kernel(cur).At(nat, func() { hop(cur, remaining-1, nat) })
+			} else {
+				s.post(cur, next, nat, func() { hop(next, remaining-1, nat) })
+			}
+		}
+		start := Time(nChains + c)
+		s.kernel(home).At(start, func() { hop(home, hops, start) })
+	}
+}
+
+// TestGroupHoldsMatchSerialReference runs journeyProgram on two-promise
+// groups, so grants open under both promises and holds are taken and
+// released on different shards, and checks every shard's dispatch log
+// against the serial run, where holds do nothing.
+func TestGroupHoldsMatchSerialReference(t *testing.T) {
+	const narrow, wide = Duration(1000), Duration(2000)
+	for _, shards := range []int{2, 3, 4, 8} {
+		for seed := int64(1); seed <= 5; seed++ {
+			want := make([][]relayEntry, shards)
+			sk := NewKernel(1)
+			journeyProgram(serialSim{sk}, shards, seed, want, narrow, wide)
+			if err := sk.Run(); err != nil {
+				t.Fatal(err)
+			}
+			ks := make([]*Kernel, shards)
+			for i := range ks {
+				ks[i] = NewKernel(1)
+			}
+			g := NewGroup(narrow, wide, ks...)
+			got := make([][]relayEntry, shards)
+			journeyProgram(groupSim{g}, shards, seed, got, narrow, wide)
+			if err := g.Run(); err != nil {
+				t.Fatal(err)
+			}
+			diffLogs(t, fmt.Sprintf("shards=%d seed=%d", shards, seed), want, got)
+			if h := g.holds.Load(); h != 0 {
+				t.Fatalf("shards=%d seed=%d: %d holds out after the run", shards, seed, h)
+			}
+		}
+	}
 }
 
 func TestGroupDeadlockAggregation(t *testing.T) {
@@ -399,7 +573,7 @@ func TestGroupFloorScanRacingDrain(t *testing.T) {
 // stopped timer has no front, so it holds no peer's safe bound back.
 func TestGroupFrontSkipsStoppedTimer(t *testing.T) {
 	k0, k1 := NewKernel(1), NewKernel(1)
-	g := NewGroup(Microsecond, k0, k1)
+	g := NewGroup(Microsecond, Microsecond, k0, k1)
 	k0.At(Time(Second), func() { t.Error("stopped timer ran") }).Stop()
 	if got := g.curMin(0); got != noEvent {
 		t.Fatalf("curMin(0) = %d with only a stopped timer queued, want none", got)
