@@ -176,9 +176,9 @@ func E19ShardScaling() *Table {
 	sweepShards(t, e19Run)
 	t.Note("identical = per-pair delivery digest byte-equal to shards=1; the CI shard sweep " +
 		"(vorx chaos -shardsweep) enforces the same identity under crash/gray fault schedules")
-	t.Note("lookahead: one cube hop (HopFixed, 1us) between any two shards; a shard advances " +
-		"to the earliest time another shard's front or in-flight mail could reach it one hop " +
-		"later, or its own front two hops later")
+	t.Note("lookahead: two cube hops (2 x HopFixed, 2us) between any two shards, one (1us) while " +
+		"a frame under 20 B is in flight; a shard advances to the earliest time another shard's " +
+		"front or in-flight mail could reach it one promise later, or its own front two promises later")
 	t.Note("speedup needs real cores: on a 1-CPU host the shard goroutines serialize and " +
 		"cross-shard synchronization is pure overhead")
 	return t
